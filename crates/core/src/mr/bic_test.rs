@@ -24,12 +24,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use gmr_datagen::parse_point_dim_into;
 use gmr_linalg::squared_euclidean;
 use gmr_mapreduce::prelude::*;
 use gmr_stats::{bic_spherical, ClusterModelStats};
 
 use crate::mr::centers::CenterSet;
-use crate::mr::kmeans_job::{empty_centers_error, parse_point_or_skip};
+use crate::mr::kmeans_job::empty_centers_error;
 use crate::mr::split_test::{TestDecision, TestOutcome};
 
 /// Per-parent aggregate: `[Σd²_parent, Σd²_children, n_child0, n_child1]`
@@ -101,8 +102,39 @@ pub struct BicTestMapper {
     acc: HashMap<usize, ([f64; 4], u64)>,
 }
 
-impl BicTestMapper {
-    fn process(&mut self, point: &[f64], ctx: &mut TaskContext) -> Result<()> {
+impl Mapper for BicTestMapper {
+    type Key = i64;
+    type Value = BicPartial;
+
+    fn close(
+        &mut self,
+        out: &mut MapOutput<'_, i64, BicPartial>,
+        _ctx: &mut TaskContext,
+    ) -> Result<()> {
+        let mut entries: Vec<(usize, ([f64; 4], u64))> = self.acc.drain().collect();
+        entries.sort_by_key(|(idx, _)| *idx);
+        for (idx, (sums, n)) in entries {
+            out.emit(self.spec.parents.id(idx), (sums.to_vec(), n));
+        }
+        Ok(())
+    }
+}
+
+impl PointMapper for BicTestMapper {
+    fn dim(&self) -> usize {
+        self.spec.parents.dim()
+    }
+
+    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
+        parse_point_dim_into(line, self.dim(), out).is_ok()
+    }
+
+    fn map_point(
+        &mut self,
+        point: &[f64],
+        _out: &mut MapOutput<'_, i64, BicPartial>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
         let (idx, _, d2_parent, evals) = self
             .spec
             .parents
@@ -122,48 +154,6 @@ impl BicTestMapper {
         entry.0[2 + which] += 1.0;
         entry.1 += 1;
         Ok(())
-    }
-}
-
-impl Mapper for BicTestMapper {
-    type Key = i64;
-    type Value = BicPartial;
-
-    fn map(
-        &mut self,
-        _offset: u64,
-        line: &str,
-        _out: &mut MapOutput<'_, i64, BicPartial>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        match parse_point_or_skip(line, self.spec.parents.dim(), ctx) {
-            Some(point) => self.process(&point, ctx),
-            None => Ok(()),
-        }
-    }
-
-    fn close(
-        &mut self,
-        out: &mut MapOutput<'_, i64, BicPartial>,
-        _ctx: &mut TaskContext,
-    ) -> Result<()> {
-        let mut entries: Vec<(usize, ([f64; 4], u64))> = self.acc.drain().collect();
-        entries.sort_by_key(|(idx, _)| *idx);
-        for (idx, (sums, n)) in entries {
-            out.emit(self.spec.parents.id(idx), (sums.to_vec(), n));
-        }
-        Ok(())
-    }
-}
-
-impl PointMapper for BicTestMapper {
-    fn map_point(
-        &mut self,
-        point: &[f64],
-        _out: &mut MapOutput<'_, i64, BicPartial>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        self.process(point, ctx)
     }
 }
 

@@ -19,10 +19,11 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use gmr_datagen::parse_point_dim_into;
 use gmr_mapreduce::prelude::*;
 
 use crate::mr::centers::{CenterSet, CenterUpdate, ChannelKey};
-use crate::mr::kmeans_job::{empty_centers_error, fold_point_sums, parse_point_or_skip, PointSum};
+use crate::mr::kmeans_job::{empty_centers_error, fold_point_sums, PointSum};
 
 /// Output of the fused job.
 #[derive(Clone, Debug, PartialEq)]
@@ -83,61 +84,39 @@ impl FindNewCentersJob {
 /// Mapper of [`FindNewCentersJob`] (Algorithm 2 verbatim: "Emit twice").
 pub struct FindNewCentersMapper {
     centers: Arc<CenterSet>,
-    /// Assignments precomputed by the blocked kernel, drained one per
-    /// `map_point` call; empty in text mode (scalar fallback).
+    /// Assignments the blocked kernel computed for the current block,
+    /// drained one per `map_point` call.
     pending: std::collections::VecDeque<(i64, u64)>,
-}
-
-impl FindNewCentersMapper {
-    fn process(
-        &self,
-        point: Vec<f64>,
-        out: &mut MapOutput<'_, i64, PointSum>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        let (_, id, _, evals) = self
-            .centers
-            .nearest_with_cost(&point)
-            .ok_or_else(|| empty_centers_error("KMeansAndFindNewCenters"))?;
-        ctx.charge_distances(evals, self.centers.dim());
-        out.emit(ChannelKey::Refine(id).encode(), (point.clone(), 1));
-        out.emit(ChannelKey::Candidate(id).encode(), (point, 1));
-        Ok(())
-    }
 }
 
 impl Mapper for FindNewCentersMapper {
     type Key = i64;
     type Value = PointSum;
-
-    fn map(
-        &mut self,
-        _offset: u64,
-        line: &str,
-        out: &mut MapOutput<'_, i64, PointSum>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        match parse_point_or_skip(line, self.centers.dim(), ctx) {
-            Some(point) => self.process(point, out, ctx),
-            None => Ok(()),
-        }
-    }
 }
 
 impl PointMapper for FindNewCentersMapper {
+    fn dim(&self) -> usize {
+        self.centers.dim()
+    }
+
+    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
+        parse_point_dim_into(line, self.centers.dim(), out).is_ok()
+    }
+
     fn map_point(
         &mut self,
         point: &[f64],
         out: &mut MapOutput<'_, i64, PointSum>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        if let Some((id, evals)) = self.pending.pop_front() {
-            ctx.charge_distances(evals, self.centers.dim());
-            out.emit(ChannelKey::Refine(id).encode(), (point.to_vec(), 1));
-            out.emit(ChannelKey::Candidate(id).encode(), (point.to_vec(), 1));
-            return Ok(());
-        }
-        self.process(point.to_vec(), out, ctx)
+        let (id, evals) = self
+            .pending
+            .pop_front()
+            .ok_or_else(|| empty_centers_error("KMeansAndFindNewCenters"))?;
+        ctx.charge_distances(evals, self.centers.dim());
+        out.emit(ChannelKey::Refine(id).encode(), (point.to_vec(), 1));
+        out.emit(ChannelKey::Candidate(id).encode(), (point.to_vec(), 1));
+        Ok(())
     }
 
     fn prepare_block(

@@ -41,12 +41,14 @@ pub fn check_input(runner: &JobRunner, input: &str) -> Result<InputCheck> {
     dfs.begin_dataset_read();
     let mut lines = 0u64;
     let mut dim_counts: HashMap<usize, u64> = HashMap::new();
+    let mut point = Vec::new();
     for split in &splits {
         dfs.charge_split_read(split);
         for (_, line) in split.lines() {
             lines += 1;
-            if let Ok(point) = gmr_datagen::parse_point(line) {
-                *dim_counts.entry(point.len()).or_insert(0) += 1;
+            point.clear();
+            if let Ok(dim) = gmr_datagen::parse_point_into(line, &mut point) {
+                *dim_counts.entry(dim).or_insert(0) += 1;
             }
         }
     }

@@ -11,31 +11,13 @@
 
 use std::sync::Arc;
 
-use gmr_datagen::parse_point_dim;
+use gmr_datagen::parse_point_dim_into;
 use gmr_mapreduce::prelude::*;
 
 use crate::mr::centers::{CenterSet, CenterUpdate};
 
 /// Intermediate value: partial coordinate sums plus a point count.
 pub type PointSum = (Vec<f64>, u64);
-
-/// Hadoop-style bad-record skipping, shared by every point-scanning
-/// mapper: a line that does not parse as a finite point of the expected
-/// dimensionality is quarantined under the `BAD_RECORDS_SKIPPED`
-/// counters instead of failing the task.
-pub(crate) fn parse_point_or_skip(
-    line: &str,
-    dim: usize,
-    ctx: &mut TaskContext,
-) -> Option<Vec<f64>> {
-    match parse_point_dim(line, dim) {
-        Ok(point) => Some(point),
-        Err(_) => {
-            ctx.skip_bad_record(line);
-            None
-        }
-    }
-}
 
 /// The typed failure for a job launched over an empty center set — a
 /// degenerate iteration the drivers degrade into a reported error
@@ -93,59 +75,38 @@ impl KMeansJob {
 /// Mapper of [`KMeansJob`].
 pub struct KMeansMapper {
     centers: Arc<CenterSet>,
-    /// Assignments precomputed by the blocked kernel, drained one per
-    /// `map_point` call; empty in text mode (scalar fallback).
+    /// Assignments the blocked kernel computed for the current block,
+    /// drained one per `map_point` call.
     pending: std::collections::VecDeque<(i64, u64)>,
-}
-
-impl KMeansMapper {
-    fn process(
-        &self,
-        point: Vec<f64>,
-        out: &mut MapOutput<'_, i64, PointSum>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        let (_, id, _, evals) = self
-            .centers
-            .nearest_with_cost(&point)
-            .ok_or_else(|| empty_centers_error("KMeans"))?;
-        ctx.charge_distances(evals, self.centers.dim());
-        out.emit(id, (point, 1));
-        Ok(())
-    }
 }
 
 impl Mapper for KMeansMapper {
     type Key = i64;
     type Value = PointSum;
-
-    fn map(
-        &mut self,
-        _offset: u64,
-        line: &str,
-        out: &mut MapOutput<'_, i64, PointSum>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        match parse_point_or_skip(line, self.centers.dim(), ctx) {
-            Some(point) => self.process(point, out, ctx),
-            None => Ok(()),
-        }
-    }
 }
 
 impl PointMapper for KMeansMapper {
+    fn dim(&self) -> usize {
+        self.centers.dim()
+    }
+
+    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
+        parse_point_dim_into(line, self.centers.dim(), out).is_ok()
+    }
+
     fn map_point(
         &mut self,
         point: &[f64],
         out: &mut MapOutput<'_, i64, PointSum>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        if let Some((id, evals)) = self.pending.pop_front() {
-            ctx.charge_distances(evals, self.centers.dim());
-            out.emit(id, (point.to_vec(), 1));
-            return Ok(());
-        }
-        self.process(point.to_vec(), out, ctx)
+        let (id, evals) = self
+            .pending
+            .pop_front()
+            .ok_or_else(|| empty_centers_error("KMeans"))?;
+        ctx.charge_distances(evals, self.centers.dim());
+        out.emit(id, (point.to_vec(), 1));
+        Ok(())
     }
 
     fn prepare_block(

@@ -11,10 +11,11 @@
 
 use std::sync::Arc;
 
+use gmr_datagen::parse_point_dim_into;
 use gmr_mapreduce::prelude::*;
 
 use crate::mr::centers::CenterSet;
-use crate::mr::kmeans_job::{empty_centers_error, parse_point_or_skip};
+use crate::mr::kmeans_job::empty_centers_error;
 
 /// Reserved key for the global-dispersion aggregate (`Σ‖x‖²`, `Σx`,
 /// `n` — enough to derive the total sum of squares around the mean).
@@ -65,49 +66,15 @@ pub struct ModelScoringMapper {
     sum_sq: f64,
     coord_sums: Vec<f64>,
     seen: u64,
-    /// Per-point `(d², evals)` rows — one entry per model — from the
-    /// blocked kernel, drained one row per `map_point` call.
+    /// Per-point `(d², evals)` rows — one entry per model — the blocked
+    /// kernel computed for the current block, drained one row per
+    /// `map_point` call.
     pending: std::collections::VecDeque<Vec<(f64, u64)>>,
-}
-
-impl ModelScoringMapper {
-    fn process(&mut self, point: &[f64], ctx: &mut TaskContext) -> Result<()> {
-        for (mi, set) in self.sets.iter().enumerate() {
-            let (_, _, d2, evals) = set
-                .nearest_with_cost(point)
-                .ok_or_else(|| empty_centers_error("ModelScoring"))?;
-            ctx.charge_distances(evals, set.dim());
-            self.partial_wcss[mi] += d2;
-        }
-        self.accumulate_global(point);
-        Ok(())
-    }
-
-    fn accumulate_global(&mut self, point: &[f64]) {
-        self.sum_sq += point.iter().map(|c| c * c).sum::<f64>();
-        for (s, c) in self.coord_sums.iter_mut().zip(point) {
-            *s += c;
-        }
-        self.seen += 1;
-    }
 }
 
 impl Mapper for ModelScoringMapper {
     type Key = u32;
     type Value = Partial;
-
-    fn map(
-        &mut self,
-        _offset: u64,
-        line: &str,
-        _out: &mut MapOutput<'_, u32, Partial>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        match parse_point_or_skip(line, self.sets[0].dim(), ctx) {
-            Some(point) => self.process(&point, ctx),
-            None => Ok(()),
-        }
-    }
 
     fn close(
         &mut self,
@@ -125,21 +92,34 @@ impl Mapper for ModelScoringMapper {
 }
 
 impl PointMapper for ModelScoringMapper {
+    fn dim(&self) -> usize {
+        self.sets[0].dim()
+    }
+
+    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
+        parse_point_dim_into(line, self.dim(), out).is_ok()
+    }
+
     fn map_point(
         &mut self,
         point: &[f64],
         _out: &mut MapOutput<'_, u32, Partial>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        if let Some(row) = self.pending.pop_front() {
-            for (mi, (d2, evals)) in row.into_iter().enumerate() {
-                ctx.charge_distances(evals, self.sets[mi].dim());
-                self.partial_wcss[mi] += d2;
-            }
-            self.accumulate_global(point);
-            return Ok(());
+        let row = self
+            .pending
+            .pop_front()
+            .ok_or_else(|| empty_centers_error("ModelScoring"))?;
+        for (mi, (d2, evals)) in row.into_iter().enumerate() {
+            ctx.charge_distances(evals, self.sets[mi].dim());
+            self.partial_wcss[mi] += d2;
         }
-        self.process(point, ctx)
+        self.sum_sq += point.iter().map(|c| c * c).sum::<f64>();
+        for (s, c) in self.coord_sums.iter_mut().zip(point) {
+            *s += c;
+        }
+        self.seen += 1;
+        Ok(())
     }
 
     fn prepare_block(
@@ -155,8 +135,8 @@ impl PointMapper for ModelScoringMapper {
         for set in self.sets.iter() {
             let block = set.nearest_block(points, norms);
             if block.len() != n {
-                // Degenerate (empty) model: leave the queue empty so the
-                // scalar path reports the typed error per point.
+                // Degenerate (empty) model: leave the queue empty so
+                // `map_point` reports the typed error.
                 return Ok(());
             }
             for (row, (_, _, d2, evals)) in rows.iter_mut().zip(block) {

@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use gmr_datagen::parse_point_dim_into;
 use gmr_linalg::Dataset;
 use gmr_mapreduce::cost::JobTiming;
 use gmr_mapreduce::counters::Counters;
@@ -26,7 +27,7 @@ use crate::mr::engine::{
     CenterSetSnap, Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, JobOutputs, PlannedJob,
     RunStats, SegmentStats, Step, TimingSnap,
 };
-use crate::mr::kmeans_job::{empty_centers_error, fold_point_sums, parse_point_or_skip, PointSum};
+use crate::mr::kmeans_job::{empty_centers_error, fold_point_sums, PointSum};
 
 /// Intermediate key: `(k-index, center id)` — the paper's `k_centerid`
 /// composite key, kept numeric for cheap shuffle sorting.
@@ -53,48 +54,38 @@ impl MultiKMeansJob {
 /// emit(k_centerid ⇒ point)".
 pub struct MultiKMeansMapper {
     sets: Arc<Vec<CenterSet>>,
-    /// Per-point `(id, evals)` rows — one entry per center set — from
-    /// the blocked kernel, drained one row per `map_point` call.
+    /// Per-point `(id, evals)` rows — one entry per center set — the
+    /// blocked kernel computed for the current block, drained one row
+    /// per `map_point` call.
     pending: std::collections::VecDeque<Vec<(i64, u64)>>,
 }
 
 impl Mapper for MultiKMeansMapper {
     type Key = MultiKey;
     type Value = PointSum;
-
-    fn map(
-        &mut self,
-        _offset: u64,
-        line: &str,
-        out: &mut MapOutput<'_, MultiKey, PointSum>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        match parse_point_or_skip(line, self.sets[0].dim(), ctx) {
-            Some(point) => self.map_point(&point, out, ctx),
-            None => Ok(()),
-        }
-    }
 }
 
 impl PointMapper for MultiKMeansMapper {
+    fn dim(&self) -> usize {
+        self.sets[0].dim()
+    }
+
+    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
+        parse_point_dim_into(line, self.dim(), out).is_ok()
+    }
+
     fn map_point(
         &mut self,
         point: &[f64],
         out: &mut MapOutput<'_, MultiKey, PointSum>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        let dim = self.sets[0].dim();
-        if let Some(row) = self.pending.pop_front() {
-            for (ki, (id, evals)) in row.into_iter().enumerate() {
-                ctx.charge_distances(evals, dim);
-                out.emit((ki as u32, id as u32), (point.to_vec(), 1));
-            }
-            return Ok(());
-        }
-        for (ki, set) in self.sets.iter().enumerate() {
-            let (_, id, _, evals) = set
-                .nearest_with_cost(point)
-                .ok_or_else(|| empty_centers_error("MultiKMeans"))?;
+        let dim = self.dim();
+        let row = self
+            .pending
+            .pop_front()
+            .ok_or_else(|| empty_centers_error("MultiKMeans"))?;
+        for (ki, (id, evals)) in row.into_iter().enumerate() {
             ctx.charge_distances(evals, dim);
             out.emit((ki as u32, id as u32), (point.to_vec(), 1));
         }
@@ -114,8 +105,8 @@ impl PointMapper for MultiKMeansMapper {
         for set in self.sets.iter() {
             let block = set.nearest_block(points, norms);
             if block.len() != n {
-                // Degenerate (empty) set: leave the queue empty so the
-                // scalar path reports the typed error per point.
+                // Degenerate (empty) set: leave the queue empty so
+                // `map_point` reports the typed error.
                 return Ok(());
             }
             for (row, (_, id, _, evals)) in rows.iter_mut().zip(block) {

@@ -29,6 +29,7 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use gmr_datagen::parse_point_dim_into;
 use gmr_linalg::{squared_euclidean, Dataset};
 use gmr_mapreduce::prelude::*;
 use gmr_mapreduce::writable::Writable;
@@ -40,7 +41,7 @@ use crate::mr::engine::{
     CenterSetSnap, Engine, EngineCtx, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
     SegmentStats, Step,
 };
-use crate::mr::kmeans_job::{empty_centers_error, fold_point_sums, parse_point_or_skip, PointSum};
+use crate::mr::kmeans_job::{empty_centers_error, fold_point_sums, PointSum};
 
 /// Key 0 carries the cost aggregate; key 1 carries sampled candidates.
 const COST_KEY: i64 = 0;
@@ -87,46 +88,9 @@ pub struct ParallelInitMapper {
     seen: u64,
 }
 
-impl ParallelInitMapper {
-    fn process(
-        &mut self,
-        point: Vec<f64>,
-        out: &mut MapOutput<'_, i64, PointSum>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        let (_, _, d2, evals) = self
-            .candidates
-            .nearest_with_cost(&point)
-            .ok_or_else(|| empty_centers_error("KMeansParallelInitRound"))?;
-        ctx.charge_distances(evals, self.candidates.dim());
-        self.cost_acc += d2;
-        self.seen += 1;
-        if let Some(factor) = self.sample_factor {
-            let p = (factor * d2).min(1.0);
-            if uniform_hash(self.round_seed, &point) < p {
-                out.emit(SAMPLE_KEY, (point, 1));
-            }
-        }
-        Ok(())
-    }
-}
-
 impl Mapper for ParallelInitMapper {
     type Key = i64;
     type Value = PointSum;
-
-    fn map(
-        &mut self,
-        _offset: u64,
-        line: &str,
-        out: &mut MapOutput<'_, i64, PointSum>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        match parse_point_or_skip(line, self.candidates.dim(), ctx) {
-            Some(point) => self.process(point, out, ctx),
-            None => Ok(()),
-        }
-    }
 
     fn close(
         &mut self,
@@ -140,13 +104,34 @@ impl Mapper for ParallelInitMapper {
 }
 
 impl PointMapper for ParallelInitMapper {
+    fn dim(&self) -> usize {
+        self.candidates.dim()
+    }
+
+    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
+        parse_point_dim_into(line, self.candidates.dim(), out).is_ok()
+    }
+
     fn map_point(
         &mut self,
         point: &[f64],
         out: &mut MapOutput<'_, i64, PointSum>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        self.process(point.to_vec(), out, ctx)
+        let (_, _, d2, evals) = self
+            .candidates
+            .nearest_with_cost(point)
+            .ok_or_else(|| empty_centers_error("KMeansParallelInitRound"))?;
+        ctx.charge_distances(evals, self.candidates.dim());
+        self.cost_acc += d2;
+        self.seen += 1;
+        if let Some(factor) = self.sample_factor {
+            let p = (factor * d2).min(1.0);
+            if uniform_hash(self.round_seed, point) < p {
+                out.emit(SAMPLE_KEY, (point.to_vec(), 1));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -5,7 +5,7 @@
 //! a handful of points is exactly one dataset read — the driver charges
 //! it as such.
 
-use gmr_datagen::parse_point;
+use gmr_datagen::parse_point_into;
 use gmr_linalg::Dataset;
 use gmr_mapreduce::dfs::Dfs;
 use gmr_mapreduce::{Error, Result};
@@ -31,23 +31,22 @@ pub fn sample_points(dfs: &Arc<Dfs>, path: &str, count: usize, seed: u64) -> Res
     let mut reservoir: Vec<Vec<f64>> = Vec::with_capacity(count);
     let mut seen = 0usize;
     let mut dim_counts: HashMap<usize, u64> = HashMap::new();
+    let mut point = Vec::new();
     for split in &splits {
         dfs.charge_split_read(split);
         for (_, line) in split.lines() {
-            let Ok(point) = parse_point(line) else {
+            point.clear();
+            let Ok(dim) = parse_point_into(line, &mut point) else {
                 continue;
             };
-            if point.is_empty() || point.iter().any(|c| !c.is_finite()) {
-                continue;
-            }
-            *dim_counts.entry(point.len()).or_insert(0) += 1;
+            *dim_counts.entry(dim).or_insert(0) += 1;
             seen += 1;
             if reservoir.len() < count {
-                reservoir.push(point);
+                reservoir.push(point.clone());
             } else {
                 let j = rng.random_range(0..seen);
                 if j < count {
-                    reservoir[j] = point;
+                    reservoir[j].clone_from(&point);
                 }
             }
         }

@@ -23,13 +23,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use gmr_datagen::parse_point_dim_into;
 use gmr_linalg::SegmentProjector;
 use gmr_mapreduce::memory::BYTES_PER_PROJECTION;
 use gmr_mapreduce::prelude::*;
 use gmr_stats::{AdError, AndersonDarling};
 
 use crate::mr::centers::CenterSet;
-use crate::mr::kmeans_job::{empty_centers_error, parse_point_or_skip};
+use crate::mr::kmeans_job::empty_centers_error;
 
 /// What the split test concluded for one cluster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,33 +92,31 @@ impl SplitTestSpec {
         }
     }
 
-    /// Projects one parsed point; `None` when the point belongs to a
-    /// cluster without a test vector.
-    fn project(&self, point: &[f64], ctx: &mut TaskContext) -> Result<Option<(i64, f64)>> {
-        let (idx, id, _, evals) = self
-            .parents
-            .nearest_with_cost(point)
-            .ok_or_else(|| empty_centers_error("TestClusters"))?;
-        Ok(self.project_assigned(point, idx, id, evals, ctx))
-    }
-
-    /// Projects a point whose nearest parent was already found (by the
-    /// blocked kernel); charges the same cost in the same order as
-    /// [`SplitTestSpec::project`].
-    fn project_assigned(
+    /// Projects one point, given the `(index, id, evals)` of its nearest
+    /// parent as the blocked kernel found it (`None` only for an empty
+    /// parent set); `Ok(None)` when the parent has no test vector.
+    fn project(
         &self,
         point: &[f64],
-        idx: usize,
-        id: i64,
-        evals: u64,
+        assigned: Option<(usize, i64, u64)>,
         ctx: &mut TaskContext,
-    ) -> Option<(i64, f64)> {
+    ) -> Result<Option<(i64, f64)>> {
+        let (idx, id, evals) = assigned.ok_or_else(|| empty_centers_error("TestClusters"))?;
         ctx.charge_distances(evals, self.parents.dim());
-        self.projectors[idx].as_ref().map(|proj| {
+        Ok(self.projectors[idx].as_ref().map(|proj| {
             ctx.counters().inc(Counter::Projections);
             ctx.charge_compute(self.parents.dim() as f64);
             (id, proj.project(point))
-        })
+        }))
+    }
+
+    /// The nearest-parent assignments of one block of points.
+    fn assign_block(&self, points: &[f64], norms: &[f64]) -> Vec<(usize, i64, u64)> {
+        self.parents
+            .nearest_block(points, norms)
+            .into_iter()
+            .map(|(idx, id, _, evals)| (idx, id, evals))
+            .collect()
     }
 
     /// Runs the Anderson–Darling test on a buffered sample, mapping
@@ -165,41 +164,32 @@ impl TestClustersJob {
 /// Mapper: project every point onto its cluster's vector (Algorithm 3).
 pub struct TestClustersMapper {
     spec: SplitTestSpec,
-    /// `(index, id, evals)` rows from the blocked kernel, drained one
-    /// per `map_point` call; empty in text mode (scalar fallback).
+    /// `(index, id, evals)` rows the blocked kernel computed for the
+    /// current block, drained one per `map_point` call.
     pending: std::collections::VecDeque<(usize, i64, u64)>,
 }
 
 impl Mapper for TestClustersMapper {
     type Key = i64;
     type Value = f64;
-
-    fn map(
-        &mut self,
-        _offset: u64,
-        line: &str,
-        out: &mut MapOutput<'_, i64, f64>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        match parse_point_or_skip(line, self.spec.parents.dim(), ctx) {
-            Some(point) => self.map_point(&point, out, ctx),
-            None => Ok(()),
-        }
-    }
 }
 
 impl PointMapper for TestClustersMapper {
+    fn dim(&self) -> usize {
+        self.spec.parents.dim()
+    }
+
+    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
+        parse_point_dim_into(line, self.dim(), out).is_ok()
+    }
+
     fn map_point(
         &mut self,
         point: &[f64],
         out: &mut MapOutput<'_, i64, f64>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        let projected = match self.pending.pop_front() {
-            Some((idx, id, evals)) => self.spec.project_assigned(point, idx, id, evals, ctx),
-            None => self.spec.project(point, ctx)?,
-        };
-        if let Some((id, projection)) = projected {
+        if let Some((id, projection)) = self.spec.project(point, self.pending.pop_front(), ctx)? {
             out.emit(id, projection);
         }
         Ok(())
@@ -212,14 +202,7 @@ impl PointMapper for TestClustersMapper {
         _ctx: &mut TaskContext,
     ) -> Result<()> {
         debug_assert!(self.pending.is_empty(), "undrained block");
-        self.pending.clear();
-        self.pending.extend(
-            self.spec
-                .parents
-                .nearest_block(points, norms)
-                .into_iter()
-                .map(|(idx, id, _, evals)| (idx, id, evals)),
-        );
+        self.pending = self.spec.assign_block(points, norms).into();
         Ok(())
     }
 }
@@ -312,27 +295,14 @@ impl TestFewClustersJob {
 pub struct TestFewClustersMapper {
     spec: SplitTestSpec,
     buffers: HashMap<i64, Vec<f64>>,
-    /// `(index, id, evals)` rows from the blocked kernel, drained one
-    /// per `map_point` call; empty in text mode (scalar fallback).
+    /// `(index, id, evals)` rows the blocked kernel computed for the
+    /// current block, drained one per `map_point` call.
     pending: std::collections::VecDeque<(usize, i64, u64)>,
 }
 
 impl Mapper for TestFewClustersMapper {
     type Key = i64;
     type Value = SubVerdict;
-
-    fn map(
-        &mut self,
-        _offset: u64,
-        line: &str,
-        out: &mut MapOutput<'_, i64, SubVerdict>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        match parse_point_or_skip(line, self.spec.parents.dim(), ctx) {
-            Some(point) => self.map_point(&point, out, ctx),
-            None => Ok(()),
-        }
-    }
 
     fn close(
         &mut self,
@@ -422,17 +392,21 @@ impl Reducer for TestFewClustersReducer {
 }
 
 impl PointMapper for TestFewClustersMapper {
+    fn dim(&self) -> usize {
+        self.spec.parents.dim()
+    }
+
+    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
+        parse_point_dim_into(line, self.dim(), out).is_ok()
+    }
+
     fn map_point(
         &mut self,
         point: &[f64],
         _out: &mut MapOutput<'_, i64, SubVerdict>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        let projected = match self.pending.pop_front() {
-            Some((idx, id, evals)) => self.spec.project_assigned(point, idx, id, evals, ctx),
-            None => self.spec.project(point, ctx)?,
-        };
-        if let Some((id, projection)) = projected {
+        if let Some((id, projection)) = self.spec.project(point, self.pending.pop_front(), ctx)? {
             ctx.heap.charge(BYTES_PER_PROJECTION)?;
             self.buffers.entry(id).or_default().push(projection);
         }
@@ -446,14 +420,7 @@ impl PointMapper for TestFewClustersMapper {
         _ctx: &mut TaskContext,
     ) -> Result<()> {
         debug_assert!(self.pending.is_empty(), "undrained block");
-        self.pending.clear();
-        self.pending.extend(
-            self.spec
-                .parents
-                .nearest_block(points, norms)
-                .into_iter()
-                .map(|(idx, id, _, evals)| (idx, id, evals)),
-        );
+        self.pending = self.spec.assign_block(points, norms).into();
         Ok(())
     }
 }

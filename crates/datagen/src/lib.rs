@@ -20,4 +20,6 @@ pub mod mixture;
 pub mod text;
 
 pub use mixture::{ClusterWeights, GaussianMixture, GroundTruth, LabeledDataset};
-pub use text::{format_point, parse_point, parse_point_dim};
+pub use text::{
+    format_point, parse_point, parse_point_dim, parse_point_dim_into, parse_point_into,
+};

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-use crate::text::format_point;
+use crate::text::write_point;
 
 /// Specification of a Gaussian mixture dataset.
 #[derive(Clone, Debug, PartialEq)]
@@ -219,6 +219,7 @@ impl GaussianMixture {
         let mut gauss = BoxMuller::default();
         let mut writer = dfs.create(path, false)?;
         let mut buf = vec![0.0; self.dim];
+        let mut line = String::new();
         let cumulative = self.weights.cumulative(self.n_clusters);
         for i in 0..self.n_points {
             let label = self.component_for(i, &cumulative, &mut rng);
@@ -226,7 +227,9 @@ impl GaussianMixture {
             for (b, c) in buf.iter_mut().zip(center) {
                 *b = c + self.stddev * gauss.next(&mut rng);
             }
-            writer.write_line(&format_point(&buf));
+            line.clear();
+            write_point(&mut line, &buf);
+            writer.write_line(&line);
         }
         writer.close();
         Ok(truth.centers)
@@ -257,8 +260,11 @@ impl LabeledDataset {
     /// Writes the points (without labels) into a DFS text file.
     pub fn write_to_dfs(&self, dfs: &Arc<Dfs>, path: &str) -> Result<()> {
         let mut w = dfs.create(path, false)?;
+        let mut line = String::new();
         for row in self.points.rows() {
-            w.write_line(&format_point(row));
+            line.clear();
+            write_point(&mut line, row);
+            w.write_line(&line);
         }
         w.close();
         Ok(())

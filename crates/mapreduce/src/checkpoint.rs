@@ -15,7 +15,7 @@
 //!
 //! 1. the snapshot is encoded into a staging file
 //!    `<dir>/ckpt-<seq>.tmp` (a header line carrying the sequence
-//!    number, payload length and FNV-1a checksum, followed by the
+//!    number, payload length and [`block_crc`] checksum, followed by the
 //!    payload hex-dumped 64 bytes per line);
 //! 2. the staging file is atomically [renamed](crate::dfs::Dfs::rename)
 //!    to its final name `<dir>/ckpt-<seq>`.
@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use crate::dfs::Dfs;
+use crate::dfs::{block_crc, Dfs};
 use crate::error::{Error, Result};
 
 /// Magic tag on every checkpoint header; bump on format changes.
@@ -53,14 +53,6 @@ pub struct Checkpoint {
 pub struct RunJournal {
     dfs: Arc<Dfs>,
     dir: String,
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 fn hex_encode(bytes: &[u8]) -> String {
@@ -124,7 +116,7 @@ impl RunJournal {
         w.write_line(&format!(
             "{MAGIC} seq={seq} len={} crc={:016x}",
             payload.len(),
-            fnv64(payload)
+            block_crc(payload)
         ));
         for chunk in payload.chunks(BYTES_PER_LINE) {
             w.write_line(&hex_encode(chunk));
@@ -195,7 +187,7 @@ impl RunJournal {
         for line in &lines[1..] {
             payload.extend(hex_decode(line)?);
         }
-        if payload.len() != len || fnv64(&payload) != crc {
+        if payload.len() != len || block_crc(&payload) != crc {
             return None;
         }
         Some(Checkpoint {
@@ -233,6 +225,36 @@ mod tests {
         assert_eq!(ckpt.seq, 0);
         assert_eq!(ckpt.payload, payload);
         assert_eq!(ckpt.stored_bytes, stored);
+    }
+
+    #[test]
+    fn every_bit_flip_and_length_change_of_a_frame_is_skipped() {
+        let j = journal();
+        let payload: Vec<u8> = (0u8..24).map(|b| b.wrapping_mul(37)).collect();
+        j.commit(0, b"older, intact").unwrap();
+        j.commit(1, &payload).unwrap();
+        let crc = block_crc(&payload);
+        let path = j.final_path(1);
+        // Rewrites checkpoint 1 with `body` under a header that keeps
+        // the committed checksum but states `body`'s own length, so
+        // only the checksum can tell; recovery must fall back to 0.
+        let recover_with = |body: &[u8]| {
+            j.dfs.remove(&path);
+            let mut lines = vec![format!("{MAGIC} seq=1 len={} crc={crc:016x}", body.len())];
+            lines.extend(body.chunks(BYTES_PER_LINE).map(hex_encode));
+            j.dfs.put_lines(&path, lines).unwrap();
+            j.latest().unwrap().expect("a valid checkpoint").seq
+        };
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(recover_with(&flipped), 0, "bit {bit}");
+        }
+        let mut longer = payload.clone();
+        longer.push(0);
+        assert_eq!(recover_with(&longer), 0);
+        assert_eq!(recover_with(&payload[..payload.len() - 1]), 0);
+        assert_eq!(recover_with(&payload), 1, "the untampered frame recovers");
     }
 
     #[test]

@@ -49,18 +49,36 @@ pub const DEFAULT_BLOCK_SIZE: usize = 4 * 1024 * 1024;
 
 /// Magic tag of the per-block integrity frame, mirroring the
 /// `GMRCKPT1` header of the checkpoint journal
-/// ([`crate::checkpoint`]): same FNV-1a length/CRC discipline, one
-/// frame per stored block instead of per checkpoint.
+/// ([`crate::checkpoint`]): same [`block_crc`] length/checksum
+/// discipline, one frame per stored block instead of per checkpoint.
 pub const BLOCK_MAGIC: &str = "GMRBLK1";
 
-/// FNV-1a over a block's bytes — the checksum stored in its frame
-/// header and verified on every read.
+/// The 64-bit checksum of every stored byte range: DFS block frames,
+/// spill-run blocks ([`crate::spill`]) and checkpoint frames
+/// ([`crate::checkpoint`]). Verified on every read.
+///
+/// It consumes eight bytes per step, `h ← rotl((h ⊕ w)·K, 29)`, then
+/// one tail word holding the last `len mod 8` bytes and their count,
+/// then folds in the length and runs the `fmix64` finalizer. Every step
+/// is a bijection of `h` for a fixed input word, so a change confined
+/// to one word — in particular every single-bit flip — always changes
+/// the checksum; a change of length changes the tail word or the word
+/// count and the folded length.
 pub fn block_crc(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(29);
+    let mut words = data.chunks_exact(8);
+    let mut h = words.by_ref().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+    });
+    let rest = words.remainder();
+    let mut tail = [0u8; 8];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[7] = rest.len() as u8;
+    h = step(h, u64::from_le_bytes(tail)) ^ data.len() as u64;
+    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// Renders the integrity frame header of one block.
@@ -93,8 +111,8 @@ impl StoredBlock {
 }
 
 /// A stored file: line-aligned blocks plus summary metadata. Every
-/// block carries an FNV-1a frame header computed over its **raw** form
-/// at publish time; reads (decompress and) verify it.
+/// block carries a [`block_crc`] frame header computed over its
+/// **raw** form at publish time; reads (decompress and) verify it.
 #[derive(Clone, Debug)]
 struct DfsFile {
     blocks: Vec<StoredBlock>,
@@ -1225,7 +1243,7 @@ mod tests {
         }
         assert!(fs.block_frame_header("f", splits.len()).is_err());
         // The frame discipline matches the checkpoint journal's: same
-        // FNV-1a, same `len=… crc=…` shape, different magic.
+        // `block_crc` checksum, same `len=… crc=…` shape, different magic.
         assert!(fs
             .block_frame_header("f", 0)
             .unwrap()
@@ -1389,6 +1407,41 @@ mod tests {
         }
         let err = fs.splits("f").unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn every_bit_flip_and_length_change_is_corrupt() {
+        let fs = dfs(4096);
+        fs.put_lines("f", ["12.5 -3 7", "0.25 1e-300 4"]).unwrap();
+        let original = Arc::clone(fs.files.read().get("f").unwrap());
+        let raw = original.blocks[0].data.to_vec();
+        // Swap in tampered stored bytes behind the DFS's back, keeping
+        // the frame recorded at publish time.
+        let read_with = |data: &[u8]| {
+            let mut blocks = original.blocks.clone();
+            blocks[0].data = Bytes::from(data.to_vec());
+            let file = DfsFile {
+                blocks,
+                ..original.as_ref().clone()
+            };
+            fs.files.write().insert("f".into(), Arc::new(file));
+            fs.splits("f")
+        };
+        for bit in 0..raw.len() * 8 {
+            let mut flipped = raw.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let err = read_with(&flipped).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "bit {bit}: {err}");
+        }
+        let mut longer = raw.clone();
+        longer.push(b'0');
+        let shorter = &raw[..raw.len() - 1];
+        for tampered in [&longer[..], shorter] {
+            assert_ne!(block_crc(tampered), block_crc(&raw));
+            let err = read_with(tampered).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{err}");
+        }
+        assert!(read_with(&raw).is_ok(), "the untampered block still reads");
     }
 
     #[test]

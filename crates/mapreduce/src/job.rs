@@ -2,12 +2,14 @@
 //! partitioners and per-task context.
 //!
 //! The API mirrors Hadoop's: a [`Job`] bundles the mapper/reducer
-//! factories, an optional combiner and a partitioner; mappers receive
-//! `(byte offset, text line)` records exactly like `TextInputFormat`
-//! (every job in the paper declares `Input: point (text)`); both task
-//! kinds get setup/close hooks — `close` matters because the paper's
-//! `TestFewClusters` mapper (Algorithm 5) emits its per-cluster
-//! statistics from `Close`, not from `Map`.
+//! factories, an optional combiner and a partitioner. A mapper consumes
+//! one of two record kinds: a [`LineMapper`] receives `(byte offset,
+//! text line)` records exactly like `TextInputFormat`; a
+//! [`PointMapper`] receives decoded points in blocks — every job in the
+//! paper declares `Input: point (text)`, and the runtime parses the
+//! text for it. Both task kinds get setup/close hooks — `close` matters
+//! because the paper's `TestFewClusters` mapper (Algorithm 5) emits its
+//! per-cluster statistics from `Close`, not from `Map`.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -179,7 +181,10 @@ impl<K: ShuffleKey, V: ShuffleValue> MapOutput<'_, K, V> {
     }
 }
 
-/// Map task logic. One instance is created per map task attempt.
+/// Map task logic common to both record kinds: the intermediate types
+/// and the setup/close hooks. One instance is created per map task
+/// attempt; a job's mapper also implements [`LineMapper`] or
+/// [`PointMapper`], which decides how the runtime feeds it.
 pub trait Mapper: Send {
     /// Intermediate key type.
     type Key: ShuffleKey;
@@ -191,16 +196,6 @@ pub trait Mapper: Send {
         Ok(())
     }
 
-    /// Called for every input record: the record's byte offset in the
-    /// file and the text line.
-    fn map(
-        &mut self,
-        offset: u64,
-        line: &str,
-        out: &mut MapOutput<'_, Self::Key, Self::Value>,
-        ctx: &mut TaskContext,
-    ) -> Result<()>;
-
     /// Called once after the last record (Hadoop `cleanup`); may emit.
     fn close(
         &mut self,
@@ -211,15 +206,41 @@ pub trait Mapper: Send {
     }
 }
 
-/// A mapper that can also consume decoded points directly, for cached
-/// (Spark-style) execution via
+/// A mapper over raw text records, run by
+/// [`crate::runtime::JobRunner::run_lines`].
+pub trait LineMapper: Mapper {
+    /// Called for every input record: the record's byte offset in the
+    /// file and the text line.
+    fn map(
+        &mut self,
+        offset: u64,
+        line: &str,
+        out: &mut MapOutput<'_, Self::Key, Self::Value>,
+        ctx: &mut TaskContext,
+    ) -> Result<()>;
+}
+
+/// A mapper over decoded points, run on a DFS text file by
+/// [`crate::runtime::JobRunner::run`] and on a parsed-once cache by
 /// [`crate::runtime::JobRunner::run_cached`].
 ///
-/// `map_point` must be semantically identical to [`Mapper::map`] called
-/// on the text encoding of the same point: the engine guarantees only
-/// that cached jobs see the same *points*, in the same per-split
-/// grouping, without re-reading or re-parsing the text.
+/// Both feed the mapper the same way: blocks of at most
+/// [`crate::runtime::MAP_BLOCK_POINTS`] points, each announced by
+/// [`PointMapper::prepare_block`] and then consumed one point per
+/// [`PointMapper::map_point`], in input order. A text map task parses
+/// each line with [`PointMapper::parse_line`] and quarantines the lines
+/// it rejects as bad records (Hadoop's bad-record skipping), at their
+/// place in the record sequence.
 pub trait PointMapper: Mapper {
+    /// Dimensionality of the points this mapper consumes (positive).
+    fn dim(&self) -> usize;
+
+    /// Decodes one text line: appends exactly [`PointMapper::dim`]
+    /// coordinates to `out` and returns true, or returns false and
+    /// leaves `out` unchanged when the line is not a finite point of
+    /// that dimension.
+    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool;
+
     /// Processes one decoded point.
     fn map_point(
         &mut self,
@@ -228,16 +249,15 @@ pub trait PointMapper: Mapper {
         ctx: &mut TaskContext,
     ) -> Result<()>;
 
-    /// Batched fast path: called by the cached runtime with a flat block
-    /// of points (and their cached squared norms) *before* the per-point
-    /// [`PointMapper::map_point`] calls for those same points, in order.
+    /// Called with a flat block of points (and their squared norms)
+    /// *before* the per-point [`PointMapper::map_point`] calls for those
+    /// same points, in order.
     ///
-    /// Mappers on a distance-heavy path precompute nearest-center
-    /// results for the whole block here (feeding the blocked kernel) and
-    /// drain them one per `map_point` call, so emission order, spill
-    /// boundaries, and counter timing stay byte-identical to the
-    /// unbatched path. The default does nothing — `map_point` then
-    /// computes from scratch, which is also the text-mode behavior.
+    /// Mappers on a distance-heavy path compute nearest-center results
+    /// for the whole block here (feeding the blocked kernel) and drain
+    /// them one per `map_point` call, so emission order, spill
+    /// boundaries, and counter timing are those of one point at a
+    /// time. The default does nothing.
     fn prepare_block(
         &mut self,
         _points: &[f64],

@@ -51,6 +51,9 @@
 //! impl Mapper for SumMapper {
 //!     type Key = i64;
 //!     type Value = u64;
+//! }
+//!
+//! impl LineMapper for SumMapper {
 //!     fn map(&mut self, _off: u64, line: &str, out: &mut MapOutput<'_, i64, u64>,
 //!            _ctx: &mut TaskContext) -> gmr_mapreduce::Result<()> {
 //!         let id: i64 = line.trim().parse().unwrap_or(0);
@@ -88,7 +91,7 @@
 //! let dfs = Arc::new(Dfs::default());
 //! dfs.put_lines("in", ["1", "2", "1", "1"]).unwrap();
 //! let runner = JobRunner::new(Arc::clone(&dfs), ClusterConfig::default()).unwrap();
-//! let mut result = runner.run(&SumJob, "in", &JobConfig::with_reducers(2)).unwrap();
+//! let mut result = runner.run_lines(&SumJob, "in", &JobConfig::with_reducers(2)).unwrap();
 //! result.output.sort();
 //! assert_eq!(result.output, vec![(1, 3), (2, 1)]);
 //! ```
@@ -128,7 +131,7 @@ pub mod prelude {
     pub use crate::error::{Error, Result};
     pub use crate::faults::{FaultDecision, FaultPlan, MembershipPlan, NodeStatus, TaskKind};
     pub use crate::job::{
-        Job, JobConfig, MapOutput, Mapper, PointMapper, Reducer, TaskContext, Values,
+        Job, JobConfig, LineMapper, MapOutput, Mapper, PointMapper, Reducer, TaskContext, Values,
     };
     pub use crate::memory::{HeapEstimator, HeapLedger, BYTES_PER_PROJECTION, MAX_HEAP_USAGE};
     pub use crate::runtime::{JobResult, JobRunner};

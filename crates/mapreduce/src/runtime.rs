@@ -44,7 +44,8 @@ use crate::dfs::{Dfs, InputSplit};
 use crate::error::{Error, Result};
 use crate::faults::{FaultDecision, FaultPlan, NodeStatus, TaskKind};
 use crate::job::{
-    Emitter, Job, JobConfig, MapOutput, Mapper, PointMapper, Reducer, TaskContext, Values,
+    Emitter, Job, JobConfig, LineMapper, MapOutput, Mapper, PointMapper, Reducer, TaskContext,
+    Values,
 };
 use crate::shuffle::{
     detect_fetch_failures, encode_segment, merge_combine_to_run, merge_to_run, sort_and_combine,
@@ -53,10 +54,12 @@ use crate::shuffle::{
 use crate::spill::{RunWriter, SpillDir, SpillIo};
 use crate::writable::{ShuffleKey, ShuffleValue};
 
-/// Points per [`PointMapper::prepare_block`] batch in cached execution:
-/// big enough to amortize the blocked kernel's tile sweeps, small enough
-/// that a block of precomputed assignments stays cache-resident.
-const MAP_BLOCK_POINTS: usize = 256;
+/// Points per [`PointMapper::prepare_block`] block of a cached split,
+/// and lines per block of a text split (rejected lines leave fewer
+/// points): big enough to amortize the blocked kernel's tile sweeps,
+/// small enough that a block of precomputed assignments stays
+/// cache-resident, and a bound on the bad lines a block remembers.
+pub const MAP_BLOCK_POINTS: usize = 256;
 
 /// Heartbeat false positives a single task tolerates before the draws
 /// are ignored: fenced attempts never burn the retry budget, so without
@@ -339,6 +342,292 @@ impl MapSpill {
         counters.add(Counter::BytesDecompressed, self.io.decompressed_raw);
         Ok((segments, shuffle_out, self.io))
     }
+}
+
+/// The split one point map task reads.
+enum PointSplit<'a> {
+    /// DFS text, parsed block by block inside the task.
+    Text(&'a InputSplit),
+    /// A split of a [`PointCache`], parsed when the cache was built.
+    Cached(&'a CachedSplit),
+}
+
+/// What one map attempt returns: its per-partition output segments and
+/// its simulated cost.
+type MapTaskResult = Result<(Vec<ShuffleSegment>, TaskCost)>;
+
+/// One attempt of one map task: the task context, the emitter, the
+/// spill state and the per-record spill policy, shared by the line and
+/// the point task bodies.
+struct MapAttempt<'a, J: Job> {
+    runner: &'a JobRunner,
+    job: &'a J,
+    config: &'a JobConfig,
+    index: usize,
+    attempt: u32,
+    counters: &'a Arc<Counters>,
+    ctx: TaskContext,
+    emitter: Emitter<J::Key, J::Value>,
+    spill: Option<MapSpill>,
+}
+
+impl<'a, J: Job> MapAttempt<'a, J> {
+    fn new(
+        runner: &'a JobRunner,
+        job: &'a J,
+        config: &'a JobConfig,
+        index: usize,
+        attempt: u32,
+        forced_spill: bool,
+        counters: &'a Arc<Counters>,
+    ) -> Self {
+        let num_parts = config.num_reduce_tasks;
+        let spill = runner.spill.as_ref().map(|dir| {
+            MapSpill::new(
+                Arc::clone(dir),
+                runner.cluster.out_of_core,
+                forced_spill,
+                num_parts,
+            )
+        });
+        let emitter = if spill.is_some() {
+            Emitter::with_byte_tracking(num_parts)
+        } else {
+            Emitter::new(num_parts)
+        };
+        let heap = runner.cluster.heap_per_task;
+        Self {
+            runner,
+            job,
+            config,
+            index,
+            attempt,
+            counters,
+            ctx: TaskContext::new(format!("map-{index}"), Arc::clone(counters), heap),
+            emitter,
+            spill,
+        }
+    }
+
+    /// Runs a point mapper over its split, block by block (see
+    /// [`MapAttempt::point_block`]).
+    fn run_points(mut self, split: PointSplit<'_>) -> MapTaskResult
+    where
+        J::Mapper: PointMapper,
+    {
+        let mut mapper = self.job.create_mapper();
+        mapper.setup(&mut self.ctx)?;
+        match split {
+            PointSplit::Cached(split) => {
+                let dim = split.points.dim();
+                let blocks = split.points.flat().chunks(MAP_BLOCK_POINTS * dim);
+                for (points, norms) in blocks.zip(split.norms.chunks(MAP_BLOCK_POINTS)) {
+                    self.point_block(&mut mapper, dim, points, norms, &[], norms.len())?;
+                }
+                self.finish(&mut mapper, None, split.points.len() as u64)
+            }
+            PointSplit::Text(split) => {
+                self.parse_blocks(&mut mapper, split)?;
+                self.finish(&mut mapper, Some(split), 0)
+            }
+        }
+    }
+
+    /// Parses a text split into blocks of up to [`MAP_BLOCK_POINTS`]
+    /// lines, each remembering where its rejected lines fell, and feeds
+    /// every block to the mapper.
+    fn parse_blocks(&mut self, mapper: &mut J::Mapper, split: &InputSplit) -> Result<()>
+    where
+        J::Mapper: PointMapper,
+    {
+        let dim = mapper.dim();
+        let mut points = Vec::with_capacity(MAP_BLOCK_POINTS * dim);
+        let mut bad: Vec<(usize, &str)> = Vec::new();
+        let mut lines = split.lines();
+        loop {
+            points.clear();
+            bad.clear();
+            let mut records = 0;
+            while records < MAP_BLOCK_POINTS {
+                let Some((_, line)) = lines.next() else {
+                    break;
+                };
+                if !mapper.parse_line(line, &mut points) {
+                    bad.push((records, line));
+                }
+                records += 1;
+            }
+            if records == 0 {
+                return Ok(());
+            }
+            let norms = gmr_linalg::squared_norms(&points, dim);
+            self.point_block(mapper, dim, &points, &norms, &bad, records)?;
+        }
+    }
+
+    /// Runs a line mapper over every `(offset, line)` record of its
+    /// split.
+    fn run_lines(mut self, split: &InputSplit) -> MapTaskResult
+    where
+        J::Mapper: LineMapper,
+    {
+        let mut mapper = self.job.create_mapper();
+        mapper.setup(&mut self.ctx)?;
+        for (offset, line) in split.lines() {
+            self.record(|out, ctx| mapper.map(offset, line, out, ctx))?;
+        }
+        self.finish(&mut mapper, Some(split), 0)
+    }
+
+    /// Calls `f` with the attempt's output handle and task context.
+    fn with_output(
+        &mut self,
+        f: impl FnOnce(&mut MapOutput<'_, J::Key, J::Value>, &mut TaskContext) -> Result<()>,
+    ) -> Result<()> {
+        let (job, parts) = (self.job, self.config.num_reduce_tasks);
+        let partitioner = |k: &J::Key| job.partition(k, parts);
+        let mut out = MapOutput {
+            emitter: &mut self.emitter,
+            partitioner: &partitioner,
+            counters: self.counters,
+        };
+        f(&mut out, &mut self.ctx)
+    }
+
+    /// Consumes one input record through `map`, then applies the spill
+    /// policy: a spilling attempt spills when its sort buffer or heap
+    /// fills; a buffered one sorts and combines in place every
+    /// `spill_threshold_records` emissions.
+    fn record(
+        &mut self,
+        map: impl FnOnce(&mut MapOutput<'_, J::Key, J::Value>, &mut TaskContext) -> Result<()>,
+    ) -> Result<()> {
+        self.counters.inc(Counter::MapInputRecords);
+        self.with_output(map)?;
+        match self.spill.as_mut() {
+            Some(s) => s.maybe_spill(
+                &mut self.emitter,
+                &mut self.ctx,
+                self.counters,
+                &self.runner.cluster.faults,
+                self.job.name(),
+                self.index,
+                self.attempt,
+            ),
+            None => {
+                if self.emitter.records_since_spill() >= self.config.spill_threshold_records {
+                    self.counters.inc(Counter::Spills);
+                    for part in self.emitter.partitions_mut() {
+                        sort_and_combine(self.job, part, self.counters);
+                    }
+                    self.emitter.reset_spill_window();
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Feeds one block to a point mapper: [`PointMapper::prepare_block`]
+    /// over its points, then one record per input line in order —
+    /// `map_point` for each point, and a bad-record quarantine for each
+    /// `(line number within the block, line)` of `bad`.
+    fn point_block(
+        &mut self,
+        mapper: &mut J::Mapper,
+        dim: usize,
+        points: &[f64],
+        norms: &[f64],
+        bad: &[(usize, &str)],
+        records: usize,
+    ) -> Result<()>
+    where
+        J::Mapper: PointMapper,
+    {
+        if !norms.is_empty() {
+            mapper.prepare_block(points, norms, &mut self.ctx)?;
+        }
+        let mut rows = points.chunks_exact(dim);
+        let mut bad = bad.iter().peekable();
+        for record in 0..records {
+            if let Some(&(_, line)) = bad.next_if(|(at, _)| *at == record) {
+                self.record(|_, ctx| {
+                    ctx.skip_bad_record(line);
+                    Ok(())
+                })?;
+            } else {
+                let point = rows.next().expect("one point per accepted line");
+                self.record(|out, ctx| mapper.map_point(point, out, ctx))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Closes the mapper and seals the attempt's output, charging the
+    /// text split it read (if any) and the points it scanned from a
+    /// cache.
+    fn finish(
+        mut self,
+        mapper: &mut J::Mapper,
+        text: Option<&InputSplit>,
+        cached_points: u64,
+    ) -> MapTaskResult {
+        self.with_output(|out, ctx| mapper.close(out, ctx))?;
+        let counters = self.counters;
+        let (segments, shuffle_out, spill_io) = match self.spill.take() {
+            // A spilled attempt merges its runs into final combined runs.
+            Some(spill) if spill.spills > 0 => {
+                spill.finish(self.job, &mut self.emitter, &mut self.ctx, counters)?
+            }
+            unspilled => {
+                // Give back any sort-buffer charge, then sort, combine
+                // and serialize in memory — bit for bit the behaviour
+                // without out-of-core execution.
+                if let Some(spill) = unspilled {
+                    self.ctx.heap.release(spill.ledger_charged);
+                }
+                let mut segments = Vec::with_capacity(self.config.num_reduce_tasks);
+                let mut shuffle_out = 0u64;
+                for part in self.emitter.partitions_mut() {
+                    sort_and_combine(self.job, part, counters);
+                    let seg = encode_segment(part);
+                    shuffle_out += seg.len() as u64;
+                    segments.push(ShuffleSegment::Mem(seg));
+                }
+                (segments, shuffle_out, SpillIo::default())
+            }
+        };
+        counters.add(Counter::ShuffleBytes, shuffle_out);
+        counters.max(Counter::HeapPeakBytes, self.ctx.heap.peak());
+        let input_bytes = text.map_or(0, |split| split.len() as u64);
+        if let Some(split) = text {
+            counters.add(Counter::InputBytes, input_bytes);
+            self.runner.dfs.charge_split_read(split);
+        }
+        Ok((
+            segments,
+            TaskCost {
+                input_bytes,
+                cached_points,
+                shuffle_bytes_out: shuffle_out,
+                shuffle_bytes_in: 0,
+                compute_units: self.ctx.compute_units(),
+                spill_io_bytes: spill_io.disk_bytes(),
+                compressed_bytes: spill_io.compressed_raw,
+                decompressed_bytes: spill_io.decompressed_raw,
+            },
+        ))
+    }
+}
+
+/// Rejects a job configured without reduce tasks.
+fn check_reduce_tasks<J: Job>(job: &J, config: &JobConfig) -> Result<()> {
+    if config.num_reduce_tasks == 0 {
+        return Err(Error::Config(format!(
+            "job {} needs at least one reduce task",
+            job.name()
+        )));
+    }
+    Ok(())
 }
 
 impl NodeView {
@@ -782,7 +1071,7 @@ impl JobRunner {
         site: &JobSite<'_>,
         counters: &Arc<Counters>,
         map_outputs: &mut [MapTaskOut],
-        mut rerun: impl FnMut(usize, &Arc<Counters>) -> Result<(Vec<ShuffleSegment>, TaskCost)>,
+        mut rerun: impl FnMut(usize, &Arc<Counters>) -> MapTaskResult,
     ) -> Result<Vec<f64>> {
         if nodes.status.crashed.is_empty() || map_outputs.is_empty() {
             return Ok(Vec::new());
@@ -844,7 +1133,7 @@ impl JobRunner {
         site: &JobSite<'_>,
         counters: &Arc<Counters>,
         map_outputs: &mut [MapTaskOut],
-        mut rerun: impl FnMut(usize, &Arc<Counters>) -> Result<(Vec<ShuffleSegment>, TaskCost)>,
+        mut rerun: impl FnMut(usize, &Arc<Counters>) -> MapTaskResult,
     ) -> Result<(Vec<f64>, Vec<f64>)> {
         let plan = &self.cluster.faults;
         let mut delays = vec![0.0f64; site.num_reduce_tasks];
@@ -942,29 +1231,124 @@ impl JobRunner {
         timing
     }
 
-    /// Runs a job over a DFS input file and returns its output,
+    /// Runs a point job over a DFS text file and returns its output,
     /// counters and timing.
-    pub fn run<J: Job>(
+    ///
+    /// Every map task parses its split [`MAP_BLOCK_POINTS`] lines at a
+    /// time with [`PointMapper::parse_line`], quarantining the lines it
+    /// rejects as bad records, and hands each block of points to the
+    /// mapper exactly as [`JobRunner::run_cached`] hands over a cached
+    /// block.
+    pub fn run<J>(&self, job: &J, input: &str, config: &JobConfig) -> Result<JobResult<J::Output>>
+    where
+        J: Job,
+        J::Mapper: PointMapper,
+    {
+        self.run_text(job, input, config, |task, split| {
+            task.run_points(PointSplit::Text(split))
+        })
+    }
+
+    /// Runs a job whose mapper consumes raw `(byte offset, line)`
+    /// records over a DFS text file.
+    pub fn run_lines<J>(
         &self,
         job: &J,
         input: &str,
         config: &JobConfig,
-    ) -> Result<JobResult<J::Output>> {
-        if config.num_reduce_tasks == 0 {
-            return Err(Error::Config(format!(
-                "job {} needs at least one reduce task",
-                job.name()
-            )));
-        }
+    ) -> Result<JobResult<J::Output>>
+    where
+        J: Job,
+        J::Mapper: LineMapper,
+    {
+        self.run_text(job, input, config, |task, split| task.run_lines(split))
+    }
+
+    /// Runs a point job over an in-memory [`PointCache`] instead of a
+    /// DFS file — the Spark-style iterative mode of the paper's §6
+    /// future work. No dataset read is charged (the cache build already
+    /// paid one), no bytes are scanned from the DFS, and no text is
+    /// parsed; the map cost is the `secs_per_cached_point` memory-scan
+    /// term. Results are identical to [`JobRunner::run`] on the text
+    /// form of the same points.
+    pub fn run_cached<J>(
+        &self,
+        job: &J,
+        cache: &PointCache,
+        config: &JobConfig,
+    ) -> Result<JobResult<J::Output>>
+    where
+        J: Job,
+        J::Mapper: PointMapper,
+    {
+        check_reduce_tasks(job, config)?;
+        let wall_start = Instant::now();
+        let splits = cache.splits();
+        // Cached splits mirror the DFS blocks of the cached file, so
+        // locality preferences come from the same journaled block map
+        // as the streaming path.
+        self.run_job(
+            job,
+            cache.path(),
+            config,
+            splits.len(),
+            wall_start,
+            |i, task| task.run_points(PointSplit::Cached(&splits[i])),
+        )
+    }
+
+    /// Reads the splits of DFS file `input` (one dataset read) and runs
+    /// `job` with `map_task` running one attempt over one split.
+    fn run_text<J, T>(
+        &self,
+        job: &J,
+        input: &str,
+        config: &JobConfig,
+        map_task: T,
+    ) -> Result<JobResult<J::Output>>
+    where
+        J: Job,
+        T: Fn(MapAttempt<'_, J>, &InputSplit) -> MapTaskResult + Sync,
+    {
+        check_reduce_tasks(job, config)?;
         let wall_start = Instant::now();
         let splits = self.dfs.splits(input)?;
         self.dfs.begin_dataset_read();
+        self.run_job(job, input, config, splits.len(), wall_start, |i, task| {
+            map_task(task, &splits[i])
+        })
+    }
+
+    /// The job body every input source shares: node weather, the map
+    /// phase over `tasks` splits (`map_task(i, attempt)` runs one
+    /// attempt over split `i`), lost-map re-execution, network weather,
+    /// the reduce phase and the simulated timing. `input` is the DFS
+    /// file whose block placement keys locality.
+    fn run_job<J, T>(
+        &self,
+        job: &J,
+        input: &str,
+        config: &JobConfig,
+        tasks: usize,
+        wall_start: Instant,
+        map_task: T,
+    ) -> Result<JobResult<J::Output>>
+    where
+        J: Job,
+        T: Fn(usize, MapAttempt<'_, J>) -> MapTaskResult + Sync,
+    {
         let counters = Arc::new(Counters::new());
         let (nodes, replicas) = self.begin_job(input, &counters)?;
+        let attempt = |i: usize, attempt: u32, forced_spill: bool, c: &Arc<Counters>| {
+            map_task(
+                i,
+                MapAttempt::new(self, job, config, i, attempt, forced_spill, c),
+            )
+        };
 
         // ---------------- map phase ----------------
         let mut map_outputs =
-            self.run_map_phase(job, &nodes, &splits, &replicas, config, &counters)?;
+            self.run_map_phase(job, &nodes, tasks, &replicas, &counters, &attempt)?;
 
         // Maps whose winning attempt finished on a node that then
         // crashed left their output on a dead disk; reducers notice at
@@ -974,17 +1358,14 @@ impl JobRunner {
             num_reduce_tasks: config.num_reduce_tasks,
             replicas: &replicas,
         };
+        let rerun = |i: usize, c: &Arc<Counters>| attempt(i, 0, false, c);
         let mut reruns =
-            self.reexecute_lost_maps(&nodes, &site, &counters, &mut map_outputs, |i, c| {
-                self.run_map_task(job, i, &splits[i], config, 0, false, c)
-            })?;
+            self.reexecute_lost_maps(&nodes, &site, &counters, &mut map_outputs, rerun)?;
         // Network weather: flaked fetches back off (delaying reducers)
         // and, once a retry budget burns, escalate to the same
         // re-execution path.
         let (weather_reruns, fetch_delays) =
-            self.apply_network_weather(&nodes, &site, &counters, &mut map_outputs, |i, c| {
-                self.run_map_task(job, i, &splits[i], config, 0, false, c)
-            })?;
+            self.apply_network_weather(&nodes, &site, &counters, &mut map_outputs, rerun)?;
         reruns.extend(weather_reruns);
 
         let (map_durations, partitioned) = self.collect_map_outputs(map_outputs, config, &counters);
@@ -1014,92 +1395,19 @@ impl JobRunner {
         })
     }
 
-    /// Runs a job over an in-memory [`PointCache`] instead of a DFS
-    /// file — the Spark-style iterative mode of the paper's §6 future
-    /// work. No dataset read is charged (the cache build already paid
-    /// one), no bytes are scanned from the DFS, and no text is parsed;
-    /// the map cost is the `secs_per_cached_point` memory-scan term.
-    ///
-    /// Requires the job's mapper to implement [`PointMapper`]; results
-    /// are identical to [`JobRunner::run`] on the text form of the same
-    /// points.
-    pub fn run_cached<J>(
-        &self,
-        job: &J,
-        cache: &PointCache,
-        config: &JobConfig,
-    ) -> Result<JobResult<J::Output>>
-    where
-        J: Job,
-        J::Mapper: PointMapper,
-    {
-        if config.num_reduce_tasks == 0 {
-            return Err(Error::Config(format!(
-                "job {} needs at least one reduce task",
-                job.name()
-            )));
-        }
-        let wall_start = Instant::now();
-        // Cached splits mirror the DFS blocks of the cached file, so
-        // locality preferences come from the same journaled block map
-        // as the streaming path.
-        let counters = Arc::new(Counters::new());
-        let (nodes, replicas) = self.begin_job(cache.path(), &counters)?;
-        let splits = cache.splits();
-
-        let mut map_outputs =
-            self.run_cached_map_phase(job, &nodes, splits, &replicas, config, &counters)?;
-        let site = JobSite {
-            name: job.name(),
-            num_reduce_tasks: config.num_reduce_tasks,
-            replicas: &replicas,
-        };
-        let mut reruns =
-            self.reexecute_lost_maps(&nodes, &site, &counters, &mut map_outputs, |i, c| {
-                self.run_cached_map_task(job, i, &splits[i], config, 0, false, c)
-            })?;
-        let (weather_reruns, fetch_delays) =
-            self.apply_network_weather(&nodes, &site, &counters, &mut map_outputs, |i, c| {
-                self.run_cached_map_task(job, i, &splits[i], config, 0, false, c)
-            })?;
-        reruns.extend(weather_reruns);
-        let (map_durations, partitioned) = self.collect_map_outputs(map_outputs, config, &counters);
-        let (outputs, reduce_durations) =
-            self.run_reduce_phase(job, &nodes, partitioned, &fetch_delays, &counters)?;
-
-        let timing = self.compute_timing(
-            &nodes,
-            map_durations,
-            reduce_durations,
-            reruns,
-            wall_start.elapsed().as_secs_f64(),
-        );
-        let counters = Arc::try_unwrap(counters).unwrap_or_else(|arc| {
-            let c = Counters::new();
-            c.merge(&arc);
-            c
-        });
-        Ok(JobResult {
-            output: outputs,
-            counters,
-            timing,
-        })
-    }
-
-    fn run_cached_map_phase<J>(
+    fn run_map_phase<J, T>(
         &self,
         job: &J,
         nodes: &NodeView,
-        splits: &[CachedSplit],
+        n: usize,
         replicas: &[Vec<usize>],
-        config: &JobConfig,
         counters: &Arc<Counters>,
+        map_task: &T,
     ) -> Result<Vec<MapTaskOut>>
     where
         J: Job,
-        J::Mapper: PointMapper,
+        T: Fn(usize, u32, bool, &Arc<Counters>) -> MapTaskResult + Sync,
     {
-        let n = splits.len();
         if n == 0 {
             return Ok(Vec::new());
         }
@@ -1133,224 +1441,7 @@ impl JobRunner {
                                 prefer,
                             },
                             counters,
-                            |attempt, forced, c| {
-                                self.run_cached_map_task(
-                                    job, i, &splits[i], config, attempt, forced, c,
-                                )
-                            },
-                        )
-                        .map(|(segments, timing)| MapTaskOut { segments, timing });
-                    if r.is_err() {
-                        failed.store(true, Ordering::Relaxed);
-                    }
-                    results.lock()[i] = Some(r);
-                });
-            }
-        });
-
-        let mut out = Vec::with_capacity(n);
-        for slot in results.into_inner() {
-            match slot {
-                Some(Ok(m)) => out.push(m),
-                Some(Err(e)) => return Err(e),
-                None => continue,
-            }
-        }
-        if out.len() < n {
-            return Err(Error::Task(format!(
-                "job {}: {} cached map task(s) did not run",
-                job.name(),
-                n - out.len()
-            )));
-        }
-        Ok(out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_cached_map_task<J>(
-        &self,
-        job: &J,
-        index: usize,
-        split: &CachedSplit,
-        config: &JobConfig,
-        attempt: u32,
-        forced_spill: bool,
-        counters: &Arc<Counters>,
-    ) -> Result<(Vec<ShuffleSegment>, TaskCost)>
-    where
-        J: Job,
-        J::Mapper: PointMapper,
-    {
-        let mut ctx = TaskContext::new(
-            format!("map-{index}"),
-            Arc::clone(counters),
-            self.cluster.heap_per_task,
-        );
-        let num_parts = config.num_reduce_tasks;
-        let partitioner = |k: &J::Key| job.partition(k, num_parts);
-        let mut spill = self.spill.as_ref().map(|dir| {
-            MapSpill::new(
-                Arc::clone(dir),
-                self.cluster.out_of_core,
-                forced_spill,
-                num_parts,
-            )
-        });
-        let mut emitter: Emitter<J::Key, J::Value> = if spill.is_some() {
-            Emitter::with_byte_tracking(num_parts)
-        } else {
-            Emitter::new(num_parts)
-        };
-        let mut mapper = job.create_mapper();
-
-        mapper.setup(&mut ctx)?;
-        // Hand the mapper whole point blocks (the blocked-kernel fast
-        // path), then drive the per-point loop unchanged so spill
-        // boundaries and counter order match the unbatched execution.
-        let dim = split.points.dim();
-        let flat = split.points.flat();
-        let block_floats = MAP_BLOCK_POINTS * dim;
-        for (block_idx, block) in flat.chunks(block_floats).enumerate() {
-            let rows = block.len() / dim;
-            let base = block_idx * MAP_BLOCK_POINTS;
-            mapper.prepare_block(block, &split.norms[base..base + rows], &mut ctx)?;
-            for point in block.chunks_exact(dim) {
-                counters.inc(Counter::MapInputRecords);
-                let mut out = MapOutput {
-                    emitter: &mut emitter,
-                    partitioner: &partitioner,
-                    counters,
-                };
-                mapper.map_point(point, &mut out, &mut ctx)?;
-                match spill.as_mut() {
-                    Some(s) => s.maybe_spill(
-                        &mut emitter,
-                        &mut ctx,
-                        counters,
-                        &self.cluster.faults,
-                        job.name(),
-                        index,
-                        attempt,
-                    )?,
-                    None => {
-                        if emitter.records_since_spill() >= config.spill_threshold_records {
-                            counters.inc(Counter::Spills);
-                            for part in emitter.partitions_mut() {
-                                sort_and_combine(job, part, counters);
-                            }
-                            emitter.reset_spill_window();
-                        }
-                    }
-                }
-            }
-        }
-        {
-            let mut out = MapOutput {
-                emitter: &mut emitter,
-                partitioner: &partitioner,
-                counters,
-            };
-            mapper.close(&mut out, &mut ctx)?;
-        }
-
-        let (segments, shuffle_out, spill_io) =
-            self.finalize_map_output(job, spill, &mut emitter, &mut ctx, counters)?;
-        counters.add(Counter::ShuffleBytes, shuffle_out);
-        counters.max(Counter::HeapPeakBytes, ctx.heap.peak());
-
-        Ok((
-            segments,
-            TaskCost {
-                input_bytes: 0,
-                cached_points: split.points.len() as u64,
-                shuffle_bytes_out: shuffle_out,
-                shuffle_bytes_in: 0,
-                compute_units: ctx.compute_units(),
-                spill_io_bytes: spill_io.disk_bytes(),
-                compressed_bytes: spill_io.compressed_raw,
-                decompressed_bytes: spill_io.decompressed_raw,
-            },
-        ))
-    }
-
-    /// Shared map-task epilogue: the spilled path merges runs into
-    /// final combined output runs; the unspilled (or buffered-mode)
-    /// path performs the legacy in-memory sort/combine/serialize —
-    /// bit-for-bit the pre-out-of-core behaviour.
-    fn finalize_map_output<J: Job>(
-        &self,
-        job: &J,
-        mut spill: Option<MapSpill>,
-        emitter: &mut Emitter<J::Key, J::Value>,
-        ctx: &mut TaskContext,
-        counters: &Arc<Counters>,
-    ) -> Result<(Vec<ShuffleSegment>, u64, SpillIo)> {
-        if spill.as_ref().is_some_and(|s| s.spills > 0) {
-            let s = spill.take().expect("spill state present");
-            return s.finish(job, emitter, ctx, counters);
-        }
-        if let Some(s) = spill.take() {
-            // Nothing spilled; give back the sort-buffer charge and
-            // fall through to the buffered finalize.
-            ctx.heap.release(s.ledger_charged);
-        }
-        let mut segments = Vec::with_capacity(emitter.partitions_mut().len());
-        let mut shuffle_out = 0u64;
-        for part in emitter.partitions_mut() {
-            sort_and_combine(job, part, counters);
-            let seg = encode_segment(part);
-            shuffle_out += seg.len() as u64;
-            segments.push(ShuffleSegment::Mem(seg));
-        }
-        Ok((segments, shuffle_out, SpillIo::default()))
-    }
-
-    fn run_map_phase<J: Job>(
-        &self,
-        job: &J,
-        nodes: &NodeView,
-        splits: &[InputSplit],
-        replicas: &[Vec<usize>],
-        config: &JobConfig,
-        counters: &Arc<Counters>,
-    ) -> Result<Vec<MapTaskOut>> {
-        let n = splits.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let threads = self
-            .cluster
-            .execution_threads(self.cluster.live_map_slots(nodes.status.live.len()))
-            .min(n);
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let results: Mutex<Vec<Option<Result<MapTaskOut>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    if failed.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let prefer = replicas.get(i).map(Vec::as_slice).unwrap_or(&[]);
-                    let r = self
-                        .run_attempts(
-                            nodes,
-                            &TaskSite {
-                                job: job.name(),
-                                kind: TaskKind::Map,
-                                index: i,
-                                prefer,
-                            },
-                            counters,
-                            |attempt, forced, c| {
-                                self.run_map_task(job, i, &splits[i], config, attempt, forced, c)
-                            },
+                            |attempt, forced, c| map_task(i, attempt, forced, c),
                         )
                         .map(|(segments, timing)| MapTaskOut { segments, timing });
                     if r.is_err() {
@@ -1383,102 +1474,6 @@ impl JobRunner {
             )));
         }
         Ok(out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_map_task<J: Job>(
-        &self,
-        job: &J,
-        index: usize,
-        split: &InputSplit,
-        config: &JobConfig,
-        attempt: u32,
-        forced_spill: bool,
-        counters: &Arc<Counters>,
-    ) -> Result<(Vec<ShuffleSegment>, TaskCost)> {
-        let mut ctx = TaskContext::new(
-            format!("map-{index}"),
-            Arc::clone(counters),
-            self.cluster.heap_per_task,
-        );
-        let num_parts = config.num_reduce_tasks;
-        let partitioner = |k: &J::Key| job.partition(k, num_parts);
-        let mut spill = self.spill.as_ref().map(|dir| {
-            MapSpill::new(
-                Arc::clone(dir),
-                self.cluster.out_of_core,
-                forced_spill,
-                num_parts,
-            )
-        });
-        let mut emitter: Emitter<J::Key, J::Value> = if spill.is_some() {
-            Emitter::with_byte_tracking(num_parts)
-        } else {
-            Emitter::new(num_parts)
-        };
-        let mut mapper = job.create_mapper();
-
-        mapper.setup(&mut ctx)?;
-        for (offset, line) in split.lines() {
-            counters.inc(Counter::MapInputRecords);
-            let mut out = MapOutput {
-                emitter: &mut emitter,
-                partitioner: &partitioner,
-                counters,
-            };
-            mapper.map(offset, line, &mut out, &mut ctx)?;
-            match spill.as_mut() {
-                Some(s) => s.maybe_spill(
-                    &mut emitter,
-                    &mut ctx,
-                    counters,
-                    &self.cluster.faults,
-                    job.name(),
-                    index,
-                    attempt,
-                )?,
-                None => {
-                    if emitter.records_since_spill() >= config.spill_threshold_records {
-                        counters.inc(Counter::Spills);
-                        for part in emitter.partitions_mut() {
-                            sort_and_combine(job, part, counters);
-                        }
-                        emitter.reset_spill_window();
-                    }
-                }
-            }
-        }
-        {
-            let mut out = MapOutput {
-                emitter: &mut emitter,
-                partitioner: &partitioner,
-                counters,
-            };
-            mapper.close(&mut out, &mut ctx)?;
-        }
-
-        // Final sort/combine and serialization (merged from spill runs
-        // when the task spilled).
-        let (segments, shuffle_out, spill_io) =
-            self.finalize_map_output(job, spill, &mut emitter, &mut ctx, counters)?;
-        counters.add(Counter::ShuffleBytes, shuffle_out);
-        counters.add(Counter::InputBytes, split.len() as u64);
-        counters.max(Counter::HeapPeakBytes, ctx.heap.peak());
-        self.dfs.charge_split_read(split);
-
-        Ok((
-            segments,
-            TaskCost {
-                input_bytes: split.len() as u64,
-                cached_points: 0,
-                shuffle_bytes_out: shuffle_out,
-                shuffle_bytes_in: 0,
-                compute_units: ctx.compute_units(),
-                spill_io_bytes: spill_io.disk_bytes(),
-                compressed_bytes: spill_io.compressed_raw,
-                decompressed_bytes: spill_io.decompressed_raw,
-            },
-        ))
     }
 
     /// Transposes map outputs into per-partition segment lists and

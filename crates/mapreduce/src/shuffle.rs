@@ -479,7 +479,7 @@ impl CommitFence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{MapOutput, Mapper, Reducer, TaskContext, Values};
+    use crate::job::{Mapper, Reducer, TaskContext, Values};
     use proptest::prelude::*;
 
     /// Minimal word-count-style job used to drive sort_and_combine.
@@ -491,15 +491,6 @@ mod tests {
     impl Mapper for NopMapper {
         type Key = i64;
         type Value = u64;
-        fn map(
-            &mut self,
-            _o: u64,
-            _l: &str,
-            _out: &mut MapOutput<'_, i64, u64>,
-            _c: &mut TaskContext,
-        ) -> Result<()> {
-            Ok(())
-        }
     }
     struct NopReducer;
     impl Reducer for NopReducer {

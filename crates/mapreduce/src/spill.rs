@@ -20,7 +20,7 @@
 //!
 //! On-disk layout: one file per run, a concatenation of blocks of
 //! compressed (or stored) bytes. Block framing (offsets, raw/stored
-//! lengths, FNV-1a checksums) lives in the in-memory [`SpillRun`]
+//! lengths, [`block_crc`] checksums) lives in the in-memory [`SpillRun`]
 //! metadata — runs never outlive the process, so the file needs no
 //! self-describing header, but every read is still checksum-verified
 //! against the metadata recorded at write time.
@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::compress;
+use crate::dfs::block_crc;
 use crate::error::{Error, Result};
 use crate::writable::Writable;
 
@@ -40,16 +41,6 @@ static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn io_err(what: &str, e: std::io::Error) -> Error {
     Error::Task(format!("spill {what}: {e}"))
-}
-
-/// FNV-1a over a byte slice — the same checksum discipline the DFS
-/// uses for its `GMRBLK1` frames.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// A process-unique scratch directory holding one runner's spill runs.
@@ -265,7 +256,7 @@ impl RunWriter {
             offset: self.offset,
             stored_len: stored.len() as u32,
             raw_len: self.buf.len() as u32,
-            crc: fnv64(stored),
+            crc: block_crc(stored),
         });
         self.offset += stored.len() as u64;
         self.raw_len += self.buf.len() as u64;
@@ -344,7 +335,7 @@ impl RunCursor {
                 self.run.blocks.len()
             ))
         })?;
-        if fnv64(&stored) != meta.crc {
+        if block_crc(&stored) != meta.crc {
             return Err(Error::Corrupt(format!(
                 "spill block {} checksum mismatch",
                 self.next_block - 1
@@ -478,6 +469,35 @@ mod tests {
         fs::write(&run.path, bytes).unwrap();
         let err = read_all(Arc::new(run)).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn every_bit_flip_and_length_change_is_corrupt() {
+        let dir = SpillDir::create().unwrap();
+        let (run, _) = write_run(&dir, false, 4096, &sample_records(3));
+        assert_eq!(run.blocks.len(), 1);
+        let run = Arc::new(run);
+        let bytes = fs::read(&run.path).unwrap();
+        let read_with = |data: &[u8]| {
+            fs::write(&run.path, data).unwrap();
+            read_all(Arc::clone(&run))
+        };
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let err = read_with(&flipped).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "bit {bit}: {err:?}");
+        }
+        // A cursor reads each block at its recorded offset and length,
+        // so a byte appended past the last block is never read; one
+        // inserted in front shifts the whole block instead.
+        let mut shifted = vec![0u8];
+        shifted.extend_from_slice(&bytes);
+        for tampered in [&shifted[..], &bytes[..bytes.len() - 1]] {
+            let err = read_with(tampered).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+        }
+        assert_eq!(read_with(&bytes).unwrap(), sample_records(3));
     }
 
     #[test]

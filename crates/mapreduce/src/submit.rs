@@ -92,22 +92,26 @@ mod tests {
     impl Mapper for CountMapper {
         type Key = i64;
         type Value = u64;
-        fn map(
-            &mut self,
-            _off: u64,
-            line: &str,
-            out: &mut MapOutput<'_, i64, u64>,
-            ctx: &mut TaskContext,
-        ) -> Result<()> {
-            let point: Vec<f64> = line
-                .split_whitespace()
-                .filter_map(|t| t.parse().ok())
-                .collect();
-            self.map_point(&point, out, ctx)
-        }
     }
 
     impl PointMapper for CountMapper {
+        fn dim(&self) -> usize {
+            2
+        }
+
+        fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
+            let start = out.len();
+            out.extend(
+                line.split_whitespace()
+                    .filter_map(|t| t.parse::<f64>().ok()),
+            );
+            if out.len() - start != 2 {
+                out.truncate(start);
+                return false;
+            }
+            true
+        }
+
         fn map_point(
             &mut self,
             point: &[f64],

@@ -15,6 +15,8 @@ struct CountMapper;
 impl Mapper for CountMapper {
     type Key = i64;
     type Value = u64;
+}
+impl LineMapper for CountMapper {
     fn map(
         &mut self,
         _off: u64,
@@ -86,7 +88,7 @@ fn count_job_is_correct_across_many_splits() {
     let (_dfs, runner) = setup(64, 1000); // tiny blocks → many map tasks
     let job = CountJob { combiner: false };
     let mut r = runner
-        .run(&job, "in", &JobConfig::with_reducers(4))
+        .run_lines(&job, "in", &JobConfig::with_reducers(4))
         .unwrap();
     r.output.sort();
     let expected: Vec<(i64, u64)> = (0..10).map(|i| (i as i64, 100u64)).collect();
@@ -107,10 +109,10 @@ fn combiner_reduces_shuffle_volume_but_not_results() {
     let config = JobConfig::with_reducers(4);
 
     let mut plain = runner_nc
-        .run(&CountJob { combiner: false }, "in", &config)
+        .run_lines(&CountJob { combiner: false }, "in", &config)
         .unwrap();
     let mut combined = runner_c
-        .run(&CountJob { combiner: true }, "in", &config)
+        .run_lines(&CountJob { combiner: true }, "in", &config)
         .unwrap();
     plain.output.sort();
     combined.output.sort();
@@ -134,8 +136,8 @@ fn results_are_deterministic_across_runs() {
     let (_dfs, runner) = setup(128, 500);
     let job = CountJob { combiner: true };
     let config = JobConfig::with_reducers(3);
-    let mut a = runner.run(&job, "in", &config).unwrap();
-    let mut b = runner.run(&job, "in", &config).unwrap();
+    let mut a = runner.run_lines(&job, "in", &config).unwrap();
+    let mut b = runner.run_lines(&job, "in", &config).unwrap();
     a.output.sort();
     b.output.sort();
     assert_eq!(a.output, b.output);
@@ -146,8 +148,8 @@ fn dataset_read_accounting_per_job() {
     let (dfs, runner) = setup(256, 100);
     assert_eq!(dfs.stats().dataset_reads, 0);
     let job = CountJob { combiner: true };
-    runner.run(&job, "in", &JobConfig::default()).unwrap();
-    runner.run(&job, "in", &JobConfig::default()).unwrap();
+    runner.run_lines(&job, "in", &JobConfig::default()).unwrap();
+    runner.run_lines(&job, "in", &JobConfig::default()).unwrap();
     let stats = dfs.stats();
     assert_eq!(stats.dataset_reads, 2);
     assert_eq!(stats.bytes_read, 2 * stats.bytes_written);
@@ -158,7 +160,7 @@ fn missing_input_fails() {
     let dfs = Arc::new(Dfs::default());
     let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
     let err = runner
-        .run(
+        .run_lines(
             &CountJob { combiner: false },
             "absent",
             &JobConfig::default(),
@@ -171,7 +173,7 @@ fn missing_input_fails() {
 fn zero_reducers_is_config_error() {
     let (_dfs, runner) = setup(256, 10);
     let err = runner
-        .run(
+        .run_lines(
             &CountJob { combiner: false },
             "in",
             &JobConfig::with_reducers(0),
@@ -186,7 +188,7 @@ fn mapper_error_fails_job() {
     dfs.put_lines("in", ["1", "not-a-number", "3"]).unwrap();
     let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
     let err = runner
-        .run(&CountJob { combiner: false }, "in", &JobConfig::default())
+        .run_lines(&CountJob { combiner: false }, "in", &JobConfig::default())
         .unwrap_err();
     assert!(matches!(err, gmr_mapreduce::Error::Task(_)), "{err:?}");
 }
@@ -195,7 +197,7 @@ fn mapper_error_fails_job() {
 fn timing_has_setup_and_tasks() {
     let (_dfs, runner) = setup(64, 500);
     let r = runner
-        .run(
+        .run_lines(
             &CountJob { combiner: true },
             "in",
             &JobConfig::with_reducers(2),
@@ -217,6 +219,8 @@ struct EmitAllMapper;
 impl Mapper for EmitAllMapper {
     type Key = i64;
     type Value = f64;
+}
+impl LineMapper for EmitAllMapper {
     fn map(
         &mut self,
         _off: u64,
@@ -281,7 +285,7 @@ fn heap_exhaustion_fails_job_with_java_heap_space() {
     };
     let runner = JobRunner::new(Arc::clone(&dfs), cluster).unwrap();
     let err = runner
-        .run(
+        .run_lines(
             &BufferingJob {
                 bytes_per_value: 64,
             },
@@ -300,7 +304,7 @@ fn heap_exhaustion_fails_job_with_java_heap_space() {
     };
     let runner = JobRunner::new(dfs, cluster).unwrap();
     let r = runner
-        .run(
+        .run_lines(
             &BufferingJob {
                 bytes_per_value: 64,
             },
@@ -320,6 +324,12 @@ struct CloseEmitMapper {
 impl Mapper for CloseEmitMapper {
     type Key = i64;
     type Value = u64;
+    fn close(&mut self, out: &mut MapOutput<'_, i64, u64>, _ctx: &mut TaskContext) -> Result<()> {
+        out.emit(0, self.seen);
+        Ok(())
+    }
+}
+impl LineMapper for CloseEmitMapper {
     fn map(
         &mut self,
         _off: u64,
@@ -328,10 +338,6 @@ impl Mapper for CloseEmitMapper {
         _ctx: &mut TaskContext,
     ) -> Result<()> {
         self.seen += 1;
-        Ok(())
-    }
-    fn close(&mut self, out: &mut MapOutput<'_, i64, u64>, _ctx: &mut TaskContext) -> Result<()> {
-        out.emit(0, self.seen);
         Ok(())
     }
 }
@@ -375,7 +381,7 @@ fn mapper_close_emissions_are_shuffled() {
         .unwrap();
     let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
     let r = runner
-        .run(&CloseEmitJob, "in", &JobConfig::with_reducers(1))
+        .run_lines(&CloseEmitJob, "in", &JobConfig::with_reducers(1))
         .unwrap();
     assert_eq!(r.output, vec![300]);
 }
@@ -388,7 +394,7 @@ fn spills_happen_under_small_threshold() {
         spill_threshold_records: 100,
     };
     let r = runner
-        .run(&CountJob { combiner: true }, "in", &config)
+        .run_lines(&CountJob { combiner: true }, "in", &config)
         .unwrap();
     assert!(r.counters.get(Counter::Spills) >= 40);
     let mut out = r.output;
@@ -403,7 +409,7 @@ fn empty_input_file_runs_reducers_only() {
     w.close();
     let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
     let r = runner
-        .run(
+        .run_lines(
             &CountJob { combiner: true },
             "empty",
             &JobConfig::with_reducers(3),
@@ -420,6 +426,8 @@ struct TokenMapper;
 impl Mapper for TokenMapper {
     type Key = i64;
     type Value = u64;
+}
+impl LineMapper for TokenMapper {
     fn map(
         &mut self,
         _off: u64,
@@ -479,7 +487,7 @@ fn partially_consumed_groups_do_not_leak_into_neighbours() {
     dfs.put_lines("in", &lines).unwrap();
     let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
     let mut r = runner
-        .run(&FirstOnlyJob, "in", &JobConfig::with_reducers(4))
+        .run_lines(&FirstOnlyJob, "in", &JobConfig::with_reducers(4))
         .unwrap();
     r.output.sort();
     assert_eq!(r.output.len(), 50, "one output per group, no key skipped");
@@ -518,7 +526,7 @@ fn custom_partitioner_routes_everything_to_one_reducer() {
         .unwrap();
     let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
     let r = runner
-        .run(&SinglePartitionJob, "in", &JobConfig::with_reducers(5))
+        .run_lines(&SinglePartitionJob, "in", &JobConfig::with_reducers(5))
         .unwrap();
     // All output comes from partition 0, already in ascending key order.
     let keys: Vec<i64> = r.output.iter().map(|(k, _)| *k).collect();
