@@ -9,10 +9,7 @@
 //!
 //! * `naive` — the scalar flat scan (the paper's cost-model unit),
 //! * `blocked` — the SIMD bounds-then-exact tile kernel,
-//! * `blocked-mt` — the same kernel split over deterministic parallel
-//!   tiles (4 workers, byte-identical merge),
 //! * `kd` — the opt-in k-d index (charges *actual* evaluations),
-//! * `pruned` — the opt-in triangle pruner (actual evaluations),
 //! * `default` — [`KernelBackend::Auto`], i.e. exactly what every
 //!   distance-heavy mapper gets from `EngineCtx::prepare`; the cell
 //!   records which concrete backend the policy picked.
@@ -20,9 +17,11 @@
 //! Every backend must produce *identical* assignments; each cell proves
 //! it by running a short Lloyd refinement per backend and requiring
 //! bit-identical final centers, then measures assignment throughput
-//! (points/sec), charged distance evaluations, and wall time. The sweep
-//! is rendered as a table and serialized to `BENCH_kernels.json` by the
-//! `repro` binary so the trajectory accumulates across PRs.
+//! (points/sec), charged distance evaluations, and the wall time of one
+//! sweep: the best, the median and the interquartile range over at
+//! least five sweeps and 100 ms of measured time. The sweep is rendered
+//! as a table and serialized to `BENCH_kernels.json` by the `repro`
+//! binary so the trajectory accumulates across PRs.
 
 use std::time::Instant;
 
@@ -48,26 +47,34 @@ pub const CELLS: [(usize, usize); 12] = [
     (128, 4096),
 ];
 
-/// Points handed to `nearest_block` per call for single-threaded
-/// backends, mirroring the runtime's cached map-phase block size.
+/// Points handed to `nearest_block` per call, mirroring the runtime's
+/// map-phase block size.
 const BLOCK_POINTS: usize = 256;
-/// Block size for the multi-tile backend: large enough that one
-/// scoped-thread spawn amortizes over many tiles.
-const MT_BLOCK_POINTS: usize = 8192;
-/// Workers of the `blocked-mt` backend.
-const MT_WORKERS: usize = 4;
+/// Fewest timed sweeps per backend and cell.
+const MIN_SWEEPS: usize = 5;
+/// Least total measured time per backend and cell: a fast backend keeps
+/// sweeping past [`MIN_SWEEPS`] until its timed sweeps add up to this,
+/// so no row rests on a sub-millisecond window or two.
+const MIN_MEASURED_SECS: f64 = 0.1;
 
 /// One measured backend within a cell.
 #[derive(Clone, Debug)]
 pub struct KernelRow {
     /// Backend label.
     pub name: &'static str,
-    /// Assignment throughput over the cell's dataset.
+    /// Assignment throughput over the cell's dataset, at the best sweep.
     pub points_per_sec: f64,
     /// Distance evaluations charged for one full sweep.
     pub distance_evals: u64,
-    /// Wall time of one full sweep, in seconds.
+    /// Wall time of the best (fastest) sweep, in seconds.
     pub wall_secs: f64,
+    /// Median sweep wall time, in seconds.
+    pub median_wall_secs: f64,
+    /// Interquartile range (third minus first quartile) of the sweep
+    /// wall times, in seconds.
+    pub iqr_wall_secs: f64,
+    /// Timed sweeps behind the three wall figures.
+    pub sweeps: usize,
 }
 
 /// One (dim, k) cell of the sweep.
@@ -133,11 +140,15 @@ impl KernelBench {
             for (i, r) in c.rows.iter().enumerate() {
                 s.push_str(&format!(
                     "      {{\"name\": \"{}\", \"points_per_sec\": {:.1}, \"distance_evals\": {}, \
-                     \"wall_secs\": {:.6}, \"speedup_vs_naive\": {:.3}}}{}\n",
+                     \"wall_secs\": {:.6}, \"median_wall_secs\": {:.6}, \"iqr_wall_secs\": {:.6}, \
+                     \"sweeps\": {}, \"speedup_vs_naive\": {:.3}}}{}\n",
                     r.name,
                     r.points_per_sec,
                     r.distance_evals,
                     r.wall_secs,
+                    r.median_wall_secs,
+                    r.iqr_wall_secs,
+                    r.sweeps,
                     r.points_per_sec / c.rows[0].points_per_sec,
                     if i + 1 < c.rows.len() { "," } else { "" }
                 ));
@@ -153,57 +164,27 @@ impl KernelBench {
 }
 
 /// A backend under test: the naive scalar scan, or a [`CenterSet`]
-/// (with some backend attached) queried through the engine's block
-/// path, in `block_points`-sized chunks.
+/// (with some kernel attached) queried through the engine's block path
+/// in [`BLOCK_POINTS`]-sized chunks.
 enum Backend {
     Naive(CenterSet),
-    Block { set: CenterSet, block_points: usize },
+    Block(CenterSet),
 }
 
 /// Builds a [`Backend`] around a fresh copy of the centers.
-type BackendFactory = Box<dyn Fn(CenterSet) -> Backend>;
+type BackendFactory = fn(CenterSet) -> Backend;
 
-/// The six measured backends, naive first.
-fn backends() -> Vec<(&'static str, BackendFactory)> {
-    vec![
-        ("naive", Box::new(Backend::Naive) as BackendFactory),
-        (
-            "blocked",
-            Box::new(|s: CenterSet| Backend::Block {
-                set: s.with_backend(KernelBackend::Blocked),
-                block_points: BLOCK_POINTS,
-            }),
-        ),
-        (
-            "blocked-mt",
-            Box::new(|s: CenterSet| Backend::Block {
-                set: s
-                    .with_backend(KernelBackend::Blocked)
-                    .with_tile_workers(MT_WORKERS),
-                block_points: MT_BLOCK_POINTS,
-            }),
-        ),
-        (
-            "kd",
-            Box::new(|s: CenterSet| Backend::Block {
-                set: s.with_kd_index(),
-                block_points: BLOCK_POINTS,
-            }),
-        ),
-        (
-            "pruned",
-            Box::new(|s: CenterSet| Backend::Block {
-                set: s.with_triangle_prune(),
-                block_points: BLOCK_POINTS,
-            }),
-        ),
-        (
-            "default",
-            Box::new(|s: CenterSet| Backend::Block {
-                set: s.with_backend(KernelBackend::Auto),
-                block_points: BLOCK_POINTS,
-            }),
-        ),
+/// The four measured backends, naive first.
+fn backends() -> [(&'static str, BackendFactory); 4] {
+    [
+        ("naive", Backend::Naive),
+        ("blocked", |s| {
+            Backend::Block(s.with_backend(KernelBackend::Blocked))
+        }),
+        ("kd", |s| Backend::Block(s.with_kd_index())),
+        ("default", |s| {
+            Backend::Block(s.with_backend(KernelBackend::Auto))
+        }),
     ]
 }
 
@@ -222,11 +203,11 @@ fn sweep(backend: &Backend, data: &Dataset, norms: &[f64], assign: &mut Vec<usiz
             }
             (data.len() * set.len()) as u64
         }
-        Backend::Block { set, block_points } => {
+        Backend::Block(set) => {
             let mut evals = 0u64;
             let flat = data.flat();
-            for (bi, block) in flat.chunks(block_points * dim).enumerate() {
-                let base = bi * block_points;
+            for (bi, block) in flat.chunks(BLOCK_POINTS * dim).enumerate() {
+                let base = bi * BLOCK_POINTS;
                 let rows = block.len() / dim;
                 for (idx, _, _, e) in set.nearest_block(block, &norms[base..base + rows]) {
                     assign.push(idx);
@@ -331,7 +312,7 @@ fn run_cell(scale: &ExperimentScale, dim: usize, k: usize) -> KernelCell {
     let auto_backend = base
         .clone()
         .with_backend(KernelBackend::Auto)
-        .speed_backend()
+        .kernel()
         .unwrap_or("scan");
 
     let backends = backends();
@@ -352,29 +333,46 @@ fn run_cell(scale: &ExperimentScale, dim: usize, k: usize) -> KernelCell {
                 .all(|(a, b)| a.to_bits() == b.to_bits())
     });
 
-    // Throughput: best-of-reps — the minimum sweep time is the least
-    // noisy estimate of the kernel's cost on a shared machine. Reps are
-    // scaled to the cell so big cells do not dominate wall time.
-    let reps = (256_000_000 / work.max(1)).clamp(5, 40);
-    let mut rows = Vec::new();
+    // Throughput: the best sweep is the least noisy estimate of the
+    // kernel's cost on a shared machine; the median and IQR say how far
+    // to trust it. Rounds interleave the backends, so a slow spell of
+    // the machine lands on all of them rather than on whichever one
+    // happened to run during it.
+    let built: Vec<Backend> = backends.iter().map(|(_, mk)| mk(base.clone())).collect();
     let mut assign = Vec::with_capacity(data.len());
-    for (name, mk) in &backends {
-        let backend = mk(base.clone());
-        // Warm-up (also the eval count; identical across reps).
-        let evals = sweep(&backend, &data, &norms, &mut assign);
-        let mut wall = f64::INFINITY;
-        for _ in 0..reps {
-            let start = Instant::now();
-            sweep(&backend, &data, &norms, &mut assign);
-            wall = wall.min(start.elapsed().as_secs_f64());
+    // Warm-up (also the eval count; identical across sweeps).
+    let evals: Vec<u64> = built
+        .iter()
+        .map(|b| sweep(b, &data, &norms, &mut assign))
+        .collect();
+    let enough = |t: &[f64]| t.len() >= MIN_SWEEPS && t.iter().sum::<f64>() >= MIN_MEASURED_SECS;
+    let mut times: Vec<Vec<f64>> = vec![Vec::new(); built.len()];
+    while !times.iter().all(|t| enough(t)) {
+        for (backend, t) in built.iter().zip(&mut times) {
+            if !enough(t) {
+                let start = Instant::now();
+                sweep(backend, &data, &norms, &mut assign);
+                t.push(start.elapsed().as_secs_f64());
+            }
         }
-        rows.push(KernelRow {
-            name,
-            points_per_sec: data.len() as f64 / wall,
-            distance_evals: evals,
-            wall_secs: wall,
-        });
     }
+    let rows = backends
+        .iter()
+        .zip(evals)
+        .zip(&mut times)
+        .map(|(((name, _), distance_evals), t)| {
+            t.sort_by(f64::total_cmp);
+            KernelRow {
+                name,
+                points_per_sec: data.len() as f64 / t[0],
+                distance_evals,
+                wall_secs: t[0],
+                median_wall_secs: quantile(t, 0.5),
+                iqr_wall_secs: quantile(t, 0.75) - quantile(t, 0.25),
+                sweeps: t.len(),
+            }
+        })
+        .collect();
 
     KernelCell {
         dim,
@@ -384,6 +382,14 @@ fn run_cell(scale: &ExperimentScale, dim: usize, k: usize) -> KernelCell {
         rows,
         identical_centers,
     }
+}
+
+/// The `q`-quantile of ascending `sorted` samples, interpolating
+/// linearly between the two nearest ranks.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 /// Runs an explicit subset of cells (test hook; `run` sweeps
@@ -429,7 +435,9 @@ pub fn render(b: &KernelBench) -> String {
                 format!("{:.0}", r.points_per_sec),
                 format!("{:.2}x", r.points_per_sec / c.rows[0].points_per_sec),
                 r.distance_evals.to_string(),
-                format!("{:.4}", r.wall_secs),
+                format!("{:.3}", r.wall_secs * 1e3),
+                format!("{:.3}", r.median_wall_secs * 1e3),
+                format!("{:.3}", r.iqr_wall_secs * 1e3),
             ]);
         }
     }
@@ -444,7 +452,9 @@ pub fn render(b: &KernelBench) -> String {
             "points/sec",
             "speedup",
             "distance evals",
-            "wall secs",
+            "best ms",
+            "median ms",
+            "IQR ms",
         ],
         &rows,
     );
@@ -502,7 +512,6 @@ mod tests {
     fn expected_auto(dim: usize, k: usize) -> &'static str {
         match KernelBackend::Auto.resolve(dim, k) {
             KernelBackend::Kd => "kd",
-            KernelBackend::Pruned => "pruned",
             _ => "blocked",
         }
     }
@@ -513,22 +522,24 @@ mod tests {
         assert!(b.identical_centers, "backends diverged");
         assert_eq!(b.cells.len(), 2);
         for c in &b.cells {
-            assert_eq!(c.rows.len(), 6);
+            assert_eq!(c.rows.len(), 4);
             assert_eq!(c.auto_backend, expected_auto(c.dim, c.k));
             let naive = &c.rows[0];
             assert_eq!(naive.name, "naive");
+            for r in &c.rows {
+                assert!(r.sweeps >= MIN_SWEEPS, "{}", r.name);
+                assert!(r.wall_secs <= r.median_wall_secs && r.iqr_wall_secs >= 0.0);
+            }
             assert_eq!(naive.distance_evals, (c.points * c.k) as u64);
             // Speed backends charge exactly the naive count (the
-            // determinism/cost contract); the opt-in index and pruner
-            // charge their actual (smaller) counts.
-            for speed in ["blocked", "blocked-mt", "default"] {
+            // determinism/cost contract); the opt-in index charges its
+            // actual (smaller) count.
+            for speed in ["blocked", "default"] {
                 let r = c.rows.iter().find(|r| r.name == speed).unwrap();
                 assert_eq!(r.distance_evals, naive.distance_evals, "{speed}");
             }
-            for actual in ["kd", "pruned"] {
-                let r = c.rows.iter().find(|r| r.name == actual).unwrap();
-                assert!(r.distance_evals < naive.distance_evals, "{actual}");
-            }
+            let kd = c.rows.iter().find(|r| r.name == "kd").unwrap();
+            assert!(kd.distance_evals < naive.distance_evals);
         }
         assert_no_regression(&b);
     }
@@ -540,7 +551,6 @@ mod tests {
         assert!(j.contains("\"experiment\": \"kernels\""));
         assert!(j.contains("\"cells\""));
         assert!(j.contains("\"auto_backend\""));
-        assert!(j.contains("\"blocked-mt\""));
-        assert_eq!(j.matches("points_per_sec").count(), 6);
+        assert_eq!(j.matches("points_per_sec").count(), 4);
     }
 }

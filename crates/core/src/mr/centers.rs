@@ -8,9 +8,7 @@
 //! §3.1) — and the candidate-center channel of `KMeansAndFindNewCenters`
 //! is multiplexed by adding [`OFFSET`] to the id.
 
-use gmr_linalg::{
-    nearest_center_flat, nearest_centers_batch_tiled, Dataset, KdTree, TrianglePruner,
-};
+use gmr_linalg::{nearest_center_flat, nearest_centers_batch, Dataset, KdTree};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -58,7 +56,7 @@ impl ChannelKey {
     }
 }
 
-/// Which nearest-center kernel serves a job's cached-map fast path.
+/// Which nearest-center kernel serves a job's point map tasks.
 ///
 /// Every backend is **bit-identical** to the naive first-wins scan —
 /// same argmin, same `f64` distance bits — and **cost-neutral**: it
@@ -66,36 +64,39 @@ impl ChannelKey {
 /// accounting for a full scan. Backend choice therefore changes wall
 /// time only; counters, simulated makespans, checkpoints and fault
 /// replay are untouched, which is what lets the engine enable it on the
-/// *default* path. (The opt-in [`CenterSet::with_kd_index`] /
-/// [`CenterSet::with_triangle_prune`] accelerators are different: they
-/// charge the *actual* evaluation count and so change the cost model.)
+/// *default* path. (The opt-in [`CenterSet::with_kd_index`] runs the
+/// same tree as [`KernelBackend::Kd`] but charges its *actual*
+/// evaluation count, and so changes the cost model.)
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelBackend {
     /// Pick per job from the center set's shape: the k-d tree at low
-    /// dimensionality with enough centers (where spatial pruning is
-    /// near-logarithmic), the SIMD blocked kernel everywhere else
-    /// (where the curse of dimensionality makes trees scan anyway and
-    /// wide FMA lanes win). See [`KernelBackend::resolve`].
+    /// dimensionality with enough centers, the SIMD blocked kernel
+    /// everywhere else. See [`KernelBackend::resolve`].
     #[default]
     Auto,
     /// The SIMD blocked bounds-then-exact kernel
-    /// ([`gmr_linalg::nearest_centers_batch_tiled`]).
+    /// ([`gmr_linalg::nearest_centers_batch`]).
     Blocked,
     /// The k-d tree ([`gmr_linalg::KdTree`]), first-wins contract
     /// included.
     Kd,
-    /// Triangle-inequality pruning ([`gmr_linalg::TrianglePruner`]).
-    Pruned,
 }
 
 impl KernelBackend {
     /// Resolves [`KernelBackend::Auto`] for a `dim`-dimensional set of
-    /// `k` centers into a concrete backend. The thresholds come from
-    /// the `repro kernels` d × k sweep (see `BENCH_kernels.json`): the
-    /// k-d tree dominates at low dimension once there are enough
-    /// centers for its pruning to amortize the descent (at d = 8 the
-    /// crossover against the SIMD blocked kernel sits between k = 128
-    /// and k = 512), and the blocked kernel wins everywhere else.
+    /// `k` centers into a concrete backend: the k-d tree when k ≥ 32
+    /// and either d ≤ 2, or d ≤ 8 with k ≥ 256; the blocked kernel
+    /// everywhere else.
+    ///
+    /// The rule is a conservative one, not a measured crossover. The
+    /// `repro kernels` sweep (`BENCH_kernels.json`) has the tree winning
+    /// in cells the rule leaves to the blocked kernel too: several times
+    /// over at d = 8, k = 128, and at most d ≥ 32 cells. That sweep runs
+    /// on well-separated mixtures, which flatter the tree, so the rule
+    /// only picks it where it wins by a wide margin. The planned
+    /// replacement is a deterministic per-job probe that runs the tree
+    /// on the first block and counts its evaluations per point (see the
+    /// kernel item in ROADMAP.md).
     pub fn resolve(self, dim: usize, k: usize) -> KernelBackend {
         match self {
             KernelBackend::Auto => {
@@ -110,35 +111,27 @@ impl KernelBackend {
     }
 }
 
-/// The resolved, eagerly-built speed backend attached to a
-/// [`CenterSet`] by [`CenterSet::with_backend`].
+/// The nearest-center kernel attached to a [`CenterSet`], built once
+/// per job.
 #[derive(Clone, Debug)]
-enum SpeedBackend {
+enum Kernel {
+    /// The blocked kernel for blocks, the scalar scan per point.
     Blocked,
-    Kd(Arc<KdTree>),
-    Pruned(Arc<TrianglePruner>),
-}
-
-impl SpeedBackend {
-    fn name(&self) -> &'static str {
-        match self {
-            SpeedBackend::Blocked => "blocked",
-            SpeedBackend::Kd(_) => "kd",
-            SpeedBackend::Pruned(_) => "pruned",
-        }
-    }
+    /// A k-d tree. `counted` charges the tree's actual evaluations
+    /// ([`CenterSet::with_kd_index`]); otherwise each point charges the
+    /// scan's `k` ([`KernelBackend::Kd`]).
+    Kd { tree: Arc<KdTree>, counted: bool },
 }
 
 /// An ordered set of centers with stable ids.
 ///
 /// Nearest-center lookup defaults to the linear scan the paper's
 /// implementation performs (`O(k)` distance computations per point —
-/// the unit of its §4 cost model). Calling [`CenterSet::with_kd_index`]
-/// attaches an exact k-d tree (the mrkd-tree acceleration §2 cites);
-/// lookups then evaluate far fewer distances and the cost accounting
-/// charges the *actual* evaluation count. Calling
-/// [`CenterSet::with_backend`] instead attaches a cost-neutral *speed*
-/// backend (see [`KernelBackend`]) that keeps the full-scan accounting.
+/// the unit of its §4 cost model). [`CenterSet::with_backend`] attaches
+/// a cost-neutral kernel (see [`KernelBackend`]) that keeps the
+/// full-scan accounting; [`CenterSet::with_kd_index`] attaches an exact
+/// k-d tree (the mrkd-tree acceleration §2 cites) whose lookups charge
+/// the *actual* evaluation count.
 #[derive(Clone, Debug, Default)]
 pub struct CenterSet {
     dim: usize,
@@ -149,18 +142,12 @@ pub struct CenterSet {
     /// invariant within a job).
     norms: Vec<f64>,
     by_id: HashMap<i64, usize>,
-    index: Option<Arc<KdTree>>,
-    pruner: Option<Arc<TrianglePruner>>,
-    /// Cost-neutral speed backend for the default cached-map path.
-    speed: Option<SpeedBackend>,
-    /// Worker threads for the blocked kernel's deterministic parallel
-    /// tiles (1 = inline).
-    tile_workers: usize,
+    kernel: Option<Kernel>,
 }
 
 impl PartialEq for CenterSet {
     fn eq(&self, other: &Self) -> bool {
-        // The index is derived state; equality is about the centers.
+        // The kernel is derived state; equality is about the centers.
         self.dim == other.dim && self.ids == other.ids && self.flat == other.flat
     }
 }
@@ -171,14 +158,7 @@ impl CenterSet {
         assert!(dim > 0, "dimension must be positive");
         Self {
             dim,
-            ids: Vec::new(),
-            flat: Vec::new(),
-            norms: Vec::new(),
-            by_id: HashMap::new(),
-            index: None,
-            pruner: None,
-            speed: None,
-            tile_workers: 1,
+            ..Self::default()
         }
     }
 
@@ -208,41 +188,26 @@ impl CenterSet {
         self.ids.push(id);
         self.norms.push(coords.iter().map(|x| x * x).sum());
         self.flat.extend_from_slice(coords);
-        self.index = None; // centers changed; any derived structure is stale
-        self.pruner = None;
-        self.speed = None;
+        self.kernel = None; // centers changed; the kernel is stale
     }
 
-    /// Builds (or rebuilds) the k-d index over the current centers.
-    /// Subsequent [`CenterSet::nearest_with_cost`] calls use it.
+    /// Builds a k-d index over the current centers, replacing any
+    /// attached kernel. Lookups then charge the tree's actual distance
+    /// evaluations instead of the scan's `k`.
     ///
     /// # Panics
     /// Panics when the set is empty.
     pub fn with_kd_index(mut self) -> Self {
         assert!(!self.is_empty(), "cannot index an empty center set");
-        self.index = Some(Arc::new(KdTree::build(&self.flat, self.dim)));
+        self.kernel = Some(self.kd(true));
         self
     }
 
-    /// Builds (or rebuilds) the triangle-inequality pruner — the `k × k`
-    /// half inter-center distance matrix — over the current centers.
-    /// Subsequent [`CenterSet::nearest_with_cost`] calls skip centers the
-    /// triangle inequality rules out, and the cost accounting charges the
-    /// evaluations actually performed, exactly like the k-d path.
-    ///
-    /// # Panics
-    /// Panics when the set is empty.
-    pub fn with_triangle_prune(mut self) -> Self {
-        assert!(!self.is_empty(), "cannot build a pruner for an empty set");
-        self.pruner = Some(Arc::new(TrianglePruner::build(&self.flat, self.dim)));
-        self
-    }
-
-    /// Attaches a cost-neutral speed backend for the default cached-map
-    /// fast path, resolving [`KernelBackend::Auto`] against this set's
-    /// shape and building the backing structure eagerly (once per job,
-    /// like the opt-in accelerators). Results stay bit-identical to the
-    /// naive scan and every point still charges `k` evaluations.
+    /// Attaches a cost-neutral kernel, replacing any attached one:
+    /// resolves [`KernelBackend::Auto`] against this set's shape and
+    /// builds the backing structure eagerly (once per job). Results
+    /// stay bit-identical to the naive scan and every point still
+    /// charges `k` evaluations.
     ///
     /// Sets containing non-finite coordinates always get the blocked
     /// backend, whose internal scan fallback reproduces the naive
@@ -252,43 +217,30 @@ impl CenterSet {
             return self;
         }
         let finite = self.norms.iter().all(|n| n.is_finite());
-        let resolved = if finite {
-            backend.resolve(self.dim, self.len())
-        } else {
-            KernelBackend::Blocked
-        };
-        self.speed = Some(match resolved {
-            KernelBackend::Kd => SpeedBackend::Kd(Arc::new(KdTree::build(&self.flat, self.dim))),
-            KernelBackend::Pruned => {
-                SpeedBackend::Pruned(Arc::new(TrianglePruner::build(&self.flat, self.dim)))
-            }
-            _ => SpeedBackend::Blocked,
-        });
+        self.kernel = Some(
+            if finite && backend.resolve(self.dim, self.len()) == KernelBackend::Kd {
+                self.kd(false)
+            } else {
+                Kernel::Blocked
+            },
+        );
         self
     }
 
-    /// Sets the worker-thread count for the blocked kernel's
-    /// deterministic parallel tiles (clamped to at least 1). Results
-    /// are byte-identical for every value; only wall time changes.
-    pub fn with_tile_workers(mut self, workers: usize) -> Self {
-        self.tile_workers = workers.max(1);
-        self
+    fn kd(&self, counted: bool) -> Kernel {
+        Kernel::Kd {
+            tree: Arc::new(KdTree::build(&self.flat, self.dim)),
+            counted,
+        }
     }
 
-    /// Name of the attached speed backend (`"blocked"`, `"kd"`,
-    /// `"pruned"`), or `None` when lookups run the plain default path.
-    pub fn speed_backend(&self) -> Option<&'static str> {
-        self.speed.as_ref().map(|s| s.name())
-    }
-
-    /// True when a k-d index is attached.
-    pub fn has_index(&self) -> bool {
-        self.index.is_some()
-    }
-
-    /// True when a triangle-inequality pruner is attached.
-    pub fn has_pruner(&self) -> bool {
-        self.pruner.is_some()
+    /// Name of the attached kernel (`"blocked"` or `"kd"`), or `None`
+    /// when lookups run the plain default path.
+    pub fn kernel(&self) -> Option<&'static str> {
+        self.kernel.as_ref().map(|k| match k {
+            Kernel::Blocked => "blocked",
+            Kernel::Kd { .. } => "kd",
+        })
     }
 
     /// Per-center squared norms, aligned with center order.
@@ -340,32 +292,18 @@ impl CenterSet {
             .map(|(idx, id, d2, _)| (idx, id, d2))
     }
 
-    /// Nearest center plus the number of distance evaluations performed
-    /// — `k` for the linear scan, usually far fewer with a k-d index or
-    /// a triangle-inequality pruner.
+    /// Nearest center plus the number of distance evaluations charged —
+    /// `k`, or the tree's actual count under [`CenterSet::with_kd_index`].
     pub fn nearest_with_cost(&self, point: &[f64]) -> Option<(usize, i64, f64, u64)> {
         if self.is_empty() {
             return None;
         }
-        if let Some(tree) = &self.index {
-            let q = tree.nearest(point);
-            return Some((q.index, self.ids[q.index], q.dist2, q.evaluations as u64));
-        }
-        if let Some(pruner) = &self.pruner {
-            let (idx, d2, evals) = pruner.nearest(point, &self.flat, self.dim);
-            return Some((idx, self.ids[idx], d2, evals));
-        }
         let k = self.ids.len() as u64;
-        match &self.speed {
-            // Cost-neutral: the speed backends answer bit-identically to
-            // the scan and charge the scan's full k evaluations.
-            Some(SpeedBackend::Kd(tree)) => {
+        match &self.kernel {
+            Some(Kernel::Kd { tree, counted }) => {
                 let q = tree.nearest(point);
-                Some((q.index, self.ids[q.index], q.dist2, k))
-            }
-            Some(SpeedBackend::Pruned(pruner)) => {
-                let (idx, d2, _) = pruner.nearest(point, &self.flat, self.dim);
-                Some((idx, self.ids[idx], d2, k))
+                let evals = if *counted { q.evaluations as u64 } else { k };
+                Some((q.index, self.ids[q.index], q.dist2, evals))
             }
             _ => nearest_center_flat(point, &self.flat, self.dim)
                 .map(|(idx, d2)| (idx, self.ids[idx], d2, k)),
@@ -376,14 +314,11 @@ impl CenterSet {
     /// `(index, id, squared_distance, evaluations)` per point.
     ///
     /// `point_norms` are the per-row squared norms of `points` (cached
-    /// once per split by the point cache). Without an accelerator the
-    /// attached speed backend (or the SIMD blocked batch kernel, with
-    /// parallel tiles when [`CenterSet::with_tile_workers`] allows)
-    /// runs — bit-identical to the scalar scan, charging `k`
-    /// evaluations per point like the scan does — so simulated cost and
-    /// counters are unchanged while wall time drops. With an opt-in k-d
-    /// index or pruner attached, those paths run per row and report
-    /// their actual evaluation counts.
+    /// once per split by the point cache). A k-d tree answers per row,
+    /// exactly like [`CenterSet::nearest_with_cost`]; otherwise the SIMD
+    /// blocked batch kernel runs. Both are bit-identical to the scalar
+    /// scan, so only wall time (and, under
+    /// [`CenterSet::with_kd_index`], the charged count) differs.
     ///
     /// Returns an empty vector when the set is empty.
     pub fn nearest_block(
@@ -394,59 +329,17 @@ impl CenterSet {
         if self.is_empty() || points.is_empty() {
             return Vec::new();
         }
-        if let Some(tree) = &self.index {
+        if let Some(Kernel::Kd { .. }) = self.kernel {
             return points
                 .chunks_exact(self.dim)
-                .map(|p| {
-                    let q = tree.nearest(p);
-                    (q.index, self.ids[q.index], q.dist2, q.evaluations as u64)
-                })
-                .collect();
-        }
-        if let Some(pruner) = &self.pruner {
-            return points
-                .chunks_exact(self.dim)
-                .map(|p| {
-                    let (idx, d2, evals) = pruner.nearest(p, &self.flat, self.dim);
-                    (idx, self.ids[idx], d2, evals)
-                })
+                .filter_map(|p| self.nearest_with_cost(p))
                 .collect();
         }
         let k = self.ids.len() as u64;
-        match &self.speed {
-            // Cost-neutral speed backends: bit-identical to the scan,
-            // charging the scan's k evaluations per point.
-            //
-            // (Deliberately *not* `KdTree::nearest_from`: generated
-            // datasets interleave clusters round-robin, so consecutive
-            // points rarely share one and the warm-start bound costs
-            // more than it prunes here.)
-            Some(SpeedBackend::Kd(tree)) => points
-                .chunks_exact(self.dim)
-                .map(|p| {
-                    let q = tree.nearest(p);
-                    (q.index, self.ids[q.index], q.dist2, k)
-                })
-                .collect(),
-            Some(SpeedBackend::Pruned(pruner)) => points
-                .chunks_exact(self.dim)
-                .map(|p| {
-                    let (idx, d2, _) = pruner.nearest(p, &self.flat, self.dim);
-                    (idx, self.ids[idx], d2, k)
-                })
-                .collect(),
-            _ => nearest_centers_batch_tiled(
-                points,
-                point_norms,
-                &self.flat,
-                &self.norms,
-                self.dim,
-                self.tile_workers,
-            )
+        nearest_centers_batch(points, point_norms, &self.flat, &self.norms, self.dim)
             .into_iter()
             .map(|(idx, d2)| (idx, self.ids[idx], d2, k))
-            .collect(),
-        }
+            .collect()
     }
 
     /// The centers as a [`Dataset`] (ids dropped, order preserved).
@@ -585,11 +478,7 @@ mod tests {
         s.push(2, &[5.0, 5.0]);
         let points = [1.0, 0.5, 9.0, -0.5, 5.0, 4.0, 5.0, 2.5];
         let norms = gmr_linalg::squared_norms(&points, 2);
-        for set in [
-            s.clone(),
-            s.clone().with_kd_index(),
-            s.clone().with_triangle_prune(),
-        ] {
+        for set in [s.clone(), s.clone().with_kd_index()] {
             let block = set.nearest_block(&points, &norms);
             assert_eq!(block.len(), 4);
             for (p, got) in points.chunks_exact(2).zip(&block) {
@@ -600,35 +489,63 @@ mod tests {
         }
     }
 
+    /// The counted (`with_kd_index`) and cost-neutral (`KernelBackend::Kd`)
+    /// kd paths run the same tree query: both answer with the scan's
+    /// bits, and they differ only in what they charge.
     #[test]
-    fn pruner_matches_linear_scan_and_costs_less() {
-        let mut s = CenterSet::new(2);
+    fn kd_paths_match_the_scan_and_differ_only_in_cost() {
+        let mut finite = CenterSet::new(2);
         for i in 0..8 {
-            s.push(i, &[i as f64 * 0.1, 0.0]);
+            finite.push(i, &[i as f64 * 0.1, 0.0]);
         }
-        for i in 8..16 {
-            s.push(i, &[500.0 + i as f64 * 0.1, 0.0]);
+        for i in 8..40 {
+            finite.push(i, &[500.0 + i as f64 * 0.1, (i % 5) as f64]);
         }
-        let pruned = s.clone().with_triangle_prune();
-        assert!(pruned.has_pruner() && !s.has_pruner());
-        let p = [0.21, 0.02];
-        let (idx, id, d2, evals) = pruned.nearest_with_cost(&p).unwrap();
-        let (want_idx, want_id, want_d2, full) = s.nearest_with_cost(&p).unwrap();
-        assert_eq!((idx, id), (want_idx, want_id));
-        assert_eq!(d2.to_bits(), want_d2.to_bits());
-        assert_eq!(full, 16);
-        assert!(evals < full, "pruner evaluated all {evals} centers");
-    }
-
-    #[test]
-    fn push_invalidates_pruner_and_maintains_norms() {
+        let mut non_finite = finite.clone();
+        non_finite.push(40, &[f64::NAN, 1.0]);
+        non_finite.push(41, &[2.0, f64::INFINITY]);
+        let points: Vec<f64> = (0..64).map(|i| ((i * 37) % 101) as f64 * 5.3).collect();
+        let norms = gmr_linalg::squared_norms(&points, 2);
+        let bits = |r: (usize, i64, f64, u64)| (r.0, r.1, r.2.to_bits(), r.3);
+        for plain in [finite, non_finite] {
+            let k = plain.len() as u64;
+            let tree = KdTree::build(&plain.flat, 2);
+            let counted = plain.clone().with_kd_index();
+            let neutral = plain.clone().with_backend(KernelBackend::Kd);
+            let mut charged = 0;
+            for (set, is_counted) in [(&counted, true), (&neutral, false)] {
+                let block = set.nearest_block(&points, &norms);
+                assert_eq!(block.len(), points.len() / 2);
+                for (p, &got) in points.chunks_exact(2).zip(&block) {
+                    let one = set.nearest_with_cost(p).unwrap();
+                    assert_eq!(bits(one), bits(got), "block and point paths agree");
+                    let (idx, id, d2, _) = plain.nearest_with_cost(p).unwrap();
+                    assert_eq!((got.0, got.1, got.2.to_bits()), (idx, id, d2.to_bits()));
+                    if !is_counted {
+                        assert_eq!(got.3, k, "cost-neutral: charges k");
+                    } else if tree.is_poisoned() {
+                        assert_eq!(got.3, k, "the poisoned tree scans");
+                    } else {
+                        assert_eq!(got.3, tree.nearest(p).evaluations as u64);
+                        assert!(got.3 <= k);
+                        charged += got.3;
+                    }
+                }
+            }
+            if !tree.is_poisoned() {
+                assert!(charged < k * 32, "the tree evaluated every center");
+            }
+            for mut set in [counted, neutral] {
+                assert!(set.kernel().is_some());
+                set.push(99, &[3.0, 4.0]);
+                assert_eq!(set.kernel(), None, "push must drop the kernel");
+            }
+        }
         let mut s = CenterSet::new(2);
         s.push(0, &[3.0, 4.0]);
-        let mut pruned = s.with_triangle_prune();
-        assert!(pruned.has_pruner());
-        pruned.push(1, &[1.0, 2.0]);
-        assert!(!pruned.has_pruner(), "push must invalidate the pruner");
-        assert_eq!(pruned.norms(), &[25.0, 5.0]);
+        let mut indexed = s.with_kd_index();
+        indexed.push(1, &[1.0, 2.0]);
+        assert_eq!(indexed.norms(), &[25.0, 5.0]);
     }
 
     #[test]
@@ -644,10 +561,9 @@ mod tests {
             KernelBackend::Auto,
             KernelBackend::Blocked,
             KernelBackend::Kd,
-            KernelBackend::Pruned,
         ] {
-            let fast = s.clone().with_backend(backend).with_tile_workers(3);
-            assert!(fast.speed_backend().is_some());
+            let fast = s.clone().with_backend(backend);
+            assert!(fast.kernel().is_some());
             let got = fast.nearest_block(&points, &norms);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
@@ -687,12 +603,12 @@ mod tests {
         assert_eq!(
             KernelBackend::Auto.resolve(8, 128),
             KernelBackend::Blocked,
-            "d=8 below the measured k crossover: blocked"
+            "d=8 below the conservative k threshold: blocked"
         );
         assert_eq!(
             KernelBackend::Auto.resolve(8, 512),
             KernelBackend::Kd,
-            "d=8 above the measured k crossover: kd"
+            "d=8 above the conservative k threshold: kd"
         );
         assert_eq!(KernelBackend::Kd.resolve(128, 2), KernelBackend::Kd);
     }
@@ -705,7 +621,7 @@ mod tests {
         }
         s.push(40, &[f64::NAN, f64::INFINITY]);
         let fast = s.clone().with_backend(KernelBackend::Auto);
-        assert_eq!(fast.speed_backend(), Some("blocked"));
+        assert_eq!(fast.kernel(), Some("blocked"));
         // The blocked path's scan fallback keeps bit-identity even here.
         let points = [3.5, 0.5, 100.0, -2.0];
         let norms = gmr_linalg::squared_norms(&points, 2);
@@ -724,9 +640,9 @@ mod tests {
             s.push(i, &[i as f64]);
         }
         let mut fast = s.with_backend(KernelBackend::Auto);
-        assert!(fast.speed_backend().is_some());
+        assert!(fast.kernel().is_some());
         fast.push(99, &[0.5]);
-        assert_eq!(fast.speed_backend(), None, "push must drop the backend");
+        assert_eq!(fast.kernel(), None, "push must drop the backend");
     }
 
     #[test]

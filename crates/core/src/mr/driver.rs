@@ -924,8 +924,6 @@ pub struct MRGMeans {
     force_strategy: Option<TestStrategy>,
     mode: ExecutionMode,
     kd_index: bool,
-    pruning: bool,
-    tile_workers: usize,
     criterion: SplitCriterion,
     checkpoint_dir: Option<String>,
 }
@@ -939,8 +937,6 @@ impl MRGMeans {
             force_strategy: None,
             mode: ExecutionMode::OnDisk,
             kd_index: false,
-            pruning: false,
-            tile_workers: 1,
             criterion: SplitCriterion::AndersonDarling,
             checkpoint_dir: None,
         }
@@ -958,25 +954,6 @@ impl MRGMeans {
     /// Results are identical; the distance-evaluation counters drop.
     pub fn with_kd_index(mut self, kd_index: bool) -> Self {
         self.kd_index = kd_index;
-        self
-    }
-
-    /// Enables triangle-inequality center pruning inside every job of
-    /// the run (ignored when the k-d index is also enabled, which
-    /// subsumes it). Results are identical; the distance-evaluation
-    /// counters drop, so like the k-d index it is opt-in — the default
-    /// path keeps the paper's O(nk) accounting.
-    pub fn with_pruning(mut self, pruning: bool) -> Self {
-        self.pruning = pruning;
-        self
-    }
-
-    /// Splits every cached map block's kernel work across `workers`
-    /// deterministic parallel tiles inside the default (cost-neutral)
-    /// kernel backend. Results, counters, emissions and checkpoints are
-    /// byte-identical for every value; only wall time changes.
-    pub fn with_tile_workers(mut self, workers: usize) -> Self {
-        self.tile_workers = workers.max(1);
         self
     }
 
@@ -1007,9 +984,7 @@ impl MRGMeans {
     fn engine(&self) -> Engine {
         let engine = Engine::new(self.runner.clone())
             .with_execution_mode(self.mode)
-            .with_kd_index(self.kd_index)
-            .with_pruning(self.pruning)
-            .with_tile_workers(self.tile_workers);
+            .with_kd_index(self.kd_index);
         match &self.checkpoint_dir {
             Some(dir) => engine.with_checkpoints(dir.clone()),
             None => engine,

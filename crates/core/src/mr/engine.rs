@@ -26,8 +26,9 @@
 //!   uninterrupted ones bit for bit;
 //! * **cached-vs-streaming dispatch** ([`ExecutionMode`]) through one
 //!   [`Submission`] handle per job;
-//! * **accelerator wiring**: the k-d index / triangle-pruning flags are
-//!   applied by [`EngineCtx::prepare`], never by algorithms directly.
+//! * **kernel wiring**: the nearest-center kernel (the k-d index flag,
+//!   or the cost-neutral auto backend) is attached by
+//!   [`EngineCtx::prepare`], never by algorithms directly.
 //!
 //! An algorithm is a pure state machine implementing
 //! [`IterativeAlgorithm`]: `fresh` builds the initial state, `plan`
@@ -455,9 +456,6 @@ pub struct Engine {
     runner: gmr_mapreduce::runtime::JobRunner,
     mode: ExecutionMode,
     kd_index: bool,
-    pruning: bool,
-    backend: KernelBackend,
-    tile_workers: usize,
     spill_threshold: usize,
     checkpoint_dir: Option<String>,
 }
@@ -470,9 +468,6 @@ impl Engine {
             runner,
             mode: ExecutionMode::OnDisk,
             kd_index: false,
-            pruning: false,
-            backend: KernelBackend::Auto,
-            tile_workers: 1,
             spill_threshold: JobConfig::default().spill_threshold_records,
             checkpoint_dir: None,
         }
@@ -501,33 +496,6 @@ impl Engine {
     /// distance-evaluation counters drop.
     pub fn with_kd_index(mut self, kd_index: bool) -> Self {
         self.kd_index = kd_index;
-        self
-    }
-
-    /// Enables triangle-inequality center pruning inside every prepared
-    /// center set (ignored when the k-d index is also enabled, which
-    /// subsumes it).
-    pub fn with_pruning(mut self, pruning: bool) -> Self {
-        self.pruning = pruning;
-        self
-    }
-
-    /// Selects the cost-neutral kernel backend for the default
-    /// cached-map fast path (see [`KernelBackend`]); results and
-    /// counters are bit-identical for every choice, only wall time
-    /// changes. The default, [`KernelBackend::Auto`], picks per job
-    /// from the center set's shape.
-    pub fn with_backend(mut self, backend: KernelBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Sets the worker-thread count for the blocked kernel's
-    /// deterministic parallel point tiles (default 1 = inline).
-    /// Execution stays byte-identical — emissions, counters,
-    /// checkpoints — for every value.
-    pub fn with_tile_workers(mut self, workers: usize) -> Self {
-        self.tile_workers = workers.max(1);
         self
     }
 
@@ -711,22 +679,16 @@ impl<'e> EngineCtx<'e> {
         self.cluster().total_reduce_slots().max(1)
     }
 
-    /// Wires the engine's configured accelerator into a center set
-    /// bound for a job. The opt-in k-d index / triangle pruning
-    /// accelerators (which change the charged evaluation counts) take
-    /// precedence; otherwise the cost-neutral speed backend and the
-    /// parallel-tile worker count are attached, so every distance-heavy
-    /// mapper inherits the fast path with zero per-mapper changes.
+    /// Attaches the nearest-center kernel to a center set bound for a
+    /// job: the opt-in k-d index (which charges actual evaluations) when
+    /// enabled, otherwise the cost-neutral [`KernelBackend::Auto`], so
+    /// every distance-heavy mapper inherits the fast path with zero
+    /// per-mapper changes.
     pub fn prepare(&self, set: CenterSet) -> CenterSet {
-        if set.is_empty() {
-            set
-        } else if self.engine.kd_index {
+        if self.engine.kd_index && !set.is_empty() {
             set.with_kd_index()
-        } else if self.engine.pruning {
-            set.with_triangle_prune()
         } else {
-            set.with_backend(self.engine.backend)
-                .with_tile_workers(self.engine.tile_workers)
+            set.with_backend(KernelBackend::Auto)
         }
     }
 

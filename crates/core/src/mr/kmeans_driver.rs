@@ -204,7 +204,6 @@ pub struct MRKMeans {
     k: usize,
     iterations: usize,
     seed: u64,
-    tile_workers: usize,
     checkpoint_dir: Option<String>,
 }
 
@@ -221,7 +220,6 @@ impl MRKMeans {
             k,
             iterations,
             seed,
-            tile_workers: 1,
             checkpoint_dir: None,
         }
     }
@@ -234,16 +232,8 @@ impl MRKMeans {
         self
     }
 
-    /// Splits every cached map block's kernel work across `workers`
-    /// deterministic parallel tiles. Results, counters and checkpoints
-    /// are byte-identical for every value; only wall time changes.
-    pub fn with_tile_workers(mut self, workers: usize) -> Self {
-        self.tile_workers = workers.max(1);
-        self
-    }
-
     fn engine(&self) -> Engine {
-        let engine = Engine::new(self.runner.clone()).with_tile_workers(self.tile_workers);
+        let engine = Engine::new(self.runner.clone());
         match &self.checkpoint_dir {
             Some(dir) => engine.with_checkpoints(dir.clone()),
             None => engine,

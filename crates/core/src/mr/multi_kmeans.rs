@@ -400,8 +400,6 @@ pub struct MultiKMeans {
     seed: u64,
     mode: ExecutionMode,
     kd_index: bool,
-    pruning: bool,
-    tile_workers: usize,
     checkpoint_dir: Option<String>,
 }
 
@@ -429,32 +427,13 @@ impl MultiKMeans {
             seed,
             mode: ExecutionMode::OnDisk,
             kd_index: false,
-            pruning: false,
-            tile_workers: 1,
             checkpoint_dir: None,
         }
-    }
-
-    /// Splits every cached map block's kernel work across `workers`
-    /// deterministic parallel tiles. Results are byte-identical for
-    /// every value; only wall time changes.
-    pub fn with_tile_workers(mut self, workers: usize) -> Self {
-        self.tile_workers = workers.max(1);
-        self
     }
 
     /// Enables the k-d-tree nearest-center index inside the job.
     pub fn with_kd_index(mut self, kd_index: bool) -> Self {
         self.kd_index = kd_index;
-        self
-    }
-
-    /// Enables triangle-inequality center pruning inside the job
-    /// (ignored when the k-d index is also enabled, which subsumes it).
-    /// Like the k-d index, pruning changes the charged evaluation counts
-    /// and therefore the simulated cost — it is opt-in.
-    pub fn with_pruning(mut self, pruning: bool) -> Self {
-        self.pruning = pruning;
         self
     }
 
@@ -480,9 +459,7 @@ impl MultiKMeans {
     fn engine(&self) -> Engine {
         let engine = Engine::new(self.runner.clone())
             .with_execution_mode(self.mode)
-            .with_kd_index(self.kd_index)
-            .with_pruning(self.pruning)
-            .with_tile_workers(self.tile_workers);
+            .with_kd_index(self.kd_index);
         match &self.checkpoint_dir {
             Some(dir) => engine.with_checkpoints(dir.clone()),
             None => engine,

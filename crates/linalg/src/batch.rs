@@ -37,17 +37,6 @@
 //! Partial tiles are padded with zero coordinates and `+∞` norms: a
 //! padded lane's bound is `+∞`, so it can never win the minimum and
 //! never survives.
-//!
-//! # Deterministic parallel tiles
-//!
-//! [`nearest_centers_batch_tiled`] splits the point rows across a
-//! bounded set of scoped worker threads. Each worker owns a disjoint,
-//! contiguous range of output slots decided *before* any thread starts
-//! — tile order, not completion order — and the per-point result is a
-//! pure function of `(point, centers)`, so the output (and therefore
-//! emission order, charged evaluations, and fault replay downstream) is
-//! byte-identical to the single-threaded run no matter how the OS
-//! schedules the workers.
 
 use crate::distance::squared_euclidean;
 
@@ -84,7 +73,7 @@ pub fn squared_norms(flat: &[f64], dim: usize) -> Vec<f64> {
 /// centers, while one that is too narrow would silently change an
 /// argmin. The cutoff is `min_bound + margin` and both the true
 /// nearest's bound and the minimum bound err by at most one margin-half
-/// each, which is why [`nearest_into`] applies the margin once on top of
+/// each, which is why [`nearest_centers_batch`] applies the margin once on top of
 /// the observed minimum.
 #[inline]
 fn bound_margin(dim: usize, px2: f64, cn_max: f64) -> f64 {
@@ -237,20 +226,52 @@ fn tile_bounds(p: &[f64], px2: f64, tile: &CenterTile, out_row: &mut [f64], use_
     tile_bounds_scalar(p, px2, tile, out_row)
 }
 
-/// The serial kernel over a pre-transposed center buffer, writing one
-/// `(center_index, squared_distance)` per point row into `out`.
-#[allow(clippy::too_many_arguments)]
-fn nearest_into(
+/// Nearest center for every point of a flat row-major block, returning
+/// one `(center_index, squared_distance)` per point.
+///
+/// `point_norms` / `center_norms` are the per-row squared norms of
+/// `points` / `centers` (see [`squared_norms`]); callers cache them so
+/// repeated sweeps (one per Lloyd iteration) pay for them once.
+///
+/// The result is bit-identical to calling
+/// [`nearest_center_flat`](crate::nearest_center_flat) per point,
+/// including first-wins tie-breaking on exactly equal distances.
+///
+/// # Panics
+/// Panics if `centers` is empty, `dim == 0`, buffers are ragged, or the
+/// norm slices disagree with the row counts.
+pub fn nearest_centers_batch(
     points: &[f64],
     point_norms: &[f64],
     centers: &[f64],
-    tiles: &[CenterTile],
+    center_norms: &[f64],
     dim: usize,
-    k: usize,
-    cn_max: f64,
-    use_simd: bool,
-    out: &mut [(usize, f64)],
-) {
+) -> Vec<(usize, f64)> {
+    assert!(dim > 0, "dimension must be positive");
+    assert!(!centers.is_empty(), "no centers");
+    assert_eq!(points.len() % dim, 0, "ragged point buffer");
+    assert_eq!(centers.len() % dim, 0, "ragged center buffer");
+    let n = points.len() / dim;
+    let k = centers.len() / dim;
+    assert_eq!(point_norms.len(), n, "point norm count mismatch");
+    assert_eq!(center_norms.len(), k, "center norm count mismatch");
+    let scan = |p: &[f64]| {
+        crate::distance::nearest_center_flat(p, centers, dim).expect("non-empty centers")
+    };
+
+    // A non-finite center poisons every decomposition bound involving
+    // it, and the naive scan's comparison semantics around NaN are what
+    // the bit-identity contract pins — delegate the whole block to the
+    // reference scan. (Non-finite *points* are handled per point by the
+    // cutoff check below.)
+    if center_norms.iter().any(|cn| !cn.is_finite()) {
+        return points.chunks_exact(dim).map(scan).collect();
+    }
+
+    let cn_max = center_norms.iter().cloned().fold(0.0f64, f64::max);
+    let tiles = transpose_tiles(centers, center_norms, dim);
+    let use_simd = simd_available();
+    let mut out = Vec::with_capacity(n);
     let mut bounds = vec![0.0f64; POINT_TILE * k];
     let mut min_bounds = [0.0f64; POINT_TILE];
 
@@ -261,7 +282,7 @@ fn nearest_into(
         min_bounds[..rows].fill(f64::INFINITY);
 
         // Bounds pass: tile of points × transposed tile of centers.
-        for ct in tiles {
+        for ct in &tiles {
             for (pi, p) in tile.chunks_exact(dim).enumerate() {
                 let px2 = tile_norms[pi];
                 let row = &mut bounds[pi * k + ct.base..pi * k + ct.base + ct.rows];
@@ -288,125 +309,9 @@ fn nearest_into(
             }
             // Non-finite coordinates poison the bounds; fall back to the
             // plain scan so the result still matches it exactly.
-            out[p_base + pi] = best.unwrap_or_else(|| {
-                crate::distance::nearest_center_flat(p, centers, dim).expect("non-empty centers")
-            });
+            out.push(best.unwrap_or_else(|| scan(p)));
         }
     }
-}
-
-/// Nearest center for every point of a flat row-major block, returning
-/// one `(center_index, squared_distance)` per point.
-///
-/// `point_norms` / `center_norms` are the per-row squared norms of
-/// `points` / `centers` (see [`squared_norms`]); callers cache them so
-/// repeated sweeps (one per Lloyd iteration) pay for them once.
-///
-/// The result is bit-identical to calling
-/// [`nearest_center_flat`](crate::nearest_center_flat) per point,
-/// including first-wins tie-breaking on exactly equal distances.
-///
-/// # Panics
-/// Panics if `centers` is empty, `dim == 0`, buffers are ragged, or the
-/// norm slices disagree with the row counts.
-pub fn nearest_centers_batch(
-    points: &[f64],
-    point_norms: &[f64],
-    centers: &[f64],
-    center_norms: &[f64],
-    dim: usize,
-) -> Vec<(usize, f64)> {
-    nearest_centers_batch_tiled(points, point_norms, centers, center_norms, dim, 1)
-}
-
-/// [`nearest_centers_batch`] with the point rows split across up to
-/// `workers` scoped threads in deterministic tile order.
-///
-/// Output, and therefore everything computed from it downstream
-/// (emission order, charged evaluations, checkpoints, fault replay), is
-/// byte-identical for every `workers` value: each worker is handed a
-/// contiguous run of point tiles and a matching disjoint output slice
-/// *before* any thread runs, and each point's result is a pure function
-/// of the inputs. `workers ≤ 1`, tiny blocks, and single-tile inputs
-/// run inline on the calling thread.
-///
-/// # Panics
-/// Same contract as [`nearest_centers_batch`].
-pub fn nearest_centers_batch_tiled(
-    points: &[f64],
-    point_norms: &[f64],
-    centers: &[f64],
-    center_norms: &[f64],
-    dim: usize,
-    workers: usize,
-) -> Vec<(usize, f64)> {
-    assert!(dim > 0, "dimension must be positive");
-    assert!(!centers.is_empty(), "no centers");
-    assert_eq!(points.len() % dim, 0, "ragged point buffer");
-    assert_eq!(centers.len() % dim, 0, "ragged center buffer");
-    let n = points.len() / dim;
-    let k = centers.len() / dim;
-    assert_eq!(point_norms.len(), n, "point norm count mismatch");
-    assert_eq!(center_norms.len(), k, "center norm count mismatch");
-    if n == 0 {
-        return Vec::new();
-    }
-
-    // A non-finite center poisons every decomposition bound involving
-    // it, and the naive scan's comparison semantics around NaN are what
-    // the bit-identity contract pins — delegate the whole block to the
-    // reference scan. (Non-finite *points* are handled per point by the
-    // cutoff check inside the kernel.)
-    if center_norms.iter().any(|cn| !cn.is_finite()) {
-        return points
-            .chunks_exact(dim)
-            .map(|p| {
-                crate::distance::nearest_center_flat(p, centers, dim).expect("non-empty centers")
-            })
-            .collect();
-    }
-
-    let cn_max = center_norms.iter().cloned().fold(0.0f64, f64::max);
-    let tiles = transpose_tiles(centers, center_norms, dim);
-    let use_simd = simd_available();
-    let mut out = vec![(0usize, 0.0f64); n];
-
-    // Contiguous point-tile ranges per worker, fixed before spawning.
-    let n_tiles = n.div_ceil(POINT_TILE);
-    let workers = workers.clamp(1, n_tiles);
-    if workers == 1 {
-        nearest_into(
-            points,
-            point_norms,
-            centers,
-            &tiles,
-            dim,
-            k,
-            cn_max,
-            use_simd,
-            &mut out,
-        );
-        return out;
-    }
-
-    let tiles_per_worker = n_tiles.div_ceil(workers);
-    let rows_per_worker = tiles_per_worker * POINT_TILE;
-    std::thread::scope(|s| {
-        let tiles = &tiles;
-        let mut rest = out.as_mut_slice();
-        let mut offset = 0usize;
-        while !rest.is_empty() {
-            let take = rows_per_worker.min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let p = &points[offset * dim..(offset + take) * dim];
-            let pn = &point_norms[offset..offset + take];
-            offset += take;
-            s.spawn(move || {
-                nearest_into(p, pn, centers, tiles, dim, k, cn_max, use_simd, chunk);
-            });
-        }
-    });
     out
 }
 
@@ -531,30 +436,6 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.0, w.0);
             assert_eq!(g.1.to_bits(), w.1.to_bits());
-        }
-    }
-
-    #[test]
-    fn tiled_is_byte_identical_across_worker_counts() {
-        // Enough rows that 4 workers each own multiple point tiles.
-        let dim = 6;
-        let n = POINT_TILE * 9 + 13;
-        let points: Vec<f64> = (0..n * dim)
-            .map(|i| ((i * 29) % 211) as f64 - 100.0)
-            .collect();
-        let centers: Vec<f64> = (0..70 * dim)
-            .map(|i| ((i * 31) % 199) as f64 - 99.0)
-            .collect();
-        let pn = squared_norms(&points, dim);
-        let cn = squared_norms(&centers, dim);
-        let serial = nearest_centers_batch_tiled(&points, &pn, &centers, &cn, dim, 1);
-        for workers in [2, 3, 4, 16, 1000] {
-            let par = nearest_centers_batch_tiled(&points, &pn, &centers, &cn, dim, workers);
-            assert_eq!(par.len(), serial.len());
-            for (a, b) in par.iter().zip(&serial) {
-                assert_eq!(a.0, b.0, "workers={workers}");
-                assert_eq!(a.1.to_bits(), b.1.to_bits(), "workers={workers}");
-            }
         }
     }
 
@@ -687,33 +568,6 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 prop_assert_eq!(g.0, w.0);
                 prop_assert_eq!(g.1.to_bits(), w.1.to_bits());
-            }
-        }
-
-        /// Worker count must never leak into results, whatever the data.
-        #[test]
-        fn tiled_matches_serial_for_any_worker_count(
-            dim in 1usize..8,
-            n in 1usize..300,
-            k in 1usize..50,
-            workers in 1usize..9,
-            seed: u64,
-        ) {
-            let mut state = seed | 1;
-            let mut next = || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((state >> 33) as f64 / (1u64 << 31) as f64 - 1.0) * 100.0
-            };
-            let points: Vec<f64> = (0..n * dim).map(|_| next()).collect();
-            let centers: Vec<f64> = (0..k * dim).map(|_| next()).collect();
-            let pn = squared_norms(&points, dim);
-            let cn = squared_norms(&centers, dim);
-            let serial = nearest_centers_batch_tiled(&points, &pn, &centers, &cn, dim, 1);
-            let par = nearest_centers_batch_tiled(&points, &pn, &centers, &cn, dim, workers);
-            prop_assert_eq!(serial.len(), par.len());
-            for (a, b) in serial.iter().zip(&par) {
-                prop_assert_eq!(a.0, b.0);
-                prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
             }
         }
     }

@@ -193,29 +193,6 @@ impl KdTree {
     /// # Panics
     /// Panics if `point.len() != dim`.
     pub fn nearest(&self, point: &[f64]) -> KdQuery {
-        self.nearest_inner(point, None)
-    }
-
-    /// Exact nearest neighbor of `point`, warm-started from a candidate.
-    ///
-    /// `hint` (an index into the original buffer, e.g. the previous
-    /// query's answer — consecutive cached points usually share a
-    /// cluster) seeds the running best with that row's exact distance,
-    /// so pruning starts with a finite bound at the root instead of
-    /// `∞`. The *answer* is identical to [`KdTree::nearest`] — the seed
-    /// is a valid candidate, every strictly-closer row still wins, and
-    /// the `<=` plane test keeps equal-distance subtrees so lower-index
-    /// ties are still found. Only `evaluations` differs (usually far
-    /// smaller), so callers on the cost-neutral speed path use this and
-    /// callers that charge actual evaluations use `nearest`.
-    ///
-    /// # Panics
-    /// Panics if `point.len() != dim` or `hint` is out of range.
-    pub fn nearest_from(&self, point: &[f64], hint: usize) -> KdQuery {
-        self.nearest_inner(point, Some(hint))
-    }
-
-    fn nearest_inner(&self, point: &[f64], hint: Option<usize>) -> KdQuery {
         assert_eq!(point.len(), self.dim, "dimension mismatch");
         if self.poisoned || point.iter().any(|x| !x.is_finite()) {
             // Non-finite geometry: answer with the reference scan so the
@@ -228,20 +205,10 @@ impl KdTree {
                 evaluations: self.order.len() as u32,
             };
         }
-        let mut best = match hint {
-            Some(h) => {
-                let row = &self.flat[h * self.dim..(h + 1) * self.dim];
-                KdQuery {
-                    index: h,
-                    dist2: leaf_dist2(point, row),
-                    evaluations: 1,
-                }
-            }
-            None => KdQuery {
-                index: usize::MAX,
-                dist2: f64::INFINITY,
-                evaluations: 0,
-            },
+        let mut best = KdQuery {
+            index: usize::MAX,
+            dist2: f64::INFINITY,
+            evaluations: 0,
         };
         // Iterative descent replicating the recursive traversal exactly:
         // descend the near side, deferring each far child (with its
@@ -446,21 +413,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn seeded_query_matches_unseeded_from_any_hint() {
-        let flat = grid_points(200, 2);
-        let tree = KdTree::build(&flat, 2);
-        for q in 0..40 {
-            let query = [q as f64 * 1.3 - 25.0, (q * 7 % 90) as f64 - 45.0];
-            let plain = tree.nearest(&query);
-            for hint in [0, 1, 57, 199] {
-                let seeded = tree.nearest_from(&query, hint);
-                assert_eq!(seeded.index, plain.index, "hint {hint} query {q}");
-                assert_eq!(seeded.dist2.to_bits(), plain.dist2.to_bits());
-            }
-        }
-    }
-
     proptest! {
         /// The tree is exact: any query returns the linear-scan result.
         #[test]
@@ -507,11 +459,6 @@ mod tests {
                 let (li, ld2) = nearest_center_flat(&q, &pts, dim).unwrap();
                 prop_assert_eq!(kd.index, li);
                 prop_assert_eq!(kd.dist2.to_bits(), ld2.to_bits());
-                // The warm-started query must resolve the same dense
-                // ties identically from any seed.
-                let seeded = tree.nearest_from(&q, (next_u() % k as u64) as usize);
-                prop_assert_eq!(seeded.index, li);
-                prop_assert_eq!(seeded.dist2.to_bits(), ld2.to_bits());
             }
         }
     }

@@ -30,8 +30,6 @@
 //! * [`batch`] — a blocked nearest-center kernel processing tiles of
 //!   points × tiles of centers with cached squared norms, bit-identical
 //!   to the scalar scan.
-//! * [`prune`] — stateless triangle-inequality center pruning from a
-//!   per-job inter-center distance matrix.
 
 #![warn(missing_docs)]
 
@@ -41,16 +39,14 @@ pub mod distance;
 pub mod kdtree;
 pub mod point;
 pub mod projection;
-pub mod prune;
 pub mod regression;
 pub mod stats;
 
-pub use batch::{nearest_centers_batch, nearest_centers_batch_tiled, squared_norms};
+pub use batch::{nearest_centers_batch, squared_norms};
 pub use centroid::CentroidAccumulator;
 pub use distance::{euclidean, nearest_center, nearest_center_flat, squared_euclidean};
 pub use kdtree::{KdQuery, KdTree};
 pub use point::{Dataset, Point};
 pub use projection::{project_onto_segment, SegmentProjector};
-pub use prune::TrianglePruner;
 pub use regression::LinearFit;
 pub use stats::RunningStats;

@@ -39,24 +39,19 @@ fn main() {
     }
 
     println!("\n== nearest-center backend throughput ==");
-    // Same data and cluster, three kernel configurations: the default
-    // blocked batch kernel, the k-d tree index, and triangle pruning.
+    // Same data and cluster, two kernel configurations: the default
+    // blocked batch kernel and the k-d tree index.
     // Points/sec counts every streamed point (passes × n) against wall
     // time, so it measures the assignment fast path the way the
     // `kernels` bench does, but through the whole engine.
     println!("backend          simulated time   wall time   points/sec   k found");
-    for (label, kd, prune) in [
-        ("blocked (default)", false, false),
-        ("kd-index", true, false),
-        ("triangle-pruned", false, true),
-    ] {
+    for (label, kd) in [("blocked (default)", false), ("kd-index", true)] {
         let dfs = Arc::new(Dfs::new(64 * 1024));
         spec.generate_to_dfs(&dfs, "points.txt")
             .expect("write dataset");
         let runner = JobRunner::new(dfs, ClusterConfig::default()).expect("valid cluster");
         let r = MRGMeans::new(runner, GMeansConfig::default())
             .with_kd_index(kd)
-            .with_pruning(prune)
             .run("points.txt")
             .expect("run succeeds");
         println!(
