@@ -27,17 +27,42 @@
 
 use crate::error::{Error, Result};
 
+/// The salt of every independent draw the plans make, in one table so
+/// no two dimensions share a draw stream by accident. `Placement` is
+/// shared on purpose: [`FaultPlan::place_attempt`] and
+/// [`FaultPlan::place_attempt_preferring`] draw the same node when no
+/// replica holder is preferred.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Salt {
+    Transient = 1,
+    Heap = 2,
+    Straggler = 3,
+    FailedProgress = 4,
+    DriverCrash = 5,
+    NodeCrash = 6,
+    CrashPoint = 7,
+    CompletedBeforeCrash = 8,
+    Placement = 9,
+    ReexecutedPlacement = 10,
+    Revocation = 11,
+    ReplicaCorruption = 12,
+    TornSpill = 13,
+    FetchFlake = 14,
+    BackoffJitter = 15,
+    HeartbeatFalsePositive = 16,
+}
+
 /// One independent uniform draw in `[0, 1)` per
 /// `(seed, job, tag, index, attempt, salt)` coordinate: FNV-1a over the
 /// coordinates, then a SplitMix64 finalizer so near-identical keys
 /// decorrelate. Shared by [`FaultPlan`] and [`MembershipPlan`] — one
 /// hash discipline, disjoint salts.
-fn hash_u01(seed: u64, job: &str, tag: u64, index: usize, attempt: u32, salt: u64) -> f64 {
+fn hash_u01(seed: u64, job: &str, tag: u64, index: usize, attempt: u32, salt: Salt) -> f64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
     for b in job.bytes() {
         h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
     }
-    for word in [tag, index as u64, attempt as u64, salt] {
+    for word in [tag, index as u64, attempt as u64, salt as u64] {
         for b in word.to_le_bytes() {
             h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
         }
@@ -362,9 +387,10 @@ impl FaultPlan {
         self
     }
 
-    /// Validates the plan (called from cluster validation).
-    pub fn validate(&self) -> Result<()> {
-        for (name, p) in [
+    /// The plan's probability knobs by field name: each must lie in
+    /// `[0, 1)`, and any positive one arms the plan.
+    fn probabilities(&self) -> [(&'static str, f64); 9] {
+        [
             ("transient_fail_prob", self.transient_fail_prob),
             ("heap_fail_prob", self.heap_fail_prob),
             ("straggler_prob", self.straggler_prob),
@@ -377,7 +403,12 @@ impl FaultPlan {
                 "heartbeat_false_positive_prob",
                 self.heartbeat_false_positive_prob,
             ),
-        ] {
+        ]
+    }
+
+    /// Validates the plan (called from cluster validation).
+    pub fn validate(&self) -> Result<()> {
+        for (name, p) in self.probabilities() {
             if !(0.0..1.0).contains(&p) {
                 return Err(Error::Config(format!(
                     "fault plan {name} must be in [0, 1), got {p}"
@@ -437,35 +468,34 @@ impl FaultPlan {
     ///
     /// [`none`]: FaultPlan::none
     pub fn is_active(&self) -> bool {
-        self.transient_fail_prob > 0.0
-            || self.heap_fail_prob > 0.0
-            || self.straggler_prob > 0.0
+        self.probabilities().iter().any(|&(_, p)| p > 0.0)
             || self.speculative_execution
             || self.driver_crash_after_jobs.is_some()
-            || self.driver_crash_prob > 0.0
-            || self.node_crash_prob > 0.0
             || self.scheduled_node_crashes.iter().any(Option::is_some)
-            || self.dfs_corruption_prob > 0.0
-            || self.torn_spill_prob > 0.0
-            || self.fetch_flake_prob > 0.0
-            || self.heartbeat_false_positive_prob > 0.0
     }
 
     /// One independent uniform draw in `[0, 1)` per
     /// `(job, kind, index, attempt, salt)` coordinate.
-    fn u01(&self, job: &str, kind: TaskKind, index: usize, attempt: u32, salt: u64) -> f64 {
+    fn u01(&self, job: &str, kind: TaskKind, index: usize, attempt: u32, salt: Salt) -> f64 {
         hash_u01(self.seed, job, kind.tag(), index, attempt, salt)
+    }
+
+    /// One draw keyed off a cluster-level coordinate — the driver, a
+    /// node, a DFS block — rather than a task attempt.
+    fn cluster_u01(&self, key: &str, index: usize, sub: u32, salt: Salt) -> f64 {
+        self.u01(key, TaskKind::Driver, index, sub, salt)
     }
 
     /// The plan's verdict for one attempt. Transient faults are checked
     /// before heap faults; the two draws are independent.
     pub fn decide(&self, job: &str, kind: TaskKind, index: usize, attempt: u32) -> FaultDecision {
         if self.transient_fail_prob > 0.0
-            && self.u01(job, kind, index, attempt, 1) < self.transient_fail_prob
+            && self.u01(job, kind, index, attempt, Salt::Transient) < self.transient_fail_prob
         {
             return FaultDecision::FailTransient;
         }
-        if self.heap_fail_prob > 0.0 && self.u01(job, kind, index, attempt, 2) < self.heap_fail_prob
+        if self.heap_fail_prob > 0.0
+            && self.u01(job, kind, index, attempt, Salt::Heap) < self.heap_fail_prob
         {
             return FaultDecision::FailHeap;
         }
@@ -481,7 +511,8 @@ impl FaultPlan {
         index: usize,
         attempt: u32,
     ) -> f64 {
-        if self.straggler_prob > 0.0 && self.u01(job, kind, index, attempt, 3) < self.straggler_prob
+        if self.straggler_prob > 0.0
+            && self.u01(job, kind, index, attempt, Salt::Straggler) < self.straggler_prob
         {
             self.straggler_factor
         } else {
@@ -499,7 +530,7 @@ impl FaultPlan {
         index: usize,
         attempt: u32,
     ) -> f64 {
-        0.25 + 0.75 * self.u01(job, kind, index, attempt, 4)
+        0.25 + 0.75 * self.u01(job, kind, index, attempt, Salt::FailedProgress)
     }
 
     /// Whether the driver dies at job boundary `boundary` (the 1-based
@@ -512,7 +543,7 @@ impl FaultPlan {
             return true;
         }
         self.driver_crash_prob > 0.0
-            && self.u01("driver", TaskKind::Driver, boundary as usize, 0, 5)
+            && self.cluster_u01("driver", boundary as usize, 0, Salt::DriverCrash)
                 < self.driver_crash_prob
     }
 
@@ -532,7 +563,7 @@ impl FaultPlan {
             return true;
         }
         self.node_crash_prob > 0.0
-            && self.u01("node", TaskKind::Driver, node, epoch as u32, 6) < self.node_crash_prob
+            && self.cluster_u01("node", node, epoch as u32, Salt::NodeCrash) < self.node_crash_prob
     }
 
     /// When during the map phase the crash strikes, as a fraction of
@@ -540,7 +571,7 @@ impl FaultPlan {
     /// point — those that finish earlier produce (doomed) output, the
     /// rest are killed in flight.
     pub fn node_crash_point(&self, epoch: u64, node: usize) -> f64 {
-        0.2 + 0.6 * self.u01("node", TaskKind::Driver, node, epoch as u32, 7)
+        0.2 + 0.6 * self.cluster_u01("node", node, epoch as u32, Salt::CrashPoint)
     }
 
     /// Whether this attempt, placed on a node that crashes during the
@@ -555,7 +586,8 @@ impl FaultPlan {
         epoch: u64,
         node: usize,
     ) -> bool {
-        self.u01(job, kind, index, attempt, 8) < self.node_crash_point(epoch, node)
+        self.u01(job, kind, index, attempt, Salt::CompletedBeforeCrash)
+            < self.node_crash_point(epoch, node)
     }
 
     /// Deterministic task→node placement: which node of `domain` this
@@ -576,7 +608,7 @@ impl FaultPlan {
         attempt: u32,
     ) -> usize {
         assert!(!domain.is_empty(), "no live node to place an attempt on");
-        let draw = self.u01(job, kind, index, attempt, 9);
+        let draw = self.u01(job, kind, index, attempt, Salt::Placement);
         domain[((draw * domain.len() as f64) as usize).min(domain.len() - 1)]
     }
 
@@ -608,7 +640,7 @@ impl FaultPlan {
             .filter(|n| preferred.contains(n))
             .collect();
         let pool = if local.is_empty() { domain } else { &local[..] };
-        let draw = self.u01(job, kind, index, attempt, 9);
+        let draw = self.u01(job, kind, index, attempt, Salt::Placement);
         let node = pool[((draw * pool.len() as f64) as usize).min(pool.len() - 1)];
         (node, preferred.contains(&node))
     }
@@ -634,7 +666,7 @@ impl FaultPlan {
             .filter(|n| preferred.contains(n))
             .collect();
         let pool = if local.is_empty() { domain } else { &local[..] };
-        let draw = self.u01(job, TaskKind::Map, index, 0, 10);
+        let draw = self.u01(job, TaskKind::Map, index, 0, Salt::ReexecutedPlacement);
         let node = pool[((draw * pool.len() as f64) as usize).min(pool.len() - 1)];
         (node, preferred.contains(&node))
     }
@@ -645,7 +677,8 @@ impl FaultPlan {
     /// elsewhere.
     pub fn dfs_replica_corrupt(&self, path: &str, block: usize, node: usize) -> bool {
         self.dfs_corruption_prob > 0.0
-            && self.u01(path, TaskKind::Driver, block, node as u32, 12) < self.dfs_corruption_prob
+            && self.cluster_u01(path, block, node as u32, Salt::ReplicaCorruption)
+                < self.dfs_corruption_prob
     }
 
     /// Whether the `spill_seq`-th spill this attempt writes lands torn
@@ -666,7 +699,7 @@ impl FaultPlan {
                 kind.tag() ^ spill_seq.wrapping_mul(0x9E37_79B9),
                 index,
                 attempt,
-                13,
+                Salt::TornSpill,
             ) < self.torn_spill_prob
     }
 
@@ -688,7 +721,7 @@ impl FaultPlan {
                 TaskKind::Reduce.tag() ^ (map_index as u64).wrapping_mul(0x9E37_79B9),
                 reduce_index,
                 try_no,
-                14,
+                Salt::FetchFlake,
             ) < self.fetch_flake_prob
     }
 
@@ -708,7 +741,7 @@ impl FaultPlan {
             TaskKind::Reduce.tag() ^ (map_index as u64).wrapping_mul(0x9E37_79B9),
             reduce_index,
             try_no,
-            15,
+            Salt::BackoffJitter,
         );
         crate::cost::fetch_backoff_secs(self.fetch_backoff_base_secs, try_no, jitter)
     }
@@ -725,7 +758,8 @@ impl FaultPlan {
         attempt: u32,
     ) -> bool {
         self.heartbeat_false_positive_prob > 0.0
-            && self.u01(job, kind, index, attempt, 16) < self.heartbeat_false_positive_prob
+            && self.u01(job, kind, index, attempt, Salt::HeartbeatFalsePositive)
+                < self.heartbeat_false_positive_prob
     }
 }
 
@@ -992,7 +1026,7 @@ impl MembershipPlan {
                 TaskKind::Driver.tag(),
                 node,
                 epoch as u32,
-                11,
+                Salt::Revocation,
             ) < self.revocation_fraction
     }
 }
@@ -1369,6 +1403,56 @@ mod tests {
             .validate()
             .is_err());
         assert!(FaultPlan::hadoop_defaults(0).validate().is_ok());
+    }
+
+    #[test]
+    fn salts_keep_sixteen_distinct_values() {
+        use Salt::*;
+        let salts = [
+            Transient,
+            Heap,
+            Straggler,
+            FailedProgress,
+            DriverCrash,
+            NodeCrash,
+            CrashPoint,
+            CompletedBeforeCrash,
+            Placement,
+            ReexecutedPlacement,
+            Revocation,
+            ReplicaCorruption,
+            TornSpill,
+            FetchFlake,
+            BackoffJitter,
+            HeartbeatFalsePositive,
+        ];
+        let mut values: Vec<u64> = salts.iter().map(|&s| s as u64).collect();
+        values.sort_unstable();
+        values.dedup();
+        // Distinct, and the literals every committed draw was made with.
+        assert_eq!(values, (1..=16).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn every_probability_knob_arms_the_plan_and_is_validated_by_name() {
+        // One `with_*` setter per knob, in the order of the shared list.
+        let knobs: [fn(FaultPlan, f64) -> FaultPlan; 9] = [
+            FaultPlan::with_transient_failures,
+            FaultPlan::with_heap_failures,
+            |plan, p| plan.with_stragglers(p, 2.0),
+            FaultPlan::with_driver_crashes,
+            FaultPlan::with_node_crashes,
+            FaultPlan::with_dfs_corruption,
+            FaultPlan::with_torn_spills,
+            FaultPlan::with_fetch_flakes,
+            FaultPlan::with_heartbeat_false_positives,
+        ];
+        let names = FaultPlan::none().probabilities().map(|(name, _)| name);
+        for (set, name) in knobs.iter().zip(names) {
+            assert!(set(FaultPlan::none(), 0.1).is_active(), "{name}");
+            let err = set(FaultPlan::none(), 1.0).validate().unwrap_err();
+            assert!(err.to_string().contains(name), "{err}");
+        }
     }
 
     #[test]

@@ -47,9 +47,10 @@ use crate::job::{
     Emitter, Job, JobConfig, LineMapper, MapOutput, Mapper, PointMapper, Reducer, TaskContext,
     Values,
 };
+use crate::memory::HeapLedger;
 use crate::shuffle::{
-    detect_fetch_failures, encode_segment, merge_combine_to_run, merge_to_run, sort_and_combine,
-    CommitFence, MergeIter, Segment, ShuffleSegment,
+    encode_segment, merge_combine_to_run, merge_to_run, sort_and_combine, CommitFence, MergeIter,
+    Segment, ShuffleSegment,
 };
 use crate::spill::{RunWriter, SpillDir, SpillIo};
 use crate::writable::{ShuffleKey, ShuffleValue};
@@ -133,9 +134,10 @@ struct TaskSite<'a> {
     prefer: &'a [usize],
 }
 
-/// Submission-time facts lost-map re-execution keys off: the job's
-/// name (placement hash), reducer count (fetch-failure accounting) and
-/// each input block's replica holders (locality preference).
+/// Submission-time facts lost-map detection and re-execution key off:
+/// the job's name (weather and placement hashes), reducer count
+/// (fetches per map output) and each input block's replica holders
+/// (locality preference).
 struct JobSite<'a> {
     name: &'a str,
     num_reduce_tasks: usize,
@@ -164,8 +166,9 @@ struct MapSpill {
     /// Per-partition spilled runs, in spill order.
     runs: Vec<Vec<ShuffleSegment>>,
     io: SpillIo,
-    /// Raw bytes written to spill and intermediate-merge runs (final
-    /// output runs are shuffle bytes, not spill bytes).
+    /// Raw bytes written to spill runs ([`premerge`] counts its
+    /// intermediate runs; final output runs are shuffle bytes, not
+    /// spill bytes).
     spill_bytes: u64,
     spills: u64,
     /// Sort-buffer bytes currently charged to the task's heap ledger.
@@ -277,9 +280,10 @@ impl MapSpill {
     }
 
     /// Ends a spilled map attempt: folds the still-buffered tail in as
-    /// a memory source (Hadoop's final in-memory spill), runs the
-    /// bounded-fan-in multi-pass merge per partition, and streams each
-    /// partition once through the combiner into its final output run.
+    /// a memory source (Hadoop's final in-memory spill), pre-merges each
+    /// partition down to the fan-in bound ([`premerge`]), and streams
+    /// each partition once through the combiner into its final output
+    /// run.
     ///
     /// Returns the final per-partition segments, the serialized output
     /// size (the `shuffle_bytes` contribution) and the attempt's spill
@@ -308,26 +312,14 @@ impl MapSpill {
                 segments.push(ShuffleSegment::Mem(Segment::default()));
                 continue;
             }
-            while sources.len() > self.cfg.merge_fan_in {
-                // Merge the *oldest* runs first and put the result
-                // back at the front: nested merges of consecutive
-                // sources preserve the flat merge's tie-break order.
-                let batch: Vec<ShuffleSegment> = sources.drain(..self.cfg.merge_fan_in).collect();
-                let resident: u64 = batch.iter().map(ShuffleSegment::merge_resident_bytes).sum();
-                ctx.heap.charge(resident)?;
-                let merged = merge_to_run::<J::Key, J::Value>(&self.dir, &self.cfg, batch);
-                ctx.heap.release(resident);
-                let (run, io) = merged?;
-                counters.inc(Counter::ShuffleMergePasses);
-                self.spill_bytes += run.raw_len();
-                self.io.absorb(&io);
-                sources.insert(0, ShuffleSegment::Disk(Arc::new(run)));
-            }
-            let resident: u64 = sources
-                .iter()
-                .map(ShuffleSegment::merge_resident_bytes)
-                .sum();
-            ctx.heap.charge(resident)?;
+            let resident = premerge::<J::Key, J::Value>(
+                &self.dir,
+                &self.cfg,
+                &mut sources,
+                &ctx.heap,
+                counters,
+                &mut self.io,
+            )?;
             let combined = merge_combine_to_run(job, &self.dir, &self.cfg, sources, counters);
             ctx.heap.release(resident);
             let (run, io) = combined?;
@@ -342,6 +334,42 @@ impl MapSpill {
         counters.add(Counter::BytesDecompressed, self.io.decompressed_raw);
         Ok((segments, shuffle_out, self.io))
     }
+}
+
+/// Bounds a merge's fan-in, on the map and the reduce side alike: while
+/// more than `merge_fan_in` sources remain, merges the *oldest*
+/// `merge_fan_in` raw into a disk run that re-enters at the front —
+/// nested merges of consecutive sources preserve the flat merge's
+/// tie-break order. Each pass's resident block bytes are charged to
+/// `heap` around the pass; the pass counts one merge pass, its run's
+/// spill bytes, and its I/O into `io`. Then charges the final merge's
+/// resident bytes and returns them, for the caller to release once the
+/// final merge is done.
+fn premerge<K: ShuffleKey, V: ShuffleValue>(
+    dir: &SpillDir,
+    cfg: &OutOfCoreConfig,
+    sources: &mut Vec<ShuffleSegment>,
+    heap: &HeapLedger,
+    counters: &Counters,
+    io: &mut SpillIo,
+) -> Result<u64> {
+    let resident =
+        |s: &[ShuffleSegment]| -> u64 { s.iter().map(ShuffleSegment::merge_resident_bytes).sum() };
+    while sources.len() > cfg.merge_fan_in {
+        let batch: Vec<ShuffleSegment> = sources.drain(..cfg.merge_fan_in).collect();
+        let charge = resident(&batch);
+        heap.charge(charge)?;
+        let merged = merge_to_run::<K, V>(dir, cfg, batch);
+        heap.release(charge);
+        let (run, pass_io) = merged?;
+        counters.inc(Counter::ShuffleMergePasses);
+        counters.add(Counter::ShuffleSpillBytes, run.raw_len());
+        io.absorb(&pass_io);
+        sources.insert(0, ShuffleSegment::Disk(Arc::new(run)));
+    }
+    let charge = resident(sources);
+    heap.charge(charge)?;
+    Ok(charge)
 }
 
 /// The split one point map task reads.
@@ -645,6 +673,121 @@ impl NodeView {
     }
 }
 
+/// What becomes of one task attempt, in Hadoop's attempt taxonomy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fate {
+    /// An injected transient (`heap: false`) or heap fault kills the
+    /// attempt before it does any work. The only fate that consumes
+    /// [`FaultPlan::max_attempts`].
+    Failed { heap: bool },
+    /// The attempt's node crashed before the attempt finished. KILLED,
+    /// not FAILED: the task did nothing wrong.
+    Killed,
+    /// A heartbeat false positive declared the live attempt dead: it
+    /// runs on as a zombie whose commit the task's fence rejects.
+    Fenced,
+    /// The attempt executes the task body.
+    Run,
+}
+
+/// Decides the fate of attempt `attempt` of `site`'s task, placed on
+/// `node`, after `zombies` earlier attempts of the task were fenced: a
+/// pure function of the plan's draws and the node view. Also returns
+/// whether an injected heap fault was absorbed by a forced spill (only
+/// with spilling enabled) — the attempt then meets the rest of its fate
+/// with a clamped sort buffer, no attempt burned.
+fn attempt_fate(
+    plan: &FaultPlan,
+    spill_enabled: bool,
+    nodes: &NodeView,
+    site: &TaskSite<'_>,
+    attempt: u32,
+    node: usize,
+    zombies: u32,
+) -> (Fate, bool) {
+    let TaskSite {
+        job, kind, index, ..
+    } = *site;
+    let forced_spill = match plan.decide(job, kind, index, attempt) {
+        FaultDecision::FailTransient => return (Fate::Failed { heap: false }, false),
+        FaultDecision::FailHeap if !spill_enabled => return (Fate::Failed { heap: true }, false),
+        FaultDecision::FailHeap => true,
+        FaultDecision::Run => false,
+    };
+    // An attempt on a node that dies mid-job either finishes before the
+    // crash point (its output is computed, stranded on the dead node,
+    // and re-executed after the map phase) or is killed in flight. Its
+    // replacement goes to a survivor, so at most one kill strikes a
+    // task per epoch.
+    let fate = if nodes.status.crashed.contains(&node)
+        && !plan.attempt_completed_before_crash(job, kind, index, attempt, nodes.epoch, node)
+    {
+        Fate::Killed
+    } else if zombies < MAX_ZOMBIES_PER_TASK
+        && plan.heartbeat_false_positive(job, kind, index, attempt)
+    {
+        Fate::Fenced
+    } else {
+        Fate::Run
+    };
+    (fate, forced_spill)
+}
+
+/// The locality counter a map attempt charges.
+fn locality(node_local: bool) -> Counter {
+    if node_local {
+        Counter::MapsNodeLocal
+    } else {
+        Counter::MapsRemote
+    }
+}
+
+/// Runs `task(i)` for every `i` in `0..n` on up to `threads` scoped
+/// worker threads standing in for a phase's task slots, and returns the
+/// outputs in index order. Workers claim indices in ascending order and
+/// stop claiming after the first failure; every lower index was claimed
+/// earlier and still finishes, so the lowest-index error is returned,
+/// whatever the thread timing.
+fn run_tasks<T: Send>(
+    threads: usize,
+    n: usize,
+    task: impl Fn(usize) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let results: Mutex<Vec<Option<Result<T>>>> = Mutex::new((0..n).map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(n) {
+            scope.spawn(|| {
+                while !failed.load(Ordering::Relaxed) {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let r = task(i);
+                    if r.is_err() {
+                        failed.store(true, Ordering::Relaxed);
+                    }
+                    results.lock()[i] = Some(r);
+                }
+            });
+        }
+    });
+    let mut out = Vec::with_capacity(n);
+    for r in results.into_inner().into_iter().flatten() {
+        out.push(r?);
+    }
+    if out.len() < n {
+        // Skipped with no stored error: impossible unless a failure
+        // went unrecorded.
+        return Err(Error::Task(format!(
+            "{} of {n} tasks did not run",
+            n - out.len()
+        )));
+    }
+    Ok(out)
+}
+
 impl JobRunner {
     /// Creates a runner; validates the cluster configuration and
     /// attaches the cluster's node topology to the DFS so blocks get
@@ -780,19 +923,22 @@ impl JobRunner {
     /// cluster's fault plan.
     ///
     /// Each attempt is placed on a node of `nodes`' placement domain —
-    /// preferring the nodes in `prefer` (the DFS replica holders of a
-    /// map task's input block; empty for reduces) when one is in the
-    /// domain — then either killed by the plan before doing any work
-    /// (injected
-    /// transient/heap faults), killed in flight by its node crashing
-    /// (detected only after a heartbeat timeout), or executed via
-    /// `body`. A failed attempt — injected or genuine — burns simulated
-    /// slot time; `body` runs against a private counter bank that is
-    /// merged into the job's only on success, so failed attempts leave
-    /// no counter residue (Hadoop likewise discards failed-attempt
-    /// counters). When the budget is exhausted the last genuine or
-    /// injected-heap error surfaces; a purely transient exhaustion
-    /// surfaces as [`Error::AttemptsExhausted`].
+    /// preferring the nodes in `site.prefer` (the DFS replica holders of
+    /// a map task's input block; empty for reduces) when one is in the
+    /// domain — and meets the fate [`attempt_fate`] decides. A FAILED,
+    /// KILLED or FENCED attempt burns simulated slot time and hands the
+    /// task's commit fence to its successor; a RUN attempt executes
+    /// `body` against a private counter bank that is merged into the
+    /// job's only when the attempt commits, so failed attempts leave no
+    /// counter residue (Hadoop likewise discards failed-attempt
+    /// counters). A genuine error from `body` is FAILED too.
+    ///
+    /// Only FAILED attempts consume `max_attempts`. When the budget is
+    /// exhausted the last failure decides the error: the genuine task
+    /// error, [`Error::HeapSpace`] for an injected heap fault, or
+    /// [`Error::AttemptsExhausted`] for an injected transient — so a
+    /// heap fault followed by a transient one surfaces
+    /// `AttemptsExhausted`.
     fn run_attempts<T>(
         &self,
         nodes: &NodeView,
@@ -801,191 +947,124 @@ impl JobRunner {
         mut body: impl FnMut(u32, bool, &Arc<Counters>) -> Result<(T, TaskCost)>,
     ) -> Result<(T, TaskTiming)> {
         let TaskSite {
-            job: job_name,
+            job,
             kind,
             index,
             prefer,
         } = *site;
         let plan = &self.cluster.faults;
         let model = &self.cluster.cost_model;
+        let spill = self.cluster.out_of_core.spill_enabled;
         let max = plan.max_attempts.max(1);
+        // Setup charges of genuine failures, known when they surface.
         let mut failed: Vec<f64> = Vec::new();
-        // Failed attempts whose slot time is only computable once a
-        // successful attempt reveals the task's base duration: the
-        // progress fraction the attempt reached, plus any detection
-        // latency (a heartbeat timeout for node-crash kills).
-        let mut pending_progress: Vec<(f64, f64)> = Vec::new();
+        // The other non-committing attempts, whose slot time is only
+        // computable once the winner reveals the task's base duration:
+        // the progress fraction the attempt reached, plus any detection
+        // latency (a heartbeat timeout for kills and zombies).
+        let mut pending: Vec<(f64, f64)> = Vec::new();
         let mut last_err: Option<Error> = None;
-        let mut attempt: u32 = 0;
-        let mut failures: u32 = 0;
+        let (mut attempt, mut failures, mut zombies) = (0u32, 0u32, 0u32);
         // The task's commit fence: every replacement the JobTracker
         // schedules is granted the token, so whichever attempt holds it
         // at commit time is the one whose output becomes visible.
         let fence = CommitFence::new();
-        let mut zombies: u32 = 0;
         while failures < max {
-            let mut forced_spill = false;
             counters.inc(Counter::AttemptsLaunched);
             let (node, node_local) = plan.place_attempt_preferring(
                 nodes.domain(kind, attempt),
                 prefer,
-                job_name,
+                job,
                 kind,
                 index,
                 attempt,
             );
-            match plan.decide(job_name, kind, index, attempt) {
-                FaultDecision::FailTransient => {
+            let (fate, forced_spill) =
+                attempt_fate(plan, spill, nodes, site, attempt, node, zombies);
+            if forced_spill {
+                counters.inc(Counter::HeapSpillRescues);
+            }
+            let progress = plan.failed_attempt_progress(job, kind, index, attempt);
+            let burned = match fate {
+                Fate::Failed { heap } => {
                     counters.inc(Counter::AttemptsFailed);
-                    pending_progress.push((
-                        plan.failed_attempt_progress(job_name, kind, index, attempt),
-                        0.0,
-                    ));
-                    fence.grant(attempt + 1);
-                    last_err = None;
-                    attempt += 1;
                     failures += 1;
-                    continue;
-                }
-                FaultDecision::FailHeap if self.cluster.out_of_core.spill_enabled => {
-                    // With spilling enabled a heap fault degrades the
-                    // attempt instead of killing it: the sort buffer is
-                    // clamped and the task spills its way through — no
-                    // burned attempt, just more disk traffic.
-                    counters.inc(Counter::HeapSpillRescues);
-                    forced_spill = true;
-                }
-                FaultDecision::FailHeap => {
-                    counters.inc(Counter::AttemptsFailed);
-                    pending_progress.push((
-                        plan.failed_attempt_progress(job_name, kind, index, attempt),
-                        0.0,
-                    ));
-                    last_err = Some(Error::HeapSpace {
+                    last_err = heap.then(|| Error::HeapSpace {
                         task: format!("{}-{index}", kind.label()),
                         attempted: self.cluster.heap_per_task.saturating_add(1),
                         limit: self.cluster.heap_per_task,
                     });
+                    Some((progress, 0.0))
+                }
+                Fate::Killed => {
+                    counters.inc(Counter::AttemptsKilled);
+                    Some((progress, model.heartbeat_timeout_secs))
+                }
+                // The zombie finishes its (deterministic, bit-identical)
+                // work, holding its slot for the full task, and tries to
+                // commit after its duplicate — started once the missed
+                // heartbeats were (falsely) confirmed dead — was granted
+                // the fence.
+                Fate::Fenced => {
+                    zombies += 1;
+                    counters.inc(Counter::AttemptsFenced);
                     fence.grant(attempt + 1);
-                    attempt += 1;
-                    failures += 1;
-                    continue;
-                }
-                FaultDecision::Run => {}
-            }
-            // An attempt placed on a node that dies mid-job either
-            // finishes before the crash point (its output is computed,
-            // stranded on the dead node, and invalidated at
-            // shuffle-fetch time) or is killed in flight — noticed only
-            // when the node misses its heartbeat. A node-loss kill is
-            // KILLED, not FAILED, in Hadoop's taxonomy: it does not
-            // count against the task's failure budget (the task did
-            // nothing wrong), and its replacement goes to a survivor,
-            // so at most one kill can strike a task per epoch.
-            if nodes.status.crashed.contains(&node)
-                && !plan.attempt_completed_before_crash(
-                    job_name,
-                    kind,
-                    index,
-                    attempt,
-                    nodes.epoch,
-                    node,
-                )
-            {
-                counters.inc(Counter::AttemptsKilled);
-                pending_progress.push((
-                    plan.failed_attempt_progress(job_name, kind, index, attempt),
-                    model.heartbeat_timeout_secs,
-                ));
-                fence.grant(attempt + 1);
-                last_err = None;
-                attempt += 1;
-                continue;
-            }
-            // A heartbeat false positive declares a *live* attempt dead:
-            // the JobTracker schedules a duplicate and re-grants the
-            // task's commit fence to it while the original keeps running
-            // as a zombie. The zombie finishes its (deterministic,
-            // bit-identical) work and tries to commit — the fence
-            // rejects it, so exactly one attempt's output is ever
-            // visible. Like a node-loss kill this is KILLED, not FAILED:
-            // the task did nothing wrong and its retry budget is
-            // untouched.
-            if zombies < MAX_ZOMBIES_PER_TASK
-                && plan.heartbeat_false_positive(job_name, kind, index, attempt)
-            {
-                zombies += 1;
-                counters.inc(Counter::AttemptsFenced);
-                fence.grant(attempt + 1);
-                if !fence.try_commit(attempt) {
-                    counters.inc(Counter::ZombieCommitsRejected);
-                }
-                // The zombie held its slot for the full task (progress
-                // 1.0) and the duplicate only started once the missed
-                // heartbeats were (falsely) confirmed dead.
-                pending_progress.push((1.0, model.heartbeat_timeout_secs));
-                last_err = None;
-                attempt += 1;
-                continue;
-            }
-            let attempt_counters = Arc::new(Counters::new());
-            match body(attempt, forced_spill, &attempt_counters) {
-                Ok((out, cost)) => {
-                    // The winner publishes through the fence. Every kill
-                    // path above re-granted the token to its successor,
-                    // so the attempt that reaches here always holds it —
-                    // but the fence, not the control flow, is the
-                    // authority on visibility.
                     if !fence.try_commit(attempt) {
-                        counters.inc(Counter::AttemptsFenced);
                         counters.inc(Counter::ZombieCommitsRejected);
-                        pending_progress.push((1.0, model.heartbeat_timeout_secs));
-                        last_err = None;
-                        attempt += 1;
-                        continue;
                     }
-                    counters.merge(&attempt_counters);
-                    // Locality is charged for the winning attempt only:
-                    // that is the copy of the work whose input actually
-                    // had to reach its node.
-                    if kind == TaskKind::Map && !prefer.is_empty() {
-                        counters.inc(if node_local {
-                            Counter::MapsNodeLocal
-                        } else {
-                            Counter::MapsRemote
-                        });
-                    }
-                    let base = cost.duration(model);
-                    let slowdown = plan.straggler_multiplier(job_name, kind, index, attempt);
-                    let setup = model.task_setup_secs;
-                    for (p, extra) in pending_progress {
-                        let mut charge = setup + p * (base - setup).max(0.0);
-                        if extra > 0.0 {
-                            charge += extra;
+                    Some((1.0, model.heartbeat_timeout_secs))
+                }
+                Fate::Run => {
+                    let attempt_counters = Arc::new(Counters::new());
+                    match body(attempt, forced_spill, &attempt_counters) {
+                        // The winner publishes through the fence. Every
+                        // attempt before it handed the token on, so the
+                        // attempt that gets here always holds it — but
+                        // the fence, not the control flow, is the
+                        // authority on visibility.
+                        Ok((out, cost)) if fence.try_commit(attempt) => {
+                            counters.merge(&attempt_counters);
+                            // Locality is charged for the winning attempt
+                            // only: that is the copy of the work whose
+                            // input actually had to reach its node.
+                            if kind == TaskKind::Map && !prefer.is_empty() {
+                                counters.inc(locality(node_local));
+                            }
+                            let base = cost.duration(model);
+                            let setup = model.task_setup_secs;
+                            failed.extend(pending.iter().map(|&(p, detection)| {
+                                setup + p * (base - setup).max(0.0) + detection
+                            }));
+                            let slowdown = plan.straggler_multiplier(job, kind, index, attempt);
+                            let timing = TaskTiming {
+                                duration: base * slowdown,
+                                base,
+                                failed,
+                                node,
+                            };
+                            return Ok((out, timing));
                         }
-                        failed.push(charge);
+                        Ok(_) => {
+                            counters.inc(Counter::AttemptsFenced);
+                            counters.inc(Counter::ZombieCommitsRejected);
+                            Some((1.0, model.heartbeat_timeout_secs))
+                        }
+                        Err(e) => {
+                            counters.inc(Counter::AttemptsFailed);
+                            failures += 1;
+                            last_err = Some(e);
+                            // How far a genuine failure got is unknowable
+                            // here; charge its setup so the slot time is
+                            // not free.
+                            failed.push(model.task_setup_secs);
+                            None
+                        }
                     }
-                    return Ok((
-                        out,
-                        TaskTiming {
-                            duration: base * slowdown,
-                            base,
-                            failed,
-                            node,
-                        },
-                    ));
                 }
-                Err(e) => {
-                    counters.inc(Counter::AttemptsFailed);
-                    // How far a genuine failure got is unknowable here;
-                    // charge its setup so the slot time is not free.
-                    failed.push(model.task_setup_secs);
-                    fence.grant(attempt + 1);
-                    last_err = Some(e);
-                    attempt += 1;
-                    failures += 1;
-                }
-            }
+            };
+            pending.extend(burned);
+            fence.grant(attempt + 1);
+            attempt += 1;
         }
         Err(last_err.unwrap_or(Error::AttemptsExhausted {
             task: format!("{}-{index}", kind.label()),
@@ -1053,99 +1132,46 @@ impl JobRunner {
         durations
     }
 
-    /// Detects shuffle-fetch failures — maps whose winning attempt ran
-    /// on a node that crashed this epoch — and re-executes each lost
-    /// map via `rerun`, replacing its stranded segments.
+    /// Finds the map outputs the reducers cannot fetch, in re-execution
+    /// order, given the node each map's winning attempt ran on:
     ///
-    /// Re-execution is deterministic: the same split through the same
-    /// mapper yields bit-identical segments, so job *output* never
-    /// changes — only the schedule. The re-run's counters are charged
-    /// to a scratch bank and discarded (the original, stranded attempt
-    /// already charged the job), keeping counter totals fault-invariant.
-    /// Returns the re-run durations: a heartbeat timeout to notice the
-    /// dead node plus the map's healthy-node time, packed as an extra
-    /// wave on the survivors' map slots by [`JobRunner::compute_timing`].
-    fn reexecute_lost_maps(
+    /// 1. outputs stranded on a node that crashed this epoch — in
+    ///    Hadoop every reducer independently fails to fetch them and the
+    ///    JobTracker notices after a heartbeat timeout;
+    /// 2. outputs whose fetch burned its retry budget under the plan's
+    ///    network weather — no detection delay, the burned backoff *is*
+    ///    the detection time, already charged to the reducers.
+    ///
+    /// The weather: every `(map output, reduce task)` fetch draws
+    /// per-try flake decisions (salt 14). Each flaked try counts one
+    /// `fetch_retries` and adds an exponential-backoff wait (salt-15
+    /// jitter, summed into `fetch_backoff_secs`) to the fetching
+    /// reducer's delay, so the wave scheduler, and any multi-tenant
+    /// arbitration consuming the resulting [`JobTiming`], see the retry
+    /// delays.
+    ///
+    /// Returns each lost output as `(map index, detection delay)` — an
+    /// output both stranded and burned appears twice, as it is
+    /// re-executed twice — and each reduce partition's backoff delay.
+    fn lost_map_outputs(
         &self,
         nodes: &NodeView,
         site: &JobSite<'_>,
-        counters: &Arc<Counters>,
-        map_outputs: &mut [MapTaskOut],
-        mut rerun: impl FnMut(usize, &Arc<Counters>) -> MapTaskResult,
-    ) -> Result<Vec<f64>> {
-        if nodes.status.crashed.is_empty() || map_outputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let model = &self.cluster.cost_model;
+        winners: &[usize],
+        counters: &Counters,
+    ) -> (Vec<(usize, f64)>, Vec<f64>) {
         let plan = &self.cluster.faults;
-        let winner_nodes: Vec<usize> = map_outputs.iter().map(|m| m.timing.node).collect();
-        let lost = detect_fetch_failures(
-            &winner_nodes,
-            &nodes.status.crashed,
-            site.num_reduce_tasks,
-            counters,
-        );
-        let mut durations = Vec::with_capacity(lost.len());
-        for i in lost {
-            counters.inc(Counter::MapsReexecuted);
-            counters.inc(Counter::AttemptsLaunched);
-            // Re-executed maps go to survivors, preferring the block's
-            // surviving replica holders (the crashed holder has been
-            // stripped out by the domain intersection).
-            let prefer = site.replicas.get(i).map(Vec::as_slice).unwrap_or(&[]);
-            let (node, node_local) =
-                plan.place_reexecuted_map(&nodes.survivors, prefer, site.name, i);
-            if !prefer.is_empty() {
-                counters.inc(if node_local {
-                    Counter::MapsNodeLocal
-                } else {
-                    Counter::MapsRemote
-                });
-            }
-            let scratch = Arc::new(Counters::new());
-            let (segments, cost) = rerun(i, &scratch)?;
-            map_outputs[i].segments = segments;
-            map_outputs[i].timing.node = node;
-            durations.push(model.heartbeat_timeout_secs + cost.duration(model));
-        }
-        Ok(durations)
-    }
-
-    /// Applies the plan's network weather to the shuffle: every
-    /// `(map output, reduce task)` fetch draws per-try flake decisions
-    /// (salt 14). Each flaked try charges one `fetch_retries` and an
-    /// exponential-backoff wait (salt-15 jitter) that is added to the
-    /// fetching reducer's simulated duration — so the wave scheduler,
-    /// and any multi-tenant arbitration consuming the resulting
-    /// [`JobTiming`], see the retry delays. A fetch that burns its
-    /// whole retry budget declares the map output lost and escalates to
-    /// the stranded-output re-execution path, with the same accounting
-    /// as a crashed output holder.
-    ///
-    /// Pure plan arithmetic plus deterministic re-execution, evaluated
-    /// single-threaded in the driver: answers and logical counters stay
-    /// bit-identical; only the simulated clock and the fault counters
-    /// move. Returns the re-execution durations (packed as an extra map
-    /// wave) and the per-reduce-partition backoff delays.
-    fn apply_network_weather(
-        &self,
-        nodes: &NodeView,
-        site: &JobSite<'_>,
-        counters: &Arc<Counters>,
-        map_outputs: &mut [MapTaskOut],
-        mut rerun: impl FnMut(usize, &Arc<Counters>) -> MapTaskResult,
-    ) -> Result<(Vec<f64>, Vec<f64>)> {
-        let plan = &self.cluster.faults;
+        let mut lost: Vec<(usize, f64)> = winners
+            .iter()
+            .enumerate()
+            .filter(|(_, node)| nodes.status.crashed.contains(node))
+            .map(|(m, _)| (m, self.cluster.cost_model.heartbeat_timeout_secs))
+            .collect();
         let mut delays = vec![0.0f64; site.num_reduce_tasks];
-        if plan.fetch_flake_prob <= 0.0 || map_outputs.is_empty() {
-            return Ok((Vec::new(), delays));
-        }
-        let model = &self.cluster.cost_model;
         let budget = plan.fetch_retry_budget.max(1);
         let mut retries: u64 = 0;
         let mut backoff_total = 0.0f64;
-        let mut exhausted: Vec<usize> = Vec::new();
-        for m in 0..map_outputs.len() {
+        for m in 0..winners.len() {
             let mut burned = false;
             for (p, delay) in delays.iter_mut().enumerate() {
                 let mut try_no = 0u32;
@@ -1156,50 +1182,61 @@ impl JobRunner {
                     backoff_total += wait;
                     try_no += 1;
                 }
-                if try_no >= budget {
-                    burned = true;
-                }
+                burned |= try_no >= budget;
             }
             if burned {
-                exhausted.push(m);
+                lost.push((m, 0.0));
             }
         }
         counters.add(Counter::FetchRetries, retries);
         counters.add(Counter::FetchBackoffSecs, backoff_total.round() as u64);
-        if exhausted.is_empty() {
-            return Ok((Vec::new(), delays));
-        }
-        // Budget burned: the JobTracker treats these outputs exactly
-        // like outputs stranded on a crashed node — charged as fetch
-        // failures and re-executed on the survivor domain. No heartbeat
-        // latency here: the burned backoff above *is* the detection
-        // time, already charged to the reducers.
-        counters.add(Counter::MapOutputsLost, exhausted.len() as u64);
-        counters.add(
-            Counter::ShuffleFetchFailures,
-            (exhausted.len() * site.num_reduce_tasks) as u64,
-        );
-        let mut durations = Vec::with_capacity(exhausted.len());
-        for i in exhausted {
+        (lost, delays)
+    }
+
+    /// Re-executes the `lost` map outputs [`JobRunner::lost_map_outputs`]
+    /// found, via `rerun`, on survivors (preferring the block's
+    /// surviving replica holders), replacing each output's segments and
+    /// node. Charges each lost output as one `map_outputs_lost`, one
+    /// `shuffle_fetch_failures` per reduce task, one re-executed map and
+    /// one launched attempt, plus its locality.
+    ///
+    /// Re-execution is deterministic: the same split through the same
+    /// mapper yields bit-identical segments, so job *output* never
+    /// changes — only the schedule. The re-run's counters are charged
+    /// to a throwaway bank and discarded (the original attempt already
+    /// charged the job), keeping counter totals fault-invariant.
+    /// Returns the re-run durations: the detection delay plus the map's
+    /// healthy-node time, packed as an extra wave on the survivors' map
+    /// slots by [`JobRunner::compute_timing`].
+    fn reexecute_maps(
+        &self,
+        nodes: &NodeView,
+        site: &JobSite<'_>,
+        counters: &Arc<Counters>,
+        map_outputs: &mut [MapTaskOut],
+        lost: &[(usize, f64)],
+        mut rerun: impl FnMut(usize, &Arc<Counters>) -> MapTaskResult,
+    ) -> Result<Vec<f64>> {
+        let mut durations = Vec::with_capacity(lost.len());
+        for &(i, detection) in lost {
+            counters.inc(Counter::MapOutputsLost);
+            counters.add(Counter::ShuffleFetchFailures, site.num_reduce_tasks as u64);
             counters.inc(Counter::MapsReexecuted);
             counters.inc(Counter::AttemptsLaunched);
             let prefer = site.replicas.get(i).map(Vec::as_slice).unwrap_or(&[]);
             let (node, node_local) =
-                plan.place_reexecuted_map(&nodes.survivors, prefer, site.name, i);
+                self.cluster
+                    .faults
+                    .place_reexecuted_map(&nodes.survivors, prefer, site.name, i);
             if !prefer.is_empty() {
-                counters.inc(if node_local {
-                    Counter::MapsNodeLocal
-                } else {
-                    Counter::MapsRemote
-                });
+                counters.inc(locality(node_local));
             }
-            let scratch = Arc::new(Counters::new());
-            let (segments, cost) = rerun(i, &scratch)?;
+            let (segments, cost) = rerun(i, &Arc::new(Counters::new()))?;
             map_outputs[i].segments = segments;
             map_outputs[i].timing.node = node;
-            durations.push(cost.duration(model));
+            durations.push(detection + cost.duration(&self.cluster.cost_model));
         }
-        Ok((durations, delays))
+        Ok(durations)
     }
 
     /// Computes the job's timing on the cluster's *live* capacity, then
@@ -1321,9 +1358,9 @@ impl JobRunner {
 
     /// The job body every input source shares: node weather, the map
     /// phase over `tasks` splits (`map_task(i, attempt)` runs one
-    /// attempt over split `i`), lost-map re-execution, network weather,
-    /// the reduce phase and the simulated timing. `input` is the DFS
-    /// file whose block placement keys locality.
+    /// attempt over split `i`), lost-map re-execution, the reduce phase
+    /// and the simulated timing. `input` is the DFS file whose block
+    /// placement keys locality.
     fn run_job<J, T>(
         &self,
         job: &J,
@@ -1347,26 +1384,35 @@ impl JobRunner {
         };
 
         // ---------------- map phase ----------------
-        let mut map_outputs =
-            self.run_map_phase(job, &nodes, tasks, &replicas, &counters, &attempt)?;
+        let live_slots = self.cluster.live_map_slots(nodes.status.live.len());
+        let mut map_outputs = run_tasks(self.cluster.execution_threads(live_slots), tasks, |i| {
+            let site = TaskSite {
+                job: job.name(),
+                kind: TaskKind::Map,
+                index: i,
+                prefer: replicas.get(i).map(Vec::as_slice).unwrap_or(&[]),
+            };
+            let (segments, timing) =
+                self.run_attempts(&nodes, &site, &counters, |a, forced, c| {
+                    attempt(i, a, forced, c)
+                })?;
+            Ok(MapTaskOut { segments, timing })
+        })?;
 
-        // Maps whose winning attempt finished on a node that then
-        // crashed left their output on a dead disk; reducers notice at
-        // fetch time and the maps are re-executed on survivors.
+        // Map outputs the reducers cannot fetch — left on a crashed
+        // node's dead disk, or behind a fetch that burned its retry
+        // budget — are re-executed on survivors; flaked fetches delay
+        // their reducers.
         let site = JobSite {
             name: job.name(),
             num_reduce_tasks: config.num_reduce_tasks,
             replicas: &replicas,
         };
+        let winners: Vec<usize> = map_outputs.iter().map(|m| m.timing.node).collect();
+        let (lost, fetch_delays) = self.lost_map_outputs(&nodes, &site, &winners, &counters);
         let rerun = |i: usize, c: &Arc<Counters>| attempt(i, 0, false, c);
-        let mut reruns =
-            self.reexecute_lost_maps(&nodes, &site, &counters, &mut map_outputs, rerun)?;
-        // Network weather: flaked fetches back off (delaying reducers)
-        // and, once a retry budget burns, escalate to the same
-        // re-execution path.
-        let (weather_reruns, fetch_delays) =
-            self.apply_network_weather(&nodes, &site, &counters, &mut map_outputs, rerun)?;
-        reruns.extend(weather_reruns);
+        let reruns =
+            self.reexecute_maps(&nodes, &site, &counters, &mut map_outputs, &lost, rerun)?;
 
         let (map_durations, partitioned) = self.collect_map_outputs(map_outputs, config, &counters);
 
@@ -1393,87 +1439,6 @@ impl JobRunner {
             counters,
             timing,
         })
-    }
-
-    fn run_map_phase<J, T>(
-        &self,
-        job: &J,
-        nodes: &NodeView,
-        n: usize,
-        replicas: &[Vec<usize>],
-        counters: &Arc<Counters>,
-        map_task: &T,
-    ) -> Result<Vec<MapTaskOut>>
-    where
-        J: Job,
-        T: Fn(usize, u32, bool, &Arc<Counters>) -> MapTaskResult + Sync,
-    {
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let threads = self
-            .cluster
-            .execution_threads(self.cluster.live_map_slots(nodes.status.live.len()))
-            .min(n);
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let results: Mutex<Vec<Option<Result<MapTaskOut>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    if failed.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let prefer = replicas.get(i).map(Vec::as_slice).unwrap_or(&[]);
-                    let r = self
-                        .run_attempts(
-                            nodes,
-                            &TaskSite {
-                                job: job.name(),
-                                kind: TaskKind::Map,
-                                index: i,
-                                prefer,
-                            },
-                            counters,
-                            |attempt, forced, c| map_task(i, attempt, forced, c),
-                        )
-                        .map(|(segments, timing)| MapTaskOut { segments, timing });
-                    if r.is_err() {
-                        failed.store(true, Ordering::Relaxed);
-                    }
-                    results.lock()[i] = Some(r);
-                });
-            }
-        });
-
-        let mut out = Vec::with_capacity(n);
-        for slot in results.into_inner() {
-            match slot {
-                Some(Ok(m)) => out.push(m),
-                Some(Err(e)) => return Err(e),
-                // Skipped after another task failed: only reachable when
-                // some earlier slot holds the error, which the loop
-                // returns first (results are scanned in order) — unless
-                // the failing task has a higher index; scan again below.
-                None => continue,
-            }
-        }
-        if out.len() < n {
-            // A task was skipped without any stored error: impossible
-            // unless a failure happened; find it.
-            return Err(Error::Task(format!(
-                "job {}: {} map task(s) did not run",
-                job.name(),
-                n - out.len()
-            )));
-        }
-        Ok(out)
     }
 
     /// Transposes map outputs into per-partition segment lists and
@@ -1507,104 +1472,57 @@ impl JobRunner {
         fetch_delays: &[f64],
         counters: &Arc<Counters>,
     ) -> Result<(Vec<J::Output>, Vec<f64>)> {
-        let n = partitioned.len();
-        let threads = self
-            .cluster
-            .execution_threads(self.cluster.live_reduce_slots(nodes.survivors.len()))
-            .min(n.max(1));
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
+        let live_slots = self.cluster.live_reduce_slots(nodes.survivors.len());
         let max_attempts = self.cluster.faults.max_attempts.max(1);
         let inputs: Vec<Mutex<Option<Vec<ShuffleSegment>>>> = partitioned
             .into_iter()
             .map(|p| Mutex::new(Some(p)))
             .collect();
-        type ReduceOut<O> = Option<Result<(Vec<O>, TaskTiming)>>;
-        let results: Mutex<Vec<ReduceOut<J::Output>>> = Mutex::new((0..n).map(|_| None).collect());
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    if failed.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let p = next.fetch_add(1, Ordering::Relaxed);
-                    if p >= n {
-                        break;
-                    }
-                    let mut store = inputs[p].lock().take();
-                    let r = self.run_attempts(
-                        nodes,
-                        &TaskSite {
-                            job: job.name(),
-                            kind: TaskKind::Reduce,
-                            index: p,
-                            prefer: &[],
-                        },
-                        counters,
-                        |_attempt, _forced, c| {
-                            // Retries re-read the shuffled segments; keep
-                            // a copy while another attempt may follow.
-                            // Kills (node loss, fencing) advance the
-                            // attempt number without consuming the
-                            // failure budget, so only a budget of one —
-                            // where a single genuine failure ends the
-                            // task — proves this body runs once.
-                            let segments = if max_attempts == 1 {
-                                store.take().expect("segments present for sole attempt")
-                            } else {
-                                store.clone().expect("segments present")
-                            };
-                            self.run_reduce_task(job, p, segments, c)
-                        },
-                    );
-                    // Backoff waits for flaked fetches delay this
-                    // reducer before any attempt can run, whatever node
-                    // it lands on: charge the wait to both the effective
-                    // and the healthy-node duration, so speculation
-                    // never "rescues" a network delay.
-                    let r = r.map(|(out, mut timing)| {
-                        let wait = fetch_delays.get(p).copied().unwrap_or(0.0);
-                        timing.duration += wait;
-                        timing.base += wait;
-                        (out, timing)
-                    });
-                    if r.is_err() {
-                        failed.store(true, Ordering::Relaxed);
-                    }
-                    results.lock()[p] = Some(r);
-                });
-            }
-        });
-
-        let mut outputs = Vec::new();
-        let mut timings = Vec::with_capacity(n);
-        for slot in results.into_inner() {
-            match slot {
-                Some(Ok((out, timing))) => {
-                    timings.push(timing);
-                    outputs.extend(out);
-                }
-                Some(Err(e)) => return Err(e),
-                None => continue,
-            }
-        }
-        if timings.len() < n {
-            return Err(Error::Task(format!(
-                "job {}: {} reduce task(s) did not run",
-                job.name(),
-                n - timings.len()
-            )));
-        }
+        let reduced = run_tasks(
+            self.cluster.execution_threads(live_slots),
+            inputs.len(),
+            |p| {
+                let mut store = inputs[p].lock().take();
+                let site = TaskSite {
+                    job: job.name(),
+                    kind: TaskKind::Reduce,
+                    index: p,
+                    prefer: &[],
+                };
+                let (out, mut timing) = self.run_attempts(nodes, &site, counters, |_, _, c| {
+                    // Retries re-read the shuffled segments; keep a copy
+                    // while another attempt may follow. Kills (node loss,
+                    // fencing) advance the attempt number without consuming
+                    // the failure budget, so only a budget of one — where a
+                    // single genuine failure ends the task — proves this
+                    // body runs once.
+                    let segments = if max_attempts == 1 {
+                        store.take().expect("segments present for sole attempt")
+                    } else {
+                        store.clone().expect("segments present")
+                    };
+                    self.run_reduce_task(job, p, segments, c)
+                })?;
+                // Backoff waits for flaked fetches delay this reducer before
+                // any attempt can run, whatever node it lands on: charge the
+                // wait to both the effective and the healthy-node duration,
+                // so speculation never "rescues" a network delay.
+                timing.duration += fetch_delays[p];
+                timing.base += fetch_delays[p];
+                Ok((out, timing))
+            },
+        )?;
+        let (outputs, timings): (Vec<Vec<J::Output>>, Vec<TaskTiming>) =
+            reduced.into_iter().unzip();
         let durations = self.finalize_phase(timings, counters);
-        Ok((outputs, durations))
+        Ok((outputs.into_iter().flatten().collect(), durations))
     }
 
     fn run_reduce_task<J: Job>(
         &self,
         job: &J,
         partition: usize,
-        sources: Vec<ShuffleSegment>,
+        mut sources: Vec<ShuffleSegment>,
         counters: &Arc<Counters>,
     ) -> Result<(Vec<J::Output>, TaskCost)> {
         let mut ctx = TaskContext::new(
@@ -1618,33 +1536,18 @@ impl JobRunner {
         reducer.setup(&mut ctx)?;
 
         // Out-of-core reduces bound the merge fan-in the same way the
-        // map side does: too many sources get pre-merged into raw
-        // on-disk runs (consecutive batches from the front, results
-        // re-inserted at the front, so the flat tie-break order is
-        // preserved), and the final merge's resident footprint is
-        // charged to the heap ledger.
-        let mut sources = sources;
+        // map side does.
         let mut io = SpillIo::default();
         let mut merge_charged = 0u64;
         if let Some(dir) = self.spill.as_ref() {
-            let cfg = self.cluster.out_of_core;
-            while sources.len() > cfg.merge_fan_in {
-                let batch: Vec<ShuffleSegment> = sources.drain(..cfg.merge_fan_in).collect();
-                let resident: u64 = batch.iter().map(ShuffleSegment::merge_resident_bytes).sum();
-                ctx.heap.charge(resident)?;
-                let merged = merge_to_run::<J::Key, J::Value>(dir, &cfg, batch);
-                ctx.heap.release(resident);
-                let (run, pass_io) = merged?;
-                counters.inc(Counter::ShuffleMergePasses);
-                counters.add(Counter::ShuffleSpillBytes, run.raw_len());
-                io.absorb(&pass_io);
-                sources.insert(0, ShuffleSegment::Disk(Arc::new(run)));
-            }
-            merge_charged = sources
-                .iter()
-                .map(ShuffleSegment::merge_resident_bytes)
-                .sum();
-            ctx.heap.charge(merge_charged)?;
+            merge_charged = premerge::<J::Key, J::Value>(
+                dir,
+                &self.cluster.out_of_core,
+                &mut sources,
+                &ctx.heap,
+                counters,
+                &mut io,
+            )?;
         }
 
         let mut merge: MergeIter<J::Key, J::Value> = MergeIter::from_sources(sources)?;
@@ -1714,9 +1617,7 @@ impl JobRunner {
         }
         reducer.close(&mut out, &mut ctx)?;
         io.absorb(&merge.io());
-        if merge_charged > 0 {
-            ctx.heap.release(merge_charged);
-        }
+        ctx.heap.release(merge_charged);
         if io.compressed_raw > 0 || io.decompressed_raw > 0 {
             counters.add(Counter::BytesCompressed, io.compressed_raw);
             counters.add(Counter::BytesDecompressed, io.decompressed_raw);
@@ -1736,5 +1637,321 @@ impl JobRunner {
                 decompressed_bytes: io.decompressed_raw,
             },
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const JOB: &str = "attempts";
+
+    /// A runner over an empty DFS on a 4-node cluster under `plan`.
+    fn runner(plan: FaultPlan) -> JobRunner {
+        let cluster = ClusterConfig::with_nodes(4).with_faults(plan);
+        JobRunner::new(Arc::new(Dfs::new(1 << 16)), cluster).unwrap()
+    }
+
+    /// The node weather of the runner's first job epoch.
+    fn first_epoch(runner: &JobRunner) -> NodeView {
+        let status = runner.cluster.node_status(1);
+        let survivors = status.survivors();
+        NodeView {
+            epoch: 1,
+            status,
+            survivors,
+        }
+    }
+
+    fn map_site(index: usize) -> TaskSite<'static> {
+        TaskSite {
+            job: JOB,
+            kind: TaskKind::Map,
+            index,
+            prefer: &[],
+        }
+    }
+
+    /// Runs map task `index`'s attempts in the first epoch with a body
+    /// that costs nothing; returns the outcome and how often the body
+    /// ran.
+    fn run_task<T>(
+        runner: &JobRunner,
+        index: usize,
+        counters: &Arc<Counters>,
+        mut body: impl FnMut(u32) -> Result<T>,
+    ) -> (Result<(T, TaskTiming)>, u32) {
+        let mut runs = 0;
+        let r = runner.run_attempts(
+            &first_epoch(runner),
+            &map_site(index),
+            counters,
+            |a, _, _| {
+                runs += 1;
+                body(a).map(|out| (out, TaskCost::default()))
+            },
+        );
+        (r, runs)
+    }
+
+    #[test]
+    fn fate_follows_the_plans_raw_draws() {
+        let plan = FaultPlan::hadoop_defaults(5)
+            .with_transient_failures(0.15)
+            .with_heap_failures(0.2)
+            .with_stragglers(0.2, 3.0)
+            .with_torn_spills(0.1)
+            .with_heartbeat_false_positives(0.3)
+            .with_node_crash(1, 1)
+            .with_node_crash(1, 2);
+        let nodes = first_epoch(&runner(plan));
+        assert_eq!(nodes.status.crashed, vec![1, 2]);
+        let kind = TaskKind::Map;
+        let mut seen: Vec<(Fate, bool)> = Vec::new();
+        for spill in [false, true] {
+            for zombies in [0, MAX_ZOMBIES_PER_TASK - 1, MAX_ZOMBIES_PER_TASK] {
+                for index in 0..30 {
+                    for attempt in 0..4 {
+                        let node =
+                            plan.place_attempt(&nodes.status.live, JOB, kind, index, attempt);
+                        let site = map_site(index);
+                        let fate =
+                            attempt_fate(&plan, spill, &nodes, &site, attempt, node, zombies);
+                        let decision = plan.decide(JOB, kind, index, attempt);
+                        let rescued = spill && decision == FaultDecision::FailHeap;
+                        let killed = nodes.status.crashed.contains(&node)
+                            && !plan
+                                .attempt_completed_before_crash(JOB, kind, index, attempt, 1, node);
+                        let zombie = zombies < MAX_ZOMBIES_PER_TASK
+                            && plan.heartbeat_false_positive(JOB, kind, index, attempt);
+                        let expected = match decision {
+                            FaultDecision::FailTransient => (Fate::Failed { heap: false }, false),
+                            FaultDecision::FailHeap if !spill => {
+                                (Fate::Failed { heap: true }, false)
+                            }
+                            _ if killed => (Fate::Killed, rescued),
+                            _ if zombie => (Fate::Fenced, rescued),
+                            _ => (Fate::Run, rescued),
+                        };
+                        assert_eq!(
+                            fate, expected,
+                            "spill {spill}, zombies {zombies}, task {index}, attempt {attempt}"
+                        );
+                        if !seen.contains(&fate) {
+                            seen.push(fate);
+                        }
+                    }
+                }
+            }
+        }
+        // Every fate occurred, and each of the three a rescued attempt
+        // can meet.
+        assert_eq!(seen.len(), 8, "{seen:?}");
+    }
+
+    #[test]
+    fn a_failing_body_runs_max_attempts_times_and_its_error_surfaces() {
+        let runner = runner(FaultPlan::hadoop_defaults(1));
+        let counters = Arc::new(Counters::new());
+        let boom = Error::Task("boom".into());
+        let (r, runs) = run_task(&runner, 0, &counters, |_| Err::<(), _>(boom.clone()));
+        assert_eq!(r.err(), Some(boom));
+        assert_eq!(runs, 4);
+        assert_eq!(counters.get(Counter::AttemptsFailed), 4);
+        assert_eq!(counters.get(Counter::AttemptsLaunched), 4);
+    }
+
+    #[test]
+    fn a_genuine_error_charges_one_task_setup() {
+        let runner = runner(FaultPlan::hadoop_defaults(1));
+        let counters = Arc::new(Counters::new());
+        let (r, runs) = run_task(&runner, 0, &counters, |attempt| match attempt {
+            0 => Err(Error::Task("once".into())),
+            _ => Ok(()),
+        });
+        let (_, timing) = r.unwrap();
+        assert_eq!(runs, 2);
+        assert_eq!(
+            timing.failed,
+            vec![runner.cluster.cost_model.task_setup_secs]
+        );
+    }
+
+    #[test]
+    fn the_last_failure_decides_the_exhaustion_error() {
+        let plan = FaultPlan::none()
+            .with_max_attempts(2)
+            .with_transient_failures(0.5)
+            .with_heap_failures(0.5);
+        let runner = runner(plan);
+        let task_failing = |first, second| {
+            (0..)
+                .find(|&i| {
+                    plan.decide(JOB, TaskKind::Map, i, 0) == first
+                        && plan.decide(JOB, TaskKind::Map, i, 1) == second
+                })
+                .unwrap()
+        };
+        let counters = Arc::new(Counters::new());
+
+        let i = task_failing(FaultDecision::FailHeap, FaultDecision::FailTransient);
+        let (r, runs) = run_task(&runner, i, &counters, |_| Ok(()));
+        let exhausted = Error::AttemptsExhausted {
+            task: format!("map-{i}"),
+            attempts: 2,
+        };
+        assert_eq!((r.err(), runs), (Some(exhausted), 0));
+
+        let i = task_failing(FaultDecision::FailTransient, FaultDecision::FailHeap);
+        let (r, runs) = run_task(&runner, i, &counters, |_| Ok(()));
+        assert!(matches!(r.err(), Some(Error::HeapSpace { .. })));
+        assert_eq!(runs, 0);
+    }
+
+    #[test]
+    fn kills_and_fences_never_consume_the_budget() {
+        const TASKS: usize = 64;
+        // A deterministic scan for a storm whose first epoch both kills
+        // and fences attempts of the first TASKS tasks, with a node
+        // surviving to take the replacements. The budget is one attempt.
+        let (counters, runs) = (0u64..)
+            .find_map(|seed| {
+                let runner = runner(
+                    FaultPlan::none()
+                        .with_seed(seed)
+                        .with_node_crashes(0.4)
+                        .with_heartbeat_false_positives(0.4),
+                );
+                if first_epoch(&runner).survivors.is_empty() {
+                    return None;
+                }
+                let counters = Arc::new(Counters::new());
+                let mut runs = 0;
+                for index in 0..TASKS {
+                    let (r, n) = run_task(&runner, index, &counters, |_| Ok(()));
+                    assert!(r.is_ok(), "seed {seed}: task {index} did not commit");
+                    runs += n;
+                }
+                let both = counters.get(Counter::AttemptsKilled) > 0
+                    && counters.get(Counter::AttemptsFenced) > 0;
+                both.then_some((counters, runs))
+            })
+            .unwrap();
+        assert_eq!(counters.get(Counter::AttemptsFailed), 0);
+        assert_eq!(runs, TASKS as u32, "the body runs once per committed task");
+        assert_eq!(
+            counters.get(Counter::AttemptsFenced),
+            counters.get(Counter::ZombieCommitsRejected)
+        );
+    }
+
+    #[test]
+    fn run_tasks_returns_the_lowest_index_error_or_outputs_in_order() {
+        for threads in [1, 4] {
+            let r = run_tasks(threads, 8, |i| match i {
+                2 | 5 => Err(Error::Task(format!("task {i}"))),
+                _ => Ok(i),
+            });
+            assert_eq!(r, Err(Error::Task("task 2".into())), "{threads} threads");
+            let r = run_tasks(threads, 8, |i| Ok(i * 10));
+            assert_eq!(r, Ok((0..8).map(|i| i * 10).collect()));
+        }
+        assert_eq!(run_tasks(4, 0, Ok), Ok(Vec::new()));
+    }
+
+    /// Map outputs whose winning attempts ran on `winners`.
+    fn map_outputs(winners: &[usize]) -> Vec<MapTaskOut> {
+        let timing = |node| TaskTiming {
+            duration: 0.0,
+            base: 0.0,
+            failed: Vec::new(),
+            node,
+        };
+        winners
+            .iter()
+            .map(|&node| MapTaskOut {
+                segments: Vec::new(),
+                timing: timing(node),
+            })
+            .collect()
+    }
+
+    /// Runs the first epoch's detection pass over map outputs won on
+    /// `winners` and re-executes what it finds; returns the lost map
+    /// indices.
+    fn lose_maps(
+        plan: FaultPlan,
+        winners: &[usize],
+        reduce_tasks: usize,
+        counters: &Arc<Counters>,
+    ) -> Vec<usize> {
+        let runner = runner(plan);
+        let nodes = first_epoch(&runner);
+        let site = JobSite {
+            name: JOB,
+            num_reduce_tasks: reduce_tasks,
+            replicas: &[],
+        };
+        let (lost, _) = runner.lost_map_outputs(&nodes, &site, winners, counters);
+        let rerun = |_: usize, _: &Arc<Counters>| Ok((Vec::new(), TaskCost::default()));
+        let mut outputs = map_outputs(winners);
+        runner
+            .reexecute_maps(&nodes, &site, counters, &mut outputs, &lost, rerun)
+            .unwrap();
+        lost.iter().map(|&(m, _)| m).collect()
+    }
+
+    #[test]
+    fn fetch_failures_name_lost_maps_and_charge_counters() {
+        let counters = Arc::new(Counters::new());
+        // Maps 0..5 won on nodes 0,2,1,2,0; node 2 crashed.
+        let crash = FaultPlan::none().with_node_crash(1, 2);
+        let lost = lose_maps(crash, &[0, 2, 1, 2, 0], 3, &counters);
+        assert_eq!(lost, vec![1, 3]);
+        assert_eq!(counters.get(Counter::MapOutputsLost), 2);
+        assert_eq!(counters.get(Counter::ShuffleFetchFailures), 6);
+    }
+
+    #[test]
+    fn no_crash_means_no_fetch_failures() {
+        let counters = Arc::new(Counters::new());
+        let lost = lose_maps(FaultPlan::none(), &[0, 1, 2, 3], 4, &counters);
+        assert!(lost.is_empty());
+        assert_eq!(counters.get(Counter::ShuffleFetchFailures), 0);
+    }
+
+    #[test]
+    fn stranded_outputs_precede_burned_fetches() {
+        // One try per fetch: any flake burns the budget.
+        let plan = FaultPlan::none()
+            .with_node_crash(1, 2)
+            .with_fetch_flakes(0.3)
+            .with_fetch_retry_budget(1);
+        let runner = runner(plan);
+        let nodes = first_epoch(&runner);
+        let site = JobSite {
+            name: JOB,
+            num_reduce_tasks: 3,
+            replicas: &[],
+        };
+        let counters = Counters::new();
+        let winners = [0, 2, 1, 2, 0, 3, 1, 0];
+        let (lost, delays) = runner.lost_map_outputs(&nodes, &site, &winners, &counters);
+        let timeout = runner.cluster.cost_model.heartbeat_timeout_secs;
+        assert_eq!(lost[..2], [(1, timeout), (3, timeout)]);
+        let burned: Vec<(usize, f64)> = (0..winners.len())
+            .filter(|&m| (0..3).any(|p| plan.fetch_flakes(JOB, m, p, 0)))
+            .map(|m| (m, 0.0))
+            .collect();
+        assert!(!burned.is_empty());
+        assert_eq!(lost[2..], burned[..]);
+        let waited: f64 = delays.iter().sum();
+        assert!(waited > 0.0);
+        assert_eq!(counters.get(Counter::FetchRetries), {
+            let flakes = (0..winners.len()).flat_map(|m| (0..3).map(move |p| (m, p)));
+            flakes
+                .filter(|&(m, p)| plan.fetch_flakes(JOB, m, p, 0))
+                .count() as u64
+        });
     }
 }

@@ -1462,7 +1462,7 @@ mod tests {
     #[test]
     fn backoff_inflated_reduce_demands_shift_arbitration() {
         // Network weather charges fetch backoff into the executed
-        // job's `reduce_durations` (runtime::apply_network_weather),
+        // job's `reduce_durations` (`JobRunner::lost_map_outputs`),
         // and `JobDemand::from_timing` copies those into the demand —
         // so a tenant whose reduces sat out retry backoff must occupy
         // its reduce slots longer under arbitration than a calm clone

@@ -383,37 +383,6 @@ pub fn merge_combine_to_run<J: Job>(
     Ok((run, io))
 }
 
-/// Reduce-side detection of map outputs stranded on crashed nodes.
-///
-/// In Hadoop a TaskTracker death does not announce itself to the
-/// shuffle: every reduce task independently fails to fetch the dead
-/// node's segments, and the JobTracker re-executes the affected maps
-/// once enough fetch failures accumulate. This helper reproduces the
-/// accounting: given the node each map task's winning attempt ran on
-/// and the set of nodes that crashed mid-job, it returns the indices of
-/// the map tasks whose output is gone (ascending), charging one
-/// `shuffle_fetch_failures` per `(lost map, reduce task)` pair and one
-/// `map_outputs_lost` per lost map.
-pub fn detect_fetch_failures(
-    winner_nodes: &[usize],
-    crashed_nodes: &[usize],
-    reduce_tasks: usize,
-    counters: &Counters,
-) -> Vec<usize> {
-    let lost: Vec<usize> = winner_nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, node)| crashed_nodes.contains(node))
-        .map(|(index, _)| index)
-        .collect();
-    counters.add(Counter::MapOutputsLost, lost.len() as u64);
-    counters.add(
-        Counter::ShuffleFetchFailures,
-        (lost.len() * reduce_tasks) as u64,
-    );
-    lost
-}
-
 /// Bit marking a [`CommitFence`] token as spent by a successful commit.
 const FENCE_COMMITTED: u32 = 1 << 31;
 
@@ -705,24 +674,6 @@ mod tests {
             ev.sort_unstable();
             prop_assert_eq!(mv, ev);
         }
-    }
-
-    #[test]
-    fn fetch_failures_name_lost_maps_and_charge_counters() {
-        let counters = Counters::new();
-        // Maps 0..5 won on nodes 0,2,1,2,0; node 2 crashed.
-        let lost = detect_fetch_failures(&[0, 2, 1, 2, 0], &[2], 3, &counters);
-        assert_eq!(lost, vec![1, 3]);
-        assert_eq!(counters.get(Counter::MapOutputsLost), 2);
-        assert_eq!(counters.get(Counter::ShuffleFetchFailures), 6);
-    }
-
-    #[test]
-    fn no_crash_means_no_fetch_failures() {
-        let counters = Counters::new();
-        let lost = detect_fetch_failures(&[0, 1, 2, 3], &[], 4, &counters);
-        assert!(lost.is_empty());
-        assert_eq!(counters.get(Counter::ShuffleFetchFailures), 0);
     }
 
     #[test]
