@@ -9,6 +9,9 @@
 //! is multiplexed by adding [`OFFSET`] to the id.
 
 use gmr_linalg::{nearest_center_flat, nearest_centers_batch, Dataset, KdTree};
+use gmr_mapreduce::writable::Writable;
+use gmr_mapreduce::{Error, Result};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -177,18 +180,50 @@ impl CenterSet {
     /// Panics on dimension mismatch, duplicate id, or id at/above
     /// [`OFFSET`] (those ids are reserved for the candidate channel).
     pub fn push(&mut self, id: i64, coords: &[f64]) {
-        assert_eq!(coords.len(), self.dim, "dimension mismatch");
-        assert!(
-            (0..OFFSET).contains(&id),
-            "center id {id} outside [0, OFFSET)"
-        );
-        let idx = self.ids.len();
-        let prev = self.by_id.insert(id, idx);
-        assert!(prev.is_none(), "duplicate center id {id}");
+        if let Err(e) = self.insert(id, coords) {
+            panic!("{e}");
+        }
+    }
+
+    /// Builds a set from `(id, coords)` pairs, answering every center
+    /// [`CenterSet::push`] would panic on — and a zero dimension — with
+    /// [`Error::Corrupt`]. Sets built from journaled state go through it.
+    pub(crate) fn try_from_centers<'a>(
+        dim: usize,
+        centers: impl IntoIterator<Item = (i64, &'a [f64])>,
+    ) -> Result<Self> {
+        if dim == 0 {
+            return Err(Error::Corrupt("center set of dimension 0".into()));
+        }
+        let mut set = Self::new(dim);
+        for (id, coords) in centers {
+            set.insert(id, coords).map_err(Error::Corrupt)?;
+        }
+        Ok(set)
+    }
+
+    /// [`CenterSet::push`] without the panic: the one place a center is
+    /// checked.
+    fn insert(&mut self, id: i64, coords: &[f64]) -> std::result::Result<(), String> {
+        if coords.len() != self.dim {
+            return Err(format!(
+                "dimension mismatch: center {id} has {} coordinates in a {}-d set",
+                coords.len(),
+                self.dim
+            ));
+        }
+        if !(0..OFFSET).contains(&id) {
+            return Err(format!("center id {id} outside [0, OFFSET)"));
+        }
+        match self.by_id.entry(id) {
+            Entry::Occupied(_) => return Err(format!("duplicate center id {id}")),
+            Entry::Vacant(slot) => slot.insert(self.ids.len()),
+        };
         self.ids.push(id);
         self.norms.push(coords.iter().map(|x| x * x).sum());
         self.flat.extend_from_slice(coords);
         self.kernel = None; // centers changed; the kernel is stale
+        Ok(())
     }
 
     /// Builds a k-d index over the current centers, replacing any
@@ -348,6 +383,45 @@ impl CenterSet {
     }
 }
 
+/// Checks `next_id`, the next center id a driver hands out: it must be
+/// a valid id (below [`OFFSET`]) above every id in `ids`, so the
+/// centers it names are fresh.
+pub(crate) fn check_next_id(next_id: i64, ids: impl IntoIterator<Item = i64>) -> Result<()> {
+    let max = ids.into_iter().max().unwrap_or(-1);
+    if next_id <= max || next_id >= OFFSET {
+        return Err(Error::Corrupt(format!(
+            "next center id {next_id} is not a fresh id above {max}"
+        )));
+    }
+    Ok(())
+}
+
+/// Journal wire form: the dimension, the ids, then the coordinates
+/// flattened in center order. Decoding rejects as [`Error::Corrupt`]
+/// every center [`CenterSet::push`] would panic on, a zero dimension,
+/// and coordinates that do not fill one center per id.
+impl Writable for CenterSet {
+    fn write(&self, buf: &mut Vec<u8>) {
+        (self.dim as u32).write(buf);
+        self.ids.write(buf);
+        self.flat.write(buf);
+    }
+
+    fn read(buf: &mut &[u8]) -> Result<Self> {
+        let dim = u32::read(buf)? as usize;
+        let ids = Vec::<i64>::read(buf)?;
+        let flat = Vec::<f64>::read(buf)?;
+        if dim == 0 || ids.len().checked_mul(dim) != Some(flat.len()) {
+            return Err(Error::Corrupt(format!(
+                "center set of {} ids and {} coordinates in dimension {dim}",
+                ids.len(),
+                flat.len()
+            )));
+        }
+        Self::try_from_centers(dim, ids.iter().copied().zip(flat.chunks_exact(dim)))
+    }
+}
+
 /// One refined center coming out of a k-means reducer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CenterUpdate {
@@ -392,6 +466,7 @@ pub fn apply_updates(current: &CenterSet, updates: &[CenterUpdate]) -> (CenterSe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmr_mapreduce::writable::{from_bytes, to_bytes};
 
     #[test]
     fn push_and_lookup() {
@@ -431,6 +506,41 @@ mod tests {
     fn reserved_id_panics() {
         let mut s = CenterSet::new(1);
         s.push(OFFSET, &[0.0]);
+    }
+
+    #[test]
+    fn center_set_round_trips_on_the_wire() {
+        let mut set = CenterSet::new(2);
+        set.push(3, &[1.0, 2.0]);
+        set.push(9, &[4.0, 5.0]);
+        let back: CenterSet = from_bytes(&to_bytes(&set)).unwrap();
+        assert_eq!(back.len(), 2);
+        assert_eq!(back.id(0), 3);
+        assert_eq!(back.coords(1), &[4.0, 5.0]);
+        let empty = (0u32, (Vec::<i64>::new(), Vec::<f64>::new()));
+        assert!(from_bytes::<CenterSet>(&to_bytes(&empty)).is_err());
+    }
+
+    /// Every set `push` would panic on decodes to a typed error instead.
+    #[test]
+    fn decoding_rejects_what_push_panics_on() {
+        let wire = |dim: u32, ids: &[i64], coords: usize| {
+            to_bytes(&(dim, (ids.to_vec(), vec![0.5f64; coords])))
+        };
+        assert!(from_bytes::<CenterSet>(&wire(2, &[0, 1], 4)).is_ok());
+        for (case, bytes) in [
+            ("ragged coordinates", wire(2, &[0, 1], 3)),
+            ("duplicate id", wire(2, &[0, 0], 4)),
+            ("id at OFFSET", wire(2, &[0, OFFSET], 4)),
+            ("negative id", wire(2, &[-1], 2)),
+            ("zero dimension", wire(0, &[0], 0)),
+            ("no coordinates", wire(u32::MAX, &[0, 1], 0)),
+        ] {
+            match from_bytes::<CenterSet>(&bytes) {
+                Err(Error::Corrupt(_)) => {}
+                other => panic!("{case}: {other:?}"),
+            }
+        }
     }
 
     #[test]

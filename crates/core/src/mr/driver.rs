@@ -41,7 +41,7 @@ use gmr_mapreduce::{Error, Result};
 
 use crate::config::GMeansConfig;
 use crate::mr::bic_test::{BicTestJob, BicTestSpec};
-use crate::mr::centers::{apply_updates, CenterSet, CenterUpdate};
+use crate::mr::centers::{apply_updates, check_next_id, CenterSet, CenterUpdate};
 use crate::mr::engine::{
     Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
     SegmentStats, Step,
@@ -61,6 +61,19 @@ struct Child {
     coords: Vec<f64>,
 }
 
+impl Writable for Child {
+    fn write(&self, buf: &mut Vec<u8>) {
+        self.id.write(buf);
+        self.coords.write(buf);
+    }
+    fn read(buf: &mut &[u8]) -> Result<Self> {
+        Ok(Self {
+            id: i64::read(buf)?,
+            coords: Vec::read(buf)?,
+        })
+    }
+}
+
 /// One cluster of the hierarchy.
 #[derive(Clone, Debug)]
 struct Parent {
@@ -75,6 +88,27 @@ struct Parent {
     /// The two current-iteration centers being refined (empty once
     /// found).
     children: Vec<Child>,
+}
+
+impl Writable for Parent {
+    fn write(&self, buf: &mut Vec<u8>) {
+        self.id.write(buf);
+        self.center.write(buf);
+        self.found.write(buf);
+        self.count.write(buf);
+        self.normal_streak.write(buf);
+        self.children.write(buf);
+    }
+    fn read(buf: &mut &[u8]) -> Result<Self> {
+        Ok(Self {
+            id: i64::read(buf)?,
+            center: Vec::read(buf)?,
+            found: bool::read(buf)?,
+            count: u64::read(buf)?,
+            normal_streak: u8::read(buf)?,
+            children: Vec::read(buf)?,
+        })
+    }
 }
 
 /// Per-iteration diagnostics.
@@ -104,6 +138,59 @@ pub struct IterationReport {
     /// Why the iteration failed, when a job of it exhausted its task
     /// attempts; `None` for iterations that completed.
     pub error: Option<String>,
+}
+
+/// Journal wire form: the fields in declaration order, counts as `u64`,
+/// the strategy as a one-byte tag and `centers_after` as its dimension
+/// then its flat coordinates.
+impl Writable for IterationReport {
+    fn write(&self, buf: &mut Vec<u8>) {
+        (self.iteration as u64).write(buf);
+        (self.clusters_before as u64).write(buf);
+        (self.clusters_tested as u64).write(buf);
+        (self.splits as u64).write(buf);
+        (self.found_after as u64).write(buf);
+        (self.clusters_after as u64).write(buf);
+        self.strategy.map(strategy_tag).write(buf);
+        self.simulated_secs.write(buf);
+        (self.jobs as u64).write(buf);
+        (self.centers_after.dim() as u32).write(buf);
+        self.centers_after.flat().to_vec().write(buf);
+        self.error.write(buf);
+    }
+    fn read(buf: &mut &[u8]) -> Result<Self> {
+        let iteration = u64::read(buf)? as usize;
+        let clusters_before = u64::read(buf)? as usize;
+        let clusters_tested = u64::read(buf)? as usize;
+        let splits = u64::read(buf)? as usize;
+        let found_after = u64::read(buf)? as usize;
+        let clusters_after = u64::read(buf)? as usize;
+        let strategy = Option::<u8>::read(buf)?
+            .map(strategy_from_tag)
+            .transpose()?;
+        let simulated_secs = f64::read(buf)?;
+        let jobs = u64::read(buf)? as usize;
+        let dim = u32::read(buf)? as usize;
+        let flat = Vec::<f64>::read(buf)?;
+        if dim == 0 || flat.len() % dim != 0 {
+            return Err(Error::Corrupt(
+                "iteration report centers do not fill whole rows".into(),
+            ));
+        }
+        Ok(Self {
+            iteration,
+            clusters_before,
+            clusters_tested,
+            splits,
+            found_after,
+            clusters_after,
+            strategy,
+            simulated_secs,
+            jobs,
+            centers_after: Dataset::from_flat(dim, flat),
+            error: Option::read(buf)?,
+        })
+    }
 }
 
 /// Result of a MapReduce G-means run.
@@ -176,7 +263,7 @@ enum GPhase {
 
 /// Intra-iteration scratch: everything the iteration accumulates
 /// between its job waves. Deliberately *not* checkpointed — a resume
-/// replays the interrupted iteration from its boundary snapshot and
+/// replays the interrupted iteration from its boundary checkpoint and
 /// re-derives identical scratch.
 struct IterScratch {
     phase: GPhase,
@@ -214,131 +301,63 @@ pub struct GState {
     scratch: Option<IterScratch>,
 }
 
-/// Journal wire form of [`GState`] (run totals travel in the engine's
-/// frame, not here; scratch is re-derived by replaying the iteration).
-pub struct GMeansSnapshot {
-    dim: u32,
-    next_id: i64,
-    iteration: u64,
-    parents: Vec<ParentSnap>,
-    reports: Vec<ReportSnap>,
+/// Every parent's center, keyed by the parent id.
+fn parent_centers(dim: usize, parents: &[Parent]) -> Result<CenterSet> {
+    CenterSet::try_from_centers(dim, parents.iter().map(|p| (p.id, &p.center[..])))
 }
 
-impl Writable for GMeansSnapshot {
+/// The centers an iteration refines: the children of splitting parents
+/// and the centers of found ones.
+fn current_centers(dim: usize, parents: &[Parent]) -> Result<CenterSet> {
+    let centers = parents.iter().flat_map(|p| {
+        let own = p.found.then_some((p.id, &p.center[..]));
+        own.into_iter()
+            .chain(p.children.iter().map(|ch| (ch.id, &ch.coords[..])))
+    });
+    CenterSet::try_from_centers(dim, centers)
+}
+
+/// Journal wire form: the dimension, next id, iteration, parents and
+/// reports. The scratch is not written: the engine journals only at
+/// iteration boundaries, where it is `None`. Decoding rejects state
+/// `plan` or `apply` could not run — a center of the wrong dimension, a
+/// duplicate or out-of-range id, a found parent with children or an
+/// unsplit one without exactly two, or a `next_id` that is not fresh.
+impl Writable for GState {
     fn write(&self, buf: &mut Vec<u8>) {
-        self.dim.write(buf);
+        debug_assert!(self.scratch.is_none(), "journaled mid-iteration");
+        (self.dim as u32).write(buf);
         self.next_id.write(buf);
-        self.iteration.write(buf);
+        (self.iteration as u64).write(buf);
         self.parents.write(buf);
         self.reports.write(buf);
     }
     fn read(buf: &mut &[u8]) -> Result<Self> {
-        Ok(Self {
-            dim: u32::read(buf)?,
+        let state = Self {
+            dim: u32::read(buf)? as usize,
             next_id: i64::read(buf)?,
-            iteration: u64::read(buf)?,
+            iteration: u64::read(buf)? as usize,
             parents: Vec::read(buf)?,
             reports: Vec::read(buf)?,
-        })
-    }
-}
-
-/// Wire form of a [`Child`].
-struct ChildSnap {
-    id: i64,
-    coords: Vec<f64>,
-}
-
-impl Writable for ChildSnap {
-    fn write(&self, buf: &mut Vec<u8>) {
-        self.id.write(buf);
-        self.coords.write(buf);
-    }
-    fn read(buf: &mut &[u8]) -> Result<Self> {
-        Ok(Self {
-            id: i64::read(buf)?,
-            coords: Vec::read(buf)?,
-        })
-    }
-}
-
-/// Wire form of a [`Parent`].
-struct ParentSnap {
-    id: i64,
-    center: Vec<f64>,
-    found: bool,
-    count: u64,
-    normal_streak: u8,
-    children: Vec<ChildSnap>,
-}
-
-impl Writable for ParentSnap {
-    fn write(&self, buf: &mut Vec<u8>) {
-        self.id.write(buf);
-        self.center.write(buf);
-        self.found.write(buf);
-        self.count.write(buf);
-        self.normal_streak.write(buf);
-        self.children.write(buf);
-    }
-    fn read(buf: &mut &[u8]) -> Result<Self> {
-        Ok(Self {
-            id: i64::read(buf)?,
-            center: Vec::read(buf)?,
-            found: bool::read(buf)?,
-            count: u64::read(buf)?,
-            normal_streak: u8::read(buf)?,
-            children: Vec::read(buf)?,
-        })
-    }
-}
-
-/// Wire form of an [`IterationReport`].
-struct ReportSnap {
-    iteration: u64,
-    clusters_before: u64,
-    clusters_tested: u64,
-    splits: u64,
-    found_after: u64,
-    clusters_after: u64,
-    strategy: Option<u8>,
-    simulated_secs: f64,
-    jobs: u64,
-    dim: u32,
-    centers_flat: Vec<f64>,
-    error: Option<String>,
-}
-
-impl Writable for ReportSnap {
-    fn write(&self, buf: &mut Vec<u8>) {
-        self.iteration.write(buf);
-        self.clusters_before.write(buf);
-        self.clusters_tested.write(buf);
-        self.splits.write(buf);
-        self.found_after.write(buf);
-        self.clusters_after.write(buf);
-        self.strategy.write(buf);
-        self.simulated_secs.write(buf);
-        self.jobs.write(buf);
-        self.dim.write(buf);
-        self.centers_flat.write(buf);
-        self.error.write(buf);
-    }
-    fn read(buf: &mut &[u8]) -> Result<Self> {
-        Ok(Self {
-            iteration: u64::read(buf)?,
-            clusters_before: u64::read(buf)?,
-            clusters_tested: u64::read(buf)?,
-            splits: u64::read(buf)?,
-            found_after: u64::read(buf)?,
-            clusters_after: u64::read(buf)?,
-            strategy: Option::read(buf)?,
-            simulated_secs: f64::read(buf)?,
-            jobs: u64::read(buf)?,
-            dim: u32::read(buf)?,
-            centers_flat: Vec::read(buf)?,
-            error: Option::read(buf)?,
-        })
+            scratch: None,
+        };
+        let unrunnable = |p: &&Parent| p.children.len() != if p.found { 0 } else { 2 };
+        if let Some(p) = state.parents.iter().find(unrunnable) {
+            return Err(Error::Corrupt(format!(
+                "parent {} (found: {}) has {} children",
+                p.id,
+                p.found,
+                p.children.len()
+            )));
+        }
+        parent_centers(state.dim, &state.parents)?;
+        current_centers(state.dim, &state.parents)?;
+        let ids = state
+            .parents
+            .iter()
+            .flat_map(|p| std::iter::once(p.id).chain(p.children.iter().map(|ch| ch.id)));
+        check_next_id(state.next_id, ids)?;
+        Ok(state)
     }
 }
 
@@ -367,14 +386,6 @@ pub struct GMeansAlgo {
 }
 
 impl GMeansAlgo {
-    fn parent_set(&self, parents: &[Parent], dim: usize) -> CenterSet {
-        let mut set = CenterSet::new(dim);
-        for p in parents {
-            set.push(p.id, &p.center);
-        }
-        set
-    }
-
     /// Ends the iteration: folds decisions into the hierarchy and
     /// pushes the iteration report.
     fn finalize_iteration(&self, state: &mut GState, scratch: IterScratch, seg: &SegmentStats) {
@@ -413,7 +424,7 @@ impl GMeansAlgo {
                     // child pair (serial X-means re-attempts every
                     // structure round); a one-shot keep-verdict is
                     // too sensitive to an unlucky candidate pair.
-                    let streak = p.normal_streak + 1;
+                    let streak = p.normal_streak.saturating_add(1);
                     let retries = match self.criterion {
                         SplitCriterion::AndersonDarling => 1,
                         SplitCriterion::Bic => 2,
@@ -514,7 +525,6 @@ impl GMeansAlgo {
 
 impl IterativeAlgorithm for GMeansAlgo {
     type State = GState;
-    type Snapshot = GMeansSnapshot;
     type Output = MRGMeansResult;
 
     const NAME: &'static str = "MRGMeans";
@@ -583,16 +593,7 @@ impl IterativeAlgorithm for GMeansAlgo {
             // center set (children of splitting parents, centers of
             // found ones).
             state.iteration += 1;
-            let mut current = CenterSet::new(state.dim);
-            for p in &state.parents {
-                if p.found {
-                    current.push(p.id, &p.center);
-                } else {
-                    for ch in &p.children {
-                        current.push(ch.id, &ch.coords);
-                    }
-                }
-            }
+            let current = current_centers(state.dim, &state.parents)?;
             let kmeans_reducers = ctx.reduce_tasks(current.len());
             let refinements = self.config.kmeans_iterations_per_round.max(1) - 1;
             state.scratch = Some(IterScratch {
@@ -631,7 +632,7 @@ impl IterativeAlgorithm for GMeansAlgo {
                 Ok(vec![PlannedJob::new(job, scratch.kmeans_reducers)])
             }
             GPhase::Test => {
-                let parent_set = Arc::new(ctx.prepare(self.parent_set(&state.parents, state.dim)));
+                let parent_set = Arc::new(ctx.prepare(parent_centers(state.dim, &state.parents)?));
                 let test_reducers = ctx.reduce_tasks(scratch.clusters_tested);
                 if self.criterion == SplitCriterion::Bic {
                     // X-means decision: one aggregation job, no strategy
@@ -682,7 +683,7 @@ impl IterativeAlgorithm for GMeansAlgo {
                         retry_projectors[pi] = scratch.projectors[pi].clone();
                     }
                 }
-                let parent_set = Arc::new(ctx.prepare(self.parent_set(&state.parents, state.dim)));
+                let parent_set = Arc::new(ctx.prepare(parent_centers(state.dim, &state.parents)?));
                 let spec = SplitTestSpec::new(
                     parent_set,
                     Arc::new(retry_projectors),
@@ -829,32 +830,6 @@ impl IterativeAlgorithm for GMeansAlgo {
         }
     }
 
-    fn snapshot(&self, state: &GState) -> GMeansSnapshot {
-        GMeansSnapshot {
-            dim: state.dim as u32,
-            next_id: state.next_id,
-            iteration: state.iteration as u64,
-            parents: state.parents.iter().map(parent_to_snap).collect(),
-            reports: state.reports.iter().map(report_to_snap).collect(),
-        }
-    }
-
-    fn restore(&self, snap: GMeansSnapshot) -> Result<GState> {
-        let reports = snap
-            .reports
-            .into_iter()
-            .map(report_from_snap)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(GState {
-            dim: snap.dim as usize,
-            next_id: snap.next_id,
-            iteration: snap.iteration as usize,
-            parents: snap.parents.into_iter().map(parent_from_snap).collect(),
-            reports,
-            scratch: None,
-        })
-    }
-
     fn on_task_failure(
         &self,
         state: &mut GState,
@@ -919,33 +894,27 @@ impl IterativeAlgorithm for GMeansAlgo {
 
 /// MapReduce G-means.
 pub struct MRGMeans {
-    runner: JobRunner,
-    config: GMeansConfig,
-    force_strategy: Option<TestStrategy>,
-    mode: ExecutionMode,
-    kd_index: bool,
-    criterion: SplitCriterion,
-    checkpoint_dir: Option<String>,
+    engine: Engine,
+    algo: GMeansAlgo,
 }
 
 impl MRGMeans {
     /// Creates a driver running on `runner`'s cluster.
     pub fn new(runner: JobRunner, config: GMeansConfig) -> Self {
         Self {
-            runner,
-            config,
-            force_strategy: None,
-            mode: ExecutionMode::OnDisk,
-            kd_index: false,
-            criterion: SplitCriterion::AndersonDarling,
-            checkpoint_dir: None,
+            engine: Engine::new(runner),
+            algo: GMeansAlgo {
+                config,
+                criterion: SplitCriterion::AndersonDarling,
+                force_strategy: None,
+            },
         }
     }
 
     /// Selects the split criterion: Anderson–Darling (G-means, default)
     /// or BIC (X-means). See [`SplitCriterion`].
     pub fn with_split_criterion(mut self, criterion: SplitCriterion) -> Self {
-        self.criterion = criterion;
+        self.algo.criterion = criterion;
         self
     }
 
@@ -953,7 +922,7 @@ impl MRGMeans {
     /// acceleration of §2's related work) inside every job of the run.
     /// Results are identical; the distance-evaluation counters drop.
     pub fn with_kd_index(mut self, kd_index: bool) -> Self {
-        self.kd_index = kd_index;
+        self.engine = self.engine.with_kd_index(kd_index);
         self
     }
 
@@ -962,14 +931,14 @@ impl MRGMeans {
     /// [`MRGMeans::resume`]. Commit I/O is charged to the simulated
     /// clock and the checkpoint counters.
     pub fn with_checkpoints(mut self, dir: impl Into<String>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
+        self.engine = self.engine.with_checkpoints(dir);
         self
     }
 
     /// Selects disk-based (Hadoop-style) or cached (Spark-style)
     /// execution. See [`ExecutionMode`].
     pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
+        self.engine = self.engine.with_execution_mode(mode);
         self
     }
 
@@ -977,129 +946,87 @@ impl MRGMeans {
     /// job. For the ablation that measures what switching too early or
     /// too late costs; `None` (the default) applies the paper's rule.
     pub fn with_forced_strategy(mut self, strategy: Option<TestStrategy>) -> Self {
-        self.force_strategy = strategy;
+        self.algo.force_strategy = strategy;
         self
-    }
-
-    fn engine(&self) -> Engine {
-        let engine = Engine::new(self.runner.clone())
-            .with_execution_mode(self.mode)
-            .with_kd_index(self.kd_index);
-        match &self.checkpoint_dir {
-            Some(dir) => engine.with_checkpoints(dir.clone()),
-            None => engine,
-        }
-    }
-
-    fn algo(&self) -> GMeansAlgo {
-        GMeansAlgo {
-            config: self.config,
-            criterion: self.criterion,
-            force_strategy: self.force_strategy,
-        }
     }
 
     /// Clusters the DFS text file at `input`.
     pub fn run(&self, input: &str) -> Result<MRGMeansResult> {
-        self.engine().run(&self.algo(), input)
+        self.engine.run(&self.algo, input)
     }
 
     /// Resumes an interrupted checkpointed run from its newest intact
-    /// snapshot, continuing to a result bit-identical to an
+    /// checkpoint, continuing to a result bit-identical to an
     /// uninterrupted [`MRGMeans::run`]. Falls back to a fresh run when
     /// the journal holds no valid checkpoint. Requires
     /// [`MRGMeans::with_checkpoints`].
     pub fn resume(&self, input: &str) -> Result<MRGMeansResult> {
-        self.engine().resume(&self.algo(), input)
+        self.engine.resume(&self.algo, input)
     }
-}
-
-fn parent_to_snap(p: &Parent) -> ParentSnap {
-    ParentSnap {
-        id: p.id,
-        center: p.center.clone(),
-        found: p.found,
-        count: p.count,
-        normal_streak: p.normal_streak,
-        children: p
-            .children
-            .iter()
-            .map(|ch| ChildSnap {
-                id: ch.id,
-                coords: ch.coords.clone(),
-            })
-            .collect(),
-    }
-}
-
-fn parent_from_snap(s: ParentSnap) -> Parent {
-    Parent {
-        id: s.id,
-        center: s.center,
-        found: s.found,
-        count: s.count,
-        normal_streak: s.normal_streak,
-        children: s
-            .children
-            .into_iter()
-            .map(|ch| Child {
-                id: ch.id,
-                coords: ch.coords,
-            })
-            .collect(),
-    }
-}
-
-fn report_to_snap(r: &IterationReport) -> ReportSnap {
-    ReportSnap {
-        iteration: r.iteration as u64,
-        clusters_before: r.clusters_before as u64,
-        clusters_tested: r.clusters_tested as u64,
-        splits: r.splits as u64,
-        found_after: r.found_after as u64,
-        clusters_after: r.clusters_after as u64,
-        strategy: r.strategy.map(strategy_tag),
-        simulated_secs: r.simulated_secs,
-        jobs: r.jobs as u64,
-        dim: r.centers_after.dim() as u32,
-        centers_flat: r
-            .centers_after
-            .rows()
-            .flat_map(|row| row.to_vec())
-            .collect(),
-        error: r.error.clone(),
-    }
-}
-
-fn report_from_snap(s: ReportSnap) -> Result<IterationReport> {
-    let dim = s.dim as usize;
-    if dim == 0 || s.centers_flat.len() % dim != 0 {
-        return Err(Error::Corrupt(
-            "iteration report snapshot shape mismatch".into(),
-        ));
-    }
-    let mut centers_after = Dataset::with_capacity(dim, s.centers_flat.len() / dim);
-    for chunk in s.centers_flat.chunks_exact(dim) {
-        centers_after.push(chunk);
-    }
-    Ok(IterationReport {
-        iteration: s.iteration as usize,
-        clusters_before: s.clusters_before as usize,
-        clusters_tested: s.clusters_tested as usize,
-        splits: s.splits as usize,
-        found_after: s.found_after as usize,
-        clusters_after: s.clusters_after as usize,
-        strategy: s.strategy.map(strategy_from_tag).transpose()?,
-        simulated_secs: s.simulated_secs,
-        jobs: s.jobs as usize,
-        centers_after,
-        error: s.error,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mr::centers::OFFSET;
+    use gmr_mapreduce::writable::{from_bytes, to_bytes};
+
+    /// `GState::read` itself rejects every hierarchy `plan` or `apply`
+    /// could not run.
+    #[test]
+    fn decoding_rejects_hierarchies_the_driver_cannot_run() {
+        let child = |id, dim| Child {
+            id,
+            coords: vec![0.5; dim],
+        };
+        let state = |next_id, found, children| GState {
+            dim: 10,
+            next_id,
+            iteration: 0,
+            parents: vec![Parent {
+                id: 0,
+                center: vec![0.5; 10],
+                found,
+                count: 0,
+                normal_streak: 0,
+                children,
+            }],
+            reports: Vec::new(),
+            scratch: None,
+        };
+        let decode = |s: &GState| from_bytes::<GState>(&to_bytes(s));
+        assert!(decode(&state(3, false, vec![child(1, 10), child(2, 10)])).is_ok());
+        assert!(decode(&state(1, true, Vec::new())).is_ok());
+        for (case, s) in [
+            (
+                "a 3-d child",
+                state(3, false, vec![child(1, 10), child(2, 3)]),
+            ),
+            ("one child", state(3, false, vec![child(1, 10)])),
+            (
+                "a found parent with children",
+                state(3, true, vec![child(1, 10), child(2, 10)]),
+            ),
+            (
+                "a repeated child id",
+                state(3, false, vec![child(1, 10), child(1, 10)]),
+            ),
+            (
+                "a child id at OFFSET",
+                state(3, false, vec![child(1, 10), child(OFFSET, 10)]),
+            ),
+            (
+                "a stale next id",
+                state(2, false, vec![child(1, 10), child(2, 10)]),
+            ),
+        ] {
+            match decode(&s) {
+                Err(Error::Corrupt(_)) => {}
+                Err(e) => panic!("{case}: {e:?}"),
+                Ok(_) => panic!("{case}: decoded"),
+            }
+        }
+    }
 
     #[test]
     fn strategy_tags_are_stable() {

@@ -8,13 +8,15 @@
 //! loop once, so every cross-cutting guarantee is single-sourced:
 //!
 //! * **journal reset / commit** with the serialize-before-charge
-//!   ordering (a snapshot cannot contain the cost of its own commit, so
-//!   the charge is applied *after* [`RunJournal::commit`] returns the
-//!   stored byte count — and re-applied in the same position on
+//!   ordering (a checkpoint cannot contain the cost of its own commit,
+//!   so the charge is applied *after* [`RunJournal::commit`] returns
+//!   the stored byte count — and re-applied in the same position on
 //!   resume);
-//! * **resume recovery**: newest intact snapshot → restore → re-apply
-//!   the loaded checkpoint's commit charge → rebuild the point cache
-//!   (physical re-read only) → continue bit-identically;
+//! * **resume recovery**: newest intact checkpoint → decode the run
+//!   totals and the algorithm's state (state it could not run is
+//!   [`Error::Corrupt`]) → re-apply the loaded checkpoint's commit
+//!   charge → rebuild the point cache (physical re-read only) →
+//!   continue bit-identically;
 //! * **fault degradation**: task failures ([`Error::HeapSpace`],
 //!   [`Error::AttemptsExhausted`], [`Error::Degenerate`],
 //!   [`Error::ReplicasLost`]) are offered
@@ -35,8 +37,9 @@
 //! emits the next wave of jobs, `apply` folds their outputs and decides
 //! [`Step::Continue`] (more waves this iteration) or [`Step::Boundary`]
 //! (iteration done — checkpointable), and `finish` converts the final
-//! state into the driver's result. Adding a fifth driver means writing
-//! those methods; the engine needs no changes.
+//! state into the driver's result. The state is its own journal wire
+//! form ([`Writable`]). Adding a fifth driver means writing those
+//! methods; the engine needs no changes.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,7 +52,7 @@ use gmr_mapreduce::cost::JobTiming;
 use gmr_mapreduce::counters::{Counter, Counters};
 use gmr_mapreduce::job::{Job, JobConfig, PointMapper};
 use gmr_mapreduce::submit::Submission;
-use gmr_mapreduce::writable::{to_bytes, Writable};
+use gmr_mapreduce::writable::Writable;
 use gmr_mapreduce::{Error, Result};
 
 use crate::mr::centers::{CenterSet, KernelBackend};
@@ -181,19 +184,19 @@ impl JobOutputs {
 /// [`crate::mr::MultiKMeans`], [`crate::mr::KMeansParallelInit`]) are
 /// the reference implementations.
 pub trait IterativeAlgorithm {
-    /// Complete in-memory loop state between job waves.
-    type State;
-    /// The journaled wire form of [`IterativeAlgorithm::State`] at an
-    /// iteration boundary. Transient intra-iteration scratch need not
-    /// be captured: a resume replays the interrupted iteration from its
-    /// boundary snapshot.
-    type Snapshot: Writable;
+    /// Complete in-memory loop state between job waves, and its own
+    /// journal wire form: the engine writes it at every iteration
+    /// boundary and reads it back on resume. Transient intra-iteration
+    /// scratch need not be written: a resume replays the interrupted
+    /// iteration from its boundary state. `read` must answer any state
+    /// that `plan` or `apply` could not run with [`Error::Corrupt`].
+    type State: Writable;
     /// What the driver ultimately returns.
     type Output;
 
     /// Driver name, used in journal-configuration errors.
     const NAME: &'static str;
-    /// Snapshot framing magic (also versions the layout; bump on
+    /// Checkpoint framing magic (also versions the layout; bump on
     /// change). A journal written by one driver cannot resume another.
     const MAGIC: u32;
     /// Whether checkpoint commits are charged to the counters and the
@@ -221,10 +224,6 @@ pub trait IterativeAlgorithm {
         outputs: Vec<JobOutputs>,
         seg: &SegmentStats,
     ) -> Result<Step>;
-    /// Serializes the boundary state for the journal.
-    fn snapshot(&self, state: &Self::State) -> Self::Snapshot;
-    /// Rebuilds state from a decoded snapshot.
-    fn restore(&self, snap: Self::Snapshot) -> Result<Self::State>;
     /// Offered an absorbable task failure (heap, attempts exhausted,
     /// degenerate input). Return `Ok(err)` to degrade gracefully — the
     /// run stops and `err` lands in [`RunStats::failure`] — or `Err` to
@@ -248,8 +247,8 @@ pub trait IterativeAlgorithm {
     ) -> Result<Self::Output>;
 }
 
-/// Run totals the engine owns on behalf of every algorithm; serialized
-/// into the checkpoint frame ahead of the algorithm snapshot.
+/// Run totals the engine owns on behalf of every algorithm; written
+/// into the checkpoint frame ahead of the algorithm state.
 #[derive(Debug, Default)]
 struct Totals {
     jobs: u64,
@@ -258,15 +257,7 @@ struct Totals {
     counters: Counters,
 }
 
-/// Wire form of [`Totals`].
-struct TotalsSnap {
-    jobs: u64,
-    reads: u64,
-    simulated: f64,
-    counters: Vec<u64>,
-}
-
-impl Writable for TotalsSnap {
+impl Writable for Totals {
     fn write(&self, buf: &mut Vec<u8>) {
         self.jobs.write(buf);
         self.reads.write(buf);
@@ -278,37 +269,22 @@ impl Writable for TotalsSnap {
             jobs: u64::read(buf)?,
             reads: u64::read(buf)?,
             simulated: f64::read(buf)?,
-            counters: Vec::read(buf)?,
+            counters: Counters::read(buf)?,
         })
     }
 }
 
-/// Borrowing write-only wrapper so a frame can be encoded without
-/// cloning the algorithm snapshot.
-struct WriteOnly<'a, T>(&'a T);
-
-impl<T: Writable> Writable for WriteOnly<'_, T> {
-    fn write(&self, buf: &mut Vec<u8>) {
-        self.0.write(buf);
-    }
-    fn read(_buf: &mut &[u8]) -> Result<Self> {
-        Err(Error::Corrupt("write-only wrapper".into()))
-    }
-}
-
-/// Frames engine totals + algorithm snapshot under the driver magic.
-fn encode_frame<A: IterativeAlgorithm>(totals: &Totals, snap: &A::Snapshot) -> Vec<u8> {
-    let totals_snap = TotalsSnap {
-        jobs: totals.jobs,
-        reads: totals.reads,
-        simulated: totals.simulated,
-        counters: counters_to_vec(&totals.counters),
-    };
-    to_bytes(&(A::MAGIC, (totals_snap, WriteOnly(snap))))
+/// Frames engine totals + algorithm state under the driver magic.
+fn encode_frame<A: IterativeAlgorithm>(totals: &Totals, state: &A::State) -> Vec<u8> {
+    let mut buf = Vec::new();
+    A::MAGIC.write(&mut buf);
+    totals.write(&mut buf);
+    state.write(&mut buf);
+    buf
 }
 
 /// Unframes a checkpoint payload, rejecting other drivers' journals.
-fn decode_frame<A: IterativeAlgorithm>(payload: &[u8]) -> Result<(Totals, A::Snapshot)> {
+fn decode_frame<A: IterativeAlgorithm>(payload: &[u8]) -> Result<(Totals, A::State)> {
     let mut buf = payload;
     let found = u32::read(&mut buf)?;
     if found != A::MAGIC {
@@ -317,135 +293,7 @@ fn decode_frame<A: IterativeAlgorithm>(payload: &[u8]) -> Result<(Totals, A::Sna
             magic = A::MAGIC
         )));
     }
-    let totals_snap = TotalsSnap::read(&mut buf)?;
-    let snap = A::Snapshot::read(&mut buf)?;
-    Ok((
-        Totals {
-            jobs: totals_snap.jobs,
-            reads: totals_snap.reads,
-            simulated: totals_snap.simulated,
-            counters: counters_from_vec(&totals_snap.counters)?,
-        },
-        snap,
-    ))
-}
-
-/// Counter bank → values in [`Counter::all`] order.
-pub(crate) fn counters_to_vec(counters: &Counters) -> Vec<u64> {
-    Counter::all().iter().map(|&c| counters.get(c)).collect()
-}
-
-/// Rebuilds a counter bank from a snapshot vector.
-pub(crate) fn counters_from_vec(values: &[u64]) -> Result<Counters> {
-    if values.len() != Counter::all().len() {
-        return Err(Error::Corrupt(format!(
-            "counter snapshot has {} entries, runtime has {}",
-            values.len(),
-            Counter::all().len()
-        )));
-    }
-    let counters = Counters::new();
-    for (&c, &v) in Counter::all().iter().zip(values) {
-        counters.add(c, v);
-    }
-    Ok(counters)
-}
-
-/// A serialized [`CenterSet`].
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct CenterSetSnap {
-    pub dim: u32,
-    pub ids: Vec<i64>,
-    pub flat: Vec<f64>,
-}
-
-impl CenterSetSnap {
-    pub fn from_set(set: &CenterSet) -> Self {
-        let mut ids = Vec::with_capacity(set.len());
-        let mut flat = Vec::with_capacity(set.len() * set.dim());
-        for i in 0..set.len() {
-            ids.push(set.id(i));
-            flat.extend_from_slice(set.coords(i));
-        }
-        Self {
-            dim: set.dim() as u32,
-            ids,
-            flat,
-        }
-    }
-
-    pub fn to_set(&self) -> Result<CenterSet> {
-        let dim = self.dim as usize;
-        if dim == 0 || self.flat.len() != self.ids.len() * dim {
-            return Err(Error::Corrupt("center set snapshot shape mismatch".into()));
-        }
-        let mut set = CenterSet::new(dim);
-        for (i, &id) in self.ids.iter().enumerate() {
-            set.push(id, &self.flat[i * dim..(i + 1) * dim]);
-        }
-        Ok(set)
-    }
-}
-
-impl Writable for CenterSetSnap {
-    fn write(&self, buf: &mut Vec<u8>) {
-        self.dim.write(buf);
-        self.ids.write(buf);
-        self.flat.write(buf);
-    }
-    fn read(buf: &mut &[u8]) -> Result<Self> {
-        Ok(Self {
-            dim: u32::read(buf)?,
-            ids: Vec::read(buf)?,
-            flat: Vec::read(buf)?,
-        })
-    }
-}
-
-/// A serialized [`JobTiming`].
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct TimingSnap {
-    pub map: Vec<f64>,
-    pub reduce: Vec<f64>,
-    pub simulated: f64,
-    pub wall: f64,
-}
-
-impl TimingSnap {
-    pub fn from_timing(t: &JobTiming) -> Self {
-        Self {
-            map: t.map_durations.clone(),
-            reduce: t.reduce_durations.clone(),
-            simulated: t.simulated_secs,
-            wall: t.wall_secs,
-        }
-    }
-
-    pub fn to_timing(&self) -> JobTiming {
-        JobTiming {
-            map_durations: self.map.clone(),
-            reduce_durations: self.reduce.clone(),
-            simulated_secs: self.simulated,
-            wall_secs: self.wall,
-        }
-    }
-}
-
-impl Writable for TimingSnap {
-    fn write(&self, buf: &mut Vec<u8>) {
-        self.map.write(buf);
-        self.reduce.write(buf);
-        self.simulated.write(buf);
-        self.wall.write(buf);
-    }
-    fn read(buf: &mut &[u8]) -> Result<Self> {
-        Ok(Self {
-            map: Vec::read(buf)?,
-            reduce: Vec::read(buf)?,
-            simulated: f64::read(buf)?,
-            wall: f64::read(buf)?,
-        })
-    }
+    Ok((Totals::read(&mut buf)?, A::State::read(&mut buf)?))
 }
 
 /// The engine: a [`JobRunner`] plus the cross-cutting driver
@@ -456,7 +304,6 @@ pub struct Engine {
     runner: gmr_mapreduce::runtime::JobRunner,
     mode: ExecutionMode,
     kd_index: bool,
-    spill_threshold: usize,
     checkpoint_dir: Option<String>,
 }
 
@@ -468,7 +315,6 @@ impl Engine {
             runner,
             mode: ExecutionMode::OnDisk,
             kd_index: false,
-            spill_threshold: JobConfig::default().spill_threshold_records,
             checkpoint_dir: None,
         }
     }
@@ -529,16 +375,18 @@ impl Engine {
         ctx.build_cache(algo.dim(&state)?, true)?;
         if let Some(journal) = self.journal() {
             journal.reset();
-            ctx.commit::<A>(&journal, algo.seq(&state), &algo.snapshot(&state))?;
+            ctx.commit::<A>(&journal, algo.seq(&state), &state)?;
         }
         self.drive(algo, state, ctx, wall)
     }
 
     /// Resumes an interrupted checkpointed run from its newest intact
-    /// snapshot, continuing to a result bit-identical to an
+    /// checkpoint, continuing to a result bit-identical to an
     /// uninterrupted [`Engine::run`]. Falls back to a fresh run when
     /// the journal holds no valid checkpoint; errors when the engine
-    /// was built without [`Engine::with_checkpoints`].
+    /// was built without [`Engine::with_checkpoints`], and with
+    /// [`Error::Corrupt`] when the checkpoint holds state the
+    /// algorithm could not run.
     pub fn resume<A: IterativeAlgorithm>(&self, algo: &A, input: &str) -> Result<A::Output> {
         let wall = Instant::now();
         let journal = self.journal().ok_or_else(|| no_journal_error(A::NAME))?;
@@ -546,8 +394,7 @@ impl Engine {
             Some(c) => c,
             None => return self.run(algo, input),
         };
-        let (totals, snap) = decode_frame::<A>(&ckpt.payload)?;
-        let state = algo.restore(snap)?;
+        let (totals, state) = decode_frame::<A>(&ckpt.payload)?;
         // Fast-forward the job-epoch counter past the jobs the restored
         // totals already account for, so every remaining job sees the
         // same node weather as in the uninterrupted run.
@@ -555,7 +402,7 @@ impl Engine {
         let mut ctx = EngineCtx::resumed(self, input, totals);
         if A::CHARGE_COMMITS {
             // Re-apply the loaded checkpoint's own commit charge: the
-            // snapshot was serialized before it, so the uninterrupted
+            // state was serialized before it, so the uninterrupted
             // run added it right after this point in its accumulation
             // order.
             ctx.apply_commit_charge(ckpt.stored_bytes);
@@ -615,7 +462,7 @@ impl Engine {
             }
             ctx.fold_segment();
             if let Some(journal) = &journal {
-                ctx.commit::<A>(journal, algo.seq(&state), &algo.snapshot(&state))?;
+                ctx.commit::<A>(journal, algo.seq(&state), &state)?;
             }
         }
         let stats = ctx.stats(wall, failure);
@@ -708,10 +555,7 @@ impl<'e> EngineCtx<'e> {
     /// — re-deriving identical job outcomes from the per-job fault
     /// draws.
     pub fn execute(&mut self, job: PlannedJob) -> Result<JobOutputs> {
-        let config = JobConfig {
-            num_reduce_tasks: job.reducers,
-            spill_threshold_records: self.engine.spill_threshold,
-        };
+        let config = JobConfig::with_reducers(job.reducers);
         let erased = match &self.cache {
             Some(cache) => (job.run)(&Submission::cached(&self.engine.runner, cache), &config)?,
             None => {
@@ -766,15 +610,15 @@ impl<'e> EngineCtx<'e> {
         self.totals.simulated += self.seg.simulated_secs;
     }
 
-    /// Serialize → commit → charge, in that order (the snapshot cannot
-    /// contain the cost of its own commit).
+    /// Serialize → commit → charge, in that order (the checkpoint
+    /// cannot contain the cost of its own commit).
     fn commit<A: IterativeAlgorithm>(
         &mut self,
         journal: &RunJournal,
         seq: u64,
-        snap: &A::Snapshot,
+        state: &A::State,
     ) -> Result<()> {
-        let payload = encode_frame::<A>(&self.totals, snap);
+        let payload = encode_frame::<A>(&self.totals, state);
         let stored = journal.commit(seq, &payload)?;
         if A::CHARGE_COMMITS {
             self.apply_commit_charge(stored);
@@ -790,7 +634,7 @@ impl<'e> EngineCtx<'e> {
         self.totals.simulated += self.cluster().cost_model.checkpoint_secs(stored);
     }
 
-    /// Snapshots the run totals for [`IterativeAlgorithm::finish`].
+    /// Copies the run totals out for [`IterativeAlgorithm::finish`].
     fn stats(&self, wall: Instant, failure: Option<Error>) -> RunStats {
         let counters = Counters::new();
         counters.merge(&self.totals.counters);
@@ -808,117 +652,142 @@ impl<'e> EngineCtx<'e> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmr_mapreduce::counters::Counter;
+    use crate::config::GMeansConfig;
+    use crate::mr::driver::GMeansAlgo;
+    use crate::mr::kmeans_driver::KMeansAlgo;
+    use crate::mr::multi_kmeans::MultiKAlgo;
+    use crate::mr::parallel_init::ParInitAlgo;
+    use crate::mr::{KMeansParallelInit, MRGMeans, MRKMeans, MultiKMeans};
+    use gmr_datagen::GaussianMixture;
+    use gmr_mapreduce::dfs::Dfs;
+    use gmr_mapreduce::runtime::JobRunner;
 
-    #[test]
-    fn counters_round_trip_via_vec() {
-        let c = Counters::new();
-        c.add(Counter::DistanceComputations, 99);
-        c.max(Counter::HeapPeakBytes, 1234);
-        let v = counters_to_vec(&c);
-        let back = counters_from_vec(&v).unwrap();
-        for &counter in Counter::all() {
-            assert_eq!(back.get(counter), c.get(counter));
-        }
-        assert!(counters_from_vec(&[1, 2, 3]).is_err());
-    }
+    /// A toy algorithm whose state is a bare `u64`, framed under `M`.
+    struct Toy<const M: u32>;
 
-    #[test]
-    fn center_set_snap_round_trips() {
-        let mut set = CenterSet::new(2);
-        set.push(3, &[1.0, 2.0]);
-        set.push(9, &[4.0, 5.0]);
-        let snap = CenterSetSnap::from_set(&set);
-        let back = snap.to_set().unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.id(0), 3);
-        assert_eq!(back.coords(1), &[4.0, 5.0]);
-        assert!(CenterSetSnap {
-            dim: 0,
-            ids: vec![],
-            flat: vec![]
+    impl<const M: u32> IterativeAlgorithm for Toy<M> {
+        type State = u64;
+        type Output = ();
+        const NAME: &'static str = "Toy";
+        const MAGIC: u32 = M;
+        fn fresh(&self, _ctx: &mut EngineCtx<'_>) -> Result<u64> {
+            Ok(7)
         }
-        .to_set()
-        .is_err());
+        fn dim(&self, _s: &u64) -> Result<usize> {
+            Ok(1)
+        }
+        fn done(&self, _s: &u64) -> bool {
+            true
+        }
+        fn seq(&self, _s: &u64) -> u64 {
+            0
+        }
+        fn plan(&self, _s: &mut u64, _ctx: &EngineCtx<'_>) -> Result<Vec<PlannedJob>> {
+            Ok(Vec::new())
+        }
+        fn apply(&self, _s: &mut u64, _o: Vec<JobOutputs>, _g: &SegmentStats) -> Result<Step> {
+            Ok(Step::Boundary)
+        }
+        fn finish(&self, _s: u64, _ctx: &mut EngineCtx<'_>, _r: RunStats) -> Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
     fn frames_reject_foreign_magic() {
-        struct A;
-        struct B;
-        impl IterativeAlgorithm for A {
-            type State = ();
-            type Snapshot = u64;
-            type Output = ();
-            const NAME: &'static str = "A";
-            const MAGIC: u32 = 0xAAAA_0001;
-            fn fresh(&self, _ctx: &mut EngineCtx<'_>) -> Result<()> {
-                Ok(())
-            }
-            fn dim(&self, _s: &()) -> Result<usize> {
-                Ok(1)
-            }
-            fn done(&self, _s: &()) -> bool {
-                true
-            }
-            fn seq(&self, _s: &()) -> u64 {
-                0
-            }
-            fn plan(&self, _s: &mut (), _ctx: &EngineCtx<'_>) -> Result<Vec<PlannedJob>> {
-                Ok(Vec::new())
-            }
-            fn apply(&self, _s: &mut (), _o: Vec<JobOutputs>, _g: &SegmentStats) -> Result<Step> {
-                Ok(Step::Boundary)
-            }
-            fn snapshot(&self, _s: &()) -> u64 {
-                7
-            }
-            fn restore(&self, _snap: u64) -> Result<()> {
-                Ok(())
-            }
-            fn finish(&self, _s: (), _ctx: &mut EngineCtx<'_>, _r: RunStats) -> Result<()> {
-                Ok(())
-            }
-        }
-        impl IterativeAlgorithm for B {
-            type State = ();
-            type Snapshot = u64;
-            type Output = ();
-            const NAME: &'static str = "B";
-            const MAGIC: u32 = 0xBBBB_0001;
-            fn fresh(&self, _ctx: &mut EngineCtx<'_>) -> Result<()> {
-                Ok(())
-            }
-            fn dim(&self, _s: &()) -> Result<usize> {
-                Ok(1)
-            }
-            fn done(&self, _s: &()) -> bool {
-                true
-            }
-            fn seq(&self, _s: &()) -> u64 {
-                0
-            }
-            fn plan(&self, _s: &mut (), _ctx: &EngineCtx<'_>) -> Result<Vec<PlannedJob>> {
-                Ok(Vec::new())
-            }
-            fn apply(&self, _s: &mut (), _o: Vec<JobOutputs>, _g: &SegmentStats) -> Result<Step> {
-                Ok(Step::Boundary)
-            }
-            fn snapshot(&self, _s: &()) -> u64 {
-                7
-            }
-            fn restore(&self, _snap: u64) -> Result<()> {
-                Ok(())
-            }
-            fn finish(&self, _s: (), _ctx: &mut EngineCtx<'_>, _r: RunStats) -> Result<()> {
-                Ok(())
-            }
-        }
+        type A = Toy<0xAAAA_0001>;
+        type B = Toy<0xBBBB_0001>;
         let totals = Totals::default();
         let payload = encode_frame::<A>(&totals, &7u64);
-        let (back, snap) = decode_frame::<A>(&payload).unwrap();
+        let (back, state) = decode_frame::<A>(&payload).unwrap();
         assert_eq!(back.jobs, 0);
-        assert_eq!(snap, 7);
+        assert_eq!(state, 7);
         assert!(decode_frame::<B>(&payload).is_err());
+    }
+
+    /// Decodes every truncation of `payload` and every single-bit flip
+    /// after its magic: each must come back `Ok` or `Err`, never panic.
+    /// Returns the number of decodes run.
+    fn sweep<A: IterativeAlgorithm>(payload: &[u8]) -> usize {
+        assert!(decode_frame::<A>(payload).is_ok(), "{}: intact", A::NAME);
+        for len in 0..payload.len() {
+            assert!(
+                decode_frame::<A>(&payload[..len]).is_err(),
+                "{}: a {len}-byte prefix decoded",
+                A::NAME
+            );
+        }
+        let mut flipped = payload.to_vec();
+        for bit in 32..payload.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode_frame::<A>(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        payload.len() * 9 - 32
+    }
+
+    /// The payloads every driver commits on the driver-engine suite's
+    /// dataset survive the truncation and bit-flip sweep.
+    #[test]
+    fn decoding_mutated_checkpoints_never_panics() {
+        const CKPT: &str = "ckpt/sweep";
+        let runner = || {
+            let dfs = Arc::new(Dfs::new(16 * 1024));
+            GaussianMixture::paper_r10(1200, 3, 77)
+                .generate_to_dfs(&dfs, "pts")
+                .unwrap();
+            JobRunner::new(dfs, ClusterConfig::default()).unwrap()
+        };
+        let payloads = |runner: &JobRunner| -> Vec<Vec<u8>> {
+            let journal = RunJournal::new(Arc::clone(runner.dfs()), CKPT);
+            let seqs = journal.committed_seqs();
+            assert!(seqs.len() > 1, "a run commits every boundary");
+            seqs.into_iter()
+                .map(|seq| journal.load(seq).unwrap().unwrap().payload)
+                .collect()
+        };
+        let mut decodes = 0;
+
+        let r = runner();
+        MRGMeans::new(r.clone(), GMeansConfig::default())
+            .with_checkpoints(CKPT)
+            .run("pts")
+            .unwrap();
+        decodes += payloads(&r)
+            .iter()
+            .map(|p| sweep::<GMeansAlgo>(p))
+            .sum::<usize>();
+
+        let r = runner();
+        MRKMeans::new(r.clone(), 3, 6, 5)
+            .with_checkpoints(CKPT)
+            .run("pts")
+            .unwrap();
+        decodes += payloads(&r)
+            .iter()
+            .map(|p| sweep::<KMeansAlgo>(p))
+            .sum::<usize>();
+
+        let r = runner();
+        MultiKMeans::new(r.clone(), 1, 4, 1, 5, 9)
+            .with_checkpoints(CKPT)
+            .run("pts")
+            .unwrap();
+        decodes += payloads(&r)
+            .iter()
+            .map(|p| sweep::<MultiKAlgo>(p))
+            .sum::<usize>();
+
+        let r = runner();
+        KMeansParallelInit::new(r.clone(), 3, 13)
+            .with_checkpoints(CKPT)
+            .run("pts")
+            .unwrap();
+        decodes += payloads(&r)
+            .iter()
+            .map(|p| sweep::<ParInitAlgo>(p))
+            .sum::<usize>();
+
+        assert!(decodes > 100_000, "only {decodes} decodes");
     }
 }

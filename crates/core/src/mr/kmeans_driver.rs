@@ -18,8 +18,7 @@ use gmr_mapreduce::{Error, Result};
 
 use crate::mr::centers::{apply_updates, CenterSet, CenterUpdate};
 use crate::mr::engine::{
-    CenterSetSnap, Engine, EngineCtx, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
-    SegmentStats, Step, TimingSnap,
+    Engine, EngineCtx, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats, SegmentStats, Step,
 };
 use crate::mr::kmeans_job::KMeansJob;
 
@@ -52,26 +51,19 @@ pub struct KState {
     timings: Vec<JobTiming>,
 }
 
-/// Journal wire form of [`KState`] (run totals travel in the engine's
-/// frame, not here).
-pub struct KMeansSnapshot {
-    iteration: u64,
-    centers: CenterSetSnap,
-    counts: Vec<u64>,
-    timings: Vec<TimingSnap>,
-}
-
-impl Writable for KMeansSnapshot {
+/// Journal wire form: the iteration, centers, counts and job timings
+/// (run totals travel in the engine's frame, not here).
+impl Writable for KState {
     fn write(&self, buf: &mut Vec<u8>) {
-        self.iteration.write(buf);
+        (self.iteration as u64).write(buf);
         self.centers.write(buf);
         self.counts.write(buf);
         self.timings.write(buf);
     }
     fn read(buf: &mut &[u8]) -> Result<Self> {
         Ok(Self {
-            iteration: u64::read(buf)?,
-            centers: CenterSetSnap::read(buf)?,
+            iteration: u64::read(buf)? as usize,
+            centers: CenterSet::read(buf)?,
             counts: Vec::read(buf)?,
             timings: Vec::read(buf)?,
         })
@@ -91,7 +83,6 @@ pub struct KMeansAlgo {
 
 impl IterativeAlgorithm for KMeansAlgo {
     type State = KState;
-    type Snapshot = KMeansSnapshot;
     type Output = MRKMeansResult;
 
     const NAME: &'static str = "MRKMeans";
@@ -151,24 +142,6 @@ impl IterativeAlgorithm for KMeansAlgo {
         Ok(Step::Boundary)
     }
 
-    fn snapshot(&self, state: &KState) -> KMeansSnapshot {
-        KMeansSnapshot {
-            iteration: state.iteration as u64,
-            centers: CenterSetSnap::from_set(&state.centers),
-            counts: state.counts.clone(),
-            timings: state.timings.iter().map(TimingSnap::from_timing).collect(),
-        }
-    }
-
-    fn restore(&self, snap: KMeansSnapshot) -> Result<KState> {
-        Ok(KState {
-            iteration: snap.iteration as usize,
-            centers: snap.centers.to_set()?,
-            counts: snap.counts,
-            timings: snap.timings.iter().map(TimingSnap::to_timing).collect(),
-        })
-    }
-
     fn on_task_failure(
         &self,
         _state: &mut KState,
@@ -200,11 +173,8 @@ impl IterativeAlgorithm for KMeansAlgo {
 
 /// MapReduce k-means with random serial initialization.
 pub struct MRKMeans {
-    runner: JobRunner,
-    k: usize,
-    iterations: usize,
-    seed: u64,
-    checkpoint_dir: Option<String>,
+    engine: Engine,
+    algo: KMeansAlgo,
 }
 
 impl MRKMeans {
@@ -216,11 +186,13 @@ impl MRKMeans {
         assert!(k > 0, "k must be positive");
         assert!(iterations > 0, "need at least one iteration");
         Self {
-            runner,
-            k,
-            iterations,
-            seed,
-            checkpoint_dir: None,
+            engine: Engine::new(runner),
+            algo: KMeansAlgo {
+                k,
+                iterations,
+                seed,
+                init: None,
+            },
         }
     }
 
@@ -228,46 +200,33 @@ impl MRKMeans {
     /// initialization and after every iteration, enabling
     /// [`MRKMeans::resume`].
     pub fn with_checkpoints(mut self, dir: impl Into<String>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
+        self.engine = self.engine.with_checkpoints(dir);
         self
-    }
-
-    fn engine(&self) -> Engine {
-        let engine = Engine::new(self.runner.clone());
-        match &self.checkpoint_dir {
-            Some(dir) => engine.with_checkpoints(dir.clone()),
-            None => engine,
-        }
-    }
-
-    fn algo(&self, init: Option<CenterSet>) -> KMeansAlgo {
-        KMeansAlgo {
-            k: self.k,
-            iterations: self.iterations,
-            seed: self.seed,
-            init,
-        }
     }
 
     /// Runs on the DFS text file at `input`, initializing from a random
     /// sample (one serial dataset read), then iterating the job.
     pub fn run(&self, input: &str) -> Result<MRKMeansResult> {
-        self.engine().run(&self.algo(None), input)
+        self.engine.run(&self.algo, input)
     }
 
     /// Runs from explicit initial centers.
     pub fn run_from(&self, input: &str, centers: CenterSet) -> Result<MRKMeansResult> {
-        self.engine().run(&self.algo(Some(centers)), input)
+        let algo = KMeansAlgo {
+            init: Some(centers),
+            ..self.algo
+        };
+        self.engine.run(&algo, input)
     }
 
     /// Resumes an interrupted checkpointed run from its newest intact
-    /// snapshot (the initial centers travel in the seq-0 snapshot, so
-    /// explicit-init runs resume too), continuing to a result
+    /// checkpoint (the initial centers travel in the seq-0 checkpoint,
+    /// so explicit-init runs resume too), continuing to a result
     /// bit-identical to an uninterrupted run. Falls back to a fresh
     /// [`MRKMeans::run`] when the journal holds no valid checkpoint.
     /// Requires [`MRKMeans::with_checkpoints`].
     pub fn resume(&self, input: &str) -> Result<MRKMeansResult> {
-        self.engine().resume(&self.algo(None), input)
+        self.engine.resume(&self.algo, input)
     }
 }
 

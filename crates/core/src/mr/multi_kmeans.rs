@@ -24,8 +24,8 @@ use gmr_mapreduce::writable::Writable;
 
 use crate::mr::centers::{apply_updates, CenterSet, CenterUpdate};
 use crate::mr::engine::{
-    CenterSetSnap, Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, JobOutputs, PlannedJob,
-    RunStats, SegmentStats, Step, TimingSnap,
+    Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
+    SegmentStats, Step,
 };
 use crate::mr::kmeans_job::{empty_centers_error, fold_point_sums, PointSum};
 
@@ -230,29 +230,38 @@ pub struct MState {
     timings: Vec<JobTiming>,
 }
 
-/// Journal wire form of [`MState`] (run totals travel in the engine's
-/// frame, not here).
-pub struct MultiKMeansSnapshot {
-    iteration: u64,
-    sets: Vec<CenterSetSnap>,
-    counts: Vec<Vec<u64>>,
-    timings: Vec<TimingSnap>,
-}
-
-impl Writable for MultiKMeansSnapshot {
+/// Journal wire form: the iteration, center sets, count rows and job
+/// timings (run totals travel in the engine's frame, not here).
+/// Decoding rejects state `plan` or `apply` could not run: no center
+/// set, an empty one, sets of different dimensions, or a number of
+/// count rows other than the number of sets.
+impl Writable for MState {
     fn write(&self, buf: &mut Vec<u8>) {
-        self.iteration.write(buf);
+        (self.iteration as u64).write(buf);
         self.sets.write(buf);
         self.counts.write(buf);
         self.timings.write(buf);
     }
     fn read(buf: &mut &[u8]) -> Result<Self> {
-        Ok(Self {
-            iteration: u64::read(buf)?,
+        let state = Self {
+            iteration: u64::read(buf)? as usize,
             sets: Vec::read(buf)?,
             counts: Vec::read(buf)?,
             timings: Vec::read(buf)?,
-        })
+        };
+        let dim = state.sets.first().map_or(0, CenterSet::dim);
+        if dim == 0
+            || state.sets.iter().any(|s| s.is_empty() || s.dim() != dim)
+            || state.counts.len() != state.sets.len()
+        {
+            return Err(Error::Corrupt(format!(
+                "multi-k state has {} count rows for {} center sets, or a set that \
+                 is empty or of another dimension",
+                state.counts.len(),
+                state.sets.len()
+            )));
+        }
+        Ok(state)
     }
 }
 
@@ -268,7 +277,6 @@ pub struct MultiKAlgo {
 
 impl IterativeAlgorithm for MultiKAlgo {
     type State = MState;
-    type Snapshot = MultiKMeansSnapshot;
     type Output = MultiKMeansResult;
 
     const NAME: &'static str = "MultiKMeans";
@@ -298,11 +306,7 @@ impl IterativeAlgorithm for MultiKAlgo {
     }
 
     fn dim(&self, state: &MState) -> Result<usize> {
-        state
-            .sets
-            .first()
-            .map(|s| s.dim())
-            .ok_or_else(|| Error::Corrupt("multi-k snapshot has no center sets".into()))
+        Ok(state.sets[0].dim())
     }
 
     fn done(&self, state: &MState) -> bool {
@@ -342,29 +346,6 @@ impl IterativeAlgorithm for MultiKAlgo {
         Ok(Step::Boundary)
     }
 
-    fn snapshot(&self, state: &MState) -> MultiKMeansSnapshot {
-        MultiKMeansSnapshot {
-            iteration: state.iteration as u64,
-            sets: state.sets.iter().map(CenterSetSnap::from_set).collect(),
-            counts: state.counts.clone(),
-            timings: state.timings.iter().map(TimingSnap::from_timing).collect(),
-        }
-    }
-
-    fn restore(&self, snap: MultiKMeansSnapshot) -> Result<MState> {
-        let sets = snap
-            .sets
-            .iter()
-            .map(CenterSetSnap::to_set)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(MState {
-            iteration: snap.iteration as usize,
-            sets,
-            counts: snap.counts,
-            timings: snap.timings.iter().map(TimingSnap::to_timing).collect(),
-        })
-    }
-
     fn finish(
         &self,
         state: MState,
@@ -394,13 +375,8 @@ impl IterativeAlgorithm for MultiKAlgo {
 
 /// Driver: initializes a center set per k and iterates the fused job.
 pub struct MultiKMeans {
-    runner: JobRunner,
-    ks: Vec<usize>,
-    iterations: usize,
-    seed: u64,
-    mode: ExecutionMode,
-    kd_index: bool,
-    checkpoint_dir: Option<String>,
+    engine: Engine,
+    algo: MultiKAlgo,
 }
 
 impl MultiKMeans {
@@ -419,73 +395,53 @@ impl MultiKMeans {
         assert!(k_min > 0 && k_min <= k_max, "bad k range");
         assert!(k_step > 0, "k_step must be positive");
         assert!(iterations > 0, "need at least one iteration");
-        let ks: Vec<usize> = (k_min..=k_max).step_by(k_step).collect();
         Self {
-            runner,
-            ks,
-            iterations,
-            seed,
-            mode: ExecutionMode::OnDisk,
-            kd_index: false,
-            checkpoint_dir: None,
+            engine: Engine::new(runner),
+            algo: MultiKAlgo {
+                ks: (k_min..=k_max).step_by(k_step).collect(),
+                iterations,
+                seed,
+            },
         }
     }
 
     /// Enables the k-d-tree nearest-center index inside the job.
     pub fn with_kd_index(mut self, kd_index: bool) -> Self {
-        self.kd_index = kd_index;
+        self.engine = self.engine.with_kd_index(kd_index);
         self
     }
 
     /// Selects disk-based (Hadoop-style) or cached (Spark-style)
     /// execution. See [`ExecutionMode`].
     pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
+        self.engine = self.engine.with_execution_mode(mode);
         self
     }
 
     /// The tested k values.
     pub fn ks(&self) -> &[usize] {
-        &self.ks
+        &self.algo.ks
     }
 
     /// Journals sweep state into a DFS checkpoint directory after every
     /// iteration, enabling [`MultiKMeans::resume`].
     pub fn with_checkpoints(mut self, dir: impl Into<String>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
+        self.engine = self.engine.with_checkpoints(dir);
         self
-    }
-
-    fn engine(&self) -> Engine {
-        let engine = Engine::new(self.runner.clone())
-            .with_execution_mode(self.mode)
-            .with_kd_index(self.kd_index);
-        match &self.checkpoint_dir {
-            Some(dir) => engine.with_checkpoints(dir.clone()),
-            None => engine,
-        }
-    }
-
-    fn algo(&self) -> MultiKAlgo {
-        MultiKAlgo {
-            ks: self.ks.clone(),
-            iterations: self.iterations,
-            seed: self.seed,
-        }
     }
 
     /// Runs the sweep over the DFS text file at `input`.
     pub fn run(&self, input: &str) -> Result<MultiKMeansResult> {
-        self.engine().run(&self.algo(), input)
+        self.engine.run(&self.algo, input)
     }
 
     /// Resumes an interrupted checkpointed sweep from its newest intact
-    /// snapshot, continuing to a result bit-identical to an
+    /// checkpoint, continuing to a result bit-identical to an
     /// uninterrupted [`MultiKMeans::run`]. Falls back to a fresh run
     /// when the journal holds no valid checkpoint. Requires
     /// [`MultiKMeans::with_checkpoints`].
     pub fn resume(&self, input: &str) -> Result<MultiKMeansResult> {
-        self.engine().resume(&self.algo(), input)
+        self.engine.resume(&self.algo, input)
     }
 }
 

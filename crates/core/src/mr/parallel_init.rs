@@ -36,10 +36,9 @@ use gmr_mapreduce::writable::Writable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::mr::centers::CenterSet;
+use crate::mr::centers::{check_next_id, CenterSet};
 use crate::mr::engine::{
-    CenterSetSnap, Engine, EngineCtx, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
-    SegmentStats, Step,
+    Engine, EngineCtx, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats, SegmentStats, Step,
 };
 use crate::mr::kmeans_job::{empty_centers_error, fold_point_sums, PointSum};
 
@@ -226,31 +225,30 @@ pub struct PState {
     done_sampling: bool,
 }
 
-/// Journal wire form of [`PState`].
-pub struct ParallelInitSnapshot {
-    next_round: u64,
-    candidates: CenterSetSnap,
-    next_id: i64,
-    psi: Option<f64>,
-    done_sampling: bool,
-}
-
-impl Writable for ParallelInitSnapshot {
+/// Journal wire form: the next round, candidates, next id, ψ and the
+/// early-stop flag. Decoding rejects state `plan` or `apply` could not
+/// run: no candidates, or a `next_id` that is not fresh.
+impl Writable for PState {
     fn write(&self, buf: &mut Vec<u8>) {
-        self.next_round.write(buf);
+        (self.next_round as u64).write(buf);
         self.candidates.write(buf);
         self.next_id.write(buf);
         self.psi.write(buf);
         self.done_sampling.write(buf);
     }
     fn read(buf: &mut &[u8]) -> Result<Self> {
-        Ok(Self {
-            next_round: u64::read(buf)?,
-            candidates: CenterSetSnap::read(buf)?,
+        let state = Self {
+            next_round: u64::read(buf)? as usize,
+            candidates: CenterSet::read(buf)?,
             next_id: i64::read(buf)?,
             psi: Option::read(buf)?,
             done_sampling: bool::read(buf)?,
-        })
+        };
+        if state.candidates.is_empty() {
+            return Err(Error::Corrupt("k-means|| state has no candidates".into()));
+        }
+        check_next_id(state.next_id, state.candidates.iter().map(|(id, _)| id))?;
+        Ok(state)
     }
 }
 
@@ -266,7 +264,6 @@ pub struct ParInitAlgo {
 
 impl IterativeAlgorithm for ParInitAlgo {
     type State = PState;
-    type Snapshot = ParallelInitSnapshot;
     type Output = CenterSet;
 
     const NAME: &'static str = "KMeansParallelInit";
@@ -341,26 +338,6 @@ impl IterativeAlgorithm for ParInitAlgo {
         Ok(Step::Boundary)
     }
 
-    fn snapshot(&self, state: &PState) -> ParallelInitSnapshot {
-        ParallelInitSnapshot {
-            next_round: state.next_round as u64,
-            candidates: CenterSetSnap::from_set(&state.candidates),
-            next_id: state.next_id,
-            psi: state.psi,
-            done_sampling: state.done_sampling,
-        }
-    }
-
-    fn restore(&self, snap: ParallelInitSnapshot) -> Result<PState> {
-        Ok(PState {
-            next_round: snap.next_round as usize,
-            candidates: snap.candidates.to_set()?,
-            next_id: snap.next_id,
-            psi: snap.psi,
-            done_sampling: snap.done_sampling,
-        })
-    }
-
     fn finish(
         &self,
         state: PState,
@@ -388,12 +365,8 @@ impl IterativeAlgorithm for ParInitAlgo {
 
 /// The k-means‖ driver.
 pub struct KMeansParallelInit {
-    runner: JobRunner,
-    k: usize,
-    rounds: usize,
-    oversample: f64,
-    seed: u64,
-    checkpoint_dir: Option<String>,
+    engine: Engine,
+    algo: ParInitAlgo,
 }
 
 impl KMeansParallelInit {
@@ -405,12 +378,13 @@ impl KMeansParallelInit {
     pub fn new(runner: JobRunner, k: usize, seed: u64) -> Self {
         assert!(k > 0, "k must be positive");
         Self {
-            runner,
-            k,
-            rounds: 5,
-            oversample: 2.0 * k as f64,
-            seed,
-            checkpoint_dir: None,
+            engine: Engine::new(runner),
+            algo: ParInitAlgo {
+                k,
+                rounds: 5,
+                oversample: 2.0 * k as f64,
+                seed,
+            },
         }
     }
 
@@ -421,54 +395,37 @@ impl KMeansParallelInit {
     /// here; the weight job and driver-side k-means++ are recomputed
     /// deterministically on resume.
     pub fn with_checkpoints(mut self, dir: impl Into<String>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
+        self.engine = self.engine.with_checkpoints(dir);
         self
     }
 
     /// Overrides the number of sampling rounds.
     pub fn with_rounds(mut self, rounds: usize) -> Self {
         assert!(rounds > 0, "need at least one round");
-        self.rounds = rounds;
+        self.algo.rounds = rounds;
         self
     }
 
     /// Overrides the per-round oversampling factor `ℓ`.
     pub fn with_oversample(mut self, oversample: f64) -> Self {
         assert!(oversample > 0.0, "oversampling factor must be positive");
-        self.oversample = oversample;
+        self.algo.oversample = oversample;
         self
-    }
-
-    fn engine(&self) -> Engine {
-        let engine = Engine::new(self.runner.clone());
-        match &self.checkpoint_dir {
-            Some(dir) => engine.with_checkpoints(dir.clone()),
-            None => engine,
-        }
-    }
-
-    fn algo(&self) -> ParInitAlgo {
-        ParInitAlgo {
-            k: self.k,
-            rounds: self.rounds,
-            oversample: self.oversample,
-            seed: self.seed,
-        }
     }
 
     /// Runs the initialization, returning exactly `k` centers (ids
     /// `0..k`) ready for [`crate::mr::MRKMeans::run_from`].
     pub fn run(&self, input: &str) -> Result<CenterSet> {
-        self.engine().run(&self.algo(), input)
+        self.engine.run(&self.algo, input)
     }
 
     /// Resumes an interrupted checkpointed initialization from its
-    /// newest intact snapshot, returning a center set bit-identical to
-    /// an uninterrupted [`KMeansParallelInit::run`]. Falls back to a
+    /// newest intact checkpoint, returning a center set bit-identical
+    /// to an uninterrupted [`KMeansParallelInit::run`]. Falls back to a
     /// fresh run when the journal holds no valid checkpoint. Requires
     /// [`KMeansParallelInit::with_checkpoints`].
     pub fn resume(&self, input: &str) -> Result<CenterSet> {
-        self.engine().resume(&self.algo(), input)
+        self.engine.resume(&self.algo, input)
     }
 }
 

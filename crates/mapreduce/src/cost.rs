@@ -17,6 +17,9 @@
 //! paper. Every experiment asserts *relations* between simulated times
 //! (linearity, speedup shape, crossovers), never absolute values.
 
+use crate::error::Result;
+use crate::writable::Writable;
+
 /// Converts task work into simulated seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
@@ -202,6 +205,26 @@ impl JobTiming {
             simulated_secs,
             wall_secs,
         }
+    }
+}
+
+/// Journal wire form: the map and reduce durations, then the simulated
+/// and wall-clock seconds.
+impl Writable for JobTiming {
+    fn write(&self, buf: &mut Vec<u8>) {
+        self.map_durations.write(buf);
+        self.reduce_durations.write(buf);
+        self.simulated_secs.write(buf);
+        self.wall_secs.write(buf);
+    }
+
+    fn read(buf: &mut &[u8]) -> Result<Self> {
+        Ok(Self {
+            map_durations: Vec::read(buf)?,
+            reduce_durations: Vec::read(buf)?,
+            simulated_secs: f64::read(buf)?,
+            wall_secs: f64::read(buf)?,
+        })
     }
 }
 

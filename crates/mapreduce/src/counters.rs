@@ -22,6 +22,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::error::{Error, Result};
+use crate::writable::Writable;
+
 /// The set of counters tracked for every job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -334,6 +337,32 @@ impl Counters {
     }
 }
 
+/// Journal wire form: every value in [`Counter::all`] order, as a
+/// length-prefixed `u64` vector. A bank of any other length is
+/// [`Error::Corrupt`].
+impl Writable for Counters {
+    fn write(&self, buf: &mut Vec<u8>) {
+        (COUNT as u32).write(buf);
+        for v in &self.values {
+            v.load(Ordering::Relaxed).write(buf);
+        }
+    }
+
+    fn read(buf: &mut &[u8]) -> Result<Self> {
+        let len = u32::read(buf)? as usize;
+        if len != COUNT {
+            return Err(Error::Corrupt(format!(
+                "counter bank has {len} entries, runtime has {COUNT}"
+            )));
+        }
+        let counters = Counters::new();
+        for v in &counters.values {
+            v.store(u64::read(buf)?, Ordering::Relaxed);
+        }
+        Ok(counters)
+    }
+}
+
 impl std::fmt::Display for Counters {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for &c in Counter::all() {
@@ -349,6 +378,19 @@ impl std::fmt::Display for Counters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::writable::{from_bytes, to_bytes};
+
+    #[test]
+    fn counters_round_trip_via_vec() {
+        let c = Counters::new();
+        c.add(Counter::DistanceComputations, 99);
+        c.max(Counter::HeapPeakBytes, 1234);
+        let back: Counters = from_bytes(&to_bytes(&c)).unwrap();
+        for &counter in Counter::all() {
+            assert_eq!(back.get(counter), c.get(counter));
+        }
+        assert!(from_bytes::<Counters>(&to_bytes(&vec![1u64, 2, 3])).is_err());
+    }
 
     #[test]
     fn add_and_get() {

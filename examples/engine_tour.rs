@@ -20,7 +20,7 @@ use gmeans_mapreduce::algorithms::mr::{
 use gmeans_mapreduce::algorithms::prelude::*;
 use gmeans_mapreduce::datagen::GaussianMixture;
 use gmeans_mapreduce::mapreduce::counters::Counter;
-use gmeans_mapreduce::mapreduce::prelude::{ClusterConfig, Dfs, JobRunner};
+use gmeans_mapreduce::mapreduce::prelude::{ClusterConfig, Dfs, Error, JobRunner, Writable};
 use gmeans_mapreduce::mapreduce::Result;
 
 fn staged(seed: u64) -> JobRunner {
@@ -120,11 +120,28 @@ struct CentroidState {
     center: CenterSet,
 }
 
+/// The state is its own journal wire form, `(round, coords)`; `read`
+/// answers a state the algorithm could not run with `Error::Corrupt`.
+/// The engine handles framing, checksums and recovery.
+impl Writable for CentroidState {
+    fn write(&self, buf: &mut Vec<u8>) {
+        (self.round as u64).write(buf);
+        self.center.coords(0).to_vec().write(buf);
+    }
+    fn read(buf: &mut &[u8]) -> Result<Self> {
+        let round = u64::read(buf)? as usize;
+        let coords = Vec::<f64>::read(buf)?;
+        if coords.is_empty() {
+            return Err(Error::Corrupt("centroid of dimension 0".into()));
+        }
+        let mut center = CenterSet::new(coords.len());
+        center.push(0, &coords);
+        Ok(Self { round, center })
+    }
+}
+
 impl IterativeAlgorithm for Centroid {
     type State = CentroidState;
-    /// Journal wire form: `(round, coords)` — anything [`Writable`]
-    /// works, and the engine handles framing, CRCs and recovery.
-    type Snapshot = (u64, Vec<f64>);
     type Output = Vec<f64>;
     const NAME: &'static str = "Centroid";
     const MAGIC: u32 = 0x1070_0001;
@@ -160,17 +177,6 @@ impl IterativeAlgorithm for Centroid {
         state.center = next;
         state.round += 1;
         Ok(Step::Boundary)
-    }
-    fn snapshot(&self, state: &CentroidState) -> (u64, Vec<f64>) {
-        (state.round as u64, state.center.coords(0).to_vec())
-    }
-    fn restore(&self, snap: (u64, Vec<f64>)) -> Result<CentroidState> {
-        let mut center = CenterSet::new(snap.1.len());
-        center.push(0, &snap.1);
-        Ok(CentroidState {
-            round: snap.0 as usize,
-            center,
-        })
     }
     fn finish(
         &self,

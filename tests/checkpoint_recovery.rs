@@ -6,10 +6,16 @@
 
 use std::sync::Arc;
 
+use gmeans::mr::driver::GMeansAlgo;
+use gmeans::mr::kmeans_driver::KMeansAlgo;
+use gmeans::mr::multi_kmeans::MultiKAlgo;
+use gmeans::mr::parallel_init::ParInitAlgo;
+use gmeans::mr::OFFSET;
 use gmeans::prelude::*;
 use gmr_datagen::GaussianMixture;
 use gmr_mapreduce::counters::Counter;
-use gmr_mapreduce::prelude::{ClusterConfig, Dfs, Error, FaultPlan, JobRunner};
+use gmr_mapreduce::prelude::{ClusterConfig, Dfs, Error, FaultPlan, JobRunner, RunJournal};
+use gmr_mapreduce::writable::Writable;
 
 const CKPT: &str = "ckpt/run";
 
@@ -343,5 +349,310 @@ fn bad_records_are_quarantined_end_to_end() {
     assert!(r.counters.get(Counter::BadRecordBytes) > 0);
     for c in r.centers.rows() {
         assert!(c.iter().all(|v| v.is_finite()), "non-finite center {c:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The journal wire format: every payload byte the drivers commit is
+// pinned, and resume answers state it could not run with a typed
+// `Error::Corrupt` instead of a panic.
+// ---------------------------------------------------------------------
+
+fn runner_on(dfs: &Arc<Dfs>) -> JobRunner {
+    JobRunner::new(Arc::clone(dfs), ClusterConfig::default()).expect("valid cluster")
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// Every payload the journal at [`CKPT`] holds, by ascending sequence
+/// number.
+fn committed_payloads(dfs: &Arc<Dfs>) -> Vec<Vec<u8>> {
+    let journal = RunJournal::new(Arc::clone(dfs), CKPT);
+    journal
+        .committed_seqs()
+        .into_iter()
+        .map(|seq| journal.load(seq).expect("load").expect("intact").payload)
+        .collect()
+}
+
+#[test]
+fn committed_payload_bytes_are_pinned() {
+    // G-means and k-means‖ journal simulated quantities only: every
+    // byte is reproducible, so every payload's hash is pinned.
+    let dfs = staged_dfs();
+    gmeans_on(&dfs, FaultPlan::none()).run("pts").expect("run");
+    let hashes: Vec<u64> = committed_payloads(&dfs).iter().map(|p| fnv1a(p)).collect();
+    assert_eq!(
+        hashes,
+        [0x8ebf79b55277654e, 0x81d80d36578152cd, 0x15d9ebcb556c6dbd],
+        "G-means payloads"
+    );
+
+    let dfs = staged_dfs();
+    KMeansParallelInit::new(runner_on(&dfs), 3, 13)
+        .with_checkpoints(CKPT)
+        .run("pts")
+        .expect("run");
+    let hashes: Vec<u64> = committed_payloads(&dfs).iter().map(|p| fnv1a(p)).collect();
+    assert_eq!(
+        hashes,
+        [
+            0xcf59e2e65ca8758f,
+            0x601912da0d051731,
+            0x2d1e6dfb173cafbd,
+            0xfa4fd6ba77ce37f0,
+            0x098cb7d2adb7b0c8,
+            0x1165502d55123045,
+            0x61ecda771581a107,
+        ],
+        "k-means|| payloads"
+    );
+
+    // k-means and multi-k-means journal each job's real wall-clock
+    // seconds, so only their payload lengths are reproducible.
+    let dfs = staged_dfs();
+    MRKMeans::new(runner_on(&dfs), 3, 6, 5)
+        .with_checkpoints(CKPT)
+        .run("pts")
+        .expect("run");
+    let lens: Vec<usize> = committed_payloads(&dfs).iter().map(Vec::len).collect();
+    assert_eq!(
+        lens,
+        [724, 884, 1044, 1204, 1364, 1524, 1684],
+        "k-means payloads"
+    );
+
+    let dfs = staged_dfs();
+    MultiKMeans::new(runner_on(&dfs), 1, 4, 1, 5, 9)
+        .with_checkpoints(CKPT)
+        .run("pts")
+        .expect("run");
+    let lens: Vec<usize> = committed_payloads(&dfs).iter().map(Vec::len).collect();
+    assert_eq!(
+        lens,
+        [1452, 1668, 1884, 2100, 2316, 2532],
+        "multi-k-means payloads"
+    );
+}
+
+/// A checkpoint frame: the driver magic, zeroed run totals over a
+/// counter bank of `counters` entries, then the driver state.
+fn frame(magic: u32, counters: usize, state: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    magic.write(&mut buf);
+    0u64.write(&mut buf); // jobs
+    0u64.write(&mut buf); // dataset reads
+    0f64.write(&mut buf); // simulated seconds
+    vec![0u64; counters].write(&mut buf);
+    buf.extend_from_slice(state);
+    buf
+}
+
+/// A center set in R^`dim` with the given ids.
+fn center_set(buf: &mut Vec<u8>, dim: u32, ids: &[i64]) {
+    dim.write(buf);
+    ids.to_vec().write(buf);
+    vec![0.5f64; ids.len() * dim as usize].write(buf);
+}
+
+/// A k-means state at iteration 0 over 10-d centers with these ids.
+fn kmeans_state(ids: &[i64]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    0u64.write(&mut buf); // iteration
+    center_set(&mut buf, 10, ids);
+    vec![0u64; ids.len()].write(&mut buf); // counts
+    0u32.write(&mut buf); // no job timings yet
+    buf
+}
+
+/// A 10-d G-means state at iteration 0 with one unsplit parent (id 0)
+/// whose children are given as `(id, coordinates)`, and this next id.
+fn gmeans_state(children: &[(i64, usize)], next_id: i64) -> Vec<u8> {
+    let mut buf = Vec::new();
+    10u32.write(&mut buf); // dim
+    next_id.write(&mut buf);
+    0u64.write(&mut buf); // iteration
+    1u32.write(&mut buf); // one parent:
+    0i64.write(&mut buf); //   id
+    vec![0.5f64; 10].write(&mut buf); //   center
+    false.write(&mut buf); //   found
+    0u64.write(&mut buf); //   count
+    0u8.write(&mut buf); //   normal streak
+    (children.len() as u32).write(&mut buf);
+    for &(id, dim) in children {
+        id.write(&mut buf);
+        vec![0.5f64; dim].write(&mut buf);
+    }
+    0u32.write(&mut buf); // no iteration reports
+    buf
+}
+
+/// A multi-k state at iteration 0: one 10-d center set per entry of
+/// `sizes`, holding that many centers, and `rows` count rows.
+fn multik_state(sizes: &[i64], rows: usize) -> Vec<u8> {
+    let mut buf = Vec::new();
+    0u64.write(&mut buf); // iteration
+    (sizes.len() as u32).write(&mut buf);
+    for &k in sizes {
+        center_set(&mut buf, 10, &(0..k).collect::<Vec<_>>());
+    }
+    let counts: Vec<Vec<u64>> = sizes.iter().map(|&k| vec![0; k as usize]).collect();
+    counts[..rows].to_vec().write(&mut buf);
+    0u32.write(&mut buf); // no job timings yet
+    buf
+}
+
+/// A k-means‖ state after its cost-only round 0, about to sample, with
+/// these candidate ids and this next id.
+fn parinit_state(ids: &[i64], next_id: i64) -> Vec<u8> {
+    let mut buf = Vec::new();
+    1u64.write(&mut buf); // next round
+    center_set(&mut buf, 10, ids);
+    next_id.write(&mut buf);
+    Some(5.0f64).write(&mut buf); // psi
+    false.write(&mut buf); // done sampling
+    buf
+}
+
+type Resume = fn(JobRunner) -> gmr_mapreduce::Result<()>;
+
+fn resume_gmeans(runner: JobRunner) -> gmr_mapreduce::Result<()> {
+    MRGMeans::new(runner, GMeansConfig::default())
+        .with_checkpoints(CKPT)
+        .resume("pts")
+        .map(drop)
+}
+
+fn resume_kmeans(runner: JobRunner) -> gmr_mapreduce::Result<()> {
+    MRKMeans::new(runner, 3, 6, 5)
+        .with_checkpoints(CKPT)
+        .resume("pts")
+        .map(drop)
+}
+
+fn resume_multik(runner: JobRunner) -> gmr_mapreduce::Result<()> {
+    MultiKMeans::new(runner, 1, 4, 1, 5, 9)
+        .with_checkpoints(CKPT)
+        .resume("pts")
+        .map(drop)
+}
+
+fn resume_parinit(runner: JobRunner) -> gmr_mapreduce::Result<()> {
+    KMeansParallelInit::new(runner, 3, 13)
+        .with_checkpoints(CKPT)
+        .resume("pts")
+        .map(drop)
+}
+
+/// Commits `payload` (with a valid checksum) as the journal's only
+/// checkpoint and resumes from it.
+fn resume_from(payload: &[u8], resume: Resume) -> gmr_mapreduce::Result<()> {
+    let dfs = staged_dfs();
+    RunJournal::new(Arc::clone(&dfs), CKPT)
+        .commit(0, payload)
+        .expect("commit");
+    resume(runner_on(&dfs))
+}
+
+#[test]
+fn resume_rejects_unrunnable_state_as_corrupt() {
+    let counters = Counter::all().len();
+    let gm = GMeansAlgo::MAGIC;
+    let km = KMeansAlgo::MAGIC;
+    let mk = MultiKAlgo::MAGIC;
+    let pi = ParInitAlgo::MAGIC;
+
+    // Controls: the hand-built frames are well-formed, so every
+    // rejection below is the state's fault, not the framing's.
+    let valid: [(&str, Vec<u8>, Resume); 4] = [
+        (
+            "G-means",
+            frame(gm, counters, &gmeans_state(&[(1, 10), (2, 10)], 3)),
+            resume_gmeans,
+        ),
+        (
+            "k-means",
+            frame(km, counters, &kmeans_state(&[0, 1, 2])),
+            resume_kmeans,
+        ),
+        (
+            "multi-k",
+            frame(mk, counters, &multik_state(&[1, 2, 3, 4], 4)),
+            resume_multik,
+        ),
+        (
+            "k-means||",
+            frame(pi, counters, &parinit_state(&[0], 1)),
+            resume_parinit,
+        ),
+    ];
+    for (case, payload, resume) in valid {
+        if let Err(e) = resume_from(&payload, resume) {
+            panic!("{case}: a valid state must resume, got {e:?}");
+        }
+    }
+
+    let corrupt: [(&str, Vec<u8>, Resume); 10] = [
+        (
+            "k-means: duplicate center id",
+            frame(km, counters, &kmeans_state(&[0, 1, 1])),
+            resume_kmeans,
+        ),
+        (
+            "k-means: center id at OFFSET",
+            frame(km, counters, &kmeans_state(&[0, 1, OFFSET])),
+            resume_kmeans,
+        ),
+        (
+            "G-means: a 3-d child in a 10-d state",
+            frame(gm, counters, &gmeans_state(&[(1, 10), (2, 3)], 3)),
+            resume_gmeans,
+        ),
+        (
+            "G-means: an unsplit parent with one child",
+            frame(gm, counters, &gmeans_state(&[(1, 10)], 3)),
+            resume_gmeans,
+        ),
+        (
+            "multi-k: an empty center set",
+            frame(mk, counters, &multik_state(&[1, 0, 3, 4], 4)),
+            resume_multik,
+        ),
+        (
+            "k-means||: no candidates mid-sampling",
+            frame(pi, counters, &parinit_state(&[], 0)),
+            resume_parinit,
+        ),
+        (
+            "G-means: a counter bank one entry short",
+            frame(gm, counters - 1, &gmeans_state(&[(1, 10), (2, 10)], 3)),
+            resume_gmeans,
+        ),
+        (
+            "G-means: a next id that is already a child's",
+            frame(gm, counters, &gmeans_state(&[(1, 10), (2, 10)], 2)),
+            resume_gmeans,
+        ),
+        (
+            "multi-k: three count rows for four sets",
+            frame(mk, counters, &multik_state(&[1, 2, 3, 4], 3)),
+            resume_multik,
+        ),
+        (
+            "k-means||: a next id that is already a candidate's",
+            frame(pi, counters, &parinit_state(&[0], 0)),
+            resume_parinit,
+        ),
+    ];
+    for (case, payload, resume) in corrupt {
+        match resume_from(&payload, resume) {
+            Err(Error::Corrupt(_)) => {}
+            other => panic!("{case}: expected Error::Corrupt, got {other:?}"),
+        }
     }
 }

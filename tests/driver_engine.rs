@@ -24,7 +24,7 @@ use gmeans::mr::{apply_updates, CenterUpdate, KMeansJob};
 use gmeans::prelude::*;
 use gmr_datagen::GaussianMixture;
 use gmr_mapreduce::counters::Counter;
-use gmr_mapreduce::prelude::{ClusterConfig, Dfs, Error, FaultPlan, JobRunner};
+use gmr_mapreduce::prelude::{ClusterConfig, Dfs, Error, FaultPlan, JobRunner, Writable};
 use gmr_mapreduce::Result;
 
 const CKPT: &str = "ckpt/engine";
@@ -371,9 +371,25 @@ struct CentroidState {
     center: CenterSet,
 }
 
+impl Writable for CentroidState {
+    fn write(&self, buf: &mut Vec<u8>) {
+        (self.round as u64).write(buf);
+        self.center.coords(0).to_vec().write(buf);
+    }
+    fn read(buf: &mut &[u8]) -> Result<Self> {
+        let round = u64::read(buf)? as usize;
+        let coords = Vec::<f64>::read(buf)?;
+        if coords.is_empty() {
+            return Err(Error::Corrupt("centroid of dimension 0".into()));
+        }
+        let mut center = CenterSet::new(coords.len());
+        center.push(0, &coords);
+        Ok(Self { round, center })
+    }
+}
+
 impl IterativeAlgorithm for Centroid {
     type State = CentroidState;
-    type Snapshot = (u64, Vec<f64>);
     type Output = Vec<f64>;
     const NAME: &'static str = "Centroid";
     const MAGIC: u32 = 0x1070_0001;
@@ -408,17 +424,6 @@ impl IterativeAlgorithm for Centroid {
         state.center = next;
         state.round += 1;
         Ok(Step::Boundary)
-    }
-    fn snapshot(&self, state: &CentroidState) -> (u64, Vec<f64>) {
-        (state.round as u64, state.center.coords(0).to_vec())
-    }
-    fn restore(&self, snap: (u64, Vec<f64>)) -> Result<CentroidState> {
-        let mut center = CenterSet::new(snap.1.len());
-        center.push(0, &snap.1);
-        Ok(CentroidState {
-            round: snap.0 as usize,
-            center,
-        })
     }
     fn finish(
         &self,
