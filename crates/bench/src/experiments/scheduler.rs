@@ -71,7 +71,8 @@ pub struct SchedulerBench {
     pub fair_makespan: f64,
     /// Makespan under FIFO.
     pub fifo_makespan: f64,
-    /// Time-averaged share error of the fair-share schedule.
+    /// Mean share error of the fair-share schedule over its sampled
+    /// scheduling instants (unweighted by how long each one held).
     pub mean_share_error: f64,
     /// Share-error curve of the fair-share schedule (downsampled).
     pub share_curve: Vec<ShareSample>,

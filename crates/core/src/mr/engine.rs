@@ -319,17 +319,6 @@ impl Engine {
         }
     }
 
-    /// Creates an engine running as a single-tenant client of a
-    /// multi-tenant [`gmr_mapreduce::scheduler::JobTracker`]: the engine
-    /// drives the named queue's runner (a clone sharing the queue's
-    /// epoch stream and the tracker's DFS), so results are bit-identical
-    /// to [`Engine::new`] on an untracked runner with the same cluster,
-    /// while the tracker arbitrates the queue's slot demands against
-    /// other tenants.
-    pub fn for_tenant(tracker: &gmr_mapreduce::scheduler::JobTracker, queue: &str) -> Result<Self> {
-        Ok(Self::new(tracker.runner(queue)?.clone()))
-    }
-
     /// Selects disk-based (Hadoop-style) or cached (Spark-style)
     /// execution. See [`ExecutionMode`].
     pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {

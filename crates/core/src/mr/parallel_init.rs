@@ -46,6 +46,9 @@ use crate::mr::kmeans_job::{empty_centers_error, fold_point_sums, PointSum};
 const COST_KEY: i64 = 0;
 const SAMPLE_KEY: i64 = 1;
 
+/// Sampling rounds after the ψ-only round 0 (Bahmani's setting).
+const ROUNDS: usize = 5;
+
 /// Uniform-in-[0,1) hash of a point, keyed per round.
 fn uniform_hash(seed: u64, coords: &[f64]) -> f64 {
     let mut h = std::hash::DefaultHasher::new();
@@ -257,8 +260,6 @@ impl Writable for PState {
 /// `false`): the init driver surfaces no counters or simulated clock.
 pub struct ParInitAlgo {
     k: usize,
-    rounds: usize,
-    oversample: f64,
     seed: u64,
 }
 
@@ -293,7 +294,7 @@ impl IterativeAlgorithm for ParInitAlgo {
         // restored ψ of `None` past round 0 means there is nothing left
         // to sample with.
         state.done_sampling
-            || state.next_round > self.rounds
+            || state.next_round > ROUNDS
             || (state.next_round > 0 && state.psi.is_none())
     }
 
@@ -303,9 +304,11 @@ impl IterativeAlgorithm for ParInitAlgo {
 
     fn plan(&self, state: &mut PState, ctx: &EngineCtx<'_>) -> Result<Vec<PlannedJob>> {
         let round = state.next_round;
+        // Oversampling factor ℓ = 2k.
+        let oversample = 2.0 * self.k as f64;
         let factor = state
             .psi
-            .map(|p| if p > 0.0 { self.oversample / p } else { 0.0 });
+            .map(|p| if p > 0.0 { oversample / p } else { 0.0 });
         let job = ParallelInitRound::new(
             Arc::new(state.candidates.clone()),
             if round == 0 { None } else { factor },
@@ -370,8 +373,8 @@ pub struct KMeansParallelInit {
 }
 
 impl KMeansParallelInit {
-    /// Initialization for `k` clusters with Bahmani's defaults: 5
-    /// rounds, oversampling factor `ℓ = 2k`.
+    /// Initialization for `k` clusters with Bahmani's settings: 5
+    /// sampling rounds, oversampling factor `ℓ = 2k`.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -379,12 +382,7 @@ impl KMeansParallelInit {
         assert!(k > 0, "k must be positive");
         Self {
             engine: Engine::new(runner),
-            algo: ParInitAlgo {
-                k,
-                rounds: 5,
-                oversample: 2.0 * k as f64,
-                seed,
-            },
+            algo: ParInitAlgo { k, seed },
         }
     }
 
@@ -396,20 +394,6 @@ impl KMeansParallelInit {
     /// deterministically on resume.
     pub fn with_checkpoints(mut self, dir: impl Into<String>) -> Self {
         self.engine = self.engine.with_checkpoints(dir);
-        self
-    }
-
-    /// Overrides the number of sampling rounds.
-    pub fn with_rounds(mut self, rounds: usize) -> Self {
-        assert!(rounds > 0, "need at least one round");
-        self.algo.rounds = rounds;
-        self
-    }
-
-    /// Overrides the per-round oversampling factor `ℓ`.
-    pub fn with_oversample(mut self, oversample: f64) -> Self {
-        assert!(oversample > 0.0, "oversampling factor must be positive");
-        self.algo.oversample = oversample;
         self
     }
 

@@ -25,7 +25,8 @@ use crate::faults::{FaultPlan, MembershipPlan, NodeStatus};
 /// spilled runs are raw (uncombined) sorted emission windows, merged
 /// with a run-index tie-break and combined once over the merged
 /// stream, so the final map output is byte-identical to the buffered
-/// path (DESIGN.md §18 walks the argument).
+/// path (DESIGN.md §18 walks the argument). Spill runs are always
+/// block-compressed, as with Hadoop's `mapred.compress.map.output` on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OutOfCoreConfig {
     /// Master switch: spill map sort buffers to disk on overflow and
@@ -39,9 +40,6 @@ pub struct OutOfCoreConfig {
     /// default 16). More runs than this triggers intermediate merge
     /// passes, counted in `shuffle_merge_passes`.
     pub merge_fan_in: usize,
-    /// Block-compress spill runs (Hadoop's
-    /// `mapred.compress.map.output`, default on).
-    pub compress_spills: bool,
     /// Spill-file block size in bytes (default 256 KiB): the unit of
     /// checksumming, compression and read-side buffering.
     pub spill_block_bytes: usize,
@@ -53,7 +51,6 @@ impl Default for OutOfCoreConfig {
             spill_enabled: false,
             sort_buffer_bytes: 32 << 20,
             merge_fan_in: 16,
-            compress_spills: true,
             spill_block_bytes: 256 << 10,
         }
     }
@@ -77,12 +74,6 @@ impl OutOfCoreConfig {
     /// This policy with a different merge fan-in.
     pub fn with_merge_fan_in(mut self, fan_in: usize) -> Self {
         self.merge_fan_in = fan_in;
-        self
-    }
-
-    /// This policy with spill compression switched on or off.
-    pub fn with_compression(mut self, compress: bool) -> Self {
-        self.compress_spills = compress;
         self
     }
 

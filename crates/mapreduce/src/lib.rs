@@ -19,8 +19,8 @@
 //! * [`submit`] — a submission façade binding a runner to one input
 //!   source (DFS text or point cache), so iterative drivers stop
 //!   branching on the execution mode at every job site;
-//! * [`scheduler`] — a multi-tenant JobTracker: hierarchical fair-share
-//!   queues with deterministic preemption and locality-aware map
+//! * [`scheduler`] — a multi-tenant JobTracker: weighted fair-share
+//!   queues with min-share preemption and locality-aware map
 //!   placement arbitrating the cluster's slots between N tenants;
 //! * [`counters`] — the measurable events §4's cost model is written in;
 //! * [`memory`] — simulated per-task heap; exceeding it fails the job
@@ -136,8 +136,7 @@ pub mod prelude {
     pub use crate::memory::{HeapEstimator, HeapLedger, BYTES_PER_PROJECTION, MAX_HEAP_USAGE};
     pub use crate::runtime::{JobResult, JobRunner};
     pub use crate::scheduler::{
-        CapacityTimeline, JobDemand, JobTracker, QueueConfig, SchedulingPolicy, TaskDemand,
-        TenantDemand, TrackerRun,
+        JobDemand, JobTracker, QueueConfig, SchedulingPolicy, TaskDemand, TenantDemand, TrackerRun,
     };
     pub use crate::shuffle::CommitFence;
     pub use crate::submit::Submission;

@@ -250,11 +250,7 @@ impl MapSpill {
             }
             // Raw, stably sorted, uncombined — see the struct docs.
             part.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut writer = RunWriter::create(
-                &self.dir,
-                self.cfg.compress_spills,
-                self.cfg.spill_block_bytes,
-            )?;
+            let mut writer = RunWriter::create(&self.dir, true, self.cfg.spill_block_bytes)?;
             for (k, v) in part.iter() {
                 writer.push(k, v)?;
             }

@@ -12,9 +12,9 @@
 //! * **arbitration** — who holds which map/reduce slot at which instant
 //!   when N tenants contend — is a pure, deterministic discrete-event
 //!   simulation over the collected task durations and DFS block
-//!   replicas ([`JobTracker::arbitrate`]).
+//!   replicas ([`JobTracker::arbitrate`]) on the cluster's fixed slots.
 //!
-//! Queues form a weight tree ([`QueueConfig::with_parent`]); the
+//! Queues are flat, each with a weight and a minimum share; the
 //! fair-share policy hands the next free slot to the queue furthest
 //! below its weighted share, preempting a running attempt of an
 //! over-share queue when a queue cannot reach its configured minimum
@@ -62,55 +62,32 @@ pub enum SchedulingPolicy {
     FairShare,
 }
 
-/// Static configuration of one scheduler queue (a tenant, or an
-/// interior node of the weight tree).
+/// Static configuration of one scheduler queue (a tenant).
 #[derive(Clone, Debug)]
 pub struct QueueConfig {
     /// Queue name; unique within a tracker.
     pub name: String,
-    /// Parent queue in the weight tree; `None` hangs the queue off the
-    /// implicit root. A queue's weighted share is its weight normalized
-    /// among its *active* siblings, times its parent's share.
-    pub parent: Option<String>,
-    /// Relative weight among siblings. Must be finite and positive.
+    /// Relative weight among the queues. Must be finite and positive.
+    /// A queue's weighted share is its weight normalized among the
+    /// *active* queues.
     pub weight: f64,
     /// Slots (per pool: map and reduce each) this queue may reclaim by
     /// preemption when starved below it. Zero disables preemption on
     /// the queue's behalf.
     pub min_share_slots: usize,
-    /// Hard cap on the queue's concurrently running attempts, or `None`
-    /// for uncapped.
-    pub max_share_slots: Option<usize>,
-    /// Per-queue speculative-execution tuning: enables speculation on
-    /// this queue's runner at the given slowdown threshold.
-    pub speculative_slowdown_threshold: Option<f64>,
-    /// Per-queue blacklist tuning: nodes leave this queue's scheduling
-    /// pool after this many crashes.
-    pub node_blacklist_after: Option<u32>,
 }
 
 impl QueueConfig {
-    /// A queue with weight 1, no minimum or maximum share and no
-    /// per-queue tuning.
+    /// A queue with weight 1 and no minimum share.
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            parent: None,
             weight: 1.0,
             min_share_slots: 0,
-            max_share_slots: None,
-            speculative_slowdown_threshold: None,
-            node_blacklist_after: None,
         }
     }
 
-    /// Hangs this queue under `parent` in the weight tree.
-    pub fn with_parent(mut self, parent: impl Into<String>) -> Self {
-        self.parent = Some(parent.into());
-        self
-    }
-
-    /// Sets the queue's relative weight among its siblings.
+    /// Sets the queue's relative weight.
     pub fn with_weight(mut self, weight: f64) -> Self {
         self.weight = weight;
         self
@@ -120,135 +97,6 @@ impl QueueConfig {
     pub fn with_min_share(mut self, slots: usize) -> Self {
         self.min_share_slots = slots;
         self
-    }
-
-    /// Caps the queue's concurrently running attempts.
-    pub fn with_max_share(mut self, slots: usize) -> Self {
-        self.max_share_slots = Some(slots);
-        self
-    }
-
-    /// Enables speculative execution on this queue's runner.
-    pub fn with_speculation(mut self, slowdown_threshold: f64) -> Self {
-        self.speculative_slowdown_threshold = Some(slowdown_threshold);
-        self
-    }
-
-    /// Blacklists nodes for this queue after `crashes` crashes.
-    pub fn with_blacklist_after(mut self, crashes: u32) -> Self {
-        self.node_blacklist_after = Some(crashes);
-        self
-    }
-}
-
-/// The namespaced counter name a queue's scheduling events are reported
-/// under, e.g. `queue_research.maps_node_local`.
-pub fn queue_counter_name(queue: &str, counter: Counter) -> String {
-    format!("queue_{queue}.{}", counter.name())
-}
-
-/// What one capacity event does to a node at its instant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CapacityAction {
-    /// The node comes up: its slots join the pools and it accepts
-    /// placements (a fresh join, or a spot backfill after a revocation).
-    Add,
-    /// The node stops accepting *new* placements; running attempts
-    /// finish normally (a graceful drain, or a revocation announcement).
-    Unavailable,
-    /// The node is hard-killed: every attempt running on it is thrown
-    /// away and re-queued at full duration (the revocation itself).
-    Kill,
-}
-
-/// One timed change to a node's capacity.
-#[derive(Clone, Copy, Debug)]
-struct CapacityEvent {
-    at: f64,
-    node: usize,
-    action: CapacityAction,
-}
-
-/// An elastic capacity timeline for the arbitration simulation: when
-/// each node's slots exist and whether they accept new work. The
-/// default (empty) timeline is the fixed cluster — arbitration under it
-/// is bit-identical to a tracker without one.
-///
-/// This is the scheduler-side mirror of
-/// [`crate::faults::MembershipPlan`]: the membership plan speaks job
-/// *epochs* (the runtime's clock), the timeline speaks simulated
-/// *seconds* (the arbitration's clock). A revocation carries its
-/// announcement with it — [`CapacityTimeline::revoke`] marks the node
-/// unavailable at `announce_at` so locality-first selection stops
-/// steering maps onto a doomed node before the kill lands.
-#[derive(Clone, Debug, Default)]
-pub struct CapacityTimeline {
-    events: Vec<CapacityEvent>,
-}
-
-impl CapacityTimeline {
-    /// The empty timeline: fixed capacity.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// True when the timeline schedules no event.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    fn push(mut self, at: f64, node: usize, action: CapacityAction) -> Self {
-        assert!(
-            at.is_finite() && at >= 0.0,
-            "capacity event time must be finite and non-negative"
-        );
-        self.events.push(CapacityEvent { at, node, action });
-        self
-    }
-
-    /// Node `node` joins at simulated time `at`: its slots enter the
-    /// pools and it starts taking placements (including node-local maps
-    /// for blocks rebalanced onto it). Also re-adds a node previously
-    /// drained or revoked — a spot backfill.
-    pub fn join(self, at: f64, node: usize) -> Self {
-        self.push(at, node, CapacityAction::Add)
-    }
-
-    /// Node `node` is gracefully drained from `at` on: no new attempt
-    /// is placed on it, attempts already running finish normally.
-    pub fn drain(self, at: f64, node: usize) -> Self {
-        self.push(at, node, CapacityAction::Unavailable)
-    }
-
-    /// Node `node` is spot-revoked at `at`, announced at `announce_at`:
-    /// from the announcement no new attempt is placed on it (the
-    /// scheduler avoids the doomed node), and at the revocation every
-    /// attempt still running there is killed and re-queued at full
-    /// duration.
-    ///
-    /// # Panics
-    /// Panics when `announce_at > at` — an announcement after the kill
-    /// would be a plain crash, not a revocation.
-    pub fn revoke(self, announce_at: f64, at: f64, node: usize) -> Self {
-        assert!(
-            announce_at <= at,
-            "revocation must be announced at or before the kill"
-        );
-        self.push(announce_at, node, CapacityAction::Unavailable)
-            .push(at, node, CapacityAction::Kill)
-    }
-
-    /// One past the highest node id the timeline names (0 when empty).
-    fn peak_node(&self) -> usize {
-        self.events.iter().map(|e| e.node + 1).max().unwrap_or(0)
-    }
-
-    /// Events in application order: by time, ties by insertion order
-    /// (stable sort), so composing builders reads top to bottom.
-    fn sorted(&self) -> Vec<CapacityEvent> {
-        let mut events = self.events.clone();
-        events.sort_by(|a, b| a.at.total_cmp(&b.at));
-        events
     }
 }
 
@@ -343,21 +191,6 @@ pub struct QueueStats {
     pub tasks_preempted: u64,
 }
 
-impl QueueStats {
-    /// The queue's scheduling counters under their namespaced names,
-    /// e.g. `("queue_research.maps_node_local", 12)`.
-    pub fn named_counters(&self) -> Vec<(String, u64)> {
-        [
-            (Counter::MapsNodeLocal, self.maps_node_local),
-            (Counter::MapsRemote, self.maps_remote),
-            (Counter::TasksPreempted, self.tasks_preempted),
-        ]
-        .into_iter()
-        .map(|(c, v)| (queue_counter_name(&self.queue, c), v))
-        .collect()
-    }
-}
-
 /// Outcome of arbitrating a set of tenant demands.
 #[derive(Debug)]
 pub struct TrackerRun {
@@ -369,8 +202,7 @@ pub struct TrackerRun {
     /// Share-error curve, one sample per scheduling instant.
     pub share_samples: Vec<ShareSample>,
     /// Cluster-wide scheduling counters (`maps_node_local`,
-    /// `maps_remote`, `tasks_preempted`, and `attempts_killed` from
-    /// revocation kills).
+    /// `maps_remote` and `tasks_preempted`).
     pub counters: Counters,
 }
 
@@ -387,7 +219,8 @@ impl TrackerRun {
         }
     }
 
-    /// Time-averaged share error over the sampled schedule.
+    /// Mean share error over the scheduling instants sampled: each
+    /// sample counts once, however long the schedule held it.
     pub fn mean_share_error(&self) -> f64 {
         if self.share_samples.is_empty() {
             return 0.0;
@@ -400,29 +233,24 @@ impl TrackerRun {
 /// A multi-tenant JobTracker over one simulated cluster.
 ///
 /// Queues are registered up front; each gets its own [`JobRunner`]
-/// against the shared DFS, with the queue's speculation/blacklist
-/// tuning applied to that runner's fault plan. A queue with no tuning
-/// runs on a runner identical to `JobRunner::new(dfs, cluster)` — the
-/// single-tenant client path is bit-identical to the direct path.
+/// against the shared DFS, identical to `JobRunner::new(dfs, cluster)`
+/// — the single-tenant client path is bit-identical to the direct path.
 pub struct JobTracker {
     dfs: Arc<Dfs>,
     cluster: ClusterConfig,
     policy: SchedulingPolicy,
-    capacity: CapacityTimeline,
     queues: Vec<QueueConfig>,
     runners: BTreeMap<String, JobRunner>,
 }
 
 impl JobTracker {
-    /// A tracker with no queues yet, arbitrating fair-share over fixed
-    /// capacity.
+    /// A tracker with no queues yet, arbitrating fair-share.
     pub fn new(dfs: Arc<Dfs>, cluster: ClusterConfig) -> Result<Self> {
         cluster.validate()?;
         Ok(Self {
             dfs,
             cluster,
             policy: SchedulingPolicy::FairShare,
-            capacity: CapacityTimeline::none(),
             queues: Vec::new(),
             runners: BTreeMap::new(),
         })
@@ -434,16 +262,10 @@ impl JobTracker {
         self
     }
 
-    /// Sets the capacity timeline the arbitration simulation runs over.
-    pub fn with_capacity(mut self, capacity: CapacityTimeline) -> Self {
-        self.capacity = capacity;
-        self
-    }
-
-    /// Registers a queue and builds its runner. Parents must be
-    /// registered before their children; names are unique; weights are
-    /// finite and positive; the minimum shares of all queues together
-    /// must fit in each slot pool (otherwise preemption could thrash).
+    /// Registers a queue and builds its runner. Names are unique;
+    /// weights are finite and positive; the minimum shares of all
+    /// queues together must fit in each slot pool (otherwise preemption
+    /// could thrash).
     pub fn add_queue(&mut self, queue: QueueConfig) -> Result<()> {
         if !(queue.weight.is_finite() && queue.weight > 0.0) {
             return Err(Error::Config(format!(
@@ -453,30 +275,6 @@ impl JobTracker {
         }
         if self.queues.iter().any(|q| q.name == queue.name) {
             return Err(Error::Config(format!("duplicate queue {}", queue.name)));
-        }
-        if let Some(parent) = &queue.parent {
-            if !self.queues.iter().any(|q| &q.name == parent) {
-                return Err(Error::Config(format!(
-                    "queue {}: unknown parent {parent}",
-                    queue.name
-                )));
-            }
-        }
-        if let Some(cap) = queue.max_share_slots {
-            if cap == 0 {
-                return Err(Error::Config(format!(
-                    "queue {}: max_share_slots must be positive — a cap of 0 \
-                     would silently drop every job submitted to the queue",
-                    queue.name
-                )));
-            }
-            if cap < queue.min_share_slots {
-                return Err(Error::Config(format!(
-                    "queue {}: max_share_slots ({cap}) is below \
-                     min_share_slots ({})",
-                    queue.name, queue.min_share_slots
-                )));
-            }
         }
         let pool = self
             .cluster
@@ -491,32 +289,10 @@ impl JobTracker {
                 queue.name
             )));
         }
-        let mut faults = self.cluster.faults;
-        if let Some(th) = queue.speculative_slowdown_threshold {
-            faults = faults.with_speculation(th);
-        }
-        if let Some(n) = queue.node_blacklist_after {
-            faults = faults.with_node_blacklist_after(n);
-        }
-        let runner = JobRunner::new(Arc::clone(&self.dfs), self.cluster.with_faults(faults))?;
+        let runner = JobRunner::new(Arc::clone(&self.dfs), self.cluster)?;
         self.runners.insert(queue.name.clone(), runner);
         self.queues.push(queue);
         Ok(())
-    }
-
-    /// The tracker's shared DFS.
-    pub fn dfs(&self) -> &Arc<Dfs> {
-        &self.dfs
-    }
-
-    /// The cluster being arbitrated.
-    pub fn cluster(&self) -> &ClusterConfig {
-        &self.cluster
-    }
-
-    /// Registered queues, in registration order.
-    pub fn queues(&self) -> &[QueueConfig] {
-        &self.queues
     }
 
     /// The queue's execution runner — the single-tenant client path.
@@ -541,14 +317,12 @@ impl JobTracker {
     /// Arbitrates the demands over the cluster's slots: a deterministic
     /// discrete-event simulation of who holds which map/reduce slot at
     /// which instant under the tracker's policy. Demands must name
-    /// *leaf* queues (no registered children).
+    /// registered queues, and every job must have a task.
     pub fn arbitrate(&self, demands: &[TenantDemand]) -> Result<TrackerRun> {
         for d in demands {
-            let queue = self
-                .queues
-                .iter()
-                .position(|q| q.name == d.queue)
-                .ok_or_else(|| Error::Config(format!("unknown queue {}", d.queue)))?;
+            if !self.queues.iter().any(|q| q.name == d.queue) {
+                return Err(Error::Config(format!("unknown queue {}", d.queue)));
+            }
             if let Some(job) = d
                 .jobs
                 .iter()
@@ -557,16 +331,6 @@ impl JobTracker {
                 return Err(Error::Config(format!(
                     "queue {}: job {} has no tasks to schedule",
                     d.queue, job.name
-                )));
-            }
-            if self
-                .queues
-                .iter()
-                .any(|q| q.parent.as_deref() == Some(self.queues[queue].name.as_str()))
-            {
-                return Err(Error::Config(format!(
-                    "queue {} is an interior queue; submit to a leaf",
-                    d.queue
                 )));
             }
         }
@@ -599,10 +363,8 @@ struct TenantState {
     /// When the current job's map tasks become runnable (setup paid).
     ready_at: f64,
     pending_maps: Vec<usize>,
-    maps_running: usize,
     maps_done: usize,
     pending_reduces: Vec<usize>,
-    reduces_running: usize,
     reduces_done: usize,
     finish: f64,
 }
@@ -615,10 +377,8 @@ impl TenantState {
     /// Loads job `self.current`'s tasks as pending.
     fn load_job(&mut self, job: &JobDemand) {
         self.pending_maps = (0..job.maps.len()).collect();
-        self.maps_running = 0;
         self.maps_done = 0;
         self.pending_reduces = (0..job.reduces.len()).collect();
-        self.reduces_running = 0;
         self.reduces_done = 0;
     }
 }
@@ -627,36 +387,22 @@ struct Simulation<'a> {
     tracker: &'a JobTracker,
     demands: &'a [TenantDemand],
     tenants: Vec<TenantState>,
-    /// Free map/reduce slots per node of the universe (base cluster
-    /// plus every node the capacity timeline names). Nodes that only
-    /// exist from a future join start with zero slots.
+    /// Free map/reduce slots per node.
     free_map: Vec<usize>,
     free_reduce: Vec<usize>,
-    /// Whether each node currently accepts *new* placements. Cleared
-    /// by drains and revocation announcements; set by joins.
-    available: Vec<bool>,
-    /// Capacity events in application order; `next_action` indexes the
-    /// first not yet applied.
-    actions: Vec<CapacityEvent>,
-    next_action: usize,
     running: Vec<Running>,
-    /// Concurrently running attempts per queue (maps and reduces
-    /// combined — feeds the max-share cap, slot-seconds and the share
-    /// samples, which are all defined over total attempts).
-    queue_running: Vec<usize>,
     /// Concurrently running attempts per queue split by slot pool
     /// (index [`Self::kind_slot`]): `min_share_slots` is a per-pool
     /// guarantee, so the min-share check, the fair-share deficit and
     /// the preemption over-share must all compare like with like — a
     /// queue's reduces must neither block it from preempting for maps
-    /// nor make it look over its map share.
+    /// nor make it look over its map share. Slot-seconds and the share
+    /// samples are defined over both pools together.
     running_by_kind: Vec<[usize; 2]>,
     slot_secs: Vec<f64>,
     maps_node_local: Vec<u64>,
     maps_remote: Vec<u64>,
     tasks_preempted: Vec<u64>,
-    /// Attempts thrown away by revocation kills, per queue.
-    tasks_killed: Vec<u64>,
     finish_secs: Vec<f64>,
     share_samples: Vec<ShareSample>,
     seq: u64,
@@ -690,10 +436,8 @@ impl<'a> Simulation<'a> {
                     current: 0,
                     ready_at: d.submit_at + setup,
                     pending_maps: Vec::new(),
-                    maps_running: 0,
                     maps_done: 0,
                     pending_reduces: Vec::new(),
-                    reduces_running: 0,
                     reduces_done: 0,
                     finish: d.submit_at,
                 };
@@ -703,31 +447,19 @@ impl<'a> Simulation<'a> {
                 t
             })
             .collect();
-        let base = tracker.cluster.nodes;
-        let universe = base.max(tracker.capacity.peak_node());
-        let mut free_map = vec![0; universe];
-        let mut free_reduce = vec![0; universe];
-        for n in 0..base {
-            free_map[n] = tracker.cluster.map_slots_per_node;
-            free_reduce[n] = tracker.cluster.reduce_slots_per_node;
-        }
+        let nodes = tracker.cluster.nodes;
         Self {
             tracker,
             demands,
             tenants,
-            free_map,
-            free_reduce,
-            available: (0..universe).map(|n| n < base).collect(),
-            actions: tracker.capacity.sorted(),
-            next_action: 0,
+            free_map: vec![tracker.cluster.map_slots_per_node; nodes],
+            free_reduce: vec![tracker.cluster.reduce_slots_per_node; nodes],
             running: Vec::new(),
-            queue_running: vec![0; nq],
             running_by_kind: vec![[0; 2]; nq],
             slot_secs: vec![0.0; nq],
             maps_node_local: vec![0; nq],
             maps_remote: vec![0; nq],
             tasks_preempted: vec![0; nq],
-            tasks_killed: vec![0; nq],
             finish_secs: vec![0.0; nq],
             share_samples: Vec::new(),
             seq: 0,
@@ -735,88 +467,14 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Applies every capacity event due at or before the current
-    /// instant, in timeline order.
-    fn apply_capacity_events(&mut self) {
-        while let Some(&CapacityEvent { at, node, action }) = self.actions.get(self.next_action) {
-            if at > self.now {
-                break;
-            }
-            self.next_action += 1;
-            match action {
-                CapacityAction::Add => {
-                    if !self.available[node] {
-                        self.available[node] = true;
-                        // Slots not held by attempts still finishing
-                        // from before a drain become free; after a kill
-                        // or a fresh join nothing runs there, so the
-                        // node comes up at full capacity.
-                        let busy_map = self
-                            .running
-                            .iter()
-                            .filter(|r| r.node == node && r.kind == TaskKind::Map)
-                            .count();
-                        let busy_reduce = self
-                            .running
-                            .iter()
-                            .filter(|r| r.node == node && r.kind != TaskKind::Map)
-                            .count();
-                        self.free_map[node] = self
-                            .tracker
-                            .cluster
-                            .map_slots_per_node
-                            .saturating_sub(busy_map);
-                        self.free_reduce[node] = self
-                            .tracker
-                            .cluster
-                            .reduce_slots_per_node
-                            .saturating_sub(busy_reduce);
-                    }
-                }
-                CapacityAction::Unavailable => {
-                    self.available[node] = false;
-                }
-                CapacityAction::Kill => {
-                    self.available[node] = false;
-                    self.free_map[node] = 0;
-                    self.free_reduce[node] = 0;
-                    let mut killed: Vec<Running> = Vec::new();
-                    let mut i = 0;
-                    while i < self.running.len() {
-                        if self.running[i].node == node {
-                            killed.push(self.running.remove(i));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    killed.sort_by_key(|r| r.seq);
-                    for r in killed {
-                        self.queue_running[r.queue] -= 1;
-                        self.running_by_kind[r.queue][Self::kind_slot(r.kind)] -= 1;
-                        self.tasks_killed[r.queue] += 1;
-                        let t = &mut self.tenants[r.tenant];
-                        // KILLED, not FAILED: the attempt re-enters its
-                        // tenant's pending list at full duration, like
-                        // the runtime's node-crash kills.
-                        match r.kind {
-                            TaskKind::Map => {
-                                t.maps_running -= 1;
-                                t.pending_maps.insert(0, r.task);
-                            }
-                            _ => {
-                                t.reduces_running -= 1;
-                                t.pending_reduces.insert(0, r.task);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    /// Attempts queue `q` runs right now, both pools together.
+    fn queue_running(&self, q: usize) -> usize {
+        let [maps, reduces] = self.running_by_kind[q];
+        maps + reduces
     }
 
     fn run(mut self) -> Result<TrackerRun> {
         loop {
-            self.apply_capacity_events();
             self.schedule();
             // Zero-length tasks retire at the instant they start.
             if self.running.iter().any(|r| r.finish <= self.now) {
@@ -825,8 +483,8 @@ impl<'a> Simulation<'a> {
             }
             self.sample_shares();
             let Some(next) = self.next_event() else { break };
-            for q in 0..self.queue_running.len() {
-                self.slot_secs[q] += self.queue_running[q] as f64 * (next - self.now);
+            for q in 0..self.running_by_kind.len() {
+                self.slot_secs[q] += self.queue_running(q) as f64 * (next - self.now);
             }
             self.now = next;
             self.complete_finished();
@@ -849,18 +507,13 @@ impl<'a> Simulation<'a> {
         let mut queues = Vec::new();
         for (q, config) in self.tracker.queues.iter().enumerate() {
             let used = self.slot_secs[q] > 0.0
-                || self.maps_node_local[q]
-                    + self.maps_remote[q]
-                    + self.tasks_preempted[q]
-                    + self.tasks_killed[q]
-                    > 0;
+                || self.maps_node_local[q] + self.maps_remote[q] + self.tasks_preempted[q] > 0;
             if !used {
                 continue;
             }
             counters.add(Counter::MapsNodeLocal, self.maps_node_local[q]);
             counters.add(Counter::MapsRemote, self.maps_remote[q]);
             counters.add(Counter::TasksPreempted, self.tasks_preempted[q]);
-            counters.add(Counter::AttemptsKilled, self.tasks_killed[q]);
             queues.push(QueueStats {
                 queue: config.name.clone(),
                 finish_secs: self.finish_secs[q],
@@ -878,8 +531,8 @@ impl<'a> Simulation<'a> {
         })
     }
 
-    /// Earliest future event: a running attempt finishing, an idle
-    /// tenant's next job becoming ready, or a capacity event landing.
+    /// Earliest future event: a running attempt finishing, or an idle
+    /// tenant's next job becoming ready.
     fn next_event(&self) -> Option<f64> {
         let mut next: Option<f64> = None;
         let mut consider = |t: f64| {
@@ -893,17 +546,6 @@ impl<'a> Simulation<'a> {
         for t in &self.tenants {
             if !t.done(self.demands[t.arrival.1].jobs.len()) {
                 consider(t.ready_at);
-            }
-        }
-        // Capacity events only matter while demand remains; once every
-        // tenant is done the makespan is fixed.
-        if self
-            .tenants
-            .iter()
-            .any(|t| !t.done(self.demands[t.arrival.1].jobs.len()))
-        {
-            if let Some(a) = self.actions.get(self.next_action) {
-                consider(a.at);
             }
         }
         next
@@ -925,17 +567,14 @@ impl<'a> Simulation<'a> {
         // Deterministic retirement order.
         finished.sort_by_key(|r| r.seq);
         for r in finished {
-            self.queue_running[r.queue] -= 1;
             self.running_by_kind[r.queue][Self::kind_slot(r.kind)] -= 1;
             match r.kind {
                 TaskKind::Map => {
                     self.free_map[r.node] += 1;
-                    self.tenants[r.tenant].maps_running -= 1;
                     self.tenants[r.tenant].maps_done += 1;
                 }
                 _ => {
                     self.free_reduce[r.node] += 1;
-                    self.tenants[r.tenant].reduces_running -= 1;
                     self.tenants[r.tenant].reduces_done += 1;
                 }
             }
@@ -954,66 +593,28 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Weighted target share of each queue, renormalized over the
-    /// queues in `active` by walking the weight tree: each queue's
-    /// share is its weight normalized among active siblings times its
-    /// parent's share. Inactive subtrees get zero.
+    /// Weighted target share of each queue: its weight normalized over
+    /// the queues in `active`. Inactive queues get zero.
     fn target_shares(&self, active: &[bool]) -> Vec<f64> {
         let queues = &self.tracker.queues;
-        let n = queues.len();
-        // A subtree is active if any leaf in it is active.
-        let mut subtree_active = active.to_vec();
-        // Parents precede children (enforced by add_queue), so one
-        // reverse pass propagates activity upward.
-        for i in (0..n).rev() {
-            if subtree_active[i] {
-                if let Some(parent) = &queues[i].parent {
-                    let p = queues.iter().position(|q| &q.name == parent).unwrap();
-                    subtree_active[p] = true;
-                }
-            }
-        }
-        let mut share = vec![0.0f64; n];
-        for i in 0..n {
-            if !subtree_active[i] {
-                continue;
-            }
-            let parent_share = match &queues[i].parent {
-                None => 1.0,
-                Some(parent) => {
-                    let p = queues.iter().position(|q| &q.name == parent).unwrap();
-                    share[p]
-                }
-            };
-            let siblings: f64 = queues
-                .iter()
-                .enumerate()
-                .filter(|(j, q)| subtree_active[*j] && q.parent == queues[i].parent)
-                .map(|(_, q)| q.weight)
-                .sum();
-            share[i] = parent_share * queues[i].weight / siblings;
-        }
-        // Interior queues pass their whole share down; only leaves
-        // keep one (a leaf is a queue with no active children).
-        for i in 0..n {
-            let has_active_child = queues.iter().enumerate().any(|(j, q)| {
-                subtree_active[j] && q.parent.as_deref() == Some(queues[i].name.as_str())
-            });
-            if has_active_child {
-                share[i] = 0.0;
-            }
-        }
-        share
+        let total: f64 = queues
+            .iter()
+            .zip(active)
+            .filter(|(_, a)| **a)
+            .map(|(q, _)| q.weight)
+            .sum();
+        queues
+            .iter()
+            .zip(active)
+            .map(|(q, &a)| if a { q.weight / total } else { 0.0 })
+            .collect()
     }
 
     /// Queues with at least one runnable or running attempt.
     fn active_queues(&self) -> Vec<bool> {
-        let mut active = vec![false; self.tracker.queues.len()];
-        for (q, &r) in self.queue_running.iter().enumerate() {
-            if r > 0 {
-                active[q] = true;
-            }
-        }
+        let mut active: Vec<bool> = (0..self.tracker.queues.len())
+            .map(|q| self.queue_running(q) > 0)
+            .collect();
         for t in &self.tenants {
             if t.ready_at <= self.now
                 && !t.done(self.demands[t.arrival.1].jobs.len())
@@ -1032,15 +633,16 @@ impl<'a> Simulation<'a> {
         if active.iter().filter(|a| **a).count() < 2 {
             return;
         }
-        let total: usize = self.queue_running.iter().sum();
+        let total: usize = (0..active.len()).map(|q| self.queue_running(q)).sum();
         if total == 0 {
             return;
         }
         let target = self.target_shares(&active);
         let mut err = 0.0;
         for q in 0..active.len() {
-            if active[q] || self.queue_running[q] > 0 {
-                let actual = self.queue_running[q] as f64 / total as f64;
+            let running = self.queue_running(q);
+            if active[q] || running > 0 {
+                let actual = running as f64 / total as f64;
                 err += (actual - target[q]).abs();
             }
         }
@@ -1071,7 +673,7 @@ impl<'a> Simulation<'a> {
     }
 
     /// Fills free slots until no runnable task can be placed, applying
-    /// the policy, max-share caps, locality and min-share preemption.
+    /// the policy, locality and min-share preemption.
     fn schedule(&mut self) {
         for kind in [TaskKind::Map, TaskKind::Reduce] {
             let k = Self::kind_slot(kind);
@@ -1088,17 +690,12 @@ impl<'a> Simulation<'a> {
                 if runnable.is_empty() {
                     break;
                 }
-                // Queues under their max-share cap with runnable work.
+                // Queues with runnable work that may still place.
                 let mut candidates: Vec<usize> =
                     runnable.iter().map(|&t| self.tenants[t].queue).collect();
                 candidates.sort_unstable();
                 candidates.dedup();
-                candidates.retain(|&q| {
-                    !exhausted[q]
-                        && self.tracker.queues[q]
-                            .max_share_slots
-                            .map_or(true, |cap| self.queue_running[q] < cap)
-                });
+                candidates.retain(|&q| !exhausted[q]);
                 if candidates.is_empty() {
                     break;
                 }
@@ -1190,23 +787,17 @@ impl<'a> Simulation<'a> {
                             .replicas
                             .iter()
                             .copied()
-                            .filter(|&n| {
-                                n < self.free_map.len() && self.available[n] && self.free_map[n] > 0
-                            })
+                            .filter(|&n| n < self.free_map.len() && self.free_map[n] > 0)
                             .min()
                             .map(|node| (pos, Some(node)))
                     })
                     .unwrap_or_else(|| {
-                        (
-                            0,
-                            (0..self.free_map.len())
-                                .find(|&n| self.available[n] && self.free_map[n] > 0),
-                        )
+                        (0, (0..self.free_map.len()).find(|&n| self.free_map[n] > 0))
                     })
             }
             _ => (
                 0,
-                (0..self.free_reduce.len()).find(|&n| self.available[n] && self.free_reduce[n] > 0),
+                (0..self.free_reduce.len()).find(|&n| self.free_reduce[n] > 0),
             ),
         };
         let (pos, node) = match node {
@@ -1237,7 +828,6 @@ impl<'a> Simulation<'a> {
         let (task, duration) = match kind {
             TaskKind::Map => {
                 let task = t.pending_maps.remove(pos);
-                t.maps_running += 1;
                 (
                     task,
                     self.demands[tenant].jobs[t.current].maps[task].duration,
@@ -1245,7 +835,6 @@ impl<'a> Simulation<'a> {
             }
             _ => {
                 let task = t.pending_reduces.remove(0);
-                t.reduces_running += 1;
                 (task, self.demands[tenant].jobs[t.current].reduces[task])
             }
         };
@@ -1264,7 +853,6 @@ impl<'a> Simulation<'a> {
             }
             _ => self.free_reduce[node] -= 1,
         }
-        self.queue_running[queue] += 1;
         self.running_by_kind[queue][Self::kind_slot(kind)] += 1;
         self.seq += 1;
         self.running.push(Running {
@@ -1304,13 +892,9 @@ impl<'a> Simulation<'a> {
         }
         let active = self.active_queues();
         let target = self.target_shares(&active);
-        // Shares are measured against the capacity that currently
-        // exists: the available nodes' slots, not the nominal cluster
-        // (identical when no capacity timeline is in play).
-        let nodes_up = self.available.iter().filter(|a| **a).count();
         let pool = match kind {
-            TaskKind::Map => nodes_up * self.tracker.cluster.map_slots_per_node,
-            _ => nodes_up * self.tracker.cluster.reduce_slots_per_node,
+            TaskKind::Map => self.tracker.cluster.total_map_slots(),
+            _ => self.tracker.cluster.total_reduce_slots(),
         } as f64;
         // The queue most slots of this pool over its share, provided
         // it is strictly over and would keep its own minimum share
@@ -1329,24 +913,19 @@ impl<'a> Simulation<'a> {
             .running
             .iter()
             .enumerate()
-            // A victim on a drained or doomed node frees a slot nothing
-            // may be placed on — skip those attempts.
-            .filter(|(_, r)| r.queue == victim_queue && r.kind == kind && self.available[r.node])
+            .filter(|(_, r)| r.queue == victim_queue && r.kind == kind)
             .max_by(|(_, a), (_, b)| a.start.total_cmp(&b.start).then(a.seq.cmp(&b.seq)))
             .map(|(i, _)| i)?;
         let victim = self.running.remove(victim_idx);
-        self.queue_running[victim.queue] -= 1;
         self.running_by_kind[victim.queue][Self::kind_slot(victim.kind)] -= 1;
         self.tasks_preempted[victim.queue] += 1;
         let vt = &mut self.tenants[victim.tenant];
         match victim.kind {
             TaskKind::Map => {
-                vt.maps_running -= 1;
                 vt.pending_maps.insert(0, victim.task);
                 self.free_map[victim.node] += 1;
             }
             _ => {
-                vt.reduces_running -= 1;
                 vt.pending_reduces.insert(0, victim.task);
                 self.free_reduce[victim.node] += 1;
             }
@@ -1398,42 +977,14 @@ mod tests {
             t.add_queue(QueueConfig::new("b").with_weight(0.0)).is_err(),
             "zero weight"
         );
-        assert!(
-            t.add_queue(QueueConfig::new("b").with_parent("nope"))
-                .is_err(),
-            "unknown parent"
-        );
         // 4 nodes x 8 slots = 32 per pool; 33 committed must not fit.
         assert!(
             t.add_queue(QueueConfig::new("b").with_min_share(33))
                 .is_err(),
             "overcommitted min shares"
         );
-        assert!(
-            t.add_queue(QueueConfig::new("b").with_max_share(0))
-                .is_err(),
-            "a zero max share would silently drop the queue's jobs"
-        );
-        assert!(
-            t.add_queue(QueueConfig::new("b").with_min_share(4).with_max_share(2))
-                .is_err(),
-            "max share below min share"
-        );
         assert!(t.runner("a").is_ok());
         assert!(t.runner("missing").is_err());
-    }
-
-    #[test]
-    fn interior_queues_reject_submissions() {
-        let mut t = tracker(SchedulingPolicy::FairShare);
-        t.add_queue(QueueConfig::new("org")).unwrap();
-        t.add_queue(QueueConfig::new("child").with_parent("org"))
-            .unwrap();
-        let err = t.arbitrate(&[tenant("org", 0.0, vec![job(4, 1)])]);
-        assert!(err.is_err(), "interior queue must not take jobs");
-        assert!(t
-            .arbitrate(&[tenant("child", 0.0, vec![job(4, 1)])])
-            .is_ok());
     }
 
     #[test]
@@ -1781,203 +1332,5 @@ mod tests {
             "the map with a replica on the freed node must take it"
         );
         assert_eq!(u.maps_node_local, 2);
-    }
-
-    #[test]
-    fn hierarchical_weights_split_shares_by_subtree() {
-        let mut t = tracker(SchedulingPolicy::FairShare);
-        t.add_queue(QueueConfig::new("org")).unwrap();
-        t.add_queue(QueueConfig::new("a").with_parent("org"))
-            .unwrap();
-        t.add_queue(QueueConfig::new("b").with_parent("org"))
-            .unwrap();
-        t.add_queue(QueueConfig::new("c").with_weight(2.0)).unwrap();
-        // org (weight 1) and c (weight 2) split the cluster 1:2; a and
-        // b halve org's share, so c gets 4x the slots of a or b and
-        // finishes the same work much earlier.
-        let demands = vec![
-            tenant("a", 0.0, vec![job(128, 4)]),
-            tenant("b", 0.0, vec![job(128, 4)]),
-            tenant("c", 0.0, vec![job(128, 4)]),
-        ];
-        let r = t.arbitrate(&demands).unwrap();
-        let finish = |name: &str| {
-            r.queues
-                .iter()
-                .find(|q| q.queue == name)
-                .unwrap()
-                .finish_secs
-        };
-        assert!(finish("c") < finish("a"));
-        assert!(finish("c") < finish("b"));
-    }
-
-    #[test]
-    fn empty_capacity_timeline_is_bit_identical() {
-        let demands = vec![
-            tenant("a", 0.0, vec![job(64, 8), job(32, 4)]),
-            tenant("b", 5.0, vec![job(64, 8)]),
-        ];
-        let mut plain = tracker(SchedulingPolicy::FairShare);
-        plain.add_queue(QueueConfig::new("a")).unwrap();
-        plain
-            .add_queue(QueueConfig::new("b").with_weight(3.0))
-            .unwrap();
-        let mut timed =
-            tracker(SchedulingPolicy::FairShare).with_capacity(CapacityTimeline::none());
-        timed.add_queue(QueueConfig::new("a")).unwrap();
-        timed
-            .add_queue(QueueConfig::new("b").with_weight(3.0))
-            .unwrap();
-        let r1 = plain.arbitrate(&demands).unwrap();
-        let r2 = timed.arbitrate(&demands).unwrap();
-        assert_eq!(r1.makespan.to_bits(), r2.makespan.to_bits());
-        assert_eq!(
-            r1.counters.get(Counter::MapsNodeLocal),
-            r2.counters.get(Counter::MapsNodeLocal)
-        );
-        assert_eq!(r2.counters.get(Counter::AttemptsKilled), 0);
-    }
-
-    #[test]
-    fn join_adds_slots_and_takes_node_local_maps() {
-        // 128 one-second maps over 32 slots take 4 waves; two nodes
-        // joining at t=1 cut the tail waves short.
-        let demands = vec![tenant("a", 0.0, vec![job(128, 4)])];
-        let run = |capacity: CapacityTimeline| {
-            let mut t = tracker(SchedulingPolicy::FairShare).with_capacity(capacity);
-            t.add_queue(QueueConfig::new("a")).unwrap();
-            t.arbitrate(&demands).unwrap()
-        };
-        let fixed = run(CapacityTimeline::none());
-        let grown = run(CapacityTimeline::none().join(1.0, 4).join(1.0, 5));
-        assert!(
-            grown.makespan < fixed.makespan,
-            "a mid-run join must shrink the makespan (grown {:.1}s vs fixed {:.1}s)",
-            grown.makespan,
-            fixed.makespan
-        );
-        // A map whose block was rebalanced onto the joined node runs
-        // node-local there once the node is up.
-        let mut j = job(8, 1);
-        j.maps[0].replicas = vec![4];
-        j.maps[0].duration = 5.0;
-        let mut t = tracker(SchedulingPolicy::FairShare)
-            .with_capacity(CapacityTimeline::none().join(0.0, 4));
-        t.add_queue(QueueConfig::new("a")).unwrap();
-        let r = t.arbitrate(&[tenant("a", 0.0, vec![j])]).unwrap();
-        assert_eq!(r.counters.get(Counter::MapsRemote), 0);
-        assert_eq!(r.counters.get(Counter::MapsNodeLocal), 8);
-    }
-
-    #[test]
-    fn revocation_kills_and_requeues_running_attempts() {
-        // 100s maps saturate the cluster once setup is paid (t=6);
-        // node 3 is announced at t=20 and revoked at t=30, so its 8
-        // in-flight attempts are thrown away and re-run from scratch on
-        // the surviving nodes.
-        let long = JobDemand {
-            name: "long".into(),
-            maps: (0..32)
-                .map(|i| TaskDemand {
-                    duration: 100.0,
-                    replicas: vec![i % 4],
-                })
-                .collect(),
-            reduces: vec![1.0],
-        };
-        let demands = vec![tenant("a", 0.0, vec![long])];
-        let run = |capacity: CapacityTimeline| {
-            let mut t = tracker(SchedulingPolicy::FairShare).with_capacity(capacity);
-            t.add_queue(QueueConfig::new("a")).unwrap();
-            t.arbitrate(&demands).unwrap()
-        };
-        let fixed = run(CapacityTimeline::none());
-        let revoked = run(CapacityTimeline::none().revoke(20.0, 30.0, 3));
-        assert_eq!(revoked.counters.get(Counter::AttemptsKilled), 8);
-        assert!(
-            revoked.makespan > fixed.makespan,
-            "re-run work must extend the makespan"
-        );
-        // Every task still completes (the stall guard would error
-        // otherwise), just later — bounded slowdown, identical work.
-        assert!(revoked.makespan <= fixed.makespan + 110.0);
-    }
-
-    #[test]
-    fn drain_is_graceful_and_kills_nothing() {
-        // A drain mid-flight: the node's running 100s attempts finish,
-        // nothing is killed, but no new attempt lands on it (the last 8
-        // maps must run on the remaining 3 nodes).
-        let long = JobDemand {
-            name: "long".into(),
-            maps: (0..40)
-                .map(|i| TaskDemand {
-                    duration: 100.0,
-                    replicas: vec![i % 4],
-                })
-                .collect(),
-            reduces: vec![1.0],
-        };
-        let demands = vec![tenant("a", 0.0, vec![long])];
-        let mut t = tracker(SchedulingPolicy::FairShare)
-            .with_capacity(CapacityTimeline::none().drain(5.0, 3));
-        t.add_queue(QueueConfig::new("a")).unwrap();
-        let r = t.arbitrate(&demands).unwrap();
-        assert_eq!(r.counters.get(Counter::AttemptsKilled), 0);
-        // 32 maps run in wave one (all four nodes), the remaining 8 in
-        // wave two on the three undrained nodes.
-        assert!(r.makespan > 200.0, "makespan {:.1}", r.makespan);
-    }
-
-    #[test]
-    fn per_queue_counter_names_are_namespaced() {
-        assert_eq!(
-            queue_counter_name("research", Counter::MapsNodeLocal),
-            "queue_research.maps_node_local"
-        );
-        assert_eq!(
-            queue_counter_name("prod", Counter::MapsRemote),
-            "queue_prod.maps_remote"
-        );
-        assert_eq!(
-            queue_counter_name("adhoc", Counter::TasksPreempted),
-            "queue_adhoc.tasks_preempted"
-        );
-        let stats = QueueStats {
-            queue: "research".into(),
-            finish_secs: 0.0,
-            slot_secs: 0.0,
-            maps_node_local: 3,
-            maps_remote: 1,
-            tasks_preempted: 2,
-        };
-        let named = stats.named_counters();
-        assert_eq!(
-            named,
-            vec![
-                ("queue_research.maps_node_local".to_string(), 3),
-                ("queue_research.maps_remote".to_string(), 1),
-                ("queue_research.tasks_preempted".to_string(), 2),
-            ]
-        );
-    }
-
-    #[test]
-    fn per_queue_tuning_shapes_the_runner_fault_plan() {
-        let mut t = tracker(SchedulingPolicy::FairShare);
-        t.add_queue(QueueConfig::new("plain")).unwrap();
-        t.add_queue(
-            QueueConfig::new("tuned")
-                .with_speculation(2.5)
-                .with_blacklist_after(3),
-        )
-        .unwrap();
-        let plain = t.runner("plain").unwrap().cluster().faults;
-        let tuned = t.runner("tuned").unwrap().cluster().faults;
-        assert!(!plain.speculative_execution);
-        assert!(tuned.speculative_execution);
-        assert_eq!(tuned.speculative_slowdown_threshold, 2.5);
-        assert_ne!(plain, tuned);
     }
 }

@@ -303,7 +303,7 @@ pub fn merge_to_run<K: ShuffleKey, V: ShuffleValue>(
     cfg: &OutOfCoreConfig,
     sources: Vec<ShuffleSegment>,
 ) -> Result<(SpillRun, SpillIo)> {
-    let mut writer = RunWriter::create(dir, cfg.compress_spills, cfg.spill_block_bytes)?;
+    let mut writer = RunWriter::create(dir, true, cfg.spill_block_bytes)?;
     let mut merge = MergeIter::<K, V>::from_sources(sources)?;
     for record in merge.by_ref() {
         let (k, v) = record?;
@@ -337,7 +337,7 @@ pub fn merge_combine_to_run<J: Job>(
 ) -> Result<(SpillRun, SpillIo)> {
     /// Values buffered per key before a partial combiner fold.
     const GROUP_CHUNK: usize = 4096;
-    let mut writer = RunWriter::create(dir, cfg.compress_spills, cfg.spill_block_bytes)?;
+    let mut writer = RunWriter::create(dir, true, cfg.spill_block_bytes)?;
     let mut merge = MergeIter::<J::Key, J::Value>::from_sources(sources)?;
     if !job.has_combiner() {
         for record in merge.by_ref() {
@@ -716,7 +716,7 @@ mod tests {
 
     /// Spills a sorted pair list to a disk run.
     fn spill_pairs(dir: &SpillDir, cfg: &OutOfCoreConfig, pairs: &[(i64, u64)]) -> ShuffleSegment {
-        let mut w = RunWriter::create(dir, cfg.compress_spills, cfg.spill_block_bytes).unwrap();
+        let mut w = RunWriter::create(dir, true, cfg.spill_block_bytes).unwrap();
         for (k, v) in pairs {
             w.push(k, v).unwrap();
         }

@@ -44,18 +44,6 @@ impl<'a> Submission<'a> {
         }
     }
 
-    /// Streaming submissions through a multi-tenant
-    /// [`JobTracker`](crate::scheduler::JobTracker) queue: jobs execute
-    /// on the queue's runner, bit-identical to the direct path, while
-    /// the tracker arbitrates the queue's slot demands.
-    pub fn for_queue(
-        tracker: &'a crate::scheduler::JobTracker,
-        queue: &str,
-        input: &'a str,
-    ) -> crate::Result<Self> {
-        Ok(Self::streaming(tracker.runner(queue)?, input))
-    }
-
     /// Whether jobs scan the in-memory cache (no per-job dataset read).
     pub fn is_cached(&self) -> bool {
         matches!(self.source, Source::Cached(_))

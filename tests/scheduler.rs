@@ -8,10 +8,13 @@
 //!   simulated clock) as the direct single-tenant path, pinned to the
 //!   same goldens `tests/driver_engine.rs` pins.
 //! * **Fairness** — under random weight vectors, steady-state slot
-//!   shares converge to the weights (low time-averaged share error) and
-//!   heavier queues finish identical workloads first.
+//!   shares converge to the weights (low mean share error over the
+//!   scheduling instants) and heavier queues finish identical workloads
+//!   first.
 //! * **Preemption** — min-share preemption moves makespans, never
 //!   answers, and FIFO vs fair share only re-times the same results.
+//! * **Golden arbitration** — the unrounded schedules of both policies
+//!   on a three-queue scenario are pinned bit for bit.
 //! * **Locality** — with free node-local slots every map placement is
 //!   node-local, and maps re-executed after a node crash land on
 //!   surviving replica holders.
@@ -152,26 +155,17 @@ fn tenant_client_constructors_reach_the_queues_runner() {
     let dfs = staged_dfs();
     let tracker = tracker_on(&dfs, ClusterConfig::default(), &["etl"]);
 
-    // Engine::for_tenant binds to the queue's runner; unknown queues
-    // are a config error, not a panic.
-    assert!(Engine::for_tenant(&tracker, "etl").is_ok());
-    assert!(matches!(
-        Engine::for_tenant(&tracker, "nope"),
-        Err(Error::Config(_))
-    ));
-    assert!(matches!(
-        Submission::for_queue(&tracker, "nope", DATA),
-        Err(Error::Config(_))
-    ));
+    // Engines and submissions reach a queue through its runner;
+    // unknown queues are a config error, not a panic.
+    assert!(matches!(tracker.runner("nope"), Err(Error::Config(_))));
 
-    // A real job through Submission::for_queue equals the direct path.
+    // A real job submitted on the queue's runner equals the direct path.
     let mut centers = CenterSet::new(10);
     let sample = gmr_datagen::parse_point(&dfs.read_lines(DATA).unwrap()[0]).unwrap();
     centers.push(0, &sample);
     let job = KMeansJob::new(Arc::new(centers.clone()));
     let config = JobConfig::with_reducers(2);
-    let via_queue = Submission::for_queue(&tracker, "etl", DATA)
-        .unwrap()
+    let via_queue = Submission::streaming(tracker.runner("etl").unwrap(), DATA)
         .submit(&job, &config)
         .unwrap();
     let direct_runner = JobRunner::new(Arc::clone(&dfs), ClusterConfig::default()).unwrap();
@@ -354,6 +348,100 @@ fn preemption_moves_makespans_never_answers() {
         counter_vec(&again.counters),
         counter_vec(&fair_run.counters)
     );
+}
+
+// ---------------------------------------------------------------------
+// Golden arbitration: every bit of both policies' schedules, pinned.
+// ---------------------------------------------------------------------
+
+/// `maps` map tasks of varied length (block i on nodes {i%4, (i+1)%4})
+/// and `reduces` reduce tasks of growing length.
+fn varied_job(name: &str, maps: usize, reduces: usize, unit: f64) -> JobDemand {
+    JobDemand {
+        name: name.into(),
+        maps: (0..maps)
+            .map(|i| TaskDemand {
+                duration: unit * (1.0 + (i % 5) as f64),
+                replicas: vec![i % 4, (i + 1) % 4],
+            })
+            .collect(),
+        reduces: (0..reduces).map(|r| 2.0 + r as f64).collect(),
+    }
+}
+
+/// FNV-1a over every bit of a run: makespan, each share sample, each
+/// queue's finish time, slot-seconds and counts, and the counters.
+fn run_fingerprint(run: &gmr_mapreduce::scheduler::TrackerRun) -> u64 {
+    let mut words = vec![run.makespan.to_bits()];
+    for s in &run.share_samples {
+        words.extend([s.time.to_bits(), s.share_error.to_bits()]);
+    }
+    for q in &run.queues {
+        words.extend([
+            q.finish_secs.to_bits(),
+            q.slot_secs.to_bits(),
+            q.maps_node_local,
+            q.maps_remote,
+            q.tasks_preempted,
+        ]);
+    }
+    words.extend(
+        [
+            Counter::MapsNodeLocal,
+            Counter::MapsRemote,
+            Counter::TasksPreempted,
+        ]
+        .map(|c| run.counters.get(c)),
+    );
+    fnv(words)
+}
+
+#[test]
+fn arbitration_of_three_weighted_queues_is_pinned() {
+    // The example's queue layout: a weight-2 queue, a plain one and a
+    // min-share queue whose tenant arrives while the others saturate
+    // every map slot. The BENCH_scheduler.json figures are rounded;
+    // this pins the unrounded schedule of both policies.
+    let dfs = Arc::new(Dfs::new(1024));
+    let demands = [
+        TenantDemand {
+            queue: "research".into(),
+            submit_at: 0.0,
+            jobs: vec![
+                varied_job("research-0", 48, 4, 4.0),
+                varied_job("research-1", 40, 4, 3.0),
+            ],
+        },
+        TenantDemand {
+            queue: "batch".into(),
+            submit_at: 0.0,
+            jobs: vec![varied_job("batch", 64, 6, 5.0)],
+        },
+        TenantDemand {
+            queue: "interactive".into(),
+            submit_at: 12.5,
+            jobs: vec![varied_job("adhoc", 12, 2, 1.5)],
+        },
+    ];
+    let run = |policy| {
+        let mut t = JobTracker::new(Arc::clone(&dfs), ClusterConfig::default())
+            .expect("valid cluster")
+            .with_policy(policy);
+        t.add_queue(QueueConfig::new("research").with_weight(2.0))
+            .expect("research");
+        t.add_queue(QueueConfig::new("batch")).expect("batch");
+        t.add_queue(QueueConfig::new("interactive").with_min_share(8))
+            .expect("interactive");
+        t.arbitrate(&demands).expect("arbitration")
+    };
+    let fair = run(SchedulingPolicy::FairShare);
+    let fifo = run(SchedulingPolicy::Fifo);
+    // Fair share: makespan 83.5 s, 8 preemptions, 59 share samples.
+    assert_eq!(fair.counters.get(Counter::TasksPreempted), 8);
+    assert_eq!(run_fingerprint(&fair), 0xdfd2da1265ace837);
+    // FIFO: makespan 85 s, no preemption, 62 share samples.
+    assert_eq!(fifo.counters.get(Counter::TasksPreempted), 0);
+    assert_eq!(run_fingerprint(&fifo), 0x3c266d1158ecd1e1);
 }
 
 // ---------------------------------------------------------------------
