@@ -25,8 +25,10 @@
 //! Defaults run 100k-point datasets with the paper's k values halved
 //! (the paper uses 10M points; halving k keeps ≥125 points per cluster,
 //! which the split test needs — see EXPERIMENTS.md). `--quick` shrinks
-//! further for a smoke pass. Scaled-down runs preserve the paper's
-//! shapes, not its absolute numbers.
+//! further for a smoke pass; `kernels` and `scale` then print and assert
+//! but write nothing, since their committed files hold full-scale rows.
+//! Scaled-down runs preserve the paper's shapes, not its absolute
+//! numbers.
 
 use gmr_bench::experiments::{
     ablations, chaos, elastic, fig1, fig2, fig4, kernels, scale as scale_exp, scheduler, table3,
@@ -104,30 +106,33 @@ fn main() {
             let bench = kernels::run(&scale);
             print!("{}", kernels::render(&bench));
             kernels::assert_no_regression(&bench);
-            write_kernels_json(&bench);
+            if !quick {
+                write_json("BENCH_kernels.json", bench.to_json());
+            }
         }
         "scheduler" => {
             let bench = scheduler::run(&scale);
             print!("{}", scheduler::render(&bench));
-            write_scheduler_json(&bench);
+            write_json("BENCH_scheduler.json", bench.to_json());
         }
         "elastic" => {
             let bench = elastic::run(&scale);
             print!("{}", elastic::render(&bench));
-            write_elastic_json(&bench);
+            write_json("BENCH_elastic.json", bench.to_json());
         }
         "scale" => {
             let bench = scale_exp::run(&scale);
             print!("{}", scale_exp::render(&bench));
             if quick {
                 scale_exp::assert_within_budget(&bench, 1.3);
+            } else {
+                write_json("BENCH_scale.json", bench.to_json());
             }
-            write_scale_json(&bench);
         }
         "chaos" => {
             let bench = chaos::run(&scale);
             print!("{}", chaos::render(&bench));
-            write_chaos_json(&bench);
+            write_json("BENCH_chaos.json", bench.to_json());
         }
         "all" => {
             print!("{}", fig1::render(&fig1::run(&scale)));
@@ -144,22 +149,25 @@ fn main() {
             print!("{}", ablations::render(&ablations::run(&scale)));
             let bench = kernels::run(&scale);
             print!("{}", kernels::render(&bench));
-            write_kernels_json(&bench);
+            if !quick {
+                write_json("BENCH_kernels.json", bench.to_json());
+            }
             let sched = scheduler::run(&scale);
             print!("{}", scheduler::render(&sched));
-            write_scheduler_json(&sched);
+            write_json("BENCH_scheduler.json", sched.to_json());
             let el = elastic::run(&scale);
             print!("{}", elastic::render(&el));
-            write_elastic_json(&el);
+            write_json("BENCH_elastic.json", el.to_json());
             let sc = scale_exp::run(&scale);
             print!("{}", scale_exp::render(&sc));
             if quick {
                 scale_exp::assert_within_budget(&sc, 1.3);
+            } else {
+                write_json("BENCH_scale.json", sc.to_json());
             }
-            write_scale_json(&sc);
             let ch = chaos::run(&scale);
             print!("{}", chaos::render(&ch));
-            write_chaos_json(&ch);
+            write_json("BENCH_chaos.json", ch.to_json());
         }
         other => usage(&format!("unknown experiment {other}")),
     }
@@ -169,41 +177,8 @@ fn main() {
     );
 }
 
-fn write_kernels_json(bench: &kernels::KernelBench) {
-    let path = "BENCH_kernels.json";
-    match std::fs::write(path, bench.to_json()) {
-        Ok(()) => eprintln!("[wrote {path}]"),
-        Err(e) => eprintln!("[could not write {path}: {e}]"),
-    }
-}
-
-fn write_scheduler_json(bench: &scheduler::SchedulerBench) {
-    let path = "BENCH_scheduler.json";
-    match std::fs::write(path, bench.to_json()) {
-        Ok(()) => eprintln!("[wrote {path}]"),
-        Err(e) => eprintln!("[could not write {path}: {e}]"),
-    }
-}
-
-fn write_elastic_json(bench: &elastic::ElasticBench) {
-    let path = "BENCH_elastic.json";
-    match std::fs::write(path, bench.to_json()) {
-        Ok(()) => eprintln!("[wrote {path}]"),
-        Err(e) => eprintln!("[could not write {path}: {e}]"),
-    }
-}
-
-fn write_chaos_json(bench: &chaos::ChaosBench) {
-    let path = "BENCH_chaos.json";
-    match std::fs::write(path, bench.to_json()) {
-        Ok(()) => eprintln!("[wrote {path}]"),
-        Err(e) => eprintln!("[could not write {path}: {e}]"),
-    }
-}
-
-fn write_scale_json(bench: &scale_exp::ScaleBench) {
-    let path = "BENCH_scale.json";
-    match std::fs::write(path, bench.to_json()) {
+fn write_json(path: &str, json: String) {
+    match std::fs::write(path, json) {
         Ok(()) => eprintln!("[wrote {path}]"),
         Err(e) => eprintln!("[could not write {path}: {e}]"),
     }

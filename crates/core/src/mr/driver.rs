@@ -530,8 +530,9 @@ impl IterativeAlgorithm for GMeansAlgo {
     const NAME: &'static str = "MRGMeans";
     const MAGIC: u32 = 0x474d_4e01;
 
-    /// `PickInitialCenters`: one serial sample read and the initial
-    /// one-cluster hierarchy.
+    /// `PickInitialCenters`: one sample read, charged as one serial
+    /// dataset read (its blocks are parsed in parallel, the sample is
+    /// the serial one), and the initial one-cluster hierarchy.
     fn fresh(&self, ctx: &mut EngineCtx<'_>) -> Result<GState> {
         let sample = ctx.sample(64, self.config.seed)?;
         let dim = sample.dim();

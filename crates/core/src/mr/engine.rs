@@ -528,10 +528,11 @@ impl<'e> EngineCtx<'e> {
         }
     }
 
-    /// Serial reservoir sample of `count` points — one charged dataset
-    /// read, exactly like the paper's `PickInitialCenters`.
+    /// Reservoir sample of `count` points — one charged dataset read,
+    /// exactly like the paper's serial `PickInitialCenters`; blocks are
+    /// read and parsed in parallel, the sample is the serial one.
     pub fn sample(&mut self, count: usize, seed: u64) -> Result<Dataset> {
-        let sample = sample_points(self.engine.runner.dfs(), self.input, count, seed)?;
+        let sample = sample_points(&self.engine.runner, self.input, count, seed)?;
         self.totals.reads += 1;
         Ok(sample)
     }
@@ -549,8 +550,8 @@ impl<'e> EngineCtx<'e> {
             Some(cache) => (job.run)(&Submission::cached(&self.engine.runner, cache), &config)?,
             None => {
                 // One logical dataset read per disk-based job, charged
-                // whether or not the job succeeds (the runtime scans
-                // the input before tasks can fail).
+                // whether or not the job succeeds (the runtime charges
+                // the scan before any task can fail).
                 self.totals.reads += 1;
                 (job.run)(
                     &Submission::streaming(&self.engine.runner, self.input),

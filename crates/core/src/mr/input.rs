@@ -34,16 +34,14 @@ pub struct InputCheck {
 /// all.
 pub fn check_input(runner: &JobRunner, input: &str) -> Result<InputCheck> {
     let dfs = runner.dfs();
-    if !dfs.exists(input) {
-        return Err(Error::FileNotFound(input.to_string()));
-    }
-    let splits = dfs.splits(input)?;
+    let blocks = dfs.blocks(input)?;
     dfs.begin_dataset_read();
     let mut lines = 0u64;
     let mut dim_counts: HashMap<usize, u64> = HashMap::new();
     let mut point = Vec::new();
-    for split in &splits {
-        dfs.charge_split_read(split);
+    for block in &blocks {
+        let split = block.read()?;
+        dfs.charge_split_read(&split);
         for (_, line) in split.lines() {
             lines += 1;
             point.clear();

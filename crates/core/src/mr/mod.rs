@@ -11,7 +11,8 @@
 //! * [`kmeans_driver`] — plain iterated MR k-means (baseline).
 //! * [`multi_kmeans`] — Algorithm 6: all k in one job per iteration
 //!   (the O(nk²) baseline).
-//! * [`sample`] — serial reservoir sampling for `PickInitialCenters`.
+//! * [`sample`] — reservoir sampling for `PickInitialCenters`: a
+//!   serial reservoir fed by blocks parsed in parallel.
 //! * [`parallel_init`] — k-means‖, the distributed k-means++
 //!   initialization (§2's Bahmani citation), as MapReduce jobs.
 //! * [`model_scoring`] — the "additional job to find the correct value

@@ -61,11 +61,12 @@ impl PointCache {
         if dim == 0 {
             return Err(Error::Config("dimension must be positive".into()));
         }
-        let raw = dfs.splits(path)?;
+        let blocks = dfs.blocks(path)?;
         dfs.begin_dataset_read();
-        let mut splits = Vec::with_capacity(raw.len());
-        for split in &raw {
-            dfs.charge_split_read(split);
+        let mut splits = Vec::with_capacity(blocks.len());
+        for block in &blocks {
+            let split = block.read()?;
+            dfs.charge_split_read(&split);
             let mut points = Dataset::new(dim);
             for (_, line) in split.lines() {
                 let p = parse(line)?;
@@ -176,7 +177,8 @@ mod tests {
     #[test]
     fn partitioning_matches_splits() {
         let dfs = staged();
-        let raw = dfs.splits("pts").unwrap();
+        let blocks = dfs.blocks("pts").unwrap();
+        let raw: Vec<_> = blocks.iter().map(|b| b.read().unwrap()).collect();
         let cache = PointCache::build(&dfs, "pts", 2, parse).unwrap();
         assert_eq!(cache.splits().len(), raw.len());
         for (c, r) in cache.splits().iter().zip(&raw) {

@@ -164,8 +164,8 @@ impl RunJournal {
         // scan: read the raw splits without charging the read counters
         // that §4's "dataset reads" are measured from.
         let mut lines = Vec::new();
-        for split in self.dfs.splits(&path)? {
-            lines.extend(split.lines().map(|(_, l)| l.to_string()));
+        for block in self.dfs.blocks(&path)? {
+            lines.extend(block.read()?.lines().map(|(_, l)| l.to_string()));
         }
         Ok(Self::decode(seq, stored_bytes, &lines))
     }

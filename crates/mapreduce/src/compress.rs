@@ -15,10 +15,14 @@
 //!   or high-entropy data), so the raw bytes follow verbatim;
 //! * `1` — **compressed**: an LZ-sequence stream follows.
 //!
-//! [`decompress`] validates the stream defensively (offsets into the
-//! produced output, bounded reads) and surfaces malformed input as
-//! [`Error::Corrupt`], which the runtime's bounded-retry machinery
-//! already knows how to absorb.
+//! [`decompress`] takes the block's raw length, which every caller
+//! records beside the stored bytes: it decodes into one buffer of that
+//! length plus 16 bytes of slack, moves short literal runs and short
+//! non-overlapping matches as one fixed 16-byte copy each, and
+//! validates the stream defensively (offsets into the produced output,
+//! bounded reads, no output past the raw length), surfacing malformed
+//! input as [`Error::Corrupt`], which the runtime's bounded-retry
+//! machinery already knows how to absorb.
 
 use crate::error::{Error, Result};
 
@@ -146,27 +150,50 @@ fn truncated(what: &str) -> Error {
     Error::Corrupt(format!("compressed block truncated in {what}"))
 }
 
-/// Decompresses a block produced by [`compress`].
+/// Bytes every short copy moves at once, and the slack the output
+/// buffer keeps past the raw length so those copies never reallocate.
+const CHUNK: usize = 16;
+
+/// Decompresses a block produced by [`compress`] whose raw form is
+/// `raw_len` bytes long.
 ///
-/// Malformed input — unknown mode byte, truncated sequences, or match
-/// offsets pointing before the start of the output — returns
-/// [`Error::Corrupt`]; the decoder never reads or writes out of
-/// bounds.
-pub fn decompress(block: &[u8]) -> Result<Vec<u8>> {
+/// Malformed input — unknown mode byte, truncated sequences, match
+/// offsets pointing before the start of the output, or a stream that
+/// decodes to more or fewer than `raw_len` bytes — returns
+/// [`Error::Corrupt`]; the decoder never reads or writes out of bounds,
+/// and a literal run or match that would pass `raw_len` fails before it
+/// is copied, so no stream makes it allocate more than `raw_len` plus
+/// 16 bytes.
+pub fn decompress(block: &[u8], raw_len: usize) -> Result<Vec<u8>> {
     let (&mode, data) = block
         .split_first()
         .ok_or_else(|| Error::Corrupt("empty compressed block".into()))?;
     match mode {
-        MODE_STORED => Ok(data.to_vec()),
-        MODE_COMPRESSED => decompress_stream(data),
+        MODE_STORED if data.len() == raw_len => Ok(data.to_vec()),
+        MODE_STORED => Err(Error::Corrupt(format!(
+            "stored block holds {} bytes, expected {raw_len}",
+            data.len()
+        ))),
+        MODE_COMPRESSED => decompress_stream(data, raw_len),
         other => Err(Error::Corrupt(format!(
             "unknown compression mode byte {other}"
         ))),
     }
 }
 
-fn decompress_stream(data: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(data.len() * 2);
+/// The output length once `n` more bytes are appended to `out`, or
+/// [`Error::Corrupt`] when that would pass `raw_len`.
+fn claim(out: &[u8], n: usize, raw_len: usize) -> Result<usize> {
+    if n > raw_len - out.len() {
+        return Err(Error::Corrupt(format!(
+            "compressed block decodes past its raw length {raw_len}"
+        )));
+    }
+    Ok(out.len() + n)
+}
+
+fn decompress_stream(data: &[u8], raw_len: usize) -> Result<Vec<u8>> {
+    let mut out = Vec::with_capacity(raw_len + CHUNK);
     let mut pos = 0usize;
     while pos < data.len() {
         let token = data[pos];
@@ -179,7 +206,15 @@ fn decompress_stream(data: &[u8]) -> Result<Vec<u8>> {
             .checked_add(lit_len)
             .filter(|&e| e <= data.len())
             .ok_or_else(|| truncated("literals"))?;
-        out.extend_from_slice(&data[pos..lit_end]);
+        let out_end = claim(&out, lit_len, raw_len)?;
+        // A short run moves as one fixed-width chunk, then the surplus
+        // is cut; `out_end <= raw_len` keeps the chunk within capacity.
+        if lit_len <= CHUNK && pos + CHUNK <= data.len() {
+            out.extend_from_slice(&data[pos..pos + CHUNK]);
+            out.truncate(out_end);
+        } else {
+            out.extend_from_slice(&data[pos..lit_end]);
+        }
         pos = lit_end;
         if pos == data.len() {
             break; // terminal literal-only sequence
@@ -200,13 +235,27 @@ fn decompress_stream(data: &[u8]) -> Result<Vec<u8>> {
                 out.len()
             )));
         }
-        // Byte-by-byte copy: overlapping matches (offset < len) repeat
-        // the just-written bytes, which is how runs are encoded.
+        let out_end = claim(&out, match_len, raw_len)?;
         let start = out.len() - offset;
-        for i in 0..match_len {
-            let b = out[start + i];
-            out.push(b);
+        if match_len <= CHUNK && offset >= CHUNK {
+            out.extend_from_within(start..start + CHUNK);
+            out.truncate(out_end);
+        } else {
+            // An overlapping match (offset < len) repeats the last
+            // `offset` bytes, so the output from `start` on is periodic:
+            // each copy of everything since `start` keeps its length a
+            // multiple of the period, doubling the span per copy.
+            while out.len() < out_end {
+                let n = (out_end - out.len()).min(out.len() - start);
+                out.extend_from_within(start..start + n);
+            }
         }
+    }
+    if out.len() != raw_len {
+        return Err(Error::Corrupt(format!(
+            "compressed block decoded to {} bytes, expected {raw_len}",
+            out.len()
+        )));
     }
     Ok(out)
 }
@@ -216,10 +265,80 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The byte-at-a-time decoder the fixed-width one replaced: no raw
+    /// length, every match byte pushed singly. The oracle below holds
+    /// [`decompress`] to its output.
+    fn reference_decompress(block: &[u8]) -> Result<Vec<u8>> {
+        let (&mode, data) = block
+            .split_first()
+            .ok_or_else(|| Error::Corrupt("empty compressed block".into()))?;
+        match mode {
+            MODE_STORED => return Ok(data.to_vec()),
+            MODE_COMPRESSED => {}
+            other => {
+                return Err(Error::Corrupt(format!(
+                    "unknown compression mode byte {other}"
+                )))
+            }
+        }
+        let mut out = Vec::new();
+        let mut pos = 0usize;
+        while pos < data.len() {
+            let token = data[pos];
+            pos += 1;
+            let mut lit_len = (token >> 4) as usize;
+            if lit_len == 15 {
+                lit_len += take_len(data, &mut pos)?;
+            }
+            let lit_end = pos
+                .checked_add(lit_len)
+                .filter(|&e| e <= data.len())
+                .ok_or_else(|| truncated("literals"))?;
+            out.extend_from_slice(&data[pos..lit_end]);
+            pos = lit_end;
+            if pos == data.len() {
+                break;
+            }
+            if pos + 2 > data.len() {
+                return Err(truncated("match offset"));
+            }
+            let offset = u16::from_le_bytes([data[pos], data[pos + 1]]) as usize;
+            pos += 2;
+            let mut match_len = (token & 0x0F) as usize + MIN_MATCH;
+            if match_len == MIN_MATCH + 15 {
+                match_len += take_len(data, &mut pos)?;
+            }
+            if offset == 0 || offset > out.len() {
+                return Err(Error::Corrupt(format!("match offset {offset}")));
+            }
+            let start = out.len() - offset;
+            for i in 0..match_len {
+                let b = out[start + i];
+                out.push(b);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Holds [`decompress`] to the reference on one block: `Ok` only
+    /// with the reference's bytes at exactly their length, and `Ok`
+    /// whenever the reference decodes and the raw length matches.
+    fn agrees_with_reference(block: &[u8], raw_len: usize) {
+        let reference = reference_decompress(block);
+        if let Ok(out) = decompress(block, raw_len) {
+            assert_eq!(out.len(), raw_len);
+            assert_eq!(reference.as_ref().ok(), Some(&out), "{block:?}");
+        }
+        if let Ok(expected) = reference {
+            assert_eq!(decompress(block, expected.len()), Ok(expected));
+        }
+    }
+
     fn round_trip(payload: &[u8]) {
         let packed = compress(payload);
         assert!(packed.len() <= payload.len() + 1, "never grows past header");
-        assert_eq!(decompress(&packed).unwrap(), payload);
+        assert_eq!(decompress(&packed, payload.len()).unwrap(), payload);
+        assert_eq!(reference_decompress(&packed).unwrap(), payload);
     }
 
     #[test]
@@ -244,7 +363,7 @@ mod tests {
             .take(64 * 1024)
             .collect();
         let packed = compress(&payload);
-        assert_eq!(decompress(&packed).unwrap(), payload);
+        assert_eq!(decompress(&packed, payload.len()).unwrap(), payload);
         assert!(
             packed.len() < payload.len() / 10,
             "repetitive text should compress >10x, got {} -> {}",
@@ -270,7 +389,7 @@ mod tests {
         let packed = compress(&payload);
         assert_eq!(packed.len(), payload.len() + 1);
         assert_eq!(packed[0], MODE_STORED);
-        assert_eq!(decompress(&packed).unwrap(), payload);
+        assert_eq!(decompress(&packed, payload.len()).unwrap(), payload);
     }
 
     #[test]
@@ -278,13 +397,13 @@ mod tests {
         let payload = vec![7u8; 100_000];
         let packed = compress(&payload);
         assert!(packed.len() < 512);
-        assert_eq!(decompress(&packed).unwrap(), payload);
+        assert_eq!(decompress(&packed, payload.len()).unwrap(), payload);
     }
 
     #[test]
     fn unknown_mode_is_corrupt() {
-        assert!(matches!(decompress(&[9, 1, 2]), Err(Error::Corrupt(_))));
-        assert!(matches!(decompress(&[]), Err(Error::Corrupt(_))));
+        assert!(matches!(decompress(&[9, 1, 2], 2), Err(Error::Corrupt(_))));
+        assert!(matches!(decompress(&[], 0), Err(Error::Corrupt(_))));
     }
 
     #[test]
@@ -294,7 +413,7 @@ mod tests {
         assert_eq!(packed[0], MODE_COMPRESSED);
         for cut in 1..packed.len().min(40) {
             let torn = &packed[..packed.len() - cut];
-            match decompress(torn) {
+            match decompress(torn, payload.len()) {
                 Err(Error::Corrupt(_)) => {}
                 Ok(out) => assert_ne!(out, payload, "torn block must not round-trip"),
                 Err(e) => panic!("unexpected error {e:?}"),
@@ -307,10 +426,75 @@ mod tests {
         // Token: 1 literal, match len nibble 0 (= MIN_MATCH), then an
         // offset of 9 with only 1 byte of output produced.
         let stream = [MODE_COMPRESSED, 0x10, b'x', 9, 0];
-        assert!(matches!(decompress(&stream), Err(Error::Corrupt(_))));
+        assert!(matches!(decompress(&stream, 5), Err(Error::Corrupt(_))));
         // Zero offset is never valid.
         let stream = [MODE_COMPRESSED, 0x10, b'x', 0, 0];
-        assert!(matches!(decompress(&stream), Err(Error::Corrupt(_))));
+        assert!(matches!(decompress(&stream, 5), Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn output_must_match_the_raw_length() {
+        let payload = b"abcdabcdabcdabcd 1.25 -3.5 abcdabcd".repeat(8);
+        for packed in [compress(&payload), [&[MODE_STORED][..], &payload].concat()] {
+            assert_eq!(decompress(&packed, payload.len()).unwrap(), payload);
+            for wrong in [0, payload.len() - 1, payload.len() + 1, 2 * payload.len()] {
+                let err = decompress(&packed, wrong).unwrap_err();
+                assert!(matches!(err, Error::Corrupt(_)), "{wrong}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_length_bomb_is_corrupt_at_the_raw_length() {
+        // One literal, then a match at offset 1 whose 255-continuation
+        // bytes claim ~1 MB of output from a ~4 KB stream.
+        let mut bomb = vec![MODE_COMPRESSED, 0x1F, b'x', 1, 0];
+        bomb.resize(bomb.len() + 4112, 255);
+        bomb.push(0);
+        assert!(bomb.len() < 5 * 1024);
+        assert!(reference_decompress(&bomb).unwrap().len() > 1 << 20);
+        let err = decompress(&bomb, 4096).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
+        assert!(
+            err.to_string().contains("past its raw length 4096"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn every_short_sequence_matches_the_reference() {
+        // Literal runs 0..=20 and match lengths 4..=40 straddle the
+        // 16-byte literal and match chunks; offsets 1..=40 straddle
+        // the chunk's offset floor and cover every overlap. Each
+        // sequence runs alone (offsets past its literals are corrupt)
+        // and after 44 bytes of history (every offset is valid), each
+        // with and without a terminal literal run behind it.
+        let history: Vec<u8> = (0..40).map(|i| 100 + i).collect();
+        for with_history in [false, true] {
+            for tail in [&b""[..], b"xyz"] {
+                for lit in 0..=20u8 {
+                    let literals: Vec<u8> = (0..lit).map(|i| 200 + i).collect();
+                    for offset in 1..=40u16 {
+                        for len in MIN_MATCH..=40 {
+                            let mut block = vec![MODE_COMPRESSED];
+                            if with_history {
+                                put_sequence(&mut block, &history, Some((40, MIN_MATCH)));
+                            }
+                            put_sequence(&mut block, &literals, Some((offset, len)));
+                            if !tail.is_empty() {
+                                put_sequence(&mut block, tail, None);
+                            }
+                            let raw_len = match reference_decompress(&block) {
+                                Ok(out) => out.len(),
+                                Err(_) => lit as usize + len + tail.len(),
+                            };
+                            agrees_with_reference(&block, raw_len);
+                            assert!(decompress(&block, raw_len - 1).is_err());
+                        }
+                    }
+                }
+            }
+        }
     }
 
     proptest! {
@@ -327,8 +511,14 @@ mod tests {
         }
 
         #[test]
-        fn decompress_never_panics(garbage in proptest::collection::vec(0u8..=255, 0..512)) {
-            let _ = decompress(&garbage);
+        fn decompress_never_panics(
+            garbage in proptest::collection::vec(0u8..=255, 0..512),
+            raw_len in 0usize..2048,
+        ) {
+            // As drawn, and behind a compressed-mode byte so the
+            // sequence decoder sees the garbage too.
+            agrees_with_reference(&garbage, raw_len);
+            agrees_with_reference(&[&[MODE_COMPRESSED][..], &garbage].concat(), raw_len);
         }
     }
 }

@@ -16,7 +16,10 @@
 //!   `O(4·log₂ k)`, is measurable.
 //!
 //! Blocks are reference-counted [`Bytes`], so handing a block to a task
-//! thread is a pointer copy, not a data copy.
+//! thread is a pointer copy, not a data copy. [`Dfs::blocks`] hands out
+//! unread [`BlockHandle`]s, and each block is read — decompressed and
+//! verified — by the task that consumes it, as a Hadoop map task reads
+//! and checksums its own split.
 //!
 //! A DFS created with [`Dfs::with_compression`] stores each block in
 //! block-compressed form ([`crate::compress`]) behind the same
@@ -87,72 +90,51 @@ fn frame_header(len: usize, crc: u64) -> String {
 }
 
 /// One block as the DFS holds it: either the raw bytes, or their
-/// block-compressed form plus enough metadata to get the raw bytes
-/// back. The integrity frame always covers the raw form.
+/// block-compressed form, plus the block's integrity frame — the raw
+/// length and [`block_crc`] of the raw form, recorded at publish time.
 #[derive(Clone, Debug)]
 struct StoredBlock {
     /// Stored bytes — raw, or a [`crate::compress`] block.
     data: Bytes,
     /// Length of the raw form (equals `data.len()` when uncompressed).
     raw_len: usize,
+    /// [`block_crc`] of the raw form.
+    crc: u64,
     compressed: bool,
 }
 
 impl StoredBlock {
-    /// Recovers the raw bytes, decompressing if needed. A stored block
-    /// that no longer decompresses is corrupt.
-    fn raw(&self) -> Result<Bytes> {
-        if self.compressed {
-            Ok(Bytes::from(compress::decompress(&self.data)?))
-        } else {
-            Ok(self.data.clone())
-        }
+    fn frame(&self) -> String {
+        frame_header(self.raw_len, self.crc)
     }
 }
 
 /// A stored file: line-aligned blocks plus summary metadata. Every
-/// block carries a [`block_crc`] frame header computed over its
-/// **raw** form at publish time; reads (decompress and) verify it.
+/// block carries a [`block_crc`] frame computed over its **raw** form
+/// at publish time; reads (decompress and) verify it.
 #[derive(Clone, Debug)]
 struct DfsFile {
     blocks: Vec<StoredBlock>,
-    /// Per-block integrity frames, parallel to `blocks`.
-    frames: Vec<String>,
     len: u64,
     lines: u64,
 }
 
 impl DfsFile {
     fn framed(raw_blocks: Vec<Bytes>, len: u64, lines: u64, compressed: bool) -> Self {
-        let frames = raw_blocks
-            .iter()
-            .map(|b| frame_header(b.len(), block_crc(b)))
-            .collect();
         let blocks = raw_blocks
             .into_iter()
-            .map(|b| {
-                let raw_len = b.len();
-                if compressed {
-                    StoredBlock {
-                        data: Bytes::from(compress::compress(&b)),
-                        raw_len,
-                        compressed: true,
-                    }
+            .map(|b| StoredBlock {
+                raw_len: b.len(),
+                crc: block_crc(&b),
+                compressed,
+                data: if compressed {
+                    Bytes::from(compress::compress(&b))
                 } else {
-                    StoredBlock {
-                        data: b,
-                        raw_len,
-                        compressed: false,
-                    }
-                }
+                    b
+                },
             })
             .collect();
-        Self {
-            blocks,
-            frames,
-            len,
-            lines,
-        }
+        Self { blocks, len, lines }
     }
 
     /// Physical bytes occupied by the stored blocks.
@@ -197,6 +179,51 @@ impl InputSplit {
             let off = base + pos;
             pos += raw.len() as u64;
             (off, raw.trim_end_matches(['\n', '\r']))
+        })
+    }
+}
+
+/// One block of a file, not yet read: what [`Dfs::blocks`] hands out,
+/// one per input split. It holds a reference-counted clone of the
+/// stored bytes with the raw length and integrity frame recorded at
+/// publish time, so reading it needs no further access to the DFS.
+#[derive(Debug)]
+pub struct BlockHandle {
+    path: String,
+    index: usize,
+    offset: u64,
+    stored: StoredBlock,
+}
+
+impl BlockHandle {
+    /// Reads the block: decompresses it (on a compressed DFS) and
+    /// verifies it against the integrity frame computed when it was
+    /// published. [`Error::Corrupt`] on a frame mismatch or a stored
+    /// block that does not decompress to its recorded raw length.
+    pub fn read(&self) -> Result<InputSplit> {
+        let (path, index, stored) = (&self.path, self.index, &self.stored);
+        let data = if stored.compressed {
+            let raw = compress::decompress(&stored.data, stored.raw_len).map_err(|e| {
+                Error::Corrupt(format!(
+                    "{path} block {index}: stored block does not decompress ({e})"
+                ))
+            })?;
+            Bytes::from(raw)
+        } else {
+            stored.data.clone()
+        };
+        if data.len() != stored.raw_len || block_crc(&data) != stored.crc {
+            return Err(Error::Corrupt(format!(
+                "{path} block {index}: frame {:?} does not match data ({})",
+                stored.frame(),
+                frame_header(data.len(), block_crc(&data))
+            )));
+        }
+        Ok(InputSplit {
+            path: path.clone(),
+            index,
+            offset: self.offset,
+            data,
         })
     }
 }
@@ -796,53 +823,40 @@ impl Dfs {
         Ok(self.file(path)?.lines)
     }
 
-    /// The input splits of a file, one per block. Charges nothing; reads
+    /// The blocks of a file, one per input split, unread: each
+    /// [`BlockHandle::read`] decompresses and verifies one block, so a
+    /// job's map tasks pay for their own blocks. Charges nothing; reads
     /// are counted when a split is *consumed* via
-    /// [`Dfs::charge_split_read`]. Every block is (decompressed, on a
-    /// compressed DFS, and) verified against the integrity frame
-    /// computed when it was published ([`Error::Corrupt`] on a frame
-    /// mismatch or an undecompressable stored block); errors with
-    /// [`Error::ReplicasLost`] when node crashes destroyed the last
-    /// replica of any block.
-    pub fn splits(&self, path: &str) -> Result<Vec<InputSplit>> {
+    /// [`Dfs::charge_split_read`]. Errors with [`Error::ReplicasLost`]
+    /// when node crashes destroyed the last replica of any block.
+    pub fn blocks(&self, path: &str) -> Result<Vec<BlockHandle>> {
         let file = self.file(path)?;
         self.check_available(path)?;
         let mut offset = 0u64;
-        file.blocks
+        Ok(file
+            .blocks
             .iter()
-            .zip(&file.frames)
             .enumerate()
-            .map(|(index, (stored, frame))| {
-                let block = stored.raw().map_err(|e| {
-                    Error::Corrupt(format!(
-                        "{path} block {index}: stored block does not decompress ({e})"
-                    ))
-                })?;
-                let expect = frame_header(block.len(), block_crc(&block));
-                if *frame != expect {
-                    return Err(Error::Corrupt(format!(
-                        "{path} block {index}: frame {frame:?} does not match data ({expect})"
-                    )));
-                }
-                let split = InputSplit {
+            .map(|(index, stored)| {
+                let handle = BlockHandle {
                     path: path.to_string(),
                     index,
                     offset,
-                    data: block,
+                    stored: stored.clone(),
                 };
                 offset += stored.raw_len as u64;
-                Ok(split)
+                handle
             })
-            .collect()
+            .collect())
     }
 
     /// The stored integrity frame of one block, e.g.
     /// `"GMRBLK1 len=4096 crc=9e3779b97f4a7c15"`.
     pub fn block_frame_header(&self, path: &str, block: usize) -> Result<String> {
         let file = self.file(path)?;
-        file.frames
+        file.blocks
             .get(block)
-            .cloned()
+            .map(StoredBlock::frame)
             .ok_or_else(|| Error::Corrupt(format!("{path} has no block {block}")))
     }
 
@@ -858,14 +872,15 @@ impl Dfs {
             .fetch_add(split.data.len() as u64, Ordering::Relaxed);
     }
 
-    /// Reads all lines of a file (driver-side convenience; charges the
-    /// read counters like a full scan).
+    /// Reads all lines of a file, one block at a time (driver-side
+    /// convenience; charges the read counters like a full scan).
     pub fn read_lines(&self, path: &str) -> Result<Vec<String>> {
-        let splits = self.splits(path)?;
+        let blocks = self.blocks(path)?;
         self.begin_dataset_read();
         let mut out = Vec::new();
-        for split in &splits {
-            self.charge_split_read(split);
+        for block in &blocks {
+            let split = block.read()?;
+            self.charge_split_read(&split);
             out.extend(split.lines().map(|(_, l)| l.to_string()));
         }
         Ok(out)
@@ -952,11 +967,28 @@ impl TextWriter {
 }
 
 #[cfg(test)]
+impl Dfs {
+    /// Swaps the stored bytes of block `block` of `path` behind the
+    /// DFS's back, keeping the raw length and frame recorded at publish
+    /// time, and returns the bytes it replaced.
+    pub(crate) fn swap_stored_block(&self, path: &str, block: usize, data: Bytes) -> Bytes {
+        let mut files = self.files.write();
+        let file = Arc::make_mut(files.get_mut(path).expect("file exists"));
+        std::mem::replace(&mut file.blocks[block].data, data)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     fn dfs(block: usize) -> Arc<Dfs> {
         Arc::new(Dfs::new(block))
+    }
+
+    /// Reads every block of a file.
+    fn read_all(fs: &Dfs, path: &str) -> Result<Vec<InputSplit>> {
+        fs.blocks(path)?.iter().map(BlockHandle::read).collect()
     }
 
     #[test]
@@ -974,7 +1006,7 @@ mod tests {
     fn missing_file_errors() {
         let fs = dfs(1024);
         assert!(matches!(fs.read_lines("nope"), Err(Error::FileNotFound(_))));
-        assert!(matches!(fs.splits("nope"), Err(Error::FileNotFound(_))));
+        assert!(matches!(fs.blocks("nope"), Err(Error::FileNotFound(_))));
     }
 
     #[test]
@@ -999,7 +1031,7 @@ mod tests {
         let fs = dfs(8);
         let lines: Vec<String> = (0..50).map(|i| format!("point-{i:04}")).collect();
         fs.put_lines("f", &lines).unwrap();
-        let splits = fs.splits("f").unwrap();
+        let splits = read_all(&fs, "f").unwrap();
         assert!(splits.len() > 1, "expected multiple splits");
         for s in &splits {
             let text = std::str::from_utf8(&s.data).unwrap();
@@ -1017,7 +1049,7 @@ mod tests {
     fn split_offsets_are_contiguous() {
         let fs = dfs(16);
         fs.put_lines("f", (0..100).map(|i| format!("{i}"))).unwrap();
-        let splits = fs.splits("f").unwrap();
+        let splits = read_all(&fs, "f").unwrap();
         let mut expected = 0u64;
         for s in &splits {
             assert_eq!(s.offset, expected);
@@ -1030,7 +1062,7 @@ mod tests {
     fn line_offsets_match_file_positions() {
         let fs = dfs(10);
         fs.put_lines("f", ["ab", "cdef", "g"]).unwrap();
-        let splits = fs.splits("f").unwrap();
+        let splits = read_all(&fs, "f").unwrap();
         let offsets: Vec<(u64, String)> = splits
             .iter()
             .flat_map(|s| {
@@ -1126,7 +1158,7 @@ mod tests {
         let fs = dfs(64);
         let w = fs.create("empty", false).unwrap();
         w.close();
-        assert_eq!(fs.splits("empty").unwrap().len(), 0);
+        assert_eq!(fs.blocks("empty").unwrap().len(), 0);
         assert_eq!(fs.line_count("empty").unwrap(), 0);
     }
 
@@ -1136,7 +1168,7 @@ mod tests {
         fs.put_lines("f", (0..40).map(|i| format!("{i}"))).unwrap();
         fs.attach_topology(4, 3);
         let placement = fs.block_replicas("f");
-        assert_eq!(placement.len(), fs.splits("f").unwrap().len());
+        assert_eq!(placement.len(), fs.blocks("f").unwrap().len());
         for replicas in &placement {
             assert_eq!(replicas.len(), 3);
             let set: BTreeSet<usize> = replicas.iter().copied().collect();
@@ -1187,7 +1219,7 @@ mod tests {
         // With replication 1 there is no surviving copy to re-replicate.
         assert!(report.lost > 0);
         assert_eq!(report.rereplicated, 0);
-        let err = fs.splits("f").unwrap_err();
+        let err = fs.blocks("f").unwrap_err();
         assert!(
             matches!(err, Error::ReplicasLost { ref path, .. } if path == "f"),
             "{err}"
@@ -1230,7 +1262,7 @@ mod tests {
     fn blocks_carry_integrity_frames() {
         let fs = dfs(16);
         fs.put_lines("f", (0..40).map(|i| format!("{i}"))).unwrap();
-        let splits = fs.splits("f").unwrap();
+        let splits = read_all(&fs, "f").unwrap();
         assert!(!splits.is_empty());
         for s in &splits {
             let frame = fs.block_frame_header("f", s.index).unwrap();
@@ -1353,8 +1385,8 @@ mod tests {
         );
         assert_eq!(packed.len("f").unwrap(), raw.len("f").unwrap());
         // Splits decompress to the raw form: same offsets, same frames.
-        let rs = raw.splits("f").unwrap();
-        let ps = packed.splits("f").unwrap();
+        let rs = read_all(&raw, "f").unwrap();
+        let ps = read_all(&packed, "f").unwrap();
         assert_eq!(rs.len(), ps.len());
         for (a, b) in rs.iter().zip(&ps) {
             assert_eq!(a.offset, b.offset);
@@ -1389,23 +1421,10 @@ mod tests {
         // Truncate one stored block behind the DFS's back: the read
         // must fail decompression (or the frame check) as Corrupt, the
         // same way a frame mismatch surfaces.
-        {
-            let mut files = fs.files.write();
-            let file = files.get("f").unwrap().as_ref().clone();
-            let mut blocks = file.blocks.clone();
-            let cut = blocks[0].data.len() / 2;
-            blocks[0].data = Bytes::from(blocks[0].data[..cut].to_vec());
-            files.insert(
-                "f".into(),
-                Arc::new(DfsFile {
-                    blocks,
-                    frames: file.frames.clone(),
-                    len: file.len,
-                    lines: file.lines,
-                }),
-            );
-        }
-        let err = fs.splits("f").unwrap_err();
+        let stored = fs.swap_stored_block("f", 0, Bytes::new());
+        let cut = stored.len() / 2;
+        fs.swap_stored_block("f", 0, Bytes::from(stored[..cut].to_vec()));
+        let err = read_all(&fs, "f").unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err}");
     }
 
@@ -1413,19 +1432,12 @@ mod tests {
     fn every_bit_flip_and_length_change_is_corrupt() {
         let fs = dfs(4096);
         fs.put_lines("f", ["12.5 -3 7", "0.25 1e-300 4"]).unwrap();
-        let original = Arc::clone(fs.files.read().get("f").unwrap());
-        let raw = original.blocks[0].data.to_vec();
+        let raw = fs.swap_stored_block("f", 0, Bytes::new()).to_vec();
         // Swap in tampered stored bytes behind the DFS's back, keeping
         // the frame recorded at publish time.
         let read_with = |data: &[u8]| {
-            let mut blocks = original.blocks.clone();
-            blocks[0].data = Bytes::from(data.to_vec());
-            let file = DfsFile {
-                blocks,
-                ..original.as_ref().clone()
-            };
-            fs.files.write().insert("f".into(), Arc::new(file));
-            fs.splits("f")
+            fs.swap_stored_block("f", 0, Bytes::from(data));
+            read_all(&fs, "f")
         };
         for bit in 0..raw.len() * 8 {
             let mut flipped = raw.clone();
@@ -1442,6 +1454,54 @@ mod tests {
             assert!(matches!(err, Error::Corrupt(_)), "{err}");
         }
         assert!(read_with(&raw).is_ok(), "the untampered block still reads");
+    }
+
+    #[test]
+    fn compressed_bit_flips_and_length_changes_never_read_wrong_bytes() {
+        // Point text as the generator writes it: each coordinate in its
+        // shortest round-trip form, one point per line.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut coordinate = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 20.0 - 10.0
+        };
+        let lines: Vec<String> = (0..40)
+            .map(|_| format!("{} {} {}", coordinate(), coordinate(), coordinate()))
+            .collect();
+        let fs = Arc::new(Dfs::with_compression(1 << 20, true));
+        fs.put_lines("f", &lines).unwrap();
+        let raw = read_all(&fs, "f").unwrap().remove(0).data;
+        let stored = fs.swap_stored_block("f", 0, Bytes::new()).to_vec();
+        assert!(
+            stored.len() < raw.len(),
+            "the block must be stored compressed"
+        );
+        // A flipped match offset can point at identical bytes, so a
+        // tampered block may still read back; it must never read back
+        // as anything but the original.
+        let check = |tampered: &[u8], what: &str| {
+            fs.swap_stored_block("f", 0, Bytes::from(tampered));
+            match read_all(&fs, "f") {
+                Ok(splits) => assert_eq!(splits[0].data, raw, "{what}"),
+                Err(err) => assert!(matches!(err, Error::Corrupt(_)), "{what}: {err}"),
+            }
+        };
+        for bit in 0..stored.len() * 8 {
+            let mut flipped = stored.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped, &format!("bit {bit}"));
+        }
+        let mut longer = stored.clone();
+        longer.push(b'0');
+        check(&longer, "extended");
+        check(&stored[..stored.len() - 1], "truncated");
+        check(&stored, "untampered");
+        assert!(
+            read_all(&fs, "f").is_ok(),
+            "the untampered block still reads"
+        );
     }
 
     #[test]

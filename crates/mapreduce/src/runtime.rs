@@ -1330,8 +1330,11 @@ impl JobRunner {
         )
     }
 
-    /// Reads the splits of DFS file `input` (one dataset read) and runs
-    /// `job` with `map_task` running one attempt over one split.
+    /// Runs `job` over DFS file `input` (one dataset read) with
+    /// `map_task` running one attempt over one split. Each attempt reads
+    /// its own block on its task thread, so a corrupt stored block fails
+    /// the attempts that read it, and the job once the task's attempt
+    /// budget is spent.
     fn run_text<J, T>(
         &self,
         job: &J,
@@ -1345,10 +1348,10 @@ impl JobRunner {
     {
         check_reduce_tasks(job, config)?;
         let wall_start = Instant::now();
-        let splits = self.dfs.splits(input)?;
+        let blocks = self.dfs.blocks(input)?;
         self.dfs.begin_dataset_read();
-        self.run_job(job, input, config, splits.len(), wall_start, |i, task| {
-            map_task(task, &splits[i])
+        self.run_job(job, input, config, blocks.len(), wall_start, |i, task| {
+            map_task(task, &blocks[i].read()?)
         })
     }
 
@@ -1914,6 +1917,84 @@ mod tests {
         let lost = lose_maps(FaultPlan::none(), &[0, 1, 2, 3], 4, &counters);
         assert!(lost.is_empty());
         assert_eq!(counters.get(Counter::ShuffleFetchFailures), 0);
+    }
+
+    /// Counts its input lines under one key.
+    struct LineCount;
+    struct LineCountMapper;
+    struct LineCountReducer;
+
+    impl Mapper for LineCountMapper {
+        type Key = i64;
+        type Value = u64;
+    }
+
+    impl LineMapper for LineCountMapper {
+        fn map(
+            &mut self,
+            _offset: u64,
+            _line: &str,
+            out: &mut MapOutput<'_, i64, u64>,
+            _ctx: &mut TaskContext,
+        ) -> Result<()> {
+            out.emit(0, 1);
+            Ok(())
+        }
+    }
+
+    impl Reducer for LineCountReducer {
+        type Key = i64;
+        type Value = u64;
+        type Output = u64;
+        fn reduce(
+            &mut self,
+            _key: i64,
+            values: Values<'_, u64>,
+            out: &mut Vec<u64>,
+            _ctx: &mut TaskContext,
+        ) -> Result<()> {
+            out.push(values.sum());
+            Ok(())
+        }
+    }
+
+    impl Job for LineCount {
+        type Key = i64;
+        type Value = u64;
+        type Output = u64;
+        type Mapper = LineCountMapper;
+        type Reducer = LineCountReducer;
+        fn name(&self) -> &str {
+            "line-count"
+        }
+        fn create_mapper(&self) -> LineCountMapper {
+            LineCountMapper
+        }
+        fn create_reducer(&self) -> LineCountReducer {
+            LineCountReducer
+        }
+    }
+
+    #[test]
+    fn a_corrupt_stored_block_fails_the_job_that_reads_it() {
+        let dfs = Arc::new(Dfs::with_compression(256, true));
+        dfs.put_lines("in", (0..400).map(|i| format!("{i} {} {}", i * 3, i % 7)))
+            .unwrap();
+        let runner = JobRunner::new(Arc::clone(&dfs), ClusterConfig::with_nodes(4)).unwrap();
+        let config = JobConfig::with_reducers(1);
+        let calm = runner.run_lines(&LineCount, "in", &config).unwrap();
+        assert_eq!(calm.output, vec![400]);
+        // Handing out the blocks still succeeds; the map task reading
+        // block 3 fails every attempt, and the job with its error.
+        let stored = dfs.swap_stored_block("in", 3, bytes::Bytes::new());
+        let torn = bytes::Bytes::from(&stored[..stored.len() - 1]);
+        dfs.swap_stored_block("in", 3, torn);
+        assert!(dfs.blocks("in").is_ok());
+        let err = runner.run_lines(&LineCount, "in", &config).unwrap_err();
+        assert!(
+            matches!(err, Error::Corrupt(ref msg) if msg.starts_with("in block 3: ")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -342,21 +342,15 @@ impl RunCursor {
             )));
         }
         self.io.stored_read += stored.len() as u64;
+        // Uncompressed blocks are stored at their raw length; the
+        // decoder checks a compressed block's.
         self.buf = if self.run.compressed {
-            let raw = compress::decompress(&stored)?;
+            let raw = compress::decompress(&stored, meta.raw_len as usize)?;
             self.io.decompressed_raw += raw.len() as u64;
             raw
         } else {
             stored
         };
-        if self.buf.len() != meta.raw_len as usize {
-            return Err(Error::Corrupt(format!(
-                "spill block {} decompressed to {} bytes, expected {}",
-                self.next_block - 1,
-                self.buf.len(),
-                meta.raw_len
-            )));
-        }
         self.pos = 0;
         Ok(true)
     }

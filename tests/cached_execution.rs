@@ -120,7 +120,7 @@ fn cache_exposes_partitioning_and_size() {
     assert_eq!(cache.dim(), 2);
     assert_eq!(
         cache.splits().len(),
-        dfs.splits("points.txt").unwrap().len()
+        dfs.blocks("points.txt").unwrap().len()
     );
     assert_eq!(cache.memory_bytes(), 3000 * 2 * 8);
 }
