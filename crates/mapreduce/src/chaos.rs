@@ -534,6 +534,52 @@ mod tests {
         assert_eq!(shrink(&storm, |_| false), storm);
     }
 
+    /// Every knob value of the storms seeds 0–511 generate, folded into
+    /// one FNV-1a value: `Storm::generate`'s draw sequence is a
+    /// contract (the chaos suite and `BENCH_chaos.json` pin storms by
+    /// seed), so a refactor must leave it unchanged.
+    #[test]
+    fn every_generated_storm_is_pinned() {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |word: u64| {
+            for b in word.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for seed in 0..512u64 {
+            let storm = Storm::generate(seed);
+            let (f, m) = (storm.faults, storm.membership);
+            fold(f.seed);
+            fold(m.seed);
+            fold(f.max_attempts as u64);
+            for dim in Dimension::ALL {
+                fold(storm.has(dim) as u64);
+                fold(storm.intensity(dim).map_or(u64::MAX, f64::to_bits));
+            }
+            fold(f.straggler_factor.to_bits());
+            let speculation = f
+                .speculative_execution
+                .then_some(f.speculative_slowdown_threshold);
+            fold(speculation.map_or(0, f64::to_bits));
+            fold(f.fetch_retry_budget as u64);
+            fold(f.fetch_backoff_base_secs.to_bits());
+            fold(f.driver_crash_after_jobs.unwrap_or(0));
+            for events in [
+                f.scheduled_node_crashes,
+                m.scheduled_joins,
+                m.scheduled_decommissions,
+            ] {
+                for (epoch, node) in events.iter().flatten() {
+                    fold(*epoch);
+                    fold(*node as u64);
+                }
+                fold(u64::MAX);
+            }
+            fold(m.revocation_period);
+        }
+        assert_eq!(h, 0x4f53_3e19_4dc2_7b2d, "{h:#018x}");
+    }
+
     #[test]
     fn calm_storm_is_inactive_and_survivable() {
         let calm = Storm::calm();

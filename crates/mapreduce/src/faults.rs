@@ -1707,6 +1707,139 @@ mod tests {
         assert!(MembershipPlan::none().validate(4).is_ok());
     }
 
+    /// FNV-1a over the little-endian bytes of each folded word.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn fold(&mut self, word: u64) {
+            for b in word.to_le_bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+
+        fn fold_all(&mut self, words: impl IntoIterator<Item = usize>) {
+            let mut n = 0u64;
+            for w in words {
+                self.fold(w as u64);
+                n += 1;
+            }
+            self.fold(n);
+        }
+    }
+
+    /// Every draw of a plan with every knob armed, over a fixed grid of
+    /// coordinates, plus every epoch's node weather under a join, a
+    /// decommission and revocation sweeps, folded into one value. A
+    /// refactor of the plans must leave it unchanged: each draw keeps
+    /// its coordinate, tag and salt.
+    #[test]
+    fn every_draw_and_epoch_is_pinned() {
+        let plan = FaultPlan::hadoop_defaults(0x5EED)
+            .with_transient_failures(0.2)
+            .with_heap_failures(0.1)
+            .with_stragglers(0.3, 2.5)
+            .with_node_crashes(0.15)
+            .with_node_crash(3, 1)
+            .with_node_blacklist_after(2)
+            .with_dfs_corruption(0.2)
+            .with_torn_spills(0.25)
+            .with_fetch_flakes(0.3)
+            .with_fetch_backoff(0.5)
+            .with_heartbeat_false_positives(0.2);
+        let domain = [0usize, 1, 2, 3, 5];
+        let preferences: [&[usize]; 3] = [&[], &[1, 3], &[4]];
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for job in ["gmeans", "kmeans-7"] {
+            for kind in [TaskKind::Map, TaskKind::Reduce] {
+                for index in 0..24 {
+                    for attempt in 0..4 {
+                        h.fold(plan.decide(job, kind, index, attempt) as u64);
+                        h.fold(
+                            plan.straggler_multiplier(job, kind, index, attempt)
+                                .to_bits(),
+                        );
+                        h.fold(
+                            plan.failed_attempt_progress(job, kind, index, attempt)
+                                .to_bits(),
+                        );
+                        h.fold(plan.heartbeat_false_positive(job, kind, index, attempt) as u64);
+                        h.fold(plan.place_attempt(&domain, job, kind, index, attempt) as u64);
+                        for prefer in preferences {
+                            let (node, local) = plan.place_attempt_preferring(
+                                &domain, prefer, job, kind, index, attempt,
+                            );
+                            h.fold(node as u64);
+                            h.fold(local as u64);
+                        }
+                        for spill in 0..3 {
+                            h.fold(
+                                plan.torn_spill(job, TaskKind::Map, index, attempt, spill) as u64
+                            );
+                        }
+                        for epoch in 1..6 {
+                            for node in 0..6 {
+                                h.fold(plan.attempt_completed_before_crash(
+                                    job, kind, index, attempt, epoch, node,
+                                ) as u64);
+                            }
+                        }
+                    }
+                }
+            }
+            for index in 0..24 {
+                for prefer in preferences {
+                    let (node, local) = plan.place_reexecuted_map(&domain, prefer, job, index);
+                    h.fold(node as u64);
+                    h.fold(local as u64);
+                }
+            }
+            for map in 0..12 {
+                for reduce in 0..6 {
+                    for try_no in 0..4 {
+                        h.fold(plan.fetch_flakes(job, map, reduce, try_no) as u64);
+                        h.fold(plan.fetch_backoff_secs(job, map, reduce, try_no).to_bits());
+                    }
+                }
+            }
+        }
+        for epoch in 1..10 {
+            for node in 0..6 {
+                h.fold(plan.node_crashes_at(epoch, node) as u64);
+                h.fold(plan.node_crash_point(epoch, node).to_bits());
+            }
+        }
+        for path in ["points.txt", "centers-3"] {
+            for block in 0..16 {
+                for node in 0..6 {
+                    h.fold(plan.dfs_replica_corrupt(path, block, node) as u64);
+                }
+            }
+        }
+        let membership = MembershipPlan::none()
+            .with_seed(0xE1A5)
+            .with_node_join(3, 4)
+            .with_node_decommission(5, 1)
+            .with_revocation_sweeps(2, 0.35);
+        for epoch in 1..13 {
+            for node in 0..6 {
+                h.fold(membership.revoked_at(epoch, node) as u64);
+            }
+        }
+        let cluster = crate::cluster::ClusterConfig::default()
+            .with_faults(plan)
+            .with_membership(membership);
+        assert!(cluster.validate().is_ok());
+        for epoch in 1..13 {
+            let status = cluster.node_status(epoch);
+            h.fold_all(status.live);
+            h.fold_all(status.crashed);
+            h.fold_all(status.revoked);
+            h.fold_all(status.blacklisted);
+            h.fold_all(cluster.unavailable_at(epoch));
+        }
+        assert_eq!(h.0, 0x851b_4a33_76f4_fb8c, "{:#018x}", h.0);
+    }
+
     #[test]
     fn compute_matches_compute_full_with_inert_membership() {
         let plan = FaultPlan::none()
