@@ -26,8 +26,9 @@
 //! * **counters, dataset reads, and the wall/simulated clocks**,
 //!   accumulated per job in a fixed order so resumed totals match
 //!   uninterrupted ones bit for bit;
-//! * **cached-vs-streaming dispatch** ([`ExecutionMode`]) through one
-//!   [`Submission`] handle per job;
+//! * **cached-vs-streaming dispatch** ([`ExecutionMode`]): each job
+//!   runs through [`JobRunner::run_cached`] when a point cache is
+//!   pinned and [`JobRunner::run`] otherwise;
 //! * **kernel wiring**: the nearest-center kernel (the k-d index flag,
 //!   or the cost-neutral auto backend) is attached by
 //!   [`EngineCtx::prepare`], never by algorithms directly.
@@ -51,7 +52,7 @@ use gmr_mapreduce::cluster::ClusterConfig;
 use gmr_mapreduce::cost::JobTiming;
 use gmr_mapreduce::counters::{Counter, Counters};
 use gmr_mapreduce::job::{Job, JobConfig, PointMapper};
-use gmr_mapreduce::submit::Submission;
+use gmr_mapreduce::runtime::JobRunner;
 use gmr_mapreduce::writable::Writable;
 use gmr_mapreduce::{Error, Result};
 
@@ -118,7 +119,10 @@ struct ErasedOutput {
     timing: JobTiming,
 }
 
-type PlannedRun = Box<dyn FnOnce(&Submission<'_>, &JobConfig) -> Result<ErasedOutput>>;
+/// Runs one job on a runner, over the pinned point cache when there is
+/// one and the DFS text file at the input path otherwise.
+type PlannedRun =
+    Box<dyn FnOnce(&JobRunner, Option<&PointCache>, &str, &JobConfig) -> Result<ErasedOutput>>;
 
 /// One job of a planned wave: the concrete [`Job`] is captured in a
 /// closure so the engine can run heterogeneous jobs through one loop.
@@ -136,8 +140,11 @@ impl PlannedJob {
     {
         Self {
             reducers,
-            run: Box::new(move |submission, config| {
-                let result = submission.submit(&job, config)?;
+            run: Box::new(move |runner, cache, input, config| {
+                let result = match cache {
+                    Some(cache) => runner.run_cached(&job, cache, config)?,
+                    None => runner.run(&job, input, config)?,
+                };
                 Ok(ErasedOutput {
                     output: Box::new(result.output),
                     counters: result.counters,
@@ -298,10 +305,8 @@ fn decode_frame<A: IterativeAlgorithm>(payload: &[u8]) -> Result<(Totals, A::Sta
 
 /// The engine: a [`JobRunner`] plus the cross-cutting driver
 /// configuration (execution mode, accelerators, journaling).
-///
-/// [`JobRunner`]: gmr_mapreduce::runtime::JobRunner
 pub struct Engine {
-    runner: gmr_mapreduce::runtime::JobRunner,
+    runner: JobRunner,
     mode: ExecutionMode,
     kd_index: bool,
     checkpoint_dir: Option<String>,
@@ -310,7 +315,7 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine on `runner`'s cluster with default settings:
     /// on-disk execution, no accelerators, no journaling.
-    pub fn new(runner: gmr_mapreduce::runtime::JobRunner) -> Self {
+    pub fn new(runner: JobRunner) -> Self {
         Self {
             runner,
             mode: ExecutionMode::OnDisk,
@@ -342,7 +347,7 @@ impl Engine {
     }
 
     /// The underlying job runner.
-    pub fn runner(&self) -> &gmr_mapreduce::runtime::JobRunner {
+    pub fn runner(&self) -> &JobRunner {
         &self.runner
     }
 
@@ -546,19 +551,18 @@ impl<'e> EngineCtx<'e> {
     /// draws.
     pub fn execute(&mut self, job: PlannedJob) -> Result<JobOutputs> {
         let config = JobConfig::with_reducers(job.reducers);
-        let erased = match &self.cache {
-            Some(cache) => (job.run)(&Submission::cached(&self.engine.runner, cache), &config)?,
-            None => {
-                // One logical dataset read per disk-based job, charged
-                // whether or not the job succeeds (the runtime charges
-                // the scan before any task can fail).
-                self.totals.reads += 1;
-                (job.run)(
-                    &Submission::streaming(&self.engine.runner, self.input),
-                    &config,
-                )?
-            }
-        };
+        if self.cache.is_none() {
+            // One logical dataset read per disk-based job, charged
+            // whether or not the job succeeds (the runtime charges the
+            // scan before any task can fail).
+            self.totals.reads += 1;
+        }
+        let erased = (job.run)(
+            &self.engine.runner,
+            self.cache.as_ref(),
+            self.input,
+            &config,
+        )?;
         self.totals.counters.merge(&erased.counters);
         self.seg.simulated_secs += erased.timing.simulated_secs;
         self.seg.jobs += 1;
@@ -650,7 +654,6 @@ mod tests {
     use crate::mr::{KMeansParallelInit, MRGMeans, MRKMeans, MultiKMeans};
     use gmr_datagen::GaussianMixture;
     use gmr_mapreduce::dfs::Dfs;
-    use gmr_mapreduce::runtime::JobRunner;
 
     /// A toy algorithm whose state is a bare `u64`, framed under `M`.
     struct Toy<const M: u32>;

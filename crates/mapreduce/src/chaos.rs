@@ -23,84 +23,12 @@
 
 use std::fmt;
 
-use crate::faults::{FaultPlan, MembershipPlan, NodeStatus};
+pub use crate::faults::Dimension;
+use crate::faults::{EventSchedule, FaultPlan, MembershipPlan, NodeStatus};
 
 /// Base cluster size the generator targets; matches
 /// [`crate::cluster::ClusterConfig::default`].
 const BASE_NODES: u32 = 4;
-
-/// One independent fault dimension a composite storm can exercise.
-///
-/// Dimensions are what the shrinker drops: each maps to a disjoint set
-/// of plan knobs, so removing one never disturbs another's draws (the
-/// plans hash with per-dimension salts).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Dimension {
-    /// Injected transient attempt failures.
-    Transients,
-    /// Injected heap-space attempt failures.
-    HeapFaults,
-    /// Straggling nodes slowing successful attempts.
-    Stragglers,
-    /// Speculative execution of slow tasks.
-    Speculation,
-    /// Whole-node crashes mid-job.
-    NodeCrashes,
-    /// Silent DFS block-replica corruption.
-    Corruption,
-    /// Torn (truncated) out-of-core spill runs.
-    TornSpills,
-    /// Transient shuffle-fetch flakes with exponential backoff.
-    FetchFlakes,
-    /// Heartbeat false positives fencing live attempts.
-    HeartbeatFalsePositives,
-    /// Scheduled node joins.
-    Joins,
-    /// Scheduled graceful decommissions.
-    Decommissions,
-    /// Spot-style revocation sweeps.
-    Revocations,
-    /// Driver crashes at job boundaries.
-    DriverCrashes,
-}
-
-impl Dimension {
-    /// Every dimension, in the deterministic order the shrinker visits.
-    pub const ALL: [Dimension; 13] = [
-        Dimension::Transients,
-        Dimension::HeapFaults,
-        Dimension::Stragglers,
-        Dimension::Speculation,
-        Dimension::NodeCrashes,
-        Dimension::Corruption,
-        Dimension::TornSpills,
-        Dimension::FetchFlakes,
-        Dimension::HeartbeatFalsePositives,
-        Dimension::Joins,
-        Dimension::Decommissions,
-        Dimension::Revocations,
-        Dimension::DriverCrashes,
-    ];
-
-    /// Short human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Dimension::Transients => "transients",
-            Dimension::HeapFaults => "heap_faults",
-            Dimension::Stragglers => "stragglers",
-            Dimension::Speculation => "speculation",
-            Dimension::NodeCrashes => "node_crashes",
-            Dimension::Corruption => "corruption",
-            Dimension::TornSpills => "torn_spills",
-            Dimension::FetchFlakes => "fetch_flakes",
-            Dimension::HeartbeatFalsePositives => "heartbeat_false_positives",
-            Dimension::Joins => "joins",
-            Dimension::Decommissions => "decommissions",
-            Dimension::Revocations => "revocations",
-            Dimension::DriverCrashes => "driver_crashes",
-        }
-    }
-}
 
 /// A composite fault schedule: one fault plan and one membership plan,
 /// composed across up to every [`Dimension`].
@@ -211,37 +139,26 @@ impl Storm {
         Storm { faults, membership }
     }
 
+    /// `dim`'s probability knob in this storm: the fault plan's eight,
+    /// plus the membership plan's revocation fraction.
+    fn knob_mut(&mut self, dim: Dimension) -> Option<&mut f64> {
+        match dim {
+            Dimension::Revocations => Some(&mut self.membership.revocation_fraction),
+            _ => self.faults.knob_mut(dim),
+        }
+    }
+
     /// Whether `dim` injects anything in this storm.
     pub fn has(self, dim: Dimension) -> bool {
+        let (faults, membership) = (self.faults, self.membership);
         match dim {
-            Dimension::Transients => self.faults.transient_fail_prob > 0.0,
-            Dimension::HeapFaults => self.faults.heap_fail_prob > 0.0,
-            Dimension::Stragglers => self.faults.straggler_prob > 0.0,
-            Dimension::Speculation => self.faults.speculative_execution,
-            Dimension::NodeCrashes => {
-                self.faults.node_crash_prob > 0.0
-                    || self
-                        .faults
-                        .scheduled_node_crashes
-                        .iter()
-                        .any(Option::is_some)
-            }
-            Dimension::Corruption => self.faults.dfs_corruption_prob > 0.0,
-            Dimension::TornSpills => self.faults.torn_spill_prob > 0.0,
-            Dimension::FetchFlakes => self.faults.fetch_flake_prob > 0.0,
-            Dimension::HeartbeatFalsePositives => self.faults.heartbeat_false_positive_prob > 0.0,
-            Dimension::Joins => self.membership.scheduled_joins.iter().any(Option::is_some),
-            Dimension::Decommissions => self
-                .membership
-                .scheduled_decommissions
-                .iter()
-                .any(Option::is_some),
-            Dimension::Revocations => {
-                self.membership.revocation_period > 0 && self.membership.revocation_fraction > 0.0
-            }
-            Dimension::DriverCrashes => {
-                self.faults.driver_crash_after_jobs.is_some() || self.faults.driver_crash_prob > 0.0
-            }
+            Dimension::Speculation => faults.speculation.is_some(),
+            Dimension::NodeCrashes if !faults.scheduled_node_crashes.is_empty() => true,
+            Dimension::Joins => !membership.scheduled_joins.is_empty(),
+            Dimension::Decommissions => !membership.scheduled_decommissions.is_empty(),
+            Dimension::Revocations if membership.revocation_period == 0 => false,
+            Dimension::DriverCrashes => faults.driver_crash_after_jobs.is_some(),
+            _ => self.intensity(dim).is_some(),
         }
     }
 
@@ -257,72 +174,37 @@ impl Storm {
     /// draws are untouched (disjoint salts), which is what makes greedy
     /// dropping meaningful.
     pub fn without(self, dim: Dimension) -> Storm {
-        let mut s = self;
+        let mut s = self.with_intensity(dim, 0.0);
         match dim {
-            Dimension::Transients => s.faults.transient_fail_prob = 0.0,
-            Dimension::HeapFaults => s.faults.heap_fail_prob = 0.0,
-            Dimension::Stragglers => s.faults.straggler_prob = 0.0,
-            Dimension::Speculation => s.faults.speculative_execution = false,
-            Dimension::NodeCrashes => {
-                s.faults.node_crash_prob = 0.0;
-                s.faults.scheduled_node_crashes = [None; 4];
+            Dimension::Speculation => s.faults.speculation = None,
+            Dimension::NodeCrashes => s.faults.scheduled_node_crashes = EventSchedule::default(),
+            Dimension::Joins => s.membership.scheduled_joins = EventSchedule::default(),
+            Dimension::Decommissions => {
+                s.membership.scheduled_decommissions = EventSchedule::default()
             }
-            Dimension::Corruption => s.faults.dfs_corruption_prob = 0.0,
-            Dimension::TornSpills => s.faults.torn_spill_prob = 0.0,
-            Dimension::FetchFlakes => s.faults.fetch_flake_prob = 0.0,
-            Dimension::HeartbeatFalsePositives => s.faults.heartbeat_false_positive_prob = 0.0,
-            Dimension::Joins => s.membership.scheduled_joins = [None; 4],
-            Dimension::Decommissions => s.membership.scheduled_decommissions = [None; 4],
-            Dimension::Revocations => {
-                s.membership.revocation_period = 0;
-                s.membership.revocation_fraction = 0.0;
-            }
+            Dimension::Revocations => s.membership.revocation_period = 0,
             Dimension::DriverCrashes => s.faults = s.faults.without_driver_crashes(),
+            _ => {}
         }
         s
     }
 
     /// The storm's continuous intensity knob for `dim`, when it has one
     /// (a probability the shrinker can bisect). Discrete dimensions —
-    /// speculation, scheduled joins/decommissions, `driver_crash_after`
-    /// schedules — return `None` and are only droppable whole.
-    pub fn intensity(self, dim: Dimension) -> Option<f64> {
-        let p = match dim {
-            Dimension::Transients => self.faults.transient_fail_prob,
-            Dimension::HeapFaults => self.faults.heap_fail_prob,
-            Dimension::Stragglers => self.faults.straggler_prob,
-            Dimension::NodeCrashes => self.faults.node_crash_prob,
-            Dimension::Corruption => self.faults.dfs_corruption_prob,
-            Dimension::TornSpills => self.faults.torn_spill_prob,
-            Dimension::FetchFlakes => self.faults.fetch_flake_prob,
-            Dimension::HeartbeatFalsePositives => self.faults.heartbeat_false_positive_prob,
-            Dimension::Revocations => self.membership.revocation_fraction,
-            Dimension::DriverCrashes => self.faults.driver_crash_prob,
-            Dimension::Speculation | Dimension::Joins | Dimension::Decommissions => 0.0,
-        };
-        (p > 0.0).then_some(p)
+    /// speculation, scheduled joins and decommissions, the driver
+    /// crash — return `None` and are only droppable whole.
+    pub fn intensity(mut self, dim: Dimension) -> Option<f64> {
+        self.knob_mut(dim).map(|p| *p).filter(|&p| p > 0.0)
     }
 
     /// A copy of the storm with `dim`'s intensity knob set to `p`
     /// (clamped to the valid `[0, 1)` range; `0` clears the dimension).
     /// No-op for dimensions without a knob.
-    pub fn with_intensity(self, dim: Dimension, p: f64) -> Storm {
-        let p = p.clamp(0.0, 0.999);
-        let mut s = self;
-        match dim {
-            Dimension::Transients => s.faults.transient_fail_prob = p,
-            Dimension::HeapFaults => s.faults.heap_fail_prob = p,
-            Dimension::Stragglers => s.faults.straggler_prob = p,
-            Dimension::NodeCrashes => s.faults.node_crash_prob = p,
-            Dimension::Corruption => s.faults.dfs_corruption_prob = p,
-            Dimension::TornSpills => s.faults.torn_spill_prob = p,
-            Dimension::FetchFlakes => s.faults.fetch_flake_prob = p,
-            Dimension::HeartbeatFalsePositives => s.faults.heartbeat_false_positive_prob = p,
-            Dimension::Revocations => s.membership.revocation_fraction = p,
-            Dimension::DriverCrashes => s.faults.driver_crash_prob = p,
-            Dimension::Speculation | Dimension::Joins | Dimension::Decommissions => {}
+    pub fn with_intensity(mut self, dim: Dimension, p: f64) -> Storm {
+        if let Some(knob) = self.knob_mut(dim) {
+            *knob = p.clamp(0.0, 0.999);
         }
-        s
+        self
     }
 
     /// Whether both plans validate against a base cluster of `nodes`
@@ -334,7 +216,7 @@ impl Storm {
         self.faults.validate().is_ok()
             && self.membership.validate(nodes).is_ok()
             && (1..=epochs).all(|e| {
-                !NodeStatus::compute_full(&self.faults, &self.membership, nodes, e)
+                !NodeStatus::compute(&self.faults, &self.membership, nodes, e)
                     .survivors()
                     .is_empty()
             })
@@ -523,7 +405,7 @@ mod tests {
             membership: storm.membership.with_node_join(2, BASE_NODES),
         };
         // The violation needs the join — transients are innocent.
-        let violates = |s: &Storm| s.membership.scheduled_joins.iter().any(Option::is_some);
+        let violates = |s: &Storm| !s.membership.scheduled_joins.is_empty();
         let minimal = shrink(&storm, violates);
         assert_eq!(minimal.dimensions(), vec![Dimension::Joins]);
     }
@@ -557,10 +439,7 @@ mod tests {
                 fold(storm.intensity(dim).map_or(u64::MAX, f64::to_bits));
             }
             fold(f.straggler_factor.to_bits());
-            let speculation = f
-                .speculative_execution
-                .then_some(f.speculative_slowdown_threshold);
-            fold(speculation.map_or(0, f64::to_bits));
+            fold(f.speculation.map_or(0, f64::to_bits));
             fold(f.fetch_retry_budget as u64);
             fold(f.fetch_backoff_base_secs.to_bits());
             fold(f.driver_crash_after_jobs.unwrap_or(0));
@@ -569,9 +448,9 @@ mod tests {
                 m.scheduled_joins,
                 m.scheduled_decommissions,
             ] {
-                for (epoch, node) in events.iter().flatten() {
-                    fold(*epoch);
-                    fold(*node as u64);
+                for (epoch, node) in events.iter() {
+                    fold(epoch);
+                    fold(node as u64);
                 }
                 fold(u64::MAX);
             }

@@ -200,8 +200,7 @@ impl ClusterConfig {
             .faults
             .scheduled_node_crashes
             .iter()
-            .flatten()
-            .find(|(_, n)| *n as usize >= self.peak_nodes())
+            .find(|&(_, n)| n as usize >= self.peak_nodes())
         {
             return Err(Error::Config(format!(
                 "scheduled crash names node {node} but the cluster peaks at {} nodes",
@@ -251,7 +250,7 @@ impl ClusterConfig {
     /// Node weather at one job epoch under this cluster's fault *and*
     /// membership plans.
     pub fn node_status(&self, epoch: u64) -> NodeStatus {
-        NodeStatus::compute_full(&self.faults, &self.membership, self.nodes, epoch)
+        NodeStatus::compute(&self.faults, &self.membership, self.nodes, epoch)
     }
 
     /// Live map/reduce slot capacity at one job epoch: the slots on
@@ -262,23 +261,18 @@ impl ClusterConfig {
     }
 
     /// Nodes of the universe that must not hold data or run work while
-    /// epoch `epoch` executes: blacklisted, decommissioned, not yet
-    /// joined, plus revocation victims of this epoch and of the next
-    /// one (revocations are announced one epoch ahead — placing a fresh
-    /// replica on a doomed node would just lose it again).
+    /// epoch `epoch` executes: the epoch's [`NodeStatus::down`] nodes
+    /// plus the next epoch's revocation victims (revocations are
+    /// announced one epoch ahead — placing a fresh replica on a doomed
+    /// node would just lose it again).
     pub fn unavailable_at(&self, epoch: u64) -> Vec<usize> {
-        let status = self.node_status(epoch);
-        let mut down = status.blacklisted;
-        down.extend(status.decommissioned);
-        down.extend(status.absent);
-        down.extend(status.revoked.iter().copied());
+        let mut down = self.node_status(epoch).down;
         for node in 0..self.peak_nodes() {
             if self.membership.revoked_at(epoch + 1, node) && !down.contains(&node) {
                 down.push(node);
             }
         }
         down.sort_unstable();
-        down.dedup();
         down
     }
 

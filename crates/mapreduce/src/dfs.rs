@@ -40,7 +40,6 @@ use parking_lot::{Mutex, RwLock};
 use crate::compress;
 use crate::error::{Error, Result};
 use crate::faults::FaultPlan;
-use crate::shuffle::CommitFence;
 
 /// Default block (and therefore split) size: 4 MiB.
 ///
@@ -785,29 +784,6 @@ impl Dfs {
         Ok(())
     }
 
-    /// Fenced variant of [`Dfs::rename`] — the output-committer path a
-    /// task attempt publishes its result file through. The rename
-    /// happens, and the output becomes visible at `to`, only while
-    /// `attempt` still holds the task's commit fence; a zombie attempt
-    /// (falsely declared dead and already replaced) instead has its
-    /// temporary file deleted, so exactly one attempt's output is ever
-    /// visible whichever order commits land in. Returns whether the
-    /// commit won.
-    pub fn publish_fenced(
-        &self,
-        from: &str,
-        to: &str,
-        fence: &CommitFence,
-        attempt: u32,
-    ) -> Result<bool> {
-        if !fence.try_commit(attempt) {
-            self.remove(from);
-            return Ok(false);
-        }
-        self.rename(from, to)?;
-        Ok(true)
-    }
-
     /// All stored paths, sorted.
     pub fn list(&self) -> Vec<String> {
         self.files.read().keys().cloned().collect()
@@ -1110,47 +1086,6 @@ mod tests {
         assert!(!fs.exists("tmp"));
         assert_eq!(fs.read_lines("final").unwrap(), vec!["new"]);
         assert!(matches!(fs.rename("tmp", "x"), Err(Error::FileNotFound(_))));
-    }
-
-    #[test]
-    fn fenced_publish_makes_exactly_one_output_visible() {
-        let fs = dfs(64);
-        let fence = CommitFence::new();
-        // Attempt 0 stages its output, is falsely declared dead, and a
-        // duplicate (attempt 1) stages its own copy and is granted the
-        // fence.
-        fs.put_lines("task0/_tmp.a0", ["from attempt 0"]).unwrap();
-        fs.put_lines("task0/_tmp.a1", ["from attempt 1"]).unwrap();
-        fence.grant(1);
-        // The duplicate commits first; the zombie's late commit is
-        // rejected and its staging file cleaned up.
-        assert!(fs
-            .publish_fenced("task0/_tmp.a1", "task0/out", &fence, 1)
-            .unwrap());
-        assert!(!fs
-            .publish_fenced("task0/_tmp.a0", "task0/out", &fence, 0)
-            .unwrap());
-        assert!(!fs.exists("task0/_tmp.a0"), "zombie staging file removed");
-        assert_eq!(fs.read_lines("task0/out").unwrap(), vec!["from attempt 1"]);
-    }
-
-    #[test]
-    fn fenced_publish_rejects_the_zombie_even_when_it_commits_first() {
-        let fs = dfs(64);
-        let fence = CommitFence::new();
-        fs.put_lines("task1/_tmp.a0", ["stale"]).unwrap();
-        fs.put_lines("task1/_tmp.a1", ["fresh"]).unwrap();
-        // The fence was re-granted before the zombie reached its commit,
-        // so even a zombie racing ahead of its replacement loses.
-        fence.grant(1);
-        assert!(!fs
-            .publish_fenced("task1/_tmp.a0", "task1/out", &fence, 0)
-            .unwrap());
-        assert!(!fs.exists("task1/out"), "no output visible yet");
-        assert!(fs
-            .publish_fenced("task1/_tmp.a1", "task1/out", &fence, 1)
-            .unwrap());
-        assert_eq!(fs.read_lines("task1/out").unwrap(), vec!["fresh"]);
     }
 
     #[test]

@@ -28,17 +28,14 @@
 use crate::error::{Error, Result};
 
 /// The salt of every independent draw the plans make, in one table so
-/// no two dimensions share a draw stream by accident. `Placement` is
-/// shared on purpose: [`FaultPlan::place_attempt`] and
-/// [`FaultPlan::place_attempt_preferring`] draw the same node when no
-/// replica holder is preferred.
+/// no two dimensions share a draw stream by accident. Salt 5 belonged
+/// to a retired draw and stays unused, so no other draw moves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Salt {
     Transient = 1,
     Heap = 2,
     Straggler = 3,
     FailedProgress = 4,
-    DriverCrash = 5,
     NodeCrash = 6,
     CrashPoint = 7,
     CompletedBeforeCrash = 8,
@@ -51,6 +48,10 @@ enum Salt {
     BackoffJitter = 15,
     HeartbeatFalsePositive = 16,
 }
+
+/// The tag of draws keyed off a cluster-level coordinate — a node, a
+/// DFS block — rather than a task attempt.
+const CLUSTER_TAG: u64 = 0x6472_7600;
 
 /// One independent uniform draw in `[0, 1)` per
 /// `(seed, job, tag, index, attempt, salt)` coordinate: FNV-1a over the
@@ -74,6 +75,163 @@ fn hash_u01(seed: u64, job: &str, tag: u64, index: usize, attempt: u32, salt: Sa
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// One independent fault dimension a composite storm can exercise.
+///
+/// Dimensions are what the chaos shrinker drops: each maps to a
+/// disjoint set of plan knobs, so removing one never disturbs another's
+/// draws (the plans hash with per-dimension salts).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Dimension {
+    /// Injected transient attempt failures.
+    Transients,
+    /// Injected heap-space attempt failures.
+    HeapFaults,
+    /// Straggling nodes slowing successful attempts.
+    Stragglers,
+    /// Speculative execution of slow tasks.
+    Speculation,
+    /// Whole-node crashes mid-job.
+    NodeCrashes,
+    /// Silent DFS block-replica corruption.
+    Corruption,
+    /// Torn (truncated) out-of-core spill runs.
+    TornSpills,
+    /// Transient shuffle-fetch flakes with exponential backoff.
+    FetchFlakes,
+    /// Heartbeat false positives fencing live attempts.
+    HeartbeatFalsePositives,
+    /// Scheduled node joins.
+    Joins,
+    /// Scheduled graceful decommissions.
+    Decommissions,
+    /// Spot-style revocation sweeps.
+    Revocations,
+    /// Driver crashes at job boundaries.
+    DriverCrashes,
+}
+
+impl Dimension {
+    /// Every dimension, in the deterministic order the shrinker visits.
+    pub const ALL: [Dimension; 13] = [
+        Dimension::Transients,
+        Dimension::HeapFaults,
+        Dimension::Stragglers,
+        Dimension::Speculation,
+        Dimension::NodeCrashes,
+        Dimension::Corruption,
+        Dimension::TornSpills,
+        Dimension::FetchFlakes,
+        Dimension::HeartbeatFalsePositives,
+        Dimension::Joins,
+        Dimension::Decommissions,
+        Dimension::Revocations,
+        Dimension::DriverCrashes,
+    ];
+
+    /// Short human-readable label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Dimension::Transients => "transients",
+            Dimension::HeapFaults => "heap_faults",
+            Dimension::Stragglers => "stragglers",
+            Dimension::Speculation => "speculation",
+            Dimension::NodeCrashes => "node_crashes",
+            Dimension::Corruption => "corruption",
+            Dimension::TornSpills => "torn_spills",
+            Dimension::FetchFlakes => "fetch_flakes",
+            Dimension::HeartbeatFalsePositives => "heartbeat_false_positives",
+            Dimension::Joins => "joins",
+            Dimension::Decommissions => "decommissions",
+            Dimension::Revocations => "revocations",
+            Dimension::DriverCrashes => "driver_crashes",
+        }
+    }
+
+    /// The dimension's row of the knob table: the field name of its
+    /// probability knob and the salt of its strike draw. `None` for the
+    /// discrete dimensions, which draw nothing.
+    fn knob(self) -> Option<(&'static str, Salt)> {
+        Some(match self {
+            Dimension::Transients => ("transient_fail_prob", Salt::Transient),
+            Dimension::HeapFaults => ("heap_fail_prob", Salt::Heap),
+            Dimension::Stragglers => ("straggler_prob", Salt::Straggler),
+            Dimension::NodeCrashes => ("node_crash_prob", Salt::NodeCrash),
+            Dimension::Corruption => ("dfs_corruption_prob", Salt::ReplicaCorruption),
+            Dimension::TornSpills => ("torn_spill_prob", Salt::TornSpill),
+            Dimension::FetchFlakes => ("fetch_flake_prob", Salt::FetchFlake),
+            Dimension::HeartbeatFalsePositives => (
+                "heartbeat_false_positive_prob",
+                Salt::HeartbeatFalsePositive,
+            ),
+            Dimension::Revocations => ("revocation_fraction", Salt::Revocation),
+            Dimension::Speculation
+            | Dimension::Joins
+            | Dimension::Decommissions
+            | Dimension::DriverCrashes => return None,
+        })
+    }
+}
+
+/// The strike draw of every probabilistic dimension: whether the
+/// coordinate's hash under `dim`'s salt falls below its armed
+/// probability `p`. A zero `p` draws no hash.
+fn strike(dim: Dimension, p: f64, seed: u64, job: &str, tag: u64, index: usize, sub: u32) -> bool {
+    match dim.knob() {
+        Some((_, salt)) if p > 0.0 => hash_u01(seed, job, tag, index, sub, salt) < p,
+        _ => false,
+    }
+}
+
+/// Up to four scheduled `(epoch, node)` events of one kind — node
+/// crashes, joins or graceful decommissions. Epochs are 1-based counts
+/// of jobs the driver has started. Fixed-size so the plans stay `Copy`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventSchedule([Option<(u64, u32)>; 4]);
+
+impl EventSchedule {
+    /// This schedule plus an event for `node` at `epoch`.
+    ///
+    /// # Panics
+    /// Panics when four events are already scheduled.
+    pub fn with(mut self, epoch: u64, node: u32) -> Self {
+        let slot = self
+            .0
+            .iter_mut()
+            .find(|s| s.is_none())
+            .expect("at most four scheduled events of one kind");
+        *slot = Some((epoch, node));
+        self
+    }
+
+    /// The events as `(epoch, node)`, in the order they were added.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.0.iter().flatten().copied()
+    }
+
+    /// Whether no event is scheduled.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+
+    /// Nodes with an event at exactly `epoch`, ascending.
+    pub fn at(&self, epoch: u64) -> Vec<usize> {
+        let mut nodes: Vec<usize> = self
+            .iter()
+            .filter(|&(e, _)| e == epoch)
+            .map(|(_, n)| n as usize)
+            .collect();
+        nodes.sort_unstable();
+        nodes
+    }
+
+    /// The epoch of `node`'s first event, if it has one.
+    pub fn epoch_of(&self, node: usize) -> Option<u64> {
+        self.iter()
+            .find(|&(_, n)| n as usize == node)
+            .map(|(e, _)| e)
+    }
+}
+
 /// Which phase a task belongs to, for fault-plan keying and task names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TaskKind {
@@ -81,8 +239,6 @@ pub enum TaskKind {
     Map,
     /// A reduce task (one per partition).
     Reduce,
-    /// The driver itself, keyed at job boundaries rather than per task.
-    Driver,
 }
 
 impl TaskKind {
@@ -91,7 +247,6 @@ impl TaskKind {
         match self {
             TaskKind::Map => "map",
             TaskKind::Reduce => "reduce",
-            TaskKind::Driver => "driver",
         }
     }
 
@@ -99,8 +254,14 @@ impl TaskKind {
         match self {
             TaskKind::Map => 0x6d61_7000,
             TaskKind::Reduce => 0x7265_6400,
-            TaskKind::Driver => 0x6472_7600,
         }
+    }
+
+    /// The kind's tag with `sub` folded in, so draws of one attempt
+    /// that differ only in `sub` (a spill's sequence number, a fetched
+    /// map's index) are independent.
+    fn tag_with(self, sub: u64) -> u64 {
+        self.tag() ^ sub.wrapping_mul(0x9E37_79B9)
     }
 }
 
@@ -137,29 +298,24 @@ pub struct FaultPlan {
     /// Attempt budget per task; the task (and job) fails when all
     /// attempts are exhausted. `1` disables retries.
     pub max_attempts: u32,
-    /// Whether to launch backup attempts for abnormally slow tasks.
-    pub speculative_execution: bool,
-    /// A task is speculated when its duration exceeds this multiple of
-    /// the phase's median task duration (> 1).
-    pub speculative_slowdown_threshold: f64,
+    /// Speculative execution: `Some(threshold)` launches a backup
+    /// attempt for a task whose duration exceeds `threshold` (> 1)
+    /// times the phase's median task duration; `None` launches none.
+    pub speculation: Option<f64>,
     /// Kill the driver after exactly this many completed jobs
     /// (1-based). `Some(n)` aborts the run with
     /// [`Error::DriverCrash`] at boundary `n`; resuming from the
     /// checkpoint journal is the only recovery.
     pub driver_crash_after_jobs: Option<u64>,
-    /// Probability the driver dies at any given job boundary, drawn
-    /// with the same `(seed, boundary)` hash discipline as task faults.
-    pub driver_crash_prob: f64,
     /// Probability any given node crashes during any given job (drawn
     /// independently per `(job epoch, node)` coordinate). A crashed
     /// node kills its in-flight attempts, loses its completed map
     /// outputs and its DFS block replicas, and rejoins at the next job
     /// unless blacklisted.
     pub node_crash_prob: f64,
-    /// Scheduled node crashes as `(job_epoch, node)` pairs (epochs are
-    /// 1-based counts of jobs started by the driver). Fixed-size so the
-    /// plan stays `Copy`; up to four scheduled crashes.
-    pub scheduled_node_crashes: [Option<(u64, u32)>; 4],
+    /// Scheduled node crashes (epochs are 1-based counts of jobs
+    /// started by the driver).
+    pub scheduled_node_crashes: EventSchedule,
     /// Number of crashes after which a node is permanently blacklisted:
     /// it stops receiving attempts and replicas, and the cluster's slot
     /// capacity shrinks (Hadoop's per-TaskTracker failure blacklist).
@@ -214,12 +370,10 @@ impl Default for FaultPlan {
             straggler_prob: 0.0,
             straggler_factor: 4.0,
             max_attempts: 1,
-            speculative_execution: false,
-            speculative_slowdown_threshold: 1.5,
+            speculation: None,
             driver_crash_after_jobs: None,
-            driver_crash_prob: 0.0,
             node_crash_prob: 0.0,
-            scheduled_node_crashes: [None; 4],
+            scheduled_node_crashes: EventSchedule::default(),
             node_blacklist_after: 3,
             dfs_corruption_prob: 0.0,
             torn_spill_prob: 0.0,
@@ -238,13 +392,14 @@ impl FaultPlan {
     }
 
     /// Hadoop 1.x recovery defaults: 4 attempts per task and
-    /// speculative execution on — but nothing injected yet; compose
-    /// with the `with_*` builders to add faults.
+    /// speculative execution on at a 1.5× slowdown threshold — but
+    /// nothing injected yet; compose with the `with_*` builders to add
+    /// faults.
     pub fn hadoop_defaults(seed: u64) -> Self {
         Self {
             seed,
             max_attempts: 4,
-            speculative_execution: true,
+            speculation: Some(1.5),
             ..Self::default()
         }
     }
@@ -283,20 +438,13 @@ impl FaultPlan {
 
     /// Enables speculative execution with the given slowdown threshold.
     pub fn with_speculation(mut self, slowdown_threshold: f64) -> Self {
-        self.speculative_execution = true;
-        self.speculative_slowdown_threshold = slowdown_threshold;
+        self.speculation = Some(slowdown_threshold);
         self
     }
 
     /// Kills the driver after exactly `jobs` completed jobs (1-based).
     pub fn with_driver_crash_after(mut self, jobs: u64) -> Self {
         self.driver_crash_after_jobs = Some(jobs);
-        self
-    }
-
-    /// Kills the driver at each job boundary with the given probability.
-    pub fn with_driver_crashes(mut self, prob: f64) -> Self {
-        self.driver_crash_prob = prob;
         self
     }
 
@@ -313,12 +461,7 @@ impl FaultPlan {
     /// # Panics
     /// Panics when four crashes are already scheduled.
     pub fn with_node_crash(mut self, epoch: u64, node: u32) -> Self {
-        let slot = self
-            .scheduled_node_crashes
-            .iter_mut()
-            .find(|s| s.is_none())
-            .expect("at most four scheduled node crashes");
-        *slot = Some((epoch, node));
+        self.scheduled_node_crashes = self.scheduled_node_crashes.with(epoch, node);
         self
     }
 
@@ -378,38 +521,50 @@ impl FaultPlan {
         self
     }
 
-    /// Clears all driver-crash injection, keeping task faults intact.
-    /// A resumed run uses this: the crash was an incident in the
-    /// previous driver process, not part of the cluster's weather.
+    /// Clears the driver crash, keeping task faults intact. A resumed
+    /// run uses this: the crash was an incident in the previous driver
+    /// process, not part of the cluster's weather.
     pub fn without_driver_crashes(mut self) -> Self {
         self.driver_crash_after_jobs = None;
-        self.driver_crash_prob = 0.0;
         self
     }
 
-    /// The plan's probability knobs by field name: each must lie in
-    /// `[0, 1)`, and any positive one arms the plan.
-    fn probabilities(&self) -> [(&'static str, f64); 9] {
-        [
-            ("transient_fail_prob", self.transient_fail_prob),
-            ("heap_fail_prob", self.heap_fail_prob),
-            ("straggler_prob", self.straggler_prob),
-            ("driver_crash_prob", self.driver_crash_prob),
-            ("node_crash_prob", self.node_crash_prob),
-            ("dfs_corruption_prob", self.dfs_corruption_prob),
-            ("torn_spill_prob", self.torn_spill_prob),
-            ("fetch_flake_prob", self.fetch_flake_prob),
-            (
-                "heartbeat_false_positive_prob",
-                self.heartbeat_false_positive_prob,
-            ),
-        ]
+    /// The plan's probability knob for `dim`: one of its eight, or
+    /// `None` for revocations (a [`MembershipPlan`] knob) and the
+    /// discrete dimensions.
+    pub(crate) fn knob_mut(&mut self, dim: Dimension) -> Option<&mut f64> {
+        Some(match dim {
+            Dimension::Transients => &mut self.transient_fail_prob,
+            Dimension::HeapFaults => &mut self.heap_fail_prob,
+            Dimension::Stragglers => &mut self.straggler_prob,
+            Dimension::NodeCrashes => &mut self.node_crash_prob,
+            Dimension::Corruption => &mut self.dfs_corruption_prob,
+            Dimension::TornSpills => &mut self.torn_spill_prob,
+            Dimension::FetchFlakes => &mut self.fetch_flake_prob,
+            Dimension::HeartbeatFalsePositives => &mut self.heartbeat_false_positive_prob,
+            Dimension::Speculation
+            | Dimension::Joins
+            | Dimension::Decommissions
+            | Dimension::Revocations
+            | Dimension::DriverCrashes => return None,
+        })
+    }
+
+    /// `dim`'s probability under this plan; 0 where it has no knob.
+    fn probability(mut self, dim: Dimension) -> f64 {
+        self.knob_mut(dim).map_or(0.0, |p| *p)
+    }
+
+    /// Whether `dim` strikes at one coordinate under this plan.
+    fn strikes(&self, dim: Dimension, job: &str, tag: u64, index: usize, sub: u32) -> bool {
+        strike(dim, self.probability(dim), self.seed, job, tag, index, sub)
     }
 
     /// Validates the plan (called from cluster validation).
     pub fn validate(&self) -> Result<()> {
-        for (name, p) in self.probabilities() {
-            if !(0.0..1.0).contains(&p) {
+        for dim in Dimension::ALL {
+            let p = self.probability(dim);
+            if let Some((name, _)) = dim.knob().filter(|_| !(0.0..1.0).contains(&p)) {
                 return Err(Error::Config(format!(
                     "fault plan {name} must be in [0, 1), got {p}"
                 )));
@@ -424,25 +579,19 @@ impl FaultPlan {
         if self.max_attempts == 0 {
             return Err(Error::Config("max_attempts must be positive".into()));
         }
-        if self.speculative_slowdown_threshold <= 1.0
-            || !self.speculative_slowdown_threshold.is_finite()
-        {
-            return Err(Error::Config(format!(
-                "speculative_slowdown_threshold must be a finite value > 1, got {}",
-                self.speculative_slowdown_threshold
-            )));
+        if let Some(threshold) = self.speculation {
+            if threshold <= 1.0 || !threshold.is_finite() {
+                return Err(Error::Config(format!(
+                    "speculation slowdown threshold must be a finite value > 1, got {threshold}"
+                )));
+            }
         }
         if self.driver_crash_after_jobs == Some(0) {
             return Err(Error::Config(
                 "driver_crash_after_jobs is 1-based and must be positive".into(),
             ));
         }
-        if self
-            .scheduled_node_crashes
-            .iter()
-            .flatten()
-            .any(|(e, _)| *e == 0)
-        {
+        if self.scheduled_node_crashes.iter().any(|(e, _)| e == 0) {
             return Err(Error::Config(
                 "scheduled node-crash epochs are 1-based and must be positive".into(),
             ));
@@ -468,10 +617,12 @@ impl FaultPlan {
     ///
     /// [`none`]: FaultPlan::none
     pub fn is_active(&self) -> bool {
-        self.probabilities().iter().any(|&(_, p)| p > 0.0)
-            || self.speculative_execution
+        Dimension::ALL
+            .iter()
+            .any(|&dim| self.probability(dim) > 0.0)
+            || self.speculation.is_some()
             || self.driver_crash_after_jobs.is_some()
-            || self.scheduled_node_crashes.iter().any(Option::is_some)
+            || !self.scheduled_node_crashes.is_empty()
     }
 
     /// One independent uniform draw in `[0, 1)` per
@@ -480,26 +631,16 @@ impl FaultPlan {
         hash_u01(self.seed, job, kind.tag(), index, attempt, salt)
     }
 
-    /// One draw keyed off a cluster-level coordinate — the driver, a
-    /// node, a DFS block — rather than a task attempt.
-    fn cluster_u01(&self, key: &str, index: usize, sub: u32, salt: Salt) -> f64 {
-        self.u01(key, TaskKind::Driver, index, sub, salt)
-    }
-
     /// The plan's verdict for one attempt. Transient faults are checked
     /// before heap faults; the two draws are independent.
     pub fn decide(&self, job: &str, kind: TaskKind, index: usize, attempt: u32) -> FaultDecision {
-        if self.transient_fail_prob > 0.0
-            && self.u01(job, kind, index, attempt, Salt::Transient) < self.transient_fail_prob
-        {
-            return FaultDecision::FailTransient;
+        if self.strikes(Dimension::Transients, job, kind.tag(), index, attempt) {
+            FaultDecision::FailTransient
+        } else if self.strikes(Dimension::HeapFaults, job, kind.tag(), index, attempt) {
+            FaultDecision::FailHeap
+        } else {
+            FaultDecision::Run
         }
-        if self.heap_fail_prob > 0.0
-            && self.u01(job, kind, index, attempt, Salt::Heap) < self.heap_fail_prob
-        {
-            return FaultDecision::FailHeap;
-        }
-        FaultDecision::Run
     }
 
     /// Duration multiplier for a successful attempt: 1, or
@@ -511,9 +652,7 @@ impl FaultPlan {
         index: usize,
         attempt: u32,
     ) -> f64 {
-        if self.straggler_prob > 0.0
-            && self.u01(job, kind, index, attempt, Salt::Straggler) < self.straggler_prob
-        {
+        if self.strikes(Dimension::Stragglers, job, kind.tag(), index, attempt) {
             self.straggler_factor
         } else {
             1.0
@@ -534,36 +673,27 @@ impl FaultPlan {
     }
 
     /// Whether the driver dies at job boundary `boundary` (the 1-based
-    /// count of jobs completed so far). Deterministic in the plan seed
-    /// and the boundary alone, so an identically configured rerun — or
-    /// a resumed run that recomputes the same boundary — crashes at
-    /// exactly the same place.
+    /// count of jobs completed so far): exactly at
+    /// [`driver_crash_after_jobs`](FaultPlan::driver_crash_after_jobs),
+    /// so a resumed run that recomputes the same boundary would crash
+    /// at exactly the same place.
     pub fn driver_crashes_at(&self, boundary: u64) -> bool {
-        if self.driver_crash_after_jobs == Some(boundary) {
-            return true;
-        }
-        self.driver_crash_prob > 0.0
-            && self.cluster_u01("driver", boundary as usize, 0, Salt::DriverCrash)
-                < self.driver_crash_prob
+        self.driver_crash_after_jobs == Some(boundary)
     }
 
     /// Whether `node` crashes during the `epoch`-th job (1-based count
-    /// of jobs the driver has started). Like [`driver_crashes_at`] this
-    /// is a pure function of the plan, so a replayed or resumed run
-    /// sees identical node weather at the same epoch.
-    ///
-    /// [`driver_crashes_at`]: FaultPlan::driver_crashes_at
+    /// of jobs the driver has started). A pure function of the plan, so
+    /// a replayed or resumed run sees identical node weather at the
+    /// same epoch.
     pub fn node_crashes_at(&self, epoch: u64, node: usize) -> bool {
-        if self
-            .scheduled_node_crashes
-            .iter()
-            .flatten()
-            .any(|&(e, n)| e == epoch && n as usize == node)
-        {
-            return true;
-        }
-        self.node_crash_prob > 0.0
-            && self.cluster_u01("node", node, epoch as u32, Salt::NodeCrash) < self.node_crash_prob
+        self.scheduled_node_crashes.at(epoch).contains(&node)
+            || self.strikes(
+                Dimension::NodeCrashes,
+                "node",
+                CLUSTER_TAG,
+                node,
+                epoch as u32,
+            )
     }
 
     /// When during the map phase the crash strikes, as a fraction of
@@ -571,7 +701,15 @@ impl FaultPlan {
     /// point — those that finish earlier produce (doomed) output, the
     /// rest are killed in flight.
     pub fn node_crash_point(&self, epoch: u64, node: usize) -> f64 {
-        0.2 + 0.6 * self.cluster_u01("node", node, epoch as u32, Salt::CrashPoint)
+        0.2 + 0.6
+            * hash_u01(
+                self.seed,
+                "node",
+                CLUSTER_TAG,
+                node,
+                epoch as u32,
+                Salt::CrashPoint,
+            )
     }
 
     /// Whether this attempt, placed on a node that crashes during the
@@ -590,48 +728,33 @@ impl FaultPlan {
             < self.node_crash_point(epoch, node)
     }
 
-    /// Deterministic task→node placement: which node of `domain` this
-    /// attempt runs on. A pure function of the plan seed and the
-    /// attempt's coordinates, so placement is independent of thread
-    /// scheduling and slot counts.
+    /// Deterministic, locality-aware task→node placement: which node of
+    /// `domain` an attempt runs on, drawn from `domain ∩ preferred` (the
+    /// live nodes holding a DFS replica of the task's input block) when
+    /// that intersection is non-empty and from the whole `domain`
+    /// otherwise. A pure function of the plan seed and the attempt's
+    /// coordinates, so placement is independent of thread scheduling
+    /// and slot counts.
     ///
-    /// # Panics
-    /// Panics on an empty domain (the runtime degrades to
-    /// [`Error::Degenerate`] before placing attempts on a dead
-    /// cluster).
-    pub fn place_attempt(
-        &self,
-        domain: &[usize],
-        job: &str,
-        kind: TaskKind,
-        index: usize,
-        attempt: u32,
-    ) -> usize {
-        assert!(!domain.is_empty(), "no live node to place an attempt on");
-        let draw = self.u01(job, kind, index, attempt, Salt::Placement);
-        domain[((draw * domain.len() as f64) as usize).min(domain.len() - 1)]
-    }
-
-    /// Locality-aware placement: like [`FaultPlan::place_attempt`], but
-    /// the attempt is drawn from `domain ∩ preferred` (the live nodes
-    /// holding a DFS replica of the task's input block) when that
-    /// intersection is non-empty, falling back to the full `domain`
-    /// otherwise. Uses the same draw as `place_attempt`, so plans with
-    /// no preference (empty `preferred`) place identically to PR 5.
+    /// `attempt` is `None` for a map re-executed after its winning
+    /// attempt's output was lost: a fresh draw (salt 10, keyed as
+    /// attempt 0) independent of the task's attempt draws (salt 9).
     ///
     /// Returns `(node, node_local)` where `node_local` says whether the
     /// chosen node holds a replica of the input block.
     ///
     /// # Panics
-    /// Panics on an empty `domain`.
-    pub fn place_attempt_preferring(
+    /// Panics on an empty `domain` (the runtime degrades to
+    /// [`Error::Degenerate`] before placing attempts on a dead
+    /// cluster).
+    pub fn place(
         &self,
         domain: &[usize],
         preferred: &[usize],
         job: &str,
         kind: TaskKind,
         index: usize,
-        attempt: u32,
+        attempt: Option<u32>,
     ) -> (usize, bool) {
         assert!(!domain.is_empty(), "no live node to place an attempt on");
         let local: Vec<usize> = domain
@@ -640,33 +763,10 @@ impl FaultPlan {
             .filter(|n| preferred.contains(n))
             .collect();
         let pool = if local.is_empty() { domain } else { &local[..] };
-        let draw = self.u01(job, kind, index, attempt, Salt::Placement);
-        let node = pool[((draw * pool.len() as f64) as usize).min(pool.len() - 1)];
-        (node, preferred.contains(&node))
-    }
-
-    /// Placement for a map task re-executed after its winning attempt's
-    /// output was stranded on a crashed node. A fresh draw (salt 10)
-    /// independent of the original attempt draws, preferring surviving
-    /// replica holders of the task's input block.
-    ///
-    /// # Panics
-    /// Panics on an empty `domain`.
-    pub fn place_reexecuted_map(
-        &self,
-        domain: &[usize],
-        preferred: &[usize],
-        job: &str,
-        index: usize,
-    ) -> (usize, bool) {
-        assert!(!domain.is_empty(), "no survivor to re-execute a map on");
-        let local: Vec<usize> = domain
-            .iter()
-            .copied()
-            .filter(|n| preferred.contains(n))
-            .collect();
-        let pool = if local.is_empty() { domain } else { &local[..] };
-        let draw = self.u01(job, TaskKind::Map, index, 0, Salt::ReexecutedPlacement);
+        let draw = match attempt {
+            Some(attempt) => self.u01(job, kind, index, attempt, Salt::Placement),
+            None => self.u01(job, kind, index, 0, Salt::ReexecutedPlacement),
+        };
         let node = pool[((draw * pool.len() as f64) as usize).min(pool.len() - 1)];
         (node, preferred.contains(&node))
     }
@@ -676,31 +776,16 @@ impl FaultPlan {
     /// replica stays rotted until re-replication writes a fresh copy
     /// elsewhere.
     pub fn dfs_replica_corrupt(&self, path: &str, block: usize, node: usize) -> bool {
-        self.dfs_corruption_prob > 0.0
-            && self.cluster_u01(path, block, node as u32, Salt::ReplicaCorruption)
-                < self.dfs_corruption_prob
+        self.strikes(Dimension::Corruption, path, CLUSTER_TAG, block, node as u32)
     }
 
-    /// Whether the `spill_seq`-th spill this attempt writes lands torn
-    /// (salt 13, with the spill sequence folded into the kind tag so
-    /// every spill of an attempt draws independently).
-    pub fn torn_spill(
-        &self,
-        job: &str,
-        kind: TaskKind,
-        index: usize,
-        attempt: u32,
-        spill_seq: u64,
-    ) -> bool {
-        self.torn_spill_prob > 0.0
-            && hash_u01(
-                self.seed,
-                job,
-                kind.tag() ^ spill_seq.wrapping_mul(0x9E37_79B9),
-                index,
-                attempt,
-                Salt::TornSpill,
-            ) < self.torn_spill_prob
+    /// Whether the `spill_seq`-th spill map attempt `attempt` of task
+    /// `index` writes lands torn (salt 13, with the spill sequence
+    /// folded into the kind tag so every spill of an attempt draws
+    /// independently). Only map attempts spill.
+    pub fn torn_spill(&self, job: &str, index: usize, attempt: u32, spill_seq: u64) -> bool {
+        let tag = TaskKind::Map.tag_with(spill_seq);
+        self.strikes(Dimension::TornSpills, job, tag, index, attempt)
     }
 
     /// Whether try `try_no` of reduce task `reduce_index`'s fetch of
@@ -714,15 +799,8 @@ impl FaultPlan {
         reduce_index: usize,
         try_no: u32,
     ) -> bool {
-        self.fetch_flake_prob > 0.0
-            && hash_u01(
-                self.seed,
-                job,
-                TaskKind::Reduce.tag() ^ (map_index as u64).wrapping_mul(0x9E37_79B9),
-                reduce_index,
-                try_no,
-                Salt::FetchFlake,
-            ) < self.fetch_flake_prob
+        let tag = TaskKind::Reduce.tag_with(map_index as u64);
+        self.strikes(Dimension::FetchFlakes, job, tag, reduce_index, try_no)
     }
 
     /// Backoff charged to the simulated clock after flaked try
@@ -735,10 +813,11 @@ impl FaultPlan {
         reduce_index: usize,
         try_no: u32,
     ) -> f64 {
+        let tag = TaskKind::Reduce.tag_with(map_index as u64);
         let jitter = hash_u01(
             self.seed,
             job,
-            TaskKind::Reduce.tag() ^ (map_index as u64).wrapping_mul(0x9E37_79B9),
+            tag,
             reduce_index,
             try_no,
             Salt::BackoffJitter,
@@ -757,9 +836,13 @@ impl FaultPlan {
         index: usize,
         attempt: u32,
     ) -> bool {
-        self.heartbeat_false_positive_prob > 0.0
-            && self.u01(job, kind, index, attempt, Salt::HeartbeatFalsePositive)
-                < self.heartbeat_false_positive_prob
+        self.strikes(
+            Dimension::HeartbeatFalsePositives,
+            job,
+            kind.tag(),
+            index,
+            attempt,
+        )
     }
 }
 
@@ -788,38 +871,24 @@ impl FaultPlan {
 ///   a hard kill exactly like a crash (in-flight attempts die, finished
 ///   map outputs are stranded, DFS replicas are lost), except the
 ///   revocation is announced one epoch ahead, so the DFS stops
-///   targeting the doomed node for new replicas and the scheduler's
-///   capacity timeline stops placing work there. Revoked capacity is
+///   targeting the doomed node for new replicas. Revoked capacity is
 ///   replaced at the next epoch (spot fleets backfill), and revocations
 ///   never count toward the crash blacklist — the node did nothing
 ///   wrong.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MembershipPlan {
     /// Seed the revocation draws derive from.
     pub seed: u64,
-    /// Scheduled joins as `(epoch, node)`; node ids must extend the
-    /// base cluster (`node >= nodes`). Fixed-size so the plan stays
-    /// `Copy`; up to four scheduled joins.
-    pub scheduled_joins: [Option<(u64, u32)>; 4],
-    /// Scheduled graceful decommissions as `(epoch, node)`.
-    pub scheduled_decommissions: [Option<(u64, u32)>; 4],
+    /// Scheduled joins; node ids must extend the base cluster
+    /// (`node >= nodes`).
+    pub scheduled_joins: EventSchedule,
+    /// Scheduled graceful decommissions.
+    pub scheduled_decommissions: EventSchedule,
     /// Sweep period in epochs (a sweep fires at every positive multiple
     /// of the period); `0` disables sweeps.
     pub revocation_period: u64,
     /// Probability each live node is revoked at a sweep epoch.
     pub revocation_fraction: f64,
-}
-
-impl Default for MembershipPlan {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            scheduled_joins: [None; 4],
-            scheduled_decommissions: [None; 4],
-            revocation_period: 0,
-            revocation_fraction: 0.0,
-        }
-    }
 }
 
 impl MembershipPlan {
@@ -841,12 +910,7 @@ impl MembershipPlan {
     /// # Panics
     /// Panics when four joins are already scheduled.
     pub fn with_node_join(mut self, epoch: u64, node: u32) -> Self {
-        let slot = self
-            .scheduled_joins
-            .iter_mut()
-            .find(|s| s.is_none())
-            .expect("at most four scheduled joins");
-        *slot = Some((epoch, node));
+        self.scheduled_joins = self.scheduled_joins.with(epoch, node);
         self
     }
 
@@ -856,12 +920,7 @@ impl MembershipPlan {
     /// # Panics
     /// Panics when four decommissions are already scheduled.
     pub fn with_node_decommission(mut self, epoch: u64, node: u32) -> Self {
-        let slot = self
-            .scheduled_decommissions
-            .iter_mut()
-            .find(|s| s.is_none())
-            .expect("at most four scheduled decommissions");
-        *slot = Some((epoch, node));
+        self.scheduled_decommissions = self.scheduled_decommissions.with(epoch, node);
         self
     }
 
@@ -878,8 +937,8 @@ impl MembershipPlan {
     ///
     /// [`none`]: MembershipPlan::none
     pub fn is_active(&self) -> bool {
-        self.scheduled_joins.iter().any(Option::is_some)
-            || self.scheduled_decommissions.iter().any(Option::is_some)
+        !self.scheduled_joins.is_empty()
+            || !self.scheduled_decommissions.is_empty()
             || (self.revocation_period > 0 && self.revocation_fraction > 0.0)
     }
 
@@ -896,33 +955,27 @@ impl MembershipPlan {
                 "revocation_fraction needs a positive revocation_period".into(),
             ));
         }
-        let joins: Vec<(u64, u32)> = self.scheduled_joins.iter().flatten().copied().collect();
-        let decoms: Vec<(u64, u32)> = self
-            .scheduled_decommissions
-            .iter()
-            .flatten()
-            .copied()
-            .collect();
-        if joins.iter().chain(&decoms).any(|&(e, _)| e == 0) {
+        let (joins, decoms) = (&self.scheduled_joins, &self.scheduled_decommissions);
+        if joins.iter().chain(decoms.iter()).any(|(e, _)| e == 0) {
             return Err(Error::Config(
                 "membership epochs are 1-based and must be positive".into(),
             ));
         }
-        for (i, &(_, n)) in joins.iter().enumerate() {
+        for (i, (_, n)) in joins.iter().enumerate() {
             if (n as usize) < nodes {
                 return Err(Error::Config(format!(
                     "join node {n} is already part of the {nodes}-node base cluster"
                 )));
             }
-            if joins[..i].iter().any(|&(_, m)| m == n) {
+            if joins.iter().take(i).any(|(_, m)| m == n) {
                 return Err(Error::Config(format!("node {n} joins twice")));
             }
         }
-        for (i, &(e, n)) in decoms.iter().enumerate() {
+        for (i, (e, n)) in decoms.iter().enumerate() {
             let exists_by = if (n as usize) < nodes {
                 Some(0)
             } else {
-                joins.iter().find(|&&(_, m)| m == n).map(|&(je, _)| je)
+                joins.epoch_of(n as usize)
             };
             match exists_by {
                 Some(join_epoch) if join_epoch < e => {}
@@ -937,7 +990,7 @@ impl MembershipPlan {
                     )));
                 }
             }
-            if decoms[..i].iter().any(|&(_, m)| m == n) {
+            if decoms.iter().take(i).any(|(_, m)| m == n) {
                 return Err(Error::Config(format!("node {n} is decommissioned twice")));
             }
         }
@@ -950,60 +1003,15 @@ impl MembershipPlan {
     pub fn peak_nodes(&self, nodes: usize) -> usize {
         self.scheduled_joins
             .iter()
-            .flatten()
-            .map(|&(_, n)| n as usize + 1)
+            .map(|(_, n)| n as usize + 1)
             .fold(nodes, usize::max)
-    }
-
-    /// The epoch `node` joins at, if it is a scheduled joiner.
-    pub fn join_epoch(&self, node: usize) -> Option<u64> {
-        self.scheduled_joins
-            .iter()
-            .flatten()
-            .find(|&&(_, n)| n as usize == node)
-            .map(|&(e, _)| e)
-    }
-
-    /// The epoch `node` is gracefully decommissioned at, if scheduled.
-    pub fn decommission_epoch(&self, node: usize) -> Option<u64> {
-        self.scheduled_decommissions
-            .iter()
-            .flatten()
-            .find(|&&(_, n)| n as usize == node)
-            .map(|&(e, _)| e)
     }
 
     /// Whether `node` is part of the cluster during epoch `epoch`:
     /// either a base node or joined by then, and not yet decommissioned.
     pub fn present_at(&self, node: usize, epoch: u64, nodes: usize) -> bool {
-        let joined = node < nodes || self.join_epoch(node).is_some_and(|e| e <= epoch);
-        joined && !self.decommission_epoch(node).is_some_and(|e| e <= epoch)
-    }
-
-    /// Nodes that join at exactly `epoch`, ascending.
-    pub fn joins_at(&self, epoch: u64) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .scheduled_joins
-            .iter()
-            .flatten()
-            .filter(|&&(e, _)| e == epoch)
-            .map(|&(_, n)| n as usize)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Nodes gracefully decommissioned at exactly `epoch`, ascending.
-    pub fn decommissions_at(&self, epoch: u64) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .scheduled_decommissions
-            .iter()
-            .flatten()
-            .filter(|&&(e, _)| e == epoch)
-            .map(|&(_, n)| n as usize)
-            .collect();
-        v.sort_unstable();
-        v
+        let by = |events: &EventSchedule| events.epoch_of(node).is_some_and(|e| e <= epoch);
+        (node < nodes || by(&self.scheduled_joins)) && !by(&self.scheduled_decommissions)
     }
 
     /// Whether a revocation sweep fires at `epoch`.
@@ -1016,18 +1024,19 @@ impl MembershipPlan {
 
     /// Whether `node` is revoked during epoch `epoch` (salt 11). Pure
     /// in the plan and the coordinate; presence and liveness are the
-    /// caller's concern ([`NodeStatus::compute_full`] only consults
-    /// this for live nodes).
+    /// caller's concern ([`NodeStatus::compute`] only consults this for
+    /// live nodes).
     pub fn revoked_at(&self, epoch: u64, node: usize) -> bool {
         self.sweep_at(epoch)
-            && hash_u01(
+            && strike(
+                Dimension::Revocations,
+                self.revocation_fraction,
                 self.seed,
                 "revocation",
-                TaskKind::Driver.tag(),
+                CLUSTER_TAG,
                 node,
                 epoch as u32,
-                Salt::Revocation,
-            ) < self.revocation_fraction
+            )
     }
 }
 
@@ -1038,7 +1047,7 @@ impl MembershipPlan {
 /// is fresh, replayed with different slot counts, or resumed from a
 /// checkpoint — this is the epoch-indexed live-node view the runtime,
 /// the DFS and the scheduler all share.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeStatus {
     /// Nodes alive when the job starts, ascending (everything present
     /// and not blacklisted; a node crashed or revoked at an earlier
@@ -1049,32 +1058,22 @@ pub struct NodeStatus {
     pub crashed: Vec<usize>,
     /// Nodes permanently removed by the blacklist policy, ascending.
     pub blacklisted: Vec<usize>,
-    /// Nodes gracefully decommissioned at epochs ≤ this one, ascending.
-    /// Drained before removal: never in `live`, blocks copied off.
-    pub decommissioned: Vec<usize>,
     /// Subset of `crashed` killed by a revocation sweep rather than a
     /// crash draw, ascending. Announced one epoch ahead: the DFS and
     /// the scheduler already avoid these as targets.
     pub revoked: Vec<usize>,
-    /// Nodes that joined at epochs ≤ this one and are still part of the
-    /// cluster, ascending.
-    pub joined: Vec<usize>,
-    /// Nodes of the universe that have not joined yet, ascending.
-    pub absent: Vec<usize>,
+    /// Nodes of the universe that hold no data and take no work this
+    /// epoch, ascending: not joined yet, decommissioned (drained before
+    /// removal, blocks copied off), blacklisted, or revoked.
+    pub down: Vec<usize>,
 }
 
 impl NodeStatus {
-    /// Computes the node weather of epoch `epoch` on a cluster of
-    /// `nodes` nodes under `plan`, with fixed membership.
-    pub fn compute(plan: &FaultPlan, nodes: usize, epoch: u64) -> NodeStatus {
-        Self::compute_full(plan, &MembershipPlan::none(), nodes, epoch)
-    }
-
     /// Computes the node weather of epoch `epoch` on a base cluster of
     /// `nodes` nodes under a fault plan and a membership plan. The node
     /// universe is `membership.peak_nodes(nodes)`; ids beyond the base
     /// cluster exist only from their join epoch on.
-    pub fn compute_full(
+    pub fn compute(
         plan: &FaultPlan,
         membership: &MembershipPlan,
         nodes: usize,
@@ -1097,40 +1096,22 @@ impl NodeStatus {
                 }
             }
         }
-        let mut status = NodeStatus {
-            live: Vec::new(),
-            crashed: Vec::new(),
-            blacklisted: Vec::new(),
-            decommissioned: Vec::new(),
-            revoked: Vec::new(),
-            joined: Vec::new(),
-            absent: Vec::new(),
-        };
+        let mut status = NodeStatus::default();
         for (node, &count) in crash_counts.iter().enumerate() {
-            if membership
-                .decommission_epoch(node)
-                .is_some_and(|e| e <= epoch)
-            {
-                status.decommissioned.push(node);
-                continue;
-            }
             if !membership.present_at(node, epoch, nodes) {
-                status.absent.push(node);
-                continue;
-            }
-            if membership.join_epoch(node).is_some_and(|e| e <= epoch) {
-                status.joined.push(node);
-            }
-            if count >= budget {
+                status.down.push(node);
+            } else if count >= budget {
                 status.blacklisted.push(node);
-                continue;
-            }
-            status.live.push(node);
-            if membership.revoked_at(epoch, node) {
-                status.revoked.push(node);
-                status.crashed.push(node);
-            } else if plan.node_crashes_at(epoch, node) {
-                status.crashed.push(node);
+                status.down.push(node);
+            } else {
+                status.live.push(node);
+                if membership.revoked_at(epoch, node) {
+                    status.revoked.push(node);
+                    status.crashed.push(node);
+                    status.down.push(node);
+                } else if plan.node_crashes_at(epoch, node) {
+                    status.crashed.push(node);
+                }
             }
         }
         status
@@ -1230,26 +1211,12 @@ mod tests {
     }
 
     #[test]
-    fn probabilistic_driver_crashes_are_deterministic_and_seeded() {
-        let plan = FaultPlan::none().with_seed(5).with_driver_crashes(0.5);
-        let draws: Vec<bool> = (1..200).map(|b| plan.driver_crashes_at(b)).collect();
-        let again: Vec<bool> = (1..200).map(|b| plan.driver_crashes_at(b)).collect();
-        assert_eq!(draws, again);
-        let crashes = draws.iter().filter(|&&c| c).count();
-        assert!((50..150).contains(&crashes), "{crashes}/199 crashed");
-        let other = FaultPlan::none().with_seed(6).with_driver_crashes(0.5);
-        assert!((1..200).any(|b| plan.driver_crashes_at(b) != other.driver_crashes_at(b)));
-    }
-
-    #[test]
     fn without_driver_crashes_clears_only_driver_faults() {
         let plan = FaultPlan::hadoop_defaults(7)
             .with_transient_failures(0.1)
             .with_driver_crash_after(2)
-            .with_driver_crashes(0.3)
             .without_driver_crashes();
         assert_eq!(plan.driver_crash_after_jobs, None);
-        assert_eq!(plan.driver_crash_prob, 0.0);
         assert_eq!(plan.transient_fail_prob, 0.1);
     }
 
@@ -1304,8 +1271,11 @@ mod tests {
         let mut seen = [false; 4];
         for i in 0..200 {
             for a in 0..3 {
-                let n = plan.place_attempt(&domain, "j", TaskKind::Map, i, a);
-                assert_eq!(n, plan.place_attempt(&domain, "j", TaskKind::Map, i, a));
+                let (n, _) = plan.place(&domain, &[], "j", TaskKind::Map, i, Some(a));
+                assert_eq!(
+                    n,
+                    plan.place(&domain, &[], "j", TaskKind::Map, i, Some(a)).0
+                );
                 assert!(domain.contains(&n), "{n}");
                 seen[n] = true;
             }
@@ -1322,20 +1292,23 @@ mod tests {
             .with_node_crash(2, 2)
             .with_node_crash(3, 2)
             .with_node_blacklist_after(2);
-        let e1 = NodeStatus::compute(&plan, 4, 1);
+        let e1 = NodeStatus::compute(&plan, &MembershipPlan::none(), 4, 1);
         assert_eq!(e1.live, vec![0, 1, 2, 3]);
         assert_eq!(e1.crashed, vec![2]);
         assert!(e1.blacklisted.is_empty());
-        let e2 = NodeStatus::compute(&plan, 4, 2);
+        let e2 = NodeStatus::compute(&plan, &MembershipPlan::none(), 4, 2);
         assert_eq!(e2.crashed, vec![2], "rebooted node crashes again");
-        let e3 = NodeStatus::compute(&plan, 4, 3);
+        let e3 = NodeStatus::compute(&plan, &MembershipPlan::none(), 4, 3);
         assert_eq!(e3.blacklisted, vec![2], "two crashes exhaust the budget");
         assert_eq!(e3.live, vec![0, 1, 3]);
         assert!(e3.crashed.is_empty(), "a powered-off node cannot crash");
         assert_eq!(e3.survivors(), vec![0, 1, 3]);
         // The blacklist is permanent.
         for epoch in 4..10 {
-            assert_eq!(NodeStatus::compute(&plan, 4, epoch).blacklisted, vec![2]);
+            assert_eq!(
+                NodeStatus::compute(&plan, &MembershipPlan::none(), 4, epoch).blacklisted,
+                vec![2]
+            );
         }
     }
 
@@ -1343,7 +1316,7 @@ mod tests {
     fn node_status_without_node_faults_is_all_live() {
         let plan = FaultPlan::hadoop_defaults(7).with_transient_failures(0.2);
         for epoch in 1..20 {
-            let s = NodeStatus::compute(&plan, 4, epoch);
+            let s = NodeStatus::compute(&plan, &MembershipPlan::none(), 4, epoch);
             assert_eq!(s.live, vec![0, 1, 2, 3]);
             assert!(s.crashed.is_empty());
             assert!(s.blacklisted.is_empty());
@@ -1366,10 +1339,6 @@ mod tests {
             .is_err());
         assert!(FaultPlan::none().with_max_attempts(0).validate().is_err());
         assert!(FaultPlan::none().with_speculation(1.0).validate().is_err());
-        assert!(FaultPlan::none()
-            .with_driver_crashes(1.0)
-            .validate()
-            .is_err());
         assert!(FaultPlan::none()
             .with_driver_crash_after(0)
             .validate()
@@ -1406,14 +1375,13 @@ mod tests {
     }
 
     #[test]
-    fn salts_keep_sixteen_distinct_values() {
+    fn salts_keep_their_values_with_five_retired() {
         use Salt::*;
         let salts = [
             Transient,
             Heap,
             Straggler,
             FailedProgress,
-            DriverCrash,
             NodeCrash,
             CrashPoint,
             CompletedBeforeCrash,
@@ -1430,24 +1398,26 @@ mod tests {
         values.sort_unstable();
         values.dedup();
         // Distinct, and the literals every committed draw was made with.
-        assert_eq!(values, (1..=16).collect::<Vec<u64>>());
+        assert_eq!(values, (1..=16).filter(|&s| s != 5).collect::<Vec<u64>>());
     }
 
     #[test]
     fn every_probability_knob_arms_the_plan_and_is_validated_by_name() {
-        // One `with_*` setter per knob, in the order of the shared list.
-        let knobs: [fn(FaultPlan, f64) -> FaultPlan; 9] = [
+        // One `with_*` setter per knob, in the order of the knob table.
+        let knobs: [fn(FaultPlan, f64) -> FaultPlan; 8] = [
             FaultPlan::with_transient_failures,
             FaultPlan::with_heap_failures,
             |plan, p| plan.with_stragglers(p, 2.0),
-            FaultPlan::with_driver_crashes,
             FaultPlan::with_node_crashes,
             FaultPlan::with_dfs_corruption,
             FaultPlan::with_torn_spills,
             FaultPlan::with_fetch_flakes,
             FaultPlan::with_heartbeat_false_positives,
         ];
-        let names = FaultPlan::none().probabilities().map(|(name, _)| name);
+        let names = Dimension::ALL
+            .into_iter()
+            .filter_map(Dimension::knob)
+            .map(|(name, _)| name);
         for (set, name) in knobs.iter().zip(names) {
             assert!(set(FaultPlan::none(), 0.1).is_active(), "{name}");
             let err = set(FaultPlan::none(), 1.0).validate().unwrap_err();
@@ -1461,21 +1431,20 @@ mod tests {
         assert!(plan.is_active());
         let draws: Vec<bool> = (0..100)
             .flat_map(|i| (0..4u64).map(move |s| (i, s)))
-            .map(|(i, s)| plan.torn_spill("gmeans", TaskKind::Map, i, 0, s))
+            .map(|(i, s)| plan.torn_spill("gmeans", i, 0, s))
             .collect();
         let again: Vec<bool> = (0..100)
             .flat_map(|i| (0..4u64).map(move |s| (i, s)))
-            .map(|(i, s)| plan.torn_spill("gmeans", TaskKind::Map, i, 0, s))
+            .map(|(i, s)| plan.torn_spill("gmeans", i, 0, s))
             .collect();
         assert_eq!(draws, again);
         let torn = draws.iter().filter(|&&t| t).count();
         assert!((60..180).contains(&torn), "{torn}/400 torn");
         // Successive spills of the same attempt draw independently.
         assert!(
-            (0..64u64).any(|s| plan.torn_spill("j", TaskKind::Map, 0, 0, s)
-                != plan.torn_spill("j", TaskKind::Map, 0, 0, s + 1))
+            (0..64u64).any(|s| plan.torn_spill("j", 0, 0, s) != plan.torn_spill("j", 0, 0, s + 1))
         );
-        assert!(!FaultPlan::none().torn_spill("j", TaskKind::Map, 0, 0, 0));
+        assert!(!FaultPlan::none().torn_spill("j", 0, 0, 0));
     }
 
     #[test]
@@ -1583,16 +1552,14 @@ mod tests {
         assert!(m.validate(4).is_ok());
         assert_eq!(m.peak_nodes(4), 5);
         let plan = FaultPlan::none();
-        let e2 = NodeStatus::compute_full(&plan, &m, 4, 2);
+        let e2 = NodeStatus::compute(&plan, &m, 4, 2);
         assert_eq!(e2.live, vec![0, 1, 2, 3]);
-        assert_eq!(e2.absent, vec![4]);
-        assert!(e2.joined.is_empty());
-        let e3 = NodeStatus::compute_full(&plan, &m, 4, 3);
+        assert_eq!(e2.down, vec![4]);
+        let e3 = NodeStatus::compute(&plan, &m, 4, 3);
         assert_eq!(e3.live, vec![0, 1, 2, 3, 4]);
-        assert_eq!(e3.joined, vec![4]);
-        assert!(e3.absent.is_empty());
+        assert!(e3.down.is_empty());
         // Joins are permanent.
-        assert_eq!(NodeStatus::compute_full(&plan, &m, 4, 9).live.len(), 5);
+        assert_eq!(NodeStatus::compute(&plan, &m, 4, 9).live.len(), 5);
     }
 
     #[test]
@@ -1600,18 +1567,18 @@ mod tests {
         let m = MembershipPlan::none().with_node_decommission(2, 1);
         assert!(m.validate(4).is_ok());
         let plan = FaultPlan::none();
-        let e1 = NodeStatus::compute_full(&plan, &m, 4, 1);
+        let e1 = NodeStatus::compute(&plan, &m, 4, 1);
         assert_eq!(e1.live, vec![0, 1, 2, 3]);
-        assert!(e1.decommissioned.is_empty());
-        let e2 = NodeStatus::compute_full(&plan, &m, 4, 2);
+        assert!(e1.down.is_empty());
+        let e2 = NodeStatus::compute(&plan, &m, 4, 2);
         assert_eq!(e2.live, vec![0, 2, 3], "drained node takes no work");
-        assert_eq!(e2.decommissioned, vec![1]);
+        assert_eq!(e2.down, vec![1]);
         assert!(e2.crashed.is_empty(), "a drain is not a crash");
         // A decommissioned node cannot crash at later epochs either.
         let crashy = FaultPlan::none().with_node_crash(3, 1);
-        let e3 = NodeStatus::compute_full(&crashy, &m, 4, 3);
+        let e3 = NodeStatus::compute(&crashy, &m, 4, 3);
         assert!(e3.crashed.is_empty());
-        assert_eq!(e3.decommissioned, vec![1]);
+        assert_eq!(e3.down, vec![1]);
     }
 
     #[test]
@@ -1622,15 +1589,14 @@ mod tests {
         assert!(m.validate(8).is_ok());
         assert!(m.sweep_at(3) && m.sweep_at(6) && !m.sweep_at(4));
         let plan = FaultPlan::none();
-        let s3 = NodeStatus::compute_full(&plan, &m, 8, 3);
-        let again = NodeStatus::compute_full(&plan, &m, 8, 3);
+        let s3 = NodeStatus::compute(&plan, &m, 8, 3);
+        let again = NodeStatus::compute(&plan, &m, 8, 3);
         assert_eq!(s3, again);
         assert_eq!(s3.revoked, s3.crashed, "sweep kills are the only kills");
         // Across several sweeps, some node is revoked and some is spared.
-        let any_revoked =
-            (1..20).any(|e| !NodeStatus::compute_full(&plan, &m, 8, e).revoked.is_empty());
+        let any_revoked = (1..20).any(|e| !NodeStatus::compute(&plan, &m, 8, e).revoked.is_empty());
         assert!(any_revoked, "fraction 0.5 over 6 sweeps must hit something");
-        let off_sweep = NodeStatus::compute_full(&plan, &m, 8, 4);
+        let off_sweep = NodeStatus::compute(&plan, &m, 8, 4);
         assert!(off_sweep.revoked.is_empty());
         assert_eq!(off_sweep.live.len(), 8, "revoked capacity is backfilled");
     }
@@ -1644,7 +1610,7 @@ mod tests {
             .with_revocation_sweeps(1, 0.999);
         let plan = FaultPlan::none().with_node_blacklist_after(1);
         for epoch in 1..8 {
-            let s = NodeStatus::compute_full(&plan, &m, 4, epoch);
+            let s = NodeStatus::compute(&plan, &m, 4, epoch);
             assert!(
                 s.blacklisted.is_empty(),
                 "epoch {epoch}: {:?}",
@@ -1763,18 +1729,15 @@ mod tests {
                                 .to_bits(),
                         );
                         h.fold(plan.heartbeat_false_positive(job, kind, index, attempt) as u64);
-                        h.fold(plan.place_attempt(&domain, job, kind, index, attempt) as u64);
+                        h.fold(plan.place(&domain, &[], job, kind, index, Some(attempt)).0 as u64);
                         for prefer in preferences {
-                            let (node, local) = plan.place_attempt_preferring(
-                                &domain, prefer, job, kind, index, attempt,
-                            );
+                            let (node, local) =
+                                plan.place(&domain, prefer, job, kind, index, Some(attempt));
                             h.fold(node as u64);
                             h.fold(local as u64);
                         }
                         for spill in 0..3 {
-                            h.fold(
-                                plan.torn_spill(job, TaskKind::Map, index, attempt, spill) as u64
-                            );
+                            h.fold(plan.torn_spill(job, index, attempt, spill) as u64);
                         }
                         for epoch in 1..6 {
                             for node in 0..6 {
@@ -1788,7 +1751,8 @@ mod tests {
             }
             for index in 0..24 {
                 for prefer in preferences {
-                    let (node, local) = plan.place_reexecuted_map(&domain, prefer, job, index);
+                    let (node, local) =
+                        plan.place(&domain, prefer, job, TaskKind::Map, index, None);
                     h.fold(node as u64);
                     h.fold(local as u64);
                 }
@@ -1838,19 +1802,5 @@ mod tests {
             h.fold_all(cluster.unavailable_at(epoch));
         }
         assert_eq!(h.0, 0x851b_4a33_76f4_fb8c, "{:#018x}", h.0);
-    }
-
-    #[test]
-    fn compute_matches_compute_full_with_inert_membership() {
-        let plan = FaultPlan::none()
-            .with_seed(5)
-            .with_node_crashes(0.2)
-            .with_node_blacklist_after(2);
-        for epoch in 1..30 {
-            assert_eq!(
-                NodeStatus::compute(&plan, 4, epoch),
-                NodeStatus::compute_full(&plan, &MembershipPlan::none(), 4, epoch)
-            );
-        }
     }
 }

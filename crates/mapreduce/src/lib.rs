@@ -16,9 +16,6 @@
 //!   k-way merge on the reduce side;
 //! * [`runtime`] — task execution over a pool of worker threads standing
 //!   in for the cluster's map/reduce slots;
-//! * [`submit`] — a submission façade binding a runner to one input
-//!   source (DFS text or point cache), so iterative drivers stop
-//!   branching on the execution mode at every job site;
 //! * [`scheduler`] — a multi-tenant JobTracker: weighted fair-share
 //!   queues with min-share preemption and locality-aware map
 //!   placement arbitrating the cluster's slots between N tenants;
@@ -114,7 +111,6 @@ pub mod runtime;
 pub mod scheduler;
 pub mod shuffle;
 pub mod spill;
-pub mod submit;
 pub mod writable;
 
 pub use error::{Error, Result};
@@ -139,6 +135,5 @@ pub mod prelude {
         JobDemand, JobTracker, QueueConfig, SchedulingPolicy, TaskDemand, TenantDemand, TrackerRun,
     };
     pub use crate::shuffle::CommitFence;
-    pub use crate::submit::Submission;
     pub use crate::writable::{ShuffleKey, ShuffleValue, Writable};
 }

@@ -241,8 +241,7 @@ impl MapSpill {
     ) -> Result<()> {
         // One torn-spill draw per spill event; a hit truncates the
         // first run written, for the task's own merge to detect.
-        let mut tear_pending =
-            plan.torn_spill(job_name, TaskKind::Map, index, attempt, self.spills);
+        let mut tear_pending = plan.torn_spill(job_name, index, attempt, self.spills);
         let mut wrote = false;
         for (p, part) in emitter.partitions_mut().iter_mut().enumerate() {
             if part.is_empty() {
@@ -870,12 +869,12 @@ impl JobRunner {
         // the locality snapshot below already sees the epoch's
         // topology. Both are journaled per (epoch, node) — a resumed
         // driver re-moves nothing and the counters replay identically.
-        for node in self.cluster.membership.joins_at(epoch) {
+        for node in self.cluster.membership.scheduled_joins.at(epoch) {
             counters.inc(Counter::NodeJoins);
             let moved = self.dfs.node_joined(epoch, node);
             counters.add(Counter::DfsBlocksRebalanced, moved);
         }
-        for node in self.cluster.membership.decommissions_at(epoch) {
+        for node in self.cluster.membership.scheduled_decommissions.at(epoch) {
             counters.inc(Counter::NodesDecommissioned);
             let moved = self.dfs.node_decommissioned(epoch, node);
             counters.add(Counter::DfsBlocksRebalanced, moved);
@@ -967,13 +966,13 @@ impl JobRunner {
         let fence = CommitFence::new();
         while failures < max {
             counters.inc(Counter::AttemptsLaunched);
-            let (node, node_local) = plan.place_attempt_preferring(
+            let (node, node_local) = plan.place(
                 nodes.domain(kind, attempt),
                 prefer,
                 job,
                 kind,
                 index,
-                attempt,
+                Some(attempt),
             );
             let (fate, forced_spill) =
                 attempt_fate(plan, spill, nodes, site, attempt, node, zombies);
@@ -1091,7 +1090,7 @@ impl JobRunner {
             .map(|t| t.failed.iter().sum::<f64>() + t.duration)
             .collect();
         let mut extra: Vec<f64> = Vec::new();
-        if plan.speculative_execution && durations.len() >= 2 {
+        if let Some(threshold) = plan.speculation.filter(|_| durations.len() >= 2) {
             let mut sorted = durations.clone();
             sorted.sort_by(f64::total_cmp);
             let mid = sorted.len() / 2;
@@ -1100,7 +1099,7 @@ impl JobRunner {
             } else {
                 sorted[mid]
             };
-            let trigger = plan.speculative_slowdown_threshold * median;
+            let trigger = threshold * median;
             if trigger.is_finite() && trigger > 0.0 {
                 for (i, t) in timings.iter().enumerate() {
                     let eff = durations[i];
@@ -1220,10 +1219,14 @@ impl JobRunner {
             counters.inc(Counter::MapsReexecuted);
             counters.inc(Counter::AttemptsLaunched);
             let prefer = site.replicas.get(i).map(Vec::as_slice).unwrap_or(&[]);
-            let (node, node_local) =
-                self.cluster
-                    .faults
-                    .place_reexecuted_map(&nodes.survivors, prefer, site.name, i);
+            let (node, node_local) = self.cluster.faults.place(
+                &nodes.survivors,
+                prefer,
+                site.name,
+                TaskKind::Map,
+                i,
+                None,
+            );
             if !prefer.is_empty() {
                 counters.inc(locality(node_local));
             }
@@ -1711,8 +1714,8 @@ mod tests {
             for zombies in [0, MAX_ZOMBIES_PER_TASK - 1, MAX_ZOMBIES_PER_TASK] {
                 for index in 0..30 {
                     for attempt in 0..4 {
-                        let node =
-                            plan.place_attempt(&nodes.status.live, JOB, kind, index, attempt);
+                        let (node, _) =
+                            plan.place(&nodes.status.live, &[], JOB, kind, index, Some(attempt));
                         let site = map_site(index);
                         let fate =
                             attempt_fate(&plan, spill, &nodes, &site, attempt, node, zombies);
@@ -2030,5 +2033,117 @@ mod tests {
                 .filter(|&(m, p)| plan.fetch_flakes(JOB, m, p, 0))
                 .count() as u64
         });
+    }
+
+    /// Counts points per (truncated) first coordinate.
+    struct CountJob;
+    struct CountMapper;
+    struct CountReducer;
+
+    impl Mapper for CountMapper {
+        type Key = i64;
+        type Value = u64;
+    }
+
+    impl PointMapper for CountMapper {
+        fn dim(&self) -> usize {
+            2
+        }
+
+        fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
+            let start = out.len();
+            out.extend(
+                line.split_whitespace()
+                    .filter_map(|t| t.parse::<f64>().ok()),
+            );
+            if out.len() - start != 2 {
+                out.truncate(start);
+                return false;
+            }
+            true
+        }
+
+        fn map_point(
+            &mut self,
+            point: &[f64],
+            out: &mut MapOutput<'_, i64, u64>,
+            _ctx: &mut TaskContext,
+        ) -> Result<()> {
+            out.emit(point[0] as i64, 1);
+            Ok(())
+        }
+    }
+
+    impl Reducer for CountReducer {
+        type Key = i64;
+        type Value = u64;
+        type Output = (i64, u64);
+        fn reduce(
+            &mut self,
+            key: i64,
+            values: Values<'_, u64>,
+            out: &mut Vec<(i64, u64)>,
+            _ctx: &mut TaskContext,
+        ) -> Result<()> {
+            out.push((key, values.sum()));
+            Ok(())
+        }
+    }
+
+    impl Job for CountJob {
+        type Key = i64;
+        type Value = u64;
+        type Output = (i64, u64);
+        type Mapper = CountMapper;
+        type Reducer = CountReducer;
+        fn name(&self) -> &str {
+            "count"
+        }
+        fn create_mapper(&self) -> CountMapper {
+            CountMapper
+        }
+        fn create_reducer(&self) -> CountReducer {
+            CountReducer
+        }
+    }
+
+    fn staged() -> (JobRunner, PointCache) {
+        let dfs = Arc::new(Dfs::new(64));
+        dfs.put_lines("pts", ["0.5 1.0", "0.25 2.0", "3.5 0.0", "3.25 1.5"])
+            .unwrap();
+        let runner = JobRunner::new(Arc::clone(&dfs), ClusterConfig::default()).unwrap();
+        let parse = |line: &str| {
+            line.split_whitespace()
+                .map(|t| t.parse().map_err(|_| Error::Corrupt(line.into())))
+                .collect()
+        };
+        let cache = PointCache::build(&dfs, "pts", 2, parse).unwrap();
+        (runner, cache)
+    }
+
+    #[test]
+    fn run_and_run_cached_agree() {
+        let (runner, cache) = staged();
+        let config = JobConfig::with_reducers(2);
+        let mut on_disk = runner.run(&CountJob, "pts", &config).unwrap().output;
+        let mut cached = runner
+            .run_cached(&CountJob, &cache, &config)
+            .unwrap()
+            .output;
+        on_disk.sort();
+        cached.sort();
+        assert_eq!(on_disk, vec![(0, 2), (3, 2)]);
+        assert_eq!(on_disk, cached);
+    }
+
+    #[test]
+    fn run_cached_skips_the_dataset_scan() {
+        let (runner, cache) = staged();
+        let config = JobConfig::with_reducers(1);
+        let before = runner.dfs().stats().dataset_reads;
+        runner.run_cached(&CountJob, &cache, &config).unwrap();
+        assert_eq!(runner.dfs().stats().dataset_reads, before);
+        let r = runner.run(&CountJob, "pts", &config).unwrap();
+        assert!(r.counters.get(Counter::MapInputRecords) > 0);
     }
 }

@@ -32,7 +32,7 @@
 //! Map placement is locality-aware: a free slot on a node holding a DFS
 //! replica of the task's input block wins over any other free slot
 //! (node-local first, any-node fallback), mirroring the runtime's own
-//! [`crate::faults::FaultPlan::place_attempt_preferring`] pass.
+//! [`crate::faults::FaultPlan::place`] pass.
 //!
 //! Every scheduling decision is a pure function of (queue
 //! configuration, demands, event order) — no clocks, no RNG — so fault

@@ -389,14 +389,13 @@ const FENCE_COMMITTED: u32 = 1 << 31;
 /// Per-task commit fence: the exactly-one-visible-output guarantee.
 ///
 /// The JobTracker grants the fencing token to the one attempt it
-/// currently believes alive; publishing output — registering shuffle
-/// segments, making a DFS file visible ([`crate::dfs::Dfs::publish_fenced`]) —
-/// requires holding the token at commit time, and the first successful
-/// commit retires the fence. A *zombie* attempt (falsely declared dead
-/// by a heartbeat false positive and already replaced by a duplicate)
-/// finds the token re-granted to its successor, so its commit is
-/// rejected however late it lands. Plain Hadoop/HDFS output-committer
-/// fencing, reduced to one atomic.
+/// currently believes alive; publishing output (registering shuffle
+/// segments) requires holding the token at commit time, and the first
+/// successful commit retires the fence. A *zombie* attempt (falsely
+/// declared dead by a heartbeat false positive and already replaced by
+/// a duplicate) finds the token re-granted to its successor, so its
+/// commit is rejected however late it lands. Plain Hadoop/HDFS
+/// output-committer fencing, reduced to one atomic.
 #[derive(Debug, Default)]
 pub struct CommitFence {
     /// Attempt currently holding the token, OR-ed with

@@ -334,7 +334,7 @@ fn blacklisting_caps_repeat_offenders_and_shrinks_capacity() {
         // Placement always stays inside its domain.
         let survivors = s.survivors();
         if !survivors.is_empty() {
-            let node = plan.place_attempt(&survivors, "job", TaskKind::Map, 0, 1);
+            let (node, _) = plan.place(&survivors, &[], "job", TaskKind::Map, 0, Some(1));
             assert!(survivors.contains(&node), "placement left its domain");
         }
     }

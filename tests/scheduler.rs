@@ -30,7 +30,7 @@ use gmr_datagen::GaussianMixture;
 use gmr_mapreduce::counters::Counter;
 use gmr_mapreduce::prelude::{
     ClusterConfig, Dfs, Error, FaultPlan, JobConfig, JobRunner, JobTracker, QueueConfig,
-    SchedulingPolicy, Submission, TenantDemand,
+    SchedulingPolicy, TenantDemand,
 };
 use gmr_mapreduce::scheduler::{JobDemand, TaskDemand};
 
@@ -155,7 +155,7 @@ fn tenant_client_constructors_reach_the_queues_runner() {
     let dfs = staged_dfs();
     let tracker = tracker_on(&dfs, ClusterConfig::default(), &["etl"]);
 
-    // Engines and submissions reach a queue through its runner;
+    // Engines and jobs reach a queue through its runner;
     // unknown queues are a config error, not a panic.
     assert!(matches!(tracker.runner("nope"), Err(Error::Config(_))));
 
@@ -165,13 +165,13 @@ fn tenant_client_constructors_reach_the_queues_runner() {
     centers.push(0, &sample);
     let job = KMeansJob::new(Arc::new(centers.clone()));
     let config = JobConfig::with_reducers(2);
-    let via_queue = Submission::streaming(tracker.runner("etl").unwrap(), DATA)
-        .submit(&job, &config)
+    let via_queue = tracker
+        .runner("etl")
+        .unwrap()
+        .run(&job, DATA, &config)
         .unwrap();
     let direct_runner = JobRunner::new(Arc::clone(&dfs), ClusterConfig::default()).unwrap();
-    let direct = Submission::streaming(&direct_runner, DATA)
-        .submit(&job, &config)
-        .unwrap();
+    let direct = direct_runner.run(&job, DATA, &config).unwrap();
     let apply = |out: &[gmeans::mr::CenterUpdate]| {
         let (next, counts) = apply_updates(&centers, out);
         (hash_rows((0..next.len()).map(|i| next.coords(i))), counts)
