@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the numeric kernels on the hot paths of every
 //! MapReduce job: distance computation (the unit of the paper's §4 cost
 //! model), projection, the Anderson–Darling test, and the text codec
-//! points travel through.
+//! points travel through, down to one map-task block of text.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -10,6 +10,8 @@ use gmr_datagen::{format_point, parse_point, ClusterWeights, GaussianMixture};
 use gmr_linalg::{
     nearest_center_flat, squared_euclidean, LinearFit, RunningStats, SegmentProjector,
 };
+use gmr_mapreduce::runtime::MAP_BLOCK_POINTS;
+use gmr_mapreduce::text::PointLines;
 use gmr_stats::AndersonDarling;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,6 +112,27 @@ fn bench_text_codec(c: &mut Criterion) {
     });
     c.bench_function("parse_point_dim10", |b| {
         b.iter(|| parse_point(black_box(&line)).unwrap())
+    });
+    // One map-task block of `paper_r10` text through the runtime's
+    // scanner: the path every Hadoop-mode point map task runs.
+    let block = GaussianMixture::paper_r10(MAP_BLOCK_POINTS, 10, 5)
+        .generate()
+        .unwrap();
+    let text: String = block
+        .points
+        .rows()
+        .map(|row| format_point(row) + "\n")
+        .collect();
+    let mut points = Vec::with_capacity(MAP_BLOCK_POINTS * 10);
+    c.bench_function("parse_block_256_dim10", |b| {
+        b.iter(|| {
+            points.clear();
+            let mut lines = PointLines::new(black_box(text.as_bytes()));
+            while let Some(line) = lines.next_point_dim(10, &mut points) {
+                line.unwrap();
+            }
+            points.len()
+        })
     });
 }
 

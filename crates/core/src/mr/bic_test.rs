@@ -24,7 +24,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gmr_datagen::parse_point_dim_into;
 use gmr_linalg::squared_euclidean;
 use gmr_mapreduce::prelude::*;
 use gmr_stats::{bic_spherical, ClusterModelStats};
@@ -123,10 +122,6 @@ impl Mapper for BicTestMapper {
 impl PointMapper for BicTestMapper {
     fn dim(&self) -> usize {
         self.spec.parents.dim()
-    }
-
-    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
-        parse_point_dim_into(line, self.dim(), out).is_ok()
     }
 
     fn map_point(

@@ -586,7 +586,7 @@ impl<'e> EngineCtx<'e> {
                 self.engine.runner.dfs(),
                 self.input,
                 dim,
-                gmr_datagen::parse_point,
+                gmr_mapreduce::text::parse_point,
             )?);
             if charge_read {
                 // The cache materialization scans the dataset once.

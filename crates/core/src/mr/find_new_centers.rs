@@ -19,7 +19,6 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use gmr_datagen::parse_point_dim_into;
 use gmr_mapreduce::prelude::*;
 
 use crate::mr::centers::{CenterSet, CenterUpdate, ChannelKey};
@@ -97,10 +96,6 @@ impl Mapper for FindNewCentersMapper {
 impl PointMapper for FindNewCentersMapper {
     fn dim(&self) -> usize {
         self.centers.dim()
-    }
-
-    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
-        parse_point_dim_into(line, self.centers.dim(), out).is_ok()
     }
 
     fn map_point(

@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 
 use gmr_mapreduce::runtime::JobRunner;
+use gmr_mapreduce::text::PointLines;
 use gmr_mapreduce::{Error, Result};
 
 /// Summary of a pre-flight input scan: what [`check_input`] found.
@@ -42,12 +43,13 @@ pub fn check_input(runner: &JobRunner, input: &str) -> Result<InputCheck> {
     for block in &blocks {
         let split = block.read()?;
         dfs.charge_split_read(&split);
-        for (_, line) in split.lines() {
+        let mut split_lines = PointLines::new(&split.data);
+        while let Some(line) = split_lines.next_point(&mut point) {
             lines += 1;
-            point.clear();
-            if let Ok(dim) = gmr_datagen::parse_point_into(line, &mut point) {
+            if let Ok(dim) = line {
                 *dim_counts.entry(dim).or_insert(0) += 1;
             }
+            point.clear();
         }
     }
     let (&dim, &points) = dim_counts

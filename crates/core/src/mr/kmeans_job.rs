@@ -11,7 +11,6 @@
 
 use std::sync::Arc;
 
-use gmr_datagen::parse_point_dim_into;
 use gmr_mapreduce::prelude::*;
 
 use crate::mr::centers::{CenterSet, CenterUpdate};
@@ -88,10 +87,6 @@ impl Mapper for KMeansMapper {
 impl PointMapper for KMeansMapper {
     fn dim(&self) -> usize {
         self.centers.dim()
-    }
-
-    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
-        parse_point_dim_into(line, self.centers.dim(), out).is_ok()
     }
 
     fn map_point(

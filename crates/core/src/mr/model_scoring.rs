@@ -11,7 +11,6 @@
 
 use std::sync::Arc;
 
-use gmr_datagen::parse_point_dim_into;
 use gmr_mapreduce::prelude::*;
 
 use crate::mr::centers::CenterSet;
@@ -94,10 +93,6 @@ impl Mapper for ModelScoringMapper {
 impl PointMapper for ModelScoringMapper {
     fn dim(&self) -> usize {
         self.sets[0].dim()
-    }
-
-    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
-        parse_point_dim_into(line, self.dim(), out).is_ok()
     }
 
     fn map_point(

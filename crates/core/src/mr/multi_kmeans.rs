@@ -15,7 +15,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gmr_datagen::parse_point_dim_into;
 use gmr_linalg::Dataset;
 use gmr_mapreduce::cost::JobTiming;
 use gmr_mapreduce::counters::Counters;
@@ -68,10 +67,6 @@ impl Mapper for MultiKMeansMapper {
 impl PointMapper for MultiKMeansMapper {
     fn dim(&self) -> usize {
         self.sets[0].dim()
-    }
-
-    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
-        parse_point_dim_into(line, self.dim(), out).is_ok()
     }
 
     fn map_point(

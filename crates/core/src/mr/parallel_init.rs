@@ -29,7 +29,6 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use gmr_datagen::parse_point_dim_into;
 use gmr_linalg::{squared_euclidean, Dataset};
 use gmr_mapreduce::prelude::*;
 use gmr_mapreduce::writable::Writable;
@@ -108,10 +107,6 @@ impl Mapper for ParallelInitMapper {
 impl PointMapper for ParallelInitMapper {
     fn dim(&self) -> usize {
         self.candidates.dim()
-    }
-
-    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
-        parse_point_dim_into(line, self.candidates.dim(), out).is_ok()
     }
 
     fn map_point(

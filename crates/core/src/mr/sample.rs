@@ -9,10 +9,10 @@
 //! phase's thread count, and their points reach the reservoir in file
 //! order, so the sample is the one a serial pass draws.
 
-use gmr_datagen::parse_point_into;
 use gmr_linalg::Dataset;
 use gmr_mapreduce::dfs::{BlockHandle, Dfs};
 use gmr_mapreduce::runtime::JobRunner;
+use gmr_mapreduce::text::PointLines;
 use gmr_mapreduce::{Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,8 +47,9 @@ impl ParsedBlock {
         let split = block.read()?;
         dfs.charge_split_read(&split);
         let mut parsed = Self::default();
-        for (_, line) in split.lines() {
-            if parse_point_into(line, &mut parsed.coords).is_ok() {
+        let mut lines = PointLines::new(&split.data);
+        while let Some(line) = lines.next_point(&mut parsed.coords) {
+            if line.is_ok() {
                 parsed.ends.push(parsed.coords.len());
             }
         }
@@ -130,6 +131,7 @@ fn sample_in_waves(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmr_datagen::parse_point_into;
     use gmr_mapreduce::cluster::ClusterConfig;
     use std::sync::Arc;
 

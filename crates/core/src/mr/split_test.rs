@@ -23,7 +23,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gmr_datagen::parse_point_dim_into;
 use gmr_linalg::SegmentProjector;
 use gmr_mapreduce::memory::BYTES_PER_PROJECTION;
 use gmr_mapreduce::prelude::*;
@@ -177,10 +176,6 @@ impl Mapper for TestClustersMapper {
 impl PointMapper for TestClustersMapper {
     fn dim(&self) -> usize {
         self.spec.parents.dim()
-    }
-
-    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
-        parse_point_dim_into(line, self.dim(), out).is_ok()
     }
 
     fn map_point(
@@ -394,10 +389,6 @@ impl Reducer for TestFewClustersReducer {
 impl PointMapper for TestFewClustersMapper {
     fn dim(&self) -> usize {
         self.spec.parents.dim()
-    }
-
-    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
-        parse_point_dim_into(line, self.dim(), out).is_ok()
     }
 
     fn map_point(

@@ -10,16 +10,16 @@
 //!   controllable separation; produces in-memory [`gmr_linalg::Dataset`]s
 //!   with ground truth, or streams points straight into the DFS for
 //!   sizes that should not be materialized twice.
-//! * [`text`] — the point-per-line text encoding the paper assumes
-//!   (§3.2 budgets ~15 characters per coordinate when sizing reducer
-//!   heap), shared with the MapReduce jobs that parse it back.
+//! * the point-per-line text encoding the paper assumes (§3.2 budgets
+//!   ~15 characters per coordinate when sizing reducer heap), re-exported
+//!   from [`gmr_mapreduce::text`], which owns it together with the
+//!   scanner the MapReduce jobs parse it back with.
 
 #![warn(missing_docs)]
 
 pub mod mixture;
-pub mod text;
 
-pub use mixture::{ClusterWeights, GaussianMixture, GroundTruth, LabeledDataset};
-pub use text::{
+pub use gmr_mapreduce::text::{
     format_point, parse_point, parse_point_dim, parse_point_dim_into, parse_point_into,
 };
+pub use mixture::{ClusterWeights, GaussianMixture, GroundTruth, LabeledDataset};

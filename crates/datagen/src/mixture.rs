@@ -10,12 +10,11 @@
 
 use gmr_linalg::{Dataset, Point};
 use gmr_mapreduce::dfs::Dfs;
+use gmr_mapreduce::text::write_point;
 use gmr_mapreduce::{Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-use crate::text::write_point;
 
 /// Specification of a Gaussian mixture dataset.
 #[derive(Clone, Debug, PartialEq)]
@@ -438,7 +437,7 @@ mod tests {
         let lines = dfs.read_lines("pts").unwrap();
         assert_eq!(lines.len(), 200);
         for (line, row) in lines.iter().zip(in_mem.points.rows()) {
-            let parsed = crate::text::parse_point(line).unwrap();
+            let parsed = crate::parse_point(line).unwrap();
             assert_eq!(parsed, row);
         }
     }

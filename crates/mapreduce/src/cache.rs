@@ -131,15 +131,7 @@ impl PointCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn parse(line: &str) -> Result<Vec<f64>> {
-        line.split_whitespace()
-            .map(|t| {
-                t.parse::<f64>()
-                    .map_err(|e| Error::Corrupt(format!("{t}: {e}")))
-            })
-            .collect()
-    }
+    use crate::text::parse_point as parse;
 
     fn staged() -> Arc<Dfs> {
         let dfs = Arc::new(Dfs::new(64));

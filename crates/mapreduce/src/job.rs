@@ -228,18 +228,13 @@ pub trait LineMapper: Mapper {
 /// [`crate::runtime::MAP_BLOCK_POINTS`] points, each announced by
 /// [`PointMapper::prepare_block`] and then consumed one point per
 /// [`PointMapper::map_point`], in input order. A text map task parses
-/// each line with [`PointMapper::parse_line`] and quarantines the lines
-/// it rejects as bad records (Hadoop's bad-record skipping), at their
-/// place in the record sequence.
+/// its split with [`crate::text::PointLines`], and quarantines each line
+/// that is not a finite point of [`PointMapper::dim`] coordinates as a
+/// bad record (Hadoop's bad-record skipping), at its place in the
+/// record sequence.
 pub trait PointMapper: Mapper {
     /// Dimensionality of the points this mapper consumes (positive).
     fn dim(&self) -> usize;
-
-    /// Decodes one text line: appends exactly [`PointMapper::dim`]
-    /// coordinates to `out` and returns true, or returns false and
-    /// leaves `out` unchanged when the line is not a finite point of
-    /// that dimension.
-    fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool;
 
     /// Processes one decoded point.
     fn map_point(

@@ -10,6 +10,8 @@
 //!   of dataset reads" is a first-class cost in the paper's §4);
 //! * [`writable`] — Hadoop-style binary serialization for everything
 //!   crossing the shuffle;
+//! * [`text`] — the point-per-line text encoding, and the one byte
+//!   scanner every reader of point text goes through;
 //! * [`job`] — the Mapper/Reducer/Combiner/Partitioner programming
 //!   model, with `setup`/`close` hooks (Algorithm 5 emits from `Close`);
 //! * [`shuffle`] — spill, sort, combine, serialize, then a streaming
@@ -111,6 +113,7 @@ pub mod runtime;
 pub mod scheduler;
 pub mod shuffle;
 pub mod spill;
+pub mod text;
 pub mod writable;
 
 pub use error::{Error, Result};

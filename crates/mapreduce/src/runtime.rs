@@ -53,6 +53,7 @@ use crate::shuffle::{
     Segment, ShuffleSegment,
 };
 use crate::spill::{RunWriter, SpillDir, SpillIo};
+use crate::text::PointLines;
 use crate::writable::{ShuffleKey, ShuffleValue};
 
 /// Points per [`PointMapper::prepare_block`] block of a cached split,
@@ -466,16 +467,16 @@ impl<'a, J: Job> MapAttempt<'a, J> {
         let dim = mapper.dim();
         let mut points = Vec::with_capacity(MAP_BLOCK_POINTS * dim);
         let mut bad: Vec<(usize, &str)> = Vec::new();
-        let mut lines = split.lines();
+        let mut lines = PointLines::new(&split.data);
         loop {
             points.clear();
             bad.clear();
             let mut records = 0;
             while records < MAP_BLOCK_POINTS {
-                let Some((_, line)) = lines.next() else {
+                let Some(parsed) = lines.next_point_dim(dim, &mut points) else {
                     break;
                 };
-                if !mapper.parse_line(line, &mut points) {
+                if let Err(line) = parsed {
                     bad.push((records, line));
                 }
                 records += 1;
@@ -1271,10 +1272,10 @@ impl JobRunner {
     /// counters and timing.
     ///
     /// Every map task parses its split [`MAP_BLOCK_POINTS`] lines at a
-    /// time with [`PointMapper::parse_line`], quarantining the lines it
-    /// rejects as bad records, and hands each block of points to the
-    /// mapper exactly as [`JobRunner::run_cached`] hands over a cached
-    /// block.
+    /// time with [`PointLines`], quarantining the lines that are not
+    /// points of the mapper's dimension as bad records, and hands each
+    /// block of points to the mapper exactly as [`JobRunner::run_cached`]
+    /// hands over a cached block.
     pub fn run<J>(&self, job: &J, input: &str, config: &JobConfig) -> Result<JobResult<J::Output>>
     where
         J: Job,
@@ -2050,19 +2051,6 @@ mod tests {
             2
         }
 
-        fn parse_line(&self, line: &str, out: &mut Vec<f64>) -> bool {
-            let start = out.len();
-            out.extend(
-                line.split_whitespace()
-                    .filter_map(|t| t.parse::<f64>().ok()),
-            );
-            if out.len() - start != 2 {
-                out.truncate(start);
-                return false;
-            }
-            true
-        }
-
         fn map_point(
             &mut self,
             point: &[f64],
@@ -2112,12 +2100,7 @@ mod tests {
         dfs.put_lines("pts", ["0.5 1.0", "0.25 2.0", "3.5 0.0", "3.25 1.5"])
             .unwrap();
         let runner = JobRunner::new(Arc::clone(&dfs), ClusterConfig::default()).unwrap();
-        let parse = |line: &str| {
-            line.split_whitespace()
-                .map(|t| t.parse().map_err(|_| Error::Corrupt(line.into())))
-                .collect()
-        };
-        let cache = PointCache::build(&dfs, "pts", 2, parse).unwrap();
+        let cache = PointCache::build(&dfs, "pts", 2, crate::text::parse_point).unwrap();
         (runner, cache)
     }
 
