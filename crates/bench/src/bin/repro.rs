@@ -15,7 +15,6 @@
 //!   table4    node-count scalability (Figure 5)
 //!   ablations design-choice ablations
 //!   kernels   nearest-center kernel benchmark (writes BENCH_kernels.json)
-//!   scheduler multi-tenant fair-share vs FIFO (writes BENCH_scheduler.json)
 //!   elastic   membership elasticity: joins, spot revocations (writes BENCH_elastic.json)
 //!   scale     out-of-core spill-merge at 100x-1000x paper scale (writes BENCH_scale.json)
 //!   chaos     composite storm intensity sweep, zero answer drift (writes BENCH_chaos.json)
@@ -31,8 +30,7 @@
 //! numbers.
 
 use gmr_bench::experiments::{
-    ablations, chaos, elastic, fig1, fig2, fig4, kernels, scale as scale_exp, scheduler, table3,
-    table4, times,
+    ablations, chaos, elastic, fig1, fig2, fig4, kernels, scale as scale_exp, table3, table4, times,
 };
 use gmr_bench::ExperimentScale;
 
@@ -110,11 +108,6 @@ fn main() {
                 write_json("BENCH_kernels.json", bench.to_json());
             }
         }
-        "scheduler" => {
-            let bench = scheduler::run(&scale);
-            print!("{}", scheduler::render(&bench));
-            write_json("BENCH_scheduler.json", bench.to_json());
-        }
         "elastic" => {
             let bench = elastic::run(&scale);
             print!("{}", elastic::render(&bench));
@@ -152,9 +145,6 @@ fn main() {
             if !quick {
                 write_json("BENCH_kernels.json", bench.to_json());
             }
-            let sched = scheduler::run(&scale);
-            print!("{}", scheduler::render(&sched));
-            write_json("BENCH_scheduler.json", sched.to_json());
             let el = elastic::run(&scale);
             print!("{}", elastic::render(&el));
             write_json("BENCH_elastic.json", el.to_json());
@@ -188,7 +178,7 @@ fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: repro <fig1|fig2|table1|table2|fig3|table3|fig4|table4|ablations|kernels|\
-         scheduler|elastic|scale|chaos|all> [--points N] [--k-factor F] [--seed S] [--quick]"
+         elastic|scale|chaos|all> [--points N] [--k-factor F] [--seed S] [--quick]"
     );
     std::process::exit(2);
 }

@@ -10,7 +10,6 @@
 //! | [`table4`] | Table 4, Figure 5 | node-count scalability |
 //! | [`ablations`] | — | design-choice ablations DESIGN.md calls out |
 //! | [`kernels`] | — | nearest-center kernel throughput trajectory (`BENCH_kernels.json`) |
-//! | [`scheduler`] | — | multi-tenant fair-share vs FIFO arbitration (`BENCH_scheduler.json`) |
 //! | [`elastic`] | — | elastic membership: join speedup, revocation cost (`BENCH_elastic.json`) |
 //! | [`scale`] | — | out-of-core spill-merge at 100×–1000× paper scale (`BENCH_scale.json`) |
 //! | [`chaos`] | — | composite storm intensity vs makespan, zero answer drift (`BENCH_chaos.json`) |
@@ -23,7 +22,6 @@ pub mod fig2;
 pub mod fig4;
 pub mod kernels;
 pub mod scale;
-pub mod scheduler;
 pub mod table3;
 pub mod table4;
 pub mod times;

@@ -578,20 +578,25 @@ impl<'e> EngineCtx<'e> {
     }
 
     /// Spark-style mode: parse the dataset once, pin it in memory.
-    /// `charge_read` distinguishes a fresh build (one logical read)
-    /// from a resume rebuild (physical re-read only).
+    /// `charge_read` distinguishes a fresh build (one logical read and
+    /// its quarantined lines) from a resume rebuild (physical re-read
+    /// only).
     fn build_cache(&mut self, dim: usize, charge_read: bool) -> Result<()> {
         if self.engine.mode == ExecutionMode::Cached {
-            self.cache = Some(PointCache::build(
+            let cache = PointCache::build(
                 self.engine.runner.dfs(),
                 self.input,
                 dim,
                 gmr_mapreduce::text::parse_point,
-            )?);
+            )?;
             if charge_read {
                 // The cache materialization scans the dataset once.
                 self.totals.reads += 1;
+                let counters = &self.totals.counters;
+                counters.add(Counter::BadRecordsSkipped, cache.bad_records());
+                counters.add(Counter::BadRecordBytes, cache.bad_record_bytes());
             }
+            self.cache = Some(cache);
         }
         Ok(())
     }

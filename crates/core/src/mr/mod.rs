@@ -15,9 +15,6 @@
 //!   serial reservoir fed by blocks parsed in parallel.
 //! * [`parallel_init`] — k-means‖, the distributed k-means++
 //!   initialization (§2's Bahmani citation), as MapReduce jobs.
-//! * [`model_scoring`] — the "additional job to find the correct value
-//!   of k" the multi-k pipeline needs (§4): one MR pass scoring every
-//!   candidate model's WCSS, feeding the elbow / jump criteria.
 //! * [`engine`] — the generic iterative-driver engine every driver
 //!   above runs on: one loop owning journaling, resume, fault
 //!   degradation, counters, clocks, and cached-vs-streaming dispatch.
@@ -31,7 +28,6 @@ pub mod find_new_centers;
 pub mod input;
 pub mod kmeans_driver;
 pub mod kmeans_job;
-pub mod model_scoring;
 pub mod multi_kmeans;
 pub mod parallel_init;
 pub mod sample;
@@ -49,7 +45,6 @@ pub use find_new_centers::{FindNewCentersJob, FindNewOutput};
 pub use input::{check_input, InputCheck};
 pub use kmeans_driver::{MRKMeans, MRKMeansResult};
 pub use kmeans_job::KMeansJob;
-pub use model_scoring::{score_models, ModelScore, ModelScoringJob, ScoredModels};
 pub use multi_kmeans::{MRKModel, MultiKMeans, MultiKMeansJob, MultiKMeansResult};
 pub use parallel_init::KMeansParallelInit;
 pub use sample::sample_points;

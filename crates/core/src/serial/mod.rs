@@ -6,14 +6,12 @@
 //! loop-over-k multi-k-means baseline. The MapReduce jobs in
 //! [`crate::mr`] are validated against these in the integration tests.
 
-pub mod canopy;
 pub mod gmeans;
 pub mod init;
 pub mod kmeans;
 pub mod multik;
 pub mod xmeans;
 
-pub use canopy::{canopy_clustering, Canopy, CanopyResult};
 pub use gmeans::{GMeans, GMeansResult};
 pub use init::{initial_centers, InitStrategy};
 pub use kmeans::{kmeans, kmeans_from, lloyd_iteration, KMeansResult};

@@ -8,7 +8,7 @@
 //! cluster standard deviation) so that "the real number of clusters" is
 //! a well-defined ground truth.
 
-use gmr_linalg::{Dataset, Point};
+use gmr_linalg::Dataset;
 use gmr_mapreduce::dfs::Dfs;
 use gmr_mapreduce::text::write_point;
 use gmr_mapreduce::{Error, Result};
@@ -253,26 +253,6 @@ pub struct LabeledDataset {
     pub labels: Vec<u32>,
     /// Ground-truth component centers.
     pub true_centers: Dataset,
-}
-
-impl LabeledDataset {
-    /// Writes the points (without labels) into a DFS text file.
-    pub fn write_to_dfs(&self, dfs: &Arc<Dfs>, path: &str) -> Result<()> {
-        let mut w = dfs.create(path, false)?;
-        let mut line = String::new();
-        for row in self.points.rows() {
-            line.clear();
-            write_point(&mut line, row);
-            w.write_line(&line);
-        }
-        w.close();
-        Ok(())
-    }
-
-    /// Ground-truth center of component `label` as a [`Point`].
-    pub fn true_center(&self, label: usize) -> Point {
-        self.true_centers.point(label)
-    }
 }
 
 /// Box–Muller standard normal sampler (caches the second variate).

@@ -33,12 +33,6 @@ impl CentroidAccumulator {
         }
     }
 
-    /// Rebuilds an accumulator from raw parts (used when decoding
-    /// combiner output from the shuffle).
-    pub fn from_parts(sum: Vec<f64>, count: u64) -> Self {
-        Self { sum, count }
-    }
-
     /// Dimensionality.
     pub fn dim(&self) -> usize {
         self.sum.len()

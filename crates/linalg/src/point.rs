@@ -37,11 +37,6 @@ impl Point {
         &self.coords
     }
 
-    /// Coordinates as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.coords
-    }
-
     /// Consumes the point, returning its coordinate vector.
     pub fn into_vec(self) -> Vec<f64> {
         self.coords

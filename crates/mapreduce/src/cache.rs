@@ -45,6 +45,8 @@ pub struct PointCache {
     path: String,
     dim: usize,
     splits: Arc<Vec<CachedSplit>>,
+    bad_records: u64,
+    bad_record_bytes: u64,
 }
 
 impl PointCache {
@@ -53,7 +55,10 @@ impl PointCache {
     ///
     /// `parse` converts one text line into a point; it is the same
     /// parser the text mappers use, so cached and uncached execution see
-    /// byte-identical inputs.
+    /// byte-identical inputs. A line it rejects, or whose point does not
+    /// have `dim` coordinates, is quarantined as a map task would
+    /// quarantine it: skipped, and counted in [`PointCache::bad_records`]
+    /// and [`PointCache::bad_record_bytes`].
     pub fn build<F>(dfs: &Arc<Dfs>, path: &str, dim: usize, parse: F) -> Result<Self>
     where
         F: Fn(&str) -> Result<Vec<f64>>,
@@ -64,19 +69,19 @@ impl PointCache {
         let blocks = dfs.blocks(path)?;
         dfs.begin_dataset_read();
         let mut splits = Vec::with_capacity(blocks.len());
+        let (mut bad_records, mut bad_record_bytes) = (0, 0);
         for block in &blocks {
             let split = block.read()?;
             dfs.charge_split_read(&split);
             let mut points = Dataset::new(dim);
             for (_, line) in split.lines() {
-                let p = parse(line)?;
-                if p.len() != dim {
-                    return Err(Error::Corrupt(format!(
-                        "point has {} coordinates, expected {dim}",
-                        p.len()
-                    )));
+                match parse(line) {
+                    Ok(p) if p.len() == dim => points.push(&p),
+                    _ => {
+                        bad_records += 1;
+                        bad_record_bytes += line.len() as u64 + 1;
+                    }
                 }
-                points.push(&p);
             }
             let norms = gmr_linalg::squared_norms(points.flat(), dim);
             splits.push(CachedSplit {
@@ -91,6 +96,8 @@ impl PointCache {
             path: path.to_string(),
             dim,
             splits: Arc::new(splits),
+            bad_records,
+            bad_record_bytes,
         })
     }
 
@@ -117,6 +124,19 @@ impl PointCache {
     /// True when the cache holds no points.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Lines the build quarantined, as
+    /// [`crate::job::TaskContext::skip_bad_record`] counts them in
+    /// `BadRecordsSkipped`.
+    pub fn bad_records(&self) -> u64 {
+        self.bad_records
+    }
+
+    /// Bytes of the quarantined lines, one terminator each, as
+    /// `BadRecordBytes` counts them.
+    pub fn bad_record_bytes(&self) -> u64 {
+        self.bad_record_bytes
     }
 
     /// Resident memory of the decoded points, in bytes.
@@ -181,22 +201,24 @@ mod tests {
     }
 
     #[test]
-    fn bad_dim_and_bad_data_error() {
+    fn zero_dim_errors_and_bad_lines_are_quarantined() {
         let dfs = staged();
         assert!(matches!(
             PointCache::build(&dfs, "pts", 0, parse),
             Err(Error::Config(_))
         ));
-        assert!(matches!(
-            PointCache::build(&dfs, "pts", 3, parse),
-            Err(Error::Corrupt(_))
-        ));
+        // Every 2-d line has the wrong arity for a 3-d cache.
+        let cache = PointCache::build(&dfs, "pts", 3, parse).unwrap();
+        assert!(cache.is_empty());
+        assert_eq!(cache.bad_records(), 100);
+        assert_eq!(cache.bad_record_bytes(), dfs.len("pts").unwrap());
+
         let dfs2 = Arc::new(Dfs::new(64));
-        dfs2.put_lines("bad", ["1 2", "x y"]).unwrap();
-        assert!(matches!(
-            PointCache::build(&dfs2, "bad", 2, parse),
-            Err(Error::Corrupt(_))
-        ));
+        dfs2.put_lines("bad", ["1 2", "x y", "", "3 4"]).unwrap();
+        let cache = PointCache::build(&dfs2, "bad", 2, parse).unwrap();
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.bad_records(), 2);
+        assert_eq!(cache.bad_record_bytes(), 4 + 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::faults::{FaultPlan, MembershipPlan, NodeStatus};
 /// spilled runs are raw (uncombined) sorted emission windows, merged
 /// with a run-index tie-break and combined once over the merged
 /// stream, so the final map output is byte-identical to the buffered
-/// path (DESIGN.md §18 walks the argument). Spill runs are always
+/// path (DESIGN.md §17 walks the argument). Spill runs are always
 /// block-compressed, as with Hadoop's `mapred.compress.map.output` on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OutOfCoreConfig {

@@ -103,9 +103,11 @@ pub enum Counter {
     /// Map attempts whose winning attempt ran off-replica: the input
     /// block had to cross the network to reach its mapper.
     MapsRemote,
-    /// Task attempts killed by the fair-share scheduler to reclaim
-    /// slots for an under-share queue. Like node-crash kills, preempted
-    /// attempts are KILLED, not FAILED: no retry budget is consumed.
+    /// Unused: nothing increments it, so it always reads 0. The slot
+    /// stays because checkpoints serialize the whole bank in
+    /// [`Counter::all`] order; removing it would change every committed
+    /// checkpoint byte and the simulated clock of every checkpointed
+    /// run.
     TasksPreempted,
     /// Nodes that joined the cluster mid-run (one per join epoch).
     NodeJoins,

@@ -913,11 +913,6 @@ impl TextWriter {
         }
     }
 
-    /// Number of lines written so far.
-    pub fn lines_written(&self) -> u64 {
-        self.lines
-    }
-
     /// Finishes the file and publishes it into the DFS.
     pub fn close(mut self) {
         if !self.current.is_empty() {

@@ -18,9 +18,6 @@
 //!   k-way merge on the reduce side;
 //! * [`runtime`] — task execution over a pool of worker threads standing
 //!   in for the cluster's map/reduce slots;
-//! * [`scheduler`] — a multi-tenant JobTracker: weighted fair-share
-//!   queues with min-share preemption and locality-aware map
-//!   placement arbitrating the cluster's slots between N tenants;
 //! * [`counters`] — the measurable events §4's cost model is written in;
 //! * [`memory`] — simulated per-task heap; exceeding it fails the job
 //!   with the "Java heap space" error Figure 2 maps out;
@@ -110,7 +107,6 @@ pub mod faults;
 pub mod job;
 pub mod memory;
 pub mod runtime;
-pub mod scheduler;
 pub mod shuffle;
 pub mod spill;
 pub mod text;
@@ -134,9 +130,6 @@ pub mod prelude {
     };
     pub use crate::memory::{HeapEstimator, HeapLedger, BYTES_PER_PROJECTION, MAX_HEAP_USAGE};
     pub use crate::runtime::{JobResult, JobRunner};
-    pub use crate::scheduler::{
-        JobDemand, JobTracker, QueueConfig, SchedulingPolicy, TaskDemand, TenantDemand, TrackerRun,
-    };
     pub use crate::shuffle::CommitFence;
     pub use crate::writable::{ShuffleKey, ShuffleValue, Writable};
 }

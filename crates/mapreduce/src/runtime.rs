@@ -1142,9 +1142,8 @@ impl JobRunner {
     /// per-try flake decisions (salt 14). Each flaked try counts one
     /// `fetch_retries` and adds an exponential-backoff wait (salt-15
     /// jitter, summed into `fetch_backoff_secs`) to the fetching
-    /// reducer's delay, so the wave scheduler, and any multi-tenant
-    /// arbitration consuming the resulting [`JobTiming`], see the retry
-    /// delays.
+    /// reducer's delay, so the wave scheduler sees the retry delays in
+    /// the resulting [`JobTiming`].
     ///
     /// Returns each lost output as `(map index, detection delay)` — an
     /// output both stranded and burned appears twice, as it is

@@ -15,7 +15,7 @@
 //! 10⁸-point jobs exactly this way, with `io.sort.mb`-sized buffers
 //! and compressed map output. Spilled runs are **raw** (uncombined)
 //! sorted record streams; combining happens once, streaming over the
-//! final merge — see DESIGN.md §18 for why that makes spilling
+//! final merge — see DESIGN.md §17 for why that makes spilling
 //! bit-identical to the buffer-everything mode.
 //!
 //! On-disk layout: one file per run, a concatenation of blocks of

@@ -124,3 +124,44 @@ fn cache_exposes_partitioning_and_size() {
     );
     assert_eq!(cache.memory_bytes(), 3000 * 2 * 8);
 }
+
+/// The dirty dataset of `checkpoint_recovery.rs`'s end-to-end
+/// quarantine test: 300 points in two blobs, salted every 60 points
+/// with garbage text, NaN and infinite coordinates, a wrong-dimension
+/// row and a blank line.
+fn staged_dirty() -> JobRunner {
+    let dfs = Arc::new(Dfs::new(4 * 1024));
+    let mut lines: Vec<String> = Vec::new();
+    for i in 0..300 {
+        let (x, y) = if i % 2 == 0 { (0.0, 0.0) } else { (40.0, 40.0) };
+        lines.push(format!("{} {}", x + (i % 7) as f64 * 0.1, y));
+        match i % 60 {
+            0 => lines.push("definitely not a point".into()),
+            1 => lines.push("nan 3.0".into()),
+            2 => lines.push("1.0 inf".into()),
+            3 => lines.push("1.0 2.0 3.0".into()),
+            4 => lines.push(String::new()),
+            _ => {}
+        }
+    }
+    dfs.put_lines("dirty", lines).unwrap();
+    JobRunner::new(dfs, ClusterConfig::default()).unwrap()
+}
+
+#[test]
+fn cached_mode_quarantines_bad_lines_like_on_disk_mode() {
+    let disk = MRGMeans::new(staged_dirty(), GMeansConfig::default())
+        .run("dirty")
+        .unwrap();
+    let cached = MRGMeans::new(staged_dirty(), GMeansConfig::default())
+        .with_execution_mode(ExecutionMode::Cached)
+        .run("dirty")
+        .expect("bad records must not kill a cached run");
+    assert_eq!(disk.centers, cached.centers);
+    assert_eq!(disk.counts, cached.counts);
+    assert_eq!(cached.counts.iter().sum::<u64>(), 300);
+    // The cache build quarantines each of the 25 bad lines once, with
+    // its length plus one terminator: 5 × (23 + 8 + 8 + 12 + 1) bytes.
+    assert_eq!(cached.counters.get(Counter::BadRecordsSkipped), 25);
+    assert_eq!(cached.counters.get(Counter::BadRecordBytes), 260);
+}

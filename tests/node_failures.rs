@@ -13,6 +13,9 @@
 //! * each additional scheduled crash strictly lengthens the makespan;
 //! * losing the last replica of a DFS block degrades the run through
 //!   the typed [`Error::ReplicasLost`] instead of panicking;
+//! * maps run on a holder of their block's replica: with free slots
+//!   no map runs remote, and maps re-executed after a crash land on
+//!   the surviving holders;
 //! * repeat offenders are blacklisted after the configured budget and
 //!   the cluster's schedulable capacity shrinks accordingly;
 //! * a driver crash *during* a node-crash storm resumes bit-identical,
@@ -29,9 +32,15 @@ use gmr_mapreduce::Error;
 const DATA: &str = "points.txt";
 
 fn staged_dfs() -> Arc<Dfs> {
+    staged_dfs_at(DATA)
+}
+
+/// The dataset of [`staged_dfs`] written to `path`, which seeds its
+/// block placement.
+fn staged_dfs_at(path: &str) -> Arc<Dfs> {
     let dfs = Arc::new(Dfs::new(16 * 1024));
     GaussianMixture::paper_r10(1200, 3, 77)
-        .generate_to_dfs(&dfs, DATA)
+        .generate_to_dfs(&dfs, path)
         .expect("write dataset");
     dfs
 }
@@ -294,6 +303,53 @@ fn with_replication_the_same_crash_is_survived() {
     assert!(
         r.counters.get(Counter::DfsBlocksRereplicated) > 0,
         "the dead node's blocks must be re-replicated"
+    );
+}
+
+#[test]
+fn reexecuted_maps_land_on_surviving_replica_holders() {
+    // Crash a replica holder mid-run: its completed map outputs are
+    // lost and re-executed. With 3-way replication the lost maps'
+    // blocks still have live holders, and the re-executions must land
+    // on them — every map placement stays node-local. Under this path
+    // the crash strands completed outputs; under `DATA` the same crash
+    // only kills attempts still in flight.
+    const PATH: &str = "pts";
+    let dfs = staged_dfs_at(PATH);
+    let probe = JobRunner::new(Arc::clone(&dfs), ClusterConfig::default()).unwrap();
+    let victim = probe.dfs().block_replicas(PATH)[0][0];
+    let cluster =
+        ClusterConfig::default().with_faults(FaultPlan::none().with_node_crash(2, victim as u32));
+    let runner = JobRunner::new(dfs, cluster).unwrap();
+
+    let r = MRGMeans::new(runner, GMeansConfig::default())
+        .run(PATH)
+        .unwrap();
+    assert!(r.failure.is_none(), "replication should survive the crash");
+    assert!(
+        r.counters.get(Counter::MapsReexecuted) > 0,
+        "the dead node's outputs must be re-executed"
+    );
+    assert!(r.counters.get(Counter::MapsNodeLocal) > 0);
+    assert_eq!(
+        r.counters.get(Counter::MapsRemote),
+        0,
+        "a re-executed map skipped its surviving replica holders"
+    );
+}
+
+#[test]
+fn free_local_slots_leave_no_remote_maps() {
+    // The staged dataset has ~14 blocks — fewer than the 32 map slots —
+    // so a replica holder always has a free slot for every map.
+    let r = MRKMeans::new(runner_with(ClusterConfig::default()), 3, 6, 5)
+        .run(DATA)
+        .unwrap();
+    assert!(r.counters.get(Counter::MapsNodeLocal) > 0);
+    assert_eq!(
+        r.counters.get(Counter::MapsRemote),
+        0,
+        "runtime placed a map off its replica holders with local slots free"
     );
 }
 
