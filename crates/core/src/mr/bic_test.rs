@@ -28,34 +28,18 @@ use gmr_linalg::squared_euclidean;
 use gmr_mapreduce::prelude::*;
 use gmr_stats::{bic_spherical, ClusterModelStats};
 
-use crate::mr::centers::CenterSet;
-use crate::mr::kmeans_job::empty_centers_error;
+use crate::mr::centers::{CenterSet, Nearest};
+use crate::mr::kmeans_job::{fold_point_sums, PointSum};
 use crate::mr::split_test::{TestDecision, TestOutcome};
 
 /// Per-parent aggregate: `[Σd²_parent, Σd²_children, n_child0, n_child1]`
-/// plus the total point count, packed as the k-means `(Vec<f64>, u64)`
-/// algebra so the standard fold applies.
-type BicPartial = (Vec<f64>, u64);
+/// plus the total point count, packed as the k-means [`PointSum`]
+/// algebra so the standard fold ([`fold_point_sums`]) applies.
+type BicPartial = PointSum;
 
 /// The two refined child centers per parent, `None` for parents whose
 /// cluster is already accepted.
 pub type ChildPairs = Arc<Vec<Option<(Vec<f64>, Vec<f64>)>>>;
-
-fn fold(values: impl IntoIterator<Item = BicPartial>) -> Option<BicPartial> {
-    let mut acc: Option<BicPartial> = None;
-    for (v, n) in values {
-        match acc.as_mut() {
-            None => acc = Some((v, n)),
-            Some((sum, total)) => {
-                for (s, x) in sum.iter_mut().zip(&v) {
-                    *s += x;
-                }
-                *total += n;
-            }
-        }
-    }
-    acc
-}
 
 /// Everything the BIC test mapper needs at setup.
 #[derive(Clone)]
@@ -104,37 +88,28 @@ pub struct BicTestMapper {
 impl Mapper for BicTestMapper {
     type Key = i64;
     type Value = BicPartial;
+    type Row = Nearest;
 
-    fn close(
-        &mut self,
-        out: &mut MapOutput<'_, i64, BicPartial>,
-        _ctx: &mut TaskContext,
-    ) -> Result<()> {
-        let mut entries: Vec<(usize, ([f64; 4], u64))> = self.acc.drain().collect();
-        entries.sort_by_key(|(idx, _)| *idx);
-        for (idx, (sums, n)) in entries {
-            out.emit(self.spec.parents.id(idx), (sums.to_vec(), n));
-        }
-        Ok(())
-    }
-}
-
-impl PointMapper for BicTestMapper {
     fn dim(&self) -> usize {
         self.spec.parents.dim()
+    }
+
+    fn prepare_block(
+        &mut self,
+        points: &[f64],
+        norms: &[f64],
+        _ctx: &mut TaskContext,
+    ) -> Result<Vec<Nearest>> {
+        Ok(self.spec.parents.nearest_block(points, norms))
     }
 
     fn map_point(
         &mut self,
         point: &[f64],
+        (idx, _, d2_parent, evals): Nearest,
         _out: &mut MapOutput<'_, i64, BicPartial>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        let (idx, _, d2_parent, evals) = self
-            .spec
-            .parents
-            .nearest_with_cost(point)
-            .ok_or_else(|| empty_centers_error("BicTest"))?;
         ctx.charge_distances(evals, self.spec.parents.dim());
         let Some((c0, c1)) = &self.spec.children[idx] else {
             return Ok(()); // accepted cluster: no test
@@ -148,6 +123,19 @@ impl PointMapper for BicTestMapper {
         entry.0[1] += d2_child;
         entry.0[2 + which] += 1.0;
         entry.1 += 1;
+        Ok(())
+    }
+
+    fn close(
+        &mut self,
+        out: &mut MapOutput<'_, i64, BicPartial>,
+        _ctx: &mut TaskContext,
+    ) -> Result<()> {
+        let mut entries: Vec<(usize, ([f64; 4], u64))> = self.acc.drain().collect();
+        entries.sort_by_key(|(idx, _)| *idx);
+        for (idx, (sums, n)) in entries {
+            out.emit(self.spec.parents.id(idx), (sums.to_vec(), n));
+        }
         Ok(())
     }
 }
@@ -169,7 +157,7 @@ impl Reducer for BicTestReducer {
         out: &mut Vec<TestOutcome>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        let Some((sums, n)) = fold(values) else {
+        let Some((sums, n)) = fold_point_sums(values) else {
             return Ok(());
         };
         ctx.counters().inc(Counter::AdTests); // "split tests", BIC flavour
@@ -236,7 +224,7 @@ impl Job for BicTestJob {
     }
 
     fn combine(&self, _key: &i64, values: Vec<BicPartial>) -> Vec<BicPartial> {
-        fold(values).into_iter().collect()
+        fold_point_sums(values).into_iter().collect()
     }
 }
 

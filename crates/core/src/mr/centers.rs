@@ -8,12 +8,17 @@
 //! §3.1) — and the candidate-center channel of `KMeansAndFindNewCenters`
 //! is multiplexed by adding [`OFFSET`] to the id.
 
+use crate::mr::kmeans_job::PointSum;
 use gmr_linalg::{nearest_center_flat, nearest_centers_batch, Dataset, KdTree};
 use gmr_mapreduce::writable::Writable;
 use gmr_mapreduce::{Error, Result};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// One point's nearest center, as [`CenterSet::nearest_block`] reports
+/// it: `(index, id, squared_distance, evaluations)`.
+pub type Nearest = (usize, i64, f64, u64);
 
 /// The id offset separating candidate-center keys from refine-center
 /// keys: "as the type of center id is a Java Long, we use an offset
@@ -356,11 +361,7 @@ impl CenterSet {
     /// [`CenterSet::with_kd_index`], the charged count) differs.
     ///
     /// Returns an empty vector when the set is empty.
-    pub fn nearest_block(
-        &self,
-        points: &[f64],
-        point_norms: &[f64],
-    ) -> Vec<(usize, i64, f64, u64)> {
+    pub fn nearest_block(&self, points: &[f64], point_norms: &[f64]) -> Vec<Nearest> {
         if self.is_empty() || points.is_empty() {
             return Vec::new();
         }
@@ -431,6 +432,17 @@ pub struct CenterUpdate {
     pub coords: Vec<f64>,
     /// Number of points that contributed.
     pub count: u64,
+}
+
+impl CenterUpdate {
+    /// The update of center `id` from its folded point sums: the mean,
+    /// each coordinate sum times `1 / count` — the one place a reducer
+    /// turns sums into a center.
+    pub fn from_sums(id: i64, (mut coords, count): PointSum) -> Self {
+        let inv = 1.0 / count as f64;
+        coords.iter_mut().for_each(|c| *c *= inv);
+        Self { id, coords, count }
+    }
 }
 
 /// Applies reducer updates to a center set: updated ids move to their

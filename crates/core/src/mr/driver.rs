@@ -25,7 +25,7 @@
 //!
 //! The driver is a [`GMeansAlgo`] state machine on the generic
 //! [`Engine`]: each G-means iteration is one engine segment of several
-//! job waves (k-means refinements, the fused find-new-centers job, the
+//! jobs (k-means refinements, the fused find-new-centers job, the
 //! split test, an optional reducer-side retry), checkpointed at the
 //! iteration boundary. Crash recovery, fault degradation, counters and
 //! clocks are the engine's; the state machine only decides what job
@@ -246,14 +246,14 @@ pub enum SplitCriterion {
 }
 
 /// Where inside one G-means iteration the state machine stands: which
-/// job wave [`GMeansAlgo::plan`] emits next.
+/// job [`GMeansAlgo::plan`] emits next.
 enum GPhase {
-    /// `remaining` plain k-means refinement waves left before the fused
+    /// `remaining` plain k-means refinement jobs left before the fused
     /// job.
     Refine { remaining: usize },
-    /// The fused `KMeansAndFindNewCenters` wave.
+    /// The fused `KMeansAndFindNewCenters` job.
     FindNew,
-    /// The split-test wave (BIC aggregation, or the §3.2
+    /// The split-test job (BIC aggregation, or the §3.2
     /// strategy-chosen Anderson–Darling job).
     Test,
     /// Reducer-side re-test of clusters the mapper-side job left
@@ -262,7 +262,7 @@ enum GPhase {
 }
 
 /// Intra-iteration scratch: everything the iteration accumulates
-/// between its job waves. Deliberately *not* checkpointed — a resume
+/// between its jobs. Deliberately *not* checkpointed — a resume
 /// replays the interrupted iteration from its boundary checkpoint and
 /// re-derives identical scratch.
 struct IterScratch {
@@ -286,7 +286,7 @@ struct IterScratch {
     clusters_tested: usize,
     decisions: HashMap<i64, TestOutcome>,
     strategy_used: Option<TestStrategy>,
-    /// Ids the mapper-side test left undecided (feeds the retry wave).
+    /// Ids the mapper-side test left undecided (feeds the retry job).
     undecided: Vec<i64>,
 }
 
@@ -588,7 +588,7 @@ impl IterativeAlgorithm for GMeansAlgo {
         state.iteration as u64
     }
 
-    fn plan(&self, state: &mut GState, ctx: &EngineCtx<'_>) -> Result<Vec<PlannedJob>> {
+    fn plan(&self, state: &mut GState, ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
         if state.scratch.is_none() {
             // Iteration start: snapshot the hierarchy into the current
             // center set (children of splitting parents, centers of
@@ -623,14 +623,14 @@ impl IterativeAlgorithm for GMeansAlgo {
         match &scratch.phase {
             GPhase::Refine { .. } => {
                 let job = KMeansJob::new(Arc::new(ctx.prepare(scratch.current.clone())));
-                Ok(vec![PlannedJob::new(job, scratch.kmeans_reducers)])
+                Ok(PlannedJob::new(job, scratch.kmeans_reducers))
             }
             GPhase::FindNew => {
                 let job = FindNewCentersJob::new(
                     Arc::new(ctx.prepare(scratch.current.clone())),
                     self.config.seed ^ (state.iteration as u64).wrapping_mul(0x9e37),
                 );
-                Ok(vec![PlannedJob::new(job, scratch.kmeans_reducers)])
+                Ok(PlannedJob::new(job, scratch.kmeans_reducers))
             }
             GPhase::Test => {
                 let parent_set = Arc::new(ctx.prepare(parent_centers(state.dim, &state.parents)?));
@@ -643,7 +643,7 @@ impl IterativeAlgorithm for GMeansAlgo {
                         Arc::new(scratch.child_pairs.clone()),
                         self.config.min_test_sample,
                     );
-                    Ok(vec![PlannedJob::new(BicTestJob::new(spec), test_reducers)])
+                    Ok(PlannedJob::new(BicTestJob::new(spec), test_reducers))
                 } else {
                     let biggest = state
                         .parents
@@ -662,14 +662,14 @@ impl IterativeAlgorithm for GMeansAlgo {
                         Arc::new(scratch.projectors.clone()),
                         self.config.ad_test(),
                     );
-                    Ok(vec![match strategy {
+                    Ok(match strategy {
                         TestStrategy::FewClusters => {
                             PlannedJob::new(TestFewClustersJob::new(spec), test_reducers)
                         }
                         TestStrategy::Clusters => {
                             PlannedJob::new(TestClustersJob::new(spec), test_reducers)
                         }
-                    }])
+                    })
                 }
             }
             GPhase::Retry => {
@@ -690,24 +690,19 @@ impl IterativeAlgorithm for GMeansAlgo {
                     Arc::new(retry_projectors),
                     self.config.ad_test(),
                 );
-                Ok(vec![PlannedJob::new(
+                Ok(PlannedJob::new(
                     TestClustersJob::new(spec),
                     ctx.reduce_tasks(scratch.undecided.len()),
-                )])
+                ))
             }
         }
     }
 
-    fn apply(
-        &self,
-        state: &mut GState,
-        mut outputs: Vec<JobOutputs>,
-        seg: &SegmentStats,
-    ) -> Result<Step> {
+    fn apply(&self, state: &mut GState, outputs: JobOutputs, seg: &SegmentStats) -> Result<Step> {
         let mut scratch = state.scratch.take().expect("apply without plan");
         match scratch.phase {
             GPhase::Refine { remaining } => {
-                let updates = outputs.remove(0).take::<CenterUpdate>();
+                let updates = outputs.take::<CenterUpdate>();
                 let (next, _) = apply_updates(&scratch.current, &updates);
                 scratch.current = next;
                 scratch.phase = if remaining > 1 {
@@ -721,7 +716,7 @@ impl IterativeAlgorithm for GMeansAlgo {
                 Ok(Step::Continue)
             }
             GPhase::FindNew => {
-                let output = outputs.remove(0).take::<FindNewOutput>();
+                let output = outputs.take::<FindNewOutput>();
                 let mut updates: Vec<CenterUpdate> = Vec::new();
                 for out in output {
                     match out {
@@ -795,7 +790,7 @@ impl IterativeAlgorithm for GMeansAlgo {
                 }
             }
             GPhase::Test => {
-                let outcomes = outputs.remove(0).take::<TestOutcome>();
+                let outcomes = outputs.take::<TestOutcome>();
                 for o in outcomes {
                     scratch.decisions.insert(o.parent_id, o);
                 }
@@ -821,7 +816,7 @@ impl IterativeAlgorithm for GMeansAlgo {
                 }
             }
             GPhase::Retry => {
-                let outcomes = outputs.remove(0).take::<TestOutcome>();
+                let outcomes = outputs.take::<TestOutcome>();
                 for o in outcomes {
                     scratch.decisions.insert(o.parent_id, o);
                 }

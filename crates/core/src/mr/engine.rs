@@ -2,9 +2,9 @@
 //!
 //! Every MapReduce driver in this crate — G-means (Algorithm 1), plain
 //! k-means, multi-k-means (Algorithm 6) and k-means‖ initialization —
-//! is the same loop wearing a different algorithm: plan a wave of jobs,
-//! run them, fold the outputs into driver state, checkpoint at the
-//! iteration boundary, repeat until converged. This module owns that
+//! is the same loop wearing a different algorithm: plan a job, run it,
+//! fold its output into driver state, checkpoint at the iteration
+//! boundary, repeat until converged. This module owns that
 //! loop once, so every cross-cutting guarantee is single-sourced:
 //!
 //! * **journal reset / commit** with the serialize-before-charge
@@ -35,8 +35,8 @@
 //!
 //! An algorithm is a pure state machine implementing
 //! [`IterativeAlgorithm`]: `fresh` builds the initial state, `plan`
-//! emits the next wave of jobs, `apply` folds their outputs and decides
-//! [`Step::Continue`] (more waves this iteration) or [`Step::Boundary`]
+//! emits the next job, `apply` folds its output and decides
+//! [`Step::Continue`] (more jobs this iteration) or [`Step::Boundary`]
 //! (iteration done — checkpointable), and `finish` converts the final
 //! state into the driver's result. The state is its own journal wire
 //! form ([`Writable`]). Adding a fifth driver means writing those
@@ -51,7 +51,7 @@ use gmr_mapreduce::checkpoint::{no_journal_error, RunJournal};
 use gmr_mapreduce::cluster::ClusterConfig;
 use gmr_mapreduce::cost::JobTiming;
 use gmr_mapreduce::counters::{Counter, Counters};
-use gmr_mapreduce::job::{Job, JobConfig, PointMapper};
+use gmr_mapreduce::job::{Job, JobConfig};
 use gmr_mapreduce::runtime::JobRunner;
 use gmr_mapreduce::writable::Writable;
 use gmr_mapreduce::{Error, Result};
@@ -73,10 +73,10 @@ pub enum ExecutionMode {
     Cached,
 }
 
-/// What an [`IterativeAlgorithm::apply`] decides after a job wave.
+/// What an [`IterativeAlgorithm::apply`] decides after a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// The iteration needs more job waves: the engine calls
+    /// The iteration needs more jobs: the engine calls
     /// [`IterativeAlgorithm::plan`] again.
     Continue,
     /// The iteration is complete: the engine folds its stats into the
@@ -84,7 +84,7 @@ pub enum Step {
     Boundary,
 }
 
-/// Job and clock totals of the current iteration segment (the job waves
+/// Job and clock totals of the current iteration segment (the jobs
 /// since the last checkpointed boundary).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SegmentStats {
@@ -112,20 +112,15 @@ pub struct RunStats {
     pub failure: Option<Error>,
 }
 
-/// A type-erased result of one executed job.
-struct ErasedOutput {
-    output: Box<dyn std::any::Any>,
-    counters: Counters,
-    timing: JobTiming,
-}
-
 /// Runs one job on a runner, over the pinned point cache when there is
-/// one and the DFS text file at the input path otherwise.
-type PlannedRun =
-    Box<dyn FnOnce(&JobRunner, Option<&PointCache>, &str, &JobConfig) -> Result<ErasedOutput>>;
+/// one and the DFS text file at the input path otherwise; returns the
+/// job's type-erased outputs and its counters.
+type PlannedRun = Box<
+    dyn FnOnce(&JobRunner, Option<&PointCache>, &str, &JobConfig) -> Result<(JobOutputs, Counters)>,
+>;
 
-/// One job of a planned wave: the concrete [`Job`] is captured in a
-/// closure so the engine can run heterogeneous jobs through one loop.
+/// The next job an algorithm plans: the concrete [`Job`] is captured in
+/// a closure so the engine can run heterogeneous jobs through one loop.
 pub struct PlannedJob {
     reducers: usize,
     run: PlannedRun,
@@ -133,11 +128,7 @@ pub struct PlannedJob {
 
 impl PlannedJob {
     /// Wraps a concrete job with its reduce-task count.
-    pub fn new<J>(job: J, reducers: usize) -> Self
-    where
-        J: Job + 'static,
-        J::Mapper: PointMapper,
-    {
+    pub fn new<J: Job + 'static>(job: J, reducers: usize) -> Self {
         Self {
             reducers,
             run: Box::new(move |runner, cache, input, config| {
@@ -145,11 +136,11 @@ impl PlannedJob {
                     Some(cache) => runner.run_cached(&job, cache, config)?,
                     None => runner.run(&job, input, config)?,
                 };
-                Ok(ErasedOutput {
+                let outputs = JobOutputs {
                     output: Box::new(result.output),
-                    counters: result.counters,
                     timing: result.timing,
-                })
+                };
+                Ok((outputs, result.counters))
             }),
         }
     }
@@ -166,8 +157,8 @@ impl JobOutputs {
     /// Downcasts to the concrete output records of the planned job.
     ///
     /// # Panics
-    /// Panics when `O` is not the output type of the job this wave
-    /// planned — a driver programming error, not a runtime condition.
+    /// Panics when `O` is not the output type of the job `plan`
+    /// returned — a driver programming error, not a runtime condition.
     pub fn take<O: 'static>(self) -> Vec<O> {
         self.into_parts().0
     }
@@ -191,7 +182,7 @@ impl JobOutputs {
 /// [`crate::mr::MultiKMeans`], [`crate::mr::KMeansParallelInit`]) are
 /// the reference implementations.
 pub trait IterativeAlgorithm {
-    /// Complete in-memory loop state between job waves, and its own
+    /// Complete in-memory loop state between jobs, and its own
     /// journal wire form: the engine writes it at every iteration
     /// boundary and reads it back on resume. Transient intra-iteration
     /// scratch need not be written: a resume replays the interrupted
@@ -220,15 +211,16 @@ pub trait IterativeAlgorithm {
     fn done(&self, state: &Self::State) -> bool;
     /// Checkpoint sequence number of the current boundary.
     fn seq(&self, state: &Self::State) -> u64;
-    /// Plans the next wave of jobs. Called again after every
+    /// Plans the next job. Called again after every
     /// [`Step::Continue`]; may mutate intra-iteration scratch state.
-    fn plan(&self, state: &mut Self::State, ctx: &EngineCtx<'_>) -> Result<Vec<PlannedJob>>;
-    /// Folds a wave's outputs into the state. `seg` carries the
-    /// iteration segment's stats so far (for per-iteration reports).
+    fn plan(&self, state: &mut Self::State, ctx: &EngineCtx<'_>) -> Result<PlannedJob>;
+    /// Folds the planned job's outputs into the state. `seg` carries
+    /// the iteration segment's stats so far (for per-iteration
+    /// reports).
     fn apply(
         &self,
         state: &mut Self::State,
-        outputs: Vec<JobOutputs>,
+        outputs: JobOutputs,
         seg: &SegmentStats,
     ) -> Result<Step>;
     /// Offered an absorbable task failure (heap, attempts exhausted,
@@ -421,34 +413,26 @@ impl Engine {
         'run: while !algo.done(&state) {
             ctx.seg = SegmentStats::default();
             loop {
-                let wave = algo.plan(&mut state, &ctx)?;
-                let mut outputs = Vec::with_capacity(wave.len());
-                let mut task_failure: Option<Error> = None;
-                for job in wave {
-                    match ctx.execute(job) {
-                        Ok(out) => outputs.push(out),
-                        Err(
-                            e @ (Error::HeapSpace { .. }
-                            | Error::AttemptsExhausted { .. }
-                            | Error::Degenerate(_)
-                            | Error::ReplicasLost { .. }),
-                        ) => {
-                            // A job exhausted its task-attempt budget:
-                            // absorbable, if the algorithm agrees.
-                            task_failure = Some(e);
-                            break;
-                        }
-                        // Environment/configuration errors — and the
-                        // injected driver crash, which a dying process
-                        // cannot catch — propagate.
-                        Err(e) => return Err(e),
+                let job = algo.plan(&mut state, &ctx)?;
+                let outputs = match ctx.execute(job) {
+                    Ok(outputs) => outputs,
+                    Err(
+                        e @ (Error::HeapSpace { .. }
+                        | Error::AttemptsExhausted { .. }
+                        | Error::Degenerate(_)
+                        | Error::ReplicasLost { .. }),
+                    ) => {
+                        // The job exhausted its task-attempt budget:
+                        // absorbable, if the algorithm agrees.
+                        ctx.fold_segment();
+                        failure = Some(algo.on_task_failure(&mut state, e, &ctx.seg)?);
+                        break 'run;
                     }
-                }
-                if let Some(e) = task_failure {
-                    ctx.fold_segment();
-                    failure = Some(algo.on_task_failure(&mut state, e, &ctx.seg)?);
-                    break 'run;
-                }
+                    // Environment/configuration errors — and the
+                    // injected driver crash, which a dying process
+                    // cannot catch — propagate.
+                    Err(e) => return Err(e),
+                };
                 match algo.apply(&mut state, outputs, &ctx.seg)? {
                     Step::Continue => {}
                     Step::Boundary => break,
@@ -466,7 +450,7 @@ impl Engine {
 
 /// The engine's per-run context: input binding, optional point cache,
 /// and the run totals. Algorithms use it to sample, prepare center
-/// sets, size reduce waves, and (in `finish`) run post-loop jobs.
+/// sets, size reduce phases, and (in `finish`) run post-loop jobs.
 pub struct EngineCtx<'e> {
     engine: &'e Engine,
     input: &'e str,
@@ -557,24 +541,21 @@ impl<'e> EngineCtx<'e> {
             // scan before any task can fail).
             self.totals.reads += 1;
         }
-        let erased = (job.run)(
+        let (outputs, counters) = (job.run)(
             &self.engine.runner,
             self.cache.as_ref(),
             self.input,
             &config,
         )?;
-        self.totals.counters.merge(&erased.counters);
-        self.seg.simulated_secs += erased.timing.simulated_secs;
+        self.totals.counters.merge(&counters);
+        self.seg.simulated_secs += outputs.timing.simulated_secs;
         self.seg.jobs += 1;
         self.totals.jobs += 1;
         let boundary = self.totals.jobs;
         if self.cluster().faults.driver_crashes_at(boundary) {
             return Err(Error::DriverCrash { boundary });
         }
-        Ok(JobOutputs {
-            output: erased.output,
-            timing: erased.timing,
-        })
+        Ok(outputs)
     }
 
     /// Spark-style mode: parse the dataset once, pin it in memory.
@@ -680,10 +661,10 @@ mod tests {
         fn seq(&self, _s: &u64) -> u64 {
             0
         }
-        fn plan(&self, _s: &mut u64, _ctx: &EngineCtx<'_>) -> Result<Vec<PlannedJob>> {
-            Ok(Vec::new())
+        fn plan(&self, _s: &mut u64, _ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
+            unreachable!("a done algorithm plans no job")
         }
-        fn apply(&self, _s: &mut u64, _o: Vec<JobOutputs>, _g: &SegmentStats) -> Result<Step> {
+        fn apply(&self, _s: &mut u64, _o: JobOutputs, _g: &SegmentStats) -> Result<Step> {
             Ok(Step::Boundary)
         }
         fn finish(&self, _s: u64, _ctx: &mut EngineCtx<'_>, _r: RunStats) -> Result<()> {

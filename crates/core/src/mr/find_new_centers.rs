@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use gmr_mapreduce::prelude::*;
 
-use crate::mr::centers::{CenterSet, CenterUpdate, ChannelKey};
-use crate::mr::kmeans_job::{empty_centers_error, fold_point_sums, PointSum};
+use crate::mr::centers::{CenterSet, CenterUpdate, ChannelKey, Nearest};
+use crate::mr::kmeans_job::{fold_point_sums, PointSum};
 
 /// Output of the fused job.
 #[derive(Clone, Debug, PartialEq)]
@@ -83,35 +83,15 @@ impl FindNewCentersJob {
 /// Mapper of [`FindNewCentersJob`] (Algorithm 2 verbatim: "Emit twice").
 pub struct FindNewCentersMapper {
     centers: Arc<CenterSet>,
-    /// Assignments the blocked kernel computed for the current block,
-    /// drained one per `map_point` call.
-    pending: std::collections::VecDeque<(i64, u64)>,
 }
 
 impl Mapper for FindNewCentersMapper {
     type Key = i64;
     type Value = PointSum;
-}
+    type Row = Nearest;
 
-impl PointMapper for FindNewCentersMapper {
     fn dim(&self) -> usize {
         self.centers.dim()
-    }
-
-    fn map_point(
-        &mut self,
-        point: &[f64],
-        out: &mut MapOutput<'_, i64, PointSum>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        let (id, evals) = self
-            .pending
-            .pop_front()
-            .ok_or_else(|| empty_centers_error("KMeansAndFindNewCenters"))?;
-        ctx.charge_distances(evals, self.centers.dim());
-        out.emit(ChannelKey::Refine(id).encode(), (point.to_vec(), 1));
-        out.emit(ChannelKey::Candidate(id).encode(), (point.to_vec(), 1));
-        Ok(())
     }
 
     fn prepare_block(
@@ -119,15 +99,20 @@ impl PointMapper for FindNewCentersMapper {
         points: &[f64],
         norms: &[f64],
         _ctx: &mut TaskContext,
+    ) -> Result<Vec<Nearest>> {
+        Ok(self.centers.nearest_block(points, norms))
+    }
+
+    fn map_point(
+        &mut self,
+        point: &[f64],
+        (_, id, _, evals): Nearest,
+        out: &mut MapOutput<'_, i64, PointSum>,
+        ctx: &mut TaskContext,
     ) -> Result<()> {
-        debug_assert!(self.pending.is_empty(), "undrained block");
-        self.pending.clear();
-        self.pending.extend(
-            self.centers
-                .nearest_block(points, norms)
-                .into_iter()
-                .map(|(_, id, _, evals)| (id, evals)),
-        );
+        ctx.charge_distances(evals, self.centers.dim());
+        out.emit(ChannelKey::Refine(id).encode(), (point.to_vec(), 1));
+        out.emit(ChannelKey::Candidate(id).encode(), (point.to_vec(), 1));
         Ok(())
     }
 }
@@ -159,16 +144,10 @@ impl Reducer for FindNewCentersReducer {
                     points: winners.into_iter().map(|(coords, _)| coords).collect(),
                 });
             }
-            ChannelKey::Refine(id) => {
-                if let Some((sum, count)) = fold_point_sums(values) {
-                    let inv = 1.0 / count as f64;
-                    out.push(FindNewOutput::Update(CenterUpdate {
-                        id,
-                        coords: sum.iter().map(|s| s * inv).collect(),
-                        count,
-                    }));
-                }
-            }
+            ChannelKey::Refine(id) => out.extend(
+                fold_point_sums(values)
+                    .map(|sums| FindNewOutput::Update(CenterUpdate::from_sums(id, sums))),
+            ),
         }
         Ok(())
     }
@@ -188,7 +167,6 @@ impl Job for FindNewCentersJob {
     fn create_mapper(&self) -> FindNewCentersMapper {
         FindNewCentersMapper {
             centers: Arc::clone(&self.centers),
-            pending: std::collections::VecDeque::new(),
         }
     }
 

@@ -121,19 +121,14 @@ impl IterativeAlgorithm for KMeansAlgo {
         state.iteration as u64
     }
 
-    fn plan(&self, state: &mut KState, ctx: &EngineCtx<'_>) -> Result<Vec<PlannedJob>> {
-        let job = KMeansJob::new(Arc::new(state.centers.clone()));
+    fn plan(&self, state: &mut KState, ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
+        let job = KMeansJob::new(Arc::new(ctx.prepare(state.centers.clone())));
         let reducers = ctx.reduce_tasks(state.centers.len());
-        Ok(vec![PlannedJob::new(job, reducers)])
+        Ok(PlannedJob::new(job, reducers))
     }
 
-    fn apply(
-        &self,
-        state: &mut KState,
-        mut outputs: Vec<JobOutputs>,
-        _seg: &SegmentStats,
-    ) -> Result<Step> {
-        let (updates, timing) = outputs.remove(0).into_parts::<CenterUpdate>();
+    fn apply(&self, state: &mut KState, outputs: JobOutputs, _seg: &SegmentStats) -> Result<Step> {
+        let (updates, timing) = outputs.into_parts::<CenterUpdate>();
         let (next, counts) = apply_updates(&state.centers, &updates);
         state.centers = next;
         state.counts = counts;

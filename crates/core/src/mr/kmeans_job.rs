@@ -13,20 +13,13 @@ use std::sync::Arc;
 
 use gmr_mapreduce::prelude::*;
 
-use crate::mr::centers::{CenterSet, CenterUpdate};
+use crate::mr::centers::{CenterSet, CenterUpdate, Nearest};
 
 /// Intermediate value: partial coordinate sums plus a point count.
 pub type PointSum = (Vec<f64>, u64);
 
-/// The typed failure for a job launched over an empty center set — a
-/// degenerate iteration the drivers degrade into a reported error
-/// instead of a panic.
-pub(crate) fn empty_centers_error(job: &str) -> Error {
-    Error::Degenerate(format!("{job} launched with an empty center set"))
-}
-
 /// Element-wise fold of partial sums (shared by this job's combiner and
-/// reducer and by `KMeansAndFindNewCenters`).
+/// reducer and by every other job whose values are `PointSum`s).
 pub fn fold_point_sums(values: impl IntoIterator<Item = PointSum>) -> Option<PointSum> {
     let mut acc: Option<PointSum> = None;
     for (coords, count) in values {
@@ -74,34 +67,15 @@ impl KMeansJob {
 /// Mapper of [`KMeansJob`].
 pub struct KMeansMapper {
     centers: Arc<CenterSet>,
-    /// Assignments the blocked kernel computed for the current block,
-    /// drained one per `map_point` call.
-    pending: std::collections::VecDeque<(i64, u64)>,
 }
 
 impl Mapper for KMeansMapper {
     type Key = i64;
     type Value = PointSum;
-}
+    type Row = Nearest;
 
-impl PointMapper for KMeansMapper {
     fn dim(&self) -> usize {
         self.centers.dim()
-    }
-
-    fn map_point(
-        &mut self,
-        point: &[f64],
-        out: &mut MapOutput<'_, i64, PointSum>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        let (id, evals) = self
-            .pending
-            .pop_front()
-            .ok_or_else(|| empty_centers_error("KMeans"))?;
-        ctx.charge_distances(evals, self.centers.dim());
-        out.emit(id, (point.to_vec(), 1));
-        Ok(())
     }
 
     fn prepare_block(
@@ -109,15 +83,24 @@ impl PointMapper for KMeansMapper {
         points: &[f64],
         norms: &[f64],
         _ctx: &mut TaskContext,
+    ) -> Result<Vec<Nearest>> {
+        if self.centers.is_empty() {
+            return Err(Error::Degenerate(
+                "KMeans launched with an empty center set".into(),
+            ));
+        }
+        Ok(self.centers.nearest_block(points, norms))
+    }
+
+    fn map_point(
+        &mut self,
+        point: &[f64],
+        (_, id, _, evals): Nearest,
+        out: &mut MapOutput<'_, i64, PointSum>,
+        ctx: &mut TaskContext,
     ) -> Result<()> {
-        debug_assert!(self.pending.is_empty(), "undrained block");
-        self.pending.clear();
-        self.pending.extend(
-            self.centers
-                .nearest_block(points, norms)
-                .into_iter()
-                .map(|(_, id, _, evals)| (id, evals)),
-        );
+        ctx.charge_distances(evals, self.centers.dim());
+        out.emit(id, (point.to_vec(), 1));
         Ok(())
     }
 }
@@ -137,14 +120,7 @@ impl Reducer for KMeansReducer {
         out: &mut Vec<CenterUpdate>,
         _ctx: &mut TaskContext,
     ) -> Result<()> {
-        if let Some((sum, count)) = fold_point_sums(values) {
-            let inv = 1.0 / count as f64;
-            out.push(CenterUpdate {
-                id: key,
-                coords: sum.iter().map(|s| s * inv).collect(),
-                count,
-            });
-        }
+        out.extend(fold_point_sums(values).map(|sums| CenterUpdate::from_sums(key, sums)));
         Ok(())
     }
 }
@@ -163,7 +139,6 @@ impl Job for KMeansJob {
     fn create_mapper(&self) -> KMeansMapper {
         KMeansMapper {
             centers: Arc::clone(&self.centers),
-            pending: std::collections::VecDeque::new(),
         }
     }
 

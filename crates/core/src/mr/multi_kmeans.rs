@@ -26,7 +26,7 @@ use crate::mr::engine::{
     Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
     SegmentStats, Step,
 };
-use crate::mr::kmeans_job::{empty_centers_error, fold_point_sums, PointSum};
+use crate::mr::kmeans_job::{fold_point_sums, PointSum};
 
 /// Intermediate key: `(k-index, center id)` — the paper's `k_centerid`
 /// composite key, kept numeric for cheap shuffle sorting.
@@ -53,38 +53,16 @@ impl MultiKMeansJob {
 /// emit(k_centerid ⇒ point)".
 pub struct MultiKMeansMapper {
     sets: Arc<Vec<CenterSet>>,
-    /// Per-point `(id, evals)` rows — one entry per center set — the
-    /// blocked kernel computed for the current block, drained one row
-    /// per `map_point` call.
-    pending: std::collections::VecDeque<Vec<(i64, u64)>>,
 }
 
 impl Mapper for MultiKMeansMapper {
     type Key = MultiKey;
     type Value = PointSum;
-}
+    /// The point's nearest center `(id, evals)` in every center set.
+    type Row = Vec<(i64, u64)>;
 
-impl PointMapper for MultiKMeansMapper {
     fn dim(&self) -> usize {
         self.sets[0].dim()
-    }
-
-    fn map_point(
-        &mut self,
-        point: &[f64],
-        out: &mut MapOutput<'_, MultiKey, PointSum>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        let dim = self.dim();
-        let row = self
-            .pending
-            .pop_front()
-            .ok_or_else(|| empty_centers_error("MultiKMeans"))?;
-        for (ki, (id, evals)) in row.into_iter().enumerate() {
-            ctx.charge_distances(evals, dim);
-            out.emit((ki as u32, id as u32), (point.to_vec(), 1));
-        }
-        Ok(())
     }
 
     fn prepare_block(
@@ -92,23 +70,29 @@ impl PointMapper for MultiKMeansMapper {
         points: &[f64],
         norms: &[f64],
         _ctx: &mut TaskContext,
-    ) -> Result<()> {
-        debug_assert!(self.pending.is_empty(), "undrained block");
-        self.pending.clear();
-        let n = norms.len();
-        let mut rows: Vec<Vec<(i64, u64)>> = vec![Vec::with_capacity(self.sets.len()); n];
+    ) -> Result<Vec<Vec<(i64, u64)>>> {
+        let mut rows: Vec<Vec<(i64, u64)>> = vec![Vec::with_capacity(self.sets.len()); norms.len()];
         for set in self.sets.iter() {
             let block = set.nearest_block(points, norms);
-            if block.len() != n {
-                // Degenerate (empty) set: leave the queue empty so
-                // `map_point` reports the typed error.
-                return Ok(());
-            }
             for (row, (_, id, _, evals)) in rows.iter_mut().zip(block) {
                 row.push((id, evals));
             }
         }
-        self.pending.extend(rows);
+        Ok(rows)
+    }
+
+    fn map_point(
+        &mut self,
+        point: &[f64],
+        row: Vec<(i64, u64)>,
+        out: &mut MapOutput<'_, MultiKey, PointSum>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
+        let dim = self.dim();
+        for (ki, (id, evals)) in row.into_iter().enumerate() {
+            ctx.charge_distances(evals, dim);
+            out.emit((ki as u32, id as u32), (point.to_vec(), 1));
+        }
         Ok(())
     }
 }
@@ -128,17 +112,10 @@ impl Reducer for MultiKMeansReducer {
         out: &mut Vec<(u32, CenterUpdate)>,
         _ctx: &mut TaskContext,
     ) -> Result<()> {
-        if let Some((sum, count)) = fold_point_sums(values) {
-            let inv = 1.0 / count as f64;
-            out.push((
-                key.0,
-                CenterUpdate {
-                    id: key.1 as i64,
-                    coords: sum.iter().map(|s| s * inv).collect(),
-                    count,
-                },
-            ));
-        }
+        out.extend(
+            fold_point_sums(values)
+                .map(|sums| (key.0, CenterUpdate::from_sums(key.1 as i64, sums))),
+        );
         Ok(())
     }
 }
@@ -157,7 +134,6 @@ impl Job for MultiKMeansJob {
     fn create_mapper(&self) -> MultiKMeansMapper {
         MultiKMeansMapper {
             sets: Arc::clone(&self.sets),
-            pending: std::collections::VecDeque::new(),
         }
     }
 
@@ -312,20 +288,15 @@ impl IterativeAlgorithm for MultiKAlgo {
         state.iteration as u64
     }
 
-    fn plan(&self, state: &mut MState, ctx: &EngineCtx<'_>) -> Result<Vec<PlannedJob>> {
+    fn plan(&self, state: &mut MState, ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
         let job_sets: Vec<CenterSet> = state.sets.iter().map(|s| ctx.prepare(s.clone())).collect();
         let job = MultiKMeansJob::new(Arc::new(job_sets));
         let reducers = ctx.reduce_tasks(self.ks.iter().sum::<usize>());
-        Ok(vec![PlannedJob::new(job, reducers)])
+        Ok(PlannedJob::new(job, reducers))
     }
 
-    fn apply(
-        &self,
-        state: &mut MState,
-        mut outputs: Vec<JobOutputs>,
-        _seg: &SegmentStats,
-    ) -> Result<Step> {
-        let (output, timing) = outputs.remove(0).into_parts::<(u32, CenterUpdate)>();
+    fn apply(&self, state: &mut MState, outputs: JobOutputs, _seg: &SegmentStats) -> Result<Step> {
+        let (output, timing) = outputs.into_parts::<(u32, CenterUpdate)>();
         let mut per_k: HashMap<u32, Vec<CenterUpdate>> = HashMap::new();
         for (ki, update) in output {
             per_k.entry(ki).or_default().push(update);

@@ -35,11 +35,11 @@ use gmr_mapreduce::writable::Writable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::mr::centers::{check_next_id, CenterSet};
+use crate::mr::centers::{check_next_id, CenterSet, Nearest};
 use crate::mr::engine::{
     Engine, EngineCtx, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats, SegmentStats, Step,
 };
-use crate::mr::kmeans_job::{empty_centers_error, fold_point_sums, PointSum};
+use crate::mr::kmeans_job::{fold_point_sums, PointSum};
 
 /// Key 0 carries the cost aggregate; key 1 carries sampled candidates.
 const COST_KEY: i64 = 0;
@@ -92,33 +92,28 @@ pub struct ParallelInitMapper {
 impl Mapper for ParallelInitMapper {
     type Key = i64;
     type Value = PointSum;
+    type Row = Nearest;
 
-    fn close(
-        &mut self,
-        out: &mut MapOutput<'_, i64, PointSum>,
-        _ctx: &mut TaskContext,
-    ) -> Result<()> {
-        // One aggregate cost record per map task.
-        out.emit(COST_KEY, (vec![self.cost_acc], self.seen));
-        Ok(())
-    }
-}
-
-impl PointMapper for ParallelInitMapper {
     fn dim(&self) -> usize {
         self.candidates.dim()
+    }
+
+    fn prepare_block(
+        &mut self,
+        points: &[f64],
+        norms: &[f64],
+        _ctx: &mut TaskContext,
+    ) -> Result<Vec<Nearest>> {
+        Ok(self.candidates.nearest_block(points, norms))
     }
 
     fn map_point(
         &mut self,
         point: &[f64],
+        (_, _, d2, evals): Nearest,
         out: &mut MapOutput<'_, i64, PointSum>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        let (_, _, d2, evals) = self
-            .candidates
-            .nearest_with_cost(point)
-            .ok_or_else(|| empty_centers_error("KMeansParallelInitRound"))?;
         ctx.charge_distances(evals, self.candidates.dim());
         self.cost_acc += d2;
         self.seen += 1;
@@ -128,6 +123,16 @@ impl PointMapper for ParallelInitMapper {
                 out.emit(SAMPLE_KEY, (point.to_vec(), 1));
             }
         }
+        Ok(())
+    }
+
+    fn close(
+        &mut self,
+        out: &mut MapOutput<'_, i64, PointSum>,
+        _ctx: &mut TaskContext,
+    ) -> Result<()> {
+        // One aggregate cost record per map task.
+        out.emit(COST_KEY, (vec![self.cost_acc], self.seen));
         Ok(())
     }
 }
@@ -297,7 +302,7 @@ impl IterativeAlgorithm for ParInitAlgo {
         state.next_round as u64
     }
 
-    fn plan(&self, state: &mut PState, ctx: &EngineCtx<'_>) -> Result<Vec<PlannedJob>> {
+    fn plan(&self, state: &mut PState, ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
         let round = state.next_round;
         // Oversampling factor ℓ = 2k.
         let oversample = 2.0 * self.k as f64;
@@ -305,21 +310,16 @@ impl IterativeAlgorithm for ParInitAlgo {
             .psi
             .map(|p| if p > 0.0 { oversample / p } else { 0.0 });
         let job = ParallelInitRound::new(
-            Arc::new(state.candidates.clone()),
+            Arc::new(ctx.prepare(state.candidates.clone())),
             if round == 0 { None } else { factor },
             self.seed ^ (round as u64).wrapping_mul(0x517c_c1b7),
         );
-        Ok(vec![PlannedJob::new(job, ctx.reduce_slots())])
+        Ok(PlannedJob::new(job, ctx.reduce_slots()))
     }
 
-    fn apply(
-        &self,
-        state: &mut PState,
-        mut outputs: Vec<JobOutputs>,
-        _seg: &SegmentStats,
-    ) -> Result<Step> {
+    fn apply(&self, state: &mut PState, outputs: JobOutputs, _seg: &SegmentStats) -> Result<Step> {
         let mut new_psi = 0.0;
-        for out in outputs.remove(0).take::<RoundOutput>() {
+        for out in outputs.take::<RoundOutput>() {
             match out {
                 RoundOutput::Cost { psi: p, .. } => new_psi += p,
                 RoundOutput::Candidate(coords) => {
@@ -344,7 +344,8 @@ impl IterativeAlgorithm for ParInitAlgo {
     ) -> Result<CenterSet> {
         // Weight candidates by attraction counts (one k-means job).
         let candidates = state.candidates;
-        let weight_job = crate::mr::kmeans_job::KMeansJob::new(Arc::new(candidates.clone()));
+        let weight_job =
+            crate::mr::kmeans_job::KMeansJob::new(Arc::new(ctx.prepare(candidates.clone())));
         let updates = ctx
             .execute(PlannedJob::new(weight_job, ctx.reduce_slots()))?
             .take::<crate::mr::centers::CenterUpdate>();

@@ -192,7 +192,7 @@ mod tests {
         let mut dim_counts: HashMap<usize, u64> = HashMap::new();
         let mut point = Vec::new();
         for block in &blocks {
-            for (_, line) in block.read()?.lines() {
+            for line in block.read()?.lines() {
                 point.clear();
                 let Ok(dim) = parse_point_into(line, &mut point) else {
                     continue;

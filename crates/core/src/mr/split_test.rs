@@ -28,8 +28,7 @@ use gmr_mapreduce::memory::BYTES_PER_PROJECTION;
 use gmr_mapreduce::prelude::*;
 use gmr_stats::{AdError, AndersonDarling};
 
-use crate::mr::centers::CenterSet;
-use crate::mr::kmeans_job::empty_centers_error;
+use crate::mr::centers::{CenterSet, Nearest};
 
 /// What the split test concluded for one cluster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,31 +90,20 @@ impl SplitTestSpec {
         }
     }
 
-    /// Projects one point, given the `(index, id, evals)` of its nearest
-    /// parent as the blocked kernel found it (`None` only for an empty
-    /// parent set); `Ok(None)` when the parent has no test vector.
+    /// Projects one point, given its nearest parent as the blocked
+    /// kernel found it; `None` when the parent has no test vector.
     fn project(
         &self,
         point: &[f64],
-        assigned: Option<(usize, i64, u64)>,
+        (idx, id, _, evals): Nearest,
         ctx: &mut TaskContext,
-    ) -> Result<Option<(i64, f64)>> {
-        let (idx, id, evals) = assigned.ok_or_else(|| empty_centers_error("TestClusters"))?;
+    ) -> Option<(i64, f64)> {
         ctx.charge_distances(evals, self.parents.dim());
-        Ok(self.projectors[idx].as_ref().map(|proj| {
+        self.projectors[idx].as_ref().map(|proj| {
             ctx.counters().inc(Counter::Projections);
             ctx.charge_compute(self.parents.dim() as f64);
             (id, proj.project(point))
-        }))
-    }
-
-    /// The nearest-parent assignments of one block of points.
-    fn assign_block(&self, points: &[f64], norms: &[f64]) -> Vec<(usize, i64, u64)> {
-        self.parents
-            .nearest_block(points, norms)
-            .into_iter()
-            .map(|(idx, id, _, evals)| (idx, id, evals))
-            .collect()
+        })
     }
 
     /// Runs the Anderson–Darling test on a buffered sample, mapping
@@ -163,31 +151,15 @@ impl TestClustersJob {
 /// Mapper: project every point onto its cluster's vector (Algorithm 3).
 pub struct TestClustersMapper {
     spec: SplitTestSpec,
-    /// `(index, id, evals)` rows the blocked kernel computed for the
-    /// current block, drained one per `map_point` call.
-    pending: std::collections::VecDeque<(usize, i64, u64)>,
 }
 
 impl Mapper for TestClustersMapper {
     type Key = i64;
     type Value = f64;
-}
+    type Row = Nearest;
 
-impl PointMapper for TestClustersMapper {
     fn dim(&self) -> usize {
         self.spec.parents.dim()
-    }
-
-    fn map_point(
-        &mut self,
-        point: &[f64],
-        out: &mut MapOutput<'_, i64, f64>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        if let Some((id, projection)) = self.spec.project(point, self.pending.pop_front(), ctx)? {
-            out.emit(id, projection);
-        }
-        Ok(())
     }
 
     fn prepare_block(
@@ -195,9 +167,20 @@ impl PointMapper for TestClustersMapper {
         points: &[f64],
         norms: &[f64],
         _ctx: &mut TaskContext,
+    ) -> Result<Vec<Nearest>> {
+        Ok(self.spec.parents.nearest_block(points, norms))
+    }
+
+    fn map_point(
+        &mut self,
+        point: &[f64],
+        nearest: Nearest,
+        out: &mut MapOutput<'_, i64, f64>,
+        ctx: &mut TaskContext,
     ) -> Result<()> {
-        debug_assert!(self.pending.is_empty(), "undrained block");
-        self.pending = self.spec.assign_block(points, norms).into();
+        if let Some((id, projection)) = self.spec.project(point, nearest, ctx) {
+            out.emit(id, projection);
+        }
         Ok(())
     }
 }
@@ -254,7 +237,6 @@ impl Job for TestClustersJob {
     fn create_mapper(&self) -> TestClustersMapper {
         TestClustersMapper {
             spec: self.spec.clone(),
-            pending: std::collections::VecDeque::new(),
         }
     }
 
@@ -290,14 +272,39 @@ impl TestFewClustersJob {
 pub struct TestFewClustersMapper {
     spec: SplitTestSpec,
     buffers: HashMap<i64, Vec<f64>>,
-    /// `(index, id, evals)` rows the blocked kernel computed for the
-    /// current block, drained one per `map_point` call.
-    pending: std::collections::VecDeque<(usize, i64, u64)>,
 }
 
 impl Mapper for TestFewClustersMapper {
     type Key = i64;
     type Value = SubVerdict;
+    type Row = Nearest;
+
+    fn dim(&self) -> usize {
+        self.spec.parents.dim()
+    }
+
+    fn prepare_block(
+        &mut self,
+        points: &[f64],
+        norms: &[f64],
+        _ctx: &mut TaskContext,
+    ) -> Result<Vec<Nearest>> {
+        Ok(self.spec.parents.nearest_block(points, norms))
+    }
+
+    fn map_point(
+        &mut self,
+        point: &[f64],
+        nearest: Nearest,
+        _out: &mut MapOutput<'_, i64, SubVerdict>,
+        ctx: &mut TaskContext,
+    ) -> Result<()> {
+        if let Some((id, projection)) = self.spec.project(point, nearest, ctx) {
+            ctx.heap.charge(BYTES_PER_PROJECTION)?;
+            self.buffers.entry(id).or_default().push(projection);
+        }
+        Ok(())
+    }
 
     fn close(
         &mut self,
@@ -386,36 +393,6 @@ impl Reducer for TestFewClustersReducer {
     }
 }
 
-impl PointMapper for TestFewClustersMapper {
-    fn dim(&self) -> usize {
-        self.spec.parents.dim()
-    }
-
-    fn map_point(
-        &mut self,
-        point: &[f64],
-        _out: &mut MapOutput<'_, i64, SubVerdict>,
-        ctx: &mut TaskContext,
-    ) -> Result<()> {
-        if let Some((id, projection)) = self.spec.project(point, self.pending.pop_front(), ctx)? {
-            ctx.heap.charge(BYTES_PER_PROJECTION)?;
-            self.buffers.entry(id).or_default().push(projection);
-        }
-        Ok(())
-    }
-
-    fn prepare_block(
-        &mut self,
-        points: &[f64],
-        norms: &[f64],
-        _ctx: &mut TaskContext,
-    ) -> Result<()> {
-        debug_assert!(self.pending.is_empty(), "undrained block");
-        self.pending = self.spec.assign_block(points, norms).into();
-        Ok(())
-    }
-}
-
 impl Job for TestFewClustersJob {
     type Key = i64;
     type Value = SubVerdict;
@@ -431,7 +408,6 @@ impl Job for TestFewClustersJob {
         TestFewClustersMapper {
             spec: self.spec.clone(),
             buffers: HashMap::new(),
-            pending: std::collections::VecDeque::new(),
         }
     }
 

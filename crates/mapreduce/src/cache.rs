@@ -11,8 +11,8 @@
 //! parsed **once** (one dataset read, like a Spark `cache()`d RDD
 //! materialization), and every subsequent job iterates the decoded
 //! points split by split — same partitioning, no I/O, no re-parsing.
-//! The runtime's [`crate::runtime::JobRunner::run_cached`] accepts any
-//! job whose mapper also implements [`crate::job::PointMapper`].
+//! The runtime's [`crate::runtime::JobRunner::run_cached`] runs any
+//! [`crate::job::Job`] over it.
 
 use std::sync::Arc;
 
@@ -74,7 +74,7 @@ impl PointCache {
             let split = block.read()?;
             dfs.charge_split_read(&split);
             let mut points = Dataset::new(dim);
-            for (_, line) in split.lines() {
+            for line in split.lines() {
                 match parse(line) {
                     Ok(p) if p.len() == dim => points.push(&p),
                     _ => {

@@ -165,7 +165,7 @@ impl RunJournal {
         // that §4's "dataset reads" are measured from.
         let mut lines = Vec::new();
         for block in self.dfs.blocks(&path)? {
-            lines.extend(block.read()?.lines().map(|(_, l)| l.to_string()));
+            lines.extend(block.read()?.lines().map(str::to_string));
         }
         Ok(Self::decode(seq, stored_bytes, &lines))
     }

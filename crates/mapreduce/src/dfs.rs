@@ -167,18 +167,11 @@ impl InputSplit {
         self.data.is_empty()
     }
 
-    /// Iterates `(byte_offset_in_file, line)` pairs, mirroring Hadoop's
-    /// `TextInputFormat` (key = offset, value = line without the
-    /// terminator).
-    pub fn lines(&self) -> impl Iterator<Item = (u64, &str)> {
-        let base = self.offset;
+    /// Iterates the split's lines, each without its terminator.
+    pub fn lines(&self) -> impl Iterator<Item = &str> {
         let data = std::str::from_utf8(&self.data).unwrap_or("");
-        let mut pos = 0u64;
-        data.split_inclusive('\n').map(move |raw| {
-            let off = base + pos;
-            pos += raw.len() as u64;
-            (off, raw.trim_end_matches(['\n', '\r']))
-        })
+        data.split_inclusive('\n')
+            .map(|raw| raw.trim_end_matches(['\n', '\r']))
     }
 }
 
@@ -857,7 +850,7 @@ impl Dfs {
         for block in &blocks {
             let split = block.read()?;
             self.charge_split_read(&split);
-            out.extend(split.lines().map(|(_, l)| l.to_string()));
+            out.extend(split.lines().map(str::to_string));
         }
         Ok(out)
     }
@@ -1011,7 +1004,7 @@ mod tests {
         // Reassembling the splits yields the original lines in order.
         let all: Vec<String> = splits
             .iter()
-            .flat_map(|s| s.lines().map(|(_, l)| l.to_string()).collect::<Vec<_>>())
+            .flat_map(|s| s.lines().map(str::to_string).collect::<Vec<_>>())
             .collect();
         assert_eq!(all, lines);
     }
@@ -1030,22 +1023,12 @@ mod tests {
     }
 
     #[test]
-    fn line_offsets_match_file_positions() {
+    fn lines_come_without_their_terminators() {
         let fs = dfs(10);
-        fs.put_lines("f", ["ab", "cdef", "g"]).unwrap();
+        fs.put_lines("f", ["ab\r", "cdef", "g"]).unwrap();
         let splits = read_all(&fs, "f").unwrap();
-        let offsets: Vec<(u64, String)> = splits
-            .iter()
-            .flat_map(|s| {
-                s.lines()
-                    .map(|(o, l)| (o, l.to_string()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        assert_eq!(
-            offsets,
-            vec![(0, "ab".into()), (3, "cdef".into()), (8, "g".into())]
-        );
+        let lines: Vec<&str> = splits.iter().flat_map(InputSplit::lines).collect();
+        assert_eq!(lines, ["ab", "cdef", "g"]);
     }
 
     #[test]

@@ -2,14 +2,12 @@
 //! partitioners and per-task context.
 //!
 //! The API mirrors Hadoop's: a [`Job`] bundles the mapper/reducer
-//! factories, an optional combiner and a partitioner. A mapper consumes
-//! one of two record kinds: a [`LineMapper`] receives `(byte offset,
-//! text line)` records exactly like `TextInputFormat`; a
-//! [`PointMapper`] receives decoded points in blocks — every job in the
-//! paper declares `Input: point (text)`, and the runtime parses the
-//! text for it. Both task kinds get setup/close hooks — `close` matters
-//! because the paper's `TestFewClusters` mapper (Algorithm 5) emits its
-//! per-cluster statistics from `Close`, not from `Map`.
+//! factories, an optional combiner and a partitioner. A [`Mapper`]
+//! receives decoded points in blocks — every job in the paper declares
+//! `Input: point (text)`, and the runtime parses the text for it. The
+//! mapper's `close` hook matters because the paper's `TestFewClusters`
+//! mapper (Algorithm 5) emits its per-cluster statistics from `Close`,
+//! not from `Map`.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -92,7 +90,6 @@ impl TaskContext {
 pub struct Emitter<K, V> {
     partitions: Vec<Vec<(K, V)>>,
     records_since_spill: usize,
-    emitted: u64,
     /// Serialized size of the buffered pairs — the sort-buffer bytes
     /// the out-of-core path triggers spills on and charges to the heap
     /// ledger. Only maintained when byte tracking is on, keeping the
@@ -106,7 +103,6 @@ impl<K: ShuffleKey, V: ShuffleValue> Emitter<K, V> {
         Self {
             partitions: (0..num_partitions).map(|_| Vec::new()).collect(),
             records_since_spill: 0,
-            emitted: 0,
             buffered_bytes: 0,
             track_bytes: false,
         }
@@ -128,7 +124,6 @@ impl<K: ShuffleKey, V: ShuffleValue> Emitter<K, V> {
         }
         self.partitions[partition].push((key, value));
         self.records_since_spill += 1;
-        self.emitted += 1;
     }
 
     pub(crate) fn records_since_spill(&self) -> usize {
@@ -149,18 +144,8 @@ impl<K: ShuffleKey, V: ShuffleValue> Emitter<K, V> {
         self.buffered_bytes = 0;
     }
 
-    #[allow(dead_code)] // exercised by unit tests
-    pub(crate) fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
     pub(crate) fn partitions_mut(&mut self) -> &mut [Vec<(K, V)>] {
         &mut self.partitions
-    }
-
-    #[allow(dead_code)] // exercised by unit tests
-    pub(crate) fn into_partitions(self) -> Vec<Vec<(K, V)>> {
-        self.partitions
     }
 }
 
@@ -181,82 +166,58 @@ impl<K: ShuffleKey, V: ShuffleValue> MapOutput<'_, K, V> {
     }
 }
 
-/// Map task logic common to both record kinds: the intermediate types
-/// and the setup/close hooks. One instance is created per map task
-/// attempt; a job's mapper also implements [`LineMapper`] or
-/// [`PointMapper`], which decides how the runtime feeds it.
+/// Map task logic. One instance is created per map task attempt.
+///
+/// The runtime feeds a mapper from a DFS text file
+/// ([`crate::runtime::JobRunner::run`]) and from a parsed-once cache
+/// ([`crate::runtime::JobRunner::run_cached`]) the same way: blocks of
+/// at most [`crate::runtime::MAP_BLOCK_POINTS`] points, in input order.
+/// For each block that holds a point it calls [`Mapper::prepare_block`]
+/// once, then [`Mapper::map_point`] once per point, handing each point
+/// its row.
+/// A text map task parses its split with [`crate::text::PointLines`],
+/// and quarantines each line that is not a finite point of
+/// [`Mapper::dim`] coordinates as a bad record (Hadoop's bad-record
+/// skipping), at its place in the record sequence.
 pub trait Mapper: Send {
     /// Intermediate key type.
     type Key: ShuffleKey;
     /// Intermediate value type.
     type Value: ShuffleValue;
+    /// What [`Mapper::prepare_block`] computes for one point — for every
+    /// job in the paper, its nearest center.
+    type Row;
 
-    /// Called once before the first record (Hadoop `setup`).
-    fn setup(&mut self, _ctx: &mut TaskContext) -> Result<()> {
-        Ok(())
-    }
-
-    /// Called once after the last record (Hadoop `cleanup`); may emit.
-    fn close(
-        &mut self,
-        _out: &mut MapOutput<'_, Self::Key, Self::Value>,
-        _ctx: &mut TaskContext,
-    ) -> Result<()> {
-        Ok(())
-    }
-}
-
-/// A mapper over raw text records, run by
-/// [`crate::runtime::JobRunner::run_lines`].
-pub trait LineMapper: Mapper {
-    /// Called for every input record: the record's byte offset in the
-    /// file and the text line.
-    fn map(
-        &mut self,
-        offset: u64,
-        line: &str,
-        out: &mut MapOutput<'_, Self::Key, Self::Value>,
-        ctx: &mut TaskContext,
-    ) -> Result<()>;
-}
-
-/// A mapper over decoded points, run on a DFS text file by
-/// [`crate::runtime::JobRunner::run`] and on a parsed-once cache by
-/// [`crate::runtime::JobRunner::run_cached`].
-///
-/// Both feed the mapper the same way: blocks of at most
-/// [`crate::runtime::MAP_BLOCK_POINTS`] points, each announced by
-/// [`PointMapper::prepare_block`] and then consumed one point per
-/// [`PointMapper::map_point`], in input order. A text map task parses
-/// its split with [`crate::text::PointLines`], and quarantines each line
-/// that is not a finite point of [`PointMapper::dim`] coordinates as a
-/// bad record (Hadoop's bad-record skipping), at its place in the
-/// record sequence.
-pub trait PointMapper: Mapper {
     /// Dimensionality of the points this mapper consumes (positive).
     fn dim(&self) -> usize;
 
-    /// Processes one decoded point.
+    /// Computes one row per point of a flat block of points (given with
+    /// their squared norms), in order; any other number of rows fails
+    /// the map task. Distance-heavy mappers run the blocked
+    /// nearest-center kernel over the whole block here; the emissions
+    /// stay in [`Mapper::map_point`], so emission order, spill
+    /// boundaries and counter timing are those of one point at a time.
+    fn prepare_block(
+        &mut self,
+        points: &[f64],
+        norms: &[f64],
+        ctx: &mut TaskContext,
+    ) -> Result<Vec<Self::Row>>;
+
+    /// Processes one point with the row [`Mapper::prepare_block`]
+    /// computed for it.
     fn map_point(
         &mut self,
         point: &[f64],
+        row: Self::Row,
         out: &mut MapOutput<'_, Self::Key, Self::Value>,
         ctx: &mut TaskContext,
     ) -> Result<()>;
 
-    /// Called with a flat block of points (and their squared norms)
-    /// *before* the per-point [`PointMapper::map_point`] calls for those
-    /// same points, in order.
-    ///
-    /// Mappers on a distance-heavy path compute nearest-center results
-    /// for the whole block here (feeding the blocked kernel) and drain
-    /// them one per `map_point` call, so emission order, spill
-    /// boundaries, and counter timing are those of one point at a
-    /// time. The default does nothing.
-    fn prepare_block(
+    /// Called once after the last point (Hadoop `cleanup`); may emit.
+    fn close(
         &mut self,
-        _points: &[f64],
-        _norms: &[f64],
+        _out: &mut MapOutput<'_, Self::Key, Self::Value>,
         _ctx: &mut TaskContext,
     ) -> Result<()> {
         Ok(())
@@ -288,11 +249,6 @@ pub trait Reducer: Send {
     /// Final output record type.
     type Output: Send + 'static;
 
-    /// Called once before the first group.
-    fn setup(&mut self, _ctx: &mut TaskContext) -> Result<()> {
-        Ok(())
-    }
-
     /// Called once per distinct key with all its values.
     fn reduce(
         &mut self,
@@ -301,11 +257,6 @@ pub trait Reducer: Send {
         out: &mut Vec<Self::Output>,
         ctx: &mut TaskContext,
     ) -> Result<()>;
-
-    /// Called once after the last group; may append output.
-    fn close(&mut self, _out: &mut Vec<Self::Output>, _ctx: &mut TaskContext) -> Result<()> {
-        Ok(())
-    }
 }
 
 /// A complete MapReduce job description.
@@ -456,8 +407,7 @@ mod tests {
             out.emit(3, 3.0);
         }
         assert_eq!(counters.get(Counter::MapOutputRecords), 3);
-        assert_eq!(emitter.emitted(), 3);
-        let parts = emitter.into_partitions();
+        let parts = emitter.partitions;
         assert_eq!(parts[0], vec![(0, 1.0), (3, 3.0)]);
         assert_eq!(parts[1], vec![(1, 2.0)]);
         assert!(parts[2].is_empty());

@@ -13,7 +13,8 @@
 //! * [`text`] — the point-per-line text encoding, and the one byte
 //!   scanner every reader of point text goes through;
 //! * [`job`] — the Mapper/Reducer/Combiner/Partitioner programming
-//!   model, with `setup`/`close` hooks (Algorithm 5 emits from `Close`);
+//!   model: a mapper takes points a block at a time, and may emit from
+//!   its `close` hook (Algorithm 5 emits from `Close`);
 //! * [`shuffle`] — spill, sort, combine, serialize, then a streaming
 //!   k-way merge on the reduce side;
 //! * [`runtime`] — task execution over a pool of worker threads standing
@@ -34,7 +35,10 @@
 //!
 //! # Example
 //!
-//! A complete word-count-shaped job (sum per key) over DFS text:
+//! A complete word-count-shaped job (count per key) over DFS text of
+//! one-coordinate points. `prepare_block` computes one row per point of
+//! a block — here the point's key; the paper's jobs compute its nearest
+//! center — and `map_point` emits with it:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -47,13 +51,15 @@
 //! impl Mapper for SumMapper {
 //!     type Key = i64;
 //!     type Value = u64;
-//! }
-//!
-//! impl LineMapper for SumMapper {
-//!     fn map(&mut self, _off: u64, line: &str, out: &mut MapOutput<'_, i64, u64>,
-//!            _ctx: &mut TaskContext) -> gmr_mapreduce::Result<()> {
-//!         let id: i64 = line.trim().parse().unwrap_or(0);
-//!         out.emit(id, 1);
+//!     type Row = i64;
+//!     fn dim(&self) -> usize { 1 }
+//!     fn prepare_block(&mut self, points: &[f64], _norms: &[f64],
+//!                      _ctx: &mut TaskContext) -> gmr_mapreduce::Result<Vec<i64>> {
+//!         Ok(points.iter().map(|&x| x as i64).collect())
+//!     }
+//!     fn map_point(&mut self, _point: &[f64], key: i64, out: &mut MapOutput<'_, i64, u64>,
+//!                  _ctx: &mut TaskContext) -> gmr_mapreduce::Result<()> {
+//!         out.emit(key, 1);
 //!         Ok(())
 //!     }
 //! }
@@ -87,7 +93,7 @@
 //! let dfs = Arc::new(Dfs::default());
 //! dfs.put_lines("in", ["1", "2", "1", "1"]).unwrap();
 //! let runner = JobRunner::new(Arc::clone(&dfs), ClusterConfig::default()).unwrap();
-//! let mut result = runner.run_lines(&SumJob, "in", &JobConfig::with_reducers(2)).unwrap();
+//! let mut result = runner.run(&SumJob, "in", &JobConfig::with_reducers(2)).unwrap();
 //! result.output.sort();
 //! assert_eq!(result.output, vec![(1, 3), (2, 1)]);
 //! ```
@@ -125,9 +131,7 @@ pub mod prelude {
     pub use crate::dfs::{BlockLossReport, Dfs, InputSplit};
     pub use crate::error::{Error, Result};
     pub use crate::faults::{FaultDecision, FaultPlan, MembershipPlan, NodeStatus, TaskKind};
-    pub use crate::job::{
-        Job, JobConfig, LineMapper, MapOutput, Mapper, PointMapper, Reducer, TaskContext, Values,
-    };
+    pub use crate::job::{Job, JobConfig, MapOutput, Mapper, Reducer, TaskContext, Values};
     pub use crate::memory::{HeapEstimator, HeapLedger, BYTES_PER_PROJECTION, MAX_HEAP_USAGE};
     pub use crate::runtime::{JobResult, JobRunner};
     pub use crate::shuffle::CommitFence;

@@ -43,20 +43,17 @@ use crate::counters::{Counter, Counters};
 use crate::dfs::{Dfs, InputSplit};
 use crate::error::{Error, Result};
 use crate::faults::{FaultDecision, FaultPlan, NodeStatus, TaskKind};
-use crate::job::{
-    Emitter, Job, JobConfig, LineMapper, MapOutput, Mapper, PointMapper, Reducer, TaskContext,
-    Values,
-};
+use crate::job::{Emitter, Job, JobConfig, MapOutput, Mapper, Reducer, TaskContext, Values};
 use crate::memory::HeapLedger;
 use crate::shuffle::{
-    encode_segment, merge_combine_to_run, merge_to_run, sort_and_combine, CommitFence, MergeIter,
-    Segment, ShuffleSegment,
+    encode_segment, merge_combine_to_run, merge_to_run, sort_and_combine, CommitFence, KeyGroups,
+    MergeIter, Segment, ShuffleSegment,
 };
 use crate::spill::{RunWriter, SpillDir, SpillIo};
 use crate::text::PointLines;
 use crate::writable::{ShuffleKey, ShuffleValue};
 
-/// Points per [`PointMapper::prepare_block`] block of a cached split,
+/// Points per [`Mapper::prepare_block`] block of a cached split,
 /// and lines per block of a text split (rejected lines leave fewer
 /// points): big enough to amortize the blocked kernel's tile sweeps,
 /// small enough that a block of precomputed assignments stays
@@ -368,7 +365,7 @@ fn premerge<K: ShuffleKey, V: ShuffleValue>(
     Ok(charge)
 }
 
-/// The split one point map task reads.
+/// The split one map task reads.
 enum PointSplit<'a> {
     /// DFS text, parsed block by block inside the task.
     Text(&'a InputSplit),
@@ -381,8 +378,7 @@ enum PointSplit<'a> {
 type MapTaskResult = Result<(Vec<ShuffleSegment>, TaskCost)>;
 
 /// One attempt of one map task: the task context, the emitter, the
-/// spill state and the per-record spill policy, shared by the line and
-/// the point task bodies.
+/// spill state and the per-record spill policy.
 struct MapAttempt<'a, J: Job> {
     runner: &'a JobRunner,
     job: &'a J,
@@ -433,14 +429,10 @@ impl<'a, J: Job> MapAttempt<'a, J> {
         }
     }
 
-    /// Runs a point mapper over its split, block by block (see
+    /// Runs the mapper over its split, block by block (see
     /// [`MapAttempt::point_block`]).
-    fn run_points(mut self, split: PointSplit<'_>) -> MapTaskResult
-    where
-        J::Mapper: PointMapper,
-    {
+    fn run(mut self, split: PointSplit<'_>) -> MapTaskResult {
         let mut mapper = self.job.create_mapper();
-        mapper.setup(&mut self.ctx)?;
         match split {
             PointSplit::Cached(split) => {
                 let dim = split.points.dim();
@@ -460,10 +452,7 @@ impl<'a, J: Job> MapAttempt<'a, J> {
     /// Parses a text split into blocks of up to [`MAP_BLOCK_POINTS`]
     /// lines, each remembering where its rejected lines fell, and feeds
     /// every block to the mapper.
-    fn parse_blocks(&mut self, mapper: &mut J::Mapper, split: &InputSplit) -> Result<()>
-    where
-        J::Mapper: PointMapper,
-    {
+    fn parse_blocks(&mut self, mapper: &mut J::Mapper, split: &InputSplit) -> Result<()> {
         let dim = mapper.dim();
         let mut points = Vec::with_capacity(MAP_BLOCK_POINTS * dim);
         let mut bad: Vec<(usize, &str)> = Vec::new();
@@ -487,20 +476,6 @@ impl<'a, J: Job> MapAttempt<'a, J> {
             let norms = gmr_linalg::squared_norms(&points, dim);
             self.point_block(mapper, dim, &points, &norms, &bad, records)?;
         }
-    }
-
-    /// Runs a line mapper over every `(offset, line)` record of its
-    /// split.
-    fn run_lines(mut self, split: &InputSplit) -> MapTaskResult
-    where
-        J::Mapper: LineMapper,
-    {
-        let mut mapper = self.job.create_mapper();
-        mapper.setup(&mut self.ctx)?;
-        for (offset, line) in split.lines() {
-            self.record(|out, ctx| mapper.map(offset, line, out, ctx))?;
-        }
-        self.finish(&mut mapper, Some(split), 0)
     }
 
     /// Calls `f` with the attempt's output handle and task context.
@@ -551,10 +526,11 @@ impl<'a, J: Job> MapAttempt<'a, J> {
         }
     }
 
-    /// Feeds one block to a point mapper: [`PointMapper::prepare_block`]
-    /// over its points, then one record per input line in order —
-    /// `map_point` for each point, and a bad-record quarantine for each
-    /// `(line number within the block, line)` of `bad`.
+    /// Feeds one block to the mapper: [`Mapper::prepare_block`] over
+    /// its points, then one record per input line in order —
+    /// `map_point` with its row for each point, and a bad-record
+    /// quarantine for each `(line number within the block, line)` of
+    /// `bad`. A block without points prepares nothing.
     fn point_block(
         &mut self,
         mapper: &mut J::Mapper,
@@ -563,14 +539,21 @@ impl<'a, J: Job> MapAttempt<'a, J> {
         norms: &[f64],
         bad: &[(usize, &str)],
         records: usize,
-    ) -> Result<()>
-    where
-        J::Mapper: PointMapper,
-    {
-        if !norms.is_empty() {
-            mapper.prepare_block(points, norms, &mut self.ctx)?;
+    ) -> Result<()> {
+        let rows = if norms.is_empty() {
+            Vec::new()
+        } else {
+            mapper.prepare_block(points, norms, &mut self.ctx)?
+        };
+        if rows.len() != norms.len() {
+            return Err(Error::Task(format!(
+                "{}: prepare_block returned {} rows for {} points",
+                self.job.name(),
+                rows.len(),
+                norms.len()
+            )));
         }
-        let mut rows = points.chunks_exact(dim);
+        let mut rows = points.chunks_exact(dim).zip(rows);
         let mut bad = bad.iter().peekable();
         for record in 0..records {
             if let Some(&(_, line)) = bad.next_if(|(at, _)| *at == record) {
@@ -579,8 +562,8 @@ impl<'a, J: Job> MapAttempt<'a, J> {
                     Ok(())
                 })?;
             } else {
-                let point = rows.next().expect("one point per accepted line");
-                self.record(|out, ctx| mapper.map_point(point, out, ctx))?;
+                let (point, row) = rows.next().expect("one point per accepted line");
+                self.record(|out, ctx| mapper.map_point(point, row, out, ctx))?;
             }
         }
         Ok(())
@@ -1267,56 +1250,45 @@ impl JobRunner {
         timing
     }
 
-    /// Runs a point job over a DFS text file and returns its output,
-    /// counters and timing.
+    /// Runs a job over a DFS text file (one dataset read) and returns
+    /// its output, counters and timing.
     ///
-    /// Every map task parses its split [`MAP_BLOCK_POINTS`] lines at a
-    /// time with [`PointLines`], quarantining the lines that are not
-    /// points of the mapper's dimension as bad records, and hands each
-    /// block of points to the mapper exactly as [`JobRunner::run_cached`]
-    /// hands over a cached block.
-    pub fn run<J>(&self, job: &J, input: &str, config: &JobConfig) -> Result<JobResult<J::Output>>
-    where
-        J: Job,
-        J::Mapper: PointMapper,
-    {
-        self.run_text(job, input, config, |task, split| {
-            task.run_points(PointSplit::Text(split))
-        })
-    }
-
-    /// Runs a job whose mapper consumes raw `(byte offset, line)`
-    /// records over a DFS text file.
-    pub fn run_lines<J>(
+    /// Every map task reads its own block on its task thread, so a
+    /// corrupt stored block fails the attempts that read it, and the
+    /// job once the task's attempt budget is spent. It parses its split
+    /// [`MAP_BLOCK_POINTS`] lines at a time with [`PointLines`],
+    /// quarantining the lines that are not points of the mapper's
+    /// dimension as bad records, and hands each block of points to the
+    /// mapper exactly as [`JobRunner::run_cached`] hands over a cached
+    /// block.
+    pub fn run<J: Job>(
         &self,
         job: &J,
         input: &str,
         config: &JobConfig,
-    ) -> Result<JobResult<J::Output>>
-    where
-        J: Job,
-        J::Mapper: LineMapper,
-    {
-        self.run_text(job, input, config, |task, split| task.run_lines(split))
+    ) -> Result<JobResult<J::Output>> {
+        check_reduce_tasks(job, config)?;
+        let wall_start = Instant::now();
+        let blocks = self.dfs.blocks(input)?;
+        self.dfs.begin_dataset_read();
+        self.run_job(job, input, config, blocks.len(), wall_start, |i, task| {
+            task.run(PointSplit::Text(&blocks[i].read()?))
+        })
     }
 
-    /// Runs a point job over an in-memory [`PointCache`] instead of a
+    /// Runs a job over an in-memory [`PointCache`] instead of a
     /// DFS file — the Spark-style iterative mode of the paper's §6
     /// future work. No dataset read is charged (the cache build already
     /// paid one), no bytes are scanned from the DFS, and no text is
     /// parsed; the map cost is the `secs_per_cached_point` memory-scan
     /// term. Results are identical to [`JobRunner::run`] on the text
     /// form of the same points.
-    pub fn run_cached<J>(
+    pub fn run_cached<J: Job>(
         &self,
         job: &J,
         cache: &PointCache,
         config: &JobConfig,
-    ) -> Result<JobResult<J::Output>>
-    where
-        J: Job,
-        J::Mapper: PointMapper,
-    {
+    ) -> Result<JobResult<J::Output>> {
         check_reduce_tasks(job, config)?;
         let wall_start = Instant::now();
         let splits = cache.splits();
@@ -1329,33 +1301,8 @@ impl JobRunner {
             config,
             splits.len(),
             wall_start,
-            |i, task| task.run_points(PointSplit::Cached(&splits[i])),
+            |i, task| task.run(PointSplit::Cached(&splits[i])),
         )
-    }
-
-    /// Runs `job` over DFS file `input` (one dataset read) with
-    /// `map_task` running one attempt over one split. Each attempt reads
-    /// its own block on its task thread, so a corrupt stored block fails
-    /// the attempts that read it, and the job once the task's attempt
-    /// budget is spent.
-    fn run_text<J, T>(
-        &self,
-        job: &J,
-        input: &str,
-        config: &JobConfig,
-        map_task: T,
-    ) -> Result<JobResult<J::Output>>
-    where
-        J: Job,
-        T: Fn(MapAttempt<'_, J>, &InputSplit) -> MapTaskResult + Sync,
-    {
-        check_reduce_tasks(job, config)?;
-        let wall_start = Instant::now();
-        let blocks = self.dfs.blocks(input)?;
-        self.dfs.begin_dataset_read();
-        self.run_job(job, input, config, blocks.len(), wall_start, |i, task| {
-            map_task(task, &blocks[i].read()?)
-        })
     }
 
     /// The job body every input source shares: node weather, the map
@@ -1535,7 +1482,6 @@ impl JobRunner {
         let shuffle_in: u64 = sources.iter().map(|s| s.len() as u64).sum();
         let mut reducer = job.create_reducer();
         let mut out: Vec<J::Output> = Vec::new();
-        reducer.setup(&mut ctx)?;
 
         // Out-of-core reduces bound the merge fan-in the same way the
         // map side does.
@@ -1553,71 +1499,19 @@ impl JobRunner {
         }
 
         let mut merge: MergeIter<J::Key, J::Value> = MergeIter::from_sources(sources)?;
-        let mut lookahead: Option<(J::Key, J::Value)> = match merge.next() {
-            None => None,
-            Some(r) => {
-                counters.inc(Counter::ReduceInputRecords);
-                Some(r?)
-            }
-        };
-        while let Some((key, first_value)) = lookahead.take() {
+        let records = merge
+            .by_ref()
+            .inspect(|_| counters.inc(Counter::ReduceInputRecords));
+        let mut groups = KeyGroups::new(records);
+        while let Some(key) = groups.next_key()? {
             counters.inc(Counter::ReduceInputGroups);
-            let group_key = key.clone();
-            let mut first = Some(first_value);
-            let mut boundary: Option<(J::Key, J::Value)> = None;
-            let mut decode_err: Option<Error> = None;
-            {
-                let mut next_fn = || -> Option<J::Value> {
-                    if let Some(v) = first.take() {
-                        return Some(v);
-                    }
-                    if boundary.is_some() || decode_err.is_some() {
-                        return None;
-                    }
-                    match merge.next() {
-                        None => None,
-                        Some(Err(e)) => {
-                            decode_err = Some(e);
-                            None
-                        }
-                        Some(Ok((k, v))) => {
-                            counters.inc(Counter::ReduceInputRecords);
-                            if k == group_key {
-                                Some(v)
-                            } else {
-                                boundary = Some((k, v));
-                                None
-                            }
-                        }
-                    }
-                };
-                reducer.reduce(
-                    key,
-                    Values {
-                        next_fn: &mut next_fn,
-                    },
-                    &mut out,
-                    &mut ctx,
-                )?;
-                // Drain any values the reducer did not consume so the
-                // next group starts at the right record.
-                while next_fn().is_some() {}
-            }
-            if let Some(e) = decode_err {
-                return Err(e);
-            }
-            lookahead = match boundary {
-                Some(pair) => Some(pair),
-                None => match merge.next() {
-                    None => None,
-                    Some(r) => {
-                        counters.inc(Counter::ReduceInputRecords);
-                        Some(r?)
-                    }
-                },
+            let mut next_fn = || groups.next_value();
+            let values = Values {
+                next_fn: &mut next_fn,
             };
+            reducer.reduce(key, values, &mut out, &mut ctx)?;
         }
-        reducer.close(&mut out, &mut ctx)?;
+        drop(groups);
         io.absorb(&merge.io());
         ctx.heap.release(merge_charged);
         if io.compressed_raw > 0 || io.decompressed_raw > 0 {
@@ -1922,21 +1816,38 @@ mod tests {
         assert_eq!(counters.get(Counter::ShuffleFetchFailures), 0);
     }
 
-    /// Counts its input lines under one key.
-    struct LineCount;
-    struct LineCountMapper;
+    /// Counts its three-coordinate input points under one key; its
+    /// mapper returns `missing` rows too few per block.
+    struct LineCount {
+        missing: usize,
+    }
+    struct LineCountMapper {
+        missing: usize,
+    }
     struct LineCountReducer;
 
     impl Mapper for LineCountMapper {
         type Key = i64;
         type Value = u64;
-    }
+        type Row = ();
 
-    impl LineMapper for LineCountMapper {
-        fn map(
+        fn dim(&self) -> usize {
+            3
+        }
+
+        fn prepare_block(
             &mut self,
-            _offset: u64,
-            _line: &str,
+            _points: &[f64],
+            norms: &[f64],
+            _ctx: &mut TaskContext,
+        ) -> Result<Vec<()>> {
+            Ok(vec![(); norms.len() - self.missing])
+        }
+
+        fn map_point(
+            &mut self,
+            _point: &[f64],
+            _row: (),
             out: &mut MapOutput<'_, i64, u64>,
             _ctx: &mut TaskContext,
         ) -> Result<()> {
@@ -1971,7 +1882,9 @@ mod tests {
             "line-count"
         }
         fn create_mapper(&self) -> LineCountMapper {
-            LineCountMapper
+            LineCountMapper {
+                missing: self.missing,
+            }
         }
         fn create_reducer(&self) -> LineCountReducer {
             LineCountReducer
@@ -1985,7 +1898,8 @@ mod tests {
             .unwrap();
         let runner = JobRunner::new(Arc::clone(&dfs), ClusterConfig::with_nodes(4)).unwrap();
         let config = JobConfig::with_reducers(1);
-        let calm = runner.run_lines(&LineCount, "in", &config).unwrap();
+        let count = LineCount { missing: 0 };
+        let calm = runner.run(&count, "in", &config).unwrap();
         assert_eq!(calm.output, vec![400]);
         // Handing out the blocks still succeeds; the map task reading
         // block 3 fails every attempt, and the job with its error.
@@ -1993,11 +1907,28 @@ mod tests {
         let torn = bytes::Bytes::from(&stored[..stored.len() - 1]);
         dfs.swap_stored_block("in", 3, torn);
         assert!(dfs.blocks("in").is_ok());
-        let err = runner.run_lines(&LineCount, "in", &config).unwrap_err();
+        let err = runner.run(&count, "in", &config).unwrap_err();
         assert!(
             matches!(err, Error::Corrupt(ref msg) if msg.starts_with("in block 3: ")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_block_with_a_row_per_point_missing_fails_the_task() {
+        let dfs = Arc::new(Dfs::new(1 << 16));
+        dfs.put_lines("in", (0..10).map(|i| format!("{i} 0 0")))
+            .unwrap();
+        let runner = JobRunner::new(dfs, ClusterConfig::with_nodes(4)).unwrap();
+        let err = runner
+            .run(
+                &LineCount { missing: 1 },
+                "in",
+                &JobConfig::with_reducers(1),
+            )
+            .unwrap_err();
+        let want = "line-count: prepare_block returned 9 rows for 10 points";
+        assert_eq!(err, Error::Task(want.into()));
     }
 
     #[test]
@@ -2043,16 +1974,25 @@ mod tests {
     impl Mapper for CountMapper {
         type Key = i64;
         type Value = u64;
-    }
+        type Row = ();
 
-    impl PointMapper for CountMapper {
         fn dim(&self) -> usize {
             2
+        }
+
+        fn prepare_block(
+            &mut self,
+            _points: &[f64],
+            norms: &[f64],
+            _ctx: &mut TaskContext,
+        ) -> Result<Vec<()>> {
+            Ok(vec![(); norms.len()])
         }
 
         fn map_point(
             &mut self,
             point: &[f64],
+            _row: (),
             out: &mut MapOutput<'_, i64, u64>,
             _ctx: &mut TaskContext,
         ) -> Result<()> {

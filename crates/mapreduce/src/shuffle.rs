@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use crate::cluster::OutOfCoreConfig;
 use crate::counters::{Counter, Counters};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::job::Job;
 use crate::spill::{RunCursor, RunWriter, SpillDir, SpillIo, SpillRun};
 use crate::writable::{ShuffleKey, ShuffleValue, Writable};
@@ -112,29 +112,85 @@ pub fn sort_and_combine<J: Job>(job: &J, buf: &mut Vec<(J::Key, J::Value)>, coun
     let pairs = std::mem::take(buf);
     counters.add(Counter::CombineInputRecords, pairs.len() as u64);
     let mut out: Vec<(J::Key, J::Value)> = Vec::with_capacity(pairs.len() / 2 + 1);
-    let mut iter = pairs.into_iter();
-    let mut current: Option<(J::Key, Vec<J::Value>)> = None;
-    let flush = |key: J::Key, values: Vec<J::Value>, out: &mut Vec<(J::Key, J::Value)>| {
+    // In-memory pairs cannot fail to decode, so no group ends in error.
+    let mut groups = KeyGroups::new(pairs.into_iter().map(Ok));
+    while let Ok(Some(key)) = groups.next_key() {
+        let values = std::iter::from_fn(|| groups.next_value()).collect();
         for v in job.combine(&key, values) {
             out.push((key.clone(), v));
         }
-    };
-    for (k, v) in iter.by_ref() {
-        match current.as_mut() {
-            Some((ck, vals)) if *ck == k => vals.push(v),
-            _ => {
-                if let Some((ck, vals)) = current.take() {
-                    flush(ck, vals, &mut out);
-                }
-                current = Some((k, vec![v]));
-            }
-        }
-    }
-    if let Some((ck, vals)) = current.take() {
-        flush(ck, vals, &mut out);
     }
     counters.add(Counter::CombineOutputRecords, out.len() as u64);
     *buf = out;
+}
+
+/// One walk over the key groups of a key-sorted `(key, value)` record
+/// stream — the grouping the map-side combine ([`sort_and_combine`]),
+/// the spilled combine ([`merge_combine_to_run`]) and the reduce task
+/// share. [`KeyGroups::next_key`] starts the next group and
+/// [`KeyGroups::next_value`] reads its values lazily off the stream;
+/// values left unread are skipped when the next group starts. A record
+/// that fails to decode ends its group, and the error surfaces from the
+/// next [`KeyGroups::next_key`].
+pub(crate) struct KeyGroups<K, V, I> {
+    records: std::iter::Fuse<I>,
+    /// The current group's key, until its last value has been read.
+    key: Option<K>,
+    /// The current group's first value, until it has been read.
+    first: Option<V>,
+    /// The record read past the current group's end: the next group's
+    /// first.
+    next: Option<(K, V)>,
+    /// The decode error that ended the current group.
+    error: Option<Error>,
+}
+
+impl<K: ShuffleKey, V, I: Iterator<Item = Result<(K, V)>>> KeyGroups<K, V, I> {
+    pub(crate) fn new(records: I) -> Self {
+        Self {
+            records: records.fuse(),
+            key: None,
+            first: None,
+            next: None,
+            error: None,
+        }
+    }
+
+    /// Skips what is left of the current group and starts the next:
+    /// returns its key, `None` at the end of the stream, or the decode
+    /// error that ended the current group.
+    pub(crate) fn next_key(&mut self) -> Result<Option<K>> {
+        while self.next_value().is_some() {}
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        let (key, value) = match self.next.take() {
+            Some(pair) => pair,
+            None => match self.records.next() {
+                Some(record) => record?,
+                None => return Ok(None),
+            },
+        };
+        self.key = Some(key.clone());
+        self.first = Some(value);
+        Ok(Some(key))
+    }
+
+    /// The current group's next value, or `None` past its last.
+    pub(crate) fn next_value(&mut self) -> Option<V> {
+        if let Some(v) = self.first.take() {
+            return Some(v);
+        }
+        let key = self.key.as_ref()?;
+        match self.records.next() {
+            Some(Ok((k, v))) if k == *key => return Some(v),
+            Some(Ok(pair)) => self.next = Some(pair),
+            Some(Err(e)) => self.error = Some(e),
+            None => {}
+        }
+        self.key = None;
+        None
+    }
 }
 
 /// Serializes a key-sorted buffer into a shuffle [`Segment`].
@@ -345,36 +401,23 @@ pub fn merge_combine_to_run<J: Job>(
             writer.push(&k, &v)?;
         }
     } else {
-        let mut current: Option<(J::Key, Vec<J::Value>)> = None;
-        let flush = |key: J::Key, values: Vec<J::Value>, writer: &mut RunWriter| -> Result<()> {
+        let records = merge
+            .by_ref()
+            .inspect(|_| counters.inc(Counter::CombineInputRecords));
+        let mut groups = KeyGroups::new(records);
+        while let Some(key) = groups.next_key()? {
+            let mut values = Vec::new();
+            while let Some(v) = groups.next_value() {
+                values.push(v);
+                if values.len() >= GROUP_CHUNK {
+                    values = job.combine(&key, values);
+                }
+            }
             let outs = job.combine(&key, values);
             counters.add(Counter::CombineOutputRecords, outs.len() as u64);
             for v in outs {
                 writer.push(&key, &v)?;
             }
-            Ok(())
-        };
-        for record in merge.by_ref() {
-            let (k, v) = record?;
-            counters.inc(Counter::CombineInputRecords);
-            match current.as_mut() {
-                Some((ck, vals)) if *ck == k => {
-                    vals.push(v);
-                    if vals.len() >= GROUP_CHUNK {
-                        let partial = job.combine(ck, std::mem::take(vals));
-                        *vals = partial;
-                    }
-                }
-                _ => {
-                    if let Some((ck, vals)) = current.take() {
-                        flush(ck, vals, &mut writer)?;
-                    }
-                    current = Some((k, vec![v]));
-                }
-            }
-        }
-        if let Some((ck, vals)) = current.take() {
-            flush(ck, vals, &mut writer)?;
         }
     }
     let mut io = merge.io();
@@ -459,6 +502,27 @@ mod tests {
     impl Mapper for NopMapper {
         type Key = i64;
         type Value = u64;
+        type Row = ();
+        fn dim(&self) -> usize {
+            1
+        }
+        fn prepare_block(
+            &mut self,
+            _points: &[f64],
+            norms: &[f64],
+            _ctx: &mut TaskContext,
+        ) -> Result<Vec<()>> {
+            Ok(vec![(); norms.len()])
+        }
+        fn map_point(
+            &mut self,
+            _point: &[f64],
+            _row: (),
+            _out: &mut crate::job::MapOutput<'_, i64, u64>,
+            _ctx: &mut TaskContext,
+        ) -> Result<()> {
+            Ok(())
+        }
     }
     struct NopReducer;
     impl Reducer for NopReducer {
@@ -527,6 +591,31 @@ mod tests {
         let mut buf: Vec<(i64, u64)> = vec![];
         sort_and_combine(&job, &mut buf, &counters);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn key_groups_skip_unread_values_and_surface_errors_after_the_group() {
+        let torn = || Error::Corrupt("torn".into());
+        let records: Vec<Result<(i64, u64)>> = vec![
+            Ok((1, 10)),
+            Ok((1, 11)),
+            Ok((2, 20)),
+            Ok((2, 21)),
+            Err(torn()),
+            Ok((3, 30)),
+        ];
+        let mut groups = KeyGroups::new(records.into_iter());
+        assert_eq!(groups.next_key(), Ok(Some(1)));
+        assert_eq!(groups.next_value(), Some(10), "11 is left unread");
+        assert_eq!(groups.next_key(), Ok(Some(2)));
+        assert_eq!(groups.next_value(), Some(20));
+        assert_eq!(groups.next_value(), Some(21));
+        assert_eq!(groups.next_value(), None, "the error ends the group");
+        assert_eq!(groups.next_key(), Err(torn()));
+
+        let mut empty = KeyGroups::new(Vec::<Result<(i64, u64)>>::new().into_iter());
+        assert_eq!(empty.next_value(), None);
+        assert_eq!(empty.next_key(), Ok(None));
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! End-to-end tests of the MapReduce engine: jobs over DFS text files,
-//! combiners, counters, heap failures, and timing.
+//! End-to-end tests of the MapReduce engine: jobs over DFS text files
+//! of numeric points, combiners, counters, heap failures, and timing.
 
 use std::sync::Arc;
 
 use gmr_mapreduce::prelude::*;
 use gmr_mapreduce::Result;
 
-/// Word-count over integer tokens: `line = "<id> <id> ..."`.
+/// Word-count over one-coordinate points: `line = "<id>"`. A negative
+/// id is a mapper error.
 struct CountJob {
     combiner: bool,
 }
@@ -15,21 +16,29 @@ struct CountMapper;
 impl Mapper for CountMapper {
     type Key = i64;
     type Value = u64;
-}
-impl LineMapper for CountMapper {
-    fn map(
+    type Row = i64;
+    fn dim(&self) -> usize {
+        1
+    }
+    fn prepare_block(
         &mut self,
-        _off: u64,
-        line: &str,
+        points: &[f64],
+        _norms: &[f64],
+        _ctx: &mut TaskContext,
+    ) -> Result<Vec<i64>> {
+        Ok(points.iter().map(|&x| x as i64).collect())
+    }
+    fn map_point(
+        &mut self,
+        _point: &[f64],
+        id: i64,
         out: &mut MapOutput<'_, i64, u64>,
         _ctx: &mut TaskContext,
     ) -> Result<()> {
-        for tok in line.split_whitespace() {
-            let id: i64 = tok
-                .parse()
-                .map_err(|e| gmr_mapreduce::Error::Task(format!("bad token {tok}: {e}")))?;
-            out.emit(id, 1);
+        if id < 0 {
+            return Err(gmr_mapreduce::Error::Task(format!("negative id {id}")));
         }
+        out.emit(id, 1);
         Ok(())
     }
 }
@@ -88,7 +97,7 @@ fn count_job_is_correct_across_many_splits() {
     let (_dfs, runner) = setup(64, 1000); // tiny blocks → many map tasks
     let job = CountJob { combiner: false };
     let mut r = runner
-        .run_lines(&job, "in", &JobConfig::with_reducers(4))
+        .run(&job, "in", &JobConfig::with_reducers(4))
         .unwrap();
     r.output.sort();
     let expected: Vec<(i64, u64)> = (0..10).map(|i| (i as i64, 100u64)).collect();
@@ -109,10 +118,10 @@ fn combiner_reduces_shuffle_volume_but_not_results() {
     let config = JobConfig::with_reducers(4);
 
     let mut plain = runner_nc
-        .run_lines(&CountJob { combiner: false }, "in", &config)
+        .run(&CountJob { combiner: false }, "in", &config)
         .unwrap();
     let mut combined = runner_c
-        .run_lines(&CountJob { combiner: true }, "in", &config)
+        .run(&CountJob { combiner: true }, "in", &config)
         .unwrap();
     plain.output.sort();
     combined.output.sort();
@@ -136,8 +145,8 @@ fn results_are_deterministic_across_runs() {
     let (_dfs, runner) = setup(128, 500);
     let job = CountJob { combiner: true };
     let config = JobConfig::with_reducers(3);
-    let mut a = runner.run_lines(&job, "in", &config).unwrap();
-    let mut b = runner.run_lines(&job, "in", &config).unwrap();
+    let mut a = runner.run(&job, "in", &config).unwrap();
+    let mut b = runner.run(&job, "in", &config).unwrap();
     a.output.sort();
     b.output.sort();
     assert_eq!(a.output, b.output);
@@ -148,8 +157,8 @@ fn dataset_read_accounting_per_job() {
     let (dfs, runner) = setup(256, 100);
     assert_eq!(dfs.stats().dataset_reads, 0);
     let job = CountJob { combiner: true };
-    runner.run_lines(&job, "in", &JobConfig::default()).unwrap();
-    runner.run_lines(&job, "in", &JobConfig::default()).unwrap();
+    runner.run(&job, "in", &JobConfig::default()).unwrap();
+    runner.run(&job, "in", &JobConfig::default()).unwrap();
     let stats = dfs.stats();
     assert_eq!(stats.dataset_reads, 2);
     assert_eq!(stats.bytes_read, 2 * stats.bytes_written);
@@ -160,7 +169,7 @@ fn missing_input_fails() {
     let dfs = Arc::new(Dfs::default());
     let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
     let err = runner
-        .run_lines(
+        .run(
             &CountJob { combiner: false },
             "absent",
             &JobConfig::default(),
@@ -173,7 +182,7 @@ fn missing_input_fails() {
 fn zero_reducers_is_config_error() {
     let (_dfs, runner) = setup(256, 10);
     let err = runner
-        .run_lines(
+        .run(
             &CountJob { combiner: false },
             "in",
             &JobConfig::with_reducers(0),
@@ -185,10 +194,10 @@ fn zero_reducers_is_config_error() {
 #[test]
 fn mapper_error_fails_job() {
     let dfs = Arc::new(Dfs::default());
-    dfs.put_lines("in", ["1", "not-a-number", "3"]).unwrap();
+    dfs.put_lines("in", ["1", "-2", "3"]).unwrap();
     let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
     let err = runner
-        .run_lines(&CountJob { combiner: false }, "in", &JobConfig::default())
+        .run(&CountJob { combiner: false }, "in", &JobConfig::default())
         .unwrap_err();
     assert!(matches!(err, gmr_mapreduce::Error::Task(_)), "{err:?}");
 }
@@ -197,7 +206,7 @@ fn mapper_error_fails_job() {
 fn timing_has_setup_and_tasks() {
     let (_dfs, runner) = setup(64, 500);
     let r = runner
-        .run_lines(
+        .run(
             &CountJob { combiner: true },
             "in",
             &JobConfig::with_reducers(2),
@@ -219,16 +228,26 @@ struct EmitAllMapper;
 impl Mapper for EmitAllMapper {
     type Key = i64;
     type Value = f64;
-}
-impl LineMapper for EmitAllMapper {
-    fn map(
+    type Row = ();
+    fn dim(&self) -> usize {
+        1
+    }
+    fn prepare_block(
         &mut self,
-        _off: u64,
-        line: &str,
+        _points: &[f64],
+        norms: &[f64],
+        _ctx: &mut TaskContext,
+    ) -> Result<Vec<()>> {
+        Ok(vec![(); norms.len()])
+    }
+    fn map_point(
+        &mut self,
+        point: &[f64],
+        _row: (),
         out: &mut MapOutput<'_, i64, f64>,
         _ctx: &mut TaskContext,
     ) -> Result<()> {
-        out.emit(0, line.len() as f64);
+        out.emit(0, point[0]);
         Ok(())
     }
 }
@@ -285,7 +304,7 @@ fn heap_exhaustion_fails_job_with_java_heap_space() {
     };
     let runner = JobRunner::new(Arc::clone(&dfs), cluster).unwrap();
     let err = runner
-        .run_lines(
+        .run(
             &BufferingJob {
                 bytes_per_value: 64,
             },
@@ -304,7 +323,7 @@ fn heap_exhaustion_fails_job_with_java_heap_space() {
     };
     let runner = JobRunner::new(dfs, cluster).unwrap();
     let r = runner
-        .run_lines(
+        .run(
             &BufferingJob {
                 bytes_per_value: 64,
             },
@@ -324,20 +343,30 @@ struct CloseEmitMapper {
 impl Mapper for CloseEmitMapper {
     type Key = i64;
     type Value = u64;
-    fn close(&mut self, out: &mut MapOutput<'_, i64, u64>, _ctx: &mut TaskContext) -> Result<()> {
-        out.emit(0, self.seen);
-        Ok(())
+    type Row = ();
+    fn dim(&self) -> usize {
+        1
     }
-}
-impl LineMapper for CloseEmitMapper {
-    fn map(
+    fn prepare_block(
         &mut self,
-        _off: u64,
-        _line: &str,
+        _points: &[f64],
+        norms: &[f64],
+        _ctx: &mut TaskContext,
+    ) -> Result<Vec<()>> {
+        Ok(vec![(); norms.len()])
+    }
+    fn map_point(
+        &mut self,
+        _point: &[f64],
+        _row: (),
         _out: &mut MapOutput<'_, i64, u64>,
         _ctx: &mut TaskContext,
     ) -> Result<()> {
         self.seen += 1;
+        Ok(())
+    }
+    fn close(&mut self, out: &mut MapOutput<'_, i64, u64>, _ctx: &mut TaskContext) -> Result<()> {
+        out.emit(0, self.seen);
         Ok(())
     }
 }
@@ -377,11 +406,11 @@ impl Job for CloseEmitJob {
 #[test]
 fn mapper_close_emissions_are_shuffled() {
     let dfs = Arc::new(Dfs::new(64)); // several splits
-    dfs.put_lines("in", (0..300).map(|i| format!("row {i}")))
+    dfs.put_lines("in", (0..300).map(|i| format!("{i}")))
         .unwrap();
     let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
     let r = runner
-        .run_lines(&CloseEmitJob, "in", &JobConfig::with_reducers(1))
+        .run(&CloseEmitJob, "in", &JobConfig::with_reducers(1))
         .unwrap();
     assert_eq!(r.output, vec![300]);
 }
@@ -394,7 +423,7 @@ fn spills_happen_under_small_threshold() {
         spill_threshold_records: 100,
     };
     let r = runner
-        .run_lines(&CountJob { combiner: true }, "in", &config)
+        .run(&CountJob { combiner: true }, "in", &config)
         .unwrap();
     assert!(r.counters.get(Counter::Spills) >= 40);
     let mut out = r.output;
@@ -409,7 +438,7 @@ fn empty_input_file_runs_reducers_only() {
     w.close();
     let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
     let r = runner
-        .run_lines(
+        .run(
             &CountJob { combiner: true },
             "empty",
             &JobConfig::with_reducers(3),
@@ -422,23 +451,31 @@ fn empty_input_file_runs_reducers_only() {
 /// A reducer that reads only the FIRST value of each group: the runtime
 /// must drain the rest so the next group starts at the right key.
 struct FirstOnlyJob;
+/// Emits each two-coordinate point `"<key> <value>"` as that pair.
 struct TokenMapper;
 impl Mapper for TokenMapper {
     type Key = i64;
     type Value = u64;
-}
-impl LineMapper for TokenMapper {
-    fn map(
+    type Row = ();
+    fn dim(&self) -> usize {
+        2
+    }
+    fn prepare_block(
         &mut self,
-        _off: u64,
-        line: &str,
+        _points: &[f64],
+        norms: &[f64],
+        _ctx: &mut TaskContext,
+    ) -> Result<Vec<()>> {
+        Ok(vec![(); norms.len()])
+    }
+    fn map_point(
+        &mut self,
+        point: &[f64],
+        _row: (),
         out: &mut MapOutput<'_, i64, u64>,
         _ctx: &mut TaskContext,
     ) -> Result<()> {
-        let mut parts = line.split_whitespace();
-        let k: i64 = parts.next().unwrap().parse().unwrap();
-        let v: u64 = parts.next().unwrap().parse().unwrap();
-        out.emit(k, v);
+        out.emit(point[0] as i64, point[1] as u64);
         Ok(())
     }
 }
@@ -487,7 +524,7 @@ fn partially_consumed_groups_do_not_leak_into_neighbours() {
     dfs.put_lines("in", &lines).unwrap();
     let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
     let mut r = runner
-        .run_lines(&FirstOnlyJob, "in", &JobConfig::with_reducers(4))
+        .run(&FirstOnlyJob, "in", &JobConfig::with_reducers(4))
         .unwrap();
     r.output.sort();
     assert_eq!(r.output.len(), 50, "one output per group, no key skipped");
@@ -526,7 +563,7 @@ fn custom_partitioner_routes_everything_to_one_reducer() {
         .unwrap();
     let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
     let r = runner
-        .run_lines(&SinglePartitionJob, "in", &JobConfig::with_reducers(5))
+        .run(&SinglePartitionJob, "in", &JobConfig::with_reducers(5))
         .unwrap();
     // All output comes from partition 0, already in ascending key order.
     let keys: Vec<i64> = r.output.iter().map(|(k, _)| *k).collect();

@@ -162,17 +162,17 @@ impl IterativeAlgorithm for Centroid {
     fn seq(&self, state: &CentroidState) -> u64 {
         state.round as u64
     }
-    fn plan(&self, state: &mut CentroidState, ctx: &EngineCtx<'_>) -> Result<Vec<PlannedJob>> {
-        let job = KMeansJob::new(Arc::new(state.center.clone()));
-        Ok(vec![PlannedJob::new(job, ctx.reduce_tasks(1))])
+    fn plan(&self, state: &mut CentroidState, ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
+        let job = KMeansJob::new(Arc::new(ctx.prepare(state.center.clone())));
+        Ok(PlannedJob::new(job, ctx.reduce_tasks(1)))
     }
     fn apply(
         &self,
         state: &mut CentroidState,
-        mut outputs: Vec<JobOutputs>,
+        outputs: JobOutputs,
         _seg: &SegmentStats,
     ) -> Result<Step> {
-        let updates = outputs.remove(0).take::<CenterUpdate>();
+        let updates = outputs.take::<CenterUpdate>();
         let (next, _counts) = apply_updates(&state.center, &updates);
         state.center = next;
         state.round += 1;

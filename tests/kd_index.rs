@@ -203,3 +203,81 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Every driver inherits the engine's kernel wiring. On a 2-d mixture,
+// `KernelBackend::Auto` hands any job of 32 or more centers to the k-d
+// tree; plain k-means and k-means‖ must then reproduce, bit for bit,
+// the fingerprints pinned from their blocked-kernel runs.
+// ---------------------------------------------------------------------
+
+use gmr_datagen::ClusterWeights;
+use gmr_mapreduce::counters::Counters;
+
+/// A 2-d mixture of 24 clusters.
+fn staged_2d(seed: u64) -> JobRunner {
+    let spec = GaussianMixture {
+        n_points: 6000,
+        dim: 2,
+        n_clusters: 24,
+        box_min: 0.0,
+        box_max: 200.0,
+        stddev: 2.0,
+        min_separation_sigmas: 4.0,
+        seed,
+        weights: ClusterWeights::Balanced,
+    };
+    let dfs = Arc::new(Dfs::new(16 * 1024));
+    spec.generate_to_dfs(&dfs, "points.txt").unwrap();
+    JobRunner::new(dfs, ClusterConfig::default()).unwrap()
+}
+
+/// FNV-1a over the little-endian bytes of a word stream.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    h
+}
+
+fn center_bits<'a>(rows: impl Iterator<Item = &'a [f64]>) -> u64 {
+    fnv(rows.flat_map(|r| r.iter().map(|v| v.to_bits())))
+}
+
+fn counter_bits(c: &Counters) -> u64 {
+    fnv(Counter::all().iter().map(|&k| c.get(k)))
+}
+
+#[test]
+fn kmeans_drivers_on_the_kd_backend_keep_their_fingerprints() {
+    assert_eq!(KernelBackend::Auto.resolve(2, 32), KernelBackend::Kd);
+
+    let r = MRKMeans::new(staged_2d(84), 64, 4, 11)
+        .run("points.txt")
+        .unwrap();
+    let got = [
+        center_bits(r.centers.rows()),
+        fnv(r.counts.iter().copied()),
+        counter_bits(&r.counters),
+        r.simulated_secs.to_bits(),
+    ];
+    // centers, counts, counters, simulated seconds
+    let pinned = [
+        0x7f66_5905_a782_b7dc,
+        0xe901_8170_b109_b3b9,
+        0xcff9_d97a_2368_55aa,
+        0x403c_00d2_bb79_3d59,
+    ];
+    assert_eq!(got, pinned, "MRKMeans at k = 64");
+
+    let init = KMeansParallelInit::new(staged_2d(85), 40, 12)
+        .run("points.txt")
+        .unwrap();
+    assert_eq!(init.len(), 40);
+    let got = center_bits(init.iter().map(|(_, c)| c));
+    assert_eq!(got, 0x7511_457c_ca9f_0a7e, "KMeansParallelInit at k = 40");
+}

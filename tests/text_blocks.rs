@@ -4,18 +4,24 @@
 //! block. On a dirty file the job's output and counters must equal what
 //! this test computes line by line with `parse_point_dim` and the scalar
 //! `nearest_center_flat` scan — buffered and spilling, for k-means and
-//! for the split test.
+//! for the split test. Every other point job must give the same output
+//! bits and distance count from the text file as from a point cache of
+//! it, whose blocks count points instead of lines.
 
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::sync::Arc;
 
+use gmeans::mr::parallel_init::ParallelInitRound;
 use gmeans::mr::{
-    CenterSet, CenterUpdate, KMeansJob, SplitTestSpec, TestClustersJob, TestDecision, TestOutcome,
+    BicTestJob, BicTestSpec, CenterSet, CenterUpdate, FindNewCentersJob, KMeansJob, MultiKMeansJob,
+    SplitTestSpec, TestClustersJob, TestDecision, TestFewClustersJob, TestOutcome,
 };
 use gmr_datagen::parse_point_dim;
 use gmr_linalg::{nearest_center_flat, SegmentProjector};
+use gmr_mapreduce::cache::PointCache;
 use gmr_mapreduce::counters::{Counter, Counters};
-use gmr_mapreduce::job::JobConfig;
+use gmr_mapreduce::job::{Job, JobConfig};
 use gmr_mapreduce::prelude::{ClusterConfig, Dfs, JobRunner, OutOfCoreConfig};
 use gmr_mapreduce::runtime::MAP_BLOCK_POINTS;
 use gmr_stats::AndersonDarling;
@@ -32,6 +38,23 @@ const CENTERS: [[f64; DIM]; 4] = [
     [0.0, 10.0, 0.0],
     [0.0, 0.0, 10.0],
 ];
+
+/// Two split-test parents, each tested along the axis between its own
+/// two children; the first parent's children straddle center 0 and 1.
+const PARENTS: [[f64; DIM]; 2] = [[5.0, 0.0, 0.0], [0.0, 5.0, 5.0]];
+const CHILDREN: [([f64; DIM], [f64; DIM]); 2] = [
+    ([0.0, 0.0, 0.0], [10.0, 0.0, 0.0]),
+    ([0.0, 10.0, 0.0], [0.0, 0.0, 10.0]),
+];
+
+/// A center set with ids `0..` over `rows`.
+fn center_set(rows: &[[f64; DIM]]) -> CenterSet {
+    let mut set = CenterSet::new(DIM);
+    for (i, row) in rows.iter().enumerate() {
+        set.push(i as i64, row);
+    }
+    set
+}
 
 /// Lines no point mapper of dimension 3 accepts: non-finite values,
 /// wrong dimensions, empty and blank lines, garbage, and a CRLF ending.
@@ -240,11 +263,7 @@ fn kmeans_on_dirty_text_matches_a_per_line_reference() {
         })
         .collect();
 
-    let mut centers = CenterSet::new(DIM);
-    for (i, c) in CENTERS.iter().enumerate() {
-        centers.push(i as i64, c);
-    }
-    let centers = Arc::new(centers);
+    let centers = Arc::new(center_set(&CENTERS));
     for (what, cluster) in clusters() {
         let spilling = cluster.out_of_core.spill_enabled;
         let runner = staged(&lines, cluster);
@@ -266,21 +285,14 @@ fn kmeans_on_dirty_text_matches_a_per_line_reference() {
 #[test]
 fn split_test_on_dirty_text_matches_a_per_line_reference() {
     let lines = dirty_file();
-    // Two parents, each tested along the axis between its own two
-    // children; the first parent's children straddle center 0 and 1.
-    let parents: [[f64; DIM]; 2] = [[5.0, 0.0, 0.0], [0.0, 5.0, 5.0]];
-    let children = [
-        ([0.0, 0.0, 0.0], [10.0, 0.0, 0.0]),
-        ([0.0, 10.0, 0.0], [0.0, 0.0, 10.0]),
-    ];
-    let projectors: Vec<SegmentProjector> = children
+    let projectors: Vec<SegmentProjector> = CHILDREN
         .iter()
         .map(|(a, b)| SegmentProjector::new(a, b))
         .collect();
-    let flat: Vec<f64> = parents.concat();
+    let flat: Vec<f64> = PARENTS.concat();
     let ad = AndersonDarling::default();
 
-    let want = reference(&lines, parents.len());
+    let want = reference(&lines, PARENTS.len());
     let mut samples: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
     for p in &want.points {
         let idx = nearest(p, &flat);
@@ -308,12 +320,8 @@ fn split_test_on_dirty_text_matches_a_per_line_reference() {
         .collect();
     assert_eq!(expected.len(), 2, "both parents receive points");
 
-    let mut set = CenterSet::new(DIM);
-    for (i, p) in parents.iter().enumerate() {
-        set.push(i as i64, p);
-    }
     let spec = SplitTestSpec::new(
-        Arc::new(set),
+        Arc::new(center_set(&PARENTS)),
         Arc::new(projectors.iter().cloned().map(Some).collect()),
         ad,
     );
@@ -345,4 +353,102 @@ fn split_test_on_dirty_text_matches_a_per_line_reference() {
             "{what}"
         );
     }
+}
+
+/// Runs `job` over the dirty file twice on each cluster of
+/// `clusters()`: as text, and through `run_cached` on a point cache of
+/// the same file. Text blocks count lines while cached blocks count
+/// points, so the two runs cut their blocks at different places; they
+/// must still give the same output bits (compared through `Debug`,
+/// which spells every distinct finite `f64` differently) and the same
+/// distance count, and each must quarantine exactly the reference's
+/// bad lines.
+fn text_and_cache_agree<J>(job: &J)
+where
+    J: Job,
+    J::Output: Debug,
+{
+    let lines = dirty_file();
+    let want = reference(&lines, 0);
+    let bad = &want.counters[1..3];
+    for (what, cluster) in clusters() {
+        let runner = staged(&lines, cluster);
+        let text = runner.run(job, "pts", &job_config()).expect("text run");
+        let cache = PointCache::build(runner.dfs(), "pts", DIM, gmr_mapreduce::text::parse_point)
+            .expect("cache builds");
+        assert_eq!(cache.len(), want.points.len(), "{what}: cached points");
+        let cached = runner
+            .run_cached(job, &cache, &job_config())
+            .expect("cached run");
+        let name = job.name();
+        assert!(!text.output.is_empty(), "{what} {name}: no output");
+        assert_eq!(
+            format!("{:?}", text.output),
+            format!("{:?}", cached.output),
+            "{what} {name}: output bits"
+        );
+        let distances = |c: &Counters| c.get(Counter::DistanceComputations);
+        assert!(distances(&text.counters) > 0, "{what} {name}");
+        assert_eq!(
+            distances(&text.counters),
+            distances(&cached.counters),
+            "{what} {name}: DistanceComputations"
+        );
+        for &(counter, value) in bad {
+            assert_eq!(
+                text.counters.get(counter),
+                value,
+                "{what} {name}: {counter:?}"
+            );
+        }
+        assert_eq!(
+            [cache.bad_records(), cache.bad_record_bytes()],
+            [bad[0].1, bad[1].1],
+            "{what} {name}: cached bad records"
+        );
+    }
+}
+
+#[test]
+fn find_new_centers_reads_dirty_text_as_the_cache_does() {
+    let centers = Arc::new(center_set(&CENTERS));
+    text_and_cache_agree(&FindNewCentersJob::new(centers, 17));
+}
+
+#[test]
+fn multi_kmeans_reads_dirty_text_as_the_cache_does() {
+    let sets = (1..=CENTERS.len())
+        .map(|k| center_set(&CENTERS[..k]))
+        .collect();
+    text_and_cache_agree(&MultiKMeansJob::new(Arc::new(sets)));
+}
+
+#[test]
+fn mapper_side_split_test_reads_dirty_text_as_the_cache_does() {
+    let projectors = CHILDREN
+        .iter()
+        .map(|(a, b)| Some(SegmentProjector::new(a, b)))
+        .collect();
+    let spec = SplitTestSpec::new(
+        Arc::new(center_set(&PARENTS)),
+        Arc::new(projectors),
+        AndersonDarling::default(),
+    );
+    text_and_cache_agree(&TestFewClustersJob::new(spec));
+}
+
+#[test]
+fn bic_test_reads_dirty_text_as_the_cache_does() {
+    let children = CHILDREN
+        .iter()
+        .map(|(a, b)| Some((a.to_vec(), b.to_vec())))
+        .collect();
+    let spec = BicTestSpec::new(Arc::new(center_set(&PARENTS)), Arc::new(children), 20);
+    text_and_cache_agree(&BicTestJob::new(spec));
+}
+
+#[test]
+fn parallel_init_round_reads_dirty_text_as_the_cache_does() {
+    let candidates = Arc::new(center_set(&CENTERS));
+    text_and_cache_agree(&ParallelInitRound::new(candidates, Some(0.02), 23));
 }
