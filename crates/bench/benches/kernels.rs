@@ -1,15 +1,19 @@
 //! Micro-benchmarks of the numeric kernels on the hot paths of every
 //! MapReduce job: distance computation (the unit of the paper's §4 cost
-//! model), projection, the Anderson–Darling test, and the text codec
-//! points travel through, down to one map-task block of text.
+//! model) and the blocked nearest-center kernel, projection, the
+//! Anderson–Darling test, the text codec points travel through, down to
+//! one map-task block of text, and the checksum every stored byte range
+//! is verified with.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use gmr_datagen::{format_point, parse_point, ClusterWeights, GaussianMixture};
 use gmr_linalg::{
-    nearest_center_flat, squared_euclidean, LinearFit, RunningStats, SegmentProjector,
+    nearest_center_flat, nearest_centers_batch, squared_euclidean, squared_norms, LinearFit,
+    RunningStats, SegmentProjector,
 };
+use gmr_mapreduce::dfs::block_crc;
 use gmr_mapreduce::runtime::MAP_BLOCK_POINTS;
 use gmr_mapreduce::text::PointLines;
 use gmr_stats::AndersonDarling;
@@ -43,6 +47,33 @@ fn bench_nearest_center(c: &mut Criterion) {
         g.throughput(Throughput::Elements(k as u64));
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |bench, _| {
             bench.iter(|| nearest_center_flat(black_box(&point), black_box(&centers), dim))
+        });
+    }
+    g.finish();
+}
+
+/// One map-task block of `paper_r10` points against the true centers
+/// of a `k`-cluster mixture: the blocked kernel as a d = 10 G-means job
+/// runs it, once per block.
+fn bench_blocked_kernel(c: &mut Criterion) {
+    let mut g = c.benchmark_group("nearest_centers_batch_dim10_block256");
+    for k in [16usize, 100, 200] {
+        let data = GaussianMixture::paper_r10(MAP_BLOCK_POINTS, k, 11)
+            .generate()
+            .unwrap();
+        let (points, centers) = (data.points.flat(), data.true_centers.flat());
+        let (point_norms, center_norms) = (squared_norms(points, 10), squared_norms(centers, 10));
+        g.throughput(Throughput::Elements((MAP_BLOCK_POINTS * k) as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(k), &k, |bench, _| {
+            bench.iter(|| {
+                nearest_centers_batch(
+                    black_box(points),
+                    &point_norms,
+                    black_box(centers),
+                    &center_norms,
+                    10,
+                )
+            })
         });
     }
     g.finish();
@@ -136,10 +167,29 @@ fn bench_text_codec(c: &mut Criterion) {
     });
 }
 
+/// The checksum over one 256 KiB split of `paper_r10` text.
+fn bench_block_crc(c: &mut Criterion) {
+    let data = GaussianMixture::paper_r10(2_000, 10, 12)
+        .generate()
+        .unwrap();
+    let mut text: Vec<u8> = data
+        .points
+        .rows()
+        .flat_map(|row| format_point(row).into_bytes().into_iter().chain([b'\n']))
+        .collect();
+    text.truncate(256 * 1024);
+    let mut g = c.benchmark_group("block_crc");
+    g.throughput(Throughput::Bytes(text.len() as u64));
+    g.bench_function("256KiB", |bench| bench.iter(|| block_crc(black_box(&text))));
+    g.finish();
+}
+
 criterion_group!(
     kernels,
     bench_distance,
     bench_nearest_center,
+    bench_blocked_kernel,
+    bench_block_crc,
     bench_projection,
     bench_anderson_darling,
     bench_running_stats,

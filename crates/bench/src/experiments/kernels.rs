@@ -5,7 +5,8 @@
 //! (d = 2, k = 128), this one sweeps d ∈ {2, 8, 32, 128} ×
 //! k ∈ {128, 512, 4096} so the auto-dispatch policy in
 //! [`KernelBackend::resolve`] is tuned from — and guarded by — the same
-//! grid it routes on. Per cell the sweep measures:
+//! grid it routes on, plus one d = 10, k = 128 cell: the paper's dimension and
+//! that of both benchmark workloads. Per cell the sweep measures:
 //!
 //! * `naive` — the scalar flat scan (the paper's cost-model unit),
 //! * `blocked` — the SIMD bounds-then-exact tile kernel,
@@ -32,13 +33,14 @@ use gmr_linalg::{nearest_center_flat, squared_norms, Dataset};
 use crate::harness::{render_table, ExperimentScale};
 
 /// The sweep grid: every (dim, k) cell measured by `repro kernels`.
-pub const CELLS: [(usize, usize); 12] = [
+pub const CELLS: [(usize, usize); 13] = [
     (2, 128),
     (2, 512),
     (2, 4096),
     (8, 128),
     (8, 512),
     (8, 4096),
+    (10, 128),
     (32, 128),
     (32, 512),
     (32, 4096),

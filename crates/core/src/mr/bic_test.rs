@@ -14,8 +14,9 @@
 //!   the child-model dispersion `d²(x, nearest child)` plus per-child
 //!   counts. One aggregate record per parent per split (emitted from
 //!   `Close`, like Algorithm 5).
-//! * **Reducer** — fold the aggregates and compare
-//!   `BIC(two children) > BIC(parent)`.
+//! * **Reducer** — fold the aggregates and split when
+//!   `BIC(two children) − BIC(parent)`, which the outcome reports as
+//!   its `bic_gain`, is positive.
 //!
 //! This makes `MRGMeans` a *family* of algorithms: the same jobs,
 //! drivers, strategy and bookkeeping with a pluggable split criterion —
@@ -162,8 +163,8 @@ impl Reducer for BicTestReducer {
         };
         ctx.counters().inc(Counter::AdTests); // "split tests", BIC flavour
         let dim = self.spec.parents.dim();
-        let decision = if (n as usize) < self.spec.min_points {
-            TestDecision::Normal
+        let bic_gain = if (n as usize) < self.spec.min_points {
+            None
         } else {
             let parent_bic = bic_spherical(&ClusterModelStats {
                 cluster_sizes: vec![n],
@@ -180,16 +181,17 @@ impl Reducer for BicTestReducer {
                     dim,
                 })
             };
-            match (parent_bic, child_bic) {
-                (Some(p), Some(c)) if c > p => TestDecision::Split,
-                _ => TestDecision::Normal,
-            }
+            parent_bic.zip(child_bic).map(|(p, c)| c - p)
         };
         out.push(TestOutcome {
             parent_id: key,
             n,
             a2_star: None,
-            decision,
+            bic_gain,
+            decision: match bic_gain {
+                Some(gain) if gain > 0.0 => TestDecision::Split,
+                _ => TestDecision::Normal,
+            },
         });
         Ok(())
     }
@@ -284,15 +286,18 @@ mod tests {
         assert_eq!(split.len(), 1);
         assert_eq!(split[0].decision, TestDecision::Split);
         assert_eq!(split[0].n, 2000);
+        assert!(split[0].bic_gain.is_some_and(|g| g > 0.0), "{split:?}");
 
         let keep = run_bic(false, 2000, 8);
         assert_eq!(keep.len(), 1);
         assert_eq!(keep[0].decision, TestDecision::Normal);
+        assert!(keep[0].bic_gain.is_some_and(|g| g <= 0.0), "{keep:?}");
     }
 
     #[test]
     fn tiny_cluster_is_kept() {
         let out = run_bic(true, 15, 9); // below min_points = 20
         assert_eq!(out[0].decision, TestDecision::Normal);
+        assert_eq!(out[0].bic_gain, None, "no model is scored");
     }
 }

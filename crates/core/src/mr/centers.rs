@@ -98,10 +98,16 @@ impl KernelBackend {
     ///
     /// The rule is a conservative one, not a measured crossover. The
     /// `repro kernels` sweep (`BENCH_kernels.json`) has the tree winning
-    /// in cells the rule leaves to the blocked kernel too: several times
-    /// over at d = 8, k = 128, and at most d ≥ 32 cells. That sweep runs
-    /// on well-separated mixtures, which flatter the tree, so the rule
-    /// only picks it where it wins by a wide margin. The planned
+    /// in cells the rule leaves to the blocked kernel too: 7.2× the
+    /// naive scan against the blocked kernel's 4.5× at d = 8, k = 128,
+    /// 7.5× against 4.8× at d = 10, k = 128, and 22.5× against 6.9× at
+    /// d = 32, k = 512; the blocked kernel wins at d = 128, k = 128
+    /// (10.0× against 7.9×). That sweep runs on well-separated mixtures,
+    /// which flatter the tree, and on gmeans-text's d = 10 G-means center
+    /// sets the tree measured slower than the blocked kernel (0.31
+    /// against 0.28 s of kernel time per call, before the blocked
+    /// kernel's two-point pass), so the rule only picks it where it wins
+    /// by a wide margin. The planned
     /// replacement is a deterministic per-job probe that runs the tree
     /// on the first block and counts its evaluations per point (see the
     /// kernel item in ROADMAP.md).
@@ -765,6 +771,65 @@ mod tests {
         assert!(fast.kernel().is_some());
         fast.push(99, &[0.5]);
         assert_eq!(fast.kernel(), None, "push must drop the backend");
+    }
+
+    /// The full-size kernel differential: gmeans-text's four datasets
+    /// (100k points in R¹⁰ around 100 clusters each), in map-task blocks,
+    /// through the blocked kernel against center sets as G-means draws
+    /// them — the first k true centers, and two points of each of the
+    /// first ⌈k/2⌉ clusters, the child pairs find-new-centers picks — for
+    /// k from 1 to 200, bit-compared with the per-point scan. Run with
+    /// `cargo test --release -p gmeans -- --ignored`.
+    #[test]
+    #[ignore = "0.7G distance evaluations: run in release"]
+    fn gmeans_text_datasets_assign_bit_identical_to_the_scan() {
+        use gmr_datagen::GaussianMixture;
+        use gmr_linalg::squared_norms;
+        use gmr_mapreduce::runtime::MAP_BLOCK_POINTS;
+        const KS: [usize; 19] = [
+            1, 2, 3, 4, 7, 8, 16, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 199, 200,
+        ];
+        for seed in 4..8 {
+            let data = GaussianMixture::paper_r10(100_000, 100, seed)
+                .generate()
+                .expect("a valid mixture");
+            let dim = data.points.dim();
+            let (points, norms) = (data.points.flat(), squared_norms(data.points.flat(), dim));
+            let mut members = vec![Vec::new(); data.true_centers.len()];
+            for (i, &label) in data.labels.iter().enumerate() {
+                if members[label as usize].len() < 2 {
+                    members[label as usize].push(i);
+                }
+            }
+            for k in KS {
+                let children: Vec<f64> = (0..k)
+                    .flat_map(|c| data.points.row(members[c / 2][c % 2]).to_vec())
+                    .collect();
+                let mut sets = vec![children];
+                if k <= data.true_centers.len() {
+                    sets.push(data.true_centers.flat()[..k * dim].to_vec());
+                }
+                for centers in sets {
+                    let center_norms = squared_norms(&centers, dim);
+                    let blocks = points.chunks(MAP_BLOCK_POINTS * dim);
+                    for (b, block) in blocks.enumerate() {
+                        let at = b * MAP_BLOCK_POINTS;
+                        let block_norms = &norms[at..at + block.len() / dim];
+                        let got =
+                            nearest_centers_batch(block, block_norms, &centers, &center_norms, dim);
+                        for (i, (p, g)) in block.chunks_exact(dim).zip(got).enumerate() {
+                            let want = nearest_center_flat(p, &centers, dim).expect("centers");
+                            assert_eq!(
+                                (g.0, g.1.to_bits()),
+                                (want.0, want.1.to_bits()),
+                                "seed {seed}, k {k}, point {}",
+                                at + i
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use gmr_mapreduce::hash::StableHasher;
 use gmr_mapreduce::prelude::*;
 
 use crate::mr::centers::{CenterSet, CenterUpdate, ChannelKey, Nearest};
@@ -42,7 +43,7 @@ pub enum FindNewOutput {
 
 /// Pseudo-random selection priority of a point.
 fn priority(seed: u64, coords: &[f64]) -> u64 {
-    let mut h = std::hash::DefaultHasher::new();
+    let mut h = StableHasher::new();
     seed.hash(&mut h);
     for c in coords {
         c.to_bits().hash(&mut h);

@@ -30,6 +30,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use gmr_linalg::{squared_euclidean, Dataset};
+use gmr_mapreduce::hash::StableHasher;
 use gmr_mapreduce::prelude::*;
 use gmr_mapreduce::writable::Writable;
 use rand::rngs::StdRng;
@@ -50,7 +51,7 @@ const ROUNDS: usize = 5;
 
 /// Uniform-in-[0,1) hash of a point, keyed per round.
 fn uniform_hash(seed: u64, coords: &[f64]) -> f64 {
-    let mut h = std::hash::DefaultHasher::new();
+    let mut h = StableHasher::new();
     seed.hash(&mut h);
     for c in coords {
         c.to_bits().hash(&mut h);

@@ -27,12 +27,18 @@
 //! of 32 center coordinates, accumulate into 32 independent dot-product
 //! accumulators. There is no reduction dependency across lanes, which is
 //! exactly the shape SIMD wants. On x86-64 an AVX2+FMA path (selected
-//! once at runtime via `is_x86_feature_detected!`) runs the update as
-//! 8 × 4-lane fused multiply-adds; everywhere else a 32-wide scalar
-//! accumulator array autovectorizes to whatever the target baseline
-//! offers. Bound values may differ between the two paths by a few ulps —
-//! the margin covers both — but the *output* is identical because every
-//! survivor is re-evaluated exactly.
+//! once at runtime via `is_x86_feature_detected!`) takes the points two
+//! at a time and sweeps the tile in two halves of 16 lanes, so each
+//! 4-lane load of center coordinates feeds one fused multiply-add per
+//! point; everywhere else a 32-wide scalar accumulator array
+//! autovectorizes to whatever the target baseline offers. Bound values
+//! may differ between the two paths by a few ulps — the margin covers
+//! both — but the *output* is identical because every survivor is
+//! re-evaluated exactly.
+//!
+//! Both passes keep each (point, center tile) minimum bound, and the
+//! exact survivor pass visits only the tiles whose minimum is within the
+//! point's cutoff, rather than every one of the `k` bounds.
 //!
 //! Partial tiles are padded with zero coordinates and `+∞` norms: a
 //! padded lane's bound is `+∞`, so it can never win the minimum and
@@ -134,13 +140,14 @@ fn simd_available() -> bool {
 }
 
 /// Scalar bounds pass for one point against one transposed center tile:
-/// writes the tile's bounds into `out_row` and returns the tile minimum.
+/// writes the tile's 32 bounds (padding lanes included) into `out` and
+/// returns their minimum.
 ///
 /// The 32 accumulators are independent, so this loop autovectorizes at
 /// whatever width the compilation target guarantees; it is also the
 /// reference the AVX2 path must stay within one margin of.
 #[inline]
-fn tile_bounds_scalar(p: &[f64], px2: f64, tile: &CenterTile, out_row: &mut [f64]) -> f64 {
+fn tile_bounds_scalar(p: &[f64], px2: f64, tile: &CenterTile, out: &mut [f64; CENTER_TILE]) -> f64 {
     let mut dot = [0.0f64; CENTER_TILE];
     for (d, &pd) in p.iter().enumerate() {
         let col = &tile.t[d * CENTER_TILE..(d + 1) * CENTER_TILE];
@@ -148,16 +155,10 @@ fn tile_bounds_scalar(p: &[f64], px2: f64, tile: &CenterTile, out_row: &mut [f64
             *acc += pd * c;
         }
     }
-    let mut bs = [0.0f64; CENTER_TILE];
-    for (b, (&acc, &cn)) in bs.iter_mut().zip(dot.iter().zip(&tile.norms)) {
+    for (b, (&acc, &cn)) in out.iter_mut().zip(dot.iter().zip(&tile.norms)) {
         *b = px2 - 2.0 * acc + cn;
     }
-    let mut min = f64::INFINITY;
-    for &b in &bs {
-        min = min.min(b);
-    }
-    out_row[..tile.rows].copy_from_slice(&bs[..tile.rows]);
-    min
+    out.iter().fold(f64::INFINITY, |m, &b| m.min(b))
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -165,65 +166,96 @@ mod avx {
     use super::{CenterTile, CENTER_TILE};
     use std::arch::x86_64::*;
 
-    /// AVX2+FMA bounds pass for one point against one transposed tile:
-    /// 8 × 4-lane FMA accumulators cover the 32 center lanes with no
-    /// cross-lane dependency. Returns the tile's minimum bound.
+    /// AVX2+FMA bounds pass for two points against one transposed tile,
+    /// writing each point's 32 bounds into its `out` row and returning
+    /// each point's tile minimum. The tile is swept in two halves of 16
+    /// lanes; in each, every 4-lane load of center coordinates feeds one
+    /// FMA per point, into 2 × 4 independent accumulators.
     ///
-    /// NaN note: `_mm256_min_pd` propagates its *second* operand on a
-    /// NaN input, so a transient NaN bound can only *raise* the running
-    /// minimum (or leave it NaN) — never lower it. A raised minimum
-    /// widens the survivor cutoff (harmless: extra exact re-evaluations)
-    /// and a NaN minimum makes the cutoff non-finite, which sends the
-    /// caller to the exact per-point scan. Either way the output stays
-    /// bit-identical to the scan.
+    /// Each bound is the same FMA chain, lane for lane, that a one-point
+    /// pass computes. NaN note: `_mm256_min_pd` returns its *second*
+    /// operand on a NaN input, so a NaN bound can only *raise* a running
+    /// minimum (or leave it NaN), never lower it. The caller only trusts
+    /// a tile minimum under a finite cutoff, and a finite cutoff implies
+    /// finite `‖x‖² + max ‖c‖²`, under which no bound is NaN.
     ///
     /// # Safety
     /// Caller must have verified AVX2 and FMA support at runtime.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn tile_bounds(p: &[f64], px2: f64, tile: &CenterTile, out_row: &mut [f64]) -> f64 {
+    pub unsafe fn tile_bounds_pair(
+        p: [&[f64]; 2],
+        px2: [f64; 2],
+        tile: &CenterTile,
+        out: [&mut [f64; CENTER_TILE]; 2],
+    ) -> [f64; 2] {
         const LANES: usize = 4;
-        const VECS: usize = CENTER_TILE / LANES;
-        let mut acc = [_mm256_setzero_pd(); VECS];
+        const HALF: usize = CENTER_TILE / 2;
+        const VECS: usize = HALF / LANES;
+        let dim = p[0].len();
+        // Every load below reads `t[d·CENTER_TILE + j]` with `d < dim`
+        // and `j < CENTER_TILE`.
+        assert!(p[1].len() == dim && tile.t.len() == dim * CENTER_TILE);
         let t = tile.t.as_ptr();
-        for (d, &pd) in p.iter().enumerate() {
-            let pv = _mm256_set1_pd(pd);
-            let col = t.add(d * CENTER_TILE);
-            for (v, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_fmadd_pd(pv, _mm256_loadu_pd(col.add(v * LANES)), *a);
+        let two = _mm256_set1_pd(2.0);
+        let px2v = [_mm256_set1_pd(px2[0]), _mm256_set1_pd(px2[1])];
+        let mut minv = [_mm256_set1_pd(f64::INFINITY); 2];
+        let [out0, out1] = out;
+        for half in 0..2 {
+            let mut a0 = [_mm256_setzero_pd(); VECS];
+            let mut a1 = [_mm256_setzero_pd(); VECS];
+            for (d, (&x0, &x1)) in p[0].iter().zip(p[1]).enumerate() {
+                let (x0, x1) = (_mm256_set1_pd(x0), _mm256_set1_pd(x1));
+                // SAFETY: `d < dim` and `half·HALF + v·LANES + 3 <
+                // CENTER_TILE`, within the length asserted above.
+                let col = t.add(d * CENTER_TILE + half * HALF);
+                for v in 0..VECS {
+                    let c = _mm256_loadu_pd(col.add(v * LANES));
+                    a0[v] = _mm256_fmadd_pd(x0, c, a0[v]);
+                    a1[v] = _mm256_fmadd_pd(x1, c, a1[v]);
+                }
+            }
+            for v in 0..VECS {
+                let lane = half * HALF + v * LANES;
+                let cn = _mm256_loadu_pd(tile.norms[lane..lane + LANES].as_ptr());
+                // px2 − 2·dot + ‖c‖², with the subtraction fused.
+                let b0 = _mm256_add_pd(_mm256_fnmadd_pd(a0[v], two, px2v[0]), cn);
+                let b1 = _mm256_add_pd(_mm256_fnmadd_pd(a1[v], two, px2v[1]), cn);
+                _mm256_storeu_pd(out0[lane..lane + LANES].as_mut_ptr(), b0);
+                _mm256_storeu_pd(out1[lane..lane + LANES].as_mut_ptr(), b1);
+                minv[0] = _mm256_min_pd(minv[0], b0);
+                minv[1] = _mm256_min_pd(minv[1], b1);
             }
         }
-        let two = _mm256_set1_pd(2.0);
-        let px2v = _mm256_set1_pd(px2);
-        let mut bs = [0.0f64; CENTER_TILE];
-        let mut minv = _mm256_set1_pd(f64::INFINITY);
-        for (v, a) in acc.iter().enumerate() {
-            let cn = _mm256_loadu_pd(tile.norms.as_ptr().add(v * LANES));
-            // px2 − 2·dot + ‖c‖², with the subtraction fused.
-            let b = _mm256_add_pd(_mm256_fnmadd_pd(*a, two, px2v), cn);
-            _mm256_storeu_pd(bs.as_mut_ptr().add(v * LANES), b);
-            minv = _mm256_min_pd(minv, b);
-        }
-        let lo = _mm256_castpd256_pd128(minv);
-        let hi = _mm256_extractf128_pd(minv, 1);
-        let m = _mm_min_pd(lo, hi);
-        let m = _mm_min_sd(m, _mm_unpackhi_pd(m, m));
-        out_row[..tile.rows].copy_from_slice(&bs[..tile.rows]);
-        _mm_cvtsd_f64(m)
+        minv.map(|m| {
+            let m = _mm_min_pd(_mm256_castpd256_pd128(m), _mm256_extractf128_pd(m, 1));
+            _mm_cvtsd_f64(_mm_min_sd(m, _mm_unpackhi_pd(m, m)))
+        })
     }
 }
 
-/// Bounds pass for one point against one tile, dispatching to the AVX2
-/// kernel when the caller's one-time probe allowed it.
+/// Bounds pass for two points against one tile: the AVX2 kernel when
+/// the caller's one-time probe allowed it, else the scalar pass per
+/// point.
 #[inline]
-fn tile_bounds(p: &[f64], px2: f64, tile: &CenterTile, out_row: &mut [f64], use_simd: bool) -> f64 {
+fn tile_bounds_pair(
+    p: [&[f64]; 2],
+    px2: [f64; 2],
+    tile: &CenterTile,
+    out: [&mut [f64; CENTER_TILE]; 2],
+    use_simd: bool,
+) -> [f64; 2] {
     #[cfg(target_arch = "x86_64")]
     if use_simd {
         // SAFETY: `use_simd` is only true when `simd_available()`
         // confirmed AVX2 and FMA at runtime.
-        return unsafe { avx::tile_bounds(p, px2, tile, out_row) };
+        return unsafe { avx::tile_bounds_pair(p, px2, tile, out) };
     }
     let _ = use_simd;
-    tile_bounds_scalar(p, px2, tile, out_row)
+    let [out0, out1] = out;
+    [
+        tile_bounds_scalar(p[0], px2[0], tile, out0),
+        tile_bounds_scalar(p[1], px2[1], tile, out1),
+    ]
 }
 
 /// Nearest center for every point of a flat row-major block, returning
@@ -247,6 +279,19 @@ pub fn nearest_centers_batch(
     center_norms: &[f64],
     dim: usize,
 ) -> Vec<(usize, f64)> {
+    nearest_batch(points, point_norms, centers, center_norms, dim, true)
+}
+
+/// [`nearest_centers_batch`] with the scalar bounds pass, or the AVX2
+/// one where `use_simd` asks for it and [`simd_available`] allows it.
+fn nearest_batch(
+    points: &[f64],
+    point_norms: &[f64],
+    centers: &[f64],
+    center_norms: &[f64],
+    dim: usize,
+    use_simd: bool,
+) -> Vec<(usize, f64)> {
     assert!(dim > 0, "dimension must be positive");
     assert!(!centers.is_empty(), "no centers");
     assert_eq!(points.len() % dim, 0, "ragged point buffer");
@@ -268,41 +313,60 @@ pub fn nearest_centers_batch(
         return points.chunks_exact(dim).map(scan).collect();
     }
 
+    let use_simd = use_simd && simd_available();
     let cn_max = center_norms.iter().cloned().fold(0.0f64, f64::max);
     let tiles = transpose_tiles(centers, center_norms, dim);
-    let use_simd = simd_available();
+    let nt = tiles.len();
     let mut out = Vec::with_capacity(n);
-    let mut bounds = vec![0.0f64; POINT_TILE * k];
-    let mut min_bounds = [0.0f64; POINT_TILE];
+    // `bounds[ti · POINT_TILE + pi]` holds point `pi`'s bounds against
+    // center tile `ti`; `tile_mins[pi · nt + ti]` their minimum.
+    let mut bounds = vec![[0.0f64; CENTER_TILE]; nt * POINT_TILE];
+    let mut tile_mins = vec![0.0f64; POINT_TILE * nt];
+    let mut spare = [0.0f64; CENTER_TILE];
 
     for (tile_idx, tile) in points.chunks(POINT_TILE * dim).enumerate() {
         let rows = tile.len() / dim;
         let p_base = tile_idx * POINT_TILE;
         let tile_norms = &point_norms[p_base..p_base + rows];
-        min_bounds[..rows].fill(f64::INFINITY);
 
-        // Bounds pass: tile of points × transposed tile of centers.
-        for ct in &tiles {
-            for (pi, p) in tile.chunks_exact(dim).enumerate() {
-                let px2 = tile_norms[pi];
-                let row = &mut bounds[pi * k + ct.base..pi * k + ct.base + ct.rows];
-                let min = tile_bounds(p, px2, ct, row, use_simd);
-                min_bounds[pi] = min_bounds[pi].min(min);
+        // Bounds pass: each center tile against the points two at a
+        // time; an odd last point is paired with itself.
+        for (ti, ct) in tiles.iter().enumerate() {
+            let tile_bounds = &mut bounds[ti * POINT_TILE..ti * POINT_TILE + rows];
+            for pi in (0..rows).step_by(2) {
+                let pj = (pi + 1).min(rows - 1);
+                let p = [pi, pj].map(|i| &tile[i * dim..(i + 1) * dim]);
+                let px2 = [tile_norms[pi], tile_norms[pj]];
+                let (lo, hi) = tile_bounds.split_at_mut(pi + 1);
+                let second = if pj > pi { &mut hi[0] } else { &mut spare };
+                let mins = tile_bounds_pair(p, px2, ct, [&mut lo[pi], second], use_simd);
+                tile_mins[pi * nt + ti] = mins[0];
+                tile_mins[pj * nt + ti] = mins[1];
             }
         }
 
-        // Survivor pass: exact recomputation in ascending center order.
+        // Survivor pass: exact recomputation in ascending center order,
+        // over the tiles whose minimum bound is within the cutoff.
         for (pi, p) in tile.chunks_exact(dim).enumerate() {
-            let row = &bounds[pi * k..(pi + 1) * k];
-            let cutoff = min_bounds[pi] + bound_margin(dim, tile_norms[pi], cn_max);
+            let mins = &tile_mins[pi * nt..(pi + 1) * nt];
+            let min = mins.iter().fold(f64::INFINITY, |m, &b| m.min(b));
+            let cutoff = min + bound_margin(dim, tile_norms[pi], cn_max);
             let mut best: Option<(usize, f64)> = None;
             if cutoff.is_finite() {
-                for (j, &b) in row.iter().enumerate() {
-                    if b <= cutoff {
-                        let d = squared_euclidean(p, &centers[j * dim..(j + 1) * dim]);
-                        match best {
-                            Some((_, bd)) if bd <= d => {}
-                            _ => best = Some((j, d)),
+                for (ti, (ct, &tile_min)) in tiles.iter().zip(mins).enumerate() {
+                    // Under a finite cutoff no bound is NaN, so a tile
+                    // minimum above it rules out every center of the tile.
+                    if tile_min > cutoff {
+                        continue;
+                    }
+                    let row = &bounds[ti * POINT_TILE + pi][..ct.rows];
+                    for (j, &b) in (ct.base..).zip(row) {
+                        if b <= cutoff {
+                            let d = squared_euclidean(p, &centers[j * dim..(j + 1) * dim]);
+                            match best {
+                                Some((_, bd)) if bd <= d => {}
+                                _ => best = Some((j, d)),
+                            }
                         }
                     }
                 }
@@ -441,34 +505,61 @@ mod tests {
 
     /// Regression: the margin must never let a bound that is a few ulps
     /// *above* the observed minimum (while its exact distance is the
-    /// true minimum) be skipped. This is the catastrophic-cancellation
-    /// shape — points far from the origin, centers a hair apart — where
-    /// `‖x‖² − 2x·c + ‖c‖²` loses almost all its significant bits.
+    /// true minimum) be skipped, nor the tile that holds it. This is the
+    /// catastrophic-cancellation shape — points far from the origin,
+    /// centers a hair apart — where `‖x‖² − 2x·c + ‖c‖²` loses almost
+    /// all its significant bits.
     #[test]
     fn margin_never_skips_the_true_nearest_under_cancellation() {
         let dim = 8;
         let offset = 1.0e7; // px2 ≈ 8e14: bound error swamps the gap
         for probe in 0..64 {
             let eps = (probe + 1) as f64 * 1.0e-9;
-            let mut centers = Vec::new();
-            // Center 0 marginally farther, center 1 the true nearest,
-            // then decoys.
-            for delta in [2.0 * eps, eps, 0.5, 1.0, 2.0] {
-                let mut c = vec![offset; dim];
-                c[0] += delta;
-                centers.extend_from_slice(&c);
+            // Center 0 marginally farther, then the true nearest, in the
+            // same tile or the next one, among decoys.
+            for decoys in [3, CENTER_TILE + 3] {
+                let mut deltas = vec![2.0 * eps];
+                deltas.extend((0..decoys).map(|i| 0.5 + i as f64));
+                deltas.insert(1 + decoys / CENTER_TILE * (CENTER_TILE - 1), eps);
+                let mut centers = Vec::new();
+                for delta in deltas {
+                    let mut c = vec![offset; dim];
+                    c[0] += delta;
+                    centers.extend_from_slice(&c);
+                }
+                passes_match_the_scan(&vec![offset; 2 * dim], &centers, dim);
             }
-            let p = vec![offset; dim];
-            let got = nearest_centers_batch(
-                &p,
-                &squared_norms(&p, dim),
-                &centers,
-                &squared_norms(&centers, dim),
-                dim,
-            );
-            let want = naive(&p, &centers, dim);
-            assert_eq!(got[0].0, want[0].0, "eps={eps}");
-            assert_eq!(got[0].1.to_bits(), want[0].1.to_bits(), "eps={eps}");
+        }
+    }
+
+    /// The gated two-point pass, with the AVX2 bounds where the host has
+    /// them and with the scalar bounds, against the per-point scan: the
+    /// same index and the same distance bits for every point.
+    fn passes_match_the_scan(points: &[f64], centers: &[f64], dim: usize) {
+        let want = naive(points, centers, dim);
+        let (pn, cn) = (squared_norms(points, dim), squared_norms(centers, dim));
+        for simd in [false, simd_available()] {
+            let got = nearest_batch(points, &pn, centers, &cn, dim, simd);
+            assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    (g.0, g.1.to_bits()),
+                    (w.0, w.1.to_bits()),
+                    "point {i}, simd {simd}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn odd_and_even_point_counts_at_every_tile_edge() {
+        let dim = 3;
+        for k in [1, 31, 32, 33, 100, 257] {
+            for n in [1, 2, 3, POINT_TILE - 1, POINT_TILE, POINT_TILE + 1] {
+                let points: Vec<f64> = (0..n * dim).map(|i| ((i * 37) % 101) as f64).collect();
+                let centers: Vec<f64> = (0..k * dim).map(|i| ((i * 53) % 97) as f64).collect();
+                passes_match_the_scan(&points, &centers, dim);
+            }
         }
     }
 
@@ -502,6 +593,50 @@ mod tests {
                 prop_assert_eq!(g.0, w.0);
                 prop_assert_eq!(g.1.to_bits(), w.1.to_bits());
             }
+        }
+
+        /// Odd and even point counts, k across the tile edges, coarse
+        /// grids with exact ties and near-ties a few ulps apart, far from
+        /// the origin or near it, and a NaN or infinite coordinate in a
+        /// point or a center.
+        #[test]
+        fn gated_pair_pass_matches_the_scalar_pass_and_the_scan(
+            shape in (1usize..12, 1usize..140, 0usize..6),
+            grid in (0u64..5, 0usize..3, 0usize..5),
+            seed: u64,
+        ) {
+            let (dim, n, k) = (shape.0, shape.1, [1, 31, 32, 33, 100, 257][shape.2]);
+            let (levels, offset, poison) = (grid.0, [0.0, 1.0e3, 1.0e7][grid.1], grid.2);
+            let mut state = seed | 1;
+            let mut next = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state >> 11
+            };
+            // `levels == 0`: continuous values; otherwise a grid of
+            // `levels + 1` values per axis, points at midpoints nudged
+            // by a few ulps.
+            let mut coord = |point: bool| {
+                let r = next();
+                let v = if levels == 0 {
+                    (r % 2_000_000) as f64 / 1e4 - 100.0
+                } else {
+                    let mid = if point { 0.5 } else { 0.0 };
+                    let g = (r % (levels + 1)) as f64 + mid;
+                    f64::from_bits(g.to_bits() + (r >> 40) % 3)
+                };
+                v + offset
+            };
+            let mut points: Vec<f64> = (0..n * dim).map(|_| coord(true)).collect();
+            let mut centers: Vec<f64> = (0..k * dim).map(|_| coord(false)).collect();
+            let (p, c) = (seed as usize % points.len(), seed as usize % centers.len());
+            match poison {
+                1 => points[p] = f64::NAN,
+                2 => points[p] = f64::NEG_INFINITY,
+                3 => centers[c] = f64::NAN,
+                4 => centers[c] = f64::INFINITY,
+                _ => {}
+            }
+            passes_match_the_scan(&points, &centers, dim);
         }
 
         #[test]

@@ -257,6 +257,53 @@ mod tests {
         assert_eq!(recover_with(&payload), 1, "the untampered frame recovers");
     }
 
+    /// Every variant fails the committed frame's checksum; every 61st
+    /// also goes through the decoder `load` runs (hex-decoding 4 KiB per
+    /// variant for all of them is minutes in a debug build).
+    #[test]
+    fn a_4kib_frame_detects_every_flip_and_lane_swap() {
+        let j = journal();
+        let payload: Vec<u8> = (0..4096u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        j.commit(0, &payload).unwrap();
+        let path = j.final_path(0);
+        let stored = j.dfs.len(&path).unwrap();
+        let mut lines = j.dfs.read_lines(&path).unwrap();
+        let crc = lines[0].rsplit_once("crc=").expect("a crc field").1;
+        let crc = u64::from_str_radix(crc, 16).unwrap();
+        assert_eq!(
+            RunJournal::decode(0, stored, &lines).unwrap().payload,
+            payload
+        );
+        let line_of = |byte: usize| 1 + byte / BYTES_PER_LINE;
+        let mut variant = 0;
+        crate::dfs::for_each_flip_and_lane_swap(&payload, |tampered, changed| {
+            assert_ne!(block_crc(tampered), crc, "{changed:?}");
+            variant += 1;
+            if variant % 61 != 0 {
+                return;
+            }
+            // Re-encode the payload lines the variant touched.
+            let touched = changed
+                .clone()
+                .map(|r| line_of(r.start)..=line_of(r.end - 1));
+            let encode = |lines: &mut Vec<String>, data: &[u8]| {
+                for l in touched.iter().cloned().flatten() {
+                    let at = (l - 1) * BYTES_PER_LINE;
+                    lines[l] = hex_encode(&data[at..(at + BYTES_PER_LINE).min(data.len())]);
+                }
+            };
+            encode(&mut lines, tampered);
+            assert!(
+                RunJournal::decode(0, stored, &lines).is_none(),
+                "{changed:?}"
+            );
+            encode(&mut lines, &payload);
+        });
+        assert_eq!(j.latest().unwrap().expect("intact").payload, payload);
+    }
+
     #[test]
     fn latest_prefers_highest_sequence() {
         let j = journal();

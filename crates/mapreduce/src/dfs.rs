@@ -59,24 +59,51 @@ pub const BLOCK_MAGIC: &str = "GMRBLK1";
 /// spill-run blocks ([`crate::spill`]) and checkpoint frames
 /// ([`crate::checkpoint`]). Verified on every read.
 ///
-/// It consumes eight bytes per step, `h ← rotl((h ⊕ w)·K, 29)`, then
-/// one tail word holding the last `len mod 8` bytes and their count,
-/// then folds in the length and runs the `fmix64` finalizer. Every step
-/// is a bijection of `h` for a fixed input word, so a change confined
-/// to one word — in particular every single-bit flip — always changes
-/// the checksum; a change of length changes the tail word or the word
-/// count and the folded length.
+/// Word `i` of the input (its bytes `8i..8i + 8`, little-endian) goes
+/// to lane `i mod 4`, and each lane folds its words in order with
+/// `h ← rotl((h ⊕ w)·K, 29)` from its own seed. Four lanes are four
+/// independent multiply chains, so the fold runs at the multiplier's
+/// throughput instead of its latency. The four lane states then fold
+/// through the same step into one state, followed by one tail word
+/// holding the last `len mod 8` bytes and their count, then the length
+/// and the `fmix64` finalizer.
+///
+/// Every step is a bijection of `h` for a fixed word and of the word
+/// for a fixed `h`, so a change confined to one word — in particular
+/// every single-bit flip — changes its lane's state and with it the
+/// checksum; a change of length changes the tail word or the word count
+/// and the folded length. The lanes start from different seeds and fold
+/// into one state in a fixed order, so swapping two words between lanes
+/// does not merely permute the lane states: it changes the checksum
+/// unless the 64-bit results collide.
 pub fn block_crc(data: &[u8]) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
     let step = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(29);
-    let mut words = data.chunks_exact(8);
-    let mut h = words.by_ref().fold(0xcbf2_9ce4_8422_2325, |h, w| {
-        step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
-    });
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+    let mut lanes = [
+        0xcbf2_9ce4_8422_2325,
+        0x8422_2325_cbf2_9ce4,
+        0x9ce4_cbf2_2325_8422,
+        0x2325_8422_9ce4_cbf2,
+    ];
+    let mut stripes = data.chunks_exact(32);
+    for s in stripes.by_ref() {
+        lanes = [
+            step(lanes[0], word(&s[..8])),
+            step(lanes[1], word(&s[8..16])),
+            step(lanes[2], word(&s[16..24])),
+            step(lanes[3], word(&s[24..])),
+        ];
+    }
+    let mut words = stripes.remainder().chunks_exact(8);
+    for (lane, w) in lanes.iter_mut().zip(words.by_ref()) {
+        *lane = step(*lane, word(w));
+    }
     let rest = words.remainder();
     let mut tail = [0u8; 8];
     tail[..rest.len()].copy_from_slice(rest);
     tail[7] = rest.len() as u8;
+    let mut h = lanes[1..].iter().fold(lanes[0], |h, &lane| step(h, lane));
     h = step(h, u64::from_le_bytes(tail)) ^ data.len() as u64;
     h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
     h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
@@ -930,6 +957,40 @@ impl TextWriter {
     }
 }
 
+/// Every single-bit flip of `data`, then every swap of two unequal
+/// eight-byte words in different [`block_crc`] lanes (word `i` is in
+/// lane `i mod 4`), each handed to `check` in place with the byte
+/// ranges it changed.
+#[cfg(test)]
+pub(crate) fn for_each_flip_and_lane_swap(
+    data: &[u8],
+    mut check: impl FnMut(&[u8], [std::ops::Range<usize>; 2]),
+) {
+    let mut buf = data.to_vec();
+    for bit in 0..buf.len() * 8 {
+        let byte = bit / 8;
+        buf[byte] ^= 1 << (bit % 8);
+        check(&buf, [byte..byte + 1, byte..byte + 1]);
+        buf[byte] ^= 1 << (bit % 8);
+    }
+    let words = buf.len() / 8;
+    for i in 0..words {
+        for j in (i + 1..words).filter(|j| j % 4 != i % 4) {
+            if buf[8 * i..8 * i + 8] != buf[8 * j..8 * j + 8] {
+                swap_words(&mut buf, i, j);
+                check(&buf, [8 * i..8 * i + 8, 8 * j..8 * j + 8]);
+                swap_words(&mut buf, i, j);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+fn swap_words(buf: &mut [u8], i: usize, j: usize) {
+    let (head, tail) = buf.split_at_mut(8 * j);
+    head[8 * i..8 * i + 8].swap_with_slice(&mut tail[..8]);
+}
+
 #[cfg(test)]
 impl Dfs {
     /// Swaps the stored bytes of block `block` of `path` behind the
@@ -1367,6 +1428,57 @@ mod tests {
             assert!(matches!(err, Error::Corrupt(_)), "{err}");
         }
         assert!(read_with(&raw).is_ok(), "the untampered block still reads");
+    }
+
+    /// Text lines of exactly `len` bytes, newlines included.
+    fn text_of_len(len: usize) -> Vec<String> {
+        let mut lines = Vec::new();
+        let mut left = len;
+        for i in 0u64.. {
+            let line = format!("{} {}", i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20, i);
+            let line = &line[..line.len().min(left - 1)];
+            left -= line.len() + 1;
+            lines.push(line.to_string());
+            if left == 0 {
+                break;
+            }
+        }
+        lines
+    }
+
+    #[test]
+    fn checksum_known_answers() {
+        let bytes: Vec<u8> = (0..4096u32).map(|i| (i * 131 + 7) as u8).collect();
+        let cases: [(usize, u64); 7] = [
+            (0, 0x41a9_8704_365b_fcd4),
+            (1, 0x67cd_518c_b138_7327),
+            (8, 0x5dd0_fa50_3a62_bc33),
+            (31, 0x6fff_46f9_4207_a408),
+            (32, 0x2ee1_3c7c_4f2a_40ee),
+            (33, 0xd82c_f045_8190_3a42),
+            (4096, 0xc766_5645_86f2_15c7),
+        ];
+        for (len, want) in cases {
+            assert_eq!(block_crc(&bytes[..len]), want, "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn a_4kib_block_detects_every_flip_and_lane_swap() {
+        let fs = dfs(4096);
+        fs.put_lines("f", text_of_len(4096)).unwrap();
+        let raw = fs.swap_stored_block("f", 0, Bytes::new()).to_vec();
+        assert_eq!(raw.len(), 4096);
+        for_each_flip_and_lane_swap(&raw, |tampered, at| {
+            fs.swap_stored_block("f", 0, Bytes::copy_from_slice(tampered));
+            let err = fs.blocks("f").unwrap()[0].read().unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{at:?}: {err}");
+        });
+        fs.swap_stored_block("f", 0, Bytes::from(raw));
+        assert!(
+            read_all(&fs, "f").is_ok(),
+            "the untampered block still reads"
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use crate::counters::{Counter, Counters};
 use crate::error::Result;
+use crate::hash::StableHasher;
 use crate::memory::HeapLedger;
 use crate::writable::{ShuffleKey, ShuffleValue};
 
@@ -306,9 +307,10 @@ pub trait Job: Sync {
     }
 }
 
-/// Hash partitioning with a process-deterministic hasher.
+/// Hash partitioning with [`StableHasher`], the same on every run and
+/// every toolchain.
 pub fn default_partition<K: Hash>(key: &K, partitions: usize) -> usize {
-    let mut h = std::hash::DefaultHasher::new();
+    let mut h = StableHasher::new();
     key.hash(&mut h);
     (h.finish() % partitions as u64) as usize
 }

@@ -110,6 +110,7 @@ pub mod counters;
 pub mod dfs;
 pub mod error;
 pub mod faults;
+pub mod hash;
 pub mod job;
 pub mod memory;
 pub mod runtime;

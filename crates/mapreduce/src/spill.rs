@@ -495,6 +495,33 @@ mod tests {
     }
 
     #[test]
+    fn a_4kib_block_detects_every_flip_and_lane_swap() {
+        let dir = SpillDir::create().unwrap();
+        let (empty, _) = write_run(&dir, false, 1, &[(7, String::new())]);
+        // Letters that make nearly every eight-byte word distinct.
+        let value: String = (0..4096 - empty.raw_len() as u32)
+            .map(|i| char::from(b'a' + (i.wrapping_mul(2_654_435_761) >> 27) as u8 % 26))
+            .collect();
+        let (run, _) = write_run(&dir, false, 4096, &[(7, value.clone())]);
+        assert_eq!((run.blocks.len(), run.raw_len()), (1, 4096));
+        let run = Arc::new(run);
+        let bytes = fs::read(&run.path).unwrap();
+        // Overwritten in place: the file keeps its length and blocks.
+        let mut file = fs::OpenOptions::new().write(true).open(&run.path).unwrap();
+        let mut write_at_start = |data: &[u8]| {
+            file.seek(SeekFrom::Start(0)).unwrap();
+            file.write_all(data).unwrap();
+        };
+        crate::dfs::for_each_flip_and_lane_swap(&bytes, |tampered, at| {
+            write_at_start(tampered);
+            let err = read_all(Arc::clone(&run)).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{at:?}: {err:?}");
+        });
+        write_at_start(&bytes);
+        assert_eq!(read_all(run).unwrap(), [(7, value)]);
+    }
+
+    #[test]
     fn files_are_deleted_on_drop() {
         let dir = SpillDir::create().unwrap();
         let (run, _) = write_run(&dir, false, 512, &sample_records(10));

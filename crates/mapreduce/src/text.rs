@@ -42,6 +42,25 @@
 //! `10^−q`, is exact there too, but measured slower: its branch on
 //! `w ≤ 2⁵³` goes one way for about 63% of gmeans-text's coordinates
 //! and the other way for the rest, in no order it can predict.)
+//!
+//! # The fast path
+//!
+//! A split's lines ([`PointLines`]) first go to a vector path for the
+//! shape [`format_point`] writes, where x86-64 has SSSE3 and SSE4.1
+//! (probed once at runtime):
+//!
+//! ```text
+//! line  = token (" " token)* "\n"
+//! token = "-"? digit{1,8} "." digit{1,16}     at most 19 digits in all
+//! ```
+//!
+//! with every token starting at least 32 bytes before the end of the
+//! split. It loads those 32 bytes, finds the token's extent from their
+//! digit mask, folds the integer digits as the scanner does and the
+//! fraction digits with a shuffle and a `maddubs`/`madd` chain, and
+//! converts with the same `to_f64`, so its bits are the scanner's. It
+//! declines every other line, which then takes the scanner and the
+//! reference as before.
 
 use std::fmt::Write;
 
@@ -126,14 +145,23 @@ pub fn parse_point_dim(line: &str, dim: usize) -> Result<Vec<f64>> {
 pub struct PointLines<'a> {
     text: &'a str,
     pos: usize,
+    /// Whether lines go to the vector fast path first.
+    simd: bool,
 }
 
 impl<'a> PointLines<'a> {
     /// The lines of `data`, a split of whole lines.
     pub fn new(data: &'a [u8]) -> Self {
+        Self::with_fast_path(data, true)
+    }
+
+    /// [`PointLines::new`] with the fast path off, or on where
+    /// [`simd_available`] says it can run.
+    fn with_fast_path(data: &'a [u8], simd: bool) -> Self {
         Self {
             text: std::str::from_utf8(data).unwrap_or(""),
             pos: 0,
+            simd: simd && simd_available(),
         }
     }
 
@@ -170,7 +198,11 @@ impl<'a> PointLines<'a> {
             return None;
         }
         let len = out.len();
-        if let Some((n, next)) = scan_line(bytes, start, out) {
+        let scanned = fast_line(bytes, start, out, self.simd).or_else(|| {
+            out.truncate(len);
+            scan_line(bytes, start, out)
+        });
+        if let Some((n, next)) = scanned {
             if dim.map_or(true, |d| d == n) {
                 self.pos = next;
                 return Some(Ok(n));
@@ -223,18 +255,16 @@ fn arity_error(n: usize, dim: usize) -> Error {
 /// Most digits a scanned token may hold: `10¹⁹ − 1` still fits a `u64`.
 const MAX_DIGITS: u32 = 19;
 
-/// `10^i` for `i ≤ 8`: the scale of a run of `i` folded digits.
-const POW10_U64: [u64; 9] = [
-    1,
-    10,
-    100,
-    1_000,
-    10_000,
-    100_000,
-    1_000_000,
-    10_000_000,
-    100_000_000,
-];
+/// `10^i` for `i ≤ 16`: the scale of a run of `i` folded digits.
+const POW10_U64: [u64; 17] = {
+    let mut pow = [1u64; 17];
+    let mut i = 1;
+    while i < pow.len() {
+        pow[i] = pow[i - 1] * 10;
+        i += 1;
+    }
+    pow
+};
 
 /// Row `i` is `5^−i` as a 128-bit significand: `⌊2^b / 5^i⌋ + 1` with
 /// `b` = 127 + the bit length of `5^i`, so the top bit is set; row 0 is
@@ -261,6 +291,146 @@ const POW5_128: [u128; 20] = [
     0x9392_ee8e_921d_5d07_3aff_322e_6243_9fd0,
     0xec1e_4a7d_b695_61a5_2b31_e9e3_d06c_32e6,
 ];
+
+/// Whether the SSSE3/SSE4.1 fast path can run here, probed once.
+#[cfg(target_arch = "x86_64")]
+fn simd_available() -> bool {
+    use std::sync::OnceLock;
+    static AVAILABLE: OnceLock<bool> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| {
+        std::is_x86_feature_detected!("ssse3") && std::is_x86_feature_detected!("sse4.1")
+    })
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn simd_available() -> bool {
+    false
+}
+
+/// The fast path: parses the line that starts at `bytes[i]` if it has
+/// the shape [`format_point`] writes (see the module docs), appending
+/// its coordinates to `out`, and returns their count and where the next
+/// line starts. `None` when `simd` is off or the line has another
+/// shape; `out` may then hold some of the line's coordinates. `simd`
+/// may be true only where [`simd_available`] is.
+#[inline]
+fn fast_line(bytes: &[u8], i: usize, out: &mut Vec<f64>, simd: bool) -> Option<(usize, usize)> {
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        // SAFETY: `simd` is only true where `simd_available()` confirmed
+        // SSSE3 and SSE4.1 at runtime.
+        return unsafe { sse::scan_line(bytes, i, out) };
+    }
+    let _ = (bytes, i, out, simd);
+    None
+}
+
+#[cfg(target_arch = "x86_64")]
+mod sse {
+    use super::{fold8, to_f64, MAX_DIGITS, POW10_U64};
+    use std::arch::x86_64::*;
+
+    /// Bytes read from each token's first byte: the longest token the
+    /// fast path takes, `-` + 8 + `.` + 16 = 26 bytes, and its
+    /// separator fit.
+    const WINDOW: usize = 32;
+
+    /// `RIGHT_ALIGN[n]` is the `pshufb` control that moves the first `n`
+    /// bytes of a vector to its last `n` and zeroes the bytes before.
+    static RIGHT_ALIGN: [[u8; 16]; 17] = {
+        let mut table = [[0x80u8; 16]; 17];
+        let mut n = 0;
+        while n <= 16 {
+            let mut j = 16 - n;
+            while j < 16 {
+                table[n][j] = (j + n - 16) as u8;
+                j += 1;
+            }
+            n += 1;
+        }
+        table
+    };
+
+    /// The fast path's line loop: tokens one space apart, the last
+    /// followed by `\n`, each starting at least [`WINDOW`] bytes before
+    /// the end of `bytes`.
+    ///
+    /// # Safety
+    /// Caller must have verified SSSE3 and SSE4.1 support at runtime.
+    #[target_feature(enable = "ssse3,sse4.1")]
+    pub unsafe fn scan_line(
+        bytes: &[u8],
+        mut i: usize,
+        out: &mut Vec<f64>,
+    ) -> Option<(usize, usize)> {
+        let start = out.len();
+        loop {
+            let window: &[u8; WINDOW] = bytes.get(i..i + WINDOW)?.try_into().ok()?;
+            let (v, len) = token(window)?;
+            out.push(v);
+            match window[len] {
+                b' ' => i += len + 1,
+                b'\n' => return Some((out.len() - start, i + len + 1)),
+                _ => return None,
+            }
+        }
+    }
+
+    /// Converts the token `-?d{1,8}.d{1,16}` (at most 19 digits in all)
+    /// at the start of `w`, returning its value and length.
+    #[target_feature(enable = "ssse3,sse4.1")]
+    fn token(w: &[u8; WINDOW]) -> Option<(f64, usize)> {
+        let zero = _mm_set1_epi8(b'0' as i8);
+        let nine = _mm_set1_epi8(9);
+        // SAFETY: both 16-byte loads lie within the 32-byte `w`.
+        let (lo, hi) = unsafe {
+            (
+                _mm_loadu_si128(w[..16].as_ptr().cast()),
+                _mm_loadu_si128(w[16..].as_ptr().cast()),
+            )
+        };
+        // Bit j of `digits` is set when `w[j]` is an ASCII digit: its
+        // value `w[j] − '0'` is at most 9 as an unsigned byte.
+        let digit_bits = |v: __m128i| {
+            let d = _mm_sub_epi8(v, zero);
+            _mm_movemask_epi8(_mm_cmpeq_epi8(_mm_min_epu8(d, nine), d)) as u32
+        };
+        let digits = digit_bits(lo) | digit_bits(hi) << 16;
+        let sign = usize::from(w[0] == b'-');
+        let int = (!(digits >> sign)).trailing_zeros() as usize;
+        if !(1..=8).contains(&int) || w[sign + int] != b'.' {
+            return None;
+        }
+        let at = sign + int + 1;
+        let frac = (!(digits >> at)).trailing_zeros() as usize;
+        if !(1..=16).contains(&frac) || int + frac > MAX_DIGITS as usize {
+            return None;
+        }
+        let whole = fold8(
+            u64::from_le_bytes(w[sign..sign + 8].try_into().ok()?),
+            int as u32,
+        );
+        // The fraction's digit values, right-aligned behind zeros, then
+        // folded: pairs (×10 + ·), quads (×100 + ·), eights (×10⁴ + ·).
+        // SAFETY: the 16 bytes at `at ≤ 10` lie within the 32-byte `w`,
+        // and the control row is 16 bytes.
+        let (text, control) = unsafe {
+            (
+                _mm_loadu_si128(w[at..at + 16].as_ptr().cast()),
+                _mm_loadu_si128(RIGHT_ALIGN[frac].as_ptr().cast()),
+            )
+        };
+        let values = _mm_shuffle_epi8(_mm_sub_epi8(text, zero), control);
+        let pairs = _mm_maddubs_epi16(values, _mm_set1_epi16(0x010a));
+        let quads = _mm_madd_epi16(pairs, _mm_set1_epi32(0x0001_0064));
+        let eights = _mm_madd_epi16(_mm_packus_epi32(quads, quads), _mm_set1_epi32(0x0001_2710));
+        let high = _mm_cvtsi128_si32(eights) as u64;
+        let low = _mm_extract_epi32::<1>(eights) as u64;
+        let mantissa = whole * POW10_U64[frac] + high * 100_000_000 + low;
+        let v = to_f64(mantissa, frac as u32);
+        Some((if sign == 1 { -v } else { v }, at + frac))
+    }
+}
 
 /// The scanner: parses the line that starts at `bytes[i]` if all of it
 /// is in the grammar of the module docs, appending its coordinates to
@@ -499,6 +669,9 @@ mod tests {
         wide: usize,
         /// Passed over to the reference.
         passed_over: usize,
+        /// Lines, and the lines the fast path took.
+        lines: usize,
+        fast_lines: usize,
     }
 
     /// Bit-compares every token of `text` (one point per line) against
@@ -535,8 +708,15 @@ mod tests {
         }
         let mut lines = PointLines::new(text.as_bytes());
         let mut got = Vec::new();
-        while let Some(line) = lines.next_point_dim(dim, &mut got) {
+        loop {
+            let mut probe = Vec::new();
+            let fast = fast_line(text.as_bytes(), lines.pos, &mut probe, lines.simd);
+            let Some(line) = lines.next_point_dim(dim, &mut got) else {
+                break;
+            };
             assert_eq!(line, Ok(()));
+            tally.lines += 1;
+            tally.fast_lines += usize::from(fast.is_some());
         }
         assert!(got.iter().map(|v| v.to_bits()).eq(expected));
         tally
@@ -575,8 +755,9 @@ mod tests {
     }
 
     /// The full-size differential: gmeans-text's four datasets (seed 1's,
-    /// 100k points in R¹⁰ around 100 clusters each), 4M tokens. Run with
-    /// `cargo test --release -p gmr-mapreduce -- --ignored`.
+    /// 100k points in R¹⁰ around 100 clusters each), 4M tokens, where the
+    /// fast path takes at least 95% of the lines on a host that has it.
+    /// Run with `cargo test --release -p gmr-mapreduce -- --ignored`.
     #[test]
     #[ignore = "4M tokens: run in release"]
     fn gmeans_text_datasets_parse_bit_identical_to_str_parse() {
@@ -584,6 +765,12 @@ mod tests {
             let spec = GaussianMixture::paper_r10(100_000, 100, seed);
             let tally = differential(&mixture_text(&spec), spec.dim);
             assert!(tally.narrow > 0 && tally.wide > 0, "seed {seed}: {tally:?}");
+            if simd_available() {
+                assert!(
+                    tally.fast_lines * 100 >= tally.lines * 95,
+                    "seed {seed}: {tally:?}"
+                );
+            }
         }
     }
 
@@ -599,6 +786,122 @@ mod tests {
             coords.push(v.to_bits());
         }
         (!coords.is_empty() && coords.len() == dim).then_some(coords)
+    }
+
+    /// Whether `tok` has the fast path's token shape,
+    /// `-?d{1,8}.d{1,16}` with at most 19 digits.
+    fn fast_token(tok: &str) -> bool {
+        let body = tok.strip_prefix('-').unwrap_or(tok);
+        let Some((int, frac)) = body.split_once('.') else {
+            return false;
+        };
+        let digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
+        digits(int)
+            && digits(frac)
+            && (1..=8).contains(&int.len())
+            && (1..=16).contains(&frac.len())
+            && int.len() + frac.len() <= 19
+    }
+
+    /// Parses every line of `text` with the fast path on and with it
+    /// off: the same verdicts, coordinate bits and rejected lines, and
+    /// the reference's. Each line also goes to the fast path directly,
+    /// which must take exactly the lines of its shape — tokens of
+    /// [`fast_token`] shape one space apart and a `\n` after the last,
+    /// which starts at least 32 bytes before the end — where the host
+    /// has SSSE3 and SSE4.1. Returns how many lines it took.
+    fn fast_and_scalar_agree(text: &str, dim: usize) -> usize {
+        let bytes = text.as_bytes();
+        let simd = simd_available();
+        let mut fast = PointLines::with_fast_path(bytes, simd);
+        let mut scalar = PointLines::with_fast_path(bytes, false);
+        let (mut got, mut want) = (vec![-1.0], vec![-1.0]);
+        let mut taken = 0;
+        for raw in text.split_inclusive('\n') {
+            let start = fast.pos;
+            let body = raw.strip_suffix('\n');
+            let last_token = body.map_or(0, |b| b.rfind(' ').map_or(0, |at| at + 1));
+            let shaped = body.is_some_and(|b| b.split(' ').all(fast_token))
+                && start + last_token + 32 <= bytes.len();
+            let mut probe = Vec::new();
+            let took = fast_line(bytes, start, &mut probe, simd);
+            assert_eq!(took.is_some(), simd && shaped, "fast path on {raw:?}");
+            taken += usize::from(took.is_some());
+
+            let line = raw.trim_end_matches(['\n', '\r']);
+            let verdict = fast.next_point_dim(dim, &mut got).expect("one more line");
+            assert_eq!(
+                verdict,
+                scalar
+                    .next_point_dim(dim, &mut want)
+                    .expect("one more line")
+            );
+            let (got_bits, want_bits): (Vec<u64>, Vec<u64>) = (
+                got.drain(1..).map(f64::to_bits).collect(),
+                want.drain(1..).map(f64::to_bits).collect(),
+            );
+            assert_eq!(got_bits, want_bits, "{line:?}");
+            match reference_parse_point_dim(line, dim) {
+                Some(bits) => assert_eq!((verdict, got_bits), (Ok(()), bits), "{line:?}"),
+                None => assert_eq!(verdict, Err(line)),
+            }
+        }
+        assert!(fast.next_point_dim(dim, &mut got).is_none());
+        taken
+    }
+
+    /// A double of any sign and magnitude (`near == 0`), or with the
+    /// significand of `bits` at binary exponent `exp − 1023`.
+    fn random_double(bits: u64, exp: u64, near: u8) -> f64 {
+        let any = f64::from_bits(bits);
+        let scaled = f64::from_bits(bits & !(0x7ff << 52) | exp << 52);
+        if near == 0 && any.is_finite() {
+            any
+        } else {
+            scaled
+        }
+    }
+
+    /// `line`, a [`format_point`] line, with one edit at the fast
+    /// path's grammar edges picked by `kind` (none for `kind` 0 or ≥ 10)
+    /// at token `at`: a double space, a tab, CRLF, a `+`, an exponent,
+    /// a 17–19-digit fraction, an integer without a `.`, a trailing
+    /// space, or 20–23 digits in all within 8 integer and 16 fraction
+    /// digits.
+    fn edit(line: &str, kind: usize, at: usize, x: f64) -> String {
+        let tokens: Vec<&str> = line.split(' ').collect();
+        let at = at % tokens.len();
+        let with_token = |tok: String| {
+            let mut t: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
+            t[at] = tok;
+            t.join(" ")
+        };
+        let separator = |sep: &str| {
+            if tokens.len() == 1 {
+                format!("{sep}{line}")
+            } else {
+                let (head, tail) = tokens.split_at(at.max(1));
+                format!("{}{sep}{}", head.join(" "), tail.join(" "))
+            }
+        };
+        match kind {
+            1 => separator("  "),
+            2 => separator("\t"),
+            3 => format!("{line}\r"),
+            4 => with_token(format!("+{}", x.abs())),
+            5 => with_token(format!("{x:e}")),
+            // 17, 18 and 19 fraction digits.
+            6 => with_token(format!(
+                "{}.{:0>w$}",
+                x.trunc().abs() as u8,
+                at,
+                w = 17 + at % 3
+            )),
+            7 => with_token(format!("{}", x.trunc() as i32)),
+            8 => format!("{line} "),
+            9 => with_token(format!("{:0>8}.{:0>w$}", at, at, w = 12 + at % 4)),
+            _ => line.to_string(),
+        }
     }
 
     /// Tokens and separators of dirty point lines: signed zeros,
@@ -670,6 +973,61 @@ mod tests {
                         prop_assert_eq!(parse_point(&tok).unwrap()[0].to_bits(), want, "{}", tok);
                     }
                 }
+            }
+        }
+
+        /// `format_point` lines of random doubles, d = 1–12, with one
+        /// edit each at the fast path's grammar edges in most of them;
+        /// the split's last line or two start within 32 bytes of its end,
+        /// and in half the draws the last line has no `\n`.
+        #[test]
+        fn fast_path_agrees_with_the_scanner_on_point_lines(
+            coords in proptest::collection::vec((0..=u64::MAX, 1013u64..1087, 0..3u8), 12 * 16),
+            edits in proptest::collection::vec((0..13usize, 0..12usize), 16),
+            dim in 1usize..13,
+        ) {
+            let mut text = String::new();
+            let mut canonical = 0;
+            for (i, &(kind, at)) in edits.iter().enumerate() {
+                let row: Vec<f64> = coords[i * 12..i * 12 + dim]
+                    .iter()
+                    .map(|&(bits, exp, near)| random_double(bits, exp, near))
+                    .collect();
+                let line = format_point(&row);
+                canonical += usize::from(kind >= 10 && line.split(' ').all(fast_token));
+                text.push_str(&edit(&line, kind, at, row[at % dim]));
+                text.push('\n');
+            }
+            if edits[0].1 % 2 == 0 {
+                text.pop(); // a last line without its `\n`
+            }
+            let taken = fast_and_scalar_agree(&text, dim);
+            // Only the last line or two of a split can start too close
+            // to its end.
+            if simd_available() {
+                prop_assert!(taken + 2 >= canonical, "{} of {}", taken, canonical);
+            }
+        }
+
+        /// Random bytes, mostly from the grammar's alphabet: no panic,
+        /// the scanner's verdict on every line, and the fast path runs
+        /// from every offset without a panic.
+        #[test]
+        fn random_bytes_get_the_scanners_verdict(
+            picks in proptest::collection::vec((0..20usize, 0..=u8::MAX), 0..300),
+            dim in 1usize..4,
+        ) {
+            const ALPHABET: &[u8] = b"0123456789-. \n\t\r+e";
+            let bytes: Vec<u8> = picks
+                .iter()
+                .map(|&(i, b)| ALPHABET.get(i).copied().unwrap_or(b))
+                .collect();
+            if let Ok(text) = std::str::from_utf8(&bytes) {
+                fast_and_scalar_agree(text, dim);
+            }
+            let mut out = Vec::new();
+            for i in 0..=bytes.len() {
+                let _ = fast_line(&bytes, i, &mut out, simd_available());
             }
         }
 

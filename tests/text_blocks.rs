@@ -314,6 +314,7 @@ fn split_test_on_dirty_text_matches_a_per_line_reference() {
                 parent_id,
                 n,
                 a2_star,
+                bic_gain: None,
                 decision,
             }
         })
