@@ -30,7 +30,7 @@ use gmr_mapreduce::prelude::*;
 use gmr_stats::{bic_spherical, ClusterModelStats};
 
 use crate::mr::centers::{CenterSet, Nearest};
-use crate::mr::kmeans_job::{fold_point_sums, PointSum};
+use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, PointSum};
 use crate::mr::split_test::{TestDecision, TestOutcome};
 
 /// Per-parent aggregate: `[Σd²_parent, Σd²_children, n_child0, n_child1]`
@@ -225,8 +225,8 @@ impl Job for BicTestJob {
         true
     }
 
-    fn combine(&self, _key: &i64, values: Vec<BicPartial>) -> Vec<BicPartial> {
-        fold_point_sums(values).into_iter().collect()
+    fn combine(&self, _key: &i64, acc: &mut Vec<BicPartial>, value: BicPartial) {
+        combine_point_sum(acc, value);
     }
 }
 

@@ -9,7 +9,7 @@
 //! is multiplexed by adding [`OFFSET`] to the id.
 
 use crate::mr::kmeans_job::PointSum;
-use gmr_linalg::{nearest_center_flat, nearest_centers_batch, Dataset, KdTree};
+use gmr_linalg::{nearest_center_flat, nearest_centers_batch, CenterTiles, Dataset, KdTree};
 use gmr_mapreduce::writable::Writable;
 use gmr_mapreduce::{Error, Result};
 use std::collections::hash_map::Entry;
@@ -129,8 +129,9 @@ impl KernelBackend {
 /// per job.
 #[derive(Clone, Debug)]
 enum Kernel {
-    /// The blocked kernel for blocks, the scalar scan per point.
-    Blocked,
+    /// The blocked kernel for blocks, over the set's tiles built once;
+    /// the scalar scan per point.
+    Blocked(Arc<CenterTiles>),
     /// A k-d tree. `counted` charges the tree's actual evaluations
     /// ([`CenterSet::with_kd_index`]); otherwise each point charges the
     /// scan's `k` ([`KernelBackend::Kd`]).
@@ -267,7 +268,11 @@ impl CenterSet {
             if finite && backend.resolve(self.dim, self.len()) == KernelBackend::Kd {
                 self.kd(false)
             } else {
-                Kernel::Blocked
+                Kernel::Blocked(Arc::new(CenterTiles::new(
+                    &self.flat,
+                    &self.norms,
+                    self.dim,
+                )))
             },
         );
         self
@@ -284,7 +289,7 @@ impl CenterSet {
     /// when lookups run the plain default path.
     pub fn kernel(&self) -> Option<&'static str> {
         self.kernel.as_ref().map(|k| match k {
-            Kernel::Blocked => "blocked",
+            Kernel::Blocked(_) => "blocked",
             Kernel::Kd { .. } => "kd",
         })
     }
@@ -362,7 +367,9 @@ impl CenterSet {
     /// `point_norms` are the per-row squared norms of `points` (cached
     /// once per split by the point cache). A k-d tree answers per row,
     /// exactly like [`CenterSet::nearest_with_cost`]; otherwise the SIMD
-    /// blocked batch kernel runs. Both are bit-identical to the scalar
+    /// blocked batch kernel runs, over the center tiles
+    /// [`CenterSet::with_backend`] built once, or over tiles built for
+    /// this call when no kernel is attached. Both are bit-identical to the scalar
     /// scan, so only wall time (and, under
     /// [`CenterSet::with_kd_index`], the charged count) differs.
     ///
@@ -371,14 +378,18 @@ impl CenterSet {
         if self.is_empty() || points.is_empty() {
             return Vec::new();
         }
-        if let Some(Kernel::Kd { .. }) = self.kernel {
-            return points
-                .chunks_exact(self.dim)
-                .filter_map(|p| self.nearest_with_cost(p))
-                .collect();
-        }
+        let nearest = match &self.kernel {
+            Some(Kernel::Kd { .. }) => {
+                return points
+                    .chunks_exact(self.dim)
+                    .filter_map(|p| self.nearest_with_cost(p))
+                    .collect();
+            }
+            Some(Kernel::Blocked(tiles)) => tiles.nearest(points, point_norms),
+            None => nearest_centers_batch(points, point_norms, &self.flat, &self.norms, self.dim),
+        };
         let k = self.ids.len() as u64;
-        nearest_centers_batch(points, point_norms, &self.flat, &self.norms, self.dim)
+        nearest
             .into_iter()
             .map(|(idx, d2)| (idx, self.ids[idx], d2, k))
             .collect()

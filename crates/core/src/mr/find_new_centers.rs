@@ -23,7 +23,7 @@ use gmr_mapreduce::hash::StableHasher;
 use gmr_mapreduce::prelude::*;
 
 use crate::mr::centers::{CenterSet, CenterUpdate, ChannelKey, Nearest};
-use crate::mr::kmeans_job::{fold_point_sums, PointSum};
+use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, PointSum};
 
 /// Output of the fused job.
 #[derive(Clone, Debug, PartialEq)]
@@ -51,19 +51,24 @@ fn priority(seed: u64, coords: &[f64]) -> u64 {
     h.finish()
 }
 
-/// Keeps the two values with the smallest priorities (stable under
-/// recombination: min of mins is the global min). Streams its input —
-/// at most three candidates are resident at a time, so the reducer can
-/// feed it values straight off the merge without collecting the group.
-fn keep_two_minimal(seed: u64, values: impl IntoIterator<Item = PointSum>) -> Vec<PointSum> {
-    let mut best: Vec<(u64, PointSum)> = Vec::with_capacity(3);
-    for v in values {
-        let p = priority(seed, &v.0);
-        best.push((p, v));
-        best.sort_by_key(|(p, _)| *p);
+/// Folds `value` into `best`, the at most two values of smallest
+/// priority seen so far, in ascending priority with ties in arrival
+/// order: a stable two-slot insert, which keeps what pushing, stably
+/// sorting by priority and keeping two would (stable under
+/// recombination: min of mins is the global min). The combiner and the
+/// candidate reducer share it, so neither collects a key's values.
+fn keep_two_minimal(seed: u64, best: &mut Vec<PointSum>, value: PointSum) {
+    let p = priority(seed, &value.0);
+    // Past every kept value whose priority is at most `p`: ties keep
+    // arrival order. Scanning from the back hashes only what decides.
+    let at = best
+        .iter()
+        .rposition(|kept| priority(seed, &kept.0) <= p)
+        .map_or(0, |i| i + 1);
+    if at < 2 {
+        best.insert(at, value);
         best.truncate(2);
     }
-    best.into_iter().map(|(_, v)| v).collect()
 }
 
 /// The fused job.
@@ -139,7 +144,10 @@ impl Reducer for FindNewCentersReducer {
     ) -> Result<()> {
         match ChannelKey::decode(key) {
             ChannelKey::Candidate(id) => {
-                let winners = keep_two_minimal(self.seed, values);
+                let mut winners = Vec::with_capacity(3);
+                for value in values {
+                    keep_two_minimal(self.seed, &mut winners, value);
+                }
                 out.push(FindNewOutput::Candidates {
                     id,
                     points: winners.into_iter().map(|(coords, _)| coords).collect(),
@@ -182,10 +190,10 @@ impl Job for FindNewCentersJob {
     /// "The combiner and reducer test the value of the key. If it is
     /// larger than the predefined offset, they keep only 2 new centers
     /// per cluster. Otherwise they perform classical k-means reduction."
-    fn combine(&self, key: &i64, values: Vec<PointSum>) -> Vec<PointSum> {
+    fn combine(&self, key: &i64, acc: &mut Vec<PointSum>, value: PointSum) {
         match ChannelKey::decode(*key) {
-            ChannelKey::Candidate(_) => keep_two_minimal(self.seed, values),
-            ChannelKey::Refine(_) => fold_point_sums(values).into_iter().collect(),
+            ChannelKey::Candidate(_) => keep_two_minimal(self.seed, acc, value),
+            ChannelKey::Refine(_) => combine_point_sum(acc, value),
         }
     }
 }
@@ -193,10 +201,12 @@ impl Job for FindNewCentersJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mr::kmeans_job::tests::{bits, draws, sums, windows};
     use gmr_datagen::format_point;
     use gmr_mapreduce::cluster::ClusterConfig;
     use gmr_mapreduce::dfs::Dfs;
     use gmr_mapreduce::runtime::JobRunner;
+    use proptest::prelude::*;
 
     fn run_job(
         pts: &[Vec<f64>],
@@ -313,17 +323,79 @@ mod tests {
         }
     }
 
+    /// The batch form the streaming insert replaced, kept as the
+    /// reference: push, stable sort by priority, keep two.
+    fn batch_keep_two(seed: u64, values: Vec<PointSum>) -> Vec<PointSum> {
+        let mut best: Vec<(u64, PointSum)> = Vec::with_capacity(3);
+        for v in values {
+            let p = priority(seed, &v.0);
+            best.push((p, v));
+            best.sort_by_key(|(p, _)| *p);
+            best.truncate(2);
+        }
+        best.into_iter().map(|(_, v)| v).collect()
+    }
+
+    proptest! {
+        /// The streaming insert, fed any sequence — repeated points tie
+        /// on priority — keeps the batch form's records, bit for bit and
+        /// in order, after every value; so does the batch form applied per window to what
+        /// the last window kept plus the window's values. The job's
+        /// combiner routes the candidate channel to it and the refine
+        /// channel to the point-sum fold.
+        #[test]
+        fn streaming_keep_two_matches_the_batch_form(
+            draws in draws(),
+            cuts in proptest::collection::vec(0usize..64, 0..4),
+            seed in 0u64..4,
+        ) {
+            let values = sums(&draws);
+            let mut streamed = Vec::new();
+            for (i, value) in values.iter().cloned().enumerate() {
+                keep_two_minimal(seed, &mut streamed, value);
+                let batch = batch_keep_two(seed, values[..=i].to_vec());
+                prop_assert_eq!(bits(&streamed), bits(&batch));
+            }
+            let mut held = Vec::new();
+            for window in windows(&values, &cuts) {
+                held = batch_keep_two(seed, held.into_iter().chain(window).collect());
+            }
+            prop_assert_eq!(bits(&streamed), bits(&held));
+
+            let mut centers = CenterSet::new(3);
+            centers.push(4, &[0.0; 3]);
+            let job = FindNewCentersJob::new(Arc::new(centers), seed);
+            let mut candidates = Vec::new();
+            let mut refined = Vec::new();
+            for value in values.clone() {
+                job.combine(&ChannelKey::Candidate(4).encode(), &mut candidates, value.clone());
+                job.combine(&ChannelKey::Refine(4).encode(), &mut refined, value);
+            }
+            prop_assert_eq!(bits(&candidates), bits(&streamed));
+            let folded: Vec<PointSum> = fold_point_sums(values).into_iter().collect();
+            prop_assert_eq!(bits(&refined), bits(&folded));
+        }
+    }
+
+    fn keep_two(seed: u64, values: impl IntoIterator<Item = PointSum>) -> Vec<PointSum> {
+        let mut best = Vec::new();
+        for value in values {
+            keep_two_minimal(seed, &mut best, value);
+        }
+        best
+    }
+
     #[test]
     fn keep_two_minimal_is_associative() {
         let vals: Vec<PointSum> = (0..10).map(|i| (vec![i as f64], 1)).collect();
-        let all = keep_two_minimal(9, vals.clone());
+        let all = keep_two(9, vals.clone());
         // Partition into chunks, combine per chunk, then combine winners.
         let (a, b) = vals.split_at(4);
-        let partial: Vec<PointSum> = keep_two_minimal(9, a.to_vec())
+        let partial: Vec<PointSum> = keep_two(9, a.to_vec())
             .into_iter()
-            .chain(keep_two_minimal(9, b.to_vec()))
+            .chain(keep_two(9, b.to_vec()))
             .collect();
-        let recombined = keep_two_minimal(9, partial);
+        let recombined = keep_two(9, partial);
         assert_eq!(all, recombined);
     }
 }

@@ -18,23 +18,32 @@ use crate::mr::centers::{CenterSet, CenterUpdate, Nearest};
 /// Intermediate value: partial coordinate sums plus a point count.
 pub type PointSum = (Vec<f64>, u64);
 
-/// Element-wise fold of partial sums (shared by this job's combiner and
-/// reducer and by every other job whose values are `PointSum`s).
+/// Element-wise left fold of partial sums, the first taken as it is
+/// (shared by the reducers of every job whose values are `PointSum`s).
 pub fn fold_point_sums(values: impl IntoIterator<Item = PointSum>) -> Option<PointSum> {
-    let mut acc: Option<PointSum> = None;
-    for (coords, count) in values {
-        match acc.as_mut() {
-            None => acc = Some((coords, count)),
-            Some((sum, total)) => {
-                debug_assert_eq!(sum.len(), coords.len(), "mixed dimensions in shuffle");
-                for (s, c) in sum.iter_mut().zip(&coords) {
-                    *s += c;
-                }
-                *total += count;
+    let mut acc = Vec::with_capacity(1);
+    for value in values {
+        combine_point_sum(&mut acc, value);
+    }
+    acc.pop()
+}
+
+/// One step of [`fold_point_sums`], in [`Job::combine`]'s form: `acc`
+/// holds the key's one partial sum so far, or nothing before the first
+/// value, which is taken as it is; every later value is added into it
+/// element by element. The combiner of every job whose values are
+/// `PointSum`s.
+pub fn combine_point_sum(acc: &mut Vec<PointSum>, (coords, count): PointSum) {
+    match acc.first_mut() {
+        None => acc.push((coords, count)),
+        Some((sum, total)) => {
+            debug_assert_eq!(sum.len(), coords.len(), "mixed dimensions in shuffle");
+            for (s, c) in sum.iter_mut().zip(&coords) {
+                *s += c;
             }
+            *total += count;
         }
     }
-    acc
 }
 
 /// The k-means MapReduce job.
@@ -150,19 +159,123 @@ impl Job for KMeansJob {
         self.combiner
     }
 
-    fn combine(&self, _key: &i64, values: Vec<PointSum>) -> Vec<PointSum> {
-        fold_point_sums(values).into_iter().collect()
+    fn combine(&self, _key: &i64, acc: &mut Vec<PointSum>, value: PointSum) {
+        combine_point_sum(acc, value);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::mr::centers::apply_updates;
     use gmr_datagen::format_point;
     use gmr_mapreduce::cluster::ClusterConfig;
     use gmr_mapreduce::dfs::Dfs;
     use gmr_mapreduce::runtime::JobRunner;
+    use proptest::prelude::*;
+
+    /// A drawn sequence of `PointSum`s: a pool index below 6 picks one of
+    /// six fixed points — so a sequence repeats points, and their
+    /// priorities tie — the first two of them with a `-0.0` first
+    /// coordinate; any other index picks a point spread from `x`.
+    pub(crate) fn sums(draws: &[(usize, f64, u64)]) -> Vec<PointSum> {
+        draws
+            .iter()
+            .map(|&(i, x, n)| {
+                let coords = match i {
+                    0 => vec![-0.0, 1.5, -2.25],
+                    1 => vec![-0.0, -0.0, 3.0],
+                    2..=5 => vec![i as f64 * 0.1, -1e-300, 1e300 / i as f64],
+                    _ => vec![x, x * 1e-7 + i as f64, -x * x],
+                };
+                (coords, n)
+            })
+            .collect()
+    }
+
+    /// Draws for [`sums`].
+    pub(crate) fn draws() -> impl Strategy<Value = Vec<(usize, f64, u64)>> {
+        proptest::collection::vec((0usize..12, -1e3..1e3f64, 1u64..4), 0..48)
+    }
+
+    /// Cuts `values` into consecutive windows at the offsets `cuts`
+    /// (each taken modulo one more than the length, then sorted) — the
+    /// emission windows of a map attempt.
+    pub(crate) fn windows<T: Clone>(values: &[T], cuts: &[usize]) -> Vec<Vec<T>> {
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % (values.len() + 1)).collect();
+        at.push(values.len());
+        at.sort_unstable();
+        let mut start = 0;
+        at.into_iter()
+            .map(|end| {
+                let window = values[start..end].to_vec();
+                start = end;
+                window
+            })
+            .collect()
+    }
+
+    /// The records' coordinate bits and counts.
+    pub(crate) fn bits(records: &[PointSum]) -> Vec<(Vec<u64>, u64)> {
+        records
+            .iter()
+            .map(|(c, n)| (c.iter().map(|x| x.to_bits()).collect(), *n))
+            .collect()
+    }
+
+    /// The batch fold the combiner replaced, kept as the reference.
+    fn batch_fold(values: Vec<PointSum>) -> Vec<PointSum> {
+        let mut acc: Option<PointSum> = None;
+        for (coords, count) in values {
+            match acc.as_mut() {
+                None => acc = Some((coords, count)),
+                Some((sum, total)) => {
+                    for (s, c) in sum.iter_mut().zip(&coords) {
+                        *s += c;
+                    }
+                    *total += count;
+                }
+            }
+        }
+        acc.into_iter().collect()
+    }
+
+    proptest! {
+        /// The streaming combiner, fed any sequence, holds the batch
+        /// fold's bits and record count after every value; so does the
+        /// batch fold applied
+        /// per window to what the last window held plus the window's
+        /// values, as an in-place combine per spill window computed it.
+        #[test]
+        fn streaming_point_sum_matches_the_batch_fold(
+            draws in draws(),
+            cuts in proptest::collection::vec(0usize..64, 0..4),
+        ) {
+            let values = sums(&draws);
+            let mut acc = Vec::new();
+            for (i, value) in values.iter().cloned().enumerate() {
+                combine_point_sum(&mut acc, value);
+                prop_assert_eq!(bits(&acc), bits(&batch_fold(values[..=i].to_vec())));
+            }
+            let mut held = Vec::new();
+            for window in windows(&values, &cuts) {
+                held = batch_fold(held.into_iter().chain(window).collect());
+            }
+            prop_assert_eq!(bits(&acc), bits(&held));
+            prop_assert_eq!(fold_point_sums(values.clone()).into_iter().collect::<Vec<_>>(), acc);
+        }
+    }
+
+    #[test]
+    fn the_first_value_is_taken_as_it_is() {
+        // Added to a zero start, −0.0 would come out +0.0.
+        let mut acc = Vec::new();
+        combine_point_sum(&mut acc, (vec![-0.0, 2.0], 1));
+        assert_eq!(acc.len(), 1);
+        assert_eq!(acc[0].0[0].to_bits(), (-0.0f64).to_bits());
+        combine_point_sum(&mut acc, (vec![-0.0, 1.0], 2));
+        assert_eq!(bits(&acc), bits(&[(vec![-0.0, 3.0], 3)]));
+    }
 
     fn write_points(dfs: &Arc<Dfs>, path: &str, pts: &[Vec<f64>]) {
         dfs.put_lines(path, pts.iter().map(|p| format_point(p)))

@@ -26,7 +26,7 @@ use crate::mr::engine::{
     Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
     SegmentStats, Step,
 };
-use crate::mr::kmeans_job::{fold_point_sums, PointSum};
+use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, PointSum};
 
 /// Intermediate key: `(k-index, center id)` — the paper's `k_centerid`
 /// composite key, kept numeric for cheap shuffle sorting.
@@ -145,8 +145,8 @@ impl Job for MultiKMeansJob {
         true
     }
 
-    fn combine(&self, _key: &MultiKey, values: Vec<PointSum>) -> Vec<PointSum> {
-        fold_point_sums(values).into_iter().collect()
+    fn combine(&self, _key: &MultiKey, acc: &mut Vec<PointSum>, value: PointSum) {
+        combine_point_sum(acc, value);
     }
 }
 

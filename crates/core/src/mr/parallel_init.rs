@@ -40,7 +40,7 @@ use crate::mr::centers::{check_next_id, CenterSet, Nearest};
 use crate::mr::engine::{
     Engine, EngineCtx, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats, SegmentStats, Step,
 };
-use crate::mr::kmeans_job::{fold_point_sums, PointSum};
+use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, PointSum};
 
 /// Key 0 carries the cost aggregate; key 1 carries sampled candidates.
 const COST_KEY: i64 = 0;
@@ -209,11 +209,11 @@ impl Job for ParallelInitRound {
         true
     }
 
-    fn combine(&self, key: &i64, values: Vec<PointSum>) -> Vec<PointSum> {
+    fn combine(&self, key: &i64, acc: &mut Vec<PointSum>, value: PointSum) {
         if *key == COST_KEY {
-            fold_point_sums(values).into_iter().collect()
+            combine_point_sum(acc, value);
         } else {
-            values // candidates pass through untouched
+            acc.push(value); // candidates pass through untouched
         }
     }
 }
@@ -474,6 +474,26 @@ mod tests {
     use gmr_mapreduce::cluster::ClusterConfig;
     use gmr_mapreduce::dfs::Dfs;
     use gmr_mapreduce::runtime::JobRunner;
+
+    /// The cost key folds like the batch fold; the sample key keeps
+    /// every value, in emission order.
+    #[test]
+    fn combiner_folds_cost_and_passes_samples_through() {
+        use crate::mr::kmeans_job::tests::{bits, sums};
+        let draws: Vec<(usize, f64, u64)> = (0..20).map(|i| (i % 12, i as f64 * 3.5, 1)).collect();
+        let values = sums(&draws);
+        let mut candidates = CenterSet::new(3);
+        candidates.push(0, &[0.0; 3]);
+        let job = ParallelInitRound::new(Arc::new(candidates), Some(0.5), 3);
+        let (mut cost, mut samples) = (Vec::new(), Vec::new());
+        for value in values.clone() {
+            job.combine(&COST_KEY, &mut cost, value.clone());
+            job.combine(&SAMPLE_KEY, &mut samples, value);
+        }
+        let folded: Vec<PointSum> = fold_point_sums(values.clone()).into_iter().collect();
+        assert_eq!(bits(&cost), bits(&folded));
+        assert_eq!(bits(&samples), bits(&values));
+    }
 
     fn staged(k: usize, n: usize, seed: u64) -> (JobRunner, Dataset) {
         let spec = GaussianMixture::paper_r10(n, k, seed);

@@ -43,6 +43,9 @@
 //! Partial tiles are padded with zero coordinates and `+∞` norms: a
 //! padded lane's bound is `+∞`, so it can never win the minimum and
 //! never survives.
+//!
+//! The tiles depend on the centers only, so a caller that sweeps many
+//! blocks against one center set builds them once ([`CenterTiles`]).
 
 use crate::distance::squared_euclidean;
 
@@ -89,6 +92,7 @@ fn bound_margin(dim: usize, px2: f64, cn_max: f64) -> f64 {
 /// One transposed center tile: `t[d * CENTER_TILE + j]` is coordinate
 /// `d` of the tile's `j`-th center. Lanes `rows..CENTER_TILE` are
 /// padding (zero coordinates, `+∞` norm).
+#[derive(Clone, Debug)]
 struct CenterTile {
     t: Vec<f64>,
     norms: [f64; CENTER_TILE],
@@ -263,7 +267,9 @@ fn tile_bounds_pair(
 ///
 /// `point_norms` / `center_norms` are the per-row squared norms of
 /// `points` / `centers` (see [`squared_norms`]); callers cache them so
-/// repeated sweeps (one per Lloyd iteration) pay for them once.
+/// repeated sweeps (one per Lloyd iteration) pay for them once. Builds
+/// the centers' tiles for this one call; a caller sweeping many blocks
+/// against the same centers builds a [`CenterTiles`] once instead.
 ///
 /// The result is bit-identical to calling
 /// [`nearest_center_flat`](crate::nearest_center_flat) per point,
@@ -279,44 +285,93 @@ pub fn nearest_centers_batch(
     center_norms: &[f64],
     dim: usize,
 ) -> Vec<(usize, f64)> {
-    nearest_batch(points, point_norms, centers, center_norms, dim, true)
+    CenterTiles::new(centers, center_norms, dim).nearest(points, point_norms)
 }
 
-/// [`nearest_centers_batch`] with the scalar bounds pass, or the AVX2
+/// A center set laid out for the blocked kernel: a copy of its
+/// row-major centers for the exact pass, their largest squared norm,
+/// and their transposed tiles — everything [`nearest_centers_batch`]
+/// derives from the centers alone, built once.
+#[derive(Clone, Debug)]
+pub struct CenterTiles {
+    centers: Vec<f64>,
+    dim: usize,
+    cn_max: f64,
+    /// Empty when a center is non-finite: every block then goes to the
+    /// reference scan.
+    tiles: Vec<CenterTile>,
+}
+
+impl CenterTiles {
+    /// Lays out `centers` (row-major, `dim` coordinates each) with their
+    /// squared norms `center_norms`.
+    ///
+    /// # Panics
+    /// Panics if `centers` is empty, `dim == 0`, the buffer is ragged,
+    /// or `center_norms` disagrees with the row count.
+    pub fn new(centers: &[f64], center_norms: &[f64], dim: usize) -> Self {
+        assert!(dim > 0, "dimension must be positive");
+        assert!(!centers.is_empty(), "no centers");
+        assert_eq!(centers.len() % dim, 0, "ragged center buffer");
+        assert_eq!(
+            center_norms.len(),
+            centers.len() / dim,
+            "center norm count mismatch"
+        );
+        // A non-finite center poisons every decomposition bound
+        // involving it, and the naive scan's comparison semantics around
+        // NaN are what the bit-identity contract pins — such a set sends
+        // every block to the reference scan. (Non-finite *points* are
+        // handled per point by the cutoff check.)
+        let finite = center_norms.iter().all(|cn| cn.is_finite());
+        Self {
+            centers: centers.to_vec(),
+            dim,
+            cn_max: center_norms.iter().cloned().fold(0.0f64, f64::max),
+            tiles: if finite {
+                transpose_tiles(centers, center_norms, dim)
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// [`nearest_centers_batch`] against these centers.
+    ///
+    /// # Panics
+    /// Panics if `points` is ragged or `point_norms` disagrees with its
+    /// row count.
+    pub fn nearest(&self, points: &[f64], point_norms: &[f64]) -> Vec<(usize, f64)> {
+        nearest_batch(points, point_norms, self, true)
+    }
+}
+
+/// [`CenterTiles::nearest`] with the scalar bounds pass, or the AVX2
 /// one where `use_simd` asks for it and [`simd_available`] allows it.
 fn nearest_batch(
     points: &[f64],
     point_norms: &[f64],
-    centers: &[f64],
-    center_norms: &[f64],
-    dim: usize,
+    set: &CenterTiles,
     use_simd: bool,
 ) -> Vec<(usize, f64)> {
-    assert!(dim > 0, "dimension must be positive");
-    assert!(!centers.is_empty(), "no centers");
+    let CenterTiles {
+        centers,
+        dim,
+        cn_max,
+        tiles,
+    } = set;
+    let (dim, cn_max, nt) = (*dim, *cn_max, tiles.len());
     assert_eq!(points.len() % dim, 0, "ragged point buffer");
-    assert_eq!(centers.len() % dim, 0, "ragged center buffer");
     let n = points.len() / dim;
-    let k = centers.len() / dim;
     assert_eq!(point_norms.len(), n, "point norm count mismatch");
-    assert_eq!(center_norms.len(), k, "center norm count mismatch");
     let scan = |p: &[f64]| {
         crate::distance::nearest_center_flat(p, centers, dim).expect("non-empty centers")
     };
-
-    // A non-finite center poisons every decomposition bound involving
-    // it, and the naive scan's comparison semantics around NaN are what
-    // the bit-identity contract pins — delegate the whole block to the
-    // reference scan. (Non-finite *points* are handled per point by the
-    // cutoff check below.)
-    if center_norms.iter().any(|cn| !cn.is_finite()) {
+    if tiles.is_empty() {
         return points.chunks_exact(dim).map(scan).collect();
     }
 
     let use_simd = use_simd && simd_available();
-    let cn_max = center_norms.iter().cloned().fold(0.0f64, f64::max);
-    let tiles = transpose_tiles(centers, center_norms, dim);
-    let nt = tiles.len();
     let mut out = Vec::with_capacity(n);
     // `bounds[ti · POINT_TILE + pi]` holds point `pi`'s bounds against
     // center tile `ti`; `tile_mins[pi · nt + ti]` their minimum.
@@ -538,14 +593,43 @@ mod tests {
     fn passes_match_the_scan(points: &[f64], centers: &[f64], dim: usize) {
         let want = naive(points, centers, dim);
         let (pn, cn) = (squared_norms(points, dim), squared_norms(centers, dim));
+        let set = CenterTiles::new(centers, &cn, dim);
         for simd in [false, simd_available()] {
-            let got = nearest_batch(points, &pn, centers, &cn, dim, simd);
+            let got = nearest_batch(points, &pn, &set, simd);
             assert_eq!(got.len(), want.len());
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(
                     (g.0, g.1.to_bits()),
                     (w.0, w.1.to_bits()),
                     "point {i}, simd {simd}"
+                );
+            }
+        }
+    }
+
+    /// Tiles built once serve every block, with blocks against sets of
+    /// other sizes in between.
+    #[test]
+    fn tiles_built_once_serve_every_block() {
+        let dim = 4;
+        let points: Vec<f64> = (0..300 * dim).map(|i| ((i * 37) % 101) as f64).collect();
+        let norms = squared_norms(&points, dim);
+        let sets: Vec<(Vec<f64>, CenterTiles)> = [100, 3, 257]
+            .iter()
+            .map(|&k| {
+                let centers: Vec<f64> = (0..k * dim).map(|i| ((i * 53) % 97) as f64).collect();
+                let tiles = CenterTiles::new(&centers, &squared_norms(&centers, dim), dim);
+                (centers, tiles)
+            })
+            .collect();
+        for block in 0..3 {
+            let rows = block * 100 * dim..(block + 1) * 100 * dim;
+            let (p, pn) = (&points[rows], &norms[block * 100..(block + 1) * 100]);
+            for (centers, tiles) in &sets {
+                assert_eq!(
+                    tiles.nearest(p, pn),
+                    naive(p, centers, dim),
+                    "block {block}"
                 );
             }
         }

@@ -42,7 +42,7 @@ pub mod projection;
 pub mod regression;
 pub mod stats;
 
-pub use batch::{nearest_centers_batch, squared_norms};
+pub use batch::{nearest_centers_batch, squared_norms, CenterTiles};
 pub use centroid::CentroidAccumulator;
 pub use distance::{euclidean, nearest_center, nearest_center_flat, squared_euclidean};
 pub use kdtree::{KdQuery, KdTree};

@@ -9,6 +9,7 @@
 //! mapper (Algorithm 5) emits its per-cluster statistics from `Close`,
 //! not from `Map`.
 
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -16,6 +17,7 @@ use crate::counters::{Counter, Counters};
 use crate::error::Result;
 use crate::hash::StableHasher;
 use crate::memory::HeapLedger;
+use crate::shuffle::{encode_segment, sort_and_combine, Segment};
 use crate::writable::{ShuffleKey, ShuffleValue};
 
 /// Per-task-attempt services: counters, the simulated heap ledger and
@@ -84,85 +86,210 @@ impl TaskContext {
     }
 }
 
-/// Collects intermediate `(key, value)` pairs from a mapper, routing
-/// them to reduce partitions.
+/// Collects a map attempt's intermediate `(key, value)` pairs.
+///
+/// A buffered attempt of a combiner job keeps one accumulator per key:
+/// [`MapOutput::emit`] finds the key — routing it to its partition the
+/// first time the attempt sees it — and folds the value in through
+/// [`Job::combine`] at once. Every other attempt, one that may spill or
+/// one of a job without a combiner, keeps the raw sort buffer: one
+/// vector of pairs per partition, in emission order, because spill runs
+/// must hold raw records.
 ///
 /// The runtime owns the buffers; mappers only see `emit`.
 pub struct Emitter<K, V> {
-    partitions: Vec<Vec<(K, V)>>,
+    buffer: Buffer<K, V>,
+    /// Emissions since the spill window last closed.
     records_since_spill: usize,
-    /// Serialized size of the buffered pairs — the sort-buffer bytes
-    /// the out-of-core path triggers spills on and charges to the heap
-    /// ledger. Only maintained when byte tracking is on, keeping the
-    /// buffered hot path free of per-emit `byte_len` calls.
-    buffered_bytes: u64,
-    track_bytes: bool,
+    /// Records the accumulators held when the window last closed: the
+    /// combined records a window's combine reads again, on top of the
+    /// window's emissions.
+    held_at_window: usize,
+}
+
+/// Where an [`Emitter`] keeps its pairs.
+enum Buffer<K, V> {
+    /// Raw pairs per partition, in emission order. `bytes` is their
+    /// serialized size on an attempt that may spill — the sort-buffer
+    /// bytes the out-of-core path spills on and charges to the heap
+    /// ledger — and `None` elsewhere, keeping the buffered hot path free
+    /// of per-emit `byte_len` calls.
+    Raw {
+        partitions: Vec<Vec<(K, V)>>,
+        bytes: Option<u64>,
+    },
+    /// Per key: its partition and its combined records so far; and the
+    /// number of partitions.
+    Fold {
+        keys: HashMap<K, (usize, Vec<V>)>,
+        partitions: usize,
+    },
 }
 
 impl<K: ShuffleKey, V: ShuffleValue> Emitter<K, V> {
-    pub(crate) fn new(num_partitions: usize) -> Self {
-        Self {
+    /// An emitter that keeps the raw sort buffer over `num_partitions`
+    /// partitions; `track_bytes` keeps its serialized size, for an
+    /// attempt that may spill.
+    pub(crate) fn raw(num_partitions: usize, track_bytes: bool) -> Self {
+        Self::with(Buffer::Raw {
             partitions: (0..num_partitions).map(|_| Vec::new()).collect(),
-            records_since_spill: 0,
-            buffered_bytes: 0,
-            track_bytes: false,
-        }
+            bytes: track_bytes.then_some(0),
+        })
     }
 
-    /// An emitter that tracks the serialized size of its buffers, for
-    /// spilling (out-of-core) map execution.
-    pub(crate) fn with_byte_tracking(num_partitions: usize) -> Self {
+    /// An emitter that folds each value into its key's accumulator as
+    /// it is emitted, routing keys over `num_partitions` partitions.
+    pub(crate) fn folding(num_partitions: usize) -> Self {
+        Self::with(Buffer::Fold {
+            keys: HashMap::new(),
+            partitions: num_partitions,
+        })
+    }
+
+    fn with(buffer: Buffer<K, V>) -> Self {
         Self {
-            track_bytes: true,
-            ..Self::new(num_partitions)
+            buffer,
+            records_since_spill: 0,
+            held_at_window: 0,
         }
     }
 
-    /// Emits one intermediate pair into partition `partition`.
-    pub(crate) fn emit_to(&mut self, partition: usize, key: K, value: V) {
-        if self.track_bytes {
-            self.buffered_bytes += (key.byte_len() + value.byte_len()) as u64;
-        }
-        self.partitions[partition].push((key, value));
+    /// Takes one intermediate pair: folds it into its key's accumulator
+    /// through `combine`, or appends it to its partition's raw buffer.
+    fn emit(
+        &mut self,
+        key: K,
+        value: V,
+        partition: Partitioner<'_, K>,
+        combine: Combiner<'_, K, V>,
+    ) {
         self.records_since_spill += 1;
+        match &mut self.buffer {
+            Buffer::Fold { keys, .. } => {
+                if let Some((_, acc)) = keys.get_mut(&key) {
+                    combine(&key, acc, value);
+                } else {
+                    let mut acc = Vec::new();
+                    combine(&key, &mut acc, value);
+                    let partition = partition(&key);
+                    keys.insert(key, (partition, acc));
+                }
+            }
+            Buffer::Raw { partitions, bytes } => {
+                if let Some(bytes) = bytes {
+                    *bytes += (key.byte_len() + value.byte_len()) as u64;
+                }
+                partitions[partition(&key)].push((key, value));
+            }
+        }
     }
 
     pub(crate) fn records_since_spill(&self) -> usize {
         self.records_since_spill
     }
 
-    pub(crate) fn reset_spill_window(&mut self) {
+    /// Closes the spill window. The pairs stay where they are: a later
+    /// stable sort orders a raw buffer the same way, and a left fold
+    /// gives the same bits whether or not it stops at a window. A raw
+    /// emitter only restarts its count. A folding emitter charges the
+    /// combine counters as Hadoop's in-memory combine of the window would
+    /// tally them: every record held at the last window plus every
+    /// emission since in, every record held now out.
+    pub(crate) fn close_window(&mut self, counters: &Counters) {
+        if let Buffer::Fold { keys, .. } = &self.buffer {
+            let held = keys.values().map(|(_, acc)| acc.len()).sum::<usize>();
+            let input = self.held_at_window + self.records_since_spill;
+            counters.add(Counter::CombineInputRecords, input as u64);
+            counters.add(Counter::CombineOutputRecords, held as u64);
+            self.held_at_window = held;
+        }
         self.records_since_spill = 0;
     }
 
-    /// Serialized bytes currently buffered (byte-tracking mode only).
+    /// Serialized bytes of the raw buffer (byte-tracking mode only).
     pub(crate) fn buffered_bytes(&self) -> u64 {
-        self.buffered_bytes
+        match self.buffer {
+            Buffer::Raw {
+                bytes: Some(bytes), ..
+            } => bytes,
+            _ => 0,
+        }
     }
 
-    /// Resets the byte ledger after the runtime drains the buffers.
+    /// Resets the byte ledger after the runtime drains the raw buffer.
     pub(crate) fn reset_buffered_bytes(&mut self) {
-        self.buffered_bytes = 0;
+        if let Buffer::Raw {
+            bytes: Some(bytes), ..
+        } = &mut self.buffer
+        {
+            *bytes = 0;
+        }
     }
 
+    /// The raw buffer, for a spilling attempt to sort and write out.
+    ///
+    /// # Panics
+    /// Panics on a folding emitter, which no spilling attempt has.
     pub(crate) fn partitions_mut(&mut self) -> &mut [Vec<(K, V)>] {
-        &mut self.partitions
+        match &mut self.buffer {
+            Buffer::Raw { partitions, .. } => partitions,
+            Buffer::Fold { .. } => unreachable!("a spilling attempt keeps the raw sort buffer"),
+        }
+    }
+
+    /// Seals a buffered attempt's output into one segment per partition:
+    /// drains the accumulators in key order, or sorts each raw partition
+    /// and combines it when the job has a combiner
+    /// ([`sort_and_combine`]), then serializes it.
+    pub(crate) fn seal<J>(&mut self, job: &J, counters: &Counters) -> Vec<Segment>
+    where
+        J: Job<Key = K, Value = V>,
+    {
+        self.close_window(counters);
+        match &mut self.buffer {
+            Buffer::Fold { keys, partitions } => {
+                let mut keys: Vec<_> = std::mem::take(keys).into_iter().collect();
+                keys.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                let mut segments = vec![Segment::default(); *partitions];
+                for (key, (partition, acc)) in &keys {
+                    for value in acc {
+                        segments[*partition].push(key, value);
+                    }
+                }
+                segments
+            }
+            Buffer::Raw { partitions, .. } => partitions
+                .iter_mut()
+                .map(|part| {
+                    sort_and_combine(job, part, counters);
+                    encode_segment(part)
+                })
+                .collect(),
+        }
     }
 }
 
+/// A job's partitioner over the attempt's reduce tasks.
+pub(crate) type Partitioner<'a, K> = &'a dyn Fn(&K) -> usize;
+
+/// A job's [`Job::combine`].
+pub(crate) type Combiner<'a, K, V> = &'a dyn Fn(&K, &mut Vec<V>, V);
+
 /// A handle mappers use to emit; wraps the emitter together with the
-/// job's partitioner so application code never sees partition indices.
+/// job's partitioner and combiner so application code never sees
+/// partition indices or accumulators.
 pub struct MapOutput<'a, K, V> {
     pub(crate) emitter: &'a mut Emitter<K, V>,
-    pub(crate) partitioner: &'a dyn Fn(&K) -> usize,
+    pub(crate) partitioner: Partitioner<'a, K>,
+    pub(crate) combiner: Combiner<'a, K, V>,
     pub(crate) counters: &'a Counters,
 }
 
 impl<K: ShuffleKey, V: ShuffleValue> MapOutput<'_, K, V> {
     /// Emits one `(key, value)` pair.
     pub fn emit(&mut self, key: K, value: V) {
-        let p = (self.partitioner)(&key);
-        self.emitter.emit_to(p, key, value);
+        self.emitter
+            .emit(key, value, self.partitioner, self.combiner);
         self.counters.inc(Counter::MapOutputRecords);
     }
 }
@@ -286,18 +413,26 @@ pub trait Job: Sync {
     /// Creates a reducer for one reduce task attempt.
     fn create_reducer(&self) -> Self::Reducer;
 
-    /// Whether map-side combining is enabled. When `true`,
-    /// [`Job::combine`] is applied to each key group at every spill and
-    /// before map output is serialized for the shuffle.
+    /// Whether map-side combining is enabled. When `true`, every map
+    /// attempt folds its emissions through [`Job::combine`] before they
+    /// are serialized for the shuffle.
     fn has_combiner(&self) -> bool {
         false
     }
 
-    /// Combines the values of one key on the map side. Must be
-    /// semantically idempotent with respect to the reducer: the reducer
-    /// sees combined values as if they were mapper emissions.
-    fn combine(&self, _key: &Self::Key, values: Vec<Self::Value>) -> Vec<Self::Value> {
-        values
+    /// Folds `value` into `acc`, the records this map attempt has
+    /// combined for `key` so far, which start empty.
+    ///
+    /// The runtime folds each key's values from one map attempt once, in
+    /// emission order: either as they are emitted (a buffered attempt
+    /// keeps one accumulator per key) or while merging the raw runs of
+    /// an attempt that spilled. What `acc` holds after the last value is
+    /// the key's combined output, and the reducer sees those records as
+    /// if they were mapper emissions, so a combiner must be semantically
+    /// idempotent with respect to the reducer. The default keeps every
+    /// value.
+    fn combine(&self, _key: &Self::Key, acc: &mut Vec<Self::Value>, value: Self::Value) {
+        acc.push(value);
     }
 
     /// Routes a key to one of `partitions` reduce tasks. The default is
@@ -379,15 +514,36 @@ mod tests {
         assert_eq!(ctx.task_name(), "map-0");
     }
 
+    /// Sums a key's values.
+    fn sum(_key: &i64, acc: &mut Vec<f64>, value: f64) {
+        match acc.first_mut() {
+            Some(total) => *total += value,
+            None => acc.push(value),
+        }
+    }
+
+    /// Emits `pairs`, routing `k` to `k mod 3` and summing values.
+    fn emit_all(emitter: &mut Emitter<i64, f64>, counters: &Counters, pairs: &[(i64, f64)]) {
+        let mut out = MapOutput {
+            emitter,
+            partitioner: &|k: &i64| (*k % 3) as usize,
+            combiner: &sum,
+            counters,
+        };
+        for &(k, v) in pairs {
+            out.emit(k, v);
+        }
+    }
+
     #[test]
     fn emitter_tracks_serialized_bytes_only_when_asked() {
-        let mut plain: Emitter<i64, f64> = Emitter::new(2);
-        plain.emit_to(0, 1, 2.0);
+        let counters = Counters::new();
+        let mut plain: Emitter<i64, f64> = Emitter::raw(3, false);
+        emit_all(&mut plain, &counters, &[(1, 2.0)]);
         assert_eq!(plain.buffered_bytes(), 0, "untracked emitter stays at 0");
 
-        let mut tracking: Emitter<i64, f64> = Emitter::with_byte_tracking(2);
-        tracking.emit_to(0, 1, 2.0);
-        tracking.emit_to(1, 2, 3.0);
+        let mut tracking: Emitter<i64, f64> = Emitter::raw(3, true);
+        emit_all(&mut tracking, &counters, &[(1, 2.0), (2, 3.0)]);
         assert_eq!(tracking.buffered_bytes(), 2 * 16);
         tracking.reset_buffered_bytes();
         assert_eq!(tracking.buffered_bytes(), 0);
@@ -396,22 +552,99 @@ mod tests {
     #[test]
     fn emitter_routes_partitions() {
         let counters = Counters::new();
-        let mut emitter: Emitter<i64, f64> = Emitter::new(3);
-        let partitioner = |k: &i64| (*k % 3) as usize;
-        {
-            let mut out = MapOutput {
-                emitter: &mut emitter,
-                partitioner: &partitioner,
-                counters: &counters,
-            };
-            out.emit(0, 1.0);
-            out.emit(1, 2.0);
-            out.emit(3, 3.0);
-        }
+        let mut emitter: Emitter<i64, f64> = Emitter::raw(3, false);
+        emit_all(&mut emitter, &counters, &[(0, 1.0), (1, 2.0), (3, 3.0)]);
         assert_eq!(counters.get(Counter::MapOutputRecords), 3);
-        let parts = emitter.partitions;
+        let parts = emitter.partitions_mut();
         assert_eq!(parts[0], vec![(0, 1.0), (3, 3.0)]);
         assert_eq!(parts[1], vec![(1, 2.0)]);
         assert!(parts[2].is_empty());
+    }
+
+    /// A folding emitter's windows tally the combine counters the way
+    /// an in-place combine of each window's buffer would, and its sealed
+    /// output is the one fold per key, in key order, per partition.
+    #[test]
+    fn folding_emitter_tallies_windows_and_seals_in_key_order() {
+        let counters = Counters::new();
+        let mut emitter: Emitter<i64, f64> = Emitter::folding(3);
+        emit_all(&mut emitter, &counters, &[(4, 1.0), (1, 2.0), (4, 3.0)]);
+        emitter.close_window(&counters);
+        // Window 1: three emissions in, keys 1 and 4 out.
+        assert_eq!(counters.get(Counter::CombineInputRecords), 3);
+        assert_eq!(counters.get(Counter::CombineOutputRecords), 2);
+        emit_all(&mut emitter, &counters, &[(7, 5.0), (4, 0.5)]);
+        let segments = emitter.seal(&Sum, &counters);
+        // Seal: two held records plus two emissions in, three out.
+        assert_eq!(counters.get(Counter::CombineInputRecords), 3 + 4);
+        assert_eq!(counters.get(Counter::CombineOutputRecords), 2 + 3);
+        assert_eq!(counters.get(Counter::MapOutputRecords), 5);
+        assert_eq!(segments.len(), 3);
+        assert_eq!(
+            segments[1].data,
+            encode_segment(&[(1i64, 2.0), (4, 4.5), (7, 5.0)]).data
+        );
+        assert!(segments[0].is_empty() && segments[2].is_empty());
+    }
+
+    /// [`sum`] as a job, for [`Emitter::seal`].
+    struct Sum;
+    struct NoMapper;
+    struct NoReducer;
+    impl Mapper for NoMapper {
+        type Key = i64;
+        type Value = f64;
+        type Row = ();
+        fn dim(&self) -> usize {
+            1
+        }
+        fn prepare_block(&mut self, _: &[f64], _: &[f64], _: &mut TaskContext) -> Result<Vec<()>> {
+            Ok(Vec::new())
+        }
+        fn map_point(
+            &mut self,
+            _: &[f64],
+            _: (),
+            _: &mut MapOutput<'_, i64, f64>,
+            _: &mut TaskContext,
+        ) -> Result<()> {
+            Ok(())
+        }
+    }
+    impl Reducer for NoReducer {
+        type Key = i64;
+        type Value = f64;
+        type Output = ();
+        fn reduce(
+            &mut self,
+            _: i64,
+            _: Values<'_, f64>,
+            _: &mut Vec<()>,
+            _: &mut TaskContext,
+        ) -> Result<()> {
+            Ok(())
+        }
+    }
+    impl Job for Sum {
+        type Key = i64;
+        type Value = f64;
+        type Output = ();
+        type Mapper = NoMapper;
+        type Reducer = NoReducer;
+        fn name(&self) -> &str {
+            "sum"
+        }
+        fn create_mapper(&self) -> NoMapper {
+            NoMapper
+        }
+        fn create_reducer(&self) -> NoReducer {
+            NoReducer
+        }
+        fn has_combiner(&self) -> bool {
+            true
+        }
+        fn combine(&self, key: &i64, acc: &mut Vec<f64>, value: f64) {
+            sum(key, acc, value);
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! * [`job`] — the Mapper/Reducer/Combiner/Partitioner programming
 //!   model: a mapper takes points a block at a time, and may emit from
 //!   its `close` hook (Algorithm 5 emits from `Close`);
-//! * [`shuffle`] — spill, sort, combine, serialize, then a streaming
+//! * [`shuffle`] — combine, sort, spill, serialize, then a streaming
 //!   k-way merge on the reduce side;
 //! * [`runtime`] — task execution over a pool of worker threads standing
 //!   in for the cluster's map/reduce slots;
@@ -85,8 +85,12 @@
 //!     fn create_mapper(&self) -> SumMapper { SumMapper }
 //!     fn create_reducer(&self) -> SumReducer { SumReducer }
 //!     fn has_combiner(&self) -> bool { true }
-//!     fn combine(&self, _key: &i64, values: Vec<u64>) -> Vec<u64> {
-//!         vec![values.iter().sum()]
+//!     // Folds each value into the key's one partial count.
+//!     fn combine(&self, _key: &i64, acc: &mut Vec<u64>, value: u64) {
+//!         match acc.first_mut() {
+//!             Some(count) => *count += value,
+//!             None => acc.push(value),
+//!         }
 //!     }
 //! }
 //!

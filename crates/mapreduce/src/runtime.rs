@@ -4,10 +4,10 @@
 //! Execution is faithful to the Hadoop model the paper programs against:
 //!
 //! * one map task per input split, one reduce task per partition;
-//! * map output is sorted, combined (if the job has a combiner) and
-//!   **serialized**; reduce input is decoded from those bytes through a
-//!   streaming k-way merge — `SHUFFLE_BYTES` measures real serialized
-//!   volume;
+//! * map output is combined (if the job has a combiner) as it is
+//!   emitted or at task end, sorted and **serialized**; reduce input is
+//!   decoded from those bytes through a streaming k-way merge —
+//!   `SHUFFLE_BYTES` measures real serialized volume;
 //! * tasks run concurrently on up to `slots` worker threads and every
 //!   task accumulates a [`TaskCost`], from which the job's simulated
 //!   makespan is computed per the cluster's [`crate::cost::CostModel`]
@@ -46,8 +46,8 @@ use crate::faults::{FaultDecision, FaultPlan, NodeStatus, TaskKind};
 use crate::job::{Emitter, Job, JobConfig, MapOutput, Mapper, Reducer, TaskContext, Values};
 use crate::memory::HeapLedger;
 use crate::shuffle::{
-    encode_segment, merge_combine_to_run, merge_to_run, sort_and_combine, CommitFence, KeyGroups,
-    MergeIter, Segment, ShuffleSegment,
+    encode_segment, merge_combine_to_run, merge_to_run, CommitFence, KeyGroups, MergeIter, Segment,
+    ShuffleSegment,
 };
 use crate::spill::{RunWriter, SpillDir, SpillIo};
 use crate::text::PointLines;
@@ -150,11 +150,11 @@ struct JobSite<'a> {
 ///
 /// * spills write **raw** (uncombined) stably-sorted runs — each run is
 ///   a consecutive emission window, so the earliest-source-first merge
-///   replays the exact per-key value order the buffered path's single
-///   final sort produces;
-/// * the combiner runs **once**, streaming over the fully merged
-///   partition at task end — the same application (and the same
-///   combine-counter totals) the buffered path performs.
+///   replays each key's values in emission order;
+/// * the combiner folds each key's values **once**, streaming over the
+///   fully merged partition at task end — the same left fold, in the
+///   same emission order, that a buffered attempt applies as it emits
+///   (and the same combine-counter totals).
 struct MapSpill {
     dir: Arc<SpillDir>,
     cfg: OutOfCoreConfig,
@@ -267,7 +267,7 @@ impl MapSpill {
         }
         ctx.heap.release(self.ledger_charged);
         self.ledger_charged = 0;
-        emitter.reset_spill_window();
+        emitter.close_window(counters);
         emitter.reset_buffered_bytes();
         Ok(())
     }
@@ -379,6 +379,12 @@ type MapTaskResult = Result<(Vec<ShuffleSegment>, TaskCost)>;
 
 /// One attempt of one map task: the task context, the emitter, the
 /// spill state and the per-record spill policy.
+///
+/// The attempt picks its emitter from two facts: whether it may spill
+/// and whether the job combines. A buffered attempt of a combiner job
+/// folds each emission into its key's accumulator; an attempt that may
+/// spill, or of a job without a combiner, keeps the raw sort buffer,
+/// because spill runs must hold raw records.
 struct MapAttempt<'a, J: Job> {
     runner: &'a JobRunner,
     job: &'a J,
@@ -410,10 +416,10 @@ impl<'a, J: Job> MapAttempt<'a, J> {
                 num_parts,
             )
         });
-        let emitter = if spill.is_some() {
-            Emitter::with_byte_tracking(num_parts)
+        let emitter = if spill.is_none() && job.has_combiner() {
+            Emitter::folding(num_parts)
         } else {
-            Emitter::new(num_parts)
+            Emitter::raw(num_parts, spill.is_some())
         };
         let heap = runner.cluster.heap_per_task;
         Self {
@@ -484,10 +490,10 @@ impl<'a, J: Job> MapAttempt<'a, J> {
         f: impl FnOnce(&mut MapOutput<'_, J::Key, J::Value>, &mut TaskContext) -> Result<()>,
     ) -> Result<()> {
         let (job, parts) = (self.job, self.config.num_reduce_tasks);
-        let partitioner = |k: &J::Key| job.partition(k, parts);
         let mut out = MapOutput {
             emitter: &mut self.emitter,
-            partitioner: &partitioner,
+            partitioner: &|k| job.partition(k, parts),
+            combiner: &|k, acc, v| job.combine(k, acc, v),
             counters: self.counters,
         };
         f(&mut out, &mut self.ctx)
@@ -495,8 +501,9 @@ impl<'a, J: Job> MapAttempt<'a, J> {
 
     /// Consumes one input record through `map`, then applies the spill
     /// policy: a spilling attempt spills when its sort buffer or heap
-    /// fills; a buffered one sorts and combines in place every
-    /// `spill_threshold_records` emissions.
+    /// fills; a buffered one closes a window every
+    /// `spill_threshold_records` emissions, which only counts
+    /// ([`Emitter::close_window`]).
     fn record(
         &mut self,
         map: impl FnOnce(&mut MapOutput<'_, J::Key, J::Value>, &mut TaskContext) -> Result<()>,
@@ -516,10 +523,7 @@ impl<'a, J: Job> MapAttempt<'a, J> {
             None => {
                 if self.emitter.records_since_spill() >= self.config.spill_threshold_records {
                     self.counters.inc(Counter::Spills);
-                    for part in self.emitter.partitions_mut() {
-                        sort_and_combine(self.job, part, self.counters);
-                    }
-                    self.emitter.reset_spill_window();
+                    self.emitter.close_window(self.counters);
                 }
                 Ok(())
             }
@@ -586,20 +590,15 @@ impl<'a, J: Job> MapAttempt<'a, J> {
                 spill.finish(self.job, &mut self.emitter, &mut self.ctx, counters)?
             }
             unspilled => {
-                // Give back any sort-buffer charge, then sort, combine
-                // and serialize in memory — bit for bit the behaviour
+                // Give back any sort-buffer charge, then combine and
+                // serialize in memory — bit for bit the behaviour
                 // without out-of-core execution.
                 if let Some(spill) = unspilled {
                     self.ctx.heap.release(spill.ledger_charged);
                 }
-                let mut segments = Vec::with_capacity(self.config.num_reduce_tasks);
-                let mut shuffle_out = 0u64;
-                for part in self.emitter.partitions_mut() {
-                    sort_and_combine(self.job, part, counters);
-                    let seg = encode_segment(part);
-                    shuffle_out += seg.len() as u64;
-                    segments.push(ShuffleSegment::Mem(seg));
-                }
+                let segments = self.emitter.seal(self.job, counters);
+                let shuffle_out = segments.iter().map(|s| s.len() as u64).sum();
+                let segments = segments.into_iter().map(ShuffleSegment::Mem).collect();
                 (segments, shuffle_out, SpillIo::default())
             }
         };

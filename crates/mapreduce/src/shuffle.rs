@@ -2,14 +2,18 @@
 //!
 //! The life of an intermediate pair mirrors Hadoop's:
 //!
-//! 1. mappers emit typed `(key, value)` pairs into per-partition buffers;
-//! 2. when the buffer exceeds the spill threshold, each partition is
-//!    sorted by key and — if the job has a combiner — combined in place
-//!    (the paper's jobs all rely on this: "this effect is largely
-//!    mitigated by the use of a combiner", §3.1);
-//! 3. at task end the final sorted/combined buffer is **serialized** into
-//!    a [`Segment`] of bytes; segment sizes are what the `SHUFFLE_BYTES`
-//!    counter reports;
+//! 1. mappers emit typed `(key, value)` pairs. A buffered map attempt of
+//!    a job with a combiner folds each pair into its key's accumulator
+//!    as it is emitted (the paper's jobs all rely on the combiner: "this
+//!    effect is largely mitigated by the use of a combiner", §3.1); every
+//!    other attempt appends it to a raw per-partition sort buffer, which
+//!    an out-of-core attempt spills as sorted raw runs;
+//! 2. at task end the accumulators are drained in key order, or each raw
+//!    buffer is sorted and combined ([`sort_and_combine`]), or the spilled
+//!    runs are merged and combined ([`merge_combine_to_run`]);
+//! 3. the result is **serialized** into a [`Segment`] of bytes per
+//!    partition; segment sizes are what the `SHUFFLE_BYTES` counter
+//!    reports;
 //! 4. each reduce task fetches its segments from every map task and
 //!    streams them through a k-way merge that decodes records lazily, so
 //!    reducers see keys in sorted order, one group at a time, without
@@ -38,6 +42,13 @@ pub struct Segment {
 }
 
 impl Segment {
+    /// Appends one serialized pair.
+    pub fn push<K: Writable, V: Writable>(&mut self, key: &K, value: &V) {
+        key.write(&mut self.data);
+        value.write(&mut self.data);
+        self.records += 1;
+    }
+
     /// Byte size of the segment.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -98,8 +109,8 @@ impl ShuffleSegment {
     }
 }
 
-/// Sorts a map-output buffer by key and applies the job's combiner to
-/// every key group (when enabled), updating the combine counters.
+/// Sorts a map-output buffer by key and folds every key group through
+/// the job's combiner (when enabled), updating the combine counters.
 ///
 /// The buffer is replaced by the combined pairs, still key-sorted.
 pub fn sort_and_combine<J: Job>(job: &J, buf: &mut Vec<(J::Key, J::Value)>, counters: &Counters) {
@@ -112,16 +123,34 @@ pub fn sort_and_combine<J: Job>(job: &J, buf: &mut Vec<(J::Key, J::Value)>, coun
     let pairs = std::mem::take(buf);
     counters.add(Counter::CombineInputRecords, pairs.len() as u64);
     let mut out: Vec<(J::Key, J::Value)> = Vec::with_capacity(pairs.len() / 2 + 1);
-    // In-memory pairs cannot fail to decode, so no group ends in error.
-    let mut groups = KeyGroups::new(pairs.into_iter().map(Ok));
-    while let Ok(Some(key)) = groups.next_key() {
-        let values = std::iter::from_fn(|| groups.next_value()).collect();
-        for v in job.combine(&key, values) {
-            out.push((key.clone(), v));
-        }
-    }
+    fold_key_groups(job, pairs.into_iter().map(Ok), |key, value| {
+        out.push((key.clone(), value));
+        Ok(())
+    })
+    .expect("in-memory pairs cannot fail to decode");
     counters.add(Counter::CombineOutputRecords, out.len() as u64);
     *buf = out;
+}
+
+/// Folds each key group of a key-sorted record stream through
+/// [`Job::combine`], value by value in stream order, and hands each
+/// group's combined records to `sink`. A decode error ends the fold.
+fn fold_key_groups<J: Job>(
+    job: &J,
+    records: impl Iterator<Item = Result<(J::Key, J::Value)>>,
+    mut sink: impl FnMut(&J::Key, J::Value) -> Result<()>,
+) -> Result<()> {
+    let mut groups = KeyGroups::new(records);
+    let mut acc = Vec::new();
+    while let Some(key) = groups.next_key()? {
+        while let Some(value) = groups.next_value() {
+            job.combine(&key, &mut acc, value);
+        }
+        for value in acc.drain(..) {
+            sink(&key, value)?;
+        }
+    }
+    Ok(())
 }
 
 /// One walk over the key groups of a key-sorted `(key, value)` record
@@ -195,15 +224,11 @@ impl<K: ShuffleKey, V, I: Iterator<Item = Result<(K, V)>>> KeyGroups<K, V, I> {
 
 /// Serializes a key-sorted buffer into a shuffle [`Segment`].
 pub fn encode_segment<K: Writable, V: Writable>(pairs: &[(K, V)]) -> Segment {
-    let mut data = Vec::new();
+    let mut segment = Segment::default();
     for (k, v) in pairs {
-        k.write(&mut data);
-        v.write(&mut data);
+        segment.push(k, v);
     }
-    Segment {
-        data,
-        records: pairs.len() as u64,
-    }
+    segment
 }
 
 /// Lazily decodes the records of one segment.
@@ -371,19 +396,15 @@ pub fn merge_to_run<K: ShuffleKey, V: ShuffleValue>(
     Ok((run, io))
 }
 
-/// Merges sorted sources, applies the job's combiner once over the
-/// merged stream, and writes the combined output as a new disk run —
-/// the spilled map task's final output for one partition.
+/// Merges sorted sources, folds each key's merged values once through
+/// the job's combiner, and writes the combined output as a new disk run
+/// — the spilled map task's final output for one partition.
 ///
 /// Counter parity with the buffered path is exact:
 /// `combine_input_records` counts each record arriving from the merge
 /// and `combine_output_records` counts each record written out, the
-/// same totals [`sort_and_combine`] charges for the same data. To bound
-/// memory, oversized key groups are pre-folded through the combiner in
-/// chunks; partial applications are invisible to the counters (only
-/// originals in, finals out) and output-transparent for any combiner
-/// that folds — which [`Job::combine`]'s "semantically idempotent"
-/// contract already requires.
+/// same totals a buffered attempt charges for the same data. The fold
+/// holds only the key's combined records, never the group.
 pub fn merge_combine_to_run<J: Job>(
     job: &J,
     dir: &SpillDir,
@@ -391,8 +412,6 @@ pub fn merge_combine_to_run<J: Job>(
     sources: Vec<ShuffleSegment>,
     counters: &Counters,
 ) -> Result<(SpillRun, SpillIo)> {
-    /// Values buffered per key before a partial combiner fold.
-    const GROUP_CHUNK: usize = 4096;
     let mut writer = RunWriter::create(dir, true, cfg.spill_block_bytes)?;
     let mut merge = MergeIter::<J::Key, J::Value>::from_sources(sources)?;
     if !job.has_combiner() {
@@ -404,21 +423,10 @@ pub fn merge_combine_to_run<J: Job>(
         let records = merge
             .by_ref()
             .inspect(|_| counters.inc(Counter::CombineInputRecords));
-        let mut groups = KeyGroups::new(records);
-        while let Some(key) = groups.next_key()? {
-            let mut values = Vec::new();
-            while let Some(v) = groups.next_value() {
-                values.push(v);
-                if values.len() >= GROUP_CHUNK {
-                    values = job.combine(&key, values);
-                }
-            }
-            let outs = job.combine(&key, values);
-            counters.add(Counter::CombineOutputRecords, outs.len() as u64);
-            for v in outs {
-                writer.push(&key, &v)?;
-            }
-        }
+        fold_key_groups(job, records, |key, value| {
+            counters.inc(Counter::CombineOutputRecords);
+            writer.push(key, &value)
+        })?;
     }
     let mut io = merge.io();
     let (run, write_io) = writer.finish()?;
@@ -558,8 +566,11 @@ mod tests {
         fn has_combiner(&self) -> bool {
             self.combiner
         }
-        fn combine(&self, _key: &i64, values: Vec<u64>) -> Vec<u64> {
-            vec![values.iter().sum()]
+        fn combine(&self, _key: &i64, acc: &mut Vec<u64>, value: u64) {
+            match acc.first_mut() {
+                Some(sum) => *sum += value,
+                None => acc.push(value),
+            }
         }
     }
 

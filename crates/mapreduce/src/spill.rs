@@ -472,15 +472,19 @@ mod tests {
         assert_eq!(run.blocks.len(), 1);
         let run = Arc::new(run);
         let bytes = fs::read(&run.path).unwrap();
-        let read_with = |data: &[u8]| {
-            fs::write(&run.path, data).unwrap();
-            read_all(Arc::clone(&run))
+        // Each flip is written in place, one byte, and undone after the
+        // read: the file keeps its length and blocks.
+        let mut file = fs::OpenOptions::new().write(true).open(&run.path).unwrap();
+        let mut write_byte = |at: usize, byte: u8| {
+            file.seek(SeekFrom::Start(at as u64)).unwrap();
+            file.write_all(&[byte]).unwrap();
         };
         for bit in 0..bytes.len() * 8 {
-            let mut flipped = bytes.clone();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            let err = read_with(&flipped).unwrap_err();
+            let at = bit / 8;
+            write_byte(at, bytes[at] ^ (1 << (bit % 8)));
+            let err = read_all(Arc::clone(&run)).unwrap_err();
             assert!(matches!(err, Error::Corrupt(_)), "bit {bit}: {err:?}");
+            write_byte(at, bytes[at]);
         }
         // A cursor reads each block at its recorded offset and length,
         // so a byte appended past the last block is never read; one
@@ -488,10 +492,12 @@ mod tests {
         let mut shifted = vec![0u8];
         shifted.extend_from_slice(&bytes);
         for tampered in [&shifted[..], &bytes[..bytes.len() - 1]] {
-            let err = read_with(tampered).unwrap_err();
+            fs::write(&run.path, tampered).unwrap();
+            let err = read_all(Arc::clone(&run)).unwrap_err();
             assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
         }
-        assert_eq!(read_with(&bytes).unwrap(), sample_records(3));
+        fs::write(&run.path, &bytes).unwrap();
+        assert_eq!(read_all(run).unwrap(), sample_records(3));
     }
 
     #[test]

@@ -78,8 +78,11 @@ impl Job for CountJob {
     fn has_combiner(&self) -> bool {
         self.combiner
     }
-    fn combine(&self, _key: &i64, values: Vec<u64>) -> Vec<u64> {
-        vec![values.iter().sum()]
+    fn combine(&self, _key: &i64, acc: &mut Vec<u64>, value: u64) {
+        match acc.first_mut() {
+            Some(count) => *count += value,
+            None => acc.push(value),
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use gmeans::mr::find_new_centers::{FindNewCentersJob, FindNewOutput};
-use gmeans::mr::CenterSet;
+use gmeans::mr::{CenterSet, CenterUpdate, KMeansJob};
 use gmeans::prelude::*;
 use gmr_datagen::{format_point, GaussianMixture};
 use gmr_mapreduce::counters::{Counter, Counters};
@@ -377,4 +377,127 @@ fn single_key_skew_streams_identically() {
     assert_eq!(b_spills, 0);
     assert!(s_spills > 0, "4000 doubled emissions must overflow 4 KiB");
     assert_eq!(buffered, spilled, "skewed single-key output diverged");
+}
+
+/// Output bits and window/combine counters of one job run.
+#[derive(Debug, PartialEq, Eq)]
+struct WindowPin {
+    output: u64,
+    spills: u64,
+    shuffle_spills: u64,
+    map_output: u64,
+    combine_in: u64,
+    combine_out: u64,
+}
+
+fn window_pin<O>(r: &gmr_mapreduce::runtime::JobResult<O>, output: u64) -> WindowPin {
+    let c = |k| r.counters.get(k);
+    WindowPin {
+        output,
+        spills: c(Counter::Spills),
+        shuffle_spills: c(Counter::ShuffleSpills),
+        map_output: c(Counter::MapOutputRecords),
+        combine_in: c(Counter::CombineInputRecords),
+        combine_out: c(Counter::CombineOutputRecords),
+    }
+}
+
+fn update_words(u: &CenterUpdate) -> impl Iterator<Item = u64> + '_ {
+    [u.id as u64, u.count]
+        .into_iter()
+        .chain(u.coords.iter().map(|v| v.to_bits()))
+}
+
+/// The map-side combine under spill windows that cut key groups — a
+/// buffered window of 100 records and one of 257 — and on a spilling
+/// cluster: each run's output bits, spill counts and combine counters,
+/// pinned. Every run folds each key's values once per map attempt, in
+/// emission order, so all three answers equal the unwindowed one bit
+/// for bit.
+#[test]
+fn combine_counters_and_output_bits_are_pinned_under_spill_windows() {
+    let dfs = Arc::new(Dfs::new(64 * 1024));
+    let data = GaussianMixture::paper_r10(20_000, 8, 2024)
+        .generate_to_dfs(&dfs, "pts")
+        .expect("write dataset");
+    let mut centers = CenterSet::new(10);
+    for (id, row) in data.rows().take(12).enumerate() {
+        centers.push(id as i64, row);
+    }
+    let centers = Arc::new(centers);
+    let kmeans = KMeansJob::new(Arc::clone(&centers));
+    let find_new = FindNewCentersJob::new(Arc::clone(&centers), 17);
+
+    let window = |records| JobConfig {
+        num_reduce_tasks: 3,
+        spill_threshold_records: records,
+    };
+    let runs = [
+        ("window 100", buffered_cluster(), window(100)),
+        ("window 257", buffered_cluster(), window(257)),
+        ("spilling", spilling_cluster(), JobConfig::with_reducers(3)),
+    ];
+    let unwindowed = JobConfig::with_reducers(3);
+    let kmeans_pin = |cluster: ClusterConfig, config: &JobConfig| {
+        let r = runner(&dfs, cluster)
+            .run(&kmeans, "pts", config)
+            .expect("kmeans");
+        window_pin(&r, fnv(r.output.iter().flat_map(update_words)))
+    };
+    let find_new_pin = |cluster: ClusterConfig, config: &JobConfig| {
+        let r = runner(&dfs, cluster)
+            .run(&find_new, "pts", config)
+            .expect("find-new");
+        let words = r.output.iter().flat_map(|o| -> Vec<u64> {
+            match o {
+                FindNewOutput::Update(u) => update_words(u).collect(),
+                FindNewOutput::Candidates { id, points } => std::iter::once(*id as u64)
+                    .chain(points.iter().flatten().map(|v| v.to_bits()))
+                    .collect(),
+            }
+        });
+        window_pin(&r, fnv(words))
+    };
+    // Captured before the combine streamed: the answer of an unwindowed
+    // buffered run, then each run's pins.
+    const KMEANS_BITS: u64 = 16_488_374_587_314_442_215;
+    const FIND_NEW_BITS: u64 = 7_824_712_890_652_824_187;
+    let pin = |output, spills, shuffle_spills, map_output, combine_in, combine_out| WindowPin {
+        output,
+        spills,
+        shuffle_spills,
+        map_output,
+        combine_in,
+        combine_out,
+    };
+    assert_eq!(
+        kmeans_pin(buffered_cluster(), &unwindowed),
+        pin(KMEANS_BITS, 0, 0, 20_000, 20_000, 448)
+    );
+    assert_eq!(
+        find_new_pin(buffered_cluster(), &unwindowed),
+        pin(FIND_NEW_BITS, 0, 0, 40_000, 40_000, 1_344)
+    );
+    let expected = [
+        (
+            pin(KMEANS_BITS, 167, 0, 20_000, 21_336, 1_784),
+            pin(FIND_NEW_BITS, 389, 0, 40_000, 49_336, 10_680),
+        ),
+        (
+            pin(KMEANS_BITS, 55, 0, 20_000, 20_440, 888),
+            pin(FIND_NEW_BITS, 111, 0, 40_000, 42_664, 4_008),
+        ),
+        (
+            pin(KMEANS_BITS, 0, 444, 20_000, 20_000, 448),
+            pin(FIND_NEW_BITS, 0, 944, 40_000, 40_000, 1_344),
+        ),
+    ];
+    for ((name, cluster, config), (kmeans_want, find_new_want)) in runs.into_iter().zip(expected) {
+        assert_eq!(kmeans_pin(cluster, &config), kmeans_want, "{name}: KMeans");
+        assert_eq!(
+            find_new_pin(cluster, &config),
+            find_new_want,
+            "{name}: FindNewCenters"
+        );
+    }
 }

@@ -28,8 +28,8 @@ use gmr_stats::AndersonDarling;
 
 const DIM: usize = 3;
 
-/// Buffered map tasks sort and combine in place every this many
-/// emissions, so `Spills` counts something.
+/// Buffered map tasks close a spill window every this many emissions,
+/// so `Spills` and the windowed combine counters count something.
 const SPILL_THRESHOLD: usize = 100;
 
 const CENTERS: [[f64; DIM]; 4] = [
