@@ -240,10 +240,19 @@ pub fn render(b: &ElasticBench) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The quick sweep, run once for all of this module's tests: it is
+    /// deterministic, so every test reads the rows a run of its own
+    /// would produce.
+    fn quick_sweep() -> &'static ElasticBench {
+        static SWEEP: OnceLock<ElasticBench> = OnceLock::new();
+        SWEEP.get_or_init(|| run(&ExperimentScale::quick()))
+    }
 
     #[test]
     fn bench_meets_the_acceptance_floor() {
-        let b = run(&ExperimentScale::quick());
+        let b = quick_sweep();
         assert_eq!(b.rows.len(), 5);
         // The join pays: elastic lands strictly between fixed 3 and 6.
         assert!(
@@ -277,7 +286,7 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_enough() {
-        let b = run(&ExperimentScale::quick());
+        let b = quick_sweep();
         let j = b.to_json();
         assert!(j.contains("\"experiment\": \"elastic\""));
         assert!(j.contains("\"join_speedup\""));

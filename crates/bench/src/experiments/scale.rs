@@ -300,10 +300,19 @@ pub fn render(b: &ScaleBench) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The quick sweep, run once for all of this module's tests: it is
+    /// deterministic, so every test reads the rows a run of its own
+    /// would produce.
+    fn quick_sweep() -> &'static ScaleBench {
+        static SWEEP: OnceLock<ScaleBench> = OnceLock::new();
+        SWEEP.get_or_init(|| run(&ExperimentScale::quick()))
+    }
 
     #[test]
     fn bench_meets_the_acceptance_floor() {
-        let b = run(&ExperimentScale::quick());
+        let b = quick_sweep();
         assert_eq!(b.rows.len(), MULTIPLES.len());
         for r in &b.rows {
             assert!(r.spills > 0, "{}x row did not spill", r.paper_multiple);
@@ -326,12 +335,12 @@ mod tests {
         // Rows grow tenfold in real data; spill volume must follow.
         assert!(b.rows[2].spill_bytes > b.rows[0].spill_bytes);
         // The CI smoke guard itself.
-        assert_within_budget(&b, 1.3);
+        assert_within_budget(b, 1.3);
     }
 
     #[test]
     fn json_is_well_formed_enough() {
-        let b = run(&ExperimentScale::quick());
+        let b = quick_sweep();
         let j = b.to_json();
         assert!(j.contains("\"experiment\": \"scale\""));
         assert!(j.contains("\"max_slowdown\""));

@@ -135,7 +135,7 @@ impl Mapper for BicTestMapper {
         let mut entries: Vec<(usize, ([f64; 4], u64))> = self.acc.drain().collect();
         entries.sort_by_key(|(idx, _)| *idx);
         for (idx, (sums, n)) in entries {
-            out.emit(self.spec.parents.id(idx), (sums.to_vec(), n));
+            out.emit(self.spec.parents.id(idx), &(sums.to_vec(), n));
         }
         Ok(())
     }
@@ -225,7 +225,7 @@ impl Job for BicTestJob {
         true
     }
 
-    fn combine(&self, _key: &i64, acc: &mut Vec<BicPartial>, value: BicPartial) {
+    fn combine(&self, _key: &i64, acc: &mut Vec<BicPartial>, value: &BicPartial) {
         combine_point_sum(acc, value);
     }
 }

@@ -15,6 +15,11 @@
 //! priorities win. Min-selection commutes with partial combining, and
 //! the winning pair varies with the per-iteration seed exactly like a
 //! random draw.
+//!
+//! Each point's priority is hashed once. While a map attempt combines,
+//! a kept candidate carries its priority in the count slot of its
+//! `(coords, count)` record, and [`Job::finish_combine`] restores the
+//! count of 1 the mapper emitted before the record leaves the attempt.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -23,7 +28,7 @@ use gmr_mapreduce::hash::StableHasher;
 use gmr_mapreduce::prelude::*;
 
 use crate::mr::centers::{CenterSet, CenterUpdate, ChannelKey, Nearest};
-use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, PointSum};
+use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, load_point, PointSum};
 
 /// Output of the fused job.
 #[derive(Clone, Debug, PartialEq)]
@@ -51,23 +56,31 @@ fn priority(seed: u64, coords: &[f64]) -> u64 {
     h.finish()
 }
 
-/// Folds `value` into `best`, the at most two values of smallest
-/// priority seen so far, in ascending priority with ties in arrival
-/// order: a stable two-slot insert, which keeps what pushing, stably
-/// sorting by priority and keeping two would (stable under
-/// recombination: min of mins is the global min). The combiner and the
-/// candidate reducer share it, so neither collects a key's values.
-fn keep_two_minimal(seed: u64, best: &mut Vec<PointSum>, value: PointSum) {
-    let p = priority(seed, &value.0);
-    // Past every kept value whose priority is at most `p`: ties keep
-    // arrival order. Scanning from the back hashes only what decides.
+/// Folds the point `coords` of priority `p` into `best`, the at most
+/// two `(coords, priority)` pairs of smallest priority seen so far, in
+/// ascending priority with ties in arrival order: a stable two-slot
+/// insert, which keeps what pushing, stably sorting by priority and
+/// keeping two would (stable under recombination: min of mins is the
+/// global min). A point that displaces the second pair is copied into
+/// that pair's buffer. The combiner and the candidate reducer share it,
+/// so neither collects a key's values.
+fn keep_two_minimal(best: &mut Vec<(Vec<f64>, u64)>, coords: &[f64], p: u64) {
+    // Past every kept pair whose priority is at most `p`: ties keep
+    // arrival order.
     let at = best
         .iter()
-        .rposition(|kept| priority(seed, &kept.0) <= p)
+        .rposition(|&(_, kept)| kept <= p)
         .map_or(0, |i| i + 1);
     if at < 2 {
-        best.insert(at, value);
-        best.truncate(2);
+        let mut slot = if best.len() == 2 {
+            best.pop().expect("two kept pairs")
+        } else {
+            (Vec::new(), 0)
+        };
+        slot.0.clear();
+        slot.0.extend_from_slice(coords);
+        slot.1 = p;
+        best.insert(at, slot);
     }
 }
 
@@ -89,6 +102,8 @@ impl FindNewCentersJob {
 /// Mapper of [`FindNewCentersJob`] (Algorithm 2 verbatim: "Emit twice").
 pub struct FindNewCentersMapper {
     centers: Arc<CenterSet>,
+    /// The value emitted, twice, for the current point.
+    scratch: PointSum,
 }
 
 impl Mapper for FindNewCentersMapper {
@@ -117,8 +132,9 @@ impl Mapper for FindNewCentersMapper {
         ctx: &mut TaskContext,
     ) -> Result<()> {
         ctx.charge_distances(evals, self.centers.dim());
-        out.emit(ChannelKey::Refine(id).encode(), (point.to_vec(), 1));
-        out.emit(ChannelKey::Candidate(id).encode(), (point.to_vec(), 1));
+        let value = load_point(&mut self.scratch, point);
+        out.emit(ChannelKey::Refine(id).encode(), value);
+        out.emit(ChannelKey::Candidate(id).encode(), value);
         Ok(())
     }
 }
@@ -144,9 +160,9 @@ impl Reducer for FindNewCentersReducer {
     ) -> Result<()> {
         match ChannelKey::decode(key) {
             ChannelKey::Candidate(id) => {
-                let mut winners = Vec::with_capacity(3);
-                for value in values {
-                    keep_two_minimal(self.seed, &mut winners, value);
+                let mut winners = Vec::with_capacity(2);
+                for (coords, _) in values {
+                    keep_two_minimal(&mut winners, &coords, priority(self.seed, &coords));
                 }
                 out.push(FindNewOutput::Candidates {
                     id,
@@ -176,6 +192,7 @@ impl Job for FindNewCentersJob {
     fn create_mapper(&self) -> FindNewCentersMapper {
         FindNewCentersMapper {
             centers: Arc::clone(&self.centers),
+            scratch: PointSum::default(),
         }
     }
 
@@ -190,10 +207,23 @@ impl Job for FindNewCentersJob {
     /// "The combiner and reducer test the value of the key. If it is
     /// larger than the predefined offset, they keep only 2 new centers
     /// per cluster. Otherwise they perform classical k-means reduction."
-    fn combine(&self, key: &i64, acc: &mut Vec<PointSum>, value: PointSum) {
+    /// A kept candidate holds its priority in its count until
+    /// [`Job::finish_combine`].
+    fn combine(&self, key: &i64, acc: &mut Vec<PointSum>, value: &PointSum) {
         match ChannelKey::decode(*key) {
-            ChannelKey::Candidate(_) => keep_two_minimal(self.seed, acc, value),
+            ChannelKey::Candidate(_) => {
+                keep_two_minimal(acc, &value.0, priority(self.seed, &value.0));
+            }
             ChannelKey::Refine(_) => combine_point_sum(acc, value),
+        }
+    }
+
+    /// Restores the count of 1 each kept candidate was emitted with.
+    fn finish_combine(&self, key: &i64, combined: &mut Vec<PointSum>) {
+        if let ChannelKey::Candidate(_) = ChannelKey::decode(*key) {
+            for (_, count) in combined {
+                *count = 1;
+            }
         }
     }
 }
@@ -336,53 +366,98 @@ mod tests {
         best.into_iter().map(|(_, v)| v).collect()
     }
 
+    /// What the runtime drains from a candidate accumulator: the
+    /// records after [`Job::finish_combine`].
+    fn drained(job: &FindNewCentersJob, key: i64, acc: &[PointSum]) -> Vec<PointSum> {
+        let mut records = acc.to_vec();
+        job.finish_combine(&key, &mut records);
+        records
+    }
+
+    /// The job over one three-dimensional center, and its two keys.
+    fn one_center_job(seed: u64) -> (FindNewCentersJob, i64, i64) {
+        let mut centers = CenterSet::new(3);
+        centers.push(4, &[0.0; 3]);
+        let job = FindNewCentersJob::new(Arc::new(centers), seed);
+        let candidate = ChannelKey::Candidate(4).encode();
+        (job, candidate, ChannelKey::Refine(4).encode())
+    }
+
     proptest! {
-        /// The streaming insert, fed any sequence — repeated points tie
-        /// on priority — keeps the batch form's records, bit for bit and
-        /// in order, after every value; so does the batch form applied per window to what
-        /// the last window kept plus the window's values. The job's
-        /// combiner routes the candidate channel to it and the refine
-        /// channel to the point-sum fold.
+        /// The job's combiner, fed any sequence of emitted `(point, 1)`
+        /// values — repeated points tie on priority — keeps on the
+        /// candidate channel what the batch form keeps: drained through
+        /// `finish_combine` after every value, its records equal the
+        /// batch form's bit for bit and in order, each with count 1; so
+        /// does the batch form applied per window to what the last
+        /// window kept plus the window's values. The refine channel
+        /// folds like the point-sum fold and drains unchanged.
         #[test]
         fn streaming_keep_two_matches_the_batch_form(
             draws in draws(),
             cuts in proptest::collection::vec(0usize..64, 0..4),
             seed in 0u64..4,
         ) {
-            let values = sums(&draws);
-            let mut streamed = Vec::new();
-            for (i, value) in values.iter().cloned().enumerate() {
-                keep_two_minimal(seed, &mut streamed, value);
+            let values: Vec<PointSum> = sums(&draws).into_iter().map(|(c, _)| (c, 1)).collect();
+            let (job, candidate, refine) = one_center_job(seed);
+            let (mut candidates, mut refined) = (Vec::new(), Vec::new());
+            for (i, value) in values.iter().enumerate() {
+                job.combine(&candidate, &mut candidates, value);
+                job.combine(&refine, &mut refined, value);
                 let batch = batch_keep_two(seed, values[..=i].to_vec());
-                prop_assert_eq!(bits(&streamed), bits(&batch));
+                prop_assert_eq!(bits(&drained(&job, candidate, &candidates)), bits(&batch));
             }
             let mut held = Vec::new();
             for window in windows(&values, &cuts) {
                 held = batch_keep_two(seed, held.into_iter().chain(window).collect());
             }
-            prop_assert_eq!(bits(&streamed), bits(&held));
-
-            let mut centers = CenterSet::new(3);
-            centers.push(4, &[0.0; 3]);
-            let job = FindNewCentersJob::new(Arc::new(centers), seed);
-            let mut candidates = Vec::new();
-            let mut refined = Vec::new();
-            for value in values.clone() {
-                job.combine(&ChannelKey::Candidate(4).encode(), &mut candidates, value.clone());
-                job.combine(&ChannelKey::Refine(4).encode(), &mut refined, value);
-            }
-            prop_assert_eq!(bits(&candidates), bits(&streamed));
+            let records = drained(&job, candidate, &candidates);
+            prop_assert_eq!(bits(&records), bits(&held));
+            prop_assert!(records.iter().all(|&(_, count)| count == 1));
             let folded: Vec<PointSum> = fold_point_sums(values).into_iter().collect();
-            prop_assert_eq!(bits(&refined), bits(&folded));
+            prop_assert_eq!(bits(&drained(&job, refine, &refined)), bits(&folded));
         }
     }
 
+    /// A candidate whose priority ties a kept one goes after it: tying
+    /// the first kept pair, it displaces the second; tying the second,
+    /// it is dropped. The accumulator holds the kept priorities in
+    /// ascending order until it is drained with count 1.
+    #[test]
+    fn a_tied_priority_keeps_arrival_order() {
+        let seed = 5;
+        let (job, candidate, _) = one_center_job(seed);
+        let mut points: Vec<Vec<f64>> = (0..3).map(|i| vec![i as f64, 1.0, -0.0]).collect();
+        points.sort_by_key(|p| priority(seed, p));
+        let [a, b, c] = [0, 1, 2].map(|i| (points[i].clone(), 1u64));
+        let p = |v: &PointSum| priority(seed, &v.0);
+        let cases = [
+            (vec![&a, &b, &a], vec![(&a, p(&a)), (&a, p(&a))]),
+            (vec![&a, &b, &b], vec![(&a, p(&a)), (&b, p(&b))]),
+            (vec![&b, &c, &b], vec![(&b, p(&b)), (&b, p(&b))]),
+            (vec![&c, &b, &b, &a], vec![(&a, p(&a)), (&b, p(&b))]),
+        ];
+        for (order, kept) in cases {
+            let mut acc = Vec::new();
+            for value in &order {
+                job.combine(&candidate, &mut acc, value);
+            }
+            let held: Vec<PointSum> = kept.iter().map(|(v, p)| (v.0.clone(), *p)).collect();
+            assert_eq!(bits(&acc), bits(&held), "{order:?}");
+            let values: Vec<PointSum> = order.into_iter().cloned().collect();
+            let records = drained(&job, candidate, &acc);
+            assert_eq!(bits(&records), bits(&batch_keep_two(seed, values)));
+            assert!(records.iter().all(|&(_, count)| count == 1));
+        }
+    }
+
+    /// Keeps two of `values` as the candidate reducer does.
     fn keep_two(seed: u64, values: impl IntoIterator<Item = PointSum>) -> Vec<PointSum> {
         let mut best = Vec::new();
-        for value in values {
-            keep_two_minimal(seed, &mut best, value);
+        for (coords, _) in values {
+            keep_two_minimal(&mut best, &coords, priority(seed, &coords));
         }
-        best
+        best.into_iter().map(|(coords, _)| (coords, 1)).collect()
     }
 
     #[test]

@@ -21,29 +21,43 @@ pub type PointSum = (Vec<f64>, u64);
 /// Element-wise left fold of partial sums, the first taken as it is
 /// (shared by the reducers of every job whose values are `PointSum`s).
 pub fn fold_point_sums(values: impl IntoIterator<Item = PointSum>) -> Option<PointSum> {
-    let mut acc = Vec::with_capacity(1);
+    let mut values = values.into_iter();
+    let mut acc = values.next()?;
     for value in values {
-        combine_point_sum(&mut acc, value);
+        add_point_sum(&mut acc, &value);
     }
-    acc.pop()
+    Some(acc)
 }
 
 /// One step of [`fold_point_sums`], in [`Job::combine`]'s form: `acc`
 /// holds the key's one partial sum so far, or nothing before the first
-/// value, which is taken as it is; every later value is added into it
-/// element by element. The combiner of every job whose values are
-/// `PointSum`s.
-pub fn combine_point_sum(acc: &mut Vec<PointSum>, (coords, count): PointSum) {
+/// value, which is copied as it is; every later value is added into it
+/// in place, element by element. The combiner of every job whose values
+/// are `PointSum`s.
+pub fn combine_point_sum(acc: &mut Vec<PointSum>, value: &PointSum) {
     match acc.first_mut() {
-        None => acc.push((coords, count)),
-        Some((sum, total)) => {
-            debug_assert_eq!(sum.len(), coords.len(), "mixed dimensions in shuffle");
-            for (s, c) in sum.iter_mut().zip(&coords) {
-                *s += c;
-            }
-            *total += count;
-        }
+        None => acc.push(value.clone()),
+        Some(sum) => add_point_sum(sum, value),
     }
+}
+
+/// Adds `(coords, count)` into `(sum, total)`, element by element.
+fn add_point_sum((sum, total): &mut PointSum, (coords, count): &PointSum) {
+    debug_assert_eq!(sum.len(), coords.len(), "mixed dimensions in shuffle");
+    for (s, c) in sum.iter_mut().zip(coords) {
+        *s += c;
+    }
+    *total += count;
+}
+
+/// Refills `scratch` with `point` and a count of one — the value a point
+/// mapper emits for each point — reusing its buffer, so a mapper that
+/// keeps one scratch value allocates only for its first point.
+pub(crate) fn load_point<'a>(scratch: &'a mut PointSum, point: &[f64]) -> &'a PointSum {
+    scratch.0.clear();
+    scratch.0.extend_from_slice(point);
+    scratch.1 = 1;
+    scratch
 }
 
 /// The k-means MapReduce job.
@@ -76,6 +90,8 @@ impl KMeansJob {
 /// Mapper of [`KMeansJob`].
 pub struct KMeansMapper {
     centers: Arc<CenterSet>,
+    /// The value emitted for the current point.
+    scratch: PointSum,
 }
 
 impl Mapper for KMeansMapper {
@@ -109,7 +125,7 @@ impl Mapper for KMeansMapper {
         ctx: &mut TaskContext,
     ) -> Result<()> {
         ctx.charge_distances(evals, self.centers.dim());
-        out.emit(id, (point.to_vec(), 1));
+        out.emit(id, load_point(&mut self.scratch, point));
         Ok(())
     }
 }
@@ -148,6 +164,7 @@ impl Job for KMeansJob {
     fn create_mapper(&self) -> KMeansMapper {
         KMeansMapper {
             centers: Arc::clone(&self.centers),
+            scratch: PointSum::default(),
         }
     }
 
@@ -159,7 +176,7 @@ impl Job for KMeansJob {
         self.combiner
     }
 
-    fn combine(&self, _key: &i64, acc: &mut Vec<PointSum>, value: PointSum) {
+    fn combine(&self, _key: &i64, acc: &mut Vec<PointSum>, value: &PointSum) {
         combine_point_sum(acc, value);
     }
 }
@@ -253,7 +270,7 @@ pub(crate) mod tests {
         ) {
             let values = sums(&draws);
             let mut acc = Vec::new();
-            for (i, value) in values.iter().cloned().enumerate() {
+            for (i, value) in values.iter().enumerate() {
                 combine_point_sum(&mut acc, value);
                 prop_assert_eq!(bits(&acc), bits(&batch_fold(values[..=i].to_vec())));
             }
@@ -270,10 +287,10 @@ pub(crate) mod tests {
     fn the_first_value_is_taken_as_it_is() {
         // Added to a zero start, −0.0 would come out +0.0.
         let mut acc = Vec::new();
-        combine_point_sum(&mut acc, (vec![-0.0, 2.0], 1));
+        combine_point_sum(&mut acc, &(vec![-0.0, 2.0], 1));
         assert_eq!(acc.len(), 1);
         assert_eq!(acc[0].0[0].to_bits(), (-0.0f64).to_bits());
-        combine_point_sum(&mut acc, (vec![-0.0, 1.0], 2));
+        combine_point_sum(&mut acc, &(vec![-0.0, 1.0], 2));
         assert_eq!(bits(&acc), bits(&[(vec![-0.0, 3.0], 3)]));
     }
 

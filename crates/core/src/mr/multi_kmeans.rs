@@ -26,7 +26,7 @@ use crate::mr::engine::{
     Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
     SegmentStats, Step,
 };
-use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, PointSum};
+use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, load_point, PointSum};
 
 /// Intermediate key: `(k-index, center id)` — the paper's `k_centerid`
 /// composite key, kept numeric for cheap shuffle sorting.
@@ -53,13 +53,19 @@ impl MultiKMeansJob {
 /// emit(k_centerid ⇒ point)".
 pub struct MultiKMeansMapper {
     sets: Arc<Vec<CenterSet>>,
+    /// The current block's nearest centers `(id, evals)`, point-major:
+    /// point `i`'s, one per center set, start at `i × sets`.
+    nearest: Vec<(i64, u64)>,
+    /// The value emitted, once per center set, for the current point.
+    scratch: PointSum,
 }
 
 impl Mapper for MultiKMeansMapper {
     type Key = MultiKey;
     type Value = PointSum;
-    /// The point's nearest center `(id, evals)` in every center set.
-    type Row = Vec<(i64, u64)>;
+    /// The point's index in its block: its nearest centers are a slice
+    /// of the mapper's block buffer.
+    type Row = usize;
 
     fn dim(&self) -> usize {
         self.sets[0].dim()
@@ -70,28 +76,31 @@ impl Mapper for MultiKMeansMapper {
         points: &[f64],
         norms: &[f64],
         _ctx: &mut TaskContext,
-    ) -> Result<Vec<Vec<(i64, u64)>>> {
-        let mut rows: Vec<Vec<(i64, u64)>> = vec![Vec::with_capacity(self.sets.len()); norms.len()];
-        for set in self.sets.iter() {
+    ) -> Result<Vec<usize>> {
+        let sets = self.sets.len();
+        self.nearest.clear();
+        self.nearest.resize(norms.len() * sets, (0, 0));
+        for (ki, set) in self.sets.iter().enumerate() {
             let block = set.nearest_block(points, norms);
-            for (row, (_, id, _, evals)) in rows.iter_mut().zip(block) {
-                row.push((id, evals));
+            for (i, (_, id, _, evals)) in block.into_iter().enumerate() {
+                self.nearest[i * sets + ki] = (id, evals);
             }
         }
-        Ok(rows)
+        Ok((0..norms.len()).collect())
     }
 
     fn map_point(
         &mut self,
         point: &[f64],
-        row: Vec<(i64, u64)>,
+        row: usize,
         out: &mut MapOutput<'_, MultiKey, PointSum>,
         ctx: &mut TaskContext,
     ) -> Result<()> {
-        let dim = self.dim();
-        for (ki, (id, evals)) in row.into_iter().enumerate() {
+        let (dim, sets) = (self.dim(), self.sets.len());
+        let value = load_point(&mut self.scratch, point);
+        for (ki, &(id, evals)) in self.nearest[row * sets..][..sets].iter().enumerate() {
             ctx.charge_distances(evals, dim);
-            out.emit((ki as u32, id as u32), (point.to_vec(), 1));
+            out.emit((ki as u32, id as u32), value);
         }
         Ok(())
     }
@@ -134,6 +143,8 @@ impl Job for MultiKMeansJob {
     fn create_mapper(&self) -> MultiKMeansMapper {
         MultiKMeansMapper {
             sets: Arc::clone(&self.sets),
+            nearest: Vec::new(),
+            scratch: PointSum::default(),
         }
     }
 
@@ -145,7 +156,7 @@ impl Job for MultiKMeansJob {
         true
     }
 
-    fn combine(&self, _key: &MultiKey, acc: &mut Vec<PointSum>, value: PointSum) {
+    fn combine(&self, _key: &MultiKey, acc: &mut Vec<PointSum>, value: &PointSum) {
         combine_point_sum(acc, value);
     }
 }

@@ -40,7 +40,7 @@ use crate::mr::centers::{check_next_id, CenterSet, Nearest};
 use crate::mr::engine::{
     Engine, EngineCtx, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats, SegmentStats, Step,
 };
-use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, PointSum};
+use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, load_point, PointSum};
 
 /// Key 0 carries the cost aggregate; key 1 carries sampled candidates.
 const COST_KEY: i64 = 0;
@@ -88,6 +88,8 @@ pub struct ParallelInitMapper {
     round_seed: u64,
     cost_acc: f64,
     seen: u64,
+    /// The value emitted for a sampled point.
+    scratch: PointSum,
 }
 
 impl Mapper for ParallelInitMapper {
@@ -121,7 +123,7 @@ impl Mapper for ParallelInitMapper {
         if let Some(factor) = self.sample_factor {
             let p = (factor * d2).min(1.0);
             if uniform_hash(self.round_seed, point) < p {
-                out.emit(SAMPLE_KEY, (point.to_vec(), 1));
+                out.emit(SAMPLE_KEY, load_point(&mut self.scratch, point));
             }
         }
         Ok(())
@@ -133,7 +135,7 @@ impl Mapper for ParallelInitMapper {
         _ctx: &mut TaskContext,
     ) -> Result<()> {
         // One aggregate cost record per map task.
-        out.emit(COST_KEY, (vec![self.cost_acc], self.seen));
+        out.emit(COST_KEY, &(vec![self.cost_acc], self.seen));
         Ok(())
     }
 }
@@ -198,6 +200,7 @@ impl Job for ParallelInitRound {
             round_seed: self.round_seed,
             cost_acc: 0.0,
             seen: 0,
+            scratch: PointSum::default(),
         }
     }
 
@@ -209,11 +212,11 @@ impl Job for ParallelInitRound {
         true
     }
 
-    fn combine(&self, key: &i64, acc: &mut Vec<PointSum>, value: PointSum) {
+    fn combine(&self, key: &i64, acc: &mut Vec<PointSum>, value: &PointSum) {
         if *key == COST_KEY {
             combine_point_sum(acc, value);
         } else {
-            acc.push(value); // candidates pass through untouched
+            acc.push(value.clone()); // candidates pass through untouched
         }
     }
 }
@@ -486,8 +489,8 @@ mod tests {
         candidates.push(0, &[0.0; 3]);
         let job = ParallelInitRound::new(Arc::new(candidates), Some(0.5), 3);
         let (mut cost, mut samples) = (Vec::new(), Vec::new());
-        for value in values.clone() {
-            job.combine(&COST_KEY, &mut cost, value.clone());
+        for value in &values {
+            job.combine(&COST_KEY, &mut cost, value);
             job.combine(&SAMPLE_KEY, &mut samples, value);
         }
         let folded: Vec<PointSum> = fold_point_sums(values.clone()).into_iter().collect();

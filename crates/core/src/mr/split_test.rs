@@ -104,8 +104,7 @@ impl SplitTestSpec {
     ) -> Option<(i64, f64)> {
         ctx.charge_distances(evals, self.parents.dim());
         self.projectors[idx].as_ref().map(|proj| {
-            ctx.counters().inc(Counter::Projections);
-            ctx.charge_compute(self.parents.dim() as f64);
+            ctx.charge_projections(1, self.parents.dim());
             (id, proj.project(point))
         })
     }
@@ -183,7 +182,7 @@ impl Mapper for TestClustersMapper {
         ctx: &mut TaskContext,
     ) -> Result<()> {
         if let Some((id, projection)) = self.spec.project(point, nearest, ctx) {
-            out.emit(id, projection);
+            out.emit(id, &projection);
         }
         Ok(())
     }
@@ -322,10 +321,10 @@ impl Mapper for TestFewClustersMapper {
             let n = sample.len() as u64;
             if sample.len() >= self.spec.ad.min_sample() {
                 let (a2_star, _) = self.spec.decide(&mut sample, ctx);
-                out.emit(id, (n, a2_star));
+                out.emit(id, &(n, a2_star));
             } else {
                 // "the mapper is then not able to compute a decision"
-                out.emit(id, (n, None));
+                out.emit(id, &(n, None));
             }
             ctx.heap.release(n * BYTES_PER_PROJECTION);
         }

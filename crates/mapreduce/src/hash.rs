@@ -11,8 +11,15 @@
 //! keys — the algorithm `DefaultHasher::new()` runs today, so every
 //! golden value pinned under it stays put — written out here so that no
 //! toolchain upgrade can move it.
+//!
+//! [`FoldHasher`] is the other hash here, and no answer depends on it: it
+//! indexes the per-attempt key maps of the map side's folding emitter,
+//! which drain in key order. It is a seeded folded multiply — a few
+//! cycles per key word, where SipHash takes tens of nanoseconds on the
+//! one lookup every emission makes.
 
-use std::hash::Hasher;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 
 /// SipHash-1-3 with both keys zero, over the bytes a value's `Hash`
 /// impl writes: one compression round per eight-byte word, three
@@ -117,6 +124,86 @@ impl Hasher for StableHasher {
     }
 }
 
+/// Odd 64-bit multiplier of [`FoldHasher`]: the first 64 fractional
+/// bits of π.
+const FOLD_MULTIPLIER: u64 = 0x243f_6a88_85a3_08d3;
+
+/// The 128-bit product of `a` and `b`, its high word xor its low word.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let full = u128::from(a) * u128::from(b);
+    (full as u64) ^ ((full >> 64) as u64)
+}
+
+/// Builds [`FoldHasher`]s from one seed, drawn from std's
+/// [`RandomState`] when the state is made.
+#[derive(Clone, Copy, Debug)]
+pub struct FoldState {
+    seed: u64,
+}
+
+impl FoldState {
+    /// A state with a fresh random seed.
+    pub fn new() -> Self {
+        Self {
+            seed: RandomState::new().build_hasher().finish(),
+        }
+    }
+}
+
+impl Default for FoldState {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl BuildHasher for FoldState {
+    type Hasher = FoldHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher { acc: self.seed }
+    }
+}
+
+/// A seeded folded-multiply hash for in-memory hash maps: each key word
+/// is xored into the state, which becomes the folded 128-bit product of
+/// itself and an odd constant, the first 64 fractional bits of π. The
+/// fold carries the high word down, so every input bit reaches the low
+/// bits a hash table indexes by — bit 62 too, which alone tells
+/// `KMeansAndFindNewCenters`' candidate keys from its refine keys. Not
+/// for anything an answer depends on: the seed differs between states.
+#[derive(Clone, Debug)]
+pub struct FoldHasher {
+    acc: u64,
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.acc = folded_multiply(self.acc ^ word, FOLD_MULTIPLIER);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.acc
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,5 +294,61 @@ mod tests {
             h.write(&data);
             prop_assert_eq!(bytes(&data), h.finish());
         }
+    }
+
+    /// The low `bits` bits of each key's hash under `state`.
+    fn buckets<K: Hash>(state: &FoldState, keys: &[K], bits: u32) -> Vec<u64> {
+        keys.iter()
+            .map(|k| state.hash_one(k) & ((1 << bits) - 1))
+            .collect()
+    }
+
+    /// Refine keys `id` and candidate keys `id + 2⁶²` differ in bit 62
+    /// alone; they must still spread over a table's low-bit buckets as
+    /// random keys would, not pair up in the same bucket.
+    #[test]
+    fn fold_hash_mixes_bit_62_into_the_low_bits() {
+        const OFFSET: i64 = 1 << 62;
+        for seed in [0, 1, 0x5eed, 1 << 62, 0x9e37_79b9_7f4a_7c15, u64::MAX] {
+            let state = FoldState { seed };
+            let ids: Vec<i64> = (0..512).collect();
+            let offset: Vec<i64> = ids.iter().map(|id| id + OFFSET).collect();
+            let (low, high) = (buckets(&state, &ids, 10), buckets(&state, &offset, 10));
+            let paired = low.iter().zip(&high).filter(|(a, b)| a == b).count();
+            assert!(
+                paired <= 8,
+                "seed {seed:#x}: {paired} of 512 pairs share a bucket"
+            );
+            let mut all: Vec<u64> = low.into_iter().chain(high).collect();
+            all.sort_unstable();
+            all.dedup();
+            // 1024 random keys fill about 1024·(1 − 1/e) ≈ 647 of 1024.
+            assert!(all.len() > 560, "seed {seed:#x}: {} buckets", all.len());
+        }
+    }
+
+    /// Multi-k keys `(k index, center id)` hash as two words.
+    #[test]
+    fn fold_hash_spreads_pair_keys() {
+        let state = FoldState { seed: 7 };
+        let keys: Vec<(u32, u32)> = (0..32).flat_map(|k| (0..32).map(move |c| (k, c))).collect();
+        let mut all = buckets(&state, &keys, 10);
+        all.sort_unstable();
+        all.dedup();
+        assert!(all.len() > 560, "{} buckets", all.len());
+    }
+
+    #[test]
+    fn fold_hash_is_a_function_of_seed_and_key_words() {
+        let state = FoldState { seed: 42 };
+        assert_eq!(state.hash_one(5i64), state.hash_one(5i64));
+        assert_eq!(
+            state.hash_one(5i64),
+            folded_multiply(42 ^ 5, FOLD_MULTIPLIER)
+        );
+        let mut bytes = state.build_hasher();
+        bytes.write(&5u64.to_le_bytes());
+        assert_eq!(bytes.finish(), state.hash_one(5u64));
+        assert_ne!(FoldState { seed: 43 }.hash_one(5i64), state.hash_one(5i64));
     }
 }

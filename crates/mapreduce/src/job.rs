@@ -15,13 +15,19 @@ use std::sync::Arc;
 
 use crate::counters::{Counter, Counters};
 use crate::error::Result;
-use crate::hash::StableHasher;
+use crate::hash::{FoldState, StableHasher};
 use crate::memory::HeapLedger;
 use crate::shuffle::{encode_segment, sort_and_combine, Segment};
 use crate::writable::{ShuffleKey, ShuffleValue};
 
 /// Per-task-attempt services: counters, the simulated heap ledger and
 /// the compute-cost accumulator.
+///
+/// The per-record counts — distance computations and projections — are
+/// plain adds to a tally that the runtime hands to the attempt's counter
+/// bank once per block and when the attempt ends. No reader can tell
+/// the difference: that bank is private to the attempt and merged into
+/// the job's only when the attempt commits.
 pub struct TaskContext {
     task: String,
     counters: Arc<Counters>,
@@ -30,6 +36,10 @@ pub struct TaskContext {
     /// with the paper's "Java heap space" error.
     pub heap: HeapLedger,
     compute_units: f64,
+    /// [`Counter::DistanceComputations`] since the last flush.
+    distances: u64,
+    /// [`Counter::Projections`] since the last flush.
+    projections: u64,
 }
 
 impl TaskContext {
@@ -41,6 +51,8 @@ impl TaskContext {
             task,
             counters,
             compute_units: 0.0,
+            distances: 0,
+            projections: 0,
         }
     }
 
@@ -61,13 +73,36 @@ impl TaskContext {
         self.compute_units += units;
     }
 
-    /// Convenience: records `count` distance computations in dimension
-    /// `dim` — bumps the [`Counter::DistanceComputations`] counter and
-    /// charges `count × dim` compute units.
+    /// Records `count` distance computations in dimension `dim`: adds
+    /// them to the attempt's tally of [`Counter::DistanceComputations`]
+    /// and charges `count × dim` compute units. The tally reaches the
+    /// counter bank when the runtime flushes it, once per block and when
+    /// the attempt ends.
     #[inline]
     pub fn charge_distances(&mut self, count: u64, dim: usize) {
-        self.counters.add(Counter::DistanceComputations, count);
+        self.distances += count;
         self.compute_units += (count * dim as u64) as f64;
+    }
+
+    /// Records `count` points projected onto split vectors in dimension
+    /// `dim`: adds them to the attempt's tally of [`Counter::Projections`]
+    /// and charges `count × dim` compute units, flushed like
+    /// [`TaskContext::charge_distances`].
+    #[inline]
+    pub fn charge_projections(&mut self, count: u64, dim: usize) {
+        self.projections += count;
+        self.compute_units += (count * dim as u64) as f64;
+    }
+
+    /// Adds the tallied distance computations and projections to the
+    /// counter bank and restarts the tally.
+    pub(crate) fn flush_tally(&mut self) {
+        let (distances, projections) = (
+            std::mem::take(&mut self.distances),
+            std::mem::take(&mut self.projections),
+        );
+        self.counters.add(Counter::DistanceComputations, distances);
+        self.counters.add(Counter::Projections, projections);
     }
 
     /// Total compute units charged so far.
@@ -90,17 +125,20 @@ impl TaskContext {
 ///
 /// A buffered attempt of a combiner job keeps one accumulator per key:
 /// [`MapOutput::emit`] finds the key — routing it to its partition the
-/// first time the attempt sees it — and folds the value in through
-/// [`Job::combine`] at once. Every other attempt, one that may spill or
-/// one of a job without a combiner, keeps the raw sort buffer: one
-/// vector of pairs per partition, in emission order, because spill runs
-/// must hold raw records.
+/// first time the attempt sees it — and folds the borrowed value in
+/// through [`Job::combine`] at once, which copies only a key's first
+/// value. Every other attempt, one that may spill or one of a job
+/// without a combiner, keeps the raw sort buffer: one vector of pairs
+/// per partition, in emission order, each value a clone of the emitted
+/// one, because spill runs must hold raw records.
 ///
 /// The runtime owns the buffers; mappers only see `emit`.
 pub struct Emitter<K, V> {
     buffer: Buffer<K, V>,
     /// Emissions since the spill window last closed.
     records_since_spill: usize,
+    /// Emissions not yet counted as [`Counter::MapOutputRecords`].
+    emitted: u64,
     /// Records the accumulators held when the window last closed: the
     /// combined records a window's combine reads again, on top of the
     /// window's emissions.
@@ -119,9 +157,10 @@ enum Buffer<K, V> {
         bytes: Option<u64>,
     },
     /// Per key: its partition and its combined records so far; and the
-    /// number of partitions.
+    /// number of partitions. The key map hashes with [`FoldState`], not
+    /// SipHash: every emission looks its key up once.
     Fold {
-        keys: HashMap<K, (usize, Vec<V>)>,
+        keys: HashMap<K, (usize, Vec<V>), FoldState>,
         partitions: usize,
     },
 }
@@ -141,7 +180,7 @@ impl<K: ShuffleKey, V: ShuffleValue> Emitter<K, V> {
     /// it is emitted, routing keys over `num_partitions` partitions.
     pub(crate) fn folding(num_partitions: usize) -> Self {
         Self::with(Buffer::Fold {
-            keys: HashMap::new(),
+            keys: HashMap::with_hasher(FoldState::new()),
             partitions: num_partitions,
         })
     }
@@ -150,20 +189,23 @@ impl<K: ShuffleKey, V: ShuffleValue> Emitter<K, V> {
         Self {
             buffer,
             records_since_spill: 0,
+            emitted: 0,
             held_at_window: 0,
         }
     }
 
-    /// Takes one intermediate pair: folds it into its key's accumulator
-    /// through `combine`, or appends it to its partition's raw buffer.
+    /// Takes one intermediate pair: folds the value into its key's
+    /// accumulator through `combine`, or appends a clone of it to its
+    /// partition's raw buffer.
     fn emit(
         &mut self,
         key: K,
-        value: V,
+        value: &V,
         partition: Partitioner<'_, K>,
         combine: Combiner<'_, K, V>,
     ) {
         self.records_since_spill += 1;
+        self.emitted += 1;
         match &mut self.buffer {
             Buffer::Fold { keys, .. } => {
                 if let Some((_, acc)) = keys.get_mut(&key) {
@@ -179,13 +221,19 @@ impl<K: ShuffleKey, V: ShuffleValue> Emitter<K, V> {
                 if let Some(bytes) = bytes {
                     *bytes += (key.byte_len() + value.byte_len()) as u64;
                 }
-                partitions[partition(&key)].push((key, value));
+                partitions[partition(&key)].push((key, value.clone()));
             }
         }
     }
 
     pub(crate) fn records_since_spill(&self) -> usize {
         self.records_since_spill
+    }
+
+    /// The emissions since the last call: the attempt's
+    /// [`Counter::MapOutputRecords`] tally.
+    pub(crate) fn take_emitted(&mut self) -> u64 {
+        std::mem::take(&mut self.emitted)
     }
 
     /// Closes the spill window. The pairs stay where they are: a later
@@ -238,9 +286,10 @@ impl<K: ShuffleKey, V: ShuffleValue> Emitter<K, V> {
     }
 
     /// Seals a buffered attempt's output into one segment per partition:
-    /// drains the accumulators in key order, or sorts each raw partition
-    /// and combines it when the job has a combiner
-    /// ([`sort_and_combine`]), then serializes it.
+    /// drains the accumulators in key order, each through
+    /// [`Job::finish_combine`], or sorts each raw partition and combines
+    /// it when the job has a combiner ([`sort_and_combine`]), then
+    /// serializes it.
     pub(crate) fn seal<J>(&mut self, job: &J, counters: &Counters) -> Vec<Segment>
     where
         J: Job<Key = K, Value = V>,
@@ -251,8 +300,9 @@ impl<K: ShuffleKey, V: ShuffleValue> Emitter<K, V> {
                 let mut keys: Vec<_> = std::mem::take(keys).into_iter().collect();
                 keys.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                 let mut segments = vec![Segment::default(); *partitions];
-                for (key, (partition, acc)) in &keys {
-                    for value in acc {
+                for (key, (partition, acc)) in &mut keys {
+                    job.finish_combine(key, acc);
+                    for value in acc.iter() {
                         segments[*partition].push(key, value);
                     }
                 }
@@ -273,7 +323,7 @@ impl<K: ShuffleKey, V: ShuffleValue> Emitter<K, V> {
 pub(crate) type Partitioner<'a, K> = &'a dyn Fn(&K) -> usize;
 
 /// A job's [`Job::combine`].
-pub(crate) type Combiner<'a, K, V> = &'a dyn Fn(&K, &mut Vec<V>, V);
+pub(crate) type Combiner<'a, K, V> = &'a dyn Fn(&K, &mut Vec<V>, &V);
 
 /// A handle mappers use to emit; wraps the emitter together with the
 /// job's partitioner and combiner so application code never sees
@@ -282,15 +332,19 @@ pub struct MapOutput<'a, K, V> {
     pub(crate) emitter: &'a mut Emitter<K, V>,
     pub(crate) partitioner: Partitioner<'a, K>,
     pub(crate) combiner: Combiner<'a, K, V>,
-    pub(crate) counters: &'a Counters,
 }
 
 impl<K: ShuffleKey, V: ShuffleValue> MapOutput<'_, K, V> {
-    /// Emits one `(key, value)` pair.
-    pub fn emit(&mut self, key: K, value: V) {
+    /// Emits one `(key, value)` pair. The value is borrowed: a buffered
+    /// attempt of a combiner job folds it into the key's accumulator
+    /// through [`Job::combine`], which copies it only when it is the
+    /// key's first; any other attempt buffers a clone. So a mapper can
+    /// refill one scratch value per record instead of allocating one.
+    /// The emission counts as one [`Counter::MapOutputRecords`], tallied
+    /// like [`TaskContext::charge_distances`].
+    pub fn emit(&mut self, key: K, value: &V) {
         self.emitter
             .emit(key, value, self.partitioner, self.combiner);
-        self.counters.inc(Counter::MapOutputRecords);
     }
 }
 
@@ -420,20 +474,30 @@ pub trait Job: Sync {
         false
     }
 
-    /// Folds `value` into `acc`, the records this map attempt has
-    /// combined for `key` so far, which start empty.
+    /// Folds the borrowed `value` into `acc`, the records this map
+    /// attempt has combined for `key` so far, which start empty. A
+    /// combiner clones what it keeps of `value` and adds into what `acc`
+    /// already holds in place, so only a key's first value is copied.
     ///
     /// The runtime folds each key's values from one map attempt once, in
     /// emission order: either as they are emitted (a buffered attempt
     /// keeps one accumulator per key) or while merging the raw runs of
-    /// an attempt that spilled. What `acc` holds after the last value is
-    /// the key's combined output, and the reducer sees those records as
-    /// if they were mapper emissions, so a combiner must be semantically
-    /// idempotent with respect to the reducer. The default keeps every
-    /// value.
-    fn combine(&self, _key: &Self::Key, acc: &mut Vec<Self::Value>, value: Self::Value) {
-        acc.push(value);
+    /// an attempt that spilled. What `acc` holds after the last value,
+    /// passed through [`Job::finish_combine`], is the key's combined
+    /// output, and the reducer sees those records as if they were mapper
+    /// emissions, so a combiner must be semantically idempotent with
+    /// respect to the reducer. The default keeps every value.
+    fn combine(&self, _key: &Self::Key, acc: &mut Vec<Self::Value>, value: &Self::Value) {
+        acc.push(value.clone());
     }
+
+    /// Finishes `key`'s combined records when the runtime drains them
+    /// from a map attempt, just before they are serialized: once per key
+    /// per attempt, after its last [`Job::combine`]. A combiner that
+    /// keeps working state in its accumulator — the candidate channel
+    /// keeps each kept point's priority in its count — restores the
+    /// records it emits here. The default leaves them as they are.
+    fn finish_combine(&self, _key: &Self::Key, _combined: &mut Vec<Self::Value>) {}
 
     /// Routes a key to one of `partitions` reduce tasks. The default is
     /// hash partitioning, like Hadoop's `HashPartitioner`.
@@ -503,36 +567,45 @@ mod tests {
         }
     }
 
+    /// The counts are tallied and reach the bank when the tally is
+    /// flushed; compute units are charged at once.
     #[test]
     fn task_context_charges() {
         let counters = Arc::new(Counters::new());
         let mut ctx = TaskContext::new("map-0", Arc::clone(&counters), 1024);
         ctx.charge_distances(10, 5);
+        ctx.charge_projections(3, 5);
         ctx.charge_compute(25.0);
+        assert_eq!(counters.get(Counter::DistanceComputations), 0);
+        assert!((ctx.compute_units() - 90.0).abs() < 1e-12);
+        ctx.flush_tally();
         assert_eq!(counters.get(Counter::DistanceComputations), 10);
-        assert!((ctx.compute_units() - 75.0).abs() < 1e-12);
+        assert_eq!(counters.get(Counter::Projections), 3);
+        ctx.flush_tally();
+        assert_eq!(counters.get(Counter::DistanceComputations), 10);
         assert_eq!(ctx.task_name(), "map-0");
     }
 
     /// Sums a key's values.
-    fn sum(_key: &i64, acc: &mut Vec<f64>, value: f64) {
+    fn sum(_key: &i64, acc: &mut Vec<f64>, value: &f64) {
         match acc.first_mut() {
             Some(total) => *total += value,
-            None => acc.push(value),
+            None => acc.push(*value),
         }
     }
 
-    /// Emits `pairs`, routing `k` to `k mod 3` and summing values.
+    /// Emits `pairs`, routing `k` to `k mod 3` and summing values, then
+    /// flushes the emission tally into `counters`.
     fn emit_all(emitter: &mut Emitter<i64, f64>, counters: &Counters, pairs: &[(i64, f64)]) {
         let mut out = MapOutput {
-            emitter,
+            emitter: &mut *emitter,
             partitioner: &|k: &i64| (*k % 3) as usize,
             combiner: &sum,
-            counters,
         };
-        for &(k, v) in pairs {
-            out.emit(k, v);
+        for (k, v) in pairs {
+            out.emit(*k, v);
         }
+        counters.add(Counter::MapOutputRecords, emitter.take_emitted());
     }
 
     #[test]
@@ -587,8 +660,26 @@ mod tests {
         assert!(segments[0].is_empty() && segments[2].is_empty());
     }
 
+    /// Both kinds of buffer drain each key through
+    /// [`Job::finish_combine`] once: the accumulators at seal, the raw
+    /// buffer through [`sort_and_combine`].
+    #[test]
+    fn seal_finishes_each_drained_key_once() {
+        let counters = Counters::new();
+        for mut emitter in [Emitter::folding(3), Emitter::raw(3, false)] {
+            emit_all(&mut emitter, &counters, &[(4, 1.0), (1, 2.0), (4, 3.0)]);
+            let segments = emitter.seal(&Marked, &counters);
+            assert_eq!(
+                segments[1].data,
+                encode_segment(&[(1i64, 1002.0), (4, 1004.0)]).data
+            );
+        }
+    }
+
     /// [`sum`] as a job, for [`Emitter::seal`].
     struct Sum;
+    /// [`Sum`] that adds 1000 to each key's total as it is drained.
+    struct Marked;
     struct NoMapper;
     struct NoReducer;
     impl Mapper for NoMapper {
@@ -643,8 +734,35 @@ mod tests {
         fn has_combiner(&self) -> bool {
             true
         }
-        fn combine(&self, key: &i64, acc: &mut Vec<f64>, value: f64) {
+        fn combine(&self, key: &i64, acc: &mut Vec<f64>, value: &f64) {
             sum(key, acc, value);
+        }
+    }
+    impl Job for Marked {
+        type Key = i64;
+        type Value = f64;
+        type Output = ();
+        type Mapper = NoMapper;
+        type Reducer = NoReducer;
+        fn name(&self) -> &str {
+            "marked"
+        }
+        fn create_mapper(&self) -> NoMapper {
+            NoMapper
+        }
+        fn create_reducer(&self) -> NoReducer {
+            NoReducer
+        }
+        fn has_combiner(&self) -> bool {
+            true
+        }
+        fn combine(&self, key: &i64, acc: &mut Vec<f64>, value: &f64) {
+            sum(key, acc, value);
+        }
+        fn finish_combine(&self, _key: &i64, combined: &mut Vec<f64>) {
+            for total in combined {
+                *total += 1000.0;
+            }
         }
     }
 }

@@ -38,7 +38,8 @@
 //! A complete word-count-shaped job (count per key) over DFS text of
 //! one-coordinate points. `prepare_block` computes one row per point of
 //! a block — here the point's key; the paper's jobs compute its nearest
-//! center — and `map_point` emits with it:
+//! center — and `map_point` emits with it, lending the value: the
+//! combiner copies a key's first value and adds the rest in place:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -59,7 +60,7 @@
 //!     }
 //!     fn map_point(&mut self, _point: &[f64], key: i64, out: &mut MapOutput<'_, i64, u64>,
 //!                  _ctx: &mut TaskContext) -> gmr_mapreduce::Result<()> {
-//!         out.emit(key, 1);
+//!         out.emit(key, &1);
 //!         Ok(())
 //!     }
 //! }
@@ -85,11 +86,12 @@
 //!     fn create_mapper(&self) -> SumMapper { SumMapper }
 //!     fn create_reducer(&self) -> SumReducer { SumReducer }
 //!     fn has_combiner(&self) -> bool { true }
-//!     // Folds each value into the key's one partial count.
-//!     fn combine(&self, _key: &i64, acc: &mut Vec<u64>, value: u64) {
+//!     // Folds each borrowed value into the key's one partial count,
+//!     // copying only the first.
+//!     fn combine(&self, _key: &i64, acc: &mut Vec<u64>, value: &u64) {
 //!         match acc.first_mut() {
 //!             Some(count) => *count += value,
-//!             None => acc.push(value),
+//!             None => acc.push(*value),
 //!         }
 //!     }
 //! }

@@ -494,9 +494,21 @@ impl<'a, J: Job> MapAttempt<'a, J> {
             emitter: &mut self.emitter,
             partitioner: &|k| job.partition(k, parts),
             combiner: &|k, acc, v| job.combine(k, acc, v),
-            counters: self.counters,
         };
         f(&mut out, &mut self.ctx)
+    }
+
+    /// Hands the per-record tallies to the attempt's counter bank:
+    /// `records` more [`Counter::MapInputRecords`], the emissions since
+    /// the last flush as [`Counter::MapOutputRecords`], and the task
+    /// context's distance computations and projections. Called once per
+    /// block and when the attempt ends. The bank is private to the
+    /// attempt until it commits, so no reader sees the tallies lag.
+    fn flush_tally(&mut self, records: u64) {
+        self.counters.add(Counter::MapInputRecords, records);
+        self.counters
+            .add(Counter::MapOutputRecords, self.emitter.take_emitted());
+        self.ctx.flush_tally();
     }
 
     /// Consumes one input record through `map`, then applies the spill
@@ -508,7 +520,6 @@ impl<'a, J: Job> MapAttempt<'a, J> {
         &mut self,
         map: impl FnOnce(&mut MapOutput<'_, J::Key, J::Value>, &mut TaskContext) -> Result<()>,
     ) -> Result<()> {
-        self.counters.inc(Counter::MapInputRecords);
         self.with_output(map)?;
         match self.spill.as_mut() {
             Some(s) => s.maybe_spill(
@@ -534,7 +545,8 @@ impl<'a, J: Job> MapAttempt<'a, J> {
     /// its points, then one record per input line in order —
     /// `map_point` with its row for each point, and a bad-record
     /// quarantine for each `(line number within the block, line)` of
-    /// `bad`. A block without points prepares nothing.
+    /// `bad` — then flushes the block's tallies. A block without points
+    /// prepares nothing.
     fn point_block(
         &mut self,
         mapper: &mut J::Mapper,
@@ -570,6 +582,7 @@ impl<'a, J: Job> MapAttempt<'a, J> {
                 self.record(|out, ctx| mapper.map_point(point, row, out, ctx))?;
             }
         }
+        self.flush_tally(records as u64);
         Ok(())
     }
 
@@ -583,6 +596,7 @@ impl<'a, J: Job> MapAttempt<'a, J> {
         cached_points: u64,
     ) -> MapTaskResult {
         self.with_output(|out, ctx| mapper.close(out, ctx))?;
+        self.flush_tally(0);
         let counters = self.counters;
         let (segments, shuffle_out, spill_io) = match self.spill.take() {
             // A spilled attempt merges its runs into final combined runs.
@@ -1511,6 +1525,7 @@ impl JobRunner {
             reducer.reduce(key, values, &mut out, &mut ctx)?;
         }
         drop(groups);
+        ctx.flush_tally();
         io.absorb(&merge.io());
         ctx.heap.release(merge_charged);
         if io.compressed_raw > 0 || io.decompressed_raw > 0 {
@@ -1850,7 +1865,7 @@ mod tests {
             out: &mut MapOutput<'_, i64, u64>,
             _ctx: &mut TaskContext,
         ) -> Result<()> {
-            out.emit(0, 1);
+            out.emit(0, &1);
             Ok(())
         }
     }
@@ -1995,7 +2010,7 @@ mod tests {
             out: &mut MapOutput<'_, i64, u64>,
             _ctx: &mut TaskContext,
         ) -> Result<()> {
-            out.emit(point[0] as i64, 1);
+            out.emit(point[0] as i64, &1);
             Ok(())
         }
     }
@@ -2031,6 +2046,132 @@ mod tests {
         fn create_reducer(&self) -> CountReducer {
             CountReducer
         }
+    }
+
+    /// Emits `x mod 3` records per point `(x, y)` — 0, 1 or 2 — under
+    /// key `x mod 7`, and charges `x mod 5` distance computations. The
+    /// first mapper it creates fails at its 300th point when
+    /// `fail_first` is set.
+    struct TallyJob {
+        fail_first: bool,
+        mappers: AtomicUsize,
+    }
+    struct TallyMapper {
+        fail_at: Option<usize>,
+        seen: usize,
+    }
+
+    impl Mapper for TallyMapper {
+        type Key = i64;
+        type Value = u64;
+        type Row = ();
+
+        fn dim(&self) -> usize {
+            2
+        }
+
+        fn prepare_block(
+            &mut self,
+            _points: &[f64],
+            norms: &[f64],
+            _ctx: &mut TaskContext,
+        ) -> Result<Vec<()>> {
+            Ok(vec![(); norms.len()])
+        }
+
+        fn map_point(
+            &mut self,
+            point: &[f64],
+            _row: (),
+            out: &mut MapOutput<'_, i64, u64>,
+            ctx: &mut TaskContext,
+        ) -> Result<()> {
+            if self.fail_at == Some(self.seen) {
+                return Err(Error::Task("failed mid-block".into()));
+            }
+            self.seen += 1;
+            let x = point[0] as u64;
+            ctx.charge_distances(x % 5, 2);
+            for _ in 0..x % 3 {
+                out.emit((x % 7) as i64, &1);
+            }
+            Ok(())
+        }
+    }
+
+    impl Job for TallyJob {
+        type Key = i64;
+        type Value = u64;
+        type Output = (i64, u64);
+        type Mapper = TallyMapper;
+        type Reducer = CountReducer;
+        fn name(&self) -> &str {
+            "tally"
+        }
+        fn create_mapper(&self) -> TallyMapper {
+            let first = self.mappers.fetch_add(1, Ordering::Relaxed) == 0;
+            TallyMapper {
+                fail_at: (self.fail_first && first).then_some(300),
+                seen: 0,
+            }
+        }
+        fn create_reducer(&self) -> CountReducer {
+            CountReducer
+        }
+    }
+
+    /// The per-record counts a map attempt tallies and flushes once per
+    /// block reach the job's bank whole: over one text split of three
+    /// blocks holding quarantined lines, the committed job counts every
+    /// line as a map input record, every emission as a map output
+    /// record and every charged distance computation. An attempt that
+    /// fails mid-block, after a block was flushed, adds nothing.
+    #[test]
+    fn map_tallies_reach_the_job_bank_once_per_committed_attempt() {
+        let lines: Vec<String> = (0..700u64)
+            .map(|i| match i % 37 {
+                3 => "not a point".to_string(),
+                11 => format!("{i}"),
+                _ => format!("{i} {}", i % 4),
+            })
+            .collect();
+        let good: Vec<u64> = (0..700u64)
+            .filter(|i| ![3, 11].contains(&(i % 37)))
+            .collect();
+        let dfs = Arc::new(Dfs::new(1 << 20));
+        dfs.put_lines("in", lines.iter().map(String::as_str))
+            .unwrap();
+        let cluster =
+            ClusterConfig::with_nodes(4).with_faults(FaultPlan::none().with_max_attempts(2));
+        let runner = JobRunner::new(dfs, cluster).unwrap();
+        let config = JobConfig::with_reducers(2);
+        let run = |fail_first| {
+            let job = TallyJob {
+                fail_first,
+                mappers: AtomicUsize::new(0),
+            };
+            let mut r = runner.run(&job, "in", &config).unwrap();
+            r.output.sort();
+            r
+        };
+        let (calm, failed) = (run(false), run(true));
+        assert_eq!(calm.counters.get(Counter::AttemptsFailed), 0);
+        assert_eq!(failed.counters.get(Counter::AttemptsFailed), 1);
+        for r in [&calm, &failed] {
+            let c = |counter| r.counters.get(counter);
+            assert_eq!(c(Counter::MapInputRecords), 700);
+            assert_eq!(c(Counter::BadRecordsSkipped), 700 - good.len() as u64);
+            assert_eq!(
+                c(Counter::MapOutputRecords),
+                good.iter().map(|x| x % 3).sum::<u64>()
+            );
+            assert_eq!(
+                c(Counter::DistanceComputations),
+                good.iter().map(|x| x % 5).sum::<u64>()
+            );
+            assert_eq!(c(Counter::ReduceInputRecords), c(Counter::MapOutputRecords));
+        }
+        assert_eq!(calm.output, failed.output);
     }
 
     fn staged() -> (JobRunner, PointCache) {

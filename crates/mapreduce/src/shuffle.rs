@@ -133,8 +133,9 @@ pub fn sort_and_combine<J: Job>(job: &J, buf: &mut Vec<(J::Key, J::Value)>, coun
 }
 
 /// Folds each key group of a key-sorted record stream through
-/// [`Job::combine`], value by value in stream order, and hands each
-/// group's combined records to `sink`. A decode error ends the fold.
+/// [`Job::combine`], value by value in stream order, finishes it with
+/// [`Job::finish_combine`], and hands each group's combined records to
+/// `sink`. A decode error ends the fold.
 fn fold_key_groups<J: Job>(
     job: &J,
     records: impl Iterator<Item = Result<(J::Key, J::Value)>>,
@@ -144,8 +145,9 @@ fn fold_key_groups<J: Job>(
     let mut acc = Vec::new();
     while let Some(key) = groups.next_key()? {
         while let Some(value) = groups.next_value() {
-            job.combine(&key, &mut acc, value);
+            job.combine(&key, &mut acc, &value);
         }
+        job.finish_combine(&key, &mut acc);
         for value in acc.drain(..) {
             sink(&key, value)?;
         }
@@ -566,10 +568,10 @@ mod tests {
         fn has_combiner(&self) -> bool {
             self.combiner
         }
-        fn combine(&self, _key: &i64, acc: &mut Vec<u64>, value: u64) {
+        fn combine(&self, _key: &i64, acc: &mut Vec<u64>, value: &u64) {
             match acc.first_mut() {
                 Some(sum) => *sum += value,
-                None => acc.push(value),
+                None => acc.push(*value),
             }
         }
     }

@@ -38,7 +38,7 @@ impl Mapper for CountMapper {
         if id < 0 {
             return Err(gmr_mapreduce::Error::Task(format!("negative id {id}")));
         }
-        out.emit(id, 1);
+        out.emit(id, &1);
         Ok(())
     }
 }
@@ -78,10 +78,10 @@ impl Job for CountJob {
     fn has_combiner(&self) -> bool {
         self.combiner
     }
-    fn combine(&self, _key: &i64, acc: &mut Vec<u64>, value: u64) {
+    fn combine(&self, _key: &i64, acc: &mut Vec<u64>, value: &u64) {
         match acc.first_mut() {
             Some(count) => *count += value,
-            None => acc.push(value),
+            None => acc.push(*value),
         }
     }
 }
@@ -250,7 +250,7 @@ impl Mapper for EmitAllMapper {
         out: &mut MapOutput<'_, i64, f64>,
         _ctx: &mut TaskContext,
     ) -> Result<()> {
-        out.emit(0, point[0]);
+        out.emit(0, &point[0]);
         Ok(())
     }
 }
@@ -369,7 +369,7 @@ impl Mapper for CloseEmitMapper {
         Ok(())
     }
     fn close(&mut self, out: &mut MapOutput<'_, i64, u64>, _ctx: &mut TaskContext) -> Result<()> {
-        out.emit(0, self.seen);
+        out.emit(0, &self.seen);
         Ok(())
     }
 }
@@ -478,7 +478,7 @@ impl Mapper for TokenMapper {
         out: &mut MapOutput<'_, i64, u64>,
         _ctx: &mut TaskContext,
     ) -> Result<()> {
-        out.emit(point[0] as i64, point[1] as u64);
+        out.emit(point[0] as i64, &(point[1] as u64));
         Ok(())
     }
 }
