@@ -14,16 +14,13 @@
 //! This crate contains both sides of that comparison, plus the serial
 //! references:
 //!
-//! * [`serial`] — Lloyd's k-means (with random and k-means++ init), the
-//!   original recursive G-means, X-means, and a loop-over-k multi-k
-//!   baseline;
+//! * [`serial`] — Lloyd's k-means (with random and k-means++ init) and
+//!   the original recursive G-means;
 //! * [`mr`] — the paper's contribution: the G-means job pipeline
 //!   (`KMeans`, `KMeansAndFindNewCenters` with the `OFFSET = 2⁶²`
 //!   key-multiplexing trick, `TestClusters` / `TestFewClusters` with
 //!   the heap-aware strategy switch) and the multi-k-means baseline
 //!   (Algorithm 6), all running on the [`gmr_mapreduce`] engine;
-//! * [`selection`] — the §2 criteria (elbow, silhouette, Dunn, jump,
-//!   gap statistic) that the multi-k pipeline needs to pick its k;
 //! * [`merge`] — the close-center post-processing the paper leaves as
 //!   future work;
 //! * [`eval`] — WCSS and the average point-to-center distance used in
@@ -66,7 +63,6 @@ pub mod config;
 pub mod eval;
 pub mod merge;
 pub mod mr;
-pub mod selection;
 pub mod serial;
 
 pub use config::{GMeansConfig, KMeansConfig};
@@ -81,9 +77,8 @@ pub mod prelude {
         JobOutputs, KMeansParallelInit, MRGMeans, MRGMeansResult, MRKMeans, MultiKMeans,
         PlannedJob, RunStats, SegmentStats, Step, TestStrategy,
     };
-    pub use crate::selection;
     pub use crate::serial::{
         gmeans::{GMeans, GMeansResult},
-        initial_centers, kmeans, kmeans_from, multi_kmeans, xmeans, InitStrategy, XMeansConfig,
+        initial_centers, kmeans, kmeans_from, InitStrategy,
     };
 }

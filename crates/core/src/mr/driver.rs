@@ -40,7 +40,6 @@ use gmr_mapreduce::writable::Writable;
 use gmr_mapreduce::{Error, Result};
 
 use crate::config::GMeansConfig;
-use crate::mr::bic_test::{BicTestJob, BicTestSpec};
 use crate::mr::centers::{apply_updates, check_next_id, CenterSet, CenterUpdate};
 use crate::mr::engine::{
     Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
@@ -81,31 +80,43 @@ struct Parent {
     center: Vec<f64>,
     found: bool,
     count: u64,
-    /// Consecutive keep-verdicts (used by the BIC criterion, which —
-    /// like serial X-means — retries a cluster with fresh candidate
-    /// children before accepting it).
-    normal_streak: u8,
     /// The two current-iteration centers being refined (empty once
     /// found).
     children: Vec<Child>,
 }
 
+/// Journal wire form: the fields in declaration order, with one
+/// reserved byte between `count` and `children` that is always 0. The
+/// slot held the keep-verdict streak of the X-means (BIC) split
+/// criterion, which this driver no longer has; keeping it keeps every
+/// checkpoint byte and checkpoint charge where it was. A non-zero byte
+/// is the journal of a BIC run, which G-means would not reproduce, so
+/// decoding rejects it.
 impl Writable for Parent {
     fn write(&self, buf: &mut Vec<u8>) {
         self.id.write(buf);
         self.center.write(buf);
         self.found.write(buf);
         self.count.write(buf);
-        self.normal_streak.write(buf);
+        0u8.write(buf);
         self.children.write(buf);
     }
     fn read(buf: &mut &[u8]) -> Result<Self> {
+        let id = i64::read(buf)?;
+        let center = Vec::read(buf)?;
+        let found = bool::read(buf)?;
+        let count = u64::read(buf)?;
+        let reserved = u8::read(buf)?;
+        if reserved != 0 {
+            return Err(Error::Corrupt(format!(
+                "parent {id} has reserved byte {reserved}: a BIC-criterion checkpoint"
+            )));
+        }
         Ok(Self {
-            id: i64::read(buf)?,
-            center: Vec::read(buf)?,
-            found: bool::read(buf)?,
-            count: u64::read(buf)?,
-            normal_streak: u8::read(buf)?,
+            id,
+            center,
+            found,
+            count,
             children: Vec::read(buf)?,
         })
     }
@@ -229,22 +240,6 @@ impl MRGMeansResult {
     }
 }
 
-/// Which statistical criterion decides whether a cluster splits.
-///
-/// The driver, jobs, bookkeeping and strategy machinery are shared;
-/// only the per-cluster decision differs — exactly the G-means/X-means
-/// relationship §2 describes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SplitCriterion {
-    /// Anderson–Darling normality of the child-axis projections
-    /// (G-means — the paper's contribution).
-    #[default]
-    AndersonDarling,
-    /// Bayesian Information Criterion comparison of the one-center vs
-    /// two-children models (X-means, Pelleg & Moore).
-    Bic,
-}
-
 /// Where inside one G-means iteration the state machine stands: which
 /// job [`GMeansAlgo::plan`] emits next.
 enum GPhase {
@@ -253,8 +248,7 @@ enum GPhase {
     Refine { remaining: usize },
     /// The fused `KMeansAndFindNewCenters` job.
     FindNew,
-    /// The split-test job (BIC aggregation, or the §3.2
-    /// strategy-chosen Anderson–Darling job).
+    /// The §3.2 strategy-chosen Anderson–Darling split-test job.
     Test,
     /// Reducer-side re-test of clusters the mapper-side job left
     /// undecided.
@@ -278,8 +272,6 @@ struct IterScratch {
     candidates: HashMap<i64, Vec<Vec<f64>>>,
     /// Split vectors per parent index (`None` = not testable).
     projectors: Vec<Option<SegmentProjector>>,
-    /// Child coordinate pairs per parent index (the BIC test's input).
-    child_pairs: Vec<Option<(Vec<f64>, Vec<f64>)>>,
     /// Parent indices settled without a job (empty half / too small /
     /// degenerate axis).
     auto_normal: Vec<usize>,
@@ -322,7 +314,8 @@ fn current_centers(dim: usize, parents: &[Parent]) -> Result<CenterSet> {
 /// iteration boundaries, where it is `None`. Decoding rejects state
 /// `plan` or `apply` could not run — a center of the wrong dimension, a
 /// duplicate or out-of-range id, a found parent with children or an
-/// unsplit one without exactly two, or a `next_id` that is not fresh.
+/// unsplit one without exactly two, a `next_id` that is not fresh, or a
+/// parent whose reserved byte is not 0.
 impl Writable for GState {
     fn write(&self, buf: &mut Vec<u8>) {
         debug_assert!(self.scratch.is_none(), "journaled mid-iteration");
@@ -381,7 +374,6 @@ fn strategy_from_tag(tag: u8) -> Result<TestStrategy> {
 /// G-means (Algorithm 1) as a pure state machine on the [`Engine`].
 pub struct GMeansAlgo {
     config: GMeansConfig,
-    criterion: SplitCriterion,
     force_strategy: Option<TestStrategy>,
 }
 
@@ -419,58 +411,11 @@ impl GMeansAlgo {
                     .unwrap_or(TestDecision::Normal)
             };
             match decision {
-                TestDecision::Normal | TestDecision::Undecided => {
-                    // The BIC criterion retries once with a fresh
-                    // child pair (serial X-means re-attempts every
-                    // structure round); a one-shot keep-verdict is
-                    // too sensitive to an unlucky candidate pair.
-                    let streak = p.normal_streak.saturating_add(1);
-                    let retries = match self.criterion {
-                        SplitCriterion::AndersonDarling => 1,
-                        SplitCriterion::Bic => 2,
-                    };
-                    let fresh_pair = (!p.children.is_empty()).then(|| {
-                        let a = candidates
-                            .remove(&p.children[0].id)
-                            .unwrap_or_default()
-                            .into_iter()
-                            .next();
-                        let b = candidates
-                            .remove(&p.children[1].id)
-                            .unwrap_or_default()
-                            .into_iter()
-                            .next();
-                        (a, b)
-                    });
-                    if streak >= retries {
-                        next_parents.push(Parent {
-                            found: true,
-                            children: Vec::new(),
-                            ..p
-                        });
-                    } else if let Some((Some(a), Some(b))) = fresh_pair {
-                        let mut kids = Vec::with_capacity(2);
-                        for coords in [a, b] {
-                            kids.push(Child {
-                                id: state.next_id,
-                                coords,
-                            });
-                            state.next_id += 1;
-                        }
-                        next_parents.push(Parent {
-                            normal_streak: streak,
-                            children: kids,
-                            ..p
-                        });
-                    } else {
-                        // No fresh candidates: accept.
-                        next_parents.push(Parent {
-                            found: true,
-                            children: Vec::new(),
-                            ..p
-                        });
-                    }
-                }
+                TestDecision::Normal | TestDecision::Undecided => next_parents.push(Parent {
+                    found: true,
+                    children: Vec::new(),
+                    ..p
+                }),
                 TestDecision::Split => {
                     splits += 1;
                     for ch in p.children {
@@ -494,7 +439,6 @@ impl GMeansAlgo {
                             center: ch.coords,
                             found,
                             count,
-                            normal_streak: 0,
                             children,
                         });
                     }
@@ -554,7 +498,6 @@ impl IterativeAlgorithm for GMeansAlgo {
             center: mean,
             found: false,
             count: 0,
-            normal_streak: 0,
             children: vec![
                 Child {
                     id: 1,
@@ -611,7 +554,6 @@ impl IterativeAlgorithm for GMeansAlgo {
                 counts: HashMap::new(),
                 candidates: HashMap::new(),
                 projectors: Vec::new(),
-                child_pairs: Vec::new(),
                 auto_normal: Vec::new(),
                 clusters_tested: 0,
                 decisions: HashMap::new(),
@@ -635,42 +577,31 @@ impl IterativeAlgorithm for GMeansAlgo {
             GPhase::Test => {
                 let parent_set = Arc::new(ctx.prepare(parent_centers(state.dim, &state.parents)?));
                 let test_reducers = ctx.reduce_tasks(scratch.clusters_tested);
-                if self.criterion == SplitCriterion::Bic {
-                    // X-means decision: one aggregation job, no strategy
-                    // switch needed (the aggregates are tiny).
-                    let spec = BicTestSpec::new(
-                        parent_set,
-                        Arc::new(scratch.child_pairs.clone()),
-                        self.config.min_test_sample,
-                    );
-                    Ok(PlannedJob::new(BicTestJob::new(spec), test_reducers))
-                } else {
-                    let biggest = state
-                        .parents
-                        .iter()
-                        .enumerate()
-                        .filter(|(pi, p)| !p.found && scratch.projectors[*pi].is_some())
-                        .map(|(_, p)| p.count)
-                        .max()
-                        .unwrap_or(0);
-                    let strategy = self.force_strategy.unwrap_or_else(|| {
-                        choose_strategy(scratch.clusters_tested, biggest, ctx.cluster())
-                    });
-                    scratch.strategy_used = Some(strategy);
-                    let spec = SplitTestSpec::new(
-                        parent_set,
-                        Arc::new(scratch.projectors.clone()),
-                        self.config.ad_test(),
-                    );
-                    Ok(match strategy {
-                        TestStrategy::FewClusters => {
-                            PlannedJob::new(TestFewClustersJob::new(spec), test_reducers)
-                        }
-                        TestStrategy::Clusters => {
-                            PlannedJob::new(TestClustersJob::new(spec), test_reducers)
-                        }
-                    })
-                }
+                let biggest = state
+                    .parents
+                    .iter()
+                    .enumerate()
+                    .filter(|(pi, p)| !p.found && scratch.projectors[*pi].is_some())
+                    .map(|(_, p)| p.count)
+                    .max()
+                    .unwrap_or(0);
+                let strategy = self.force_strategy.unwrap_or_else(|| {
+                    choose_strategy(scratch.clusters_tested, biggest, ctx.cluster())
+                });
+                scratch.strategy_used = Some(strategy);
+                let spec = SplitTestSpec::new(
+                    parent_set,
+                    Arc::new(scratch.projectors.clone()),
+                    self.config.ad_test(),
+                );
+                Ok(match strategy {
+                    TestStrategy::FewClusters => {
+                        PlannedJob::new(TestFewClustersJob::new(spec), test_reducers)
+                    }
+                    TestStrategy::Clusters => {
+                        PlannedJob::new(TestClustersJob::new(spec), test_reducers)
+                    }
+                })
             }
             GPhase::Retry => {
                 // Mapper-side testing came back undecided where every
@@ -755,7 +686,6 @@ impl IterativeAlgorithm for GMeansAlgo {
 
                 // Build projectors; settle trivial cases without a job.
                 scratch.projectors = vec![None; state.parents.len()];
-                scratch.child_pairs = vec![None; state.parents.len()];
                 for (pi, p) in state.parents.iter().enumerate() {
                     if p.found {
                         continue;
@@ -775,7 +705,6 @@ impl IterativeAlgorithm for GMeansAlgo {
                         scratch.auto_normal.push(pi);
                     } else {
                         scratch.projectors[pi] = Some(proj);
-                        scratch.child_pairs[pi] = Some((c1.coords.clone(), c2.coords.clone()));
                     }
                 }
                 scratch.clusters_tested = scratch.projectors.iter().filter(|p| p.is_some()).count();
@@ -793,12 +722,6 @@ impl IterativeAlgorithm for GMeansAlgo {
                 let outcomes = outputs.take::<TestOutcome>();
                 for o in outcomes {
                     scratch.decisions.insert(o.parent_id, o);
-                }
-                if self.criterion == SplitCriterion::Bic {
-                    // The BIC aggregation decides every cluster in one
-                    // pass; there is no undecided retry.
-                    self.finalize_iteration(state, scratch, seg);
-                    return Ok(Step::Boundary);
                 }
                 scratch.undecided = scratch
                     .decisions
@@ -901,17 +824,9 @@ impl MRGMeans {
             engine: Engine::new(runner),
             algo: GMeansAlgo {
                 config,
-                criterion: SplitCriterion::AndersonDarling,
                 force_strategy: None,
             },
         }
-    }
-
-    /// Selects the split criterion: Anderson–Darling (G-means, default)
-    /// or BIC (X-means). See [`SplitCriterion`].
-    pub fn with_split_criterion(mut self, criterion: SplitCriterion) -> Self {
-        self.algo.criterion = criterion;
-        self
     }
 
     /// Enables the k-d-tree nearest-center index (the mrkd-tree
@@ -984,14 +899,14 @@ mod tests {
                 center: vec![0.5; 10],
                 found,
                 count: 0,
-                normal_streak: 0,
                 children,
             }],
             reports: Vec::new(),
             scratch: None,
         };
         let decode = |s: &GState| from_bytes::<GState>(&to_bytes(s));
-        assert!(decode(&state(3, false, vec![child(1, 10), child(2, 10)])).is_ok());
+        let pair = || vec![child(1, 10), child(2, 10)];
+        assert!(decode(&state(3, false, pair())).is_ok());
         assert!(decode(&state(1, true, Vec::new())).is_ok());
         for (case, s) in [
             (
@@ -1021,6 +936,19 @@ mod tests {
                 Err(e) => panic!("{case}: {e:?}"),
                 Ok(_) => panic!("{case}: decoded"),
             }
+        }
+        // A non-zero reserved byte: the keep-verdict streak a BIC run
+        // journaled. The byte sits just before the parent's children
+        // and the empty report list that end the encoding.
+        let mut bytes = to_bytes(&state(3, false, pair()));
+        let tail = to_bytes(&pair()).len() + to_bytes(&Vec::<IterationReport>::new()).len();
+        let reserved = bytes.len() - tail - 1;
+        assert_eq!(bytes[reserved], 0, "the reserved byte is written as 0");
+        bytes[reserved] = 1;
+        match from_bytes::<GState>(&bytes) {
+            Err(Error::Corrupt(_)) => {}
+            Err(e) => panic!("a non-zero reserved byte: {e:?}"),
+            Ok(_) => panic!("a non-zero reserved byte: decoded"),
         }
     }
 

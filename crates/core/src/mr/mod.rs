@@ -20,7 +20,6 @@
 //!   degradation, counters, clocks, and cached-vs-streaming dispatch.
 //! * [`input`] — pre-flight input validation shared by the drivers.
 
-pub mod bic_test;
 pub mod centers;
 pub mod driver;
 pub mod engine;
@@ -34,9 +33,8 @@ pub mod sample;
 pub mod split_test;
 pub mod strategy;
 
-pub use bic_test::{BicTestJob, BicTestSpec};
 pub use centers::{apply_updates, CenterSet, CenterUpdate, ChannelKey, KernelBackend, OFFSET};
-pub use driver::{IterationReport, MRGMeans, MRGMeansResult, SplitCriterion};
+pub use driver::{IterationReport, MRGMeans, MRGMeansResult};
 pub use engine::{
     Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
     SegmentStats, Step,

@@ -52,10 +52,6 @@ pub struct TestOutcome {
     pub n: u64,
     /// The corrected Anderson–Darling statistic, when a test ran.
     pub a2_star: Option<f64>,
-    /// `BIC(two children) − BIC(parent)` from the BIC split test
-    /// ([`crate::mr::BicTestJob`]) when it scored both models; the split
-    /// wins when it is positive. `None` for the Anderson–Darling jobs.
-    pub bic_gain: Option<f64>,
     /// The decision.
     pub decision: TestDecision,
 }
@@ -220,7 +216,6 @@ impl Reducer for TestClustersReducer {
             parent_id: key,
             n,
             a2_star,
-            bic_gain: None,
             decision,
         });
         Ok(())
@@ -391,7 +386,6 @@ impl Reducer for TestFewClustersReducer {
             parent_id: key,
             n: total_n,
             a2_star: worst_a2,
-            bic_gain: None,
             decision,
         });
         Ok(())

@@ -215,8 +215,11 @@ const ALL: [Counter; COUNT] = [
 ];
 
 impl Counter {
+    /// The counter's slot in a bank: its declaration index, which is its
+    /// position in [`ALL`] (`counters_index_their_slot_in_all` checks).
+    #[inline]
     fn index(self) -> usize {
-        ALL.iter().position(|c| *c == self).expect("counter in ALL")
+        self as usize
     }
 
     /// Every counter, in display order.
@@ -392,6 +395,13 @@ mod tests {
             assert_eq!(back.get(counter), c.get(counter));
         }
         assert!(from_bytes::<Counters>(&to_bytes(&vec![1u64, 2, 3])).is_err());
+    }
+
+    #[test]
+    fn counters_index_their_slot_in_all() {
+        for (i, c) in ALL.iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
     }
 
     #[test]

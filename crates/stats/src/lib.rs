@@ -12,16 +12,11 @@
 //! * [`anderson_darling`] — the A² statistic, the small-sample A*²
 //!   correction for the case where mean and variance are estimated from
 //!   the data, Stephens' critical-value table and p-value formulas.
-//! * [`information`] — BIC and AIC scores for spherical Gaussian mixture
-//!   models, used by the X-means baseline the paper compares G-means
-//!   against in related work.
 
 #![warn(missing_docs)]
 
 pub mod anderson_darling;
-pub mod information;
 pub mod normal;
 
 pub use anderson_darling::{AdError, AdOutcome, AndersonDarling, MIN_SAMPLE_SIZE};
-pub use information::{aic_spherical, bic_spherical, ClusterModelStats};
 pub use normal::{erf, erfc, normal_cdf, normal_pdf, normal_quantile};

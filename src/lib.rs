@@ -6,14 +6,14 @@
 //! integration tests read like downstream code:
 //!
 //! * [`algorithms`] ([`gmeans`]) — serial and MapReduce G-means,
-//!   k-means, multi-k-means, X-means, k-selection criteria, center
-//!   merging, evaluation metrics;
+//!   k-means, MapReduce multi-k-means, center merging, evaluation
+//!   metrics;
 //! * [`mapreduce`] ([`gmr_mapreduce`]) — the MapReduce engine (DFS,
 //!   jobs, shuffle, counters, simulated cluster & cost model);
 //! * [`datagen`] ([`gmr_datagen`]) — seeded Gaussian-mixture workloads;
 //! * [`linalg`] ([`gmr_linalg`]) — vector primitives;
 //! * [`stats`] ([`gmr_stats`]) — Anderson–Darling, normal
-//!   distribution functions, BIC/AIC.
+//!   distribution functions.
 //!
 //! See `README.md` for the quickstart, `DESIGN.md` for the system
 //! inventory and `EXPERIMENTS.md` for the paper-vs-measured record. The

@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use gmeans::mr::parallel_init::ParallelInitRound;
 use gmeans::mr::{
-    BicTestJob, BicTestSpec, CenterSet, CenterUpdate, FindNewCentersJob, KMeansJob, MultiKMeansJob,
-    SplitTestSpec, TestClustersJob, TestDecision, TestFewClustersJob, TestOutcome,
+    CenterSet, CenterUpdate, FindNewCentersJob, KMeansJob, MultiKMeansJob, SplitTestSpec,
+    TestClustersJob, TestDecision, TestFewClustersJob, TestOutcome,
 };
 use gmr_datagen::parse_point_dim;
 use gmr_linalg::{nearest_center_flat, SegmentProjector};
@@ -314,7 +314,6 @@ fn split_test_on_dirty_text_matches_a_per_line_reference() {
                 parent_id,
                 n,
                 a2_star,
-                bic_gain: None,
                 decision,
             }
         })
@@ -436,16 +435,6 @@ fn mapper_side_split_test_reads_dirty_text_as_the_cache_does() {
         AndersonDarling::default(),
     );
     text_and_cache_agree(&TestFewClustersJob::new(spec));
-}
-
-#[test]
-fn bic_test_reads_dirty_text_as_the_cache_does() {
-    let children = CHILDREN
-        .iter()
-        .map(|(a, b)| Some((a.to_vec(), b.to_vec())))
-        .collect();
-    let spec = BicTestSpec::new(Arc::new(center_set(&PARENTS)), Arc::new(children), 20);
-    text_and_cache_agree(&BicTestJob::new(spec));
 }
 
 #[test]
