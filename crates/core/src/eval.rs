@@ -43,11 +43,6 @@ impl Assignment {
             self.total_distance / self.labels.len() as f64
         }
     }
-
-    /// Number of centers that received at least one point.
-    pub fn occupied_clusters(&self) -> usize {
-        self.cluster_sizes.iter().filter(|&&s| s > 0).count()
-    }
 }
 
 /// Assigns every point of `data` to its nearest center in `centers`.
@@ -119,7 +114,6 @@ mod tests {
         assert_eq!(a.wcss, 0.0);
         assert_eq!(a.average_distance(), 0.0);
         assert_eq!(a.cluster_sizes, vec![1, 1, 1, 1]);
-        assert_eq!(a.occupied_clusters(), 4);
     }
 
     #[test]

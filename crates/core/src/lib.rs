@@ -74,8 +74,8 @@ pub mod prelude {
     pub use crate::merge::{merge_close_centers, MergeResult};
     pub use crate::mr::{
         check_input, CenterSet, Engine, EngineCtx, ExecutionMode, InputCheck, IterativeAlgorithm,
-        JobOutputs, KMeansParallelInit, MRGMeans, MRGMeansResult, MRKMeans, MultiKMeans,
-        PlannedJob, RunStats, SegmentStats, Step, TestStrategy,
+        KMeansParallelInit, MRGMeans, MRGMeansResult, MRKMeans, MultiKMeans, RunStats,
+        SegmentStats, TestStrategy,
     };
     pub use crate::serial::{
         gmeans::{GMeans, GMeansResult},

@@ -23,13 +23,13 @@
 //! paper's ≈1.5× (Table 1); [`crate::merge`] implements the
 //! post-processing the paper leaves as future work.
 //!
-//! The driver is a [`GMeansAlgo`] state machine on the generic
-//! [`Engine`]: each G-means iteration is one engine segment of several
-//! jobs (k-means refinements, the fused find-new-centers job, the
-//! split test, an optional reducer-side retry), checkpointed at the
-//! iteration boundary. Crash recovery, fault degradation, counters and
-//! clocks are the engine's; the state machine only decides what job
-//! comes next and how its outputs fold into the cluster hierarchy.
+//! The driver is a [`GMeansAlgo`] on the generic [`Engine`]: each
+//! G-means iteration is one engine segment that runs its jobs top to
+//! bottom (k-means refinements, the fused find-new-centers job, the
+//! split test, an optional reducer-side retry) and is checkpointed at
+//! its boundary. Crash recovery, fault degradation, counters and clocks
+//! are the engine's; the driver only runs the jobs and folds their
+//! outputs into the cluster hierarchy.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,16 +40,13 @@ use gmr_mapreduce::writable::Writable;
 use gmr_mapreduce::{Error, Result};
 
 use crate::config::GMeansConfig;
-use crate::mr::centers::{apply_updates, check_next_id, CenterSet, CenterUpdate};
+use crate::mr::centers::{apply_updates, check_next_id, CenterSet};
 use crate::mr::engine::{
-    Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
-    SegmentStats, Step,
+    Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, RunStats, SegmentStats,
 };
 use crate::mr::find_new_centers::{FindNewCentersJob, FindNewOutput};
 use crate::mr::kmeans_job::KMeansJob;
-use crate::mr::split_test::{
-    SplitTestSpec, TestClustersJob, TestDecision, TestFewClustersJob, TestOutcome,
-};
+use crate::mr::split_test::{SplitTestSpec, TestClustersJob, TestDecision, TestFewClustersJob};
 use crate::mr::strategy::{choose_strategy, TestStrategy};
 use gmr_mapreduce::runtime::JobRunner;
 
@@ -240,48 +237,6 @@ impl MRGMeansResult {
     }
 }
 
-/// Where inside one G-means iteration the state machine stands: which
-/// job [`GMeansAlgo::plan`] emits next.
-enum GPhase {
-    /// `remaining` plain k-means refinement jobs left before the fused
-    /// job.
-    Refine { remaining: usize },
-    /// The fused `KMeansAndFindNewCenters` job.
-    FindNew,
-    /// The §3.2 strategy-chosen Anderson–Darling split-test job.
-    Test,
-    /// Reducer-side re-test of clusters the mapper-side job left
-    /// undecided.
-    Retry,
-}
-
-/// Intra-iteration scratch: everything the iteration accumulates
-/// between its jobs. Deliberately *not* checkpointed — a resume
-/// replays the interrupted iteration from its boundary checkpoint and
-/// re-derives identical scratch.
-struct IterScratch {
-    phase: GPhase,
-    clusters_before: usize,
-    /// Centers being refined this iteration (children of splitting
-    /// parents + centers of found ones).
-    current: CenterSet,
-    kmeans_reducers: usize,
-    /// Post-refinement per-center point counts.
-    counts: HashMap<i64, u64>,
-    /// Candidate next-iteration centers per current center.
-    candidates: HashMap<i64, Vec<Vec<f64>>>,
-    /// Split vectors per parent index (`None` = not testable).
-    projectors: Vec<Option<SegmentProjector>>,
-    /// Parent indices settled without a job (empty half / too small /
-    /// degenerate axis).
-    auto_normal: Vec<usize>,
-    clusters_tested: usize,
-    decisions: HashMap<i64, TestOutcome>,
-    strategy_used: Option<TestStrategy>,
-    /// Ids the mapper-side test left undecided (feeds the retry job).
-    undecided: Vec<i64>,
-}
-
 /// The G-means driver's complete loop state at an iteration boundary.
 pub struct GState {
     dim: usize,
@@ -289,8 +244,6 @@ pub struct GState {
     iteration: usize,
     parents: Vec<Parent>,
     reports: Vec<IterationReport>,
-    /// In-flight iteration scratch; `None` at boundaries.
-    scratch: Option<IterScratch>,
 }
 
 /// Every parent's center, keyed by the parent id.
@@ -309,16 +262,133 @@ fn current_centers(dim: usize, parents: &[Parent]) -> Result<CenterSet> {
     CenterSet::try_from_centers(dim, centers)
 }
 
+impl GState {
+    /// Lands the fused job's refined centers and counts in the
+    /// hierarchy: a found parent takes its own center's, an unfound one
+    /// its children's positions and their summed count.
+    fn land(&mut self, refined: &CenterSet, counts: &HashMap<i64, u64>) {
+        for p in self.parents.iter_mut() {
+            if p.found {
+                if let Some(idx) = refined.index_of(p.id) {
+                    p.center = refined.coords(idx).to_vec();
+                    p.count = counts[&p.id];
+                }
+            } else {
+                for ch in p.children.iter_mut() {
+                    if let Some(idx) = refined.index_of(ch.id) {
+                        ch.coords = refined.coords(idx).to_vec();
+                    }
+                }
+                p.count = p
+                    .children
+                    .iter()
+                    .map(|ch| counts.get(&ch.id).copied().unwrap_or(0))
+                    .sum();
+            }
+        }
+    }
+
+    /// Applies the test decisions: an unfound parent the test split is
+    /// replaced by its two children, each taking its two candidates as
+    /// children of its own (or found with fewer); every other unfound
+    /// parent is found. Returns the number of splits.
+    fn split(
+        &mut self,
+        counts: &HashMap<i64, u64>,
+        mut candidates: HashMap<i64, Vec<Vec<f64>>>,
+        decisions: &HashMap<i64, TestDecision>,
+    ) -> usize {
+        let mut splits = 0;
+        let parents = std::mem::take(&mut self.parents);
+        let mut next_parents: Vec<Parent> = Vec::with_capacity(parents.len() * 2);
+        for p in parents {
+            if p.found {
+                next_parents.push(p);
+                continue;
+            }
+            // No decision: the cluster had no split vector, or no
+            // projection reached the test (it lost all its points to
+            // neighbours). Keep the center.
+            match decisions
+                .get(&p.id)
+                .copied()
+                .unwrap_or(TestDecision::Normal)
+            {
+                TestDecision::Normal | TestDecision::Undecided => next_parents.push(Parent {
+                    found: true,
+                    children: Vec::new(),
+                    ..p
+                }),
+                TestDecision::Split => {
+                    splits += 1;
+                    for ch in p.children {
+                        let count = counts.get(&ch.id).copied().unwrap_or(0);
+                        let cands = candidates.remove(&ch.id).unwrap_or_default();
+                        let (found, children) = if cands.len() < 2 {
+                            (true, Vec::new())
+                        } else {
+                            let mut kids = Vec::with_capacity(2);
+                            for coords in cands.into_iter().take(2) {
+                                kids.push(Child {
+                                    id: self.next_id,
+                                    coords,
+                                });
+                                self.next_id += 1;
+                            }
+                            (false, kids)
+                        };
+                        next_parents.push(Parent {
+                            id: ch.id,
+                            center: ch.coords,
+                            found,
+                            count,
+                            children,
+                        });
+                    }
+                }
+            }
+        }
+        self.parents = next_parents;
+        splits
+    }
+
+    /// The current iteration's report on the hierarchy as it stands.
+    fn report(
+        &self,
+        clusters_before: usize,
+        clusters_tested: usize,
+        splits: usize,
+        strategy: Option<TestStrategy>,
+        seg: &SegmentStats,
+    ) -> IterationReport {
+        let mut centers_after = Dataset::with_capacity(self.dim, self.parents.len());
+        for p in &self.parents {
+            centers_after.push(&p.center);
+        }
+        IterationReport {
+            iteration: self.iteration,
+            clusters_before,
+            clusters_tested,
+            splits,
+            found_after: self.parents.iter().filter(|p| p.found).count(),
+            clusters_after: self.parents.len(),
+            strategy,
+            simulated_secs: seg.simulated_secs,
+            jobs: seg.jobs,
+            centers_after,
+            error: None,
+        }
+    }
+}
+
 /// Journal wire form: the dimension, next id, iteration, parents and
-/// reports. The scratch is not written: the engine journals only at
-/// iteration boundaries, where it is `None`. Decoding rejects state
-/// `plan` or `apply` could not run — a center of the wrong dimension, a
-/// duplicate or out-of-range id, a found parent with children or an
-/// unsplit one without exactly two, a `next_id` that is not fresh, or a
-/// parent whose reserved byte is not 0.
+/// reports. Decoding rejects state `iteration` could not run — a center
+/// of the wrong dimension, a duplicate or out-of-range id, a found
+/// parent with children or an unsplit one without exactly two, a
+/// `next_id` that is not fresh, or a parent whose reserved byte is not
+/// 0.
 impl Writable for GState {
     fn write(&self, buf: &mut Vec<u8>) {
-        debug_assert!(self.scratch.is_none(), "journaled mid-iteration");
         (self.dim as u32).write(buf);
         self.next_id.write(buf);
         (self.iteration as u64).write(buf);
@@ -332,7 +402,6 @@ impl Writable for GState {
             iteration: u64::read(buf)? as usize,
             parents: Vec::read(buf)?,
             reports: Vec::read(buf)?,
-            scratch: None,
         };
         let unrunnable = |p: &&Parent| p.children.len() != if p.found { 0 } else { 2 };
         if let Some(p) = state.parents.iter().find(unrunnable) {
@@ -371,99 +440,101 @@ fn strategy_from_tag(tag: u8) -> Result<TestStrategy> {
     }
 }
 
-/// G-means (Algorithm 1) as a pure state machine on the [`Engine`].
+/// G-means (Algorithm 1) on the [`Engine`].
 pub struct GMeansAlgo {
     config: GMeansConfig,
     force_strategy: Option<TestStrategy>,
 }
 
 impl GMeansAlgo {
-    /// Ends the iteration: folds decisions into the hierarchy and
-    /// pushes the iteration report.
-    fn finalize_iteration(&self, state: &mut GState, scratch: IterScratch, seg: &SegmentStats) {
-        let IterScratch {
-            clusters_before,
-            counts,
-            mut candidates,
-            auto_normal,
-            clusters_tested,
-            decisions,
-            strategy_used,
-            ..
-        } = scratch;
-        let mut splits = 0usize;
-        let parents = std::mem::take(&mut state.parents);
-        let mut next_parents: Vec<Parent> = Vec::with_capacity(parents.len() * 2);
-        for (pi, p) in parents.into_iter().enumerate() {
-            if p.found {
-                next_parents.push(p);
-                continue;
-            }
-            let decision = if auto_normal.contains(&pi) {
-                TestDecision::Normal
-            } else {
-                decisions
-                    .get(&p.id)
-                    .map(|o| o.decision)
-                    // No projections reached the test (e.g. the
-                    // cluster lost all its points to neighbours):
-                    // keep the center.
-                    .unwrap_or(TestDecision::Normal)
-            };
-            match decision {
-                TestDecision::Normal | TestDecision::Undecided => next_parents.push(Parent {
-                    found: true,
-                    children: Vec::new(),
-                    ..p
-                }),
-                TestDecision::Split => {
-                    splits += 1;
-                    for ch in p.children {
-                        let count = counts.get(&ch.id).copied().unwrap_or(0);
-                        let cands = candidates.remove(&ch.id).unwrap_or_default();
-                        let (found, children) = if cands.len() < 2 {
-                            (true, Vec::new())
-                        } else {
-                            let mut kids = Vec::with_capacity(2);
-                            for coords in cands.into_iter().take(2) {
-                                kids.push(Child {
-                                    id: state.next_id,
-                                    coords,
-                                });
-                                state.next_id += 1;
-                            }
-                            (false, kids)
-                        };
-                        next_parents.push(Parent {
-                            id: ch.id,
-                            center: ch.coords,
-                            found,
-                            count,
-                            children,
-                        });
-                    }
+    /// Each parent's split vector, the segment between its two refined
+    /// children; `None` for found parents and for those settled without
+    /// a test: an empty half, fewer than `min_test_sample` points, or
+    /// children at one position.
+    fn split_vectors(
+        &self,
+        parents: &[Parent],
+        counts: &HashMap<i64, u64>,
+    ) -> Vec<Option<SegmentProjector>> {
+        let count = |ch: &Child| counts.get(&ch.id).copied().unwrap_or(0);
+        parents
+            .iter()
+            .map(|p| {
+                if p.found {
+                    return None;
                 }
-            }
-        }
-        state.parents = next_parents;
+                let (c1, c2) = (&p.children[0], &p.children[1]);
+                let (n1, n2) = (count(c1), count(c2));
+                if n1 == 0 || n2 == 0 || n1 + n2 < self.config.min_test_sample as u64 {
+                    return None;
+                }
+                let proj = SegmentProjector::new(&c1.coords, &c2.coords);
+                (!proj.is_degenerate()).then_some(proj)
+            })
+            .collect()
+    }
 
-        let mut centers_after = Dataset::with_capacity(state.dim, state.parents.len());
-        for p in &state.parents {
-            centers_after.push(&p.center);
+    /// `TestClusters` or `TestFewClusters`, as the §3.2 switch (or the
+    /// forced strategy) picks, on the `tested` parents that have a
+    /// split vector; then a reducer-side re-test of the clusters a
+    /// mapper-side test left undecided. Returns each tested parent's
+    /// decision and the strategy used.
+    fn test_splits(
+        &self,
+        state: &GState,
+        ctx: &mut EngineCtx<'_>,
+        projectors: Vec<Option<SegmentProjector>>,
+        tested: usize,
+    ) -> Result<(HashMap<i64, TestDecision>, TestStrategy)> {
+        let parents = Arc::new(ctx.prepare(parent_centers(state.dim, &state.parents)?));
+        let biggest = state
+            .parents
+            .iter()
+            .zip(&projectors)
+            .filter(|(_, proj)| proj.is_some())
+            .map(|(p, _)| p.count)
+            .max()
+            .unwrap_or(0);
+        let strategy = self
+            .force_strategy
+            .unwrap_or_else(|| choose_strategy(tested, biggest, ctx.cluster()));
+        let projectors = Arc::new(projectors);
+        let spec = SplitTestSpec::new(
+            Arc::clone(&parents),
+            Arc::clone(&projectors),
+            self.config.ad_test(),
+        );
+        let reducers = ctx.reduce_tasks(tested);
+        let (outcomes, _) = match strategy {
+            TestStrategy::FewClusters => ctx.run_job(TestFewClustersJob::new(spec), reducers)?,
+            TestStrategy::Clusters => ctx.run_job(TestClustersJob::new(spec), reducers)?,
+        };
+        let mut decisions: HashMap<i64, TestDecision> = outcomes
+            .into_iter()
+            .map(|o| (o.parent_id, o.decision))
+            .collect();
+
+        // Mapper-side testing comes back undecided where every split's
+        // sub-sample was too small; re-test those reducer-side (an
+        // extra job, only when needed).
+        let undecided: Vec<i64> = decisions
+            .iter()
+            .filter(|(_, d)| **d == TestDecision::Undecided)
+            .map(|(id, _)| *id)
+            .collect();
+        if !undecided.is_empty() {
+            let retry = state
+                .parents
+                .iter()
+                .zip(projectors.iter())
+                .map(|(p, proj)| proj.clone().filter(|_| undecided.contains(&p.id)))
+                .collect();
+            let spec = SplitTestSpec::new(parents, Arc::new(retry), self.config.ad_test());
+            let reducers = ctx.reduce_tasks(undecided.len());
+            let (outcomes, _) = ctx.run_job(TestClustersJob::new(spec), reducers)?;
+            decisions.extend(outcomes.into_iter().map(|o| (o.parent_id, o.decision)));
         }
-        state.reports.push(IterationReport {
-            iteration: state.iteration,
-            clusters_before,
-            clusters_tested,
-            splits,
-            found_after: state.parents.iter().filter(|p| p.found).count(),
-            clusters_after: state.parents.len(),
-            strategy: strategy_used,
-            simulated_secs: seg.simulated_secs,
-            jobs: seg.jobs,
-            centers_after,
-            error: None,
-        });
+        Ok((decisions, strategy))
     }
 }
 
@@ -515,7 +586,6 @@ impl IterativeAlgorithm for GMeansAlgo {
             iteration: 0,
             parents,
             reports: Vec::new(),
-            scratch: None,
         })
     }
 
@@ -531,222 +601,63 @@ impl IterativeAlgorithm for GMeansAlgo {
         state.iteration as u64
     }
 
-    fn plan(&self, state: &mut GState, ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
-        if state.scratch.is_none() {
-            // Iteration start: snapshot the hierarchy into the current
-            // center set (children of splitting parents, centers of
-            // found ones).
-            state.iteration += 1;
-            let current = current_centers(state.dim, &state.parents)?;
-            let kmeans_reducers = ctx.reduce_tasks(current.len());
-            let refinements = self.config.kmeans_iterations_per_round.max(1) - 1;
-            state.scratch = Some(IterScratch {
-                phase: if refinements > 0 {
-                    GPhase::Refine {
-                        remaining: refinements,
-                    }
-                } else {
-                    GPhase::FindNew
-                },
-                clusters_before: state.parents.len(),
-                current,
-                kmeans_reducers,
-                counts: HashMap::new(),
-                candidates: HashMap::new(),
-                projectors: Vec::new(),
-                auto_normal: Vec::new(),
-                clusters_tested: 0,
-                decisions: HashMap::new(),
-                strategy_used: None,
-                undecided: Vec::new(),
-            });
+    fn iteration(&self, state: &mut GState, ctx: &mut EngineCtx<'_>) -> Result<()> {
+        state.iteration += 1;
+        let clusters_before = state.parents.len();
+
+        // KMeans: every refinement of the round but the last, on the
+        // current centers (children of splitting parents, centers of
+        // found ones).
+        let mut current = current_centers(state.dim, &state.parents)?;
+        let reducers = ctx.reduce_tasks(current.len());
+        for _ in 1..self.config.kmeans_iterations_per_round.max(1) {
+            let job = KMeansJob::new(Arc::new(ctx.prepare(current.clone())));
+            let (updates, _) = ctx.run_job(job, reducers)?;
+            current = apply_updates(&current, &updates).0;
         }
-        let scratch = state.scratch.as_mut().expect("scratch initialized above");
-        match &scratch.phase {
-            GPhase::Refine { .. } => {
-                let job = KMeansJob::new(Arc::new(ctx.prepare(scratch.current.clone())));
-                Ok(PlannedJob::new(job, scratch.kmeans_reducers))
-            }
-            GPhase::FindNew => {
-                let job = FindNewCentersJob::new(
-                    Arc::new(ctx.prepare(scratch.current.clone())),
-                    self.config.seed ^ (state.iteration as u64).wrapping_mul(0x9e37),
-                );
-                Ok(PlannedJob::new(job, scratch.kmeans_reducers))
-            }
-            GPhase::Test => {
-                let parent_set = Arc::new(ctx.prepare(parent_centers(state.dim, &state.parents)?));
-                let test_reducers = ctx.reduce_tasks(scratch.clusters_tested);
-                let biggest = state
-                    .parents
-                    .iter()
-                    .enumerate()
-                    .filter(|(pi, p)| !p.found && scratch.projectors[*pi].is_some())
-                    .map(|(_, p)| p.count)
-                    .max()
-                    .unwrap_or(0);
-                let strategy = self.force_strategy.unwrap_or_else(|| {
-                    choose_strategy(scratch.clusters_tested, biggest, ctx.cluster())
-                });
-                scratch.strategy_used = Some(strategy);
-                let spec = SplitTestSpec::new(
-                    parent_set,
-                    Arc::new(scratch.projectors.clone()),
-                    self.config.ad_test(),
-                );
-                Ok(match strategy {
-                    TestStrategy::FewClusters => {
-                        PlannedJob::new(TestFewClustersJob::new(spec), test_reducers)
-                    }
-                    TestStrategy::Clusters => {
-                        PlannedJob::new(TestClustersJob::new(spec), test_reducers)
-                    }
-                })
-            }
-            GPhase::Retry => {
-                // Mapper-side testing came back undecided where every
-                // split's sub-sample was too small; re-test those with
-                // the reducer-side strategy (an extra job, only when
-                // needed).
-                let mut retry_projectors: Vec<Option<SegmentProjector>> =
-                    vec![None; state.parents.len()];
-                for (pi, p) in state.parents.iter().enumerate() {
-                    if scratch.undecided.contains(&p.id) {
-                        retry_projectors[pi] = scratch.projectors[pi].clone();
-                    }
+
+        // KMeansAndFindNewCenters: the last refinement, fused with the
+        // pick of every center's two candidate children.
+        let job = FindNewCentersJob::new(
+            Arc::new(ctx.prepare(current.clone())),
+            self.config.seed ^ (state.iteration as u64).wrapping_mul(0x9e37),
+        );
+        let mut updates = Vec::new();
+        let mut candidates = HashMap::new();
+        for out in ctx.run_job(job, reducers)?.0 {
+            match out {
+                FindNewOutput::Update(u) => updates.push(u),
+                FindNewOutput::Candidates { id, points } => {
+                    candidates.insert(id, points);
                 }
-                let parent_set = Arc::new(ctx.prepare(parent_centers(state.dim, &state.parents)?));
-                let spec = SplitTestSpec::new(
-                    parent_set,
-                    Arc::new(retry_projectors),
-                    self.config.ad_test(),
-                );
-                Ok(PlannedJob::new(
-                    TestClustersJob::new(spec),
-                    ctx.reduce_tasks(scratch.undecided.len()),
-                ))
             }
         }
-    }
+        let (refined, counts) = apply_updates(&current, &updates);
+        let counts: HashMap<i64, u64> = refined.iter().map(|(id, _)| id).zip(counts).collect();
+        state.land(&refined, &counts);
 
-    fn apply(&self, state: &mut GState, outputs: JobOutputs, seg: &SegmentStats) -> Result<Step> {
-        let mut scratch = state.scratch.take().expect("apply without plan");
-        match scratch.phase {
-            GPhase::Refine { remaining } => {
-                let updates = outputs.take::<CenterUpdate>();
-                let (next, _) = apply_updates(&scratch.current, &updates);
-                scratch.current = next;
-                scratch.phase = if remaining > 1 {
-                    GPhase::Refine {
-                        remaining: remaining - 1,
-                    }
-                } else {
-                    GPhase::FindNew
-                };
-                state.scratch = Some(scratch);
-                Ok(Step::Continue)
-            }
-            GPhase::FindNew => {
-                let output = outputs.take::<FindNewOutput>();
-                let mut updates: Vec<CenterUpdate> = Vec::new();
-                for out in output {
-                    match out {
-                        FindNewOutput::Update(u) => updates.push(u),
-                        FindNewOutput::Candidates { id, points } => {
-                            scratch.candidates.insert(id, points);
-                        }
-                    }
-                }
-                let (refined, counts_vec) = apply_updates(&scratch.current, &updates);
-                scratch.current = refined;
-                scratch.counts = (0..scratch.current.len())
-                    .map(|i| (scratch.current.id(i), counts_vec[i]))
-                    .collect();
+        // TestClusters / TestFewClusters on the parents with a split
+        // vector; the rest keep their centers without a job.
+        let projectors = self.split_vectors(&state.parents, &counts);
+        let clusters_tested = projectors.iter().filter(|p| p.is_some()).count();
+        let (decisions, strategy) = if clusters_tested > 0 {
+            let (decisions, strategy) =
+                self.test_splits(state, ctx, projectors, clusters_tested)?;
+            (decisions, Some(strategy))
+        } else {
+            (HashMap::new(), None)
+        };
 
-                // Push the refined positions back into the hierarchy.
-                for p in state.parents.iter_mut() {
-                    if p.found {
-                        if let Some(idx) = scratch.current.index_of(p.id) {
-                            p.center = scratch.current.coords(idx).to_vec();
-                            p.count = scratch.counts[&p.id];
-                        }
-                    } else {
-                        for ch in p.children.iter_mut() {
-                            if let Some(idx) = scratch.current.index_of(ch.id) {
-                                ch.coords = scratch.current.coords(idx).to_vec();
-                            }
-                        }
-                        p.count = p
-                            .children
-                            .iter()
-                            .map(|ch| scratch.counts.get(&ch.id).copied().unwrap_or(0))
-                            .sum();
-                    }
-                }
-
-                // Build projectors; settle trivial cases without a job.
-                scratch.projectors = vec![None; state.parents.len()];
-                for (pi, p) in state.parents.iter().enumerate() {
-                    if p.found {
-                        continue;
-                    }
-                    let c1 = &p.children[0];
-                    let c2 = &p.children[1];
-                    let n1 = scratch.counts.get(&c1.id).copied().unwrap_or(0);
-                    let n2 = scratch.counts.get(&c2.id).copied().unwrap_or(0);
-                    if n1 == 0 || n2 == 0 || n1 + n2 < self.config.min_test_sample as u64 {
-                        // Nothing to split: an empty half or a cluster
-                        // too small to test.
-                        scratch.auto_normal.push(pi);
-                        continue;
-                    }
-                    let proj = SegmentProjector::new(&c1.coords, &c2.coords);
-                    if proj.is_degenerate() {
-                        scratch.auto_normal.push(pi);
-                    } else {
-                        scratch.projectors[pi] = Some(proj);
-                    }
-                }
-                scratch.clusters_tested = scratch.projectors.iter().filter(|p| p.is_some()).count();
-
-                if scratch.clusters_tested > 0 {
-                    scratch.phase = GPhase::Test;
-                    state.scratch = Some(scratch);
-                    Ok(Step::Continue)
-                } else {
-                    self.finalize_iteration(state, scratch, seg);
-                    Ok(Step::Boundary)
-                }
-            }
-            GPhase::Test => {
-                let outcomes = outputs.take::<TestOutcome>();
-                for o in outcomes {
-                    scratch.decisions.insert(o.parent_id, o);
-                }
-                scratch.undecided = scratch
-                    .decisions
-                    .values()
-                    .filter(|o| o.decision == TestDecision::Undecided)
-                    .map(|o| o.parent_id)
-                    .collect();
-                if scratch.undecided.is_empty() {
-                    self.finalize_iteration(state, scratch, seg);
-                    Ok(Step::Boundary)
-                } else {
-                    scratch.phase = GPhase::Retry;
-                    state.scratch = Some(scratch);
-                    Ok(Step::Continue)
-                }
-            }
-            GPhase::Retry => {
-                let outcomes = outputs.take::<TestOutcome>();
-                for o in outcomes {
-                    scratch.decisions.insert(o.parent_id, o);
-                }
-                self.finalize_iteration(state, scratch, seg);
-                Ok(Step::Boundary)
-            }
-        }
+        let splits = state.split(&counts, candidates, &decisions);
+        let report = state.report(
+            clusters_before,
+            clusters_tested,
+            splits,
+            strategy,
+            ctx.segment(),
+        );
+        state.reports.push(report);
+        Ok(())
     }
 
     fn on_task_failure(
@@ -757,25 +668,12 @@ impl IterativeAlgorithm for GMeansAlgo {
     ) -> Result<Error> {
         // A job of this iteration exhausted its task attempts: report
         // the iteration as failed; `finish` then accepts the hierarchy
-        // as it stood after the last completed iteration.
-        state.scratch = None;
-        let mut centers_after = Dataset::with_capacity(state.dim, state.parents.len());
-        for p in &state.parents {
-            centers_after.push(&p.center);
-        }
-        state.reports.push(IterationReport {
-            iteration: state.iteration,
-            clusters_before: state.parents.len(),
-            clusters_tested: 0,
-            splits: 0,
-            found_after: state.parents.iter().filter(|p| p.found).count(),
-            clusters_after: state.parents.len(),
-            strategy: None,
-            simulated_secs: seg.simulated_secs,
-            jobs: seg.jobs,
-            centers_after,
+        // as the iteration's committed jobs left it.
+        let report = IterationReport {
             error: Some(failure.to_string()),
-        });
+            ..state.report(state.parents.len(), 0, 0, None, seg)
+        };
+        state.reports.push(report);
         Ok(failure)
     }
 
@@ -882,8 +780,8 @@ mod tests {
     use crate::mr::centers::OFFSET;
     use gmr_mapreduce::writable::{from_bytes, to_bytes};
 
-    /// `GState::read` itself rejects every hierarchy `plan` or `apply`
-    /// could not run.
+    /// `GState::read` itself rejects every hierarchy `iteration` could
+    /// not run.
     #[test]
     fn decoding_rejects_hierarchies_the_driver_cannot_run() {
         let child = |id, dim| Child {
@@ -902,7 +800,6 @@ mod tests {
                 children,
             }],
             reports: Vec::new(),
-            scratch: None,
         };
         let decode = |s: &GState| from_bytes::<GState>(&to_bytes(s));
         let pair = || vec![child(1, 10), child(2, 10)];

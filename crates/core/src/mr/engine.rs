@@ -2,9 +2,9 @@
 //!
 //! Every MapReduce driver in this crate — G-means (Algorithm 1), plain
 //! k-means, multi-k-means (Algorithm 6) and k-means‖ initialization —
-//! is the same loop wearing a different algorithm: plan a job, run it,
-//! fold its output into driver state, checkpoint at the iteration
-//! boundary, repeat until converged. This module owns that
+//! is the same loop wearing a different algorithm: run an iteration's
+//! jobs, fold their outputs into driver state, checkpoint at the
+//! iteration boundary, repeat until converged. This module owns that
 //! loop once, so every cross-cutting guarantee is single-sourced:
 //!
 //! * **journal reset / commit** with the serialize-before-charge
@@ -24,8 +24,8 @@
 //!   injected [`Error::DriverCrash`], which a dying process cannot
 //!   catch — propagates;
 //! * **counters, dataset reads, and the wall/simulated clocks**,
-//!   accumulated per job in a fixed order so resumed totals match
-//!   uninterrupted ones bit for bit;
+//!   accumulated per job by [`EngineCtx::run_job`] in a fixed order so
+//!   resumed totals match uninterrupted ones bit for bit;
 //! * **cached-vs-streaming dispatch** ([`ExecutionMode`]): each job
 //!   runs through [`JobRunner::run_cached`] when a point cache is
 //!   pinned and [`JobRunner::run`] otherwise;
@@ -33,13 +33,12 @@
 //!   or the cost-neutral auto backend) is attached by
 //!   [`EngineCtx::prepare`], never by algorithms directly.
 //!
-//! An algorithm is a pure state machine implementing
-//! [`IterativeAlgorithm`]: `fresh` builds the initial state, `plan`
-//! emits the next job, `apply` folds its output and decides
-//! [`Step::Continue`] (more jobs this iteration) or [`Step::Boundary`]
-//! (iteration done — checkpointable), and `finish` converts the final
-//! state into the driver's result. The state is its own journal wire
-//! form ([`Writable`]). Adding a fifth driver means writing those
+//! An algorithm implements [`IterativeAlgorithm`]: `fresh` builds the
+//! initial state, `iteration` runs one segment — every job up to the
+//! next checkpointable boundary, each through [`EngineCtx::run_job`] —
+//! and folds the outputs into the state, and `finish` converts the
+//! final state into the driver's result. The state is its own journal
+//! wire form ([`Writable`]). Adding a fifth driver means writing those
 //! methods; the engine needs no changes.
 
 use std::sync::Arc;
@@ -73,17 +72,6 @@ pub enum ExecutionMode {
     Cached,
 }
 
-/// What an [`IterativeAlgorithm::apply`] decides after a job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Step {
-    /// The iteration needs more jobs: the engine calls
-    /// [`IterativeAlgorithm::plan`] again.
-    Continue,
-    /// The iteration is complete: the engine folds its stats into the
-    /// run totals and commits a checkpoint (when journaling).
-    Boundary,
-}
-
 /// Job and clock totals of the current iteration segment (the jobs
 /// since the last checkpointed boundary).
 #[derive(Clone, Copy, Debug, Default)]
@@ -112,82 +100,17 @@ pub struct RunStats {
     pub failure: Option<Error>,
 }
 
-/// Runs one job on a runner, over the pinned point cache when there is
-/// one and the DFS text file at the input path otherwise; returns the
-/// job's type-erased outputs and its counters.
-type PlannedRun = Box<
-    dyn FnOnce(&JobRunner, Option<&PointCache>, &str, &JobConfig) -> Result<(JobOutputs, Counters)>,
->;
-
-/// The next job an algorithm plans: the concrete [`Job`] is captured in
-/// a closure so the engine can run heterogeneous jobs through one loop.
-pub struct PlannedJob {
-    reducers: usize,
-    run: PlannedRun,
-}
-
-impl PlannedJob {
-    /// Wraps a concrete job with its reduce-task count.
-    pub fn new<J: Job + 'static>(job: J, reducers: usize) -> Self {
-        Self {
-            reducers,
-            run: Box::new(move |runner, cache, input, config| {
-                let result = match cache {
-                    Some(cache) => runner.run_cached(&job, cache, config)?,
-                    None => runner.run(&job, input, config)?,
-                };
-                let outputs = JobOutputs {
-                    output: Box::new(result.output),
-                    timing: result.timing,
-                };
-                Ok((outputs, result.counters))
-            }),
-        }
-    }
-}
-
-/// The outputs of one executed job, handed to
-/// [`IterativeAlgorithm::apply`].
-pub struct JobOutputs {
-    output: Box<dyn std::any::Any>,
-    timing: JobTiming,
-}
-
-impl JobOutputs {
-    /// Downcasts to the concrete output records of the planned job.
-    ///
-    /// # Panics
-    /// Panics when `O` is not the output type of the job `plan`
-    /// returned — a driver programming error, not a runtime condition.
-    pub fn take<O: 'static>(self) -> Vec<O> {
-        self.into_parts().0
-    }
-
-    /// Like [`JobOutputs::take`], also returning the job's timing.
-    ///
-    /// # Panics
-    /// Panics when `O` is not the planned job's output type.
-    pub fn into_parts<O: 'static>(self) -> (Vec<O>, JobTiming) {
-        let output = *self
-            .output
-            .downcast::<Vec<O>>()
-            .expect("job output type mismatch between plan and apply");
-        (output, self.timing)
-    }
-}
-
-/// An iterative MapReduce algorithm: the pure state machine the
-/// [`Engine`] drives. See the module docs for the contract; the
+/// An iterative MapReduce algorithm: the loop the [`Engine`] drives
+/// one segment at a time. See the module docs for the contract; the
 /// existing drivers ([`crate::mr::MRGMeans`], [`crate::mr::MRKMeans`],
 /// [`crate::mr::MultiKMeans`], [`crate::mr::KMeansParallelInit`]) are
 /// the reference implementations.
 pub trait IterativeAlgorithm {
-    /// Complete in-memory loop state between jobs, and its own
-    /// journal wire form: the engine writes it at every iteration
-    /// boundary and reads it back on resume. Transient intra-iteration
-    /// scratch need not be written: a resume replays the interrupted
-    /// iteration from its boundary state. `read` must answer any state
-    /// that `plan` or `apply` could not run with [`Error::Corrupt`].
+    /// Complete loop state at an iteration boundary, and its own
+    /// journal wire form: the engine writes it at every boundary and
+    /// reads it back on resume, which replays an interrupted iteration
+    /// from its boundary state. `read` must answer any state that
+    /// `iteration` could not run with [`Error::Corrupt`].
     type State: Writable;
     /// What the driver ultimately returns.
     type Output;
@@ -211,22 +134,18 @@ pub trait IterativeAlgorithm {
     fn done(&self, state: &Self::State) -> bool;
     /// Checkpoint sequence number of the current boundary.
     fn seq(&self, state: &Self::State) -> u64;
-    /// Plans the next job. Called again after every
-    /// [`Step::Continue`]; may mutate intra-iteration scratch state.
-    fn plan(&self, state: &mut Self::State, ctx: &EngineCtx<'_>) -> Result<PlannedJob>;
-    /// Folds the planned job's outputs into the state. `seg` carries
-    /// the iteration segment's stats so far (for per-iteration
-    /// reports).
-    fn apply(
-        &self,
-        state: &mut Self::State,
-        outputs: JobOutputs,
-        seg: &SegmentStats,
-    ) -> Result<Step>;
+    /// Runs one iteration segment: every job up to the next
+    /// checkpointable boundary, each through [`EngineCtx::run_job`],
+    /// folding their outputs into the state as they come back.
+    /// [`EngineCtx::segment`] holds the segment's stats so far (for
+    /// per-iteration reports).
+    fn iteration(&self, state: &mut Self::State, ctx: &mut EngineCtx<'_>) -> Result<()>;
     /// Offered an absorbable task failure (heap, attempts exhausted,
-    /// degenerate input). Return `Ok(err)` to degrade gracefully — the
-    /// run stops and `err` lands in [`RunStats::failure`] — or `Err` to
-    /// propagate. The default propagates.
+    /// degenerate input, lost replicas) that a job of `iteration`
+    /// raised, with the state as the iteration left it. Return
+    /// `Ok(err)` to degrade gracefully — the run stops and `err` lands
+    /// in [`RunStats::failure`] — or `Err` to propagate. The default
+    /// propagates.
     fn on_task_failure(
         &self,
         _state: &mut Self::State,
@@ -236,7 +155,7 @@ pub trait IterativeAlgorithm {
         Err(failure)
     }
     /// Converts the final state into the driver result. `ctx` still
-    /// accepts [`EngineCtx::execute`] for deterministic post-loop jobs
+    /// accepts [`EngineCtx::run_job`] for deterministic post-loop jobs
     /// (k-means‖ runs its candidate-weighting job here).
     fn finish(
         &self,
@@ -399,7 +318,7 @@ impl Engine {
         self.drive(algo, state, ctx, wall)
     }
 
-    /// The shared driver loop: plan → execute → apply until the
+    /// The shared driver loop: one `iteration` per segment until the
     /// algorithm converges, with a checkpoint at every boundary.
     fn drive<A: IterativeAlgorithm>(
         &self,
@@ -410,33 +329,26 @@ impl Engine {
     ) -> Result<A::Output> {
         let journal = self.journal();
         let mut failure: Option<Error> = None;
-        'run: while !algo.done(&state) {
+        while !algo.done(&state) {
             ctx.seg = SegmentStats::default();
-            loop {
-                let job = algo.plan(&mut state, &ctx)?;
-                let outputs = match ctx.execute(job) {
-                    Ok(outputs) => outputs,
-                    Err(
-                        e @ (Error::HeapSpace { .. }
-                        | Error::AttemptsExhausted { .. }
-                        | Error::Degenerate(_)
-                        | Error::ReplicasLost { .. }),
-                    ) => {
-                        // The job exhausted its task-attempt budget:
-                        // absorbable, if the algorithm agrees.
-                        ctx.fold_segment();
-                        failure = Some(algo.on_task_failure(&mut state, e, &ctx.seg)?);
-                        break 'run;
-                    }
-                    // Environment/configuration errors — and the
-                    // injected driver crash, which a dying process
-                    // cannot catch — propagate.
-                    Err(e) => return Err(e),
-                };
-                match algo.apply(&mut state, outputs, &ctx.seg)? {
-                    Step::Continue => {}
-                    Step::Boundary => break,
+            match algo.iteration(&mut state, &mut ctx) {
+                Ok(()) => {}
+                Err(
+                    e @ (Error::HeapSpace { .. }
+                    | Error::AttemptsExhausted { .. }
+                    | Error::Degenerate(_)
+                    | Error::ReplicasLost { .. }),
+                ) => {
+                    // A job exhausted its task-attempt budget:
+                    // absorbable, if the algorithm agrees.
+                    ctx.fold_segment();
+                    failure = Some(algo.on_task_failure(&mut state, e, &ctx.seg)?);
+                    break;
                 }
+                // Environment/configuration errors — and the injected
+                // driver crash, which a dying process cannot catch —
+                // propagate.
+                Err(e) => return Err(e),
             }
             ctx.fold_segment();
             if let Some(journal) = &journal {
@@ -450,7 +362,7 @@ impl Engine {
 
 /// The engine's per-run context: input binding, optional point cache,
 /// and the run totals. Algorithms use it to sample, prepare center
-/// sets, size reduce phases, and (in `finish`) run post-loop jobs.
+/// sets, size reduce phases and run jobs.
 pub struct EngineCtx<'e> {
     engine: &'e Engine,
     input: &'e str,
@@ -526,36 +438,46 @@ impl<'e> EngineCtx<'e> {
         Ok(sample)
     }
 
-    /// Runs one planned job against the bound source, absorbing its
-    /// counters and clock into the run totals, then fires the injected
-    /// driver crash if this job boundary is the configured one. The
-    /// crash strikes *before* the iteration-end checkpoint, so a
-    /// resumed driver replays the interrupted iteration from its start
-    /// — re-deriving identical job outcomes from the per-job fault
-    /// draws.
-    pub fn execute(&mut self, job: PlannedJob) -> Result<JobOutputs> {
-        let config = JobConfig::with_reducers(job.reducers);
-        if self.cache.is_none() {
-            // One logical dataset read per disk-based job, charged
-            // whether or not the job succeeds (the runtime charges the
-            // scan before any task can fail).
-            self.totals.reads += 1;
-        }
-        let (outputs, counters) = (job.run)(
-            &self.engine.runner,
-            self.cache.as_ref(),
-            self.input,
-            &config,
-        )?;
-        self.totals.counters.merge(&counters);
-        self.seg.simulated_secs += outputs.timing.simulated_secs;
+    /// Stats of the open iteration segment: its successful jobs so far.
+    pub fn segment(&self) -> &SegmentStats {
+        &self.seg
+    }
+
+    /// Runs `job` with `reducers` reduce tasks over the pinned point
+    /// cache, or the DFS text file at the input path when none is
+    /// pinned, and returns its output records and timing. Absorbs the
+    /// job's counters and clock into the run totals, then fires the
+    /// injected driver crash if this job boundary is the configured
+    /// one. The crash strikes *before* the iteration-end checkpoint, so
+    /// a resumed driver replays the interrupted iteration from its
+    /// start — re-deriving identical job outcomes from the per-job
+    /// fault draws.
+    pub fn run_job<J: Job>(
+        &mut self,
+        job: J,
+        reducers: usize,
+    ) -> Result<(Vec<J::Output>, JobTiming)> {
+        let config = JobConfig::with_reducers(reducers);
+        let runner = &self.engine.runner;
+        let result = match &self.cache {
+            Some(cache) => runner.run_cached(&job, cache, &config)?,
+            None => {
+                // One logical dataset read per disk-based job, charged
+                // whether or not the job succeeds (the runtime charges
+                // the scan before any task can fail).
+                self.totals.reads += 1;
+                runner.run(&job, self.input, &config)?
+            }
+        };
+        self.totals.counters.merge(&result.counters);
+        self.seg.simulated_secs += result.timing.simulated_secs;
         self.seg.jobs += 1;
         self.totals.jobs += 1;
         let boundary = self.totals.jobs;
         if self.cluster().faults.driver_crashes_at(boundary) {
             return Err(Error::DriverCrash { boundary });
         }
-        Ok(outputs)
+        Ok((result.output, result.timing))
     }
 
     /// Spark-style mode: parse the dataset once, pin it in memory.
@@ -661,11 +583,8 @@ mod tests {
         fn seq(&self, _s: &u64) -> u64 {
             0
         }
-        fn plan(&self, _s: &mut u64, _ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
-            unreachable!("a done algorithm plans no job")
-        }
-        fn apply(&self, _s: &mut u64, _o: JobOutputs, _g: &SegmentStats) -> Result<Step> {
-            Ok(Step::Boundary)
+        fn iteration(&self, _s: &mut u64, _ctx: &mut EngineCtx<'_>) -> Result<()> {
+            unreachable!("a done algorithm runs no iteration")
         }
         fn finish(&self, _s: u64, _ctx: &mut EngineCtx<'_>, _r: RunStats) -> Result<()> {
             Ok(())

@@ -52,9 +52,7 @@ pub fn check_input(runner: &JobRunner, input: &str) -> Result<InputCheck> {
             point.clear();
         }
     }
-    let (&dim, &points) = dim_counts
-        .iter()
-        .max_by_key(|&(&d, &n)| (n, std::cmp::Reverse(d)))
+    let (dim, points) = modal_dim(&dim_counts)
         .ok_or_else(|| Error::Config(format!("no parsable points in {input}")))?;
     Ok(InputCheck {
         lines,
@@ -62,4 +60,45 @@ pub fn check_input(runner: &JobRunner, input: &str) -> Result<InputCheck> {
         bad_records: lines - points,
         dim,
     })
+}
+
+/// The modal dimension of a file's parsed points, given their count per
+/// dimension, and its count: the most frequent dimension, the lowest of
+/// those tied; `None` when no point parsed. The one rule by which a file
+/// that mixes dimensions resolves to one, so [`check_input`] and
+/// [`crate::mr::sample_points`] agree on it.
+pub(crate) fn modal_dim(counts: &HashMap<usize, u64>) -> Option<(usize, u64)> {
+    counts
+        .iter()
+        .max_by_key(|&(&d, &n)| (n, std::cmp::Reverse(d)))
+        .map(|(&d, &n)| (d, n))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mr::sample_points;
+    use gmr_mapreduce::cluster::ClusterConfig;
+    use gmr_mapreduce::dfs::Dfs;
+    use std::sync::Arc;
+
+    #[test]
+    fn check_and_sample_break_a_dimension_tie_alike() {
+        let dfs = Arc::new(Dfs::new(256));
+        dfs.put_lines(
+            "pts",
+            (0..100).map(|i| {
+                if i % 2 == 0 {
+                    format!("{i} {i} {i}")
+                } else {
+                    format!("{i} {i}")
+                }
+            }),
+        )
+        .unwrap();
+        let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
+        let check = check_input(&runner, "pts").unwrap();
+        assert_eq!((check.dim, check.points, check.bad_records), (2, 50, 50));
+        assert_eq!(sample_points(&runner, "pts", 20, 3).unwrap().dim(), 2);
+    }
 }

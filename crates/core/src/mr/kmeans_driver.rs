@@ -3,9 +3,9 @@
 //! The "common MapReduce implementation of k-means" the paper's
 //! abstract compares against; also the refinement engine behind the
 //! Table 3 quality comparison (multi-k-means at `k = k_found`, 10
-//! iterations). The driver is a [`KMeansAlgo`] state machine on the
-//! generic [`Engine`]; [`MRKMeans`] is the thin façade keeping the
-//! original constructor-style API.
+//! iterations). The driver is a [`KMeansAlgo`] on the generic
+//! [`Engine`]; [`MRKMeans`] is the thin façade keeping the original
+//! constructor-style API.
 
 use std::sync::Arc;
 
@@ -16,10 +16,8 @@ use gmr_mapreduce::runtime::JobRunner;
 use gmr_mapreduce::writable::Writable;
 use gmr_mapreduce::{Error, Result};
 
-use crate::mr::centers::{apply_updates, CenterSet, CenterUpdate};
-use crate::mr::engine::{
-    Engine, EngineCtx, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats, SegmentStats, Step,
-};
+use crate::mr::centers::{apply_updates, CenterSet};
+use crate::mr::engine::{Engine, EngineCtx, IterativeAlgorithm, RunStats, SegmentStats};
 use crate::mr::kmeans_job::KMeansJob;
 
 /// Result of a MapReduce k-means run.
@@ -70,9 +68,8 @@ impl Writable for KState {
     }
 }
 
-/// Iterated-Lloyd k-means as a pure state machine on the [`Engine`]:
-/// one [`KMeansJob`] per iteration, every iteration a checkpointable
-/// boundary.
+/// Iterated-Lloyd k-means on the [`Engine`]: one [`KMeansJob`] per
+/// iteration, every iteration a checkpointable boundary.
 pub struct KMeansAlgo {
     k: usize,
     iterations: usize,
@@ -121,20 +118,15 @@ impl IterativeAlgorithm for KMeansAlgo {
         state.iteration as u64
     }
 
-    fn plan(&self, state: &mut KState, ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
+    fn iteration(&self, state: &mut KState, ctx: &mut EngineCtx<'_>) -> Result<()> {
         let job = KMeansJob::new(Arc::new(ctx.prepare(state.centers.clone())));
-        let reducers = ctx.reduce_tasks(state.centers.len());
-        Ok(PlannedJob::new(job, reducers))
-    }
-
-    fn apply(&self, state: &mut KState, outputs: JobOutputs, _seg: &SegmentStats) -> Result<Step> {
-        let (updates, timing) = outputs.into_parts::<CenterUpdate>();
+        let (updates, timing) = ctx.run_job(job, ctx.reduce_tasks(state.centers.len()))?;
         let (next, counts) = apply_updates(&state.centers, &updates);
         state.centers = next;
         state.counts = counts;
         state.timings.push(timing);
         state.iteration += 1;
-        Ok(Step::Boundary)
+        Ok(())
     }
 
     fn on_task_failure(

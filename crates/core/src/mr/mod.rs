@@ -16,8 +16,10 @@
 //! * [`parallel_init`] — k-means‖, the distributed k-means++
 //!   initialization (§2's Bahmani citation), as MapReduce jobs.
 //! * [`engine`] — the generic iterative-driver engine every driver
-//!   above runs on: one loop owning journaling, resume, fault
-//!   degradation, counters, clocks, and cached-vs-streaming dispatch.
+//!   above runs on: one loop that calls a driver's `iteration` once per
+//!   segment and owns journaling, resume, fault degradation, and, in
+//!   `EngineCtx::run_job`, counters, clocks and cached-vs-streaming
+//!   dispatch.
 //! * [`input`] — pre-flight input validation shared by the drivers.
 
 pub mod centers;
@@ -35,10 +37,7 @@ pub mod strategy;
 
 pub use centers::{apply_updates, CenterSet, CenterUpdate, ChannelKey, KernelBackend, OFFSET};
 pub use driver::{IterationReport, MRGMeans, MRGMeansResult};
-pub use engine::{
-    Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
-    SegmentStats, Step,
-};
+pub use engine::{Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, RunStats, SegmentStats};
 pub use find_new_centers::{FindNewCentersJob, FindNewOutput};
 pub use input::{check_input, InputCheck};
 pub use kmeans_driver::{MRKMeans, MRKMeansResult};

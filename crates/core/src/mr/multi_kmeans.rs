@@ -8,8 +8,8 @@
 //! of `O(n·k_max²)` distance computations per iteration, which is what
 //! Table 2 and Figure 3 measure.
 //!
-//! The driver is a [`MultiKAlgo`] state machine on the generic
-//! [`Engine`]; [`MultiKMeans`] is the thin façade keeping the original
+//! The driver is a [`MultiKAlgo`] on the generic [`Engine`];
+//! [`MultiKMeans`] is the thin façade keeping the original
 //! constructor-style API.
 
 use std::collections::HashMap;
@@ -22,10 +22,7 @@ use gmr_mapreduce::prelude::*;
 use gmr_mapreduce::writable::Writable;
 
 use crate::mr::centers::{apply_updates, CenterSet, CenterUpdate};
-use crate::mr::engine::{
-    Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats,
-    SegmentStats, Step,
-};
+use crate::mr::engine::{Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, RunStats};
 use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, load_point, PointSum};
 
 /// Intermediate key: `(k-index, center id)` — the paper's `k_centerid`
@@ -214,7 +211,7 @@ pub struct MState {
 
 /// Journal wire form: the iteration, center sets, count rows and job
 /// timings (run totals travel in the engine's frame, not here).
-/// Decoding rejects state `plan` or `apply` could not run: no center
+/// Decoding rejects state `iteration` could not run: no center
 /// set, an empty one, sets of different dimensions, or a number of
 /// count rows other than the number of sets.
 impl Writable for MState {
@@ -247,10 +244,9 @@ impl Writable for MState {
     }
 }
 
-/// The multi-k sweep as a pure state machine on the [`Engine`]: one
-/// fused job per Lloyd iteration, every iteration a checkpointable
-/// boundary. Task failures propagate (the sweep has no partial result
-/// worth degrading to).
+/// The multi-k sweep on the [`Engine`]: one fused job per Lloyd
+/// iteration, every iteration a checkpointable boundary. Task failures
+/// propagate (the sweep has no partial result worth degrading to).
 pub struct MultiKAlgo {
     ks: Vec<usize>,
     iterations: usize,
@@ -299,15 +295,11 @@ impl IterativeAlgorithm for MultiKAlgo {
         state.iteration as u64
     }
 
-    fn plan(&self, state: &mut MState, ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
+    fn iteration(&self, state: &mut MState, ctx: &mut EngineCtx<'_>) -> Result<()> {
         let job_sets: Vec<CenterSet> = state.sets.iter().map(|s| ctx.prepare(s.clone())).collect();
         let job = MultiKMeansJob::new(Arc::new(job_sets));
         let reducers = ctx.reduce_tasks(self.ks.iter().sum::<usize>());
-        Ok(PlannedJob::new(job, reducers))
-    }
-
-    fn apply(&self, state: &mut MState, outputs: JobOutputs, _seg: &SegmentStats) -> Result<Step> {
-        let (output, timing) = outputs.into_parts::<(u32, CenterUpdate)>();
+        let (output, timing) = ctx.run_job(job, reducers)?;
         let mut per_k: HashMap<u32, Vec<CenterUpdate>> = HashMap::new();
         for (ki, update) in output {
             per_k.entry(ki).or_default().push(update);
@@ -320,7 +312,7 @@ impl IterativeAlgorithm for MultiKAlgo {
         }
         state.timings.push(timing);
         state.iteration += 1;
-        Ok(Step::Boundary)
+        Ok(())
     }
 
     fn finish(

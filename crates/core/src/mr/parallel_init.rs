@@ -21,10 +21,10 @@
 //! picker of `KMeansAndFindNewCenters` uses: a point is sampled iff
 //! `h(seed_round, coords) / 2⁶⁴ < ℓ·d²/ψ`.
 //!
-//! The driver is a [`ParInitAlgo`] state machine on the generic
-//! [`Engine`]: each sampling round is one job and one checkpointable
-//! boundary; the weighting job and the driver-side k-means++ run in
-//! `finish` and are recomputed deterministically on resume.
+//! The driver is a [`ParInitAlgo`] on the generic [`Engine`]: each
+//! sampling round is one job and one checkpointable boundary; the
+//! weighting job and the driver-side k-means++ run in `finish` and are
+//! recomputed deterministically on resume.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -37,9 +37,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::mr::centers::{check_next_id, CenterSet, Nearest};
-use crate::mr::engine::{
-    Engine, EngineCtx, IterativeAlgorithm, JobOutputs, PlannedJob, RunStats, SegmentStats, Step,
-};
+use crate::mr::engine::{Engine, EngineCtx, IterativeAlgorithm, RunStats};
 use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, load_point, PointSum};
 
 /// Key 0 carries the cost aggregate; key 1 carries sampled candidates.
@@ -233,8 +231,8 @@ pub struct PState {
 }
 
 /// Journal wire form: the next round, candidates, next id, ψ and the
-/// early-stop flag. Decoding rejects state `plan` or `apply` could not
-/// run: no candidates, or a `next_id` that is not fresh.
+/// early-stop flag. Decoding rejects state `iteration` could not run:
+/// no candidates, or a `next_id` that is not fresh.
 impl Writable for PState {
     fn write(&self, buf: &mut Vec<u8>) {
         (self.next_round as u64).write(buf);
@@ -259,9 +257,9 @@ impl Writable for PState {
     }
 }
 
-/// k-means‖ as a pure state machine on the [`Engine`]. Checkpoint
-/// commits are not charged ([`IterativeAlgorithm::CHARGE_COMMITS`] is
-/// `false`): the init driver surfaces no counters or simulated clock.
+/// k-means‖ on the [`Engine`]. Checkpoint commits are not charged
+/// ([`IterativeAlgorithm::CHARGE_COMMITS`] is `false`): the init driver
+/// surfaces no counters or simulated clock.
 pub struct ParInitAlgo {
     k: usize,
     seed: u64,
@@ -306,7 +304,7 @@ impl IterativeAlgorithm for ParInitAlgo {
         state.next_round as u64
     }
 
-    fn plan(&self, state: &mut PState, ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
+    fn iteration(&self, state: &mut PState, ctx: &mut EngineCtx<'_>) -> Result<()> {
         let round = state.next_round;
         // Oversampling factor ℓ = 2k.
         let oversample = 2.0 * self.k as f64;
@@ -318,12 +316,8 @@ impl IterativeAlgorithm for ParInitAlgo {
             if round == 0 { None } else { factor },
             self.seed ^ (round as u64).wrapping_mul(0x517c_c1b7),
         );
-        Ok(PlannedJob::new(job, ctx.reduce_slots()))
-    }
-
-    fn apply(&self, state: &mut PState, outputs: JobOutputs, _seg: &SegmentStats) -> Result<Step> {
         let mut new_psi = 0.0;
-        for out in outputs.take::<RoundOutput>() {
+        for out in ctx.run_job(job, ctx.reduce_slots())?.0 {
             match out {
                 RoundOutput::Cost { psi: p, .. } => new_psi += p,
                 RoundOutput::Candidate(coords) => {
@@ -337,7 +331,7 @@ impl IterativeAlgorithm for ParInitAlgo {
         if new_psi == 0.0 {
             state.done_sampling = true; // every point is already a candidate
         }
-        Ok(Step::Boundary)
+        Ok(())
     }
 
     fn finish(
@@ -350,9 +344,7 @@ impl IterativeAlgorithm for ParInitAlgo {
         let candidates = state.candidates;
         let weight_job =
             crate::mr::kmeans_job::KMeansJob::new(Arc::new(ctx.prepare(candidates.clone())));
-        let updates = ctx
-            .execute(PlannedJob::new(weight_job, ctx.reduce_slots()))?
-            .take::<crate::mr::centers::CenterUpdate>();
+        let (updates, _) = ctx.run_job(weight_job, ctx.reduce_slots())?;
         let mut weights = vec![1u64; candidates.len()];
         for update in &updates {
             if let Some(idx) = candidates.index_of(update.id) {

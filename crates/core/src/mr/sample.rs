@@ -18,6 +18,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
+use crate::mr::input::modal_dim;
+
 /// Reservoir-samples `count` points from a DFS text file (one dataset
 /// read). Returns fewer points when the file is smaller than `count`.
 ///
@@ -109,10 +111,7 @@ fn sample_in_waves(
             }
         }
     }
-    let Some((&dim, _)) = dim_counts
-        .iter()
-        .max_by_key(|&(&d, &n)| (n, std::cmp::Reverse(d)))
-    else {
+    let Some((dim, _)) = modal_dim(&dim_counts) else {
         return Err(Error::Config(format!("no parsable points in {path}")));
     };
     reservoir.retain(|p| p.len() == dim);

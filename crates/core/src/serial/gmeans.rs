@@ -136,21 +136,6 @@ impl GMeans {
             splits,
         }
     }
-
-    /// Like [`GMeans::fit`], followed by a final global Lloyd refinement
-    /// of the discovered centers over the whole dataset.
-    pub fn fit_refined(&self, data: &Dataset, refine_iterations: usize) -> GMeansResult {
-        let mut result = self.fit(data);
-        if !result.centers.is_empty() && refine_iterations > 0 {
-            let refined = kmeans_from(
-                data,
-                result.centers.clone(),
-                &KMeansConfig::new(result.centers.len()).with_iterations(refine_iterations),
-            );
-            result.centers = refined.centers;
-        }
-        result
-    }
 }
 
 fn mean_point(data: &Dataset) -> Point {
@@ -269,19 +254,6 @@ mod tests {
         let b = GMeans::new(cfg).fit(&d.points);
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.ad_tests, b.ad_tests);
-    }
-
-    #[test]
-    fn refined_fit_does_not_change_k() {
-        let d = GaussianMixture::figure_r2(2000, 8).generate().unwrap();
-        let g = GMeans::new(GMeansConfig::default());
-        let plain = g.fit(&d.points);
-        let refined = g.fit_refined(&d.points, 5);
-        assert_eq!(plain.k(), refined.k());
-        // Refinement must not worsen WCSS.
-        let w_plain = crate::eval::wcss(&d.points, &plain.centers);
-        let w_refined = crate::eval::wcss(&d.points, &refined.centers);
-        assert!(w_refined <= w_plain + 1e-9);
     }
 
     #[test]

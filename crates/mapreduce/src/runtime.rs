@@ -1511,13 +1511,13 @@ impl JobRunner {
             )?;
         }
 
+        // Input records and groups are tallied here and added once the
+        // stream ends: a failed attempt's bank is discarded anyway.
         let mut merge: MergeIter<J::Key, J::Value> = MergeIter::from_sources(sources)?;
-        let records = merge
-            .by_ref()
-            .inspect(|_| counters.inc(Counter::ReduceInputRecords));
-        let mut groups = KeyGroups::new(records);
+        let (mut records, mut keys) = (0u64, 0u64);
+        let mut groups = KeyGroups::new(merge.by_ref().inspect(|_| records += 1));
         while let Some(key) = groups.next_key()? {
-            counters.inc(Counter::ReduceInputGroups);
+            keys += 1;
             let mut next_fn = || groups.next_value();
             let values = Values {
                 next_fn: &mut next_fn,
@@ -1525,6 +1525,8 @@ impl JobRunner {
             reducer.reduce(key, values, &mut out, &mut ctx)?;
         }
         drop(groups);
+        counters.add(Counter::ReduceInputRecords, records);
+        counters.add(Counter::ReduceInputGroups, keys);
         ctx.flush_tally();
         io.absorb(&merge.io());
         ctx.heap.release(merge_charged);

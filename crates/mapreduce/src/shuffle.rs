@@ -405,8 +405,10 @@ pub fn merge_to_run<K: ShuffleKey, V: ShuffleValue>(
 /// Counter parity with the buffered path is exact:
 /// `combine_input_records` counts each record arriving from the merge
 /// and `combine_output_records` counts each record written out, the
-/// same totals a buffered attempt charges for the same data. The fold
-/// holds only the key's combined records, never the group.
+/// same totals a buffered attempt charges for the same data. Both are
+/// tallied locally and added once the merge has been folded; a failed
+/// merge fails its attempt, whose bank is discarded. The fold holds
+/// only the key's combined records, never the group.
 pub fn merge_combine_to_run<J: Job>(
     job: &J,
     dir: &SpillDir,
@@ -422,13 +424,14 @@ pub fn merge_combine_to_run<J: Job>(
             writer.push(&k, &v)?;
         }
     } else {
-        let records = merge
-            .by_ref()
-            .inspect(|_| counters.inc(Counter::CombineInputRecords));
+        let (mut input, mut output) = (0u64, 0u64);
+        let records = merge.by_ref().inspect(|_| input += 1);
         fold_key_groups(job, records, |key, value| {
-            counters.inc(Counter::CombineOutputRecords);
+            output += 1;
             writer.push(key, &value)
         })?;
+        counters.add(Counter::CombineInputRecords, input);
+        counters.add(Counter::CombineOutputRecords, output);
     }
     let mut io = merge.io();
     let (run, write_io) = writer.finish()?;

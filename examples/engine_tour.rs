@@ -14,9 +14,7 @@
 
 use std::sync::Arc;
 
-use gmeans_mapreduce::algorithms::mr::{
-    apply_updates, CenterUpdate, KMeansJob, KMeansParallelInit, MRKMeans,
-};
+use gmeans_mapreduce::algorithms::mr::{apply_updates, KMeansJob, KMeansParallelInit, MRKMeans};
 use gmeans_mapreduce::algorithms::prelude::*;
 use gmeans_mapreduce::datagen::GaussianMixture;
 use gmeans_mapreduce::mapreduce::counters::Counter;
@@ -94,8 +92,8 @@ fn main() {
     );
 
     println!("\n== bring your own algorithm: the iterative-driver engine ==");
-    // Every shipped driver (G-means, k-means, multi-k, k-means||) is a
-    // state machine on the same Engine; here is the smallest possible
+    // Every shipped driver (G-means, k-means, multi-k, k-means||) runs
+    // its iterations on the same Engine; here is the smallest possible
     // fifth one — a dataset-centroid finder — getting execution,
     // counters, the simulated clock and crash recovery for free.
     let centroid = Engine::new(staged(7))
@@ -162,21 +160,15 @@ impl IterativeAlgorithm for Centroid {
     fn seq(&self, state: &CentroidState) -> u64 {
         state.round as u64
     }
-    fn plan(&self, state: &mut CentroidState, ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
+    fn iteration(&self, state: &mut CentroidState, ctx: &mut EngineCtx<'_>) -> Result<()> {
+        // One segment: run a k-means job through the engine, which
+        // charges its read, counters and clock, then fold its output.
         let job = KMeansJob::new(Arc::new(ctx.prepare(state.center.clone())));
-        Ok(PlannedJob::new(job, ctx.reduce_tasks(1)))
-    }
-    fn apply(
-        &self,
-        state: &mut CentroidState,
-        outputs: JobOutputs,
-        _seg: &SegmentStats,
-    ) -> Result<Step> {
-        let updates = outputs.take::<CenterUpdate>();
+        let (updates, _timing) = ctx.run_job(job, ctx.reduce_tasks(1))?;
         let (next, _counts) = apply_updates(&state.center, &updates);
         state.center = next;
         state.round += 1;
-        Ok(Step::Boundary)
+        Ok(())
     }
     fn finish(
         &self,

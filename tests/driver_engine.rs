@@ -1,7 +1,7 @@
 //! The generic iterative-driver engine, proven over every algorithm.
 //!
 //! All four drivers (G-means, k-means, multi-k-means, k-means‖ init)
-//! are state machines on the same [`Engine`]; one shared harness
+//! run their iterations on the same [`Engine`]; one shared harness
 //! exercises each through the three behaviours the engine owns:
 //!
 //! * **Goldens** — results are bit-identical to the pre-engine,
@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use gmeans::mr::{apply_updates, CenterUpdate, KMeansJob};
+use gmeans::mr::{apply_updates, KMeansJob};
 use gmeans::prelude::*;
 use gmr_datagen::GaussianMixture;
 use gmr_mapreduce::counters::Counter;
@@ -409,21 +409,13 @@ impl IterativeAlgorithm for Centroid {
     fn seq(&self, state: &CentroidState) -> u64 {
         state.round as u64
     }
-    fn plan(&self, state: &mut CentroidState, ctx: &EngineCtx<'_>) -> Result<PlannedJob> {
+    fn iteration(&self, state: &mut CentroidState, ctx: &mut EngineCtx<'_>) -> Result<()> {
         let job = KMeansJob::new(Arc::new(ctx.prepare(state.center.clone())));
-        Ok(PlannedJob::new(job, ctx.reduce_tasks(1)))
-    }
-    fn apply(
-        &self,
-        state: &mut CentroidState,
-        outputs: JobOutputs,
-        _seg: &SegmentStats,
-    ) -> Result<Step> {
-        let updates = outputs.take::<CenterUpdate>();
+        let (updates, _timing) = ctx.run_job(job, ctx.reduce_tasks(1))?;
         let (next, _counts) = apply_updates(&state.center, &updates);
         state.center = next;
         state.round += 1;
-        Ok(Step::Boundary)
+        Ok(())
     }
     fn finish(
         &self,

@@ -8,7 +8,7 @@ use gmeans::mr::MultiKMeans;
 use gmeans::prelude::*;
 use gmr_datagen::GaussianMixture;
 use gmr_mapreduce::counters::Counter;
-use gmr_mapreduce::prelude::{ClusterConfig, Dfs, JobRunner};
+use gmr_mapreduce::prelude::{ClusterConfig, Dfs, Error, JobRunner};
 
 fn dfs_with(spec: &GaussianMixture) -> Arc<Dfs> {
     let dfs = Arc::new(Dfs::new(16 * 1024));
@@ -214,7 +214,7 @@ fn strategy_switch_protects_small_heaps() {
         ..ClusterConfig::default()
     };
     let dfs = dfs_with(&spec);
-    let runner = JobRunner::new(dfs, cluster).unwrap();
+    let runner = JobRunner::new(Arc::clone(&dfs), cluster).unwrap();
     // The switch rule keeps the big first-iteration cluster mapper-side
     // (its sub-buffers are bounded by the split size), so the run
     // completes.
@@ -222,4 +222,40 @@ fn strategy_switch_protects_small_heaps() {
         .run("points.txt")
         .unwrap();
     assert!(r.k() >= 10);
+
+    // Forced reducer-side, the first iteration's k-means and
+    // find-new-centers jobs commit, then the test job's one reducer
+    // holds all 4000 projections and dies. The run degrades: the
+    // iteration is reported failed and the hierarchy stands as the
+    // committed jobs left it (one cluster, with its refined count).
+    let runner = JobRunner::new(dfs, cluster).unwrap();
+    let forced = MRGMeans::new(runner, GMeansConfig::default())
+        .with_forced_strategy(Some(TestStrategy::Clusters))
+        .run("points.txt")
+        .unwrap();
+    match &forced.failure {
+        Some(Error::HeapSpace {
+            task,
+            attempted,
+            limit,
+        }) => assert_eq!(
+            (task.as_str(), *attempted, *limit),
+            ("reduce-0", 102_464, 102_400)
+        ),
+        other => panic!("expected the test reducer to run out of heap, got {other:?}"),
+    }
+    assert_eq!(forced.reports.len(), 1);
+    let report = &forced.reports[0];
+    assert_eq!((report.iteration, report.jobs), (1, 2));
+    assert!(
+        report.error.is_some(),
+        "the failed iteration carries its error"
+    );
+    assert_eq!(forced.k(), 1);
+    assert_eq!(forced.counts, [4000]);
+    // The sample, the two committed jobs and the failed test job's scan.
+    assert_eq!(forced.dataset_reads, 4);
+    assert_eq!(forced.counters.get(Counter::DistanceComputations), 16_000);
+    // 14.0007382 s: the committed jobs only.
+    assert_eq!(forced.simulated_secs.to_bits(), 0x402c_0060_c1e1_b740);
 }
