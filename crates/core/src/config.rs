@@ -57,9 +57,6 @@ pub struct KMeansConfig {
     pub k: usize,
     /// Maximum Lloyd iterations.
     pub max_iterations: usize,
-    /// Relative WCSS improvement under which iteration stops early.
-    /// `0.0` disables early stopping (the paper's fixed-round runs).
-    pub tolerance: f64,
     /// RNG seed for initialization.
     pub seed: u64,
 }
@@ -70,7 +67,6 @@ impl KMeansConfig {
         Self {
             k,
             max_iterations: 10,
-            tolerance: 0.0,
             seed: 42,
         }
     }

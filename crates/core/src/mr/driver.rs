@@ -23,13 +23,14 @@
 //! paper's ≈1.5× (Table 1); [`crate::merge`] implements the
 //! post-processing the paper leaves as future work.
 //!
-//! The driver is a [`GMeansAlgo`] on the generic [`Engine`]: each
-//! G-means iteration is one engine segment that runs its jobs top to
-//! bottom (k-means refinements, the fused find-new-centers job, the
-//! split test, an optional reducer-side retry) and is checkpointed at
-//! its boundary. Crash recovery, fault degradation, counters and clocks
-//! are the engine's; the driver only runs the jobs and folds their
-//! outputs into the cluster hierarchy.
+//! The driver, [`MRGMeans`], is the generic [`Engine`] running a
+//! [`GMeansAlgo`]: each G-means iteration is one engine segment that
+//! runs its jobs top to bottom (k-means refinements, the fused
+//! find-new-centers job, the split test, an optional reducer-side
+//! retry) and is checkpointed at its boundary. Options, crash recovery,
+//! fault degradation, counters and clocks are the engine's; the
+//! algorithm only runs the jobs and folds their outputs into the
+//! cluster hierarchy.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -41,9 +42,7 @@ use gmr_mapreduce::{Error, Result};
 
 use crate::config::GMeansConfig;
 use crate::mr::centers::{apply_updates, check_next_id, CenterSet};
-use crate::mr::engine::{
-    Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, RunStats, SegmentStats,
-};
+use crate::mr::engine::{Engine, EngineCtx, IterativeAlgorithm, RunStats, SegmentStats};
 use crate::mr::find_new_centers::{FindNewCentersJob, FindNewOutput};
 use crate::mr::kmeans_job::KMeansJob;
 use crate::mr::split_test::{SplitTestSpec, TestClustersJob, TestDecision, TestFewClustersJob};
@@ -597,10 +596,6 @@ impl IterativeAlgorithm for GMeansAlgo {
         state.parents.iter().all(|p| p.found) || state.iteration >= self.config.max_iterations
     }
 
-    fn seq(&self, state: &GState) -> u64 {
-        state.iteration as u64
-    }
-
     fn iteration(&self, state: &mut GState, ctx: &mut EngineCtx<'_>) -> Result<()> {
         state.iteration += 1;
         let clusters_before = state.parents.len();
@@ -709,46 +704,21 @@ impl IterativeAlgorithm for GMeansAlgo {
     }
 }
 
-/// MapReduce G-means.
-pub struct MRGMeans {
-    engine: Engine,
-    algo: GMeansAlgo,
-}
+/// MapReduce G-means: [`GMeansAlgo`] on the [`Engine`], which supplies
+/// the options, `run` and `resume`. Checkpoints are journaled after
+/// `PickInitialCenters` and after every iteration.
+pub type MRGMeans = Engine<GMeansAlgo>;
 
 impl MRGMeans {
     /// Creates a driver running on `runner`'s cluster.
     pub fn new(runner: JobRunner, config: GMeansConfig) -> Self {
-        Self {
-            engine: Engine::new(runner),
-            algo: GMeansAlgo {
+        Engine::for_algorithm(
+            runner,
+            GMeansAlgo {
                 config,
                 force_strategy: None,
             },
-        }
-    }
-
-    /// Enables the k-d-tree nearest-center index (the mrkd-tree
-    /// acceleration of §2's related work) inside every job of the run.
-    /// Results are identical; the distance-evaluation counters drop.
-    pub fn with_kd_index(mut self, kd_index: bool) -> Self {
-        self.engine = self.engine.with_kd_index(kd_index);
-        self
-    }
-
-    /// Journals driver state into a DFS checkpoint directory after
-    /// `PickInitialCenters` and after every iteration, enabling
-    /// [`MRGMeans::resume`]. Commit I/O is charged to the simulated
-    /// clock and the checkpoint counters.
-    pub fn with_checkpoints(mut self, dir: impl Into<String>) -> Self {
-        self.engine = self.engine.with_checkpoints(dir);
-        self
-    }
-
-    /// Selects disk-based (Hadoop-style) or cached (Spark-style)
-    /// execution. See [`ExecutionMode`].
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.engine = self.engine.with_execution_mode(mode);
-        self
+        )
     }
 
     /// Overrides the §3.2 strategy switch, always using the given test
@@ -757,20 +727,6 @@ impl MRGMeans {
     pub fn with_forced_strategy(mut self, strategy: Option<TestStrategy>) -> Self {
         self.algo.force_strategy = strategy;
         self
-    }
-
-    /// Clusters the DFS text file at `input`.
-    pub fn run(&self, input: &str) -> Result<MRGMeansResult> {
-        self.engine.run(&self.algo, input)
-    }
-
-    /// Resumes an interrupted checkpointed run from its newest intact
-    /// checkpoint, continuing to a result bit-identical to an
-    /// uninterrupted [`MRGMeans::run`]. Falls back to a fresh run when
-    /// the journal holds no valid checkpoint. Requires
-    /// [`MRGMeans::with_checkpoints`].
-    pub fn resume(&self, input: &str) -> Result<MRGMeansResult> {
-        self.engine.resume(&self.algo, input)
     }
 }
 

@@ -38,8 +38,17 @@
 //! next checkpointable boundary, each through [`EngineCtx::run_job`] —
 //! and folds the outputs into the state, and `finish` converts the
 //! final state into the driver's result. The state is its own journal
-//! wire form ([`Writable`]). Adding a fifth driver means writing those
-//! methods; the engine needs no changes.
+//! wire form ([`Writable`]); the engine numbers the boundaries it is
+//! journaled at: 0 after `fresh`, one more per completed segment, and
+//! on resume the loaded checkpoint's number.
+//!
+//! A driver is an [`Engine<A>`](Engine) built by
+//! [`Engine::for_algorithm`]; its options (`with_execution_mode`,
+//! `with_kd_index`, `with_checkpoints`) and `run`/`resume` are written
+//! once, here. The four shipped drivers are aliases of it whose own
+//! impls hold only their constructors and what else differs. Adding a
+//! fifth driver means writing the trait's methods; the engine needs no
+//! changes.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -102,9 +111,11 @@ pub struct RunStats {
 
 /// An iterative MapReduce algorithm: the loop the [`Engine`] drives
 /// one segment at a time. See the module docs for the contract; the
-/// existing drivers ([`crate::mr::MRGMeans`], [`crate::mr::MRKMeans`],
-/// [`crate::mr::MultiKMeans`], [`crate::mr::KMeansParallelInit`]) are
-/// the reference implementations.
+/// shipped drivers' algorithms ([`crate::mr::driver::GMeansAlgo`],
+/// [`crate::mr::kmeans_driver::KMeansAlgo`],
+/// [`crate::mr::multi_kmeans::MultiKAlgo`],
+/// [`crate::mr::parallel_init::ParInitAlgo`]) are the reference
+/// implementations.
 pub trait IterativeAlgorithm {
     /// Complete loop state at an iteration boundary, and its own
     /// journal wire form: the engine writes it at every boundary and
@@ -132,8 +143,6 @@ pub trait IterativeAlgorithm {
     fn dim(&self, state: &Self::State) -> Result<usize>;
     /// True when no further iterations should run.
     fn done(&self, state: &Self::State) -> bool;
-    /// Checkpoint sequence number of the current boundary.
-    fn seq(&self, state: &Self::State) -> u64;
     /// Runs one iteration segment: every job up to the next
     /// checkpointable boundary, each through [`EngineCtx::run_job`],
     /// folding their outputs into the state as they come back.
@@ -214,24 +223,31 @@ fn decode_frame<A: IterativeAlgorithm>(payload: &[u8]) -> Result<(Totals, A::Sta
     Ok((Totals::read(&mut buf)?, A::State::read(&mut buf)?))
 }
 
-/// The engine: a [`JobRunner`] plus the cross-cutting driver
-/// configuration (execution mode, accelerators, journaling).
-pub struct Engine {
+/// The engine: one [`IterativeAlgorithm`] on a [`JobRunner`], plus the
+/// cross-cutting driver configuration (execution mode, accelerators,
+/// journaling). Each shipped driver is an alias of it —
+/// [`crate::mr::MRGMeans`], [`crate::mr::MRKMeans`],
+/// [`crate::mr::MultiKMeans`] and [`crate::mr::KMeansParallelInit`] —
+/// whose own impl holds only its constructor and what else differs.
+pub struct Engine<A: IterativeAlgorithm> {
     runner: JobRunner,
     mode: ExecutionMode,
     kd_index: bool,
     checkpoint_dir: Option<String>,
+    pub(crate) algo: A,
 }
 
-impl Engine {
-    /// Creates an engine on `runner`'s cluster with default settings:
-    /// on-disk execution, no accelerators, no journaling.
-    pub fn new(runner: JobRunner) -> Self {
+impl<A: IterativeAlgorithm> Engine<A> {
+    /// Creates an engine running `algo` on `runner`'s cluster with
+    /// default settings: on-disk execution, no accelerators, no
+    /// journaling.
+    pub fn for_algorithm(runner: JobRunner, algo: A) -> Self {
         Self {
             runner,
             mode: ExecutionMode::OnDisk,
             kd_index: false,
             checkpoint_dir: None,
+            algo,
         }
     }
 
@@ -242,9 +258,10 @@ impl Engine {
         self
     }
 
-    /// Enables the k-d-tree nearest-center index inside every prepared
-    /// center set of the run. Results are identical; the
-    /// distance-evaluation counters drop.
+    /// Enables the k-d-tree nearest-center index (the mrkd-tree
+    /// acceleration of §2's related work) inside every prepared center
+    /// set of the run. Results are identical; the distance-evaluation
+    /// counters drop.
     pub fn with_kd_index(mut self, kd_index: bool) -> Self {
         self.kd_index = kd_index;
         self
@@ -252,14 +269,11 @@ impl Engine {
 
     /// Journals state into a DFS checkpoint directory after `fresh` and
     /// after every iteration boundary, enabling [`Engine::resume`].
+    /// Commit I/O is charged to the simulated clock and the checkpoint
+    /// counters unless [`IterativeAlgorithm::CHARGE_COMMITS`] is false.
     pub fn with_checkpoints(mut self, dir: impl Into<String>) -> Self {
         self.checkpoint_dir = Some(dir.into());
         self
-    }
-
-    /// The underlying job runner.
-    pub fn runner(&self) -> &JobRunner {
-        &self.runner
     }
 
     fn journal(&self) -> Option<RunJournal> {
@@ -268,21 +282,39 @@ impl Engine {
             .map(|dir| RunJournal::new(Arc::clone(self.runner.dfs()), dir.clone()))
     }
 
-    /// Runs `algo` against the DFS text file at `input` from a fresh
-    /// initial state.
-    pub fn run<A: IterativeAlgorithm>(&self, algo: &A, input: &str) -> Result<A::Output> {
+    /// A context for one run over `input`, starting from `totals`.
+    fn ctx<'e>(&'e self, input: &'e str, totals: Totals) -> EngineCtx<'e> {
+        EngineCtx {
+            runner: &self.runner,
+            kd_index: self.kd_index,
+            input,
+            cache: None,
+            totals,
+            seg: SegmentStats::default(),
+        }
+    }
+
+    /// Runs the algorithm against the DFS text file at `input` from a
+    /// fresh initial state.
+    pub fn run(&self, input: &str) -> Result<A::Output> {
+        self.run_with(&self.algo, input)
+    }
+
+    /// [`Engine::run`] with `algo` in place of the engine's own
+    /// algorithm (a variant of it, such as explicit initial centers).
+    pub(crate) fn run_with(&self, algo: &A, input: &str) -> Result<A::Output> {
         let wall = Instant::now();
         // A fresh run starts at job epoch 0 so node-crash draws are a
         // pure function of the fault plan and the job sequence.
         self.runner.sync_job_epochs(0);
-        let mut ctx = EngineCtx::fresh(self, input);
+        let mut ctx = self.ctx(input, Totals::default());
         let state = algo.fresh(&mut ctx)?;
-        ctx.build_cache(algo.dim(&state)?, true)?;
+        self.build_cache(&mut ctx, algo.dim(&state)?, true)?;
         if let Some(journal) = self.journal() {
             journal.reset();
-            ctx.commit::<A>(&journal, algo.seq(&state), &state)?;
+            ctx.commit::<A>(&journal, 0, &state)?;
         }
-        self.drive(algo, state, ctx, wall)
+        self.drive(algo, state, ctx, 0, wall)
     }
 
     /// Resumes an interrupted checkpointed run from its newest intact
@@ -292,19 +324,19 @@ impl Engine {
     /// was built without [`Engine::with_checkpoints`], and with
     /// [`Error::Corrupt`] when the checkpoint holds state the
     /// algorithm could not run.
-    pub fn resume<A: IterativeAlgorithm>(&self, algo: &A, input: &str) -> Result<A::Output> {
+    pub fn resume(&self, input: &str) -> Result<A::Output> {
         let wall = Instant::now();
         let journal = self.journal().ok_or_else(|| no_journal_error(A::NAME))?;
         let ckpt = match journal.latest()? {
             Some(c) => c,
-            None => return self.run(algo, input),
+            None => return self.run(input),
         };
         let (totals, state) = decode_frame::<A>(&ckpt.payload)?;
         // Fast-forward the job-epoch counter past the jobs the restored
         // totals already account for, so every remaining job sees the
         // same node weather as in the uninterrupted run.
         self.runner.sync_job_epochs(totals.jobs);
-        let mut ctx = EngineCtx::resumed(self, input, totals);
+        let mut ctx = self.ctx(input, totals);
         if A::CHARGE_COMMITS {
             // Re-apply the loaded checkpoint's own commit charge: the
             // state was serialized before it, so the uninterrupted
@@ -314,17 +346,44 @@ impl Engine {
         }
         // Rebuild the point cache (physical re-read only; the logical
         // read is already in the restored totals).
-        ctx.build_cache(algo.dim(&state)?, false)?;
-        self.drive(algo, state, ctx, wall)
+        self.build_cache(&mut ctx, self.algo.dim(&state)?, false)?;
+        self.drive(&self.algo, state, ctx, ckpt.seq, wall)
+    }
+
+    /// Spark-style mode: parse the dataset once, pin it in memory.
+    /// `charge_read` distinguishes a fresh build (one logical read and
+    /// its quarantined lines) from a resume rebuild (physical re-read
+    /// only).
+    fn build_cache(&self, ctx: &mut EngineCtx<'_>, dim: usize, charge_read: bool) -> Result<()> {
+        if self.mode == ExecutionMode::Cached {
+            let cache = PointCache::build(
+                self.runner.dfs(),
+                ctx.input,
+                dim,
+                gmr_mapreduce::text::parse_point,
+            )?;
+            if charge_read {
+                // The cache materialization scans the dataset once.
+                ctx.totals.reads += 1;
+                let counters = &ctx.totals.counters;
+                counters.add(Counter::BadRecordsSkipped, cache.bad_records());
+                counters.add(Counter::BadRecordBytes, cache.bad_record_bytes());
+            }
+            ctx.cache = Some(cache);
+        }
+        Ok(())
     }
 
     /// The shared driver loop: one `iteration` per segment until the
-    /// algorithm converges, with a checkpoint at every boundary.
-    fn drive<A: IterativeAlgorithm>(
+    /// algorithm converges, with a checkpoint at every boundary. `seq`
+    /// numbers the boundary `state` stands at: 0 after `fresh`, one
+    /// more per completed segment.
+    fn drive(
         &self,
         algo: &A,
         mut state: A::State,
         mut ctx: EngineCtx<'_>,
+        mut seq: u64,
         wall: Instant,
     ) -> Result<A::Output> {
         let journal = self.journal();
@@ -351,8 +410,9 @@ impl Engine {
                 Err(e) => return Err(e),
             }
             ctx.fold_segment();
+            seq += 1;
             if let Some(journal) = &journal {
-                ctx.commit::<A>(journal, algo.seq(&state), &state)?;
+                ctx.commit::<A>(journal, seq, &state)?;
             }
         }
         let stats = ctx.stats(wall, failure);
@@ -364,7 +424,8 @@ impl Engine {
 /// and the run totals. Algorithms use it to sample, prepare center
 /// sets, size reduce phases and run jobs.
 pub struct EngineCtx<'e> {
-    engine: &'e Engine,
+    runner: &'e JobRunner,
+    kd_index: bool,
     input: &'e str,
     cache: Option<PointCache>,
     totals: Totals,
@@ -372,26 +433,6 @@ pub struct EngineCtx<'e> {
 }
 
 impl<'e> EngineCtx<'e> {
-    fn fresh(engine: &'e Engine, input: &'e str) -> Self {
-        Self {
-            engine,
-            input,
-            cache: None,
-            totals: Totals::default(),
-            seg: SegmentStats::default(),
-        }
-    }
-
-    fn resumed(engine: &'e Engine, input: &'e str, totals: Totals) -> Self {
-        Self {
-            engine,
-            input,
-            cache: None,
-            totals,
-            seg: SegmentStats::default(),
-        }
-    }
-
     /// The input path this run is bound to.
     pub fn input(&self) -> &str {
         self.input
@@ -399,7 +440,7 @@ impl<'e> EngineCtx<'e> {
 
     /// The simulated cluster configuration.
     pub fn cluster(&self) -> &ClusterConfig {
-        self.engine.runner.cluster()
+        self.runner.cluster()
     }
 
     /// Caps a wanted reduce-task count by the cluster's reduce slots
@@ -422,7 +463,7 @@ impl<'e> EngineCtx<'e> {
     /// every distance-heavy mapper inherits the fast path with zero
     /// per-mapper changes.
     pub fn prepare(&self, set: CenterSet) -> CenterSet {
-        if self.engine.kd_index && !set.is_empty() {
+        if self.kd_index && !set.is_empty() {
             set.with_kd_index()
         } else {
             set.with_backend(KernelBackend::Auto)
@@ -433,7 +474,7 @@ impl<'e> EngineCtx<'e> {
     /// exactly like the paper's serial `PickInitialCenters`; blocks are
     /// read and parsed in parallel, the sample is the serial one.
     pub fn sample(&mut self, count: usize, seed: u64) -> Result<Dataset> {
-        let sample = sample_points(&self.engine.runner, self.input, count, seed)?;
+        let sample = sample_points(self.runner, self.input, count, seed)?;
         self.totals.reads += 1;
         Ok(sample)
     }
@@ -458,7 +499,7 @@ impl<'e> EngineCtx<'e> {
         reducers: usize,
     ) -> Result<(Vec<J::Output>, JobTiming)> {
         let config = JobConfig::with_reducers(reducers);
-        let runner = &self.engine.runner;
+        let runner = self.runner;
         let result = match &self.cache {
             Some(cache) => runner.run_cached(&job, cache, &config)?,
             None => {
@@ -478,30 +519,6 @@ impl<'e> EngineCtx<'e> {
             return Err(Error::DriverCrash { boundary });
         }
         Ok((result.output, result.timing))
-    }
-
-    /// Spark-style mode: parse the dataset once, pin it in memory.
-    /// `charge_read` distinguishes a fresh build (one logical read and
-    /// its quarantined lines) from a resume rebuild (physical re-read
-    /// only).
-    fn build_cache(&mut self, dim: usize, charge_read: bool) -> Result<()> {
-        if self.engine.mode == ExecutionMode::Cached {
-            let cache = PointCache::build(
-                self.engine.runner.dfs(),
-                self.input,
-                dim,
-                gmr_mapreduce::text::parse_point,
-            )?;
-            if charge_read {
-                // The cache materialization scans the dataset once.
-                self.totals.reads += 1;
-                let counters = &self.totals.counters;
-                counters.add(Counter::BadRecordsSkipped, cache.bad_records());
-                counters.add(Counter::BadRecordBytes, cache.bad_record_bytes());
-            }
-            self.cache = Some(cache);
-        }
-        Ok(())
     }
 
     /// Folds the open iteration segment into the run totals. One f64
@@ -579,9 +596,6 @@ mod tests {
         }
         fn done(&self, _s: &u64) -> bool {
             true
-        }
-        fn seq(&self, _s: &u64) -> u64 {
-            0
         }
         fn iteration(&self, _s: &mut u64, _ctx: &mut EngineCtx<'_>) -> Result<()> {
             unreachable!("a done algorithm runs no iteration")

@@ -3,9 +3,8 @@
 //! The "common MapReduce implementation of k-means" the paper's
 //! abstract compares against; also the refinement engine behind the
 //! Table 3 quality comparison (multi-k-means at `k = k_found`, 10
-//! iterations). The driver is a [`KMeansAlgo`] on the generic
-//! [`Engine`]; [`MRKMeans`] is the thin façade keeping the original
-//! constructor-style API.
+//! iterations). The driver, [`MRKMeans`], is the generic [`Engine`]
+//! running a [`KMeansAlgo`].
 
 use std::sync::Arc;
 
@@ -114,10 +113,6 @@ impl IterativeAlgorithm for KMeansAlgo {
         state.iteration >= self.iterations
     }
 
-    fn seq(&self, state: &KState) -> u64 {
-        state.iteration as u64
-    }
-
     fn iteration(&self, state: &mut KState, ctx: &mut EngineCtx<'_>) -> Result<()> {
         let job = KMeansJob::new(Arc::new(ctx.prepare(state.centers.clone())));
         let (updates, timing) = ctx.run_job(job, ctx.reduce_tasks(state.centers.len()))?;
@@ -158,11 +153,9 @@ impl IterativeAlgorithm for KMeansAlgo {
     }
 }
 
-/// MapReduce k-means with random serial initialization.
-pub struct MRKMeans {
-    engine: Engine,
-    algo: KMeansAlgo,
-}
+/// MapReduce k-means with random serial initialization: [`KMeansAlgo`]
+/// on the [`Engine`], which supplies the options, `run` and `resume`.
+pub type MRKMeans = Engine<KMeansAlgo>;
 
 impl MRKMeans {
     /// Creates the driver.
@@ -172,48 +165,26 @@ impl MRKMeans {
     pub fn new(runner: JobRunner, k: usize, iterations: usize, seed: u64) -> Self {
         assert!(k > 0, "k must be positive");
         assert!(iterations > 0, "need at least one iteration");
-        Self {
-            engine: Engine::new(runner),
-            algo: KMeansAlgo {
+        Engine::for_algorithm(
+            runner,
+            KMeansAlgo {
                 k,
                 iterations,
                 seed,
                 init: None,
             },
-        }
+        )
     }
 
-    /// Journals driver state into a DFS checkpoint directory after
-    /// initialization and after every iteration, enabling
-    /// [`MRKMeans::resume`].
-    pub fn with_checkpoints(mut self, dir: impl Into<String>) -> Self {
-        self.engine = self.engine.with_checkpoints(dir);
-        self
-    }
-
-    /// Runs on the DFS text file at `input`, initializing from a random
-    /// sample (one serial dataset read), then iterating the job.
-    pub fn run(&self, input: &str) -> Result<MRKMeansResult> {
-        self.engine.run(&self.algo, input)
-    }
-
-    /// Runs from explicit initial centers.
+    /// Runs from explicit initial centers. They travel in the seq-0
+    /// checkpoint, so a journaled explicit-init run resumes through
+    /// [`Engine::resume`] too.
     pub fn run_from(&self, input: &str, centers: CenterSet) -> Result<MRKMeansResult> {
         let algo = KMeansAlgo {
             init: Some(centers),
             ..self.algo
         };
-        self.engine.run(&algo, input)
-    }
-
-    /// Resumes an interrupted checkpointed run from its newest intact
-    /// checkpoint (the initial centers travel in the seq-0 checkpoint,
-    /// so explicit-init runs resume too), continuing to a result
-    /// bit-identical to an uninterrupted run. Falls back to a fresh
-    /// [`MRKMeans::run`] when the journal holds no valid checkpoint.
-    /// Requires [`MRKMeans::with_checkpoints`].
-    pub fn resume(&self, input: &str) -> Result<MRKMeansResult> {
-        self.engine.resume(&self.algo, input)
+        self.run_with(&algo, input)
     }
 }
 

@@ -15,11 +15,13 @@
 //!   serial reservoir fed by blocks parsed in parallel.
 //! * [`parallel_init`] — k-means‖, the distributed k-means++
 //!   initialization (§2's Bahmani citation), as MapReduce jobs.
-//! * [`engine`] — the generic iterative-driver engine every driver
-//!   above runs on: one loop that calls a driver's `iteration` once per
-//!   segment and owns journaling, resume, fault degradation, and, in
-//!   `EngineCtx::run_job`, counters, clocks and cached-vs-streaming
-//!   dispatch.
+//! * [`engine`] — the generic iterative-driver engine, `Engine<A>`:
+//!   every driver above is an alias of it over its algorithm
+//!   ([`MRGMeans`] is `Engine<GMeansAlgo>`, and so on). One loop calls
+//!   the algorithm's `iteration` once per segment; the engine owns the
+//!   run options, journaling and checkpoint numbering, resume, fault
+//!   degradation, and, in `EngineCtx::run_job`, counters, clocks and
+//!   cached-vs-streaming dispatch.
 //! * [`input`] — pre-flight input validation shared by the drivers.
 
 pub mod centers;

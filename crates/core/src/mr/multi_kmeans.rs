@@ -8,9 +8,8 @@
 //! of `O(n·k_max²)` distance computations per iteration, which is what
 //! Table 2 and Figure 3 measure.
 //!
-//! The driver is a [`MultiKAlgo`] on the generic [`Engine`];
-//! [`MultiKMeans`] is the thin façade keeping the original
-//! constructor-style API.
+//! The driver, [`MultiKMeans`], is the generic [`Engine`] running a
+//! [`MultiKAlgo`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,7 +21,7 @@ use gmr_mapreduce::prelude::*;
 use gmr_mapreduce::writable::Writable;
 
 use crate::mr::centers::{apply_updates, CenterSet, CenterUpdate};
-use crate::mr::engine::{Engine, EngineCtx, ExecutionMode, IterativeAlgorithm, RunStats};
+use crate::mr::engine::{Engine, EngineCtx, IterativeAlgorithm, RunStats};
 use crate::mr::kmeans_job::{combine_point_sum, fold_point_sums, load_point, PointSum};
 
 /// Intermediate key: `(k-index, center id)` — the paper's `k_centerid`
@@ -291,10 +290,6 @@ impl IterativeAlgorithm for MultiKAlgo {
         state.iteration >= self.iterations
     }
 
-    fn seq(&self, state: &MState) -> u64 {
-        state.iteration as u64
-    }
-
     fn iteration(&self, state: &mut MState, ctx: &mut EngineCtx<'_>) -> Result<()> {
         let job_sets: Vec<CenterSet> = state.sets.iter().map(|s| ctx.prepare(s.clone())).collect();
         let job = MultiKMeansJob::new(Arc::new(job_sets));
@@ -342,11 +337,10 @@ impl IterativeAlgorithm for MultiKAlgo {
     }
 }
 
-/// Driver: initializes a center set per k and iterates the fused job.
-pub struct MultiKMeans {
-    engine: Engine,
-    algo: MultiKAlgo,
-}
+/// Driver: initializes a center set per k and iterates the fused job —
+/// [`MultiKAlgo`] on the [`Engine`], which supplies the options, `run`
+/// and `resume`.
+pub type MultiKMeans = Engine<MultiKAlgo>;
 
 impl MultiKMeans {
     /// Tests every k in `k_min..=k_max` with the given step.
@@ -364,53 +358,19 @@ impl MultiKMeans {
         assert!(k_min > 0 && k_min <= k_max, "bad k range");
         assert!(k_step > 0, "k_step must be positive");
         assert!(iterations > 0, "need at least one iteration");
-        Self {
-            engine: Engine::new(runner),
-            algo: MultiKAlgo {
+        Engine::for_algorithm(
+            runner,
+            MultiKAlgo {
                 ks: (k_min..=k_max).step_by(k_step).collect(),
                 iterations,
                 seed,
             },
-        }
-    }
-
-    /// Enables the k-d-tree nearest-center index inside the job.
-    pub fn with_kd_index(mut self, kd_index: bool) -> Self {
-        self.engine = self.engine.with_kd_index(kd_index);
-        self
-    }
-
-    /// Selects disk-based (Hadoop-style) or cached (Spark-style)
-    /// execution. See [`ExecutionMode`].
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.engine = self.engine.with_execution_mode(mode);
-        self
+        )
     }
 
     /// The tested k values.
     pub fn ks(&self) -> &[usize] {
         &self.algo.ks
-    }
-
-    /// Journals sweep state into a DFS checkpoint directory after every
-    /// iteration, enabling [`MultiKMeans::resume`].
-    pub fn with_checkpoints(mut self, dir: impl Into<String>) -> Self {
-        self.engine = self.engine.with_checkpoints(dir);
-        self
-    }
-
-    /// Runs the sweep over the DFS text file at `input`.
-    pub fn run(&self, input: &str) -> Result<MultiKMeansResult> {
-        self.engine.run(&self.algo, input)
-    }
-
-    /// Resumes an interrupted checkpointed sweep from its newest intact
-    /// checkpoint, continuing to a result bit-identical to an
-    /// uninterrupted [`MultiKMeans::run`]. Falls back to a fresh run
-    /// when the journal holds no valid checkpoint. Requires
-    /// [`MultiKMeans::with_checkpoints`].
-    pub fn resume(&self, input: &str) -> Result<MultiKMeansResult> {
-        self.engine.resume(&self.algo, input)
     }
 }
 

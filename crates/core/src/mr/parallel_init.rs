@@ -21,10 +21,11 @@
 //! picker of `KMeansAndFindNewCenters` uses: a point is sampled iff
 //! `h(seed_round, coords) / 2⁶⁴ < ℓ·d²/ψ`.
 //!
-//! The driver is a [`ParInitAlgo`] on the generic [`Engine`]: each
-//! sampling round is one job and one checkpointable boundary; the
-//! weighting job and the driver-side k-means++ run in `finish` and are
-//! recomputed deterministically on resume.
+//! The driver, [`KMeansParallelInit`], is the generic [`Engine`]
+//! running a [`ParInitAlgo`]: each sampling round is one job and one
+//! checkpointable boundary; the weighting job and the driver-side
+//! k-means++ run in `finish` and are recomputed deterministically on
+//! resume.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -300,10 +301,6 @@ impl IterativeAlgorithm for ParInitAlgo {
             || (state.next_round > 0 && state.psi.is_none())
     }
 
-    fn seq(&self, state: &PState) -> u64 {
-        state.next_round as u64
-    }
-
     fn iteration(&self, state: &mut PState, ctx: &mut EngineCtx<'_>) -> Result<()> {
         let round = state.next_round;
         // Oversampling factor ℓ = 2k.
@@ -358,11 +355,10 @@ impl IterativeAlgorithm for ParInitAlgo {
     }
 }
 
-/// The k-means‖ driver.
-pub struct KMeansParallelInit {
-    engine: Engine,
-    algo: ParInitAlgo,
-}
+/// The k-means‖ driver: [`ParInitAlgo`] on the [`Engine`], which
+/// supplies the options, `run` and `resume`. `run` returns exactly `k`
+/// centers (ids `0..k`) ready for [`crate::mr::MRKMeans::run_from`].
+pub type KMeansParallelInit = Engine<ParInitAlgo>;
 
 impl KMeansParallelInit {
     /// Initialization for `k` clusters with Bahmani's settings: 5
@@ -372,36 +368,7 @@ impl KMeansParallelInit {
     /// Panics if `k == 0`.
     pub fn new(runner: JobRunner, k: usize, seed: u64) -> Self {
         assert!(k > 0, "k must be positive");
-        Self {
-            engine: Engine::new(runner),
-            algo: ParInitAlgo { k, seed },
-        }
-    }
-
-    /// Journals driver state into a DFS checkpoint directory after the
-    /// seed sample and after every sampling round, enabling
-    /// [`KMeansParallelInit::resume`]. The init driver surfaces no
-    /// counters or simulated clock, so checkpoint I/O is not charged
-    /// here; the weight job and driver-side k-means++ are recomputed
-    /// deterministically on resume.
-    pub fn with_checkpoints(mut self, dir: impl Into<String>) -> Self {
-        self.engine = self.engine.with_checkpoints(dir);
-        self
-    }
-
-    /// Runs the initialization, returning exactly `k` centers (ids
-    /// `0..k`) ready for [`crate::mr::MRKMeans::run_from`].
-    pub fn run(&self, input: &str) -> Result<CenterSet> {
-        self.engine.run(&self.algo, input)
-    }
-
-    /// Resumes an interrupted checkpointed initialization from its
-    /// newest intact checkpoint, returning a center set bit-identical
-    /// to an uninterrupted [`KMeansParallelInit::run`]. Falls back to a
-    /// fresh run when the journal holds no valid checkpoint. Requires
-    /// [`KMeansParallelInit::with_checkpoints`].
-    pub fn resume(&self, input: &str) -> Result<CenterSet> {
-        self.engine.resume(&self.algo, input)
+        Engine::for_algorithm(runner, ParInitAlgo { k, seed })
     }
 }
 

@@ -78,31 +78,16 @@ pub fn kmeans(data: &Dataset, config: &KMeansConfig, strategy: InitStrategy) -> 
     kmeans_from(data, centers, config)
 }
 
-/// Runs Lloyd iterations from explicit starting centers.
+/// Runs `config.max_iterations` Lloyd iterations from explicit
+/// starting centers.
 pub fn kmeans_from(data: &Dataset, mut centers: Dataset, config: &KMeansConfig) -> KMeansResult {
-    let mut iterations = 0;
-    let mut last_wcss = f64::INFINITY;
     for _ in 0..config.max_iterations {
-        let (next, _sizes) = lloyd_iteration(data, &centers);
-        iterations += 1;
-        centers = next;
-        if config.tolerance > 0.0 {
-            let w = assign(data, &centers).wcss;
-            if last_wcss.is_finite() && (last_wcss - w) <= config.tolerance * last_wcss {
-                last_wcss = w;
-                break;
-            }
-            last_wcss = w;
-        }
+        centers = lloyd_iteration(data, &centers).0;
     }
-    let wcss = if last_wcss.is_finite() {
-        last_wcss
-    } else {
-        assign(data, &centers).wcss
-    };
+    let wcss = assign(data, &centers).wcss;
     KMeansResult {
         centers,
-        iterations,
+        iterations: config.max_iterations,
         wcss,
     }
 }
@@ -164,19 +149,6 @@ mod tests {
                 .fold(f64::INFINITY, f64::min);
             assert!(best < 1.0, "missed a true center by {best}");
         }
-    }
-
-    #[test]
-    fn early_stopping_respects_tolerance() {
-        let d = GaussianMixture::paper_r10(1000, 4, 2).generate().unwrap();
-        let mut cfg = KMeansConfig::new(4).with_iterations(50).with_seed(9);
-        cfg.tolerance = 0.01;
-        let r = kmeans(&d.points, &cfg, InitStrategy::KMeansPlusPlus);
-        assert!(
-            r.iterations < 50,
-            "tolerance should stop early, took {}",
-            r.iterations
-        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! illustrations, R¹⁰ for the evaluation). This crate provides the small
 //! set of numeric building blocks those algorithms need:
 //!
-//! * [`Point`] — an owned dense vector with the arithmetic used by Lloyd
-//!   iterations (addition, scaling, norms).
+//! * [`Point`] — an owned dense vector, the unit single centers and
+//!   means are handed around in.
 //! * [`Dataset`] — a flat, cache-friendly row-major matrix of points, the
 //!   in-memory representation used by the serial algorithms and by the
 //!   synthetic-data generator.

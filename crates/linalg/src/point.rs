@@ -20,13 +20,6 @@ impl Point {
         Self { coords }
     }
 
-    /// The origin of `R^dim`.
-    pub fn zeros(dim: usize) -> Self {
-        Self {
-            coords: vec![0.0; dim],
-        }
-    }
-
     /// Dimensionality of the point.
     pub fn dim(&self) -> usize {
         self.coords.len()
@@ -40,63 +33,6 @@ impl Point {
     /// Consumes the point, returning its coordinate vector.
     pub fn into_vec(self) -> Vec<f64> {
         self.coords
-    }
-
-    /// Adds `other` coordinate-wise into `self`.
-    ///
-    /// # Panics
-    /// Panics if dimensions differ.
-    pub fn add_assign(&mut self, other: &[f64]) {
-        assert_eq!(self.dim(), other.len(), "dimension mismatch");
-        for (a, b) in self.coords.iter_mut().zip(other) {
-            *a += b;
-        }
-    }
-
-    /// Subtracts `other` coordinate-wise, returning the difference vector.
-    ///
-    /// # Panics
-    /// Panics if dimensions differ.
-    pub fn sub(&self, other: &Point) -> Point {
-        assert_eq!(self.dim(), other.dim(), "dimension mismatch");
-        Point::new(
-            self.coords
-                .iter()
-                .zip(&other.coords)
-                .map(|(a, b)| a - b)
-                .collect(),
-        )
-    }
-
-    /// Scales every coordinate by `s`.
-    pub fn scale(&mut self, s: f64) {
-        for c in &mut self.coords {
-            *c *= s;
-        }
-    }
-
-    /// Dot product with another vector of the same dimension.
-    ///
-    /// # Panics
-    /// Panics if dimensions differ.
-    pub fn dot(&self, other: &[f64]) -> f64 {
-        assert_eq!(self.dim(), other.len(), "dimension mismatch");
-        self.coords.iter().zip(other).map(|(a, b)| a * b).sum()
-    }
-
-    /// Squared Euclidean norm.
-    pub fn norm_squared(&self) -> f64 {
-        self.coords.iter().map(|c| c * c).sum()
-    }
-
-    /// Euclidean norm.
-    pub fn norm(&self) -> f64 {
-        self.norm_squared().sqrt()
-    }
-
-    /// True if every coordinate is finite.
-    pub fn is_finite(&self) -> bool {
-        self.coords.iter().all(|c| c.is_finite())
     }
 }
 
@@ -178,21 +114,6 @@ impl Dataset {
         Self { dim, data }
     }
 
-    /// Builds a dataset from an iterator of points.
-    ///
-    /// # Panics
-    /// Panics if any point has a different dimensionality.
-    pub fn from_points<I>(dim: usize, points: I) -> Self
-    where
-        I: IntoIterator<Item = Point>,
-    {
-        let mut ds = Dataset::new(dim);
-        for p in points {
-            ds.push(p.as_slice());
-        }
-        ds
-    }
-
     /// Dimensionality of every point.
     pub fn dim(&self) -> usize {
         self.dim
@@ -240,58 +161,11 @@ impl Dataset {
     pub fn point(&self, i: usize) -> Point {
         Point::from(self.row(i))
     }
-
-    /// Appends every row of `other`.
-    ///
-    /// # Panics
-    /// Panics if dimensions differ.
-    pub fn extend_from(&mut self, other: &Dataset) {
-        assert_eq!(self.dim, other.dim, "dimension mismatch");
-        self.data.extend_from_slice(&other.data);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn point_arithmetic() {
-        let mut p = Point::new(vec![1.0, 2.0, 3.0]);
-        p.add_assign(&[1.0, 1.0, 1.0]);
-        assert_eq!(p.as_slice(), &[2.0, 3.0, 4.0]);
-        p.scale(0.5);
-        assert_eq!(p.as_slice(), &[1.0, 1.5, 2.0]);
-    }
-
-    #[test]
-    fn point_sub_and_dot() {
-        let a = Point::new(vec![3.0, 4.0]);
-        let b = Point::new(vec![1.0, 1.0]);
-        let d = a.sub(&b);
-        assert_eq!(d.as_slice(), &[2.0, 3.0]);
-        assert_eq!(d.dot(&[1.0, 1.0]), 5.0);
-    }
-
-    #[test]
-    fn point_norms() {
-        let p = Point::new(vec![3.0, 4.0]);
-        assert_eq!(p.norm_squared(), 25.0);
-        assert_eq!(p.norm(), 5.0);
-    }
-
-    #[test]
-    fn zeros_has_zero_norm() {
-        assert_eq!(Point::zeros(7).norm(), 0.0);
-        assert_eq!(Point::zeros(7).dim(), 7);
-    }
-
-    #[test]
-    fn is_finite_detects_nan() {
-        assert!(Point::new(vec![1.0, 2.0]).is_finite());
-        assert!(!Point::new(vec![1.0, f64::NAN]).is_finite());
-        assert!(!Point::new(vec![f64::INFINITY]).is_finite());
-    }
 
     #[test]
     fn dataset_push_and_row() {
@@ -322,24 +196,5 @@ mod tests {
     #[should_panic(expected = "multiple of dim")]
     fn dataset_from_flat_ragged_panics() {
         let _ = Dataset::from_flat(2, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn dataset_extend_from() {
-        let mut a = Dataset::from_flat(2, vec![1.0, 2.0]);
-        let b = Dataset::from_flat(2, vec![3.0, 4.0]);
-        a.extend_from(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.row(1), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn dataset_from_points() {
-        let ds = Dataset::from_points(
-            2,
-            vec![Point::new(vec![0.0, 1.0]), Point::new(vec![2.0, 3.0])],
-        );
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds.row(0), &[0.0, 1.0]);
     }
 }

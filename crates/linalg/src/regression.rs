@@ -54,11 +54,6 @@ impl LinearFit {
             r_squared,
         })
     }
-
-    /// Evaluates the fitted line at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +68,6 @@ mod tests {
         assert!((fit.slope - 3.0).abs() < 1e-10);
         assert!((fit.intercept + 7.0).abs() < 1e-10);
         assert!((fit.r_squared - 1.0).abs() < 1e-10);
-        assert!((fit.predict(100.0) - 293.0).abs() < 1e-9);
     }
 
     #[test]

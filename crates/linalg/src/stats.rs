@@ -102,11 +102,6 @@ impl RunningStats {
         self.variance_sample().sqrt()
     }
 
-    /// Population standard deviation.
-    pub fn stddev_population(&self) -> f64 {
-        self.variance_population().sqrt()
-    }
-
     /// Smallest observation; `+∞` when empty.
     pub fn min(&self) -> f64 {
         self.min
@@ -150,7 +145,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance_population() - 4.0).abs() < 1e-12);
-        assert!((s.stddev_population() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }

@@ -29,7 +29,6 @@ use crate::writable::{ShuffleKey, ShuffleValue};
 /// the difference: that bank is private to the attempt and merged into
 /// the job's only when the attempt commits.
 pub struct TaskContext {
-    task: String,
     counters: Arc<Counters>,
     /// Simulated heap for this attempt. Buffering code must charge the
     /// bytes it holds; exceeding the configured limit fails the task
@@ -45,20 +44,13 @@ pub struct TaskContext {
 impl TaskContext {
     /// Creates a context for the named task attempt.
     pub fn new(task: impl Into<String>, counters: Arc<Counters>, heap_limit: u64) -> Self {
-        let task = task.into();
         Self {
-            heap: HeapLedger::new(task.clone(), heap_limit),
-            task,
+            heap: HeapLedger::new(task.into(), heap_limit),
             counters,
             compute_units: 0.0,
             distances: 0,
             projections: 0,
         }
-    }
-
-    /// Name of the task attempt, e.g. `"map-3"`.
-    pub fn task_name(&self) -> &str {
-        &self.task
     }
 
     /// The job's counter bank.
@@ -583,7 +575,6 @@ mod tests {
         assert_eq!(counters.get(Counter::Projections), 3);
         ctx.flush_tally();
         assert_eq!(counters.get(Counter::DistanceComputations), 10);
-        assert_eq!(ctx.task_name(), "map-0");
     }
 
     /// Sums a key's values.

@@ -5,8 +5,9 @@
 //!   caching, partition-preserving),
 //! * k-d-tree nearest-center search (§2: mrkd-tree),
 //! * k-means‖ initialization (§2: Bahmani's MapReduce k-means++),
-//! * the generic iterative-driver engine all four shipped drivers run
-//!   on — demonstrated end to end with a custom algorithm.
+//! * the generic iterative-driver engine `Engine<A>`, of which all four
+//!   shipped drivers are aliases — demonstrated end to end with a
+//!   custom algorithm.
 //!
 //! ```text
 //! cargo run --release --example engine_tour
@@ -92,12 +93,13 @@ fn main() {
     );
 
     println!("\n== bring your own algorithm: the iterative-driver engine ==");
-    // Every shipped driver (G-means, k-means, multi-k, k-means||) runs
-    // its iterations on the same Engine; here is the smallest possible
-    // fifth one — a dataset-centroid finder — getting execution,
-    // counters, the simulated clock and crash recovery for free.
-    let centroid = Engine::new(staged(7))
-        .run(&Centroid, "points.txt")
+    // Every shipped driver (G-means, k-means, multi-k, k-means||) is
+    // the same Engine running its algorithm; here is the smallest
+    // possible fifth one — a dataset-centroid finder — getting
+    // execution, the run options, counters, the simulated clock and
+    // crash recovery for free.
+    let centroid = Engine::for_algorithm(staged(7), Centroid)
+        .run("points.txt")
         .expect("centroid run");
     println!(
         "  global centroid (dim {}) first coords: {:.3}, {:.3}, {:.3}",
@@ -120,7 +122,8 @@ struct CentroidState {
 
 /// The state is its own journal wire form, `(round, coords)`; `read`
 /// answers a state the algorithm could not run with `Error::Corrupt`.
-/// The engine handles framing, checksums and recovery.
+/// The engine handles framing, checkpoint numbering, checksums and
+/// recovery.
 impl Writable for CentroidState {
     fn write(&self, buf: &mut Vec<u8>) {
         (self.round as u64).write(buf);
@@ -156,9 +159,6 @@ impl IterativeAlgorithm for Centroid {
     }
     fn done(&self, state: &CentroidState) -> bool {
         state.round >= 1
-    }
-    fn seq(&self, state: &CentroidState) -> u64 {
-        state.round as u64
     }
     fn iteration(&self, state: &mut CentroidState, ctx: &mut EngineCtx<'_>) -> Result<()> {
         // One segment: run a k-means job through the engine, which

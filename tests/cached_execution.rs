@@ -112,6 +112,51 @@ fn cached_multik_matches_on_disk() {
     }
 }
 
+/// Every coordinate's bits, row by row.
+fn bits<'a>(rows: impl Iterator<Item = &'a [f64]>) -> Vec<u64> {
+    rows.flat_map(|r| r.iter().map(|v| v.to_bits())).collect()
+}
+
+#[test]
+fn cached_kmeans_and_parallel_init_match_on_disk() {
+    for iterations in [2, 5] {
+        let (disk_dfs, runner1) = staged(96);
+        let (cached_dfs, runner2) = staged(96);
+        let disk = MRKMeans::new(runner1, 6, iterations, 4)
+            .run("points.txt")
+            .unwrap();
+        let cached = MRKMeans::new(runner2, 6, iterations, 4)
+            .with_execution_mode(ExecutionMode::Cached)
+            .run("points.txt")
+            .unwrap();
+        assert_eq!(bits(disk.centers.rows()), bits(cached.centers.rows()));
+        assert_eq!(disk.counts, cached.counts);
+        // The sample, then one scan per Lloyd iteration on disk; the
+        // sample and the cache build only when cached.
+        assert_eq!(disk_dfs.stats().dataset_reads, 1 + iterations as u64);
+        assert_eq!(
+            cached_dfs.stats().dataset_reads,
+            2,
+            "{iterations} iterations"
+        );
+    }
+
+    let (_d1, runner1) = staged(97);
+    let (_d2, runner2) = staged(97);
+    let disk = KMeansParallelInit::new(runner1, 5, 8)
+        .run("points.txt")
+        .unwrap();
+    let cached = KMeansParallelInit::new(runner2, 5, 8)
+        .with_execution_mode(ExecutionMode::Cached)
+        .run("points.txt")
+        .unwrap();
+    assert_eq!(disk.len(), 5);
+    assert_eq!(
+        bits(disk.iter().map(|(_, c)| c)),
+        bits(cached.iter().map(|(_, c)| c))
+    );
+}
+
 #[test]
 fn cache_exposes_partitioning_and_size() {
     let (dfs, _runner) = staged(95);

@@ -406,9 +406,6 @@ impl IterativeAlgorithm for Centroid {
     fn done(&self, state: &CentroidState) -> bool {
         state.round >= self.rounds
     }
-    fn seq(&self, state: &CentroidState) -> u64 {
-        state.round as u64
-    }
     fn iteration(&self, state: &mut CentroidState, ctx: &mut EngineCtx<'_>) -> Result<()> {
         let job = KMeansJob::new(Arc::new(ctx.prepare(state.center.clone())));
         let (updates, _timing) = ctx.run_job(job, ctx.reduce_tasks(1))?;
@@ -430,32 +427,35 @@ impl IterativeAlgorithm for Centroid {
 #[test]
 fn a_new_algorithm_runs_and_resumes_with_zero_engine_changes() {
     let dfs = staged_dfs();
-    let clean = Engine::new(runner_on(&dfs, FaultPlan::none()))
+    let clean = Engine::for_algorithm(runner_on(&dfs, FaultPlan::none()), Centroid { rounds: 2 })
         .with_checkpoints(CKPT)
-        .run(&Centroid { rounds: 2 }, "pts")
+        .run("pts")
         .expect("toy algorithm runs");
     assert_eq!(clean.len(), 10, "centroid has the dataset's dimension");
 
     // With one center, every point folds into the same mean: the toy
     // algorithm must land exactly on the true global centroid.
-    let check = Engine::new(runner_on(&dfs, FaultPlan::none()))
-        .run(&Centroid { rounds: 1 }, "pts")
+    let check = Engine::for_algorithm(runner_on(&dfs, FaultPlan::none()), Centroid { rounds: 1 })
+        .run("pts")
         .expect("single round");
     assert_eq!(check, clean, "one-center Lloyd converges in one round");
 
     // Crash it mid-run and resume: same engine guarantees, no new code.
     let crashed = staged_dfs();
-    let err = Engine::new(runner_on(
-        &crashed,
-        FaultPlan::none().with_driver_crash_after(1),
-    ))
+    let err = Engine::for_algorithm(
+        runner_on(&crashed, FaultPlan::none().with_driver_crash_after(1)),
+        Centroid { rounds: 2 },
+    )
     .with_checkpoints(CKPT)
-    .run(&Centroid { rounds: 2 }, "pts")
+    .run("pts")
     .expect_err("crash");
     assert!(matches!(err, Error::DriverCrash { boundary: 1 }));
-    let resumed = Engine::new(runner_on(&crashed, FaultPlan::none()))
-        .with_checkpoints(CKPT)
-        .resume(&Centroid { rounds: 2 }, "pts")
-        .expect("resume");
+    let resumed = Engine::for_algorithm(
+        runner_on(&crashed, FaultPlan::none()),
+        Centroid { rounds: 2 },
+    )
+    .with_checkpoints(CKPT)
+    .resume("pts")
+    .expect("resume");
     assert_eq!(resumed, clean, "resumed toy run diverged");
 }

@@ -281,3 +281,45 @@ fn kmeans_drivers_on_the_kd_backend_keep_their_fingerprints() {
     let got = center_bits(init.iter().map(|(_, c)| c));
     assert_eq!(got, 0x7511_457c_ca9f_0a7e, "KMeansParallelInit at k = 40");
 }
+
+/// Runs `MRKMeans` and `KMeansParallelInit` at `k` on fresh copies of
+/// one dataset, linear and under the counted index; asserts identical
+/// answers and returns k-means' distance evaluations, linear then
+/// indexed.
+fn index_matches_linear(staged: impl Fn() -> JobRunner, k: usize) -> (u64, u64) {
+    let linear = MRKMeans::new(staged(), k, 4, 11).run("points.txt").unwrap();
+    let indexed = MRKMeans::new(staged(), k, 4, 11)
+        .with_kd_index(true)
+        .run("points.txt")
+        .unwrap();
+    assert_eq!(
+        center_bits(linear.centers.rows()),
+        center_bits(indexed.centers.rows())
+    );
+    assert_eq!(linear.counts, indexed.counts);
+
+    let linear_init = KMeansParallelInit::new(staged(), k, 12)
+        .run("points.txt")
+        .unwrap();
+    let indexed_init = KMeansParallelInit::new(staged(), k, 12)
+        .with_kd_index(true)
+        .run("points.txt")
+        .unwrap();
+    assert_eq!(
+        center_bits(linear_init.iter().map(|(_, c)| c)),
+        center_bits(indexed_init.iter().map(|(_, c)| c)),
+        "k-means|| at k = {k}"
+    );
+
+    let evals = |c: &Counters| c.get(Counter::DistanceComputations);
+    (evals(&linear.counters), evals(&indexed.counters))
+}
+
+#[test]
+fn indexed_kmeans_and_parallel_init_match_linear() {
+    let (linear, indexed) = index_matches_linear(|| staged(6, 2000, 86), 6);
+    assert!(indexed <= linear, "R¹⁰, k = 6: {indexed} vs {linear}");
+    // In 2-d at k = 64 the tree prunes most centers.
+    let (linear, indexed) = index_matches_linear(|| staged_2d(86), 64);
+    assert!(indexed < linear, "2-d, k = 64: {indexed} vs {linear}");
+}
